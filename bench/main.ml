@@ -662,15 +662,16 @@ let bechamel_benches () =
   Text_table.print t;
   print_newline ()
 
-(* -- placement microbench: trial booking, snapshot vs undo journal ----- *)
+(* -- placement microbench: trial booking, snapshot vs probe ------------ *)
 
 (* One trial booking of a 3-predecessor replica on an m-processor one-port
    clique with realistic port/link occupancy.  The [snapshot] variant is
-   the pre-optimization path (full O(m^2) state copy per candidate); the
-   [journal] variant is what every scheduler now does via
-   [Netstate.with_trial].  Both leave the state untouched, so the
-   measured operation is exactly the per-candidate cost of
-   [Caft_engine.best_placement] / the FTSA and FTBAR evaluation passes. *)
+   the reference path (full O(m^2) state copy around a committed
+   booking); the [probe] variant is what every scheduler does per
+   candidate: [Netstate.probe] on sources loaded once.  Both leave the
+   state untouched, so the measured operation is exactly the
+   per-candidate cost of [Caft_engine.best_placement] / the FTSA and
+   FTBAR evaluation passes. *)
 let placement_case m =
   let platform = Platform.uniform ~m ~delay:1. in
   let net = Netstate.create platform in
@@ -710,27 +711,28 @@ let placement_case m =
     Netstate.restore net snap;
     b
   in
-  let journal_trial () =
-    Netstate.with_trial net (fun () ->
-        Netstate.book_replica net ~proc ~exec:25. ~inputs)
+  let src = Netstate.create_sources () in
+  Netstate.load_inputs src inputs;
+  let probe_trial () =
+    Netstate.probe net src ~colocate_exclusive:true ~proc ~exec:25.
   in
-  (snapshot_trial, journal_trial)
+  (snapshot_trial, probe_trial)
 
 let placement_ms = [ 10; 25; 50; 100 ]
 
 let placement_bench ?(quick = false) () =
   let open Bechamel in
   print_endline
-    "=== Placement microbench: trial booking, snapshot vs undo journal ===";
+    "=== Placement microbench: trial booking, snapshot vs probe ===";
   let test name f = Test.make ~name (Staged.stage f) in
   let tests =
     Test.make_grouped ~name:"placement"
       (List.concat_map
          (fun m ->
-           let snapshot_trial, journal_trial = placement_case m in
+           let snapshot_trial, probe_trial = placement_case m in
            [
              test (Printf.sprintf "snapshot/m=%03d" m) snapshot_trial;
-             test (Printf.sprintf "journal/m=%03d" m) journal_trial;
+             test (Printf.sprintf "probe/m=%03d" m) probe_trial;
            ])
          placement_ms)
   in
@@ -749,24 +751,24 @@ let placement_bench ?(quick = false) () =
   let t =
     Text_table.create
       ~aligns:[ Text_table.Left ]
-      [ "m"; "snapshot/trial"; "journal/trial"; "speedup" ]
+      [ "m"; "snapshot/trial"; "probe/trial"; "speedup" ]
   in
   List.iter
     (fun m ->
-      let snap_ns = find "snapshot" m and jour_ns = find "journal" m in
+      let snap_ns = find "snapshot" m and probe_ns = find "probe" m in
       Text_table.add_row t
         [
           string_of_int m;
           Printf.sprintf "%.2f us" (snap_ns /. 1e3);
-          Printf.sprintf "%.2f us" (jour_ns /. 1e3);
-          Printf.sprintf "%.1fx" (snap_ns /. jour_ns);
+          Printf.sprintf "%.2f us" (probe_ns /. 1e3);
+          Printf.sprintf "%.1fx" (snap_ns /. probe_ns);
         ])
     placement_ms;
   Text_table.print t;
   print_endline
     "(cost of evaluating one candidate placement without committing it; \
      the snapshot path\n copies the whole O(m^2) network state, the \
-     journal path undoes only the cells written)";
+     probe undoes only the cells written)";
   print_newline ()
 
 (* -- replay microbench: rebuild-per-scenario vs compiled eval ----------- *)
@@ -1365,15 +1367,15 @@ let write_bench_json path ~seed ~graphs ~domains =
                      (Printf.sprintf "placement/%s/m=%03d" kind m)
                      !placement_estimates
                  in
-                 match (find "snapshot", find "journal") with
-                 | Some snap_ns, Some jour_ns ->
+                 match (find "snapshot", find "probe") with
+                 | Some snap_ns, Some probe_ns ->
                      Some
                        (Json.Obj
                           [
                             ("m", Json.Int m);
                             ("snapshot_ns_per_trial", float_or_null snap_ns);
-                            ("journal_ns_per_trial", float_or_null jour_ns);
-                            ("speedup", float_or_null (snap_ns /. jour_ns));
+                            ("probe_ns_per_trial", float_or_null probe_ns);
+                            ("speedup", float_or_null (snap_ns /. probe_ns));
                           ])
                  | _ -> None)
                placement_ms) );
@@ -1556,8 +1558,7 @@ let () =
           (fun () ->
             all := false;
             placement := true),
-        "  run the placement microbench only (snapshot vs undo-journal \
-         trials)" );
+        "  run the placement microbench only (snapshot vs probe trials)" );
       ( "--replay",
         Arg.Unit
           (fun () ->

@@ -1,10 +1,16 @@
 let run ?(model = Netstate.One_port) ?fabric ?insertion ?(seed = 42) ~epsilon costs =
   let ws = Workspace.create ~model ?fabric ?insertion ~epsilon costs in
   let net = Workspace.net ws in
-  let platform = Workspace.platform ws in
-  let m = Platform.proc_count platform in
+  let m = Platform.proc_count (Workspace.platform ws) in
   let rng = Rng.create seed in
   let prio = Prio.create ~rng costs in
+  let src = Netstate.create_sources () in
+  let finish = Array.make m 0. in
+  let rank = Array.make m 0 in
+  let by_finish a b =
+    let c = Float.compare finish.(a) finish.(b) in
+    if c <> 0 then c else Int.compare a b
+  in
   let rec loop () =
     match Prio.pop prio with
     | None ->
@@ -12,43 +18,31 @@ let run ?(model = Netstate.One_port) ?fabric ?insertion ?(seed = 42) ~epsilon co
           failwith "Ftsa.run: no free task but tasks remain (DAG inconsistency)"
     | Some task ->
         let exec p = Costs.exec costs task p in
-        let inputs =
-          if Dag.in_degree (Workspace.dag ws) task = 0 then []
-          else Workspace.sources_all ws task
-        in
-        (* Evaluation pass: simulate the mapping on every processor and
-           rank by finish time ("the first epsilon+1 processors that allow
-           the minimum finish time are kept").  Each simulation runs in a
-           trial, rolling back only the cells it wrote. *)
-        let candidates =
-          List.map
-            (fun p ->
-              let booked =
-                Netstate.with_trial net (fun () ->
-                    if inputs = [] then
-                      Netstate.book_exec_only net ~proc:p ~exec:(exec p)
-                    else Netstate.book_replica net ~proc:p ~exec:(exec p) ~inputs)
-              in
-              (booked.Netstate.b_finish, p))
-            (Platform.procs platform)
-        in
-        let ranked = List.sort compare candidates in
-        let chosen =
-          List.filteri (fun i _ -> i <= epsilon) ranked |> List.map snd
-        in
-        assert (List.length chosen = min (epsilon + 1) m);
+        Workspace.load_sources ws src task;
+        (* Evaluation pass: probe the mapping on every processor and rank
+           by finish time ("the first epsilon+1 processors that allow the
+           minimum finish time are kept"). *)
+        for p = 0 to m - 1 do
+          let _, f =
+            Netstate.probe net src ~colocate_exclusive:true ~proc:p
+              ~exec:(exec p)
+          in
+          finish.(p) <- f;
+          rank.(p) <- p
+        done;
+        Array.sort by_finish rank;
         (* Commit pass: book the replicas on the evolving state, in rank
            order.  Within the one-port model the later replicas may land
            slightly after their simulated finish because the earlier
            replicas' messages now occupy the ports. *)
-        List.iter
-          (fun p ->
-            let booked =
-              if inputs = [] then Netstate.book_exec_only net ~proc:p ~exec:(exec p)
-              else Netstate.book_replica net ~proc:p ~exec:(exec p) ~inputs
-            in
-            ignore (Workspace.place ws ~task ~proc:p booked))
-          chosen;
+        for i = 0 to epsilon do
+          let p = rank.(i) in
+          let booked =
+            Netstate.commit net src ~colocate_exclusive:true ~proc:p
+              ~exec:(exec p)
+          in
+          ignore (Workspace.place ws ~task ~proc:p booked)
+        done;
         Prio.mark_scheduled prio task
           ~completion:(Workspace.completion_lower ws task);
         loop ()

@@ -45,10 +45,10 @@
 (* Observability: every committed placement decision is counted — one
    increment per (replica, predecessor) input, so over a whole run
    [caft.one_to_one + caft.full_replication] equals the number of
-   scheduled inputs, (epsilon+1) * edge_count.  Trial bookings are muted
-   with [Obs_metrics.suppressed] so Netstate's counters only see
-   committed reservations; only [caft.candidates_evaluated] counts the
-   trials themselves. *)
+   scheduled inputs, (epsilon+1) * edge_count.  Probes record nothing in
+   Netstate's counters; [caft.candidates_evaluated] counts them, and the
+   three [caft.pruned.*] counters the candidates each pruning stage
+   rejected without one. *)
 let m_one_to_one =
   Obs_metrics.counter ~help:"inputs mapped one-to-one (single head)"
     "caft.one_to_one"
@@ -58,15 +58,30 @@ let m_full_replication =
     "caft.full_replication"
 
 let m_candidates =
-  Obs_metrics.counter ~help:"candidate placements evaluated (trial bookings)"
+  Obs_metrics.counter ~help:"candidate placements evaluated (probes)"
     "caft.candidates_evaluated"
 
 let m_pruned =
   Obs_metrics.counter
     ~help:
       "candidate placements skipped because their finish-time lower bound \
-       could not beat the incumbent"
+       could not beat the incumbent (sum of the caft.pruned.* stages)"
     "caft.candidates_pruned"
+
+let m_pruned_stage0 =
+  Obs_metrics.counter
+    ~help:"candidates rejected by the processor-ready bound (no plan)"
+    "caft.pruned.stage0"
+
+let m_pruned_weak =
+  Obs_metrics.counter
+    ~help:"candidates rejected by the plan-free per-predecessor bound"
+    "caft.pruned.weak"
+
+let m_pruned_plan =
+  Obs_metrics.counter
+    ~help:"candidates rejected by the bound of their input plan"
+    "caft.pruned.plan"
 
 let m_support_size =
   Obs_metrics.histogram
@@ -89,6 +104,9 @@ type t = {
   (* supports.(task * (epsilon + 1) + idx): flattened rather than an array
      of rows so a million-task run allocates one array, not n tiny ones *)
   supports : Bitset.t option array;
+  (* the sources of the task being placed, loaded once per placement and
+     probed on every surviving candidate *)
+  src : Netstate.sources;
   (* Scratch state reused across every candidate evaluation — the inner
      loop runs once per (task, replica, candidate processor) and used to
      allocate a support bitset, a mode array and O(preds) closures per
@@ -102,8 +120,8 @@ type t = {
        estimate and leg duration, keyed by (predecessor slot, replica
        index), valid while [stamp] matches — [plan_for] fills it and the
        lower bounds reuse it, which is exact because the network state
-       does not change between the two (the trial booking happens
-       afterwards, and undoes itself). *)
+       does not change between the two (the probe happens afterwards,
+       and undoes itself). *)
   scratch_modes : input_mode array;
   scratch_support : Bitset.t;
   (* [plan_for] settling state: per-processor coverage counts of the
@@ -149,6 +167,7 @@ let create ?model ?fabric ?insertion ?(one_to_one = true) ?on_place ~epsilon
     costs;
     one_to_one;
     supports = Array.make (Dag.task_count dag * (epsilon + 1)) None;
+    src = Netstate.create_sources ();
     scratch_modes = Array.make (max 1 max_preds) Full;
     scratch_support = Bitset.create m;
     scratch_cover = Array.make m 0;
@@ -221,8 +240,7 @@ let cached_w t ~slot (r : Schedule.replica) =
    is written into [t.scratch_modes] (first [Array.length preds] slots)
    and the combined support into [t.scratch_support]; both are only valid
    until the next call. *)
-let plan_for t ~preds ~locked ~remaining_after task p =
-  ignore task;
+let plan_for t ~preds ~locked ~remaining_after p =
   let np = Array.length preds in
   for slot = 0 to np - 1 do
     let pred, volume = preds.(slot) in
@@ -320,17 +338,6 @@ let plan_for t ~preds ~locked ~remaining_after task p =
     else Some (support ())
   end
 
-let inputs_of_plan t ~preds modes =
-  List.init (Array.length preds) (fun slot ->
-      let pred, volume = preds.(slot) in
-      match modes.(slot) with
-      | One_to_one r -> (pred, [ Workspace.source_of_replica t.ws r ~volume ])
-      | Full ->
-          ( pred,
-            List.map
-              (fun r -> Workspace.source_of_replica t.ws r ~volume)
-              (Workspace.placed t.ws pred) ))
-
 (* The intra-processor suppression rule (a co-located supplier mutes the
    remote copies) is only safe for full-replication inputs when the
    co-located supplier cannot starve while [p] is alive, i.e. its support
@@ -358,15 +365,25 @@ let colocate_exclusive_ok t ~preds modes p =
   in
   slots_ok 0
 
-let book t task p ~preds modes =
-  if Array.length preds = 0 then
-    Netstate.book_exec_only t.net ~proc:p ~exec:(exec t task p)
-  else
-    Netstate.book_replica t.net ~proc:p ~exec:(exec t task p)
-      ~inputs:(inputs_of_plan t ~preds modes)
-      ~colocate_exclusive:(colocate_exclusive_ok t ~preds modes p)
+(* Point the loaded sources at the plan: a one-to-one slot keeps only
+   its head, a full-replication slot every placed replica. *)
+let select_plan t modes np =
+  for slot = 0 to np - 1 do
+    match modes.(slot) with
+    | One_to_one r ->
+        Netstate.select_head t.src ~slot ~replica:r.Schedule.r_index
+    | Full -> Netstate.select_full t.src ~slot
+  done
 
-(* Admissible lower bound on the finish time the trial booking of
+(* Commit the replica under [modes]; [t.src] must hold the task's
+   sources (loaded by [best_placement]). *)
+let book t task p ~preds modes =
+  select_plan t modes (Array.length preds);
+  Netstate.commit t.net t.src
+    ~colocate_exclusive:(colocate_exclusive_ok t ~preds modes p)
+    ~proc:p ~exec:(exec t task p)
+
+(* Admissible lower bound on the finish time the probe of
    candidate [p] could achieve under the plan [modes].  Every term is a
    lower bound on the corresponding term of the real booking (see
    DESIGN.md, "Candidate pruning"):
@@ -375,7 +392,7 @@ let book t task p ~preds modes =
      mode only — insertion may gap-fill earlier, so the term is dropped);
    - each predecessor's data cannot be ready before its cheapest leg
      estimate: a one-to-one input before the estimate of its chosen head
-     (bookings within the trial only push SF/R/RF forward), a
+     (the probe's own bookings only push SF/R/RF forward), a
      full-replication input before the cheapest estimate over all placed
      replicas (actual readiness is a min over arrivals, each at least its
      replica's estimate);
@@ -388,8 +405,8 @@ let book t task p ~preds modes =
        b_finish >= recv_free p + sum_i w_min_i + exec
 
      is a true lower bound of the booking (arrival chaining in
-     [Netstate.book_replica]); it is what prunes far-away candidates of
-     the wide fan-in gathers without a trial.  The chain anchored at
+     [Netstate.commit]); it is what prunes far-away candidates of
+     the wide fan-in gathers without a probe.  The chain anchored at
      [recv_free] only exists if at least one predecessor actually crosses
      the port, and only under the one-port model — multiport splits the
      chain over k slots and macro-dataflow has no receive port at all.
@@ -451,9 +468,6 @@ let finish_lower_bound t p ~preds ~e modes =
   in
   Float.max ready_lb data_lb +. e
 
-(* Evaluate every unlocked processor and return the placement with the
-   earliest finish, without committing anything.  Candidates whose lower
-   bound cannot beat the incumbent are skipped without a trial booking. *)
 (* Weakening of {!finish_lower_bound} that needs no input plan: for every
    predecessor, the data cannot be ready before the cheapest leg estimate
    over *all* its placed replicas — a lower bound on both the one-to-one
@@ -461,96 +475,100 @@ let finish_lower_bound t p ~preds ~e modes =
    minimum (which it equals).  Combined with the {!ser_term} chain under
    one-port.  Monotone accumulation, so the check can bail out per
    predecessor: once the partial bound reaches the incumbent no later
-   predecessor can lower it. *)
-let weak_prune t p ~preds ~e ~bound =
-  let ready_lb =
-    if Netstate.insertion t.net then 0. else Netstate.proc_ready t.net p
-  in
-  if Float.max ready_lb 0. +. e >= bound then true
-  else begin
-    let lb = ref ready_lb in
-    let rf0 = if t.one_port then Netstate.recv_free t.net p else 0. in
-    let ser_sum = ref 0. in
-    let any_remote = ref false in
-    let np = Array.length preds in
-    let slot = ref 0 in
-    let dead = ref false in
-    while (not !dead) && !slot < np do
-      let pred, volume = preds.(!slot) in
-      let best = ref infinity in
-      let local = ref false in
-      let w_min = ref infinity in
-      for i = 0 to Workspace.placed_count t.ws pred - 1 do
-        let r = Workspace.get_placed t.ws pred i in
-        best := Float.min !best (est_cached t ~slot:!slot ~volume ~dst:p r);
-        if t.one_port then begin
-          let w = cached_w t ~slot:!slot r in
-          if w < 0. then local := true else w_min := Float.min !w_min w
-        end
-      done;
-      lb := Float.max !lb !best;
-      if t.one_port && not !local then begin
-        any_remote := true;
-        ser_sum := !ser_sum +. !w_min
-      end;
-      let ser = if !any_remote then rf0 +. !ser_sum else 0. in
-      if Float.max !lb ser +. e >= bound then dead := true;
-      incr slot
-    done;
-    !dead
-  end
+   predecessor can lower it.  Starts from {!ready_lb}, so it only runs on
+   candidates stage 0 kept. *)
+let ready_lb t p =
+  if Netstate.insertion t.net then 0. else Netstate.proc_ready t.net p
 
+(* Stage 0: the processor-ready term alone, no plan and no estimate. *)
+let stage0_prune t p ~e ~bound = Float.max (ready_lb t p) 0. +. e >= bound
+
+let weak_prune t p ~preds ~e ~bound =
+  let lb = ref (ready_lb t p) in
+  let rf0 = if t.one_port then Netstate.recv_free t.net p else 0. in
+  let ser_sum = ref 0. in
+  let any_remote = ref false in
+  let np = Array.length preds in
+  let slot = ref 0 in
+  let dead = ref false in
+  while (not !dead) && !slot < np do
+    let pred, volume = preds.(!slot) in
+    let best = ref infinity in
+    let local = ref false in
+    let w_min = ref infinity in
+    for i = 0 to Workspace.placed_count t.ws pred - 1 do
+      let r = Workspace.get_placed t.ws pred i in
+      best := Float.min !best (est_cached t ~slot:!slot ~volume ~dst:p r);
+      if t.one_port then begin
+        let w = cached_w t ~slot:!slot r in
+        if w < 0. then local := true else w_min := Float.min !w_min w
+      end
+    done;
+    lb := Float.max !lb !best;
+    if t.one_port && not !local then begin
+      any_remote := true;
+      ser_sum := !ser_sum +. !w_min
+    end;
+    let ser = if !any_remote then rf0 +. !ser_sum else 0. in
+    if Float.max !lb ser +. e >= bound then dead := true;
+    incr slot
+  done;
+  !dead
+
+(* Evaluate every unlocked processor and return the placement with the
+   earliest finish, without committing anything.  The task's sources are
+   loaded into [t.src] once; a candidate whose lower bound cannot beat the
+   incumbent is skipped without a probe. *)
 let best_placement t ~preds ~locked ~remaining_after task =
-  let evaluated = ref 0 and pruned = ref 0 in
+  Workspace.load_sources t.ws t.src task;
+  let evaluated = ref 0 in
+  let stage0 = ref 0 and weak = ref 0 and plan = ref 0 in
   let np = Array.length preds in
   let best = ref None in
-  Obs_metrics.suppressed (fun () ->
-      (* unlocked processors in ascending order (the fold order of the
-         previous list-based walk — the argmin tie-break depends on it) *)
-      for p = 0 to t.m - 1 do
-        if not (Bitset.mem locked p) then begin
-          t.stamp <- t.stamp + 1;
-          let e = exec t task p in
-          (* staged pruning: each stage's bound under-approximates the
-             next, so a candidate pruned here is exactly one the
-             exhaustive fold would have rejected — argmin unchanged *)
-          match !best with
-          | Some (bf, _, _, _) when weak_prune t p ~preds ~e ~bound:bf ->
-              incr pruned
-          | _ -> (
-              match plan_for t ~preds ~locked ~remaining_after task p with
-              | None -> ()
-              | Some s -> (
-                  let modes = t.scratch_modes in
+  (* unlocked processors in ascending order (the fold order of the
+     previous list-based walk — the argmin tie-break depends on it) *)
+  for p = 0 to t.m - 1 do
+    if not (Bitset.mem locked p) then begin
+      t.stamp <- t.stamp + 1;
+      let e = exec t task p in
+      (* staged pruning: each stage's bound under-approximates the next,
+         so a candidate pruned here is exactly one the exhaustive fold
+         would have rejected — argmin unchanged *)
+      match !best with
+      | Some (bf, _, _, _) when stage0_prune t p ~e ~bound:bf -> incr stage0
+      | Some (bf, _, _, _) when weak_prune t p ~preds ~e ~bound:bf ->
+          incr weak
+      | _ -> (
+          match plan_for t ~preds ~locked ~remaining_after p with
+          | None -> ()
+          | Some s -> (
+              let modes = t.scratch_modes in
+              match !best with
+              | Some (bf, _, _, _)
+                when finish_lower_bound t p ~preds ~e modes >= bf ->
+                  incr plan
+              | _ -> (
+                  incr evaluated;
+                  select_plan t modes np;
+                  let _, finish =
+                    Netstate.probe t.net t.src
+                      ~colocate_exclusive:(colocate_exclusive_ok t ~preds modes p)
+                      ~proc:p ~exec:e
+                  in
                   match !best with
-                  | Some (bf, _, _, _)
-                    when finish_lower_bound t p ~preds ~e modes >= bf ->
-                      incr pruned
-                  | _ -> (
-                      incr evaluated;
-                      let booked =
-                        Netstate.with_trial t.net (fun () ->
-                            book t task p ~preds modes)
-                      in
-                      match !best with
-                      | Some (bf, _, _, _) when bf <= booked.Netstate.b_finish
-                        ->
-                          ()
-                      | _ ->
-                          (* the incumbent must survive the next
-                             candidate's plan_for, so snapshot the
-                             scratch plan/support *)
-                          best :=
-                            Some
-                              ( booked.Netstate.b_finish,
-                                p,
-                                Array.sub modes 0 np,
-                                Bitset.copy s ))))
-        end
-      done);
-  (* recorded outside [suppressed], which mutes the current domain *)
+                  | Some (bf, _, _, _) when bf <= finish -> ()
+                  | _ ->
+                      (* the incumbent must survive the next candidate's
+                         plan_for, so snapshot the scratch plan/support *)
+                      best :=
+                        Some (finish, p, Array.sub modes 0 np, Bitset.copy s))))
+    end
+  done;
   Obs_metrics.incr ~by:!evaluated m_candidates;
-  Obs_metrics.incr ~by:!pruned m_pruned;
+  Obs_metrics.incr ~by:!stage0 m_pruned_stage0;
+  Obs_metrics.incr ~by:!weak m_pruned_weak;
+  Obs_metrics.incr ~by:!plan m_pruned_plan;
+  Obs_metrics.incr ~by:(!stage0 + !weak + !plan) m_pruned;
   !best
 
 let schedule_task t task =

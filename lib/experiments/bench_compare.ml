@@ -69,8 +69,8 @@ let metrics doc =
         (num "snapshot_ns_per_trial" r)
         Lower_better;
       push
-        (Printf.sprintf "placement/m=%s journal_ns_per_trial" m)
-        (num "journal_ns_per_trial" r)
+        (Printf.sprintf "placement/m=%s probe_ns_per_trial" m)
+        (num "probe_ns_per_trial" r)
         Lower_better)
     (rows "placement" doc);
   List.iter

@@ -45,12 +45,13 @@ let uniform ~m ~delay =
 
 let proc_count t = Array.length t.delays
 
-let delay t k h =
+(* inlined so the booking kernel's per-leg [comm_time] stays unboxed *)
+let[@inline] delay t k h =
   if k < 0 || h < 0 || k >= proc_count t || h >= proc_count t then
     invalid_arg "Platform.delay: bad processor id";
   t.delays.(k).(h)
 
-let comm_time t ~src ~dst ~volume = volume *. delay t src dst
+let[@inline] comm_time t ~src ~dst ~volume = volume *. delay t src dst
 let procs t = List.init (proc_count t) (fun i -> i)
 let mean_delay t = t.mean_delay
 let max_delay t = t.max_delay

@@ -30,14 +30,15 @@
     leaves as soon as its source task completes and arrives [W] later;
     ports and links are never busy.
 
-    All booking mutates the state; callers that merely want to evaluate a
-    candidate placement run the booking inside {!with_trial}, which
-    journals every mutated cell and rolls back only those cells — the
-    paper's "the incoming communications are removed from the links
-    before the procedure is repeated on the next processor", made
-    O(writes-per-booking) instead of the O(m^2) {!snapshot}/{!restore}
-    copy (kept as the reference implementation and for whole-phase
-    checkpointing). *)
+    Booking runs one struct-of-arrays kernel.  A caller loads a task's
+    candidate sources into a {!sources} value once, sorted by the send
+    order; {!probe} then evaluates the replica on one processor and undoes
+    its own writes from an array log — the paper's "the incoming
+    communications are removed from the links before the procedure is
+    repeated on the next processor" — and {!commit} runs the same kernel
+    without the undo and returns the booked messages.  The O(m^2)
+    {!snapshot}/{!restore} copy is kept as the reference for differential
+    tests and for whole-phase checkpointing. *)
 
 (** Communication model.
 
@@ -121,18 +122,7 @@ val snapshot : t -> snapshot
 (** O(m^2) copy of the whole state. *)
 
 val restore : t -> snapshot -> unit
-(** Roll the state back to a snapshot taken on the same value.  Must not
-    be called while a {!with_trial} is in flight on [t]: the journal
-    records cell values relative to the state it was opened on. *)
-
-val with_trial : t -> (unit -> 'a) -> 'a
-(** [with_trial t f] runs [f] — typically one or more speculative
-    bookings — and then rolls the state back to exactly where it was,
-    undoing only the cells [f] wrote (each booking touches O(in-degree)
-    cells, against the O(m^2) floats a {!snapshot} copies).  The result
-    of [f] is returned; the rollback also runs if [f] raises.  Trials
-    nest: an inner trial rolls back to its own entry point, the outer one
-    to its. *)
+(** Roll the state back to a snapshot taken on the same value. *)
 
 val proc_ready : t -> Platform.proc -> float
 (** [r(P)]. *)
@@ -182,6 +172,78 @@ type booked = {
           (predecessor, replica index, finish time) *)
 }
 
+(** {2 Booking} *)
+
+type sources
+(** A task's candidate sources in struct-of-arrays form, loaded once and
+    probed on many processors.  Sources are grouped by predecessor
+    {e slot} (the position of the predecessor in the task's input list).
+    A value is owned by its caller and may be probed against any state;
+    the booking scratch itself lives in {!t}. *)
+
+val create_sources : unit -> sources
+(** An empty source set; its arrays grow to the widest load. *)
+
+val clear_sources : sources -> unit
+(** Drop every loaded source, keeping the arrays for the next load. *)
+
+val add_source :
+  sources ->
+  slot:int ->
+  pred:Dag.task ->
+  task:Dag.task ->
+  replica:int ->
+  proc:Platform.proc ->
+  finish:float ->
+  volume:float ->
+  unit
+(** Append one source of predecessor [pred] in slot [slot].  Sources are
+    added in input order: slot by slot, each slot's replicas in order
+    (the first-listed co-located replica supplies locally).  [task] is
+    the producing task recorded in the messages, normally [pred]. *)
+
+val seal_sources : sources -> unit
+(** Sort the loaded sources by the total send-order key (finish, proc,
+    task, replica, input position) and select every replica of every
+    slot.  Must be called after the last {!add_source} and before a
+    booking. *)
+
+val load_inputs : sources -> (Dag.task * source list) list -> unit
+(** Clear, add the list-form inputs of {!book_replica} in order, seal.
+    Raises [Invalid_argument] if some predecessor has no source. *)
+
+val select_head : sources -> slot:int -> replica:int -> unit
+(** Restrict [slot] to its replica of index [replica] (a one-to-one
+    input).  Selections persist until changed or until the next
+    {!seal_sources}. *)
+
+val select_full : sources -> slot:int -> unit
+(** Let every loaded replica of [slot] supply it (full replication). *)
+
+val probe :
+  t ->
+  sources ->
+  colocate_exclusive:bool ->
+  proc:Platform.proc ->
+  exec:float ->
+  float * float
+(** [(b_start, b_finish)] that {!commit} would book right now for the
+    selected sources on [proc], computed with the same arithmetic.  The
+    state is left exactly as it was, also if the call raises: the port
+    and link cells the booking writes are restored from an undo log, and
+    the execution is never reserved.  Builds no list, sorts only the
+    remote legs and allocates only the result pair. *)
+
+val commit :
+  t ->
+  sources ->
+  colocate_exclusive:bool ->
+  proc:Platform.proc ->
+  exec:float ->
+  booked
+(** Book the replica: the same kernel as {!probe}, without the undo.  See
+    {!book_replica} for the semantics. *)
+
 val book_replica :
   ?colocate_exclusive:bool ->
   t ->
@@ -210,8 +272,8 @@ val book_replica :
 
     The call mutates [t]: link legs consume [SF] of the source processors
     and [R] of the links, arrivals consume [RF(proc)], and the execution
-    consumes [r(proc)].  Wrap in {!with_trial} to evaluate without
-    committing. *)
+    consumes [r(proc)].  Equivalent to {!load_inputs} then {!commit}; to
+    evaluate without committing, load once and {!probe}. *)
 
 val book_exec_only : t -> proc:Platform.proc -> exec:float -> booked
 (** Booking for a task with no inputs (entry tasks): starts at [r(proc)]. *)

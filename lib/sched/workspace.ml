@@ -52,42 +52,24 @@ let is_placed_on t task proc =
   in
   go 0
 
-let source_of_replica _t (r : Schedule.replica) ~volume =
-  {
-    Netstate.s_task = r.Schedule.r_task;
-    s_replica = r.Schedule.r_index;
-    s_proc = r.Schedule.r_proc;
-    s_finish = r.Schedule.r_finish;
-    s_volume = volume;
-  }
-
-let sources_all t task =
-  let g = dag t in
-  Array.to_list
-    (Array.map
-       (fun (pred, volume) ->
-         match placed t pred with
-         | [] ->
-             invalid_arg
-               (Printf.sprintf
-                  "Workspace.sources_all: predecessor %d of %d unplaced" pred
-                  task)
-         | rs -> (pred, List.map (fun r -> source_of_replica t r ~volume) rs))
-       (Dag.preds g task))
-
-let sources_chosen t task chosen =
-  let g = dag t in
-  Array.to_list
-    (Array.map
-       (fun (pred, volume) ->
-         match List.assoc_opt pred chosen with
-         | None ->
-             invalid_arg
-               (Printf.sprintf
-                  "Workspace.sources_chosen: no choice for predecessor %d of %d"
-                  pred task)
-         | Some r -> (pred, [ source_of_replica t r ~volume ]))
-       (Dag.preds g task))
+let load_sources t src task =
+  Netstate.clear_sources src;
+  let preds = Dag.preds (dag t) task in
+  for slot = 0 to Array.length preds - 1 do
+    let pred, volume = preds.(slot) in
+    let count = t.counts.(pred) in
+    if count = 0 then
+      invalid_arg
+        (Printf.sprintf "Workspace.load_sources: predecessor %d of %d unplaced"
+           pred task);
+    let row = t.slots.(pred) in
+    for i = 0 to count - 1 do
+      let r = row.(i) in
+      Netstate.add_source src ~slot ~pred ~task:pred ~replica:r.Schedule.r_index
+        ~proc:r.Schedule.r_proc ~finish:r.Schedule.r_finish ~volume
+    done
+  done;
+  Netstate.seal_sources src
 
 let supplies_of_booked (b : Netstate.booked) =
   List.map (fun m -> Schedule.Message m) b.Netstate.b_messages

@@ -2,14 +2,11 @@
 
     Couples a {!Netstate.t} with the set of replicas placed so far and
     turns the result into a {!Schedule.t} at the end.  The workspace also
-    builds the canonical source lists:
-
-    - {!sources_all}: every placed replica of every predecessor — the
-      replication scheme of FTSA and FTBAR (and CAFT's fallback loop),
-      where each replica communicates with all replicas of its
-      predecessors;
-    - {!sources_chosen}: exactly one designated replica per predecessor —
-      CAFT's one-to-one scheme. *)
+    loads a free task's candidate sources — every placed replica of every
+    predecessor — into the booking kernel ({!load_sources}); each
+    scheduler then selects among them (FTSA and FTBAR send from all
+    replicas, CAFT picks one-to-one heads or full replication per
+    predecessor). *)
 
 type t
 
@@ -46,19 +43,12 @@ val procs_of : t -> Dag.task -> Platform.proc list
 
 val is_placed_on : t -> Dag.task -> Platform.proc -> bool
 
-val source_of_replica : t -> Schedule.replica -> volume:float -> Netstate.source
-(** View a placed replica as a data source shipping [volume] units. *)
-
-val sources_all : t -> Dag.task -> (Dag.task * Netstate.source list) list
-(** For each predecessor of the task, all its placed replicas.  Raises
-    [Invalid_argument] if some predecessor has no placed replica yet (the
-    task was not free). *)
-
-val sources_chosen :
-  t -> Dag.task -> (Dag.task * Schedule.replica) list ->
-  (Dag.task * Netstate.source list) list
-(** For each predecessor, the single designated replica.  The association
-    list must cover every predecessor exactly once. *)
+val load_sources : t -> Netstate.sources -> Dag.task -> unit
+(** Load every placed replica of every predecessor of the task into the
+    source set, slot [i] being the task's [i]-th predecessor (its
+    replicas in placement order, shipping the edge volume), and seal it;
+    no list is built.  Raises [Invalid_argument] if some predecessor has
+    no placed replica yet (the task was not free). *)
 
 val place :
   t -> task:Dag.task -> proc:Platform.proc -> Netstate.booked -> Schedule.replica

@@ -566,8 +566,16 @@ let compile ?fabric sched =
      let chain_sorted bucket =
        (* (key1, key2, id) triples sort exactly like ((key1, key2), id)
           pairs; ids are unique, so the order is total and matches
-          [reference]'s [by_key]. *)
-       chain (List.map (fun (_, _, id) -> id) (List.sort compare bucket))
+          [reference]'s [by_key].  Float.compare orders floats as the
+          polymorphic compare does, without its generic traversal. *)
+       let by_window (a1, a2, ia) (b1, b2, ib) =
+         let c = Float.compare a1 b1 in
+         if c <> 0 then c
+         else
+           let c = Float.compare a2 b2 in
+           if c <> 0 then c else Int.compare ia ib
+       in
+       chain (List.map (fun (_, _, id) -> id) (List.sort by_window bucket))
      in
      (if model = Netstate.One_port then begin
         let send_bucket = Array.make m [] in

@@ -83,7 +83,7 @@ let test_fork_counters_match_mapping () =
 (* On any graph, every committed replica records exactly one mode per
    predecessor: one_to_one + full_replication = (epsilon+1) * e.  The
    net-layer counter must agree with the schedule's own message count
-   (speculative trial bookings are suppressed). *)
+   (probes record nothing). *)
 let test_counter_invariants_random () =
   List.iter
     (fun (seed, epsilon) ->

@@ -97,26 +97,35 @@ let test_workspace_sources () =
   let costs = Helpers.flat_costs ~c:10. dag platform in
   let ws = Workspace.create ~epsilon:1 costs in
   let net = Workspace.net ws in
+  let src = Netstate.create_sources () in
   Alcotest.check_raises "sources of unplaced pred"
-    (Invalid_argument "Workspace.sources_all: predecessor 0 of 1 unplaced")
-    (fun () -> ignore (Workspace.sources_all ws 1));
-  let r0 = Workspace.place ws ~task:0 ~proc:0 (Netstate.book_exec_only net ~proc:0 ~exec:10.) in
+    (Invalid_argument "Workspace.load_sources: predecessor 0 of 1 unplaced")
+    (fun () -> Workspace.load_sources ws src 1);
+  let _ = Workspace.place ws ~task:0 ~proc:0 (Netstate.book_exec_only net ~proc:0 ~exec:10.) in
   let _ = Workspace.place ws ~task:0 ~proc:1 (Netstate.book_exec_only net ~proc:1 ~exec:10.) in
-  (match Workspace.sources_all ws 1 with
-  | [ (0, sources) ] ->
-      Helpers.check_int "both replicas are sources" 2 (List.length sources);
-      List.iter
-        (fun s -> Helpers.check_float "volume from edge" 1. s.Netstate.s_volume)
-        sources
-  | _ -> Alcotest.fail "unexpected sources_all shape");
-  (match Workspace.sources_chosen ws 1 [ (0, r0) ] with
-  | [ (0, [ s ]) ] ->
+  Workspace.load_sources ws src 1;
+  let booked () =
+    let snap = Netstate.snapshot net in
+    let b =
+      Netstate.commit net src ~colocate_exclusive:true ~proc:2 ~exec:10.
+    in
+    Netstate.restore net snap;
+    b.Netstate.b_messages
+  in
+  let messages = booked () in
+  Helpers.check_int "both replicas are sources" 2 (List.length messages);
+  List.iter
+    (fun m ->
+      Helpers.check_float "volume from edge" 1.
+        m.Netstate.m_source.Netstate.s_volume)
+    messages;
+  Netstate.select_head src ~slot:0 ~replica:0;
+  match booked () with
+  | [ m ] ->
+      let s = m.Netstate.m_source in
       Helpers.check_int "chosen replica" 0 s.Netstate.s_replica;
       Helpers.check_float "chosen finish" 10. s.Netstate.s_finish
-  | _ -> Alcotest.fail "unexpected sources_chosen shape");
-  Alcotest.check_raises "chosen must cover preds"
-    (Invalid_argument "Workspace.sources_chosen: no choice for predecessor 0 of 1")
-    (fun () -> ignore (Workspace.sources_chosen ws 1 []))
+  | _ -> Alcotest.fail "one-to-one head should send one message"
 
 let test_workspace_overfill_rejected () =
   let dag = Dag.make ~n:1 ~edges:[] () in

@@ -1,12 +1,18 @@
-(* Differential tests for the trial-booking fast path (undo journal +
+(* Differential tests for the trial-booking fast path (the probe kernel +
    candidate pruning):
 
    - on >= 100 random scenarios (varying m, model, insertion, fabric),
-     interleave committed and speculative bookings and assert that
-     [Netstate.with_trial] restores a state observationally identical to
+     interleave committed bookings and probes and assert that
+     [Netstate.probe] leaves a state observationally identical to
      [snapshot]/[restore] — same [proc_ready], [send_free], [recv_free]
      and [link_ready] on every processor pair — and returns the same
-     booking the snapshot path computes;
+     execution window the committed booking computes on the snapshot;
+   - a QCheck suite drawing random platforms, models, fabrics, insertion,
+     [colocate_exclusive], prior bookings and one-to-one head selections,
+     checking every processor against [book_replica] on a snapshot;
+   - a tie-heavy QCheck suite comparing whole bookings against the
+     list-based booking the kernel replaced ([reference_booking]), which
+     pins the send-order and arrival-order tie rules;
    - golden fingerprints: the schedules produced by CAFT, CAFT-full,
      FTSA, FTBAR, the batch variant and HEFT on fixed seeds are
      byte-identical to the pre-optimization code (digests recorded from
@@ -135,39 +141,311 @@ let scenario seed =
       check_obs
         (Printf.sprintf "seed %d step %d (restore)" seed step)
         obs0 (observe net);
-      let b_trial = Netstate.with_trial net book in
+      let src = Netstate.create_sources () in
+      Netstate.load_inputs src inputs;
+      let window =
+        Netstate.probe net src ~colocate_exclusive ~proc ~exec
+      in
       check_obs
-        (Printf.sprintf "seed %d step %d (with_trial)" seed step)
+        (Printf.sprintf "seed %d step %d (probe)" seed step)
         obs0 (observe net);
-      if b_trial <> b_ref then
-        Alcotest.failf "seed %d step %d: trial booking differs from snapshot"
-          seed step
+      if window <> (b_ref.Netstate.b_start, b_ref.Netstate.b_finish) then
+        Alcotest.failf "seed %d step %d: probe differs from snapshot" seed
+          step
     end
-  done;
-  (* nested trials roll back to their own entry points *)
-  let obs0 = observe net in
-  let inputs = make_inputs () in
-  Netstate.with_trial net (fun () ->
-      let _ = Netstate.book_replica net ~proc:0 ~exec:5. ~inputs in
-      let mid = observe net in
-      Netstate.with_trial net (fun () ->
-          ignore (Netstate.book_replica net ~proc:(m - 1) ~exec:2. ~inputs));
-      check_obs
-        (Printf.sprintf "seed %d (inner trial)" seed)
-        mid (observe net));
-  check_obs (Printf.sprintf "seed %d (outer trial)" seed) obs0 (observe net);
-  (* a raising trial still rolls back *)
-  (try
-     Netstate.with_trial net (fun () ->
-         ignore (Netstate.book_exec_only net ~proc:0 ~exec:1.);
-         failwith "boom")
-   with Failure _ -> ());
-  check_obs (Printf.sprintf "seed %d (raise)" seed) obs0 (observe net)
+  done
 
 let test_trial_vs_snapshot () =
   for seed = 1 to 120 do
     scenario seed
   done
+
+(* -- QCheck: probe == book_replica on a snapshot ----------------------- *)
+
+(* A random platform: heterogeneous clique delays, or a routed topology
+   (regular or random custom links). *)
+let random_platform rng =
+  let m = 2 + Rng.int rng 8 in
+  match Rng.int rng 5 with
+  | 0 | 1 ->
+      let delays =
+        Array.init m (fun k ->
+            Array.init m (fun h -> if k = h then 0. else Rng.float_in rng 0.2 3.))
+      in
+      (Platform.create ~delays, None)
+  | 2 ->
+      let topo = Topology.ring (max 3 m) in
+      (Topology.platform topo, Some (Topology.fabric topo))
+  | 3 ->
+      let topo = Topology.star (max 3 m) in
+      (Topology.platform topo, Some (Topology.fabric topo))
+  | _ ->
+      (* a random spanning chain plus chords, so routes share links *)
+      let chords =
+        List.filter_map
+          (fun _ ->
+            let a = Rng.int rng m and b = Rng.int rng m in
+            if abs (a - b) < 2 then None
+            else Some (min a b, max a b, Rng.float_in rng 0.5 2.))
+          (List.init m Fun.id)
+      in
+      let links =
+        List.init (m - 1) (fun i -> (i, i + 1, Rng.float_in rng 0.5 2.))
+        @ List.sort_uniq (fun (a, b, _) (c, d, _) -> compare (a, b) (c, d)) chords
+      in
+      let topo = Topology.custom ~m ~links in
+      (Topology.platform topo, Some (Topology.fabric topo))
+
+let prop_probe_matches_commit seed =
+  let rng = Rng.create seed in
+  let platform, fabric = random_platform rng in
+  let m = Platform.proc_count platform in
+  let model =
+    match Rng.int rng 3 with
+    | 0 -> Netstate.Macro_dataflow
+    | 1 -> Netstate.One_port
+    | _ -> Netstate.Multiport (1 + Rng.int rng 3)
+  in
+  let insertion = Rng.int rng 2 = 0 in
+  let net = Netstate.create ~model ?fabric ~insertion platform in
+  let next_task = ref 0 in
+  (* [replicas] copies of a fresh predecessor task on random processors *)
+  let fresh_pred replicas =
+    let task = !next_task in
+    incr next_task;
+    let volume = Rng.float_in rng 0. 20. in
+    List.init replicas (fun r ->
+        src ~task ~replica:r ~proc:(Rng.int rng m)
+          ~finish:(Rng.float_in rng 0. 40.) ~volume)
+  in
+  let random_inputs () =
+    List.init (1 + Rng.int rng 4) (fun _ ->
+        match fresh_pred (1 + Rng.int rng 3) with
+        | s :: _ as sources -> (s.Netstate.s_task, sources)
+        | [] -> assert false)
+  in
+  (* prior bookings leave ports, links and (under insertion) gaps busy *)
+  for _ = 1 to Rng.int rng 12 do
+    let proc = Rng.int rng m and exec = Rng.float_in rng 1. 10. in
+    if Rng.int rng 3 = 0 then ignore (Netstate.book_exec_only net ~proc ~exec)
+    else
+      ignore
+        (Netstate.book_replica
+           ~colocate_exclusive:(Rng.int rng 2 = 0)
+           net ~proc ~exec ~inputs:(random_inputs ()))
+  done;
+  let inputs = random_inputs () in
+  let colocate_exclusive = Rng.int rng 2 = 0 in
+  (* one-to-one heads on some slots, as CAFT selects them *)
+  let heads =
+    List.map
+      (fun (_, sources) ->
+        if Rng.int rng 2 = 0 then None
+        else Some (Rng.int rng (List.length sources)))
+      inputs
+  in
+  let src_set = Netstate.create_sources () in
+  Netstate.load_inputs src_set inputs;
+  List.iteri
+    (fun slot -> function
+      | None -> Netstate.select_full src_set ~slot
+      | Some replica -> Netstate.select_head src_set ~slot ~replica)
+    heads;
+  let selected =
+    List.map2
+      (fun (pred, sources) head ->
+        match head with
+        | None -> (pred, sources)
+        | Some r -> (pred, [ List.nth sources r ]))
+      inputs heads
+  in
+  for proc = 0 to m - 1 do
+    let exec = Rng.float_in rng 1. 10. in
+    let obs0 = observe net in
+    let window = Netstate.probe net src_set ~colocate_exclusive ~proc ~exec in
+    check_obs (Printf.sprintf "seed %d proc %d (probe)" seed proc) obs0
+      (observe net);
+    let snap = Netstate.snapshot net in
+    let b =
+      Netstate.book_replica ~colocate_exclusive net ~proc ~exec
+        ~inputs:selected
+    in
+    Netstate.restore net snap;
+    if window <> (b.Netstate.b_start, b.Netstate.b_finish) then
+      QCheck.Test.fail_reportf "seed %d proc %d: probe (%g, %g) <> commit (%g, %g)"
+        seed proc (fst window) (snd window) b.Netstate.b_start
+        b.Netstate.b_finish
+  done;
+  true
+
+let qcheck_probe =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20080913 |])
+    (QCheck.Test.make ~count:300
+       ~name:"probe == book_replica on a snapshot (qcheck)"
+       (QCheck.make ~print:string_of_int (QCheck.Gen.int_range 0 1_000_000))
+       prop_probe_matches_commit)
+
+(* -- QCheck: the kernel against the list-based reference booking ------ *)
+
+(* The list-based booking the kernel replaced (per call: split, concat,
+   stable sort by source, book legs, stable sort by link finish, chain
+   arrivals), kept as the oracle for the kernel's two tie rules.  It reads
+   the state through the public accessors and keeps its own writes in
+   overlays, so it models the one-port and macro-dataflow models on a
+   clique under append semantics. *)
+let reference_booking net ~colocate_exclusive ~proc ~exec ~inputs =
+  let platform = Netstate.platform net in
+  let one_port = Netstate.model net = Netstate.One_port in
+  let sf = Hashtbl.create 8 and link = Hashtbl.create 8 in
+  let send_free p =
+    Option.value (Hashtbl.find_opt sf p) ~default:(Netstate.send_free net p)
+  in
+  let link_ready s =
+    Option.value (Hashtbl.find_opt link s)
+      ~default:(Netstate.link_ready net ~src:s ~dst:proc)
+  in
+  let rf = ref (Netstate.recv_free net proc) in
+  let locals = ref [] in
+  let per_pred =
+    List.map
+      (fun (pred, sources) ->
+        match List.filter (fun s -> s.Netstate.s_proc = proc) sources with
+        | s :: _ when colocate_exclusive ->
+            locals := (pred, s.Netstate.s_replica, s.Netstate.s_finish) :: !locals;
+            ([ s ], [])
+        | s :: _ ->
+            locals := (pred, s.Netstate.s_replica, s.Netstate.s_finish) :: !locals;
+            (sources, List.filter (fun s' -> s'.Netstate.s_proc <> proc) sources)
+        | [] -> (sources, sources))
+      inputs
+  in
+  let send_order =
+    List.stable_sort
+      (fun a b ->
+        let c = compare a.Netstate.s_finish b.Netstate.s_finish in
+        if c <> 0 then c
+        else
+          compare
+            (a.Netstate.s_proc, a.Netstate.s_task, a.Netstate.s_replica)
+            (b.Netstate.s_proc, b.Netstate.s_task, b.Netstate.s_replica))
+      (List.concat_map snd per_pred)
+  in
+  let legs =
+    List.map
+      (fun s ->
+        let sp = s.Netstate.s_proc in
+        let w =
+          Platform.comm_time platform ~src:sp ~dst:proc ~volume:s.Netstate.s_volume
+        in
+        if one_port then begin
+          let start =
+            Float.max (send_free sp) (Float.max s.Netstate.s_finish (link_ready sp))
+          in
+          Hashtbl.replace sf sp (start +. w);
+          Hashtbl.replace link sp (start +. w);
+          (s, w, start, start +. w)
+        end
+        else (s, w, s.Netstate.s_finish, s.Netstate.s_finish +. w))
+      send_order
+  in
+  let messages =
+    List.map
+      (fun (s, w, leg_start, leg_finish) ->
+        let arrival =
+          if one_port then begin
+            rf := w +. Float.max !rf leg_start;
+            !rf
+          end
+          else leg_finish
+        in
+        {
+          Netstate.m_source = s;
+          m_dst_proc = proc;
+          m_duration = w;
+          m_leg_start = leg_start;
+          m_leg_finish = leg_finish;
+          m_arrival = arrival;
+        })
+      (List.stable_sort
+         (fun (_, _, _, f1) (_, _, _, f2) -> compare f1 f2)
+         legs)
+  in
+  let arrival_of s =
+    List.fold_left
+      (fun acc m -> if m.Netstate.m_source = s then m.Netstate.m_arrival else acc)
+      infinity messages
+  in
+  let data_ready =
+    List.fold_left
+      (fun acc (sources, remote) ->
+        let local_ready =
+          List.fold_left
+            (fun b s ->
+              if s.Netstate.s_proc = proc then Float.min b s.Netstate.s_finish
+              else b)
+            infinity sources
+        in
+        let remote_ready =
+          List.fold_left (fun b s -> Float.min b (arrival_of s)) infinity remote
+        in
+        Float.max acc (Float.min local_ready remote_ready))
+      0. per_pred
+  in
+  let b_start = Float.max (Netstate.proc_ready net proc) data_ready in
+  {
+    Netstate.b_start;
+    b_finish = b_start +. exec;
+    b_messages = messages;
+    b_local = List.rev !locals;
+  }
+
+(* Small integer times, volumes and delays: equal source finishes and
+   equal link finishes are the common case, so both tie rules decide. *)
+let prop_kernel_matches_reference seed =
+  let rng = Rng.create seed in
+  let m = 2 + Rng.int rng 6 in
+  let model =
+    if Rng.int rng 2 = 0 then Netstate.One_port else Netstate.Macro_dataflow
+  in
+  let net = Netstate.create ~model (Platform.uniform ~m ~delay:1.) in
+  let next_task = ref 0 in
+  let random_inputs () =
+    List.init (1 + Rng.int rng 5) (fun _ ->
+        let task = !next_task in
+        incr next_task;
+        let volume = float_of_int (1 + Rng.int rng 3) in
+        ( task,
+          List.init (1 + Rng.int rng 3) (fun r ->
+              src ~task ~replica:r ~proc:(Rng.int rng m)
+                ~finish:(float_of_int (Rng.int rng 6))
+                ~volume) ))
+  in
+  for _ = 1 to Rng.int rng 8 do
+    ignore
+      (Netstate.book_replica net ~proc:(Rng.int rng m)
+         ~exec:(float_of_int (1 + Rng.int rng 4))
+         ~inputs:(random_inputs ()))
+  done;
+  let inputs = random_inputs () in
+  let colocate_exclusive = Rng.int rng 2 = 0 in
+  for proc = 0 to m - 1 do
+    let exec = float_of_int (1 + Rng.int rng 4) in
+    let expected = reference_booking net ~colocate_exclusive ~proc ~exec ~inputs in
+    let snap = Netstate.snapshot net in
+    let b = Netstate.book_replica ~colocate_exclusive net ~proc ~exec ~inputs in
+    Netstate.restore net snap;
+    if b <> expected then
+      QCheck.Test.fail_reportf "seed %d proc %d: kernel booking differs from the reference"
+        seed proc
+  done;
+  true
+
+let qcheck_reference =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20080914 |])
+    (QCheck.Test.make ~count:300
+       ~name:"kernel == list-based reference booking, tie-heavy (qcheck)"
+       (QCheck.make ~print:string_of_int (QCheck.Gen.int_range 0 1_000_000))
+       prop_kernel_matches_reference)
 
 (* -- golden schedules -------------------------------------------------- *)
 
@@ -310,12 +588,17 @@ let test_pruning_fires () =
       let evaluated = counter "caft.candidates_evaluated" in
       let pruned = counter "caft.candidates_pruned" in
       Helpers.check_bool "some candidates evaluated" true (evaluated > 0);
-      Helpers.check_bool "some candidates pruned" true (pruned > 0))
+      Helpers.check_bool "some candidates pruned" true (pruned > 0);
+      Helpers.check_int "pruned = stage0 + weak + plan" pruned
+        (counter "caft.pruned.stage0" + counter "caft.pruned.weak"
+       + counter "caft.pruned.plan"))
 
 let suite =
   [
-    Alcotest.test_case "with_trial == snapshot/restore (120 seeds)" `Quick
+    Alcotest.test_case "probe == snapshot/restore" `Quick
       test_trial_vs_snapshot;
+    qcheck_probe;
+    qcheck_reference;
     Alcotest.test_case "schedules byte-identical to seed commit" `Quick
       test_golden_schedules;
     Alcotest.test_case "candidate pruning fires" `Quick test_pruning_fires;
