@@ -624,15 +624,6 @@ let montecarlo_cmd =
             "Evaluate the replays over N domains (the report is identical \
              for any N).")
   in
-  let no_batch_t =
-    Arg.(
-      value & flag
-      & info [ "no-batch" ]
-          ~doc:
-            "Evaluate one scenario per replay call instead of \
-             struct-of-arrays blocks (the report is identical either way; \
-             this is the differential baseline).")
-  in
   let batch_block_t =
     Arg.(
       value
@@ -644,7 +635,7 @@ let montecarlo_cmd =
              any N.")
   in
   let run seed m tasks epsilon granularity algo model family runs crashes timed
-      domains no_batch batch_block obs =
+      domains batch_block obs =
     with_obs obs @@ fun () ->
     let _, costs = make_instance ~seed ~family ~tasks ~m ~granularity () in
     let sched = run_algo algo ~model ~seed ~epsilon costs in
@@ -659,8 +650,8 @@ let montecarlo_cmd =
       (if timed then "timed" else "from-start")
       (Schedule.latency_zero_crash sched);
     let report =
-      Monte_carlo.run ~seed:(seed + 1) ~runs ?domains ~batch:(not no_batch)
-        ?batch_block ~crashes ~mode sched
+      Monte_carlo.run ~seed:(seed + 1) ~runs ?domains ?batch_block ~crashes
+        ~mode sched
     in
     Format.printf "%a@." Monte_carlo.pp report;
     0
@@ -669,7 +660,7 @@ let montecarlo_cmd =
     Term.(
       const run $ seed_t $ m_t $ tasks_t $ epsilon_t $ granularity_t $ algo_t
       $ model_t $ family_t $ runs_t $ crashes_t $ timed_t $ domains_t
-      $ no_batch_t $ batch_block_t $ obs_t)
+      $ batch_block_t $ obs_t)
   in
   Cmd.v
     (Cmd.info "montecarlo" ~doc:"Monte-Carlo fault injection on one schedule")

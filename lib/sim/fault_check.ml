@@ -100,6 +100,12 @@ let subset_at_rank ~n ~k rank =
 
 (* -- the check --------------------------------------------------------- *)
 
+(* Crash sets per [Replay.eval_batch] block.  The block size never changes
+   the report — results are consumed in enumeration order and the loop
+   stops at the first counterexample — only how much work past that
+   counterexample the last block wasted. *)
+let block = 256
+
 (* One shard of the exhaustive enumeration: ranks [start, stop). *)
 type shard = {
   sh_start : int;
@@ -107,6 +113,37 @@ type shard = {
   sh_counterexample : (int * Platform.proc list * Dag.task list) option;
       (* rank, crash set, starved tasks — the shard's lowest-rank refutation *)
 }
+
+(* A preallocated block of [len] from-start scenarios whose crash-time
+   arrays are refilled in place for every block. *)
+let scenario_block ~m len =
+  Array.init len (fun _ -> Scenario.of_crash_times (Array.make m infinity))
+
+let fill_crashed crash_time procs =
+  Array.fill crash_time 0 (Array.length crash_time) infinity;
+  Array.iter (fun p -> crash_time.(p) <- neg_infinity) procs
+
+(* [eval_prefix c scenarios len] evaluates the first [len] scenarios and
+   scans their latencies in order: it returns the index of the first
+   refuted one ([len] if none) after folding the completed latencies
+   before it into [worst]. *)
+let eval_prefix ~cancel c scenarios len worst =
+  let res =
+    Replay.eval_batch ~cancel c
+      (if len = Array.length scenarios then scenarios
+       else Array.sub scenarios 0 len)
+  in
+  let rec scan j =
+    if j = len then len
+    else
+      let lat = res.Replay.br_latency.(j) in
+      if Float.is_nan lat then j
+      else begin
+        if Float.is_nan !worst || lat > !worst then worst := lat;
+        scan (j + 1)
+      end
+  in
+  scan 0
 
 let check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
     ?(domains = 1) ?pool ?(cancel = Cancel.never) ?static ~epsilon sched =
@@ -117,15 +154,6 @@ let check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
   let checked = ref 0 in
   let counterexample = ref None in
   let worst = ref nan in
-  (* one compiled simulator + crash-time scratch per domain *)
-  let sim =
-    Domain.DLS.new_key (fun () ->
-        (Replay.compile sched, Array.make m infinity))
-  in
-  let fill_crash_time crash_time idx =
-    Array.fill crash_time 0 m infinity;
-    Array.iter (fun p -> crash_time.(p) <- neg_infinity) idx
-  in
   if exhaustive then begin
     (* Shard the rank space into [domains] contiguous ranges.  Each shard
        stops at its own first counterexample; the combine step keeps the
@@ -140,27 +168,34 @@ let check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
     let run_shard i =
       Obs_prof.phase ~trace:false "check.shard" @@ fun () ->
       let start = bounds.(i) and stop = bounds.(i + 1) in
-      let c, crash_time = Domain.DLS.get sim in
+      (* the shard owns its compiled engine and scenario block *)
+      let c = Replay.compile sched in
+      let scenarios = scenario_block ~m (min block (stop - start)) in
       let idx = subset_at_rank ~n:m ~k:epsilon start in
       let rank = ref start in
       let sh_worst = ref nan in
       let sh_ce = ref None in
       while !rank < stop && !sh_ce = None do
-        Cancel.check cancel;
-        Obs_metrics.incr m_scenarios;
-        fill_crash_time crash_time idx;
-        let lat = Replay.eval_latency c ~crash_time in
-        if Float.is_nan lat then begin
+        let len = min block (stop - !rank) in
+        for j = 0 to len - 1 do
+          fill_crashed scenarios.(j).Scenario.sc_crash_time idx;
+          ignore (advance_subset ~n:m ~k:epsilon idx)
+        done;
+        let j = eval_prefix ~cancel c scenarios len sh_worst in
+        Obs_metrics.incr ~by:(min len (j + 1)) m_scenarios;
+        if j < len then begin
           (* re-evaluate in full (once per shard at most) for the task list *)
-          let out = Replay.eval c ~crash_time in
+          let r = !rank + j in
+          let out =
+            Replay.eval c ~crash_time:scenarios.(j).Scenario.sc_crash_time
+          in
           sh_ce :=
-            Some (!rank, Array.to_list idx, out.Replay.failed_tasks)
-        end
-        else begin
-          if Float.is_nan !sh_worst || lat > !sh_worst then sh_worst := lat;
-          incr rank;
-          if !rank < stop then ignore (advance_subset ~n:m ~k:epsilon idx)
-        end
+            Some
+              ( r,
+                Array.to_list (subset_at_rank ~n:m ~k:epsilon r),
+                out.Replay.failed_tasks )
+        end;
+        rank := !rank + len
       done;
       { sh_start = start; sh_worst = !sh_worst; sh_counterexample = !sh_ce }
     in
@@ -208,22 +243,27 @@ let check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
   else begin
     Obs_prof.phase ~cat:"sim" "check.sample" @@ fun () ->
     let rng = Rng.create seed in
-    let c, crash_time = Domain.DLS.get sim in
+    let c = Replay.compile sched in
+    let scenarios = scenario_block ~m (max 0 (min block samples)) in
+    let drawn = Array.make (Array.length scenarios) [] in
     let i = ref 0 in
     while !i < samples && !counterexample = None do
-      Cancel.check cancel;
-      incr i;
-      incr checked;
-      Obs_metrics.incr m_scenarios;
-      let crashed = Rng.sample_without_replacement rng epsilon m in
-      Array.fill crash_time 0 m infinity;
-      List.iter (fun p -> crash_time.(p) <- neg_infinity) crashed;
-      let lat = Replay.eval_latency c ~crash_time in
-      if Float.is_nan lat then begin
-        let out = Replay.eval c ~crash_time in
-        counterexample := Some (crashed, out.Replay.failed_tasks)
-      end
-      else if Float.is_nan !worst || lat > !worst then worst := lat
+      let len = min block (samples - !i) in
+      for j = 0 to len - 1 do
+        drawn.(j) <- Rng.sample_without_replacement rng epsilon m;
+        fill_crashed scenarios.(j).Scenario.sc_crash_time
+          (Array.of_list drawn.(j))
+      done;
+      let j = eval_prefix ~cancel c scenarios len worst in
+      Obs_metrics.incr ~by:(min len (j + 1)) m_scenarios;
+      checked := !checked + min len (j + 1);
+      if j < len then begin
+        let out =
+          Replay.eval c ~crash_time:scenarios.(j).Scenario.sc_crash_time
+        in
+        counterexample := Some (drawn.(j), out.Replay.failed_tasks)
+      end;
+      i := !i + len
     done
   end;
   (* Cross-validation against the static supply-graph certificate.  The

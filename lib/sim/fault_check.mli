@@ -10,14 +10,18 @@
     sampling otherwise.
 
     The exhaustive enumeration walks an in-place index array and fills a
-    reused crash-time scratch straight from it (no per-subset allocation),
-    evaluating against a compiled replay simulator ({!Replay.compile});
-    {!combinations} remains as a list-producing wrapper for tests.  With
-    [?domains > 1] the rank space of the enumeration is sharded into
-    contiguous ranges, one per domain, and the {e lowest-rank}
-    counterexample wins — so the report is byte-identical for every
-    domain count (the scenarios completed below the winning rank are
-    exactly those the sequential enumeration would have completed).
+    preallocated block of crash-time arrays straight from it (no
+    per-subset allocation), evaluating each block with one
+    {!Replay.eval_batch} call on a compiled simulator the shard owns;
+    results are consumed in rank order and a shard stops at its first
+    counterexample, so the report equals the one-scenario-at-a-time
+    loop's.  {!combinations} remains as a list-producing wrapper for
+    tests.  With [?domains > 1] the rank space of the enumeration is
+    sharded into contiguous ranges, one per domain, and the
+    {e lowest-rank} counterexample wins — so the report is
+    byte-identical for every domain count (the scenarios completed below
+    the winning rank are exactly those the sequential enumeration would
+    have completed).
 
     For an {e exact} verdict without enumeration, see
     [Ftsched_analysis.Resilience]; pass its report as [?static] to
@@ -67,7 +71,8 @@ val check :
     domain count.
 
     [cancel] (default [Cancel.never]) is polled once per crash set on
-    every enumeration or sampling path; when it trips, [check] raises
+    every enumeration or sampling path (inside {!Replay.eval_batch});
+    when it trips, [check] raises
     [Cancel.Cancelled] — the serve daemon's request-deadline hook.  A
     check that returns normally never depends on the token.
 

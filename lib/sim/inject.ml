@@ -32,6 +32,11 @@ let cand_cmp (l1, s1) (l2, s2) = compare (-.l1, s1) (-.l2, s2)
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
+(* Candidate plans per [Replay.eval_batch] block.  Each block's results
+   are consumed in candidate order under the sequential decision rules,
+   so the block size never changes the report. *)
+let block = 256
+
 let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
     =
   Obs_trace.with_span ~cat:"sim" "inject.adversary" @@ fun () ->
@@ -41,27 +46,65 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
   let budget = max 8 budget in
   let beam = max 1 beam in
   let evals = ref 0 in
-  let crash_time = Array.make m infinity in
-  let set_times crashes =
-    incr evals;
-    Obs_metrics.incr m_frontier;
+  (* the call's scenario block, crash-time arrays refilled in place *)
+  let scenarios =
+    Array.init block (fun _ -> Scenario.of_crash_times (Array.make m infinity))
+  in
+  let fill_plan crash_time crashes =
     Array.fill crash_time 0 m infinity;
     List.iter
       (fun (p, tau) -> crash_time.(p) <- Float.min crash_time.(p) tau)
       crashes
   in
-  let eval_timed crashes =
-    set_times crashes;
-    Replay.eval_latency c ~crash_time
+  let fill_subset crash_time procs =
+    Array.fill crash_time 0 m infinity;
+    List.iter (fun p -> crash_time.(p) <- neg_infinity) procs
   in
-  let eval_subset procs =
-    eval_timed (List.map (fun p -> (p, neg_infinity)) procs)
+  (* [eval_seq ~fill ~consume items] replays [items] in blocks and hands
+     each result to [consume item batch j] in item order; every item is
+     one frontier evaluation. *)
+  let eval_seq ?(degradation = false) ~fill ~consume items =
+    let rec take_block j acc items =
+      if j = block then (j, List.rev acc, items)
+      else
+        match items () with
+        | Seq.Nil -> (j, List.rev acc, Seq.empty)
+        | Seq.Cons (x, rest) ->
+            fill scenarios.(j).Scenario.sc_crash_time x;
+            take_block (j + 1) (x :: acc) rest
+    in
+    let rec go items =
+      let len, taken, rest = take_block 0 [] items in
+      if len > 0 then begin
+        let res =
+          Replay.eval_batch ~degradation c
+            (if len = block then scenarios else Array.sub scenarios 0 len)
+        in
+        evals := !evals + len;
+        Obs_metrics.incr ~by:len m_frontier;
+        List.iteri (fun j x -> consume x res j) taken;
+        if len = block then go rest
+      end
+    in
+    go items
   in
-  let degrade_subset procs =
-    set_times (List.map (fun p -> (p, neg_infinity)) procs);
-    Replay.eval_degraded c ~crash_time
+  let latency (res : Replay.batch) j = res.Replay.br_latency.(j) in
+  let degradation (res : Replay.batch) j =
+    {
+      Replay.d_tasks = res.Replay.br_tasks.(j);
+      d_task_count = Replay.task_count c;
+      d_sinks = res.Replay.br_sinks.(j);
+      d_sink_count = Replay.sink_count c;
+      d_frontier = res.Replay.br_frontier.(j);
+    }
   in
-  let l0 = eval_timed [] in
+  let l0 =
+    let l = ref nan in
+    eval_seq ~fill:fill_plan
+      ~consume:(fun _ res j -> l := latency res j)
+      (Seq.return []);
+    !l
+  in
 
   (* -- worst-case slowdown within epsilon crashes -------------------- *)
   (* Phase 1: from-start subsets of size exactly epsilon (completion is
@@ -71,51 +114,70 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
   let nsub = Fault_check.count_combinations m (min eps m) in
   let exhaustive = eps = 0 || nsub <= subset_budget - !evals in
   let best = ref (l0, []) in
-  let consider procs =
-    let l = eval_subset procs in
-    (if not (Float.is_nan l) then
-       let cand = (l, procs) in
-       if cand_cmp cand !best < 0 then best := cand);
-    l
+  let consider procs l =
+    if not (Float.is_nan l) then
+      let cand = (l, procs) in
+      if cand_cmp cand !best < 0 then best := cand
   in
-  (if eps > 0 then
-     if exhaustive then
-       Seq.iter
-         (fun procs -> ignore (consider procs))
-         (Fault_check.combinations m (min eps m))
-     else begin
-       (* greedy criticality seeding: rank singletons by damage, then
-          grow the best [beam] of them one processor at a time *)
-       let singles =
-         List.init m (fun p -> (consider [ p ], [ p ]))
-         |> List.filter (fun (l, _) -> not (Float.is_nan l))
-         |> List.sort cand_cmp
-       in
-       let frontier = ref (List.map snd (take beam singles)) in
-       for _size = 2 to min eps m do
-         let grown = ref [] in
-         List.iter
-           (fun set ->
-             for p = m - 1 downto 0 do
-               if (not (List.mem p set)) && !evals < subset_budget then begin
-                 let set' = List.sort compare (p :: set) in
-                 if not (List.exists (fun (_, s) -> s = set') !grown) then begin
-                   let l = consider set' in
-                   if not (Float.is_nan l) then grown := (l, set') :: !grown
-                 end
-               end
-             done)
-           !frontier;
-         frontier := List.map snd (take beam (List.sort cand_cmp !grown))
-       done;
-       (* top up with seeded random subsets while the budget allows *)
-       let rng = Rng.create seed in
-       while !evals < subset_budget do
-         ignore
-           (consider
-              (List.sort compare (Scenario.uniform_procs rng ~m ~count:eps)))
-       done
-     end);
+  let eval_subsets ~consume subsets =
+    eval_seq ~fill:fill_subset subsets ~consume:(fun procs res j ->
+        let l = latency res j in
+        consider procs l;
+        consume procs l)
+  in
+  let ignore_result _ _ = () in
+  Obs_prof.phase ~cat:"sim" "stress.subsets" (fun () ->
+      if eps > 0 then
+        if exhaustive then
+          eval_subsets ~consume:ignore_result
+            (Fault_check.combinations m (min eps m))
+        else begin
+          (* greedy criticality seeding: rank singletons by damage, then
+             grow the best [beam] of them one processor at a time *)
+          let singles = ref [] in
+          eval_subsets
+            ~consume:(fun procs l -> singles := (l, procs) :: !singles)
+            (Seq.init m (fun p -> [ p ]));
+          let singles =
+            List.rev !singles
+            |> List.filter (fun (l, _) -> not (Float.is_nan l))
+            |> List.sort cand_cmp
+          in
+          let frontier = ref (List.map snd (take beam singles)) in
+          for _size = 2 to min eps m do
+            let grown = ref [] in
+            List.iter
+              (fun set ->
+                (* one block per frontier set: its extensions not grown
+                   yet, in decreasing processor order, cut to the
+                   remaining subset budget *)
+                let room = subset_budget - !evals in
+                let cands = ref [] and n = ref 0 in
+                for p = m - 1 downto 0 do
+                  if (not (List.mem p set)) && !n < room then begin
+                    let set' = List.sort compare (p :: set) in
+                    if not (List.exists (fun (_, s) -> s = set') !grown)
+                    then begin
+                      cands := set' :: !cands;
+                      incr n
+                    end
+                  end
+                done;
+                eval_subsets
+                  ~consume:(fun set' l ->
+                    if not (Float.is_nan l) then grown := (l, set') :: !grown)
+                  (List.to_seq (List.rev !cands)))
+              !frontier;
+            frontier := List.map snd (take beam (List.sort cand_cmp !grown))
+          done;
+          (* top up with seeded random subsets while the budget allows *)
+          let rng = Rng.create seed in
+          eval_subsets ~consume:ignore_result
+            (Seq.init
+               (max 0 (subset_budget - !evals))
+               (fun _ ->
+                 List.sort compare (Scenario.uniform_procs rng ~m ~count:eps)))
+        end);
   (* Phase 2: crash-instant refinement by coordinate descent.  Candidate
      instants per processor are the static execution midpoints of its
      replicas: each one kills that replica (and everything after) at the
@@ -138,26 +200,32 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
       incr pass;
       List.iter
         (fun p ->
-          List.iter
-            (fun tau ->
-              if !evals < budget then begin
-                let _, assign = !current in
-                let assign' =
-                  List.map (fun (q, t) -> if q = p then (q, tau) else (q, t))
-                    assign
-                in
-                let l = eval_timed assign' in
-                if (not (Float.is_nan l)) && l > fst !current then begin
-                  current := (l, assign');
-                  improved := true
-                end
-              end)
-            (instants p))
+          (* every candidate moves only [p]'s instant, so an improvement
+             found earlier in the block leaves the later candidates
+             unchanged: one block per processor, cut to the budget *)
+          let _, assign = !current in
+          let plans =
+            List.map
+              (fun tau ->
+                List.map
+                  (fun (q, t) -> if q = p then (q, tau) else (q, t))
+                  assign)
+              (take (budget - !evals) (instants p))
+          in
+          eval_seq ~fill:fill_plan (List.to_seq plans)
+            ~consume:(fun assign' res j ->
+              let l = latency res j in
+              if (not (Float.is_nan l)) && l > fst !current then begin
+                current := (l, assign');
+                improved := true
+              end))
         procs
     done;
     !current
   in
-  let w_latency, w_crashes = refine !best in
+  let w_latency, w_crashes =
+    Obs_prof.phase ~cat:"sim" "stress.refine" (fun () -> refine !best)
+  in
   let iv_worst =
     if Float.is_nan w_latency then None
     else
@@ -179,27 +247,32 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
   let iv_cert_resists =
     Option.map (fun r -> r.Resilience.rs_resists) cert
   in
+  let degrade_subsets sets ~consume =
+    eval_seq ~degradation:true ~fill:fill_subset (List.to_seq sets)
+      ~consume:(fun procs res j -> consume procs (degradation res j))
+  in
   let iv_min_kill =
+    Obs_prof.phase ~cat:"sim" "stress.kill" @@ fun () ->
     match cert with
     | Some { Resilience.rs_counterexample = Some (procs, _); _ } ->
         (* the certificate's own minimal refutation, size <= epsilon *)
-        Some
-          {
-            k_procs = procs;
-            k_degradation = degrade_subset procs;
-            k_certified = true;
-          }
+        let kill = ref None in
+        degrade_subsets [ procs ] ~consume:(fun procs d ->
+            kill :=
+              Some { k_procs = procs; k_degradation = d; k_certified = true });
+        !kill
     | _ ->
         (* epsilon-resistance certified (or certification abandoned): the
            cheapest kill sets are the replica-processor sets of single
            tasks, size epsilon + 1 — provably minimal when certified.
-           Pick the one degrading completion the most. *)
+           Pick the one degrading completion the most, scanning the
+           distinct sets in task order up to the budget in one block. *)
         let v = Dag.task_count (Schedule.dag sched) in
         let seen = Hashtbl.create 64 in
-        let best = ref None in
+        let sets = ref [] and n = ref 0 in
         (try
            for t = 0 to v - 1 do
-             if !evals >= budget then raise Exit;
+             if !evals + !n >= budget then raise Exit;
              let procs =
                List.sort_uniq compare
                  (List.init (eps + 1) (fun i ->
@@ -207,16 +280,19 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
              in
              if not (Hashtbl.mem seen procs) then begin
                Hashtbl.add seen procs ();
-               let d = degrade_subset procs in
-               let key =
-                 (Replay.completion_fraction d, List.length procs, procs)
-               in
-               match !best with
-               | Some (bkey, _, _) when bkey <= key -> ()
-               | _ -> best := Some (key, procs, d)
+               sets := procs :: !sets;
+               incr n
              end
            done
          with Exit -> ());
+        let best = ref None in
+        degrade_subsets (List.rev !sets) ~consume:(fun procs d ->
+            let key =
+              (Replay.completion_fraction d, List.length procs, procs)
+            in
+            match !best with
+            | Some (bkey, _, _) when bkey <= key -> ()
+            | _ -> best := Some (key, procs, d));
         Option.map
           (fun (_, procs, d) ->
             {

@@ -30,7 +30,7 @@ let g_throughput =
    run order over flat arrays — only the work-stealing granularity. *)
 let batch_block = 256
 
-let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?pool ?(batch = true)
+let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?pool
     ?(batch_block = batch_block) ?(cancel = Cancel.never) ?fabric ~crashes
     ~mode sched =
   if runs < 1 then invalid_arg "Monte_carlo.run: runs < 1";
@@ -53,9 +53,32 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?pool ?(batch = true)
         Obs_metrics.incr ~by:runs m_scenarios;
         Scenario.draw_block rng ~m ~count:crashes ~mode:smode ~runs)
   in
-  (* One compiled simulator per domain: a [compiled] value owns its
-     scratch arena and must not be shared. *)
-  let sim = Domain.DLS.new_key (fun () -> Replay.compile ?fabric sched) in
+  (* Compiled engines owned by this call.  A [compiled] value owns its
+     scratch arena and must not be shared, so a block takes an idle
+     engine off the list for its whole evaluation (compiling a new one
+     only when every engine is busy on another domain) and returns it
+     after.  The list dies with the call: at most one engine per
+     concurrently running worker, never one per domain for the process
+     lifetime. *)
+  let c0 = Replay.compile ?fabric sched in
+  let idle = ref [ c0 ] and idle_lock = Mutex.create () in
+  let with_engine f =
+    let c =
+      match
+        Mutex.protect idle_lock (fun () ->
+            match !idle with
+            | c :: rest ->
+                idle := rest;
+                Some c
+            | [] -> None)
+      with
+      | Some c -> c
+      | None -> Replay.compile ?fabric sched
+    in
+    Fun.protect
+      ~finally:(fun () -> Mutex.protect idle_lock (fun () -> idle := c :: !idle))
+      (fun () -> f c)
+  in
   (* Degradation tracking only engages beyond the tolerance the schedule
      was built for: within epsilon the completion fraction is constantly
      1.0 (Proposition 5.2) and the plain latency path stays bit-identical
@@ -68,58 +91,32 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?pool ?(batch = true)
   let deg_tasks = if beyond then Array.make runs 0 else [||] in
   let deg_sinks = if beyond then Array.make runs 0 else [||] in
   let deg_frontier = if beyond then Array.make runs 0. else [||] in
-  let dispatch f items =
-    match pool with
-    | Some p -> ignore (Parallel.map_pool p f items : unit list)
-    | None -> ignore (Parallel.map ~domains f items : unit list)
-  in
   let t0 = Obs_clock.now () in
-  (if batch then begin
-     (* batched path: blocks of [batch_block] scenarios, one
-        struct-of-arrays [Replay.eval_batch] call per block *)
-     let nblocks = (runs + batch_block - 1) / batch_block in
-     let eval_block b =
-       (* profiled but untraced: one span per block would still drown the
-          timeline the [point]/[replay] spans already structure *)
-       Obs_prof.phase ~trace:false "montecarlo.eval" @@ fun () ->
-       let c = Domain.DLS.get sim in
-       let start = b * batch_block in
-       let len = min batch_block (runs - start) in
-       let res =
-         Replay.eval_batch ~cancel ~degradation:beyond c
-           (Array.sub scenarios start len)
-       in
-       Array.blit res.Replay.br_latency 0 lat start len;
-       if beyond then begin
-         Array.blit res.Replay.br_tasks 0 deg_tasks start len;
-         Array.blit res.Replay.br_sinks 0 deg_sinks start len;
-         Array.blit res.Replay.br_frontier 0 deg_frontier start len
-       end
-     in
-     dispatch eval_block (List.init nblocks Fun.id)
-   end
-   else begin
-     (* legacy per-scenario path, retained as the batched path's
-        differential baseline *)
-     let eval_one i =
-       Obs_prof.phase ~trace:false "montecarlo.eval" @@ fun () ->
-       Cancel.check cancel;
-       let c = Domain.DLS.get sim in
-       let crash_time = scenarios.(i).Scenario.sc_crash_time in
-       if not beyond then lat.(i) <- Replay.eval_latency c ~crash_time
-       else begin
-         let d = Replay.eval_degraded c ~crash_time in
-         deg_tasks.(i) <- d.Replay.d_tasks;
-         deg_sinks.(i) <- d.Replay.d_sinks;
-         deg_frontier.(i) <- d.Replay.d_frontier;
-         lat.(i) <-
-           (if d.Replay.d_tasks = d.Replay.d_task_count then
-              d.Replay.d_frontier
-            else nan)
-       end
-     in
-     dispatch eval_one (List.init runs Fun.id)
-   end);
+  (* blocks of [batch_block] scenarios, one struct-of-arrays
+     [Replay.eval_batch] call per block *)
+  let nblocks = (runs + batch_block - 1) / batch_block in
+  let eval_block b =
+    (* profiled but untraced: one span per block would still drown the
+       timeline the [point]/[replay] spans already structure *)
+    Obs_prof.phase ~trace:false "montecarlo.eval" @@ fun () ->
+    with_engine @@ fun c ->
+    let start = b * batch_block in
+    let len = min batch_block (runs - start) in
+    let res =
+      Replay.eval_batch ~cancel ~degradation:beyond c
+        (Array.sub scenarios start len)
+    in
+    Array.blit res.Replay.br_latency 0 lat start len;
+    if beyond then begin
+      Array.blit res.Replay.br_tasks 0 deg_tasks start len;
+      Array.blit res.Replay.br_sinks 0 deg_sinks start len;
+      Array.blit res.Replay.br_frontier 0 deg_frontier start len
+    end
+  in
+  let blocks = List.init nblocks Fun.id in
+  (match pool with
+  | Some p -> ignore (Parallel.map_pool p eval_block blocks : unit list)
+  | None -> ignore (Parallel.map ~domains eval_block blocks : unit list));
   let dt = Obs_clock.now () -. t0 in
   if dt > 0. then Obs_metrics.set g_throughput (float_of_int runs /. dt);
   (* Aggregate in run order so the Kahan sums in [Stats.summarize] see
@@ -140,10 +137,9 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?pool ?(batch = true)
   let degradation =
     if not beyond then None
     else begin
-      (* the caller domain's compiled simulator carries the constant
-         denominators; reconstructing the per-run record keeps the float
-         operations identical to the historical per-record fold *)
-      let c0 = Domain.DLS.get sim in
+      (* the compiled simulator carries the constant denominators;
+         reconstructing the per-run record keeps the float operations
+         identical to the historical per-record fold *)
       let task_count = Replay.task_count c0 in
       let sink_count = Replay.sink_count c0 in
       let n = float_of_int runs in
@@ -187,8 +183,8 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?pool ?(batch = true)
     degradation;
   }
 
-let degradation_curve ?seed ?runs ?domains ?pool ?batch ?batch_block ?cancel
-    ?fabric ?max_crashes ~mode sched =
+let degradation_curve ?seed ?runs ?domains ?pool ?batch_block ?cancel ?fabric
+    ?max_crashes ~mode sched =
   let m = Platform.proc_count (Schedule.platform sched) in
   let eps = Schedule.epsilon sched in
   let hi =
@@ -196,7 +192,7 @@ let degradation_curve ?seed ?runs ?domains ?pool ?batch ?batch_block ?cancel
   in
   List.init (hi + 1) (fun crashes ->
       ( crashes,
-        run ?seed ?runs ?domains ?pool ?batch ?batch_block ?cancel ?fabric
+        run ?seed ?runs ?domains ?pool ?batch_block ?cancel ?fabric
           ~crashes ~mode sched ))
 
 let slowdown_cell x =

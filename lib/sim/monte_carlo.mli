@@ -41,8 +41,7 @@ type report = {
 }
 
 val batch_block : int
-(** Default scenarios per {!Replay.eval_batch} block on the batched path
-    (256).  Purely a work-stealing granularity: the report never depends
+(** Default scenarios per {!Replay.eval_batch} block (256).  Purely a work-stealing granularity: the report never depends
     on it. *)
 
 val run :
@@ -50,7 +49,6 @@ val run :
   ?runs:int ->
   ?domains:int ->
   ?pool:Parallel.pool ->
-  ?batch:bool ->
   ?batch_block:int ->
   ?cancel:Cancel.token ->
   ?fabric:Netstate.fabric ->
@@ -63,40 +61,38 @@ val run :
     [mode = From_start] and [crashes <= epsilon] on a fault-tolerant
     schedule, [failure_rate] is [0.] by Proposition 5.2.
 
-    [domains] (default [1]) spreads the replays over OCaml domains with
-    one compiled simulator per domain ({!Replay.compile}).  Passing
-    [pool] instead evaluates on a persistent {!Parallel.pool} (and
-    ignores [domains]): a campaign of many [run] calls then spawns its
-    domains exactly once.  All scenarios are pre-drawn from the root RNG
-    ({!Scenario.draw_block}) and aggregated in run order, so the report
-    is byte-identical for every [domains] value, pool size, and [batch]
-    setting (pinned by the test suite).  The default stays sequential
-    because campaign code may already be running one {!Parallel.map}
-    over experiment points.
+    [domains] (default [1]) spreads the replays over OCaml domains.
+    Passing [pool] instead evaluates on a persistent {!Parallel.pool}
+    (and ignores [domains]): a campaign of many [run] calls then spawns
+    its domains exactly once.  The compiled simulators ({!Replay.compile})
+    belong to the call — at most one per concurrently running worker,
+    handed from block to block and dropped when [run] returns.  All
+    scenarios are pre-drawn from the root RNG ({!Scenario.draw_block})
+    and aggregated in run order, so the report is byte-identical for
+    every [domains] value and pool size (pinned by the test suite against
+    a per-scenario oracle).  The default stays sequential because
+    campaign code may already be running one {!Parallel.map} over
+    experiment points.
 
-    [batch] (default [true]) evaluates scenarios in [batch_block]-sized
-    blocks (default {!batch_block}) through {!Replay.eval_batch} — the
-    throughput path.  [batch_block] tunes the work-stealing granularity
-    for multi-core hosts and never changes the report (result-invariant,
-    pinned by the test suite); raises [Invalid_argument] when [< 1].
-    [~batch:false] keeps the historical one-{!Replay.eval_latency}-per-
-    scenario loop, retained as the differential baseline.  Sets the
-    [replay.scenarios_per_sec] gauge either way.
+    Scenarios are evaluated in [batch_block]-sized blocks (default
+    {!batch_block}) through {!Replay.eval_batch}.  [batch_block] tunes
+    the work-stealing granularity for multi-core hosts and never changes
+    the report (result-invariant, pinned by the test suite); raises
+    [Invalid_argument] when [< 1].  Sets the [replay.scenarios_per_sec]
+    gauge.
 
-    [cancel] (default [Cancel.never]) is polled once per scenario on
-    both paths (inside {!Replay.eval_batch} on the batched one); when it
-    trips — an expired serve-request deadline, a daemon shutdown — the
-    campaign raises [Cancel.Cancelled] instead of finishing.  Every
-    worker domain polls the same token, so a multi-domain campaign
-    unwinds promptly.  A run that returns normally is byte-identical
-    whether or not a token was polled. *)
+    [cancel] (default [Cancel.never]) is polled once per scenario inside
+    {!Replay.eval_batch}; when it trips — an expired serve-request
+    deadline, a daemon shutdown — the campaign raises [Cancel.Cancelled]
+    instead of finishing.  Every worker domain polls the same token, so
+    a multi-domain campaign unwinds promptly.  A run that returns
+    normally is byte-identical whether or not a token was polled. *)
 
 val degradation_curve :
   ?seed:int ->
   ?runs:int ->
   ?domains:int ->
   ?pool:Parallel.pool ->
-  ?batch:bool ->
   ?batch_block:int ->
   ?cancel:Cancel.token ->
   ?fabric:Netstate.fabric ->

@@ -113,8 +113,9 @@ val eval_latency :
   crash_time:float array ->
   float
 (** Like {!eval} but returns only the latency ([nan] if any task failed),
-    without materializing the per-replica outcome arrays — the
-    allocation-free inner loop of Monte-Carlo and fault-check campaigns. *)
+    without materializing the per-replica outcome arrays.  Campaigns and
+    verification loops use {!eval_batch}; this per-scenario path remains
+    its element-by-element reference and the bench's compiled row. *)
 
 val eval_crashed :
   ?dead_links:(Platform.proc * Platform.proc) list ->
@@ -260,8 +261,9 @@ val eval_degraded :
   compiled ->
   crash_time:float array ->
   degradation
-(** {!eval_degraded} for a plain crash-time scenario (the Monte-Carlo
-    degradation sweep's hot path). *)
+(** {!eval_plan_degraded} for a plain crash-time scenario — the
+    per-scenario reference of {!eval_batch}'s [~degradation:true]
+    columns. *)
 
 val reference :
   ?fabric:Netstate.fabric ->

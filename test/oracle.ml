@@ -1,0 +1,376 @@
+(* Per-scenario oracles for the batched campaign and verification loops.
+
+   Each function below recomputes a library report with a plain
+   sequential loop, one replay per scenario and no [Replay.eval_batch]
+   block.  The differential suites compare the two byte for byte. *)
+
+(* -- Monte Carlo: one [eval_latency] / [eval_degraded] per scenario ---- *)
+
+let monte_carlo ?(seed = 20) ?(runs = 1000) ~crashes ~mode sched =
+  let m = Platform.proc_count (Schedule.platform sched) in
+  let l0 = Schedule.latency_zero_crash sched in
+  let smode =
+    match mode with
+    | Monte_carlo.From_start -> Scenario.From_start
+    | Monte_carlo.Timed horizon -> Scenario.Timed horizon
+  in
+  let scenarios =
+    Scenario.draw_block (Rng.create seed) ~m ~count:crashes ~mode:smode ~runs
+  in
+  let c = Replay.compile sched in
+  let beyond = crashes > Schedule.epsilon sched in
+  let degs = ref [] in
+  let lat =
+    Array.map
+      (fun (sc : Scenario.t) ->
+        let crash_time = sc.Scenario.sc_crash_time in
+        if not beyond then Replay.eval_latency c ~crash_time
+        else begin
+          let d = Replay.eval_degraded c ~crash_time in
+          degs := d :: !degs;
+          if d.Replay.d_tasks = d.Replay.d_task_count then d.Replay.d_frontier
+          else nan
+        end)
+      scenarios
+  in
+  let completed_lats =
+    List.filter (fun l -> not (Float.is_nan l)) (Array.to_list lat)
+  in
+  let completed = List.length completed_lats in
+  (* the library aggregates the completed latencies in reverse run order *)
+  let latency =
+    match completed_lats with
+    | [] -> None
+    | ls -> Some (Stats.summarize (List.rev ls))
+  in
+  let degradation =
+    if not beyond then None
+    else begin
+      let n = float_of_int runs in
+      let csum = ref 0. and cmin = ref 1. in
+      let ssum = ref 0. and fsum = ref 0. in
+      List.iter
+        (fun d ->
+          let cf = Replay.completion_fraction d in
+          csum := !csum +. cf;
+          if cf < !cmin then cmin := cf;
+          ssum := !ssum +. Replay.sink_fraction d;
+          fsum := !fsum +. d.Replay.d_frontier)
+        (List.rev !degs);
+      Some
+        {
+          Monte_carlo.deg_completion_mean = !csum /. n;
+          deg_completion_min = !cmin;
+          deg_sink_mean = !ssum /. n;
+          deg_frontier_mean = !fsum /. n;
+        }
+    end
+  in
+  {
+    Monte_carlo.runs;
+    completed;
+    replays = runs;
+    latency;
+    worst_slowdown =
+      (match latency with
+      | Some s when l0 > 0. -> s.Stats.max /. l0
+      | _ -> nan);
+    failure_rate = float_of_int (runs - completed) /. float_of_int runs;
+    degradation;
+  }
+
+(* -- one full [Replay.eval] per scenario -------------------------------- *)
+
+let crash_times m crashes =
+  let a = Array.make m infinity in
+  List.iter (fun (p, tau) -> a.(p) <- Float.min a.(p) tau) crashes;
+  a
+
+let from_start procs = List.map (fun p -> (p, neg_infinity)) procs
+
+let outcome c crashes =
+  Replay.eval c ~crash_time:(crash_times (Replay.proc_count c) crashes)
+
+let degradation sched (o : Replay.outcome) =
+  let dag = Schedule.dag sched in
+  (* earliest completed replica per task; [infinity] when none ran *)
+  let earliest =
+    Array.map
+      (Array.fold_left
+         (fun acc -> function
+           | Replay.Ran { finish; _ } -> Float.min acc finish
+           | _ -> acc)
+         infinity)
+      o.Replay.replicas
+  in
+  let done_ t = earliest.(t) < infinity in
+  let exits = Dag.exits dag in
+  {
+    Replay.d_tasks =
+      Array.fold_left (fun n e -> if e < infinity then n + 1 else n) 0 earliest;
+    d_task_count = Dag.task_count dag;
+    d_sinks = List.length (List.filter done_ exits);
+    d_sink_count = List.length exits;
+    d_frontier =
+      Array.fold_left
+        (fun acc e -> if e < infinity && e > acc then e else acc)
+        0. earliest;
+  }
+
+(* -- Fault_check: the sequential enumeration ---------------------------- *)
+
+(* [fault_check ~shards ~epsilon sched] is [Fault_check.check]'s report
+   together with the [fault_check.scenarios] count the library reaches
+   when it splits the rank space into [shards] contiguous shards, each
+   stopping at its own first counterexample. *)
+let fault_check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
+    ?static ~shards ~epsilon sched =
+  let m = Platform.proc_count (Schedule.platform sched) in
+  let epsilon = min epsilon m in
+  let c = Replay.compile sched in
+  let total = Fault_check.count_combinations m epsilon in
+  let exhaustive = total <= max_exhaustive in
+  let checked = ref 0 and counted = ref 0 in
+  let counterexample = ref None in
+  let worst = ref nan in
+  let record crashed (o : Replay.outcome) =
+    if not o.Replay.completed then
+      counterexample := Some (crashed, o.Replay.failed_tasks)
+    else if Float.is_nan !worst || o.Replay.latency > !worst then
+      worst := o.Replay.latency
+  in
+  if exhaustive then begin
+    let outcomes =
+      Array.of_seq
+        (Seq.map
+           (fun crashed -> (crashed, outcome c (from_start crashed)))
+           (Fault_check.combinations m epsilon))
+    in
+    Array.iter
+      (fun (crashed, o) ->
+        if !counterexample = None then begin
+          incr checked;
+          record crashed o
+        end)
+      outcomes;
+    let shards = max 1 (min shards total) in
+    for i = 0 to shards - 1 do
+      let start = total * i / shards and stop = total * (i + 1) / shards in
+      let rank = ref start and stopped = ref false in
+      while !rank < stop && not !stopped do
+        incr counted;
+        stopped := not (snd outcomes.(!rank)).Replay.completed;
+        incr rank
+      done
+    done
+  end
+  else begin
+    let rng = Rng.create seed in
+    while !checked < samples && !counterexample = None do
+      incr checked;
+      let crashed = Rng.sample_without_replacement rng epsilon m in
+      record crashed (outcome c (from_start crashed))
+    done;
+    counted := !checked
+  end;
+  let static_agrees =
+    match static with
+    | None -> None
+    | Some (st : Resilience.report) -> (
+        match (st.Resilience.rs_counterexample, !counterexample) with
+        | None, None -> Some true
+        | None, Some _ -> Some false
+        | Some _, Some _ -> Some true
+        | Some (crashed, _), None ->
+            let o = outcome c (from_start crashed) in
+            incr checked;
+            if not o.Replay.completed then begin
+              counterexample := Some (crashed, o.Replay.failed_tasks);
+              Some true
+            end
+            else Some false)
+  in
+  ( {
+      Fault_check.resists = !counterexample = None;
+      scenarios_checked = !checked;
+      exhaustive;
+      counterexample = !counterexample;
+      worst_latency = !worst;
+      static_agrees;
+    },
+    !counted )
+
+(* -- Inject.adversary: one evaluation per candidate --------------------- *)
+
+let cand_cmp (l1, s1) (l2, s2) = compare (-.l1, s1) (-.l2, s2)
+let take n l = List.filteri (fun i _ -> i < n) l
+
+let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
+    =
+  let c = Replay.compile sched in
+  let m = Replay.proc_count c in
+  let eps = Schedule.epsilon sched in
+  let budget = max 8 budget in
+  let beam = max 1 beam in
+  let evals = ref 0 in
+  let eval_timed crashes =
+    incr evals;
+    (outcome c crashes).Replay.latency
+  in
+  let eval_subset procs = eval_timed (from_start procs) in
+  let degrade_subset procs =
+    incr evals;
+    degradation sched (outcome c (from_start procs))
+  in
+  let l0 = eval_timed [] in
+  let subset_budget = budget / 2 in
+  let nsub = Fault_check.count_combinations m (min eps m) in
+  let exhaustive = eps = 0 || nsub <= subset_budget - !evals in
+  let best = ref (l0, []) in
+  let consider procs =
+    let l = eval_subset procs in
+    (if not (Float.is_nan l) then
+       let cand = (l, procs) in
+       if cand_cmp cand !best < 0 then best := cand);
+    l
+  in
+  (if eps > 0 then
+     if exhaustive then
+       Seq.iter
+         (fun procs -> ignore (consider procs))
+         (Fault_check.combinations m (min eps m))
+     else begin
+       let singles =
+         List.init m (fun p -> (consider [ p ], [ p ]))
+         |> List.filter (fun (l, _) -> not (Float.is_nan l))
+         |> List.sort cand_cmp
+       in
+       let frontier = ref (List.map snd (take beam singles)) in
+       for _size = 2 to min eps m do
+         let grown = ref [] in
+         List.iter
+           (fun set ->
+             for p = m - 1 downto 0 do
+               if (not (List.mem p set)) && !evals < subset_budget then begin
+                 let set' = List.sort compare (p :: set) in
+                 if not (List.exists (fun (_, s) -> s = set') !grown) then begin
+                   let l = consider set' in
+                   if not (Float.is_nan l) then grown := (l, set') :: !grown
+                 end
+               end
+             done)
+           !frontier;
+         frontier := List.map snd (take beam (List.sort cand_cmp !grown))
+       done;
+       let rng = Rng.create seed in
+       while !evals < subset_budget do
+         ignore
+           (consider
+              (List.sort compare (Scenario.uniform_procs rng ~m ~count:eps)))
+       done
+     end);
+  let refine (l_start, procs) =
+    let current = ref (l_start, from_start procs) in
+    let instants p =
+      neg_infinity
+      :: List.map
+           (fun (r : Schedule.replica) ->
+             (r.Schedule.r_start +. r.Schedule.r_finish) /. 2.)
+           (Schedule.on_proc sched p)
+    in
+    let improved = ref true in
+    let pass = ref 0 in
+    while !improved && !pass < 3 && !evals < budget do
+      improved := false;
+      incr pass;
+      List.iter
+        (fun p ->
+          List.iter
+            (fun tau ->
+              if !evals < budget then begin
+                let assign' =
+                  List.map
+                    (fun (q, t) -> if q = p then (q, tau) else (q, t))
+                    (snd !current)
+                in
+                let l = eval_timed assign' in
+                if (not (Float.is_nan l)) && l > fst !current then begin
+                  current := (l, assign');
+                  improved := true
+                end
+              end)
+            (instants p))
+        procs
+    done;
+    !current
+  in
+  let w_latency, w_crashes = refine !best in
+  let iv_worst =
+    if Float.is_nan w_latency then None
+    else
+      Some
+        {
+          Inject.w_crashes = List.sort compare w_crashes;
+          w_latency;
+          w_slowdown = (if l0 > 0. then w_latency /. l0 else nan);
+          w_exhaustive = exhaustive;
+        }
+  in
+  let cert =
+    match Resilience.certify ~epsilon:eps ~domains sched with
+    | r -> Some r
+    | exception Resilience.Family_overflow _ -> None
+  in
+  let iv_cert_resists = Option.map (fun r -> r.Resilience.rs_resists) cert in
+  let iv_min_kill =
+    match cert with
+    | Some { Resilience.rs_counterexample = Some (procs, _); _ } ->
+        Some
+          {
+            Inject.k_procs = procs;
+            k_degradation = degrade_subset procs;
+            k_certified = true;
+          }
+    | _ ->
+        let v = Dag.task_count (Schedule.dag sched) in
+        let seen = Hashtbl.create 64 in
+        let best = ref None in
+        (try
+           for t = 0 to v - 1 do
+             if !evals >= budget then raise Exit;
+             let procs =
+               List.sort_uniq compare
+                 (List.init (eps + 1) (fun i ->
+                      (Schedule.replica sched t i).Schedule.r_proc))
+             in
+             if not (Hashtbl.mem seen procs) then begin
+               Hashtbl.add seen procs ();
+               let d = degrade_subset procs in
+               let key =
+                 (Replay.completion_fraction d, List.length procs, procs)
+               in
+               match !best with
+               | Some (bkey, _, _) when bkey <= key -> ()
+               | _ -> best := Some (key, procs, d)
+             end
+           done
+         with Exit -> ());
+        Option.map
+          (fun (_, procs, d) ->
+            {
+              Inject.k_procs = procs;
+              k_degradation = d;
+              k_certified = iv_cert_resists = Some true;
+            })
+          !best
+  in
+  {
+    Inject.iv_epsilon = eps;
+    iv_m = m;
+    iv_budget = budget;
+    iv_evals = !evals;
+    iv_fault_free = l0;
+    iv_cert_resists;
+    iv_worst;
+    iv_min_kill;
+  }

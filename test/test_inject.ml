@@ -362,9 +362,36 @@ let test_metrics () =
       | Some (Obs_metrics.Counter n) -> Helpers.check_int "inject.plans" 2 n
       | _ -> Alcotest.fail "inject.plans not registered");
       let r = Inject.adversary ~budget:200 sched in
-      match Obs_metrics.find "stress.frontier_evals" with
+      (match Obs_metrics.find "stress.frontier_evals" with
       | Some (Obs_metrics.Counter n) ->
           Helpers.check_int "stress.frontier_evals" r.Inject.iv_evals n
+      | _ -> Alcotest.fail "stress.frontier_evals not registered");
+      (* a beam search runs every profiled phase; the profiler only
+         attributes time and leaves the evaluation count alone *)
+      let sched = sched_of ~seed:6 ~m:10 ~epsilon:2 () in
+      Obs_metrics.reset ();
+      Obs_prof.reset ();
+      Obs_prof.set_enabled true;
+      let r =
+        Fun.protect
+          ~finally:(fun () -> Obs_prof.set_enabled false)
+          (fun () -> Inject.adversary ~budget:80 ~beam:2 sched)
+      in
+      let phases = (Obs_prof.report ()).Obs_prof.r_phases in
+      List.iter
+        (fun name ->
+          Helpers.check_bool (name ^ " profiled") true
+            (List.exists
+               (fun p ->
+                 p.Obs_prof.ph_name = name && p.Obs_prof.ph_count = 1)
+               phases))
+        [ "stress.subsets"; "stress.refine"; "stress.kill" ];
+      Helpers.check_int "evals unchanged under the profiler"
+        (Oracle.adversary ~budget:80 ~beam:2 sched).Inject.iv_evals
+        r.Inject.iv_evals;
+      match Obs_metrics.find "stress.frontier_evals" with
+      | Some (Obs_metrics.Counter n) ->
+          Helpers.check_int "profiled stress.frontier_evals" r.Inject.iv_evals n
       | _ -> Alcotest.fail "stress.frontier_evals not registered")
 
 let suite =

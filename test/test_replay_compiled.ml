@@ -175,12 +175,17 @@ let test_montecarlo_domains () =
     (fun crashes ->
       List.iter
         (fun mode ->
-          let campaign ?domains ?pool ?batch () =
+          let campaign ?domains ?pool () =
             bytes_of
-              (Monte_carlo.run ~seed:5 ~runs:120 ?domains ?pool ?batch
-                 ~crashes ~mode sched)
+              (Monte_carlo.run ~seed:5 ~runs:120 ?domains ?pool ~crashes
+                 ~mode sched)
           in
           let r1 = campaign ~domains:1 () in
+          (* the per-scenario oracle is the differential baseline *)
+          Helpers.check_bool "montecarlo matches per-scenario oracle" true
+            (r1
+            = bytes_of
+                (Oracle.monte_carlo ~seed:5 ~runs:120 ~crashes ~mode sched));
           (* spawned-per-call domains *)
           List.iter
             (fun domains ->
@@ -196,12 +201,9 @@ let test_montecarlo_domains () =
                 (fun () ->
                   Helpers.check_bool "montecarlo pooled byte-identical" true
                     (r1 = campaign ~pool ());
-                  Helpers.check_bool "montecarlo pooled batch-off" true
-                    (r1 = campaign ~pool ~batch:false ())))
-            [ 1; 2; 4 ];
-          (* the legacy per-scenario path is the differential baseline *)
-          Helpers.check_bool "montecarlo batch-off byte-identical" true
-            (r1 = campaign ~domains:1 ~batch:false ()))
+                  Helpers.check_bool "montecarlo pooled reused" true
+                    (r1 = campaign ~pool ())))
+            [ 1; 2; 4 ])
         [ Monte_carlo.From_start; Monte_carlo.Timed (Schedule.makespan sched) ])
     [ 1; 2 ] (* within epsilon (plain path) and beyond (degradation path) *)
 

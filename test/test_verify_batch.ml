@@ -1,0 +1,245 @@
+(* Batched verification against the per-scenario oracles of [Oracle]:
+   [Fault_check.check] and [Inject.adversary] evaluate their crash sets
+   in [Replay.eval_batch] blocks, and must return byte-identical reports
+   and count the same scenarios as one [Replay.eval] per crash set.  Also
+   pins that the replay engines die with the call that compiled them. *)
+
+let bytes_of x = Marshal.to_string x []
+
+let counter name =
+  match Obs_metrics.find name with
+  | Some (Obs_metrics.Counter n) -> n
+  | _ -> Alcotest.failf "%s not registered" name
+
+(* run [f] with metrics on and zeroed; return its result and [name]'s count *)
+let counting name f =
+  Obs_metrics.reset ();
+  Obs_metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs_metrics.set_enabled false)
+    (fun () ->
+      let r = f () in
+      (r, counter name))
+
+let with_pool size f =
+  let pool = Parallel.pool ~domains:size () in
+  Fun.protect ~finally:(fun () -> Parallel.shutdown pool) (fun () -> f pool)
+
+(* [target_chain ~m ~target] is a HEFT schedule whose three tasks all run
+   on processor [target] (every other processor is ten times slower), so
+   the only refuting single crash is [{target}] — the first counterexample
+   of the epsilon = 1 enumeration sits at rank [target]. *)
+let target_chain ~m ~target =
+  let dag = Helpers.chain3 () in
+  let platform = Helpers.uniform_platform m in
+  Heft.run
+    (Costs.create dag platform (fun _ p -> if p = target then 1. else 10.))
+
+(* -- Fault_check -------------------------------------------------------- *)
+
+let same_check name ?max_exhaustive ?samples ?static ~epsilon sched =
+  let expect domains =
+    Oracle.fault_check ?max_exhaustive ?samples ?static ~shards:domains
+      ~epsilon sched
+  in
+  let compare_run label ~shards run =
+    let report, count = counting "fault_check.scenarios" run in
+    let oracle, oracle_count = expect shards in
+    Helpers.check_bool (name ^ " " ^ label ^ ": report") true
+      (bytes_of report = bytes_of oracle);
+    Helpers.check_int (name ^ " " ^ label ^ ": scenarios counted") oracle_count
+      count
+  in
+  List.iter
+    (fun domains ->
+      compare_run
+        (Printf.sprintf "domains %d" domains)
+        ~shards:domains
+        (fun () ->
+          Fault_check.check ?max_exhaustive ?samples ?static ~domains ~epsilon
+            sched);
+      with_pool domains (fun pool ->
+          compare_run
+            (Printf.sprintf "pool %d" domains)
+            ~shards:domains
+            (fun () ->
+              Fault_check.check ?max_exhaustive ?samples ?static ~pool
+                ~epsilon sched)))
+    [ 1; 2; 4 ]
+
+let test_check_certified_and_refuted () =
+  let _, costs = Helpers.random_instance ~seed:42 ~m:7 ~tasks:25 () in
+  (* an unreplicated schedule refuted at the first crash that hits it *)
+  same_check "heft eps 1" ~epsilon:1 (Heft.run costs);
+  let caft1 = Caft.run ~epsilon:1 costs in
+  (* certified, with and without the static cross-check *)
+  same_check "caft1 eps 1" ~epsilon:1 caft1;
+  same_check "caft1 eps 1 static" ~epsilon:1
+    ~static:(Resilience.certify ~epsilon:1 caft1)
+    caft1;
+  (* beyond its replication level: refuted somewhere in the enumeration *)
+  same_check "caft1 eps 2" ~epsilon:2 caft1;
+  same_check "caft1 eps 2 static" ~epsilon:2
+    ~static:(Resilience.certify ~epsilon:2 caft1)
+    caft1;
+  let caft2 = Caft.run ~epsilon:2 costs in
+  same_check "caft2 eps 2" ~epsilon:2 caft2;
+  same_check "caft2 eps 3" ~epsilon:3 caft2
+
+let test_check_counterexample_ranks () =
+  (* the first refutation in the middle of the first block, on its last
+     scenario, on the first scenario of the second block, and past it *)
+  List.iter
+    (fun target ->
+      let sched = target_chain ~m:300 ~target in
+      let name = Printf.sprintf "rank %d" target in
+      same_check name ~epsilon:1 sched;
+      let r = Fault_check.check ~epsilon:1 sched in
+      Helpers.check_int (name ^ ": checked") (target + 1)
+        r.Fault_check.scenarios_checked;
+      Helpers.check_bool (name ^ ": crash set") true
+        (Option.map fst r.Fault_check.counterexample = Some [ target ]))
+    [ 100; 255; 256; 299 ]
+
+let test_check_sampled () =
+  let _, costs = Helpers.random_instance ~seed:43 ~m:8 ~tasks:25 () in
+  let caft = Caft.run ~epsilon:2 costs in
+  (* certified: every sample completes, several blocks *)
+  same_check "sampled certified" ~max_exhaustive:0 ~samples:600 ~epsilon:2
+    caft;
+  (* refuted at some sample past the first block: {target} is drawn
+     with probability 1/300 per sample *)
+  let sched = target_chain ~m:300 ~target:17 in
+  same_check "sampled refuted" ~max_exhaustive:0 ~samples:2000 ~epsilon:1
+    sched;
+  let r = Fault_check.check ~max_exhaustive:0 ~samples:2000 ~epsilon:1 sched in
+  Helpers.check_bool "sampled refutation found" false r.Fault_check.resists;
+  (* a static refutation the samples missed is replayed and adopted *)
+  same_check "sampled static" ~max_exhaustive:0 ~samples:5 ~epsilon:1
+    ~static:(Resilience.certify ~epsilon:1 sched)
+    sched
+
+let test_check_cancel_mid_block () =
+  let _, costs = Helpers.random_instance ~seed:44 ~m:30 ~tasks:60 () in
+  let sched = Caft.run ~epsilon:3 costs in
+  (* C(30,3) = 4060 crash sets cost far more than the 5 ms the deadline
+     leaves, so it expires inside some block *)
+  let raises name f =
+    match f () with
+    | (_ : Fault_check.report) -> Alcotest.failf "%s: not cancelled" name
+    | exception Cancel.Cancelled -> ()
+  in
+  raises "deadline" (fun () ->
+      let cancel = Cancel.with_deadline (Unix.gettimeofday () +. 0.005) in
+      Fault_check.check ~cancel ~epsilon:3 sched);
+  raises "deadline, 2 domains" (fun () ->
+      let cancel = Cancel.with_deadline (Unix.gettimeofday () +. 0.005) in
+      Fault_check.check ~domains:2 ~cancel ~epsilon:3 sched);
+  raises "deadline, sampled" (fun () ->
+      let cancel = Cancel.with_deadline (Unix.gettimeofday () +. 0.005) in
+      Fault_check.check ~max_exhaustive:0 ~samples:4060 ~cancel ~epsilon:3
+        sched);
+  let tripped = Cancel.create () in
+  Cancel.cancel tripped;
+  raises "tripped" (fun () ->
+      Fault_check.check ~cancel:tripped ~epsilon:1 sched)
+
+(* -- Inject.adversary --------------------------------------------------- *)
+
+let same_adversary name ?budget ?beam sched =
+  let r, evals =
+    counting "stress.frontier_evals" (fun () ->
+        Inject.adversary ?budget ?beam sched)
+  in
+  let o = Oracle.adversary ?budget ?beam sched in
+  Helpers.check_bool (name ^ ": to_json") true
+    (Json.to_string (Inject.to_json r) = Json.to_string (Inject.to_json o));
+  Helpers.check_bool (name ^ ": report") true (bytes_of r = bytes_of o);
+  Helpers.check_int (name ^ ": frontier evals counted") o.Inject.iv_evals evals;
+  r
+
+let test_adversary_exhaustive () =
+  let _, costs = Helpers.random_instance ~seed:5 ~m:6 ~tasks:25 () in
+  let r = same_adversary "caft1 m6" (Caft.run ~epsilon:1 costs) in
+  Helpers.check_bool "exhaustive" true
+    (Option.map (fun w -> w.Inject.w_exhaustive) r.Inject.iv_worst = Some true);
+  ignore (same_adversary "caft2 m6" (Caft.run ~epsilon:2 costs));
+  (* small budgets cut the refinement inside one processor's block *)
+  List.iter
+    (fun budget ->
+      ignore
+        (same_adversary
+           (Printf.sprintf "caft1 m6 budget %d" budget)
+           ~budget (Caft.run ~epsilon:1 costs)))
+    [ 12; 16; 24 ];
+  (* epsilon 0: no subset phase, kill sets of single replicas *)
+  ignore (same_adversary "heft m6" (Heft.run costs))
+
+let test_adversary_beam () =
+  (* C(m, eps) above half the budget: singles, beam layers, random top-up,
+     refinement and the kill-set scan all run *)
+  List.iter
+    (fun (seed, m, eps, budget, beam) ->
+      let _, costs = Helpers.random_instance ~seed ~m ~tasks:30 () in
+      let name = Printf.sprintf "m%d eps%d budget %d beam %d" m eps budget beam in
+      let r =
+        same_adversary name ~budget ~beam (Caft.run ~seed ~epsilon:eps costs)
+      in
+      Helpers.check_bool (name ^ ": beam search") true
+        (Option.map (fun w -> w.Inject.w_exhaustive) r.Inject.iv_worst
+        = Some false))
+    [
+      (* the budget runs out inside the kill-set scan *)
+      (6, 10, 2, 80, 2);
+      (7, 12, 3, 400, 8);
+      (8, 20, 3, 2_000, 8);
+      (* the beam layers use up the subset budget: no top-up *)
+      (9, 12, 2, 70, 8);
+    ]
+
+(* -- engine lifetime ---------------------------------------------------- *)
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+let test_engines_freed () =
+  let _, costs = Helpers.random_instance ~seed:12 ~m:8 ~tasks:30 () in
+  let sched = Caft.run ~epsilon:1 costs in
+  let engine = Obj.reachable_words (Obj.repr (Replay.compile sched)) in
+  let growth name call =
+    for _ = 1 to 5 do
+      call ()
+    done;
+    let before = live_words () in
+    for _ = 1 to 200 do
+      call ()
+    done;
+    let grown = live_words () - before in
+    if grown >= engine then
+      Alcotest.failf "%s: 200 calls kept %d live words (one engine: %d)" name
+        grown engine
+  in
+  growth "Monte_carlo.run" (fun () ->
+      ignore
+        (Monte_carlo.run ~runs:20 ~crashes:1 ~mode:Monte_carlo.From_start sched));
+  growth "Fault_check.check" (fun () ->
+      ignore (Fault_check.check ~epsilon:1 sched));
+  growth "Fault_check.check sampled" (fun () ->
+      ignore (Fault_check.check ~max_exhaustive:0 ~samples:10 ~epsilon:1 sched))
+
+let suite =
+  [
+    Alcotest.test_case "check: certified and refuted, domains x pool" `Quick
+      test_check_certified_and_refuted;
+    Alcotest.test_case "check: counterexample ranks across blocks" `Quick
+      test_check_counterexample_ranks;
+    Alcotest.test_case "check: sampled mode" `Quick test_check_sampled;
+    Alcotest.test_case "check: cancel mid-block" `Quick
+      test_check_cancel_mid_block;
+    Alcotest.test_case "adversary: exhaustive subsets" `Quick
+      test_adversary_exhaustive;
+    Alcotest.test_case "adversary: beam, top-up, refine, kill" `Quick
+      test_adversary_beam;
+    Alcotest.test_case "engines die with the call" `Quick test_engines_freed;
+  ]
