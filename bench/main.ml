@@ -778,7 +778,9 @@ let placement_bench ?(quick = false) () =
    dependency edges, port/link chains, route evaluation — is rebuilt for
    the scenario); the [compiled] variant reuses a [Replay.compile]d
    simulator and runs only the Kahn pass over its scratch arena, which is
-   what Monte-Carlo and fault-check campaigns now do per scenario. *)
+   what Monte-Carlo and fault-check campaigns now do per scenario.  The
+   [compile] row prices building that simulator, which a campaign pays
+   once per schedule it replays. *)
 let replay_case m =
   let rng = Rng.create (2000 + m) in
   let dag = Random_dag.generate_default rng in
@@ -799,7 +801,8 @@ let replay_case m =
   let rebuild () = Replay.reference sched ~crash_time in
   let compiled_eval () = Replay.eval_latency compiled ~crash_time in
   let batched_eval () = Replay.eval_batch compiled block in
-  (sched, rebuild, compiled_eval, batched_eval)
+  let compile () = Replay.compile sched in
+  (sched, compile, rebuild, compiled_eval, batched_eval)
 
 let replay_ms = [ 10; 25; 50 ]
 
@@ -812,8 +815,9 @@ let replay_bench ?(quick = false) () =
   let tests =
     Test.make_grouped ~name:"replay"
       (List.concat_map
-         (fun (m, (_, rebuild, compiled_eval, batched_eval)) ->
+         (fun (m, (_, compile, rebuild, compiled_eval, batched_eval)) ->
            [
+             test (Printf.sprintf "compile/m=%03d" m) compile;
              test (Printf.sprintf "rebuild/m=%03d" m) rebuild;
              test (Printf.sprintf "compiled/m=%03d" m) compiled_eval;
              (* one estimate = one whole [batch_block]-scenario block *)
@@ -836,6 +840,7 @@ let replay_bench ?(quick = false) () =
       ~aligns:[ Text_table.Left ]
       [
         "m";
+        "compile";
         "rebuild/scenario";
         "compiled/scenario";
         "batched/scenario";
@@ -852,6 +857,7 @@ let replay_bench ?(quick = false) () =
       Text_table.add_row t
         [
           string_of_int m;
+          Printf.sprintf "%.2f us" (find "compile" m /. 1e3);
           Printf.sprintf "%.2f us" (rebuild_ns /. 1e3);
           Printf.sprintf "%.2f us" (compiled_ns /. 1e3);
           Printf.sprintf "%.2f us" (batched_ns /. 1e3);
@@ -862,8 +868,10 @@ let replay_bench ?(quick = false) () =
   Text_table.print t;
   print_endline
     (Printf.sprintf
-       "(cost of replaying one crash scenario; the rebuild path \
-        reconstructs the event graph\n\
+       "(compile builds the crash-independent simulator once per \
+        schedule; the other columns price\n\
+       \ replaying one crash scenario: the rebuild path reconstructs the \
+        event graph\n\
        \ per scenario, the compiled path runs the Kahn pass over a \
         preallocated arena, and\n\
        \ the batched path amortizes one [eval_batch] call over a \
@@ -871,7 +879,7 @@ let replay_bench ?(quick = false) () =
        Monte_carlo.batch_block);
   print_newline ();
   (* domain scaling of a whole Monte-Carlo campaign on the largest case *)
-  let sched, _, _, _ = List.assoc (List.nth replay_ms 2) scheds in
+  let sched, _, _, _, _ = List.assoc (List.nth replay_ms 2) scheds in
   (* enough runs that the one compile per domain amortizes *)
   let runs = if quick then 2000 else 10_000 in
   let blocks = (runs + Monte_carlo.batch_block - 1) / Monte_carlo.batch_block in
@@ -1394,6 +1402,9 @@ let write_bench_json path ~seed ~graphs ~domains =
                        (Json.Obj
                           [
                             ("m", Json.Int m);
+                            ( "compile_ns",
+                              float_or_null
+                                (Option.value (find "compile") ~default:nan) );
                             ("rebuild_ns_per_scenario", float_or_null rebuild_ns);
                             ( "compiled_ns_per_scenario",
                               float_or_null compiled_ns );

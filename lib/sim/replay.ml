@@ -467,6 +467,96 @@ let proc_count c = c.c_m
 let task_count c = c.c_v
 let sink_count c = Array.length c.c_sinks
 
+(* Placeholder for the message slots of [compile]'s discovery array. *)
+let no_message =
+  {
+    Netstate.m_source =
+      {
+        Netstate.s_task = -1;
+        s_replica = -1;
+        s_proc = -1;
+        s_finish = 0.;
+        s_volume = 0.;
+      };
+    m_dst_proc = -1;
+    m_duration = 0.;
+    m_leg_start = 0.;
+    m_leg_finish = 0.;
+    m_arrival = 0.;
+  }
+
+(* Sort [ord.(lo .. hi-1)] by (k1, k2, index).  Indices are unique, so
+   the order is total and any input permutation gives the same result.
+   Float.compare orders floats as the polymorphic compare does.  Top-down
+   merge sort ping-ponging between [ord] and the scratch [tmp] (at least
+   as long as [ord]); no allocation. *)
+let sort_by_keys ~k1 ~k2 ord tmp lo hi =
+  let before i j =
+    let c = Float.compare k1.(i) k1.(j) in
+    if c <> 0 then c < 0
+    else
+      let c = Float.compare k2.(i) k2.(j) in
+      if c <> 0 then c < 0 else i < j
+  in
+  (* on entry src and dst agree on [lo, hi); on exit dst's range is
+     sorted (src's is clobbered) *)
+  let rec sort src dst lo hi =
+    if hi - lo <= 8 then
+      for i = lo + 1 to hi - 1 do
+        let x = dst.(i) in
+        let j = ref (i - 1) in
+        while !j >= lo && before x dst.(!j) do
+          dst.(!j + 1) <- dst.(!j);
+          decr j
+        done;
+        dst.(!j + 1) <- x
+      done
+    else begin
+      let mid = (lo + hi) / 2 in
+      sort dst src lo mid;
+      sort dst src mid hi;
+      let i = ref lo and j = ref mid in
+      for k = lo to hi - 1 do
+        if !j >= hi || (!i < mid && before src.(!i) src.(!j)) then begin
+          dst.(k) <- src.(!i);
+          incr i
+        end
+        else begin
+          dst.(k) <- src.(!j);
+          incr j
+        end
+      done
+    end
+  in
+  if hi - lo > 8 then Array.blit ord lo tmp lo (hi - lo);
+  sort tmp ord lo hi
+
+(* The static chains of one resource class with [nb] resources: chain [b]
+   is [dat.(off.(b) .. off.(b+1)-1)], the messages [mi < n] one of whose
+   hops [hop.(hop_off mi .. hop_off (mi+1) - 1)] is [b], sorted by (k1,
+   k2, index).  A counting sort buckets the messages: each hop is counted
+   into its resource's slot, the counts become bucket ends, and each
+   bucket is filled from its end, which leaves [off.(b)] at its start.
+   Then each bucket is sorted on its own. *)
+let resource_chains ~k1 ~k2 ~tmp nb ~hop ~hop_off n =
+  let off = Array.make (nb + 1) 0 in
+  Array.iter (fun b -> off.(b) <- off.(b) + 1) hop;
+  for b = 1 to nb do
+    off.(b) <- off.(b) + off.(b - 1)
+  done;
+  let dat = Array.make (Array.length hop) 0 in
+  for mi = n - 1 downto 0 do
+    for h = hop_off mi to hop_off (mi + 1) - 1 do
+      let b = hop.(h) in
+      off.(b) <- off.(b) - 1;
+      dat.(off.(b)) <- mi
+    done
+  done;
+  for b = 0 to nb - 1 do
+    sort_by_keys ~k1 ~k2 dat tmp off.(b) off.(b + 1)
+  done;
+  (off, dat)
+
 let compile ?fabric sched =
   Obs_metrics.incr m_compiles;
   Obs_prof.phase ~cat:"sim" "replay.compile" @@ fun () ->
@@ -483,227 +573,234 @@ let compile ?fabric sched =
   let eps1 = Schedule.epsilon sched + 1 in
   let replica_node task idx = (task * eps1) + idx in
   let nreplicas = v * eps1 in
-  let all_replicas = Schedule.all_replicas sched in
-
-  (* -- message node numbering (same discovery order as [reference]) -- *)
-  let messages = ref [] in
-  let nmsgs = ref 0 in
-  let consumer_msgs = Array.make nreplicas [] in
-  List.iter
-    (fun (r : Schedule.replica) ->
-      List.iter
-        (function
-          | Schedule.Message msg ->
-              let id = nreplicas + !nmsgs in
-              incr nmsgs;
-              messages := (id, msg) :: !messages;
-              let rn = replica_node r.Schedule.r_task r.Schedule.r_index in
-              consumer_msgs.(rn) <- (id, msg) :: consumer_msgs.(rn)
-          | Schedule.Local _ -> ())
-        r.Schedule.r_inputs)
-    all_replicas;
-  let messages = Array.of_list (List.rev !messages) in
-  let nmsgs = !nmsgs in
-  let nnodes = nreplicas + nmsgs in
-
-  (* -- edges (identical set to [reference]) -------------------------- *)
-  let adj = Array.make nnodes [] in
-  let indeg = Array.make nnodes 0 in
-  let add_edge a b =
-    adj.(a) <- b :: adj.(a);
-    indeg.(b) <- indeg.(b) + 1
-  in
-  Array.iter
-    (fun (id, msg) ->
-      let s = msg.Netstate.m_source in
-      add_edge (replica_node s.Netstate.s_task s.Netstate.s_replica) id)
-    messages;
-  List.iter
-    (fun (r : Schedule.replica) ->
-      let rn = replica_node r.Schedule.r_task r.Schedule.r_index in
-      List.iter
-        (function
-          | Schedule.Message _ -> ()
-          | Schedule.Local { l_pred; l_pred_replica; _ } ->
-              add_edge (replica_node l_pred l_pred_replica) rn)
-        r.Schedule.r_inputs;
-      List.iter (fun (id, _) -> add_edge id rn) consumer_msgs.(rn))
-    all_replicas;
-  let chain nodes =
-    let rec go = function
-      | a :: (b :: _ as rest) ->
-          add_edge a b;
-          go rest
-      | [ _ ] | [] -> ()
-    in
-    go nodes
-  in
+  let replica rn = Schedule.replica sched (rn / eps1) (rn mod eps1) in
   let insertion = Schedule.insertion sched in
-  if not insertion then
-    for p = 0 to m - 1 do
-      chain
-        (List.map
-           (fun (r : Schedule.replica) ->
-             replica_node r.Schedule.r_task r.Schedule.r_index)
-           (Schedule.on_proc sched p))
-    done;
   let contended = model <> Netstate.Macro_dataflow in
-  (* Precomputed routes: [reference] re-evaluates [fabric.route] per
-     message per physical link (O(phys * msgs * route_len) per replay);
-     here each route is computed once and the link chains fall out of a
-     single bucketing pass. *)
-  let route_of =
-    Array.map
-      (fun (_, msg) ->
-        if contended then
-          Array.of_list
-            (fabric.Netstate.route msg.Netstate.m_source.Netstate.s_proc
-               msg.Netstate.m_dst_proc)
-        else [||])
-      messages
-  in
-  (if contended then begin
-     let chain_sorted bucket =
-       (* (key1, key2, id) triples sort exactly like ((key1, key2), id)
-          pairs; ids are unique, so the order is total and matches
-          [reference]'s [by_key].  Float.compare orders floats as the
-          polymorphic compare does, without its generic traversal. *)
-       let by_window (a1, a2, ia) (b1, b2, ib) =
-         let c = Float.compare a1 b1 in
-         if c <> 0 then c
-         else
-           let c = Float.compare a2 b2 in
-           if c <> 0 then c else Int.compare ia ib
-       in
-       chain (List.map (fun (_, _, id) -> id) (List.sort by_window bucket))
-     in
-     (if model = Netstate.One_port then begin
-        let send_bucket = Array.make m [] in
-        let recv_bucket = Array.make m [] in
-        Array.iter
-          (fun (id, msg) ->
-            let src = msg.Netstate.m_source.Netstate.s_proc in
-            let dst = msg.Netstate.m_dst_proc in
-            send_bucket.(src) <-
-              (msg.Netstate.m_leg_start, msg.Netstate.m_leg_finish, id)
-              :: send_bucket.(src);
-            recv_bucket.(dst) <-
-              ( msg.Netstate.m_arrival -. msg.Netstate.m_duration,
-                msg.Netstate.m_arrival,
-                id )
-              :: recv_bucket.(dst))
-          messages;
-        for p = 0 to m - 1 do
-          chain_sorted send_bucket.(p);
-          chain_sorted recv_bucket.(p)
-        done
-      end);
-     let link_bucket = Array.make fabric.Netstate.phys_count [] in
-     Array.iteri
-       (fun mi (id, msg) ->
-         Array.iter
-           (fun l ->
-             link_bucket.(l) <-
-               (msg.Netstate.m_leg_start, msg.Netstate.m_leg_finish, id)
-               :: link_bucket.(l))
-           route_of.(mi))
-       messages;
-     for l = 0 to fabric.Netstate.phys_count - 1 do
-       chain_sorted link_bucket.(l)
-     done
-   end);
+  let phys = fabric.Netstate.phys_count in
 
-  (* -- flatten edges to CSR ------------------------------------------ *)
-  let adj_off = Array.make (nnodes + 1) 0 in
-  for n = 0 to nnodes - 1 do
-    adj_off.(n + 1) <- adj_off.(n) + List.length adj.(n)
-  done;
-  let adj_dat = Array.make adj_off.(nnodes) 0 in
-  for n = 0 to nnodes - 1 do
-    List.iteri (fun i n' -> adj_dat.(adj_off.(n) + i) <- n') adj.(n)
-  done;
-
-  (* -- per-node static data ------------------------------------------ *)
+  (* -- message numbering, in [reference]'s discovery order: replicas
+        by node, supplies in input order.  A replica's messages get
+        consecutive ids, [cons_first.(rn) .. cons_first.(rn+1)-1]
+        (offsets from [nreplicas]). ------------------------------------ *)
+  let nmsgs = Schedule.message_count sched in
+  let nnodes = nreplicas + nmsgs in
+  let msgs = Array.make nmsgs no_message in
+  let cons_first = Array.make (nreplicas + 1) 0 in
   let key = Array.make nnodes 0. in
   let r_proc = Array.make nreplicas 0 in
   let r_dur = Array.make nreplicas 0. in
-  List.iter
-    (fun (r : Schedule.replica) ->
-      let rn = replica_node r.Schedule.r_task r.Schedule.r_index in
-      key.(rn) <- r.Schedule.r_start;
-      r_proc.(rn) <- r.Schedule.r_proc;
-      r_dur.(rn) <- r.Schedule.r_finish -. r.Schedule.r_start)
-    all_replicas;
+  (let mi = ref 0 in
+   let rec number = function
+     | [] -> ()
+     | Schedule.Message msg :: rest ->
+         msgs.(!mi) <- msg;
+         incr mi;
+         number rest
+     | Schedule.Local _ :: rest -> number rest
+   in
+   for rn = 0 to nreplicas - 1 do
+     let r = replica rn in
+     key.(rn) <- r.Schedule.r_start;
+     r_proc.(rn) <- r.Schedule.r_proc;
+     r_dur.(rn) <- r.Schedule.r_finish -. r.Schedule.r_start;
+     number r.Schedule.r_inputs;
+     cons_first.(rn + 1) <- !mi
+   done);
   let msg_src_rn = Array.make nmsgs 0 in
   let msg_src = Array.make nmsgs 0 in
   let msg_dst = Array.make nmsgs 0 in
   let msg_dur = Array.make nmsgs 0. in
+  let route_off = Array.make (nmsgs + 1) 0 in
   Array.iteri
-    (fun mi (id, msg) ->
+    (fun mi msg ->
       let s = msg.Netstate.m_source in
-      key.(id) <- msg.Netstate.m_leg_start;
+      key.(nreplicas + mi) <- msg.Netstate.m_leg_start;
       msg_src_rn.(mi) <- replica_node s.Netstate.s_task s.Netstate.s_replica;
       msg_src.(mi) <- s.Netstate.s_proc;
       msg_dst.(mi) <- msg.Netstate.m_dst_proc;
-      msg_dur.(mi) <- msg.Netstate.m_duration)
-    messages;
-  let route_off = Array.make (nmsgs + 1) 0 in
-  for mi = 0 to nmsgs - 1 do
-    route_off.(mi + 1) <- route_off.(mi) + Array.length route_of.(mi)
-  done;
+      msg_dur.(mi) <- msg.Netstate.m_duration;
+      let hops =
+        if contended then
+          List.length
+            (fabric.Netstate.route s.Netstate.s_proc msg.Netstate.m_dst_proc)
+        else 0
+      in
+      route_off.(mi + 1) <- route_off.(mi) + hops)
+    msgs;
+  (* Precomputed routes: [reference] re-evaluates [fabric.route] per
+     message per physical link on every replay. *)
   let route_dat = Array.make route_off.(nmsgs) 0 in
-  for mi = 0 to nmsgs - 1 do
-    Array.iteri (fun i l -> route_dat.(route_off.(mi) + i) <- l) route_of.(mi)
+  (let rec fill k = function
+     | [] -> ()
+     | l :: rest ->
+         route_dat.(k) <- l;
+         fill (k + 1) rest
+   in
+   if contended then
+     for mi = 0 to nmsgs - 1 do
+       fill route_off.(mi) (fabric.Netstate.route msg_src.(mi) msg_dst.(mi))
+     done);
+
+  (* -- resource chains: [reference] sorts each port's and each link's
+        messages by (key1, key2, id). ---------------------------------- *)
+  let one_port = model = Netstate.One_port in
+  let empty = ([| 0 |], [||]) in
+  let (send_off, send_dat), (recv_off, recv_dat), (link_off, link_dat) =
+    if not contended then (empty, empty, empty)
+    else begin
+      let k1 = Array.make nmsgs 0. and k2 = Array.make nmsgs 0. in
+      let tmp = Array.make (max nmsgs (Array.length route_dat)) 0 in
+      Array.iteri
+        (fun mi msg ->
+          k1.(mi) <- msg.Netstate.m_leg_start;
+          k2.(mi) <- msg.Netstate.m_leg_finish)
+        msgs;
+      let send =
+        if one_port then
+          resource_chains ~k1 ~k2 ~tmp m ~hop:msg_src ~hop_off:Fun.id nmsgs
+        else empty
+      in
+      let links =
+        resource_chains ~k1 ~k2 ~tmp phys ~hop:route_dat
+          ~hop_off:(Array.get route_off) nmsgs
+      in
+      let recv =
+        if one_port then begin
+          Array.iteri
+            (fun mi msg ->
+              k1.(mi) <- msg.Netstate.m_arrival -. msg.Netstate.m_duration;
+              k2.(mi) <- msg.Netstate.m_arrival)
+            msgs;
+          resource_chains ~k1 ~k2 ~tmp m ~hop:msg_dst ~hop_off:Fun.id nmsgs
+        end
+        else empty
+      in
+      (send, recv, links)
+    end
+  in
+
+  (* -- edges.  [emit_edges] produces every edge in [reference]'s
+        order; it runs twice, counting degrees, then filling each node's
+        CSR slice from its end, which reproduces the newest-first order
+        of [reference]'s adjacency lists with no edge buffer. ---------- *)
+  let emit_edges edge =
+    (* data edges *)
+    for mi = 0 to nmsgs - 1 do
+      edge msg_src_rn.(mi) (nreplicas + mi)
+    done;
+    let rec locals rn = function
+      | [] -> ()
+      | Schedule.Local { l_pred; l_pred_replica; _ } :: rest ->
+          edge (replica_node l_pred l_pred_replica) rn;
+          locals rn rest
+      | Schedule.Message _ :: rest -> locals rn rest
+    in
+    for rn = 0 to nreplicas - 1 do
+      locals rn (replica rn).Schedule.r_inputs;
+      for mi = cons_first.(rn + 1) - 1 downto cons_first.(rn) do
+        edge (nreplicas + mi) rn
+      done
+    done;
+    (* resource-order edges: chain consecutive static events *)
+    let rec proc_chain prev = function
+      | [] -> ()
+      | (r : Schedule.replica) :: rest ->
+          let n = replica_node r.Schedule.r_task r.Schedule.r_index in
+          edge prev n;
+          proc_chain n rest
+    in
+    (* Append-built schedules execute each processor's replicas in static
+       start order; insertion-built ones get a work-conserving processor
+       and no chain edges (see [reference]). *)
+    if not insertion then
+      for p = 0 to m - 1 do
+        match Schedule.on_proc sched p with
+        | [] -> ()
+        | (r : Schedule.replica) :: rest ->
+            proc_chain (replica_node r.Schedule.r_task r.Schedule.r_index) rest
+      done;
+    let chain off dat b =
+      for k = off.(b) to off.(b + 1) - 2 do
+        edge (nreplicas + dat.(k)) (nreplicas + dat.(k + 1))
+      done
+    in
+    (* one-port send then receive port of each processor ([reference]
+       explains why multiport ports get no chains), then the links *)
+    if one_port then
+      for p = 0 to m - 1 do
+        chain send_off send_dat p;
+        chain recv_off recv_dat p
+      done;
+    if contended then
+      for l = 0 to phys - 1 do
+        chain link_off link_dat l
+      done
+  in
+  let adj_off = Array.make (nnodes + 1) 0 in
+  let indeg = Array.make nnodes 0 in
+  emit_edges (fun a b ->
+      adj_off.(a) <- adj_off.(a) + 1;
+      indeg.(b) <- indeg.(b) + 1);
+  for n = 1 to nnodes do
+    adj_off.(n) <- adj_off.(n) + adj_off.(n - 1)
   done;
+  let adj_dat = Array.make adj_off.(nnodes) 0 in
+  emit_edges (fun a b ->
+      let k = adj_off.(a) - 1 in
+      adj_off.(a) <- k;
+      adj_dat.(k) <- b);
 
   (* -- supply index: predecessor task -> surviving-supply candidates.
-        [reference] rescans [r_inputs] and [consumer_msgs] per
-        predecessor on every replay; resolved here once. -------------- *)
+        [reference] rescans [r_inputs] per predecessor on every replay;
+        resolved here once.  A slot lists its messages in id order, then
+        its co-located replicas in reverse input order. --------------- *)
   let pred_off = Array.make (nreplicas + 1) 0 in
-  let pred_tasks_of = Array.make nreplicas [||] in
-  List.iter
-    (fun (r : Schedule.replica) ->
-      let rn = replica_node r.Schedule.r_task r.Schedule.r_index in
-      pred_tasks_of.(rn) <- Array.of_list (Dag.pred_tasks dag r.Schedule.r_task))
-    all_replicas;
   for rn = 0 to nreplicas - 1 do
-    pred_off.(rn + 1) <- pred_off.(rn) + Array.length pred_tasks_of.(rn)
+    pred_off.(rn + 1) <-
+      pred_off.(rn) + Array.length (Dag.preds dag (rn / eps1))
   done;
   let npred_slots = pred_off.(nreplicas) in
   let pred_task = Array.make npred_slots 0 in
-  let supplies = Array.make npred_slots [] in
-  List.iter
-    (fun (r : Schedule.replica) ->
-      let rn = replica_node r.Schedule.r_task r.Schedule.r_index in
-      Array.iteri
-        (fun i pred ->
-          let slot = pred_off.(rn) + i in
-          pred_task.(slot) <- pred;
-          let sup = ref [] in
-          List.iter
-            (function
-              | Schedule.Local { l_pred; l_pred_replica; _ } when l_pred = pred
-                ->
-                  sup := replica_node pred l_pred_replica :: !sup
-              | Schedule.Local _ -> ()
-              | Schedule.Message _ -> ())
-            r.Schedule.r_inputs;
-          List.iter
-            (fun (id, msg) ->
-              if msg.Netstate.m_source.Netstate.s_task = pred then
-                sup := id :: !sup)
-            consumer_msgs.(rn);
-          supplies.(slot) <- !sup)
-        pred_tasks_of.(rn))
-    all_replicas;
   let sup_off = Array.make (npred_slots + 1) 0 in
-  for slot = 0 to npred_slots - 1 do
-    sup_off.(slot + 1) <- sup_off.(slot) + List.length supplies.(slot)
+  (* [slot_of.(task)]: the current replica's slot for predecessor [task],
+     -1 for non-predecessors (whose supplies [reference] ignores) *)
+  let slot_of = Array.make v (-1) in
+  let each_replica_supply visit =
+    let rec locals = function
+      | [] -> ()
+      | Schedule.Local { l_pred; l_pred_replica; _ } :: rest ->
+          let slot = slot_of.(l_pred) in
+          if slot >= 0 then visit slot (replica_node l_pred l_pred_replica);
+          locals rest
+      | Schedule.Message _ :: rest -> locals rest
+    in
+    for rn = 0 to nreplicas - 1 do
+      let preds = Dag.preds dag (rn / eps1) in
+      for i = 0 to Array.length preds - 1 do
+        let pred = fst preds.(i) in
+        pred_task.(pred_off.(rn) + i) <- pred;
+        slot_of.(pred) <- pred_off.(rn) + i
+      done;
+      locals (replica rn).Schedule.r_inputs;
+      for mi = cons_first.(rn + 1) - 1 downto cons_first.(rn) do
+        let slot = slot_of.(msgs.(mi).Netstate.m_source.Netstate.s_task) in
+        if slot >= 0 then visit slot (nreplicas + mi)
+      done;
+      for i = 0 to Array.length preds - 1 do
+        slot_of.(fst preds.(i)) <- -1
+      done
+    done
+  in
+  (* count, turn counts into slot ends, fill each slot from its end *)
+  each_replica_supply (fun slot _ -> sup_off.(slot) <- sup_off.(slot) + 1);
+  for slot = 1 to npred_slots do
+    sup_off.(slot) <- sup_off.(slot) + sup_off.(slot - 1)
   done;
   let sup_dat = Array.make sup_off.(npred_slots) 0 in
-  for slot = 0 to npred_slots - 1 do
-    List.iteri (fun i s -> sup_dat.(sup_off.(slot) + i) <- s) supplies.(slot)
-  done;
+  each_replica_supply (fun slot node ->
+      let k = sup_off.(slot) - 1 in
+      sup_off.(slot) <- k;
+      sup_dat.(k) <- node);
 
   let port_slots =
     match model with Netstate.Multiport k -> max 1 k | _ -> 1

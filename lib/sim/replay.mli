@@ -62,8 +62,12 @@ type replica_outcome =
     exactly once, together with a preallocated scratch arena; {!eval}
     then replays any number of scenarios with zero per-scenario graph
     construction and near-zero allocation.  A [compiled] value owns its
-    scratch arena and is therefore {b not} safe to share across domains —
-    compile one per domain (cheap relative to thousands of evals). *)
+    scratch arena and is therefore {b not} safe to share across domains:
+    every call that replays a schedule compiles the engines it needs and
+    drops them on return ({!Monte_carlo.run} and {!Fault_check.check}
+    compile one per concurrent worker).  A compile costs a few scenario
+    evals, so it dominates wherever a schedule is replayed only a few
+    times, as in the paper's campaigns. *)
 
 type compiled
 (** A crash-independent replay simulator for one schedule + fabric. *)

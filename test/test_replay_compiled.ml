@@ -13,7 +13,11 @@
      counterexample);
    - [Scenario.draw_block] consumes the exact per-scenario RNG stream;
    - [Fault_check.subset_at_rank] agrees with the [combinations]
-     enumeration at every rank. *)
+     enumeration at every rank;
+   - generated tie-heavy instances (integer costs, zero-volume edges)
+     replay identically through [eval], [eval_batch] and [reference];
+   - [compile] rejects a cyclic static order, and one compile of a
+     paper-sized schedule stays within its allocation budget. *)
 
 let float_eq a b =
   (* bitwise, so nan = nan and 0. <> -0. — "same result" means the same
@@ -312,6 +316,216 @@ let test_subset_at_rank () =
         (Fault_check.count_combinations n k))
     [ (6, 2); (7, 3); (5, 1); (5, 5); (4, 0); (8, 4) ]
 
+(* -- tie-heavy generated differential ---------------------------------- *)
+
+(* Small DAGs with integer execution and communication costs and a third
+   of the edges carrying no data, so static leg, reception and start
+   times tie often.  The compiled resource chains must break those ties
+   by (key1, key2, id) exactly as [reference]'s sorts do, or the replays
+   drift. *)
+type tie_case = {
+  seed : int;
+  tasks : int;
+  m : int;
+  model : Netstate.model;
+  routed : bool;  (* a ring fabric instead of the clique *)
+  insertion : bool;
+  epsilon : int;
+}
+
+let tie_case_gen =
+  QCheck.Gen.(
+    map
+      (fun ((seed, tasks, m), (model, routed, insertion, epsilon)) ->
+        { seed; tasks; m; model; routed; insertion; epsilon })
+      (pair
+         (triple (int_range 0 1_000_000) (int_range 3 14) (int_range 4 6))
+         (quad
+            (oneofl
+               [
+                 Netstate.One_port;
+                 Netstate.Multiport 2;
+                 Netstate.Macro_dataflow;
+               ])
+            bool bool (int_range 0 3))))
+
+let print_tie_case c =
+  Printf.sprintf "seed=%d tasks=%d m=%d model=%s routed=%b insertion=%b eps=%d"
+    c.seed c.tasks c.m
+    (match c.model with
+    | Netstate.One_port -> "one-port"
+    | Netstate.Multiport k -> Printf.sprintf "multiport-%d" k
+    | Netstate.Macro_dataflow -> "macro-dataflow")
+    c.routed c.insertion c.epsilon
+
+let tie_schedule c =
+  let rng = Rng.create c.seed in
+  let edges = ref [] in
+  for dst = 1 to c.tasks - 1 do
+    for src = 0 to dst - 1 do
+      if Rng.int rng 3 = 0 then
+        edges := (src, dst, float_of_int (Rng.int rng 3)) :: !edges
+    done
+  done;
+  let dag = Dag.make ~n:c.tasks ~edges:(List.rev !edges) () in
+  let platform, fabric =
+    if c.routed then
+      let topo = Topology.ring c.m in
+      (Topology.platform topo, Some (Topology.fabric topo))
+    else (Helpers.uniform_platform c.m, None)
+  in
+  let exec =
+    Array.init c.tasks (fun _ ->
+        Array.init c.m (fun _ -> float_of_int (1 + Rng.int rng 3)))
+  in
+  let costs = Costs.create dag platform (fun t p -> exec.(t).(p)) in
+  let model = c.model and insertion = c.insertion in
+  let seed = c.seed and epsilon = c.epsilon in
+  let sched =
+    match c.seed mod 3 with
+    | 0 -> Caft.run ~model ?fabric ~insertion ~seed ~epsilon costs
+    | 1 -> Ftsa.run ~model ?fabric ~insertion ~seed ~epsilon costs
+    | _ -> Ftbar.run ~model ?fabric ~insertion ~seed ~epsilon costs
+  in
+  (rng, fabric, sched)
+
+(* Fault-free, from-start (1 .. epsilon+1 crashes) and timed scenarios:
+   [eval] and one [eval_batch] block must match [reference] bit for
+   bit. *)
+let tie_replays_agree c rng fabric sched =
+  let m = c.m in
+  let compiled = Replay.compile ?fabric sched in
+  let from_start k =
+    let crashed = Rng.sample_without_replacement rng k m in
+    Array.init m (fun p ->
+        if List.mem p crashed then neg_infinity else infinity)
+  in
+  (* integer crash instants land on static start/finish times *)
+  let horizon = int_of_float (Schedule.makespan sched) in
+  let timed () =
+    Array.init m (fun _ ->
+        if Rng.bool rng then float_of_int (Rng.int rng (horizon + 1))
+        else infinity)
+  in
+  let scenarios =
+    Array.of_list
+      ((Array.make m infinity
+       :: List.init (c.epsilon + 1) (fun k -> from_start (k + 1)))
+      @ List.init 3 (fun _ -> timed ()))
+  in
+  let fresh =
+    Array.map
+      (fun crash_time -> Replay.reference ?fabric sched ~crash_time)
+      scenarios
+  in
+  let batch =
+    Replay.eval_batch compiled
+      (Array.map (fun ct -> Scenario.of_crash_times ct) scenarios)
+  in
+  Array.for_all2
+    (fun crash_time out -> outcome_equal out (Replay.eval compiled ~crash_time))
+    scenarios fresh
+  && Array.for_all2
+       (fun lat (out : Replay.outcome) -> float_eq lat out.Replay.latency)
+       batch.Replay.br_latency fresh
+
+let prop_tie_differential =
+  QCheck.Test.make ~count:300
+    ~name:"tie-heavy instances: eval and eval_batch = reference"
+    (QCheck.make tie_case_gen ~print:print_tie_case) (fun c ->
+      let rng, fabric, sched = tie_schedule c in
+      let no_crash = Array.make c.m infinity in
+      match Replay.reference ?fabric sched ~crash_time:no_crash with
+      | exception Failure _ -> (
+          (* The one-port receive chain orders zero-length reception
+             windows that tie by message id, which can contradict the
+             send order and close a cycle; the event graph does not
+             depend on the scenario, so [reference] then rejects every
+             replay of the schedule, and [compile] must reject it too. *)
+          match Replay.compile ?fabric sched with
+          | exception Failure _ -> true
+          | _ -> false)
+      | _ -> tie_replays_agree c rng fabric sched)
+
+(* -- acyclicity check ------------------------------------------------- *)
+
+(* t0 -> t1 with both replicas on processor 0, but t1 placed first: the
+   processor chain t1 -> t0 closes a cycle with the data edge t0 -> t1. *)
+let test_cyclic_rejected () =
+  let dag = Dag.make ~n:2 ~edges:[ (0, 1, 1.) ] () in
+  let platform = Helpers.uniform_platform 2 in
+  let costs = Helpers.flat_costs ~c:1. dag platform in
+  let replicas =
+    [
+      {
+        Schedule.r_task = 0;
+        r_index = 0;
+        r_proc = 0;
+        r_start = 1.;
+        r_finish = 2.;
+        r_inputs = [];
+      };
+      {
+        Schedule.r_task = 1;
+        r_index = 0;
+        r_proc = 0;
+        r_start = 0.;
+        r_finish = 1.;
+        r_inputs =
+          [ Schedule.Local { l_pred = 0; l_pred_replica = 0; l_finish = 2. } ];
+      };
+    ]
+  in
+  let sched insertion =
+    Schedule.create ~insertion ~algorithm:"hand" ~epsilon:0
+      ~model:Netstate.One_port ~costs replicas
+  in
+  let raises_failure f =
+    match f () with exception Failure _ -> true | _ -> false
+  in
+  Helpers.check_bool "compile rejects the cycle" true
+    (raises_failure (fun () -> ignore (Replay.compile (sched false))));
+  Helpers.check_bool "crash_from_start propagates it" true
+    (raises_failure (fun () ->
+         ignore (Replay.crash_from_start (sched false) ~crashed:[])));
+  (* an insertion schedule has no processor chains, so the same
+     placement is acyclic: the work-conserving processor runs t0 first *)
+  let out = Replay.fault_free (sched true) in
+  Helpers.check_bool "insertion variant completes" true out.Replay.completed
+
+(* -- compile allocation ----------------------------------------------- *)
+
+(* Words one [Replay.compile] allocates (minor plus direct-major) on a
+   figure-3-sized FTSA schedule: m = 20, epsilon = 5, 2766 messages.  The
+   flat-array build measures 90k words, 66k of them the compiled value
+   itself; the list-based build it replaced allocated 443k. *)
+let compile_words_bound = 140_000.
+
+let test_compile_allocation () =
+  let rng = Rng.create 2008 in
+  let dag = Random_dag.generate_default rng in
+  let costs =
+    Platform_gen.instance rng ~granularity:1.0
+      (Platform_gen.default ~m:20 ())
+      dag
+  in
+  let sched = Ftsa.run ~epsilon:5 costs in
+  (* a collection first, so that no survivor of the scheduler run is
+     promoted, and counted against the compile, in the window *)
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Replay.compile sched));
+  let words =
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  if words > compile_words_bound then
+    Alcotest.failf
+      "Replay.compile allocated %.0f words (bound %.0f, %d messages)" words
+      compile_words_bound
+      (Schedule.message_count sched);
+  Printf.printf "compile: %.0f words, %d messages\n" words
+    (Schedule.message_count sched)
+
 let suite =
   [
     Alcotest.test_case "compiled eval ≡ fresh replay (108 configs)" `Quick
@@ -326,4 +540,11 @@ let suite =
       test_draw_block_stream;
     Alcotest.test_case "subset_at_rank ≡ combinations" `Quick
       test_subset_at_rank;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 150_015 |])
+      prop_tie_differential;
+    Alcotest.test_case "compile rejects a cyclic static order" `Quick
+      test_cyclic_rejected;
+    Alcotest.test_case "compile allocation budget" `Quick
+      test_compile_allocation;
   ]
