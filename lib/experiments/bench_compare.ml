@@ -93,8 +93,8 @@ let metrics doc =
         (num "batched_ns_per_scenario" r)
         Lower_better;
       push
-        (Printf.sprintf "replay_batch/m=%s batched_speedup" m)
-        (num "batched_speedup" r)
+        (Printf.sprintf "replay_batch/m=%s batched_vs_rebuild" m)
+        (num "batched_vs_rebuild" r)
         Higher_better)
     (rows "replay_batch" doc);
   List.iter

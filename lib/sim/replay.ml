@@ -15,10 +15,12 @@ type outcome = {
    data prerequisites and the static order of each resource.  A Kahn
    traversal computes dynamic times in one pass.
 
-   The graph is crash-independent, so it is built once by [compile] and
-   shared by every [eval] of the same schedule; [reference] below keeps
-   the original build-then-traverse implementation as the differential
-   oracle and the rebuild-per-scenario bench baseline. *)
+   The graph and its traversal order are crash-independent, so [compile]
+   builds them once and every scenario of the schedule walks that order
+   (the crash-time kernel [walk], or [walk_plan] for fault plans);
+   [reference] below keeps the original build-then-traverse
+   implementation as the differential oracle and the rebuild-per-scenario
+   bench baseline. *)
 
 let m_replays =
   Obs_metrics.counter ~help:"schedule replays run (all crash modes)"
@@ -124,14 +126,31 @@ let reference ?fabric ?(dead_links = []) sched ~crash_time =
            (Schedule.on_proc sched p))
     done;
   (if model <> Netstate.Macro_dataflow then begin
+     (* A resource carries its messages in static order.  Messages whose
+        windows tie exactly (only zero-length ones can) have no static
+        order: their id is not their booking order, and ordering them by
+        it can run against another resource's order and close a cycle.
+        So each tie group precedes every message of the next group and
+        is unordered within; only strictly ordered windows get an edge,
+        and those follow the booking order. *)
      let by_key key_of filter =
-       let evs =
-         Array.to_list messages
-         |> List.filter (fun (_, msg, _) -> filter msg)
-         |> List.map (fun (id, msg, _) -> (key_of msg, id))
-         |> List.sort compare
+       let rec groups = function
+         | [] -> []
+         | (key, id) :: rest -> (
+             match groups rest with
+             | (key', ids) :: gs when key' = key -> (key, id :: ids) :: gs
+             | gs -> (key, [ id ]) :: gs)
        in
-       chain (List.map snd evs)
+       let rec chain_groups = function
+         | (_, g) :: ((_, g') :: _ as rest) ->
+             List.iter (fun a -> List.iter (fun b -> add_edge a b) g') g;
+             chain_groups rest
+         | [ _ ] | [] -> ()
+       in
+       Array.to_list messages
+       |> List.filter (fun (_, msg, _) -> filter msg)
+       |> List.map (fun (id, msg, _) -> (key_of msg, id))
+       |> List.sort compare |> groups |> chain_groups
      in
      (* Port sequencing: only the strictly serializing one-port model
         guarantees that static leg/arrival order matches booking order; a
@@ -410,16 +429,11 @@ type compiled = {
   c_port_slots : int;
   c_nreplicas : int;
   c_nmsgs : int;
-  (* dependency + resource-order edges, CSR *)
-  c_adj_off : int array;
-  c_adj : int array;
-  c_indeg0 : int array;
-  c_key : float array;  (* static-time Kahn priority per node *)
   c_order : int array;
-  (* The heap pop order of the Kahn traversal depends only on static data
-     (c_indeg0 / c_adj / c_key), never on the scenario, so [compile]
-     precomputes it once.  The batched path walks this array in a flat
-     loop — no heap operations, no in-degree resets per scenario. *)
+  (* The Kahn pop order over the dependency and resource-order edges
+     depends only on static data, never on the scenario, so [compile]
+     runs the heap once and keeps only this order; every evaluation walks
+     it in a flat loop. *)
   (* per replica node *)
   c_r_proc : int array;
   c_r_dur : float array;
@@ -438,14 +452,12 @@ type compiled = {
   c_msg_dur : float array;
   c_route_off : int array;  (* nmsgs + 1; precomputed physical routes *)
   c_route : int array;
-  c_phys_count : int;
   c_fabric : Netstate.fabric;  (* for projecting plan outages onto links *)
   c_sinks : int array;  (* exit tasks, for degradation reports *)
   (* scratch arena: reset in place at the start of every eval ---------- *)
-  s_indeg : int array;
   s_finish : float array;     (* dynamic replica finish, infinity if not Ran *)
-  s_start : float array;      (* dynamic replica start (valid when Ran) *)
-  s_state : int array;        (* st_crashed / st_ran / st_starved *)
+  s_start : float array;      (* dynamic replica start (valid when Ran/Lost) *)
+  s_state : int array;        (* st_crashed / st_ran / st_starved / st_lost *)
   s_starved : int array;      (* starving predecessor (valid when Starved) *)
   s_delivered : float array;  (* dynamic message arrival, infinity if dead *)
   s_exec_free : float array;
@@ -453,13 +465,7 @@ type compiled = {
   s_send_free : float array array;
   s_recv_free : float array array;
   s_phys_free : float array;
-  s_msg_dead : bool array;    (* message rides a dead link this scenario *)
-  mutable s_dead_dirty : bool;
-  s_queue : int Heap.t;
-  (* batch-path masks: crash/outage state as bitsets, tested without
-     bounds checks in the ordered inner loop *)
-  s_crashed : Bitset.t;       (* processors dead from the scenario start *)
-  s_dead_mask : Bitset.t;     (* message rides a dead link (batch path) *)
+  s_dead_mask : Bitset.t;     (* message rides a dead link this scenario *)
   mutable s_mask_dirty : bool;
 }
 
@@ -679,6 +685,19 @@ let compile ?fabric sched =
     end
   in
 
+  (* equal sort keys: a tie group of a send port or link, or of a
+     receive port *)
+  let same_leg i j =
+    msgs.(i).Netstate.m_leg_start = msgs.(j).Netstate.m_leg_start
+    && msgs.(i).Netstate.m_leg_finish = msgs.(j).Netstate.m_leg_finish
+  in
+  let same_reception i j =
+    let mi = msgs.(i) and mj = msgs.(j) in
+    mi.Netstate.m_arrival -. mi.Netstate.m_duration
+    = mj.Netstate.m_arrival -. mj.Netstate.m_duration
+    && mi.Netstate.m_arrival = mj.Netstate.m_arrival
+  in
+
   (* -- edges.  [emit_edges] produces every edge in [reference]'s
         order; it runs twice, counting degrees, then filling each node's
         CSR slice from its end, which reproduces the newest-first order
@@ -719,21 +738,36 @@ let compile ?fabric sched =
         | (r : Schedule.replica) :: rest ->
             proc_chain (replica_node r.Schedule.r_task r.Schedule.r_index) rest
       done;
-    let chain off dat b =
-      for k = off.(b) to off.(b + 1) - 2 do
-        edge (nreplicas + dat.(k)) (nreplicas + dat.(k + 1))
+    (* each tie group of a chain precedes every message of the next
+       group (see [reference]) *)
+    let chain same off dat b =
+      let hi = off.(b + 1) in
+      (* [g0, g1) is the previous group, [g1, g2) the current one *)
+      let g0 = ref off.(b) and g1 = ref off.(b) in
+      while !g1 < hi do
+        let g2 = ref (!g1 + 1) in
+        while !g2 < hi && same dat.(!g1) dat.(!g2) do
+          incr g2
+        done;
+        for i = !g0 to !g1 - 1 do
+          for j = !g1 to !g2 - 1 do
+            edge (nreplicas + dat.(i)) (nreplicas + dat.(j))
+          done
+        done;
+        g0 := !g1;
+        g1 := !g2
       done
     in
     (* one-port send then receive port of each processor ([reference]
        explains why multiport ports get no chains), then the links *)
     if one_port then
       for p = 0 to m - 1 do
-        chain send_off send_dat p;
-        chain recv_off recv_dat p
+        chain same_leg send_off send_dat p;
+        chain same_reception recv_off recv_dat p
       done;
     if contended then
       for l = 0 to phys - 1 do
-        chain link_off link_dat l
+        chain same_leg link_off link_dat l
       done
   in
   let adj_off = Array.make (nnodes + 1) 0 in
@@ -802,24 +836,20 @@ let compile ?fabric sched =
       sup_off.(slot) <- k;
       sup_dat.(k) <- node);
 
-  let port_slots =
-    match model with Netstate.Multiport k -> max 1 k | _ -> 1
-  in
-  (* Allocation-free equivalent of [reference]'s polymorphic
-     [compare (static_key a) (static_key b)]: keys are finite floats, so
-     Float.compare-then-id gives the identical total order. *)
+  (* -- static traversal order ---------------------------------------- *)
+  (* Run the Kahn heap once here: the pop order is scenario-independent,
+     so every evaluation replays it as a flat array walk.  Draining every
+     node doubles as the acyclicity check that lets eval skip it.  The
+     comparison is an allocation-free equivalent of [reference]'s
+     polymorphic [compare (static_key a) (static_key b)]: keys are finite
+     floats, so Float.compare-then-id gives the identical total order. *)
   let cmp a b =
     let d = Float.compare key.(a) key.(b) in
     if d <> 0 then d else Stdlib.compare a b
   in
-  (* -- static traversal order ---------------------------------------- *)
-  (* Run the Kahn heap once here: the pop order is scenario-independent,
-     so [eval_batch] replays it as a flat array walk.  Draining every
-     node doubles as the acyclicity check that lets eval skip it. *)
   let order = Array.make nnodes 0 in
-  (let deg = Array.copy indeg in
-   let queue = Heap.create ~cmp in
-   Array.iteri (fun n d -> if d = 0 then Heap.add queue n) deg;
+  (let queue = Heap.create ~cmp in
+   Array.iteri (fun n d -> if d = 0 then Heap.add queue n) indeg;
    let processed = ref 0 in
    while not (Heap.is_empty queue) do
      let n = Heap.pop_exn queue in
@@ -827,67 +857,60 @@ let compile ?fabric sched =
      incr processed;
      for k = adj_off.(n) to adj_off.(n + 1) - 1 do
        let n' = adj_dat.(k) in
-       deg.(n') <- deg.(n') - 1;
-       if deg.(n') = 0 then Heap.add queue n'
+       indeg.(n') <- indeg.(n') - 1;
+       if indeg.(n') = 0 then Heap.add queue n'
      done
    done;
    if !processed <> nnodes then
      failwith "Replay.compile: cyclic schedule (inconsistent static order)");
+  let port_slots =
+    match model with Netstate.Multiport k -> max 1 k | _ -> 1
+  in
   {
-      c_m = m;
-      c_v = v;
-      c_eps1 = eps1;
-      c_insertion = insertion;
-      c_contended = contended;
-      c_port_slots = port_slots;
-      c_nreplicas = nreplicas;
-      c_nmsgs = nmsgs;
-      c_adj_off = adj_off;
-      c_adj = adj_dat;
-      c_indeg0 = indeg;
-      c_key = key;
-      c_order = order;
-      c_r_proc = r_proc;
-      c_r_dur = r_dur;
-      c_pred_off = pred_off;
-      c_pred_task = pred_task;
-      c_sup_off = sup_off;
-      c_sup = sup_dat;
-      c_msg_src_rn = msg_src_rn;
-      c_msg_src = msg_src;
-      c_msg_dst = msg_dst;
-      c_msg_dur = msg_dur;
-      c_route_off = route_off;
-      c_route = route_dat;
-      c_phys_count = fabric.Netstate.phys_count;
-      c_fabric = fabric;
-      c_sinks = Array.of_list (Dag.exits dag);
-      s_indeg = Array.make nnodes 0;
-      s_finish = Array.make (max 1 nreplicas) infinity;
-      s_start = Array.make (max 1 nreplicas) 0.;
-      s_state = Array.make (max 1 nreplicas) st_crashed;
-      s_starved = Array.make (max 1 nreplicas) 0;
-      s_delivered = Array.make (max 1 nmsgs) infinity;
-      s_exec_free = Array.make m 0.;
-      s_busy = Array.make m [];
-      s_send_free = Array.init m (fun _ -> Array.make port_slots 0.);
-      s_recv_free = Array.init m (fun _ -> Array.make port_slots 0.);
-      s_phys_free = Array.make (max 1 fabric.Netstate.phys_count) 0.;
-      s_msg_dead = Array.make (max 1 nmsgs) false;
-      s_dead_dirty = false;
-      s_queue = Heap.create ~cmp;
-      s_crashed = Bitset.create m;
-      s_dead_mask = Bitset.create (max 1 nmsgs);
-      s_mask_dirty = false;
-    }
+    c_m = m;
+    c_v = v;
+    c_eps1 = eps1;
+    c_insertion = insertion;
+    c_contended = contended;
+    c_port_slots = port_slots;
+    c_nreplicas = nreplicas;
+    c_nmsgs = nmsgs;
+    c_order = order;
+    c_r_proc = r_proc;
+    c_r_dur = r_dur;
+    c_pred_off = pred_off;
+    c_pred_task = pred_task;
+    c_sup_off = sup_off;
+    c_sup = sup_dat;
+    c_msg_src_rn = msg_src_rn;
+    c_msg_src = msg_src;
+    c_msg_dst = msg_dst;
+    c_msg_dur = msg_dur;
+    c_route_off = route_off;
+    c_route = route_dat;
+    c_fabric = fabric;
+    c_sinks = Array.of_list (Dag.exits dag);
+    s_finish = Array.make (max 1 nreplicas) infinity;
+    s_start = Array.make (max 1 nreplicas) 0.;
+    s_state = Array.make (max 1 nreplicas) st_crashed;
+    s_starved = Array.make (max 1 nreplicas) 0;
+    s_delivered = Array.make (max 1 nmsgs) infinity;
+    s_exec_free = Array.make m 0.;
+    s_busy = Array.make m [];
+    s_send_free = Array.init m (fun _ -> Array.make port_slots 0.);
+    s_recv_free = Array.init m (fun _ -> Array.make port_slots 0.);
+    s_phys_free = Array.make (max 1 fabric.Netstate.phys_count) 0.;
+    s_dead_mask = Bitset.create (max 1 nmsgs);
+    s_mask_dirty = false;
+  }
 
-(* Reset the scratch arena and run the Kahn pass for one scenario.
-   [crash_time] is read, never written or retained. *)
-let eval_core c ~crash_time ~dead_links =
-  Obs_metrics.incr m_replays;
-  if Array.length crash_time <> c.c_m then
-    invalid_arg "Replay.eval: crash_time length <> processor count";
-  (* -- reset --------------------------------------------------------- *)
+(* ==================================================================== *)
+(* Scratch arena: reset and resource helpers, shared by both walks.     *)
+(* ==================================================================== *)
+
+(* Reset the arena for one scenario and mark the messages that ride a
+   dead link. *)
+let reset c ~dead_links =
   Array.fill c.s_finish 0 (Array.length c.s_finish) infinity;
   Array.fill c.s_state 0 (Array.length c.s_state) st_crashed;
   Array.fill c.s_delivered 0 (Array.length c.s_delivered) infinity;
@@ -900,182 +923,213 @@ let eval_core c ~crash_time ~dead_links =
     done;
     Array.fill c.s_phys_free 0 (Array.length c.s_phys_free) 0.
   end;
-  (if c.s_dead_dirty then begin
-     Array.fill c.s_msg_dead 0 (Array.length c.s_msg_dead) false;
-     c.s_dead_dirty <- false
-   end);
-  (match dead_links with
+  if c.s_mask_dirty then begin
+    Bitset.clear c.s_dead_mask;
+    c.s_mask_dirty <- false
+  end;
+  match dead_links with
   | [] -> ()
   | dl ->
-      c.s_dead_dirty <- true;
+      c.s_mask_dirty <- true;
       for mi = 0 to c.c_nmsgs - 1 do
-        c.s_msg_dead.(mi) <- List.mem (c.c_msg_src.(mi), c.c_msg_dst.(mi)) dl
-      done);
+        if List.mem (c.c_msg_src.(mi), c.c_msg_dst.(mi)) dl then
+          Bitset.unsafe_add c.s_dead_mask mi
+      done
 
-  let min_slot slots = Array.fold_left Float.min infinity slots in
-  let argmin_slot slots =
-    let best = ref 0 in
-    Array.iteri (fun i v -> if v < slots.(!best) then best := i) slots;
-    !best
+let dead_link c mi = c.s_mask_dirty && Bitset.unsafe_mem c.s_dead_mask mi
+
+(* The first earliest-free slot of a port.  Slot times are never nan or
+   -0., so its time is the minimum [reference] folds with [Float.min]. *)
+let argmin_slot (slots : float array) =
+  let best = ref 0 in
+  for i = 1 to Array.length slots - 1 do
+    if Array.unsafe_get slots i < Array.unsafe_get slots !best then best := i
+  done;
+  !best
+
+(* Earliest start >= [ready] of a [dur]-long gap in a processor's sorted
+   busy list (insertion schedules). *)
+let rec fit_gap ~ready ~dur prev_end = function
+  | [] -> Float.max prev_end ready
+  | (s, f) :: rest ->
+      let cand = Float.max prev_end ready in
+      if cand +. dur <= s +. 1e-9 then cand
+      else fit_gap ~ready ~dur (Float.max prev_end f) rest
+
+let occupy c p start finish =
+  let rec insert = function
+    | [] -> [ (start, finish) ]
+    | ((s, _) as iv) :: rest when s < start -> iv :: insert rest
+    | rest -> (start, finish) :: rest
   in
-  let fit_gap p ~ready ~dur =
-    let rec fit prev_end = function
-      | [] -> Float.max prev_end ready
-      | (s, f) :: rest ->
-          let cand = Float.max prev_end ready in
-          if cand +. dur <= s +. 1e-9 then cand
-          else fit (Float.max prev_end f) rest
-    in
-    fit 0. c.s_busy.(p)
-  in
-  let occupy p start finish =
-    let rec insert = function
-      | [] -> [ (start, finish) ]
-      | ((s, _) as iv) :: rest when s < start -> iv :: insert rest
-      | rest -> (start, finish) :: rest
-    in
-    c.s_busy.(p) <- insert c.s_busy.(p)
-  in
-  let link_free mi =
-    let acc = ref 0. in
-    for k = c.c_route_off.(mi) to c.c_route_off.(mi + 1) - 1 do
-      let f = c.s_phys_free.(c.c_route.(k)) in
-      if f > !acc then acc := f
+  c.s_busy.(p) <- insert c.s_busy.(p)
+
+(* Latest free time over the physical links of message [mi]'s route. *)
+let link_free c mi =
+  let acc = ref 0. in
+  for k = c.c_route_off.(mi) to Array.unsafe_get c.c_route_off (mi + 1) - 1 do
+    let f = Array.unsafe_get c.s_phys_free (Array.unsafe_get c.c_route k) in
+    if f > !acc then acc := f
+  done;
+  !acc
+
+(* Book message [mi]'s leg on send slot [slot] of [send] and on every
+   link of its route. *)
+let book_leg c send slot mi leg_finish =
+  Array.unsafe_set send slot leg_finish;
+  for k = c.c_route_off.(mi) to Array.unsafe_get c.c_route_off (mi + 1) - 1 do
+    Array.unsafe_set c.s_phys_free (Array.unsafe_get c.c_route k) leg_finish
+  done
+
+(* Scan replica [rn]'s supplies: for each predecessor the earliest
+   surviving supply.  Returns the latest of those (the data-ready time)
+   and leaves the first predecessor with no surviving supply in
+   [s_starved.(rn)], or -1 if there is none. *)
+let data_ready c rn =
+  let nreplicas = c.c_nreplicas in
+  let starved = ref (-1) in
+  let data_ready = ref 0. in
+  for slot = c.c_pred_off.(rn) to Array.unsafe_get c.c_pred_off (rn + 1) - 1 do
+    let ready = ref infinity in
+    for k = Array.unsafe_get c.c_sup_off slot
+        to Array.unsafe_get c.c_sup_off (slot + 1) - 1 do
+      let node = Array.unsafe_get c.c_sup k in
+      let t =
+        if node < nreplicas then Array.unsafe_get c.s_finish node
+        else Array.unsafe_get c.s_delivered (node - nreplicas)
+      in
+      if t < !ready then ready := t
     done;
-    !acc
-  in
-  let occupy_link mi finish =
-    for k = c.c_route_off.(mi) to c.c_route_off.(mi + 1) - 1 do
-      c.s_phys_free.(c.c_route.(k)) <- finish
-    done
-  in
+    if !ready = infinity && !starved < 0 then
+      starved := Array.unsafe_get c.c_pred_task slot
+    else data_ready := Float.max !data_ready !ready
+  done;
+  Array.unsafe_set c.s_starved rn !starved;
+  !data_ready
 
-  let process_replica rn =
-    let p = c.c_r_proc.(rn) in
-    let dur = c.c_r_dur.(rn) in
-    let starved = ref (-1) in
-    let data_ready = ref 0. in
-    for slot = c.c_pred_off.(rn) to c.c_pred_off.(rn + 1) - 1 do
-      let ready = ref infinity in
-      for k = c.c_sup_off.(slot) to c.c_sup_off.(slot + 1) - 1 do
-        let node = c.c_sup.(k) in
-        let t =
-          if node < c.c_nreplicas then c.s_finish.(node)
-          else c.s_delivered.(node - c.c_nreplicas)
+(* ==================================================================== *)
+(* The crash-time kernel                                                *)
+(* ==================================================================== *)
+
+(* Replay one crash-time scenario over the reset arena: one pass over
+   [c_order], writing each replica's finish, start, state and starving
+   predecessor and each message's delivery.  [crash_time.(p)] is the
+   instant processor [p] dies ([neg_infinity]: dead from the start); it
+   is read, never written or retained.  Unchecked reads index
+   compile-built arrays and are in range by construction. *)
+let walk c (crash_time : float array) =
+  let nreplicas = c.c_nreplicas in
+  let order = c.c_order in
+  let insertion = c.c_insertion in
+  let contended = c.c_contended in
+  let exec_free = c.s_exec_free in
+  for k = 0 to Array.length order - 1 do
+    let n = Array.unsafe_get order k in
+    if n < nreplicas then begin
+      let rn = n in
+      let ready = data_ready c rn in
+      let p = Array.unsafe_get c.c_r_proc rn in
+      let dies = Array.unsafe_get crash_time p in
+      if dies = neg_infinity then ()
+        (* dead from the start: stays st_crashed, starved or not *)
+      else if Array.unsafe_get c.s_starved rn >= 0 then
+        Array.unsafe_set c.s_state rn st_starved
+      else begin
+        let dur = Array.unsafe_get c.c_r_dur rn in
+        let start =
+          if insertion then fit_gap ~ready ~dur 0. c.s_busy.(p)
+          else Float.max (Array.unsafe_get exec_free p) ready
         in
-        if t < !ready then ready := t
-      done;
-      if !ready = infinity && !starved < 0 then starved := c.c_pred_task.(slot)
-      else data_ready := Float.max !data_ready !ready
-    done;
-    if crash_time.(p) = neg_infinity then () (* stays st_crashed *)
-    else if !starved >= 0 then begin
-      c.s_state.(rn) <- st_starved;
-      c.s_starved.(rn) <- !starved
-    end
-    else begin
-      let start =
-        if c.c_insertion then fit_gap p ~ready:!data_ready ~dur
-        else Float.max c.s_exec_free.(p) !data_ready
-      in
-      let finish = start +. dur in
-      if finish > crash_time.(p) then begin
-        c.s_exec_free.(p) <- infinity;
-        if c.c_insertion then occupy p crash_time.(p) infinity
-        (* stays st_crashed *)
-      end
-      else begin
-        c.s_exec_free.(p) <- Float.max c.s_exec_free.(p) finish;
-        if c.c_insertion then occupy p start finish;
-        c.s_finish.(rn) <- finish;
-        c.s_start.(rn) <- start;
-        c.s_state.(rn) <- st_ran
-      end
-    end
-  in
-
-  let process_message mi =
-    let src = c.c_msg_src.(mi) and dst = c.c_msg_dst.(mi) in
-    let w = c.c_msg_dur.(mi) in
-    let src_finish = c.s_finish.(c.c_msg_src_rn.(mi)) in
-    if src_finish = infinity then c.s_delivered.(mi) <- infinity
-    else if c.s_dead_dirty && c.s_msg_dead.(mi) then begin
-      (if c.c_contended then begin
-         let slot = argmin_slot c.s_send_free.(src) in
-         let leg_start =
-           Float.max
-             c.s_send_free.(src).(slot)
-             (Float.max src_finish (link_free mi))
-         in
-         let leg_finish = leg_start +. w in
-         c.s_send_free.(src).(slot) <- leg_finish;
-         occupy_link mi leg_finish
-       end);
-      c.s_delivered.(mi) <- infinity
-    end
-    else begin
-      let leg_start =
-        if not c.c_contended then src_finish
-        else
-          Float.max
-            (min_slot c.s_send_free.(src))
-            (Float.max src_finish (link_free mi))
-      in
-      let leg_finish = leg_start +. w in
-      if leg_finish > crash_time.(src) then begin
-        Array.fill c.s_send_free.(src) 0 c.c_port_slots infinity;
-        c.s_delivered.(mi) <- infinity
-      end
-      else begin
-        (if c.c_contended then begin
-           c.s_send_free.(src).(argmin_slot c.s_send_free.(src)) <- leg_finish;
-           occupy_link mi leg_finish
-         end);
-        if crash_time.(dst) = neg_infinity then c.s_delivered.(mi) <- infinity
+        let finish = start +. dur in
+        if finish > dies then begin
+          (* the processor dies while (or before) this replica would run:
+             nothing later on it runs either; stays st_crashed *)
+          Array.unsafe_set exec_free p infinity;
+          if insertion then occupy c p dies infinity
+        end
         else begin
-          let slot = argmin_slot c.s_recv_free.(dst) in
-          let arrival =
-            if not c.c_contended then leg_finish
-            else w +. Float.max c.s_recv_free.(dst).(slot) leg_start
-          in
-          if arrival > crash_time.(dst) then c.s_delivered.(mi) <- infinity
+          Array.unsafe_set exec_free p
+            (Float.max (Array.unsafe_get exec_free p) finish);
+          if insertion then occupy c p start finish;
+          Array.unsafe_set c.s_finish rn finish;
+          Array.unsafe_set c.s_start rn start;
+          Array.unsafe_set c.s_state rn st_ran
+        end
+      end
+    end
+    else begin
+      let mi = n - nreplicas in
+      let src_finish =
+        Array.unsafe_get c.s_finish (Array.unsafe_get c.c_msg_src_rn mi)
+      in
+      (* a source that never produced emits nothing: delivery stays
+         infinity *)
+      if src_finish <> infinity then begin
+        let src = Array.unsafe_get c.c_msg_src mi in
+        let dst = Array.unsafe_get c.c_msg_dst mi in
+        let w = Array.unsafe_get c.c_msg_dur mi in
+        let send = Array.unsafe_get c.s_send_free src in
+        let slot = argmin_slot send in
+        let leg_start =
+          if not contended then src_finish
+          else
+            Float.max (Array.unsafe_get send slot)
+              (Float.max src_finish (link_free c mi))
+        in
+        let leg_finish = leg_start +. w in
+        if dead_link c mi then begin
+          (* the route is down: the message is emitted (the sender cannot
+             know) and lost in transit *)
+          if contended then book_leg c send slot mi leg_finish
+        end
+        else if leg_finish > Array.unsafe_get crash_time src then
+          (* the sender died before the message fully left; its port
+             sends nothing further *)
+          Array.fill send 0 c.c_port_slots infinity
+        else begin
+          if contended then book_leg c send slot mi leg_finish;
+          let dies = Array.unsafe_get crash_time dst in
+          if dies = neg_infinity then ()
           else begin
-            if c.c_contended then c.s_recv_free.(dst).(slot) <- arrival;
-            c.s_delivered.(mi) <- arrival
+            let recv = Array.unsafe_get c.s_recv_free dst in
+            let rslot = argmin_slot recv in
+            let arrival =
+              if not contended then leg_finish
+              else w +. Float.max (Array.unsafe_get recv rslot) leg_start
+            in
+            if arrival > dies then ()
+            else begin
+              if contended then Array.unsafe_set recv rslot arrival;
+              Array.unsafe_set c.s_delivered mi arrival
+            end
           end
         end
       end
     end
-  in
-
-  (* -- Kahn traversal over the prebuilt graph ------------------------ *)
-  let nnodes = c.c_nreplicas + c.c_nmsgs in
-  let queue = c.s_queue in
-  Heap.clear queue;
-  for n = 0 to nnodes - 1 do
-    c.s_indeg.(n) <- c.c_indeg0.(n);
-    if c.c_indeg0.(n) = 0 then Heap.add queue n
-  done;
-  while not (Heap.is_empty queue) do
-    let n = Heap.pop_exn queue in
-    if n < c.c_nreplicas then process_replica n
-    else process_message (n - c.c_nreplicas);
-    for k = c.c_adj_off.(n) to c.c_adj_off.(n + 1) - 1 do
-      let n' = c.c_adj.(k) in
-      c.s_indeg.(n') <- c.s_indeg.(n') - 1;
-      if c.s_indeg.(n') = 0 then Heap.add queue n'
-    done
   done
 
-let eval_latency ?(dead_links = []) c ~crash_time =
-  eval_core c ~crash_time ~dead_links;
+(* ==================================================================== *)
+(* Collectors: read the arena after a walk.                             *)
+(* ==================================================================== *)
+
+type degradation = {
+  d_tasks : int;
+  d_task_count : int;
+  d_sinks : int;
+  d_sink_count : int;
+  d_frontier : float;
+}
+
+(* The latest over tasks of the earliest replica finish; [nan] if some
+   task finished no replica. *)
+let latency_of_scratch c =
   let latency = ref 0. in
   let failed = ref false in
   let rn = ref 0 in
   for _task = 0 to c.c_v - 1 do
     let earliest = ref infinity in
     for _idx = 0 to c.c_eps1 - 1 do
-      let f = c.s_finish.(!rn) in
+      let f = Array.unsafe_get c.s_finish !rn in
       if f < !earliest then earliest := f;
       incr rn
     done;
@@ -1084,9 +1138,43 @@ let eval_latency ?(dead_links = []) c ~crash_time =
   done;
   if !failed then nan else !latency
 
-(* Materialize the outcome record from the scratch arena (after a core
-   pass).  Shared by [eval] and [eval_plan]; only plans can leave a
-   replica in [st_lost]. *)
+(* The surviving frontier, without materializing per-replica outcomes:
+   one pass over the tasks, then one over the (few) sinks. *)
+let degradation_of_scratch c =
+  let tasks_done = ref 0 in
+  let frontier = ref 0. in
+  let rn = ref 0 in
+  for _task = 0 to c.c_v - 1 do
+    let earliest = ref infinity in
+    for _idx = 0 to c.c_eps1 - 1 do
+      let f = Array.unsafe_get c.s_finish !rn in
+      if f < !earliest then earliest := f;
+      incr rn
+    done;
+    if !earliest < infinity then begin
+      incr tasks_done;
+      if !earliest > !frontier then frontier := !earliest
+    end
+  done;
+  let sinks_done = ref 0 in
+  for i = 0 to Array.length c.c_sinks - 1 do
+    let s = c.c_sinks.(i) in
+    let earliest = ref infinity in
+    for rn = s * c.c_eps1 to ((s + 1) * c.c_eps1) - 1 do
+      let f = c.s_finish.(rn) in
+      if f < !earliest then earliest := f
+    done;
+    if !earliest < infinity then incr sinks_done
+  done;
+  {
+    d_tasks = !tasks_done;
+    d_task_count = c.c_v;
+    d_sinks = !sinks_done;
+    d_sink_count = Array.length c.c_sinks;
+    d_frontier = !frontier;
+  }
+
+(* The outcome record.  Only plans can leave a replica in [st_lost]. *)
 let collect_outcome c =
   let replica_result =
     Array.init c.c_v (fun task ->
@@ -1123,12 +1211,21 @@ let collect_outcome c =
     replicas = replica_result;
   }
 
+(* ==================================================================== *)
+(* Evaluation: one scenario, or a block of them.                        *)
+(* ==================================================================== *)
+
+let run_crash c ~crash_time ~dead_links =
+  Obs_metrics.incr m_replays;
+  if Array.length crash_time <> c.c_m then
+    invalid_arg "Replay.eval: crash_time length <> processor count";
+  reset c ~dead_links;
+  walk c crash_time
+
 let eval ?(dead_links = []) c ~crash_time =
   Obs_prof.phase ~cat:"sim" "replay.eval" @@ fun () ->
-  eval_core c ~crash_time ~dead_links;
+  run_crash c ~crash_time ~dead_links;
   collect_outcome c
-
-(* -- crash-time helpers and thin wrappers ------------------------------ *)
 
 let crash_times_from_start m crashed =
   Array.init m (fun p ->
@@ -1146,18 +1243,10 @@ let eval_crashed ?(dead_links = []) c ~crashed =
 let eval_timed ?(dead_links = []) c ~crashes =
   eval ~dead_links c ~crash_time:(crash_times_timed c.c_m crashes)
 
-(* ==================================================================== *)
-(* Batched evaluation: a block of scenarios over one scratch arena.     *)
-(* ==================================================================== *)
-
-(* [eval_batch] is the throughput path: it walks the precomputed
-   [c_order] in a flat loop (no heap, no in-degree bookkeeping), tests
-   dead-from-start / dead-link state through unchecked bitset probes,
-   and writes one result per scenario into pre-sized result arrays — no
-   per-scenario records, lists, or outcome materialization.  Every float
-   operation mirrors [eval_core] exactly, so results are bit-identical
-   to the per-scenario path (pinned against [reference] by the
-   differential suite). *)
+(* [eval_batch] is the throughput path: the same kernel once per scenario
+   of a block over one arena, writing one result per scenario into
+   pre-sized result arrays — no per-scenario records, lists, or outcome
+   materialization. *)
 
 type batch = {
   br_count : int;
@@ -1190,263 +1279,25 @@ let eval_batch ?(cancel = Cancel.never) ?(degradation = false) c
   let br_tasks = if degradation then Array.make count 0 else [||] in
   let br_sinks = if degradation then Array.make count 0 else [||] in
   let br_frontier = if degradation then Array.make count 0. else [||] in
-
-  (* hoisted immutable descriptions (all reads below are unsafe: every
-     index comes from compile-built CSR arrays, in range by construction) *)
-  let m = c.c_m in
-  let nreplicas = c.c_nreplicas in
-  let order = c.c_order in
-  let nnodes = nreplicas + c.c_nmsgs in
-  let insertion = c.c_insertion in
-  let contended = c.c_contended in
-  let port_slots = c.c_port_slots in
-  let finish = c.s_finish in
-  let delivered = c.s_delivered in
-  let exec_free = c.s_exec_free in
-  let crashed = c.s_crashed in
-  let dead_mask = c.s_dead_mask in
-
-  let min_slot slots = Array.fold_left Float.min infinity slots in
-  let argmin_slot (slots : float array) =
-    let best = ref 0 in
-    Array.iteri (fun i v -> if v < slots.(!best) then best := i) slots;
-    !best
-  in
-  let fit_gap p ~ready ~dur =
-    let rec fit prev_end = function
-      | [] -> Float.max prev_end ready
-      | (s, f) :: rest ->
-          let cand = Float.max prev_end ready in
-          if cand +. dur <= s +. 1e-9 then cand
-          else fit (Float.max prev_end f) rest
-    in
-    fit 0. c.s_busy.(p)
-  in
-  let occupy p start finish =
-    let rec insert = function
-      | [] -> [ (start, finish) ]
-      | ((s, _) as iv) :: rest when s < start -> iv :: insert rest
-      | rest -> (start, finish) :: rest
-    in
-    c.s_busy.(p) <- insert c.s_busy.(p)
-  in
-  let link_free mi =
-    let acc = ref 0. in
-    for k = c.c_route_off.(mi) to Array.unsafe_get c.c_route_off (mi + 1) - 1 do
-      let f = Array.unsafe_get c.s_phys_free (Array.unsafe_get c.c_route k) in
-      if f > !acc then acc := f
-    done;
-    !acc
-  in
-  let occupy_link mi fin =
-    for k = c.c_route_off.(mi) to Array.unsafe_get c.c_route_off (mi + 1) - 1 do
-      Array.unsafe_set c.s_phys_free (Array.unsafe_get c.c_route k) fin
-    done
-  in
-
-  (* scenario loop: reset arena in place, walk c_order, collect *)
   for si = 0 to count - 1 do
     (* cooperative cancellation poll, once per scenario: an expired
        request deadline aborts between scenarios, never mid-arena *)
     Cancel.check cancel;
-    let sc = Array.unsafe_get scenarios si in
+    let sc = scenarios.(si) in
     let crash_time = sc.Scenario.sc_crash_time in
-    if Array.length crash_time <> m then
+    if Array.length crash_time <> c.c_m then
       invalid_arg "Replay.eval_batch: crash_time length <> processor count";
-
-    (* -- reset ------------------------------------------------------- *)
-    Array.fill finish 0 (Array.length finish) infinity;
-    Array.fill delivered 0 (Array.length delivered) infinity;
-    Array.fill exec_free 0 m 0.;
-    if insertion then Array.fill c.s_busy 0 m [];
-    if contended then begin
-      for p = 0 to m - 1 do
-        Array.fill c.s_send_free.(p) 0 port_slots 0.;
-        Array.fill c.s_recv_free.(p) 0 port_slots 0.
-      done;
-      Array.fill c.s_phys_free 0 (Array.length c.s_phys_free) 0.
-    end;
-    Bitset.clear crashed;
-    for p = 0 to m - 1 do
-      if Array.unsafe_get crash_time p = neg_infinity then
-        Bitset.unsafe_add crashed p
-    done;
-    (if c.s_mask_dirty then begin
-       Bitset.clear dead_mask;
-       c.s_mask_dirty <- false
-     end);
-    (match sc.Scenario.sc_dead_links with
-    | [] -> ()
-    | dl ->
-        c.s_mask_dirty <- true;
-        for mi = 0 to c.c_nmsgs - 1 do
-          if List.mem (c.c_msg_src.(mi), c.c_msg_dst.(mi)) dl then
-            Bitset.unsafe_add dead_mask mi
-        done);
-    let has_dead = c.s_mask_dirty in
-
-    (* -- ordered traversal (the Kahn pass, order precompiled) -------- *)
-    for k = 0 to nnodes - 1 do
-      let n = Array.unsafe_get order k in
-      if n < nreplicas then begin
-        (* replica node: mirror of [eval_core].process_replica minus the
-           s_state/s_starved bookkeeping (the batch reports need only
-           finish times) *)
-        let rn = n in
-        let starved = ref false in
-        let data_ready = ref 0. in
-        for slot = Array.unsafe_get c.c_pred_off rn
-               to Array.unsafe_get c.c_pred_off (rn + 1) - 1 do
-          let ready = ref infinity in
-          for ks = Array.unsafe_get c.c_sup_off slot
-                 to Array.unsafe_get c.c_sup_off (slot + 1) - 1 do
-            let node = Array.unsafe_get c.c_sup ks in
-            let t =
-              if node < nreplicas then Array.unsafe_get finish node
-              else Array.unsafe_get delivered (node - nreplicas)
-            in
-            if t < !ready then ready := t
-          done;
-          if !ready = infinity then starved := true
-          else data_ready := Float.max !data_ready !ready
-        done;
-        let p = Array.unsafe_get c.c_r_proc rn in
-        if Bitset.unsafe_mem crashed p || !starved then ()
-          (* dead from start, or an input never arrives: no resource
-             bookings, finish stays infinity — exactly [eval_core]'s
-             crashed/starved branches *)
-        else begin
-          let dur = Array.unsafe_get c.c_r_dur rn in
-          let start =
-            if insertion then fit_gap p ~ready:!data_ready ~dur
-            else Float.max (Array.unsafe_get exec_free p) !data_ready
-          in
-          let fin = start +. dur in
-          if fin > Array.unsafe_get crash_time p then begin
-            Array.unsafe_set exec_free p infinity;
-            if insertion then occupy p (Array.unsafe_get crash_time p) infinity
-          end
-          else begin
-            Array.unsafe_set exec_free p
-              (Float.max (Array.unsafe_get exec_free p) fin);
-            if insertion then occupy p start fin;
-            Array.unsafe_set finish rn fin
-          end
-        end
-      end
-      else begin
-        (* message node: mirror of [eval_core].process_message *)
-        let mi = n - nreplicas in
-        let src = Array.unsafe_get c.c_msg_src mi in
-        let dst = Array.unsafe_get c.c_msg_dst mi in
-        let w = Array.unsafe_get c.c_msg_dur mi in
-        let src_finish =
-          Array.unsafe_get finish (Array.unsafe_get c.c_msg_src_rn mi)
-        in
-        if src_finish = infinity then ()
-          (* never emitted; delivered stays infinity *)
-        else if has_dead && Bitset.unsafe_mem dead_mask mi then begin
-          (if contended then begin
-             let slot = argmin_slot c.s_send_free.(src) in
-             let leg_start =
-               Float.max
-                 c.s_send_free.(src).(slot)
-                 (Float.max src_finish (link_free mi))
-             in
-             let leg_finish = leg_start +. w in
-             c.s_send_free.(src).(slot) <- leg_finish;
-             occupy_link mi leg_finish
-           end)
-          (* delivered stays infinity: emitted and lost in transit *)
-        end
-        else begin
-          let leg_start =
-            if not contended then src_finish
-            else
-              Float.max
-                (min_slot c.s_send_free.(src))
-                (Float.max src_finish (link_free mi))
-          in
-          let leg_finish = leg_start +. w in
-          if leg_finish > Array.unsafe_get crash_time src then
-            Array.fill c.s_send_free.(src) 0 port_slots infinity
-          else begin
-            (if contended then begin
-               c.s_send_free.(src).(argmin_slot c.s_send_free.(src)) <-
-                 leg_finish;
-               occupy_link mi leg_finish
-             end);
-            if Bitset.unsafe_mem crashed dst then ()
-            else begin
-              let slot = argmin_slot c.s_recv_free.(dst) in
-              let arrival =
-                if not contended then leg_finish
-                else w +. Float.max c.s_recv_free.(dst).(slot) leg_start
-              in
-              if arrival > Array.unsafe_get crash_time dst then ()
-              else begin
-                if contended then c.s_recv_free.(dst).(slot) <- arrival;
-                Array.unsafe_set delivered mi arrival
-              end
-            end
-          end
-        end
-      end
-    done;
-
-    (* -- collect ------------------------------------------------------ *)
-    if not degradation then begin
-      (* mirror of [eval_latency]'s fold, same Float.max sequence *)
-      let latency = ref 0. in
-      let failed = ref false in
-      let rn = ref 0 in
-      for _task = 0 to c.c_v - 1 do
-        let earliest = ref infinity in
-        for _idx = 0 to c.c_eps1 - 1 do
-          let f = Array.unsafe_get finish !rn in
-          if f < !earliest then earliest := f;
-          incr rn
-        done;
-        if !earliest = infinity then failed := true
-        else latency := Float.max !latency !earliest
-      done;
-      Array.unsafe_set br_latency si (if !failed then nan else !latency)
-    end
+    reset c ~dead_links:sc.Scenario.sc_dead_links;
+    walk c crash_time;
+    if not degradation then br_latency.(si) <- latency_of_scratch c
     else begin
-      (* mirror of [degradation_of_scratch] + the Monte-Carlo rule
-         "frontier if everything completed, nan otherwise" *)
-      let tasks_done = ref 0 in
-      let frontier = ref 0. in
-      let sinks_done = ref 0 in
-      let rn = ref 0 in
-      for _task = 0 to c.c_v - 1 do
-        let earliest = ref infinity in
-        for _idx = 0 to c.c_eps1 - 1 do
-          let f = Array.unsafe_get finish !rn in
-          if f < !earliest then earliest := f;
-          incr rn
-        done;
-        if !earliest < infinity then begin
-          incr tasks_done;
-          if !earliest > !frontier then frontier := !earliest
-        end
-      done;
-      (* second pass over the (few) sinks, reusing the per-task earliest
-         computation instead of a v-sized done-flags array *)
-      Array.iter
-        (fun s ->
-          let earliest = ref infinity in
-          for idx = s * c.c_eps1 to ((s + 1) * c.c_eps1) - 1 do
-            let f = Array.unsafe_get finish idx in
-            if f < !earliest then earliest := f
-          done;
-          if !earliest < infinity then incr sinks_done)
-        c.c_sinks;
-      Array.unsafe_set br_tasks si !tasks_done;
-      Array.unsafe_set br_sinks si !sinks_done;
-      Array.unsafe_set br_frontier si !frontier;
-      Array.unsafe_set br_latency si
-        (if !tasks_done = c.c_v then !frontier else nan)
+      (* the Monte-Carlo rule: the frontier if everything completed, nan
+         otherwise *)
+      let d = degradation_of_scratch c in
+      br_tasks.(si) <- d.d_tasks;
+      br_sinks.(si) <- d.d_sinks;
+      br_frontier.(si) <- d.d_frontier;
+      br_latency.(si) <- (if d.d_tasks = c.c_v then d.d_frontier else nan)
     end
   done;
   let dt = Obs_clock.now () -. t_begin in
@@ -1539,107 +1390,22 @@ let rec defer_instant ws t =
   | [] -> t
   | (s, f) :: rest -> if t <= s then t else if t < f then f else defer_instant rest t
 
-(* Generalized core: [eval_core] with per-processor down windows,
-   per-message link-outage windows (healing: traffic is delayed, not
-   lost) and transient result losses.  Kept separate so the crash-only
-   fast path stays branch-free. *)
-let eval_plan_core c ~down ~never_up ~msg_down ~lost ~dead_links =
-  Obs_metrics.incr m_replays;
-  (* -- reset (identical to [eval_core]) ------------------------------ *)
-  Array.fill c.s_finish 0 (Array.length c.s_finish) infinity;
-  Array.fill c.s_state 0 (Array.length c.s_state) st_crashed;
-  Array.fill c.s_delivered 0 (Array.length c.s_delivered) infinity;
-  Array.fill c.s_exec_free 0 c.c_m 0.;
-  if c.c_insertion then
-    (* seed the gap structure with the down windows so gap placement
-       never lands inside one *)
-    for p = 0 to c.c_m - 1 do
-      c.s_busy.(p) <- down.(p)
-    done;
-  if c.c_contended then begin
-    for p = 0 to c.c_m - 1 do
-      Array.fill c.s_send_free.(p) 0 c.c_port_slots 0.;
-      Array.fill c.s_recv_free.(p) 0 c.c_port_slots 0.
-    done;
-    Array.fill c.s_phys_free 0 (Array.length c.s_phys_free) 0.
-  end;
-  (if c.s_dead_dirty then begin
-     Array.fill c.s_msg_dead 0 (Array.length c.s_msg_dead) false;
-     c.s_dead_dirty <- false
-   end);
-  (match dead_links with
-  | [] -> ()
-  | dl ->
-      c.s_dead_dirty <- true;
-      for mi = 0 to c.c_nmsgs - 1 do
-        c.s_msg_dead.(mi) <- List.mem (c.c_msg_src.(mi), c.c_msg_dst.(mi)) dl
-      done);
-
-  let min_slot slots = Array.fold_left Float.min infinity slots in
-  let argmin_slot slots =
-    let best = ref 0 in
-    Array.iteri (fun i v -> if v < slots.(!best) then best := i) slots;
-    !best
-  in
-  let fit_gap p ~ready ~dur =
-    let rec fit prev_end = function
-      | [] -> Float.max prev_end ready
-      | (s, f) :: rest ->
-          let cand = Float.max prev_end ready in
-          if cand +. dur <= s +. 1e-9 then cand
-          else fit (Float.max prev_end f) rest
-    in
-    fit 0. c.s_busy.(p)
-  in
-  let occupy p start finish =
-    let rec insert = function
-      | [] -> [ (start, finish) ]
-      | ((s, _) as iv) :: rest when s < start -> iv :: insert rest
-      | rest -> (start, finish) :: rest
-    in
-    c.s_busy.(p) <- insert c.s_busy.(p)
-  in
-  let link_free mi =
-    let acc = ref 0. in
-    for k = c.c_route_off.(mi) to c.c_route_off.(mi + 1) - 1 do
-      let f = c.s_phys_free.(c.c_route.(k)) in
-      if f > !acc then acc := f
-    done;
-    !acc
-  in
-  let occupy_link mi finish =
-    for k = c.c_route_off.(mi) to c.c_route_off.(mi + 1) - 1 do
-      c.s_phys_free.(c.c_route.(k)) <- finish
-    done
-  in
-
+(* The window engine: the kernel's walk over [c_order] and arena, with
+   per-processor down windows, per-message link-outage windows (healing:
+   traffic is delayed, not lost) and transient result losses.  Its
+   replica and message steps differ from the kernel's: a window delays
+   work where a crash kills it. *)
+let walk_plan c ~down ~never_up ~msg_down ~lost =
   let process_replica rn =
     let p = c.c_r_proc.(rn) in
     let dur = c.c_r_dur.(rn) in
-    let starved = ref (-1) in
-    let data_ready = ref 0. in
-    for slot = c.c_pred_off.(rn) to c.c_pred_off.(rn + 1) - 1 do
-      let ready = ref infinity in
-      for k = c.c_sup_off.(slot) to c.c_sup_off.(slot + 1) - 1 do
-        let node = c.c_sup.(k) in
-        let t =
-          if node < c.c_nreplicas then c.s_finish.(node)
-          else c.s_delivered.(node - c.c_nreplicas)
-        in
-        if t < !ready then ready := t
-      done;
-      if !ready = infinity && !starved < 0 then starved := c.c_pred_task.(slot)
-      else data_ready := Float.max !data_ready !ready
-    done;
+    let ready = data_ready c rn in
     if never_up.(p) then () (* stays st_crashed, like dead-from-start *)
-    else if !starved >= 0 then begin
-      c.s_state.(rn) <- st_starved;
-      c.s_starved.(rn) <- !starved
-    end
+    else if c.s_starved.(rn) >= 0 then c.s_state.(rn) <- st_starved
     else begin
       let start =
-        if c.c_insertion then fit_gap p ~ready:!data_ready ~dur
-        else fit_windows down.(p) (Float.max c.s_exec_free.(p) !data_ready) dur
+        if c.c_insertion then fit_gap ~ready ~dur 0. c.s_busy.(p)
+        else fit_windows down.(p) (Float.max c.s_exec_free.(p) ready) dur
       in
       if start = infinity then
         (* blocked by a crash that never heals: nothing later on this
@@ -1648,7 +1414,7 @@ let eval_plan_core c ~down ~never_up ~msg_down ~lost ~dead_links =
       else begin
         let finish = start +. dur in
         c.s_exec_free.(p) <- Float.max c.s_exec_free.(p) finish;
-        if c.c_insertion then occupy p start finish;
+        if c.c_insertion then occupy c p start finish;
         c.s_start.(rn) <- start;
         if lost.(rn) then c.s_state.(rn) <- st_lost
           (* ran, but the result is silently dropped: s_finish stays
@@ -1665,9 +1431,9 @@ let eval_plan_core c ~down ~never_up ~msg_down ~lost ~dead_links =
     let src = c.c_msg_src.(mi) and dst = c.c_msg_dst.(mi) in
     let w = c.c_msg_dur.(mi) in
     let src_finish = c.s_finish.(c.c_msg_src_rn.(mi)) in
-    if src_finish = infinity then c.s_delivered.(mi) <- infinity
-    else begin
-      let dead = c.s_dead_dirty && c.s_msg_dead.(mi) in
+    (* a source that never produced emits nothing *)
+    if src_finish <> infinity then begin
+      let dead = dead_link c mi in
       (* settle the leg to a fixpoint: it must clear both the sender's
          down windows (the port sends nothing while down) and, unless the
          route is permanently dead anyway, the link-outage windows *)
@@ -1681,12 +1447,11 @@ let eval_plan_core c ~down ~never_up ~msg_down ~lost ~dead_links =
         done;
         !t
       in
+      let send = c.s_send_free.(src) in
+      let slot = argmin_slot send in
       let base =
         if not c.c_contended then src_finish
-        else
-          Float.max
-            (min_slot c.s_send_free.(src))
-            (Float.max src_finish (link_free mi))
+        else Float.max send.(slot) (Float.max src_finish (link_free c mi))
       in
       let leg_start = settle base in
       if leg_start = infinity then begin
@@ -1695,56 +1460,38 @@ let eval_plan_core c ~down ~never_up ~msg_down ~lost ~dead_links =
            matching [eval]'s kill rule (an unhealed link outage, by
            contrast, strands only this message) *)
         if c.c_contended && fit_windows down.(src) base w = infinity then
-          Array.fill c.s_send_free.(src) 0 c.c_port_slots infinity;
-        c.s_delivered.(mi) <- infinity
+          Array.fill send 0 c.c_port_slots infinity
       end
       else begin
         let leg_finish = leg_start +. w in
-        (if c.c_contended then begin
-           c.s_send_free.(src).(argmin_slot c.s_send_free.(src)) <- leg_finish;
-           occupy_link mi leg_finish
-         end);
-        if dead || never_up.(dst) then c.s_delivered.(mi) <- infinity
+        if c.c_contended then book_leg c send slot mi leg_finish;
+        if dead || never_up.(dst) then ()
         else if not c.c_contended then
           c.s_delivered.(mi) <- defer_instant down.(dst) leg_finish
         else begin
-          let slot = argmin_slot c.s_recv_free.(dst) in
-          let arrival0 = w +. Float.max c.s_recv_free.(dst).(slot) leg_start in
+          let recv = c.s_recv_free.(dst) in
+          let rslot = argmin_slot recv in
+          let arrival0 = w +. Float.max recv.(rslot) leg_start in
           (* the whole reception window must avoid the receiver's down
              time; a receiver down at arrival retries after recovery *)
           let rs = fit_windows down.(dst) (arrival0 -. w) w in
-          if rs = infinity then c.s_delivered.(mi) <- infinity
-          else begin
+          if rs < infinity then begin
             let arrival = rs +. w in
-            c.s_recv_free.(dst).(slot) <- arrival;
+            recv.(rslot) <- arrival;
             c.s_delivered.(mi) <- arrival
           end
         end
       end
     end
   in
-
-  (* -- Kahn traversal over the prebuilt graph ------------------------ *)
-  let nnodes = c.c_nreplicas + c.c_nmsgs in
-  let queue = c.s_queue in
-  Heap.clear queue;
-  for n = 0 to nnodes - 1 do
-    c.s_indeg.(n) <- c.c_indeg0.(n);
-    if c.c_indeg0.(n) = 0 then Heap.add queue n
-  done;
-  while not (Heap.is_empty queue) do
-    let n = Heap.pop_exn queue in
-    if n < c.c_nreplicas then process_replica n
-    else process_message (n - c.c_nreplicas);
-    for k = c.c_adj_off.(n) to c.c_adj_off.(n + 1) - 1 do
-      let n' = c.c_adj.(k) in
-      c.s_indeg.(n') <- c.s_indeg.(n') - 1;
-      if c.s_indeg.(n') = 0 then Heap.add queue n'
-    done
-  done
+  Array.iter
+    (fun n ->
+      if n < c.c_nreplicas then process_replica n
+      else process_message (n - c.c_nreplicas))
+    c.c_order
 
 (* A plan with only [Crash] events is a crash-time array in disguise:
-   route it through [eval_core] so the golden outcomes of the historical
+   route it through the kernel so the golden outcomes of the historical
    wrappers are preserved by construction. *)
 let degenerate_crash_times c plan =
   let crash_time = Array.make c.c_m infinity in
@@ -1764,7 +1511,7 @@ let run_plan_core ?(dead_links = []) c plan =
     List.for_all (function Crash _ -> true | _ -> false) plan
   in
   if degenerate then
-    eval_core c ~crash_time:(degenerate_crash_times c plan) ~dead_links
+    run_crash c ~crash_time:(degenerate_crash_times c plan) ~dead_links
   else begin
     let down = down_windows c.c_m plan in
     let never_up =
@@ -1814,7 +1561,12 @@ let run_plan_core ?(dead_links = []) c plan =
                   outages)
          done);
     Obs_prof.phase ~cat:"sim" "replay.eval_plan" @@ fun () ->
-    eval_plan_core c ~down ~never_up ~msg_down ~lost ~dead_links
+    Obs_metrics.incr m_replays;
+    reset c ~dead_links;
+    (* seed the gap structure with the down windows so gap placement
+       never lands inside one *)
+    if c.c_insertion then Array.blit down 0 c.s_busy 0 c.c_m;
+    walk_plan c ~down ~never_up ~msg_down ~lost
   end
 
 let eval_plan ?dead_links c plan =
@@ -1822,47 +1574,6 @@ let eval_plan ?dead_links c plan =
   collect_outcome c
 
 (* -- degradation report ------------------------------------------------ *)
-
-type degradation = {
-  d_tasks : int;
-  d_task_count : int;
-  d_sinks : int;
-  d_sink_count : int;
-  d_frontier : float;
-}
-
-(* Scan the scratch arena for the surviving frontier (no per-replica
-   materialization — the Monte-Carlo degradation sweep's inner loop). *)
-let degradation_of_scratch c =
-  let tasks_done = ref 0 in
-  let frontier = ref 0. in
-  let task_done = Array.make c.c_v false in
-  let rn = ref 0 in
-  for task = 0 to c.c_v - 1 do
-    let earliest = ref infinity in
-    for _idx = 0 to c.c_eps1 - 1 do
-      let f = c.s_finish.(!rn) in
-      if f < !earliest then earliest := f;
-      incr rn
-    done;
-    if !earliest < infinity then begin
-      incr tasks_done;
-      task_done.(task) <- true;
-      if !earliest > !frontier then frontier := !earliest
-    end
-  done;
-  let sinks_done =
-    Array.fold_left
-      (fun acc s -> if task_done.(s) then acc + 1 else acc)
-      0 c.c_sinks
-  in
-  {
-    d_tasks = !tasks_done;
-    d_task_count = c.c_v;
-    d_sinks = sinks_done;
-    d_sink_count = Array.length c.c_sinks;
-    d_frontier = !frontier;
-  }
 
 let completion_fraction d =
   if d.d_task_count = 0 then 1.
@@ -1874,10 +1585,6 @@ let sink_fraction d =
 
 let eval_plan_degraded ?dead_links c plan =
   run_plan_core ?dead_links c plan;
-  degradation_of_scratch c
-
-let eval_degraded ?(dead_links = []) c ~crash_time =
-  eval_core c ~crash_time ~dead_links;
   degradation_of_scratch c
 
 (* -- one-shot wrappers, re-expressed as degenerate plans --------------- *)

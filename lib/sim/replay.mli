@@ -12,7 +12,10 @@
       remain valid);
     - surviving resources keep the {e static order} of their work: a
       processor executes its replicas, and each port/link carries its
-      messages, in the order of the static schedule (skipping dead items);
+      messages, in the order of the static schedule (skipping dead items;
+      zero-length messages whose windows on a port or link tie exactly
+      have no static order, and the replay's fixed traversal order
+      sequences them);
     - durations are the static ones, but start times are recomputed: a
       replica starts when its processor is free {e and}, for every
       predecessor task, at least one supply (co-located replica finish or
@@ -59,9 +62,12 @@ type replica_outcome =
     The static event graph (node numbering, dependency and resource-order
     edges, physical routes, supply index) does not depend on the crash
     scenario, only on the schedule and fabric.  {!compile} builds it
-    exactly once, together with a preallocated scratch arena; {!eval}
-    then replays any number of scenarios with zero per-scenario graph
-    construction and near-zero allocation.  A [compiled] value owns its
+    exactly once, runs its topological sort once, and keeps the resulting
+    order together with a preallocated scratch arena.  Every crash-time
+    scenario — {!eval}, {!eval_crashed}, {!eval_timed}, each scenario of
+    an {!eval_batch} block and each crash-only plan — then runs the same
+    kernel: one pass over that order, with no graph construction, no
+    priority queue and near-zero allocation.  A [compiled] value owns its
     scratch arena and is therefore {b not} safe to share across domains:
     every call that replays a schedule compiles the engines it needs and
     drops them on return ({!Monte_carlo.run} and {!Fault_check.check}
@@ -111,16 +117,6 @@ val eval :
     array is only read.  Outcomes are identical to rebuilding the graph
     per scenario (pinned by the differential test suite). *)
 
-val eval_latency :
-  ?dead_links:(Platform.proc * Platform.proc) list ->
-  compiled ->
-  crash_time:float array ->
-  float
-(** Like {!eval} but returns only the latency ([nan] if any task failed),
-    without materializing the per-replica outcome arrays.  Campaigns and
-    verification loops use {!eval_batch}; this per-scenario path remains
-    its element-by-element reference and the bench's compiled row. *)
-
 val eval_crashed :
   ?dead_links:(Platform.proc * Platform.proc) list ->
   compiled ->
@@ -140,13 +136,10 @@ val eval_timed :
 
     The campaign throughput path: evaluate a whole block of pre-drawn
     scenarios ({!Scenario.draw_block}) over one compiled engine, writing
-    results into flat struct-of-arrays result vectors.  Per scenario it
-    walks the traversal order precomputed by {!compile} (no priority
-    heap, no in-degree bookkeeping), resets the scratch arena in place,
-    and probes dead-from-start / dead-link state through {!Bitset} masks
-    with no bounds checks.  Results are bit-identical to calling
-    {!eval_latency} (resp. {!eval_degraded}) scenario by scenario —
-    pinned against {!reference} by the 108-config differential suite.
+    results into flat struct-of-arrays result vectors.  Each scenario
+    resets the scratch arena in place and runs the kernel {!eval} runs,
+    so results are bit-identical to {!eval} scenario by scenario — pinned
+    against {!reference} by the 108-config differential suite.
 
     Sets the [replay.batch_size] gauge to the block length and
     [replay.scenarios_per_sec] to this block's evaluation rate. *)
@@ -154,8 +147,9 @@ val eval_timed :
 type batch = {
   br_count : int;  (** scenarios evaluated *)
   br_latency : float array;
-      (** per scenario: the {!eval_latency} result — frontier latency, or
-          [nan] if some task completed no replica *)
+      (** per scenario: {!eval}'s [latency] — the latest over tasks of
+          the earliest replica completion, or [nan] if some task
+          completed no replica *)
   br_tasks : int array;
       (** per scenario, tasks with a surviving replica; [[||]] unless
           [~degradation:true] *)
@@ -174,8 +168,8 @@ val eval_batch :
     arena.  With [~degradation:true] (default [false]) it additionally
     fills the per-scenario degradation columns, and [br_latency] follows
     the Monte-Carlo rule: the frontier when every task completed, [nan]
-    otherwise — exactly {!eval_degraded} folded the way
-    {!Monte_carlo.run} does.  Raises [Invalid_argument] if a scenario's
+    otherwise — the degradation summary of {!eval}'s outcome folded the
+    way {!Monte_carlo.run} does.  Raises [Invalid_argument] if a scenario's
     crash-time array length differs from {!proc_count}.
 
     [cancel] (default {!Cancel.never}) is polled once per scenario;
@@ -205,7 +199,7 @@ val eval_batch :
 
     A plan containing only [Crash] events is {e degenerate}: it reduces
     to a crash-time array (earliest crash per processor wins) and is
-    routed through the exact same code path as {!eval}, so the one-shot
+    routed through the kernel {!eval} runs, so the one-shot
     wrappers below — re-expressed over plans — keep their historical
     outcomes bit for bit. *)
 
@@ -260,24 +254,18 @@ val eval_plan_degraded :
     materializing per-replica outcomes — the inner loop of degradation
     curves and adversary search. *)
 
-val eval_degraded :
-  ?dead_links:(Platform.proc * Platform.proc) list ->
-  compiled ->
-  crash_time:float array ->
-  degradation
-(** {!eval_plan_degraded} for a plain crash-time scenario — the
-    per-scenario reference of {!eval_batch}'s [~degradation:true]
-    columns. *)
-
 val reference :
   ?fabric:Netstate.fabric ->
   ?dead_links:(Platform.proc * Platform.proc) list ->
   Schedule.t ->
   crash_time:float array ->
   outcome
-(** The original rebuild-the-graph-per-scenario implementation, kept as
-    the differential oracle for {!eval} and as the baseline of
-    [bench/main.exe --replay].  Semantically identical to
+(** The original rebuild-the-graph-per-scenario implementation: it builds
+    the event graph for the one scenario and traverses it with a priority
+    heap.  It shares no code with {!compile} and the kernel, which is why
+    it stays: it is the differential oracle for {!eval} and {!eval_batch}
+    in the test suite, and the rebuild row of [bench/main.exe --replay]
+    that the batched row is gated against.  Semantically identical to
     [eval (compile ?fabric sched) ~crash_time]. *)
 
 (** {1 One-shot wrappers}
@@ -309,7 +297,9 @@ val crash_timed :
 val fault_free : ?fabric:Netstate.fabric -> Schedule.t -> outcome
 (** Replay with no crash.  For a valid schedule, [latency] equals
     {!Schedule.latency_zero_crash} (a useful cross-check, exercised by the
-    test suite). *)
+    test suite) — unless zero-length messages tie on a port or link,
+    where the replay may sequence the tie differently from the booking
+    and finish earlier. *)
 
 val crash_links :
   ?fabric:Netstate.fabric ->

@@ -19,152 +19,22 @@ type map_stats = {
 
 (* The monitor is observability's window into the work-stealing loop: the
    obs layer installs a callback here (util cannot depend on obs).  When
-   unset, [map] runs the uninstrumented loop — no clock reads per item. *)
+   unset, [map_pool] runs the uninstrumented loop — no clock reads per
+   item. *)
 let monitor : (map_stats -> unit) option Atomic.t = Atomic.make None
 let set_monitor cb = Atomic.set monitor cb
 let now = Unix.gettimeofday
-
-let plain_map domains f xs n =
-  let arr = Array.of_list xs in
-  let results = Array.make n None in
-  (* Work stealing over an atomic index: every worker claims the next
-     unprocessed item, so a slow item delays only itself instead of
-     stalling the rest of a pre-assigned contiguous chunk.  Each index
-     is claimed exactly once; the join synchronizes the writes. *)
-  let next = Atomic.make 0 in
-  let worker () =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        results.(i) <- Some (f arr.(i));
-        loop ()
-      end
-    in
-    try
-      loop ();
-      None
-    with exn -> Some exn
-  in
-  (* run one worker on the current domain, the rest on spawned ones *)
-  let spawned = List.init (min domains n - 1) (fun _ -> Domain.spawn worker) in
-  let first = worker () in
-  let rest = List.map Domain.join spawned in
-  (match List.find_opt Option.is_some (first :: rest) with
-  | Some (Some exn) -> raise exn
-  | _ -> ());
-  Array.to_list
-    (Array.map (function Some v -> v | None -> assert false) results)
-
-(* Same claim loop with two clock reads per item; only runs when a
-   monitor is installed, so the common path stays clock-free. *)
-let monitored_map report domains f xs n =
-  let arr = Array.of_list xs in
-  let results = Array.make n None in
-  let next = Atomic.make 0 in
-  let workers = min domains n in
-  let stats = Array.make workers None in
-  let worker slot () =
-    let t_start = now () in
-    let busy = ref 0. and items = ref 0 and attempts = ref 0 in
-    let outcome =
-      let rec loop () =
-        incr attempts;
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          let t0 = now () in
-          results.(i) <- Some (f arr.(i));
-          busy := !busy +. (now () -. t0);
-          incr items;
-          loop ()
-        end
-      in
-      try
-        loop ();
-        None
-      with exn -> Some exn
-    in
-    let wall = now () -. t_start in
-    stats.(slot) <-
-      Some
-        {
-          ws_worker = slot;
-          ws_items = !items;
-          ws_busy_s = !busy;
-          ws_idle_s = Float.max 0. (wall -. !busy);
-          ws_steal_attempts = !attempts;
-        };
-    outcome
-  in
-  let t_begin = now () in
-  let spawned =
-    List.init (workers - 1) (fun i -> Domain.spawn (worker (i + 1)))
-  in
-  let first = worker 0 () in
-  let rest = List.map Domain.join spawned in
-  report
-    {
-      ms_items = n;
-      ms_domains = workers;
-      ms_wall_s = now () -. t_begin;
-      ms_workers = List.filter_map Fun.id (Array.to_list stats);
-    };
-  (match List.find_opt Option.is_some (first :: rest) with
-  | Some (Some exn) -> raise exn
-  | _ -> ());
-  Array.to_list
-    (Array.map (function Some v -> v | None -> assert false) results)
-
-let monitored_sequential report f xs n =
-  let t_begin = now () in
-  let busy = ref 0. in
-  let results =
-    List.map
-      (fun x ->
-        let t0 = now () in
-        let y = f x in
-        busy := !busy +. (now () -. t0);
-        y)
-      xs
-  in
-  let wall = now () -. t_begin in
-  report
-    {
-      ms_items = n;
-      ms_domains = 1;
-      ms_wall_s = wall;
-      ms_workers =
-        [
-          {
-            ws_worker = 0;
-            ws_items = n;
-            ws_busy_s = !busy;
-            ws_idle_s = Float.max 0. (wall -. !busy);
-            ws_steal_attempts = n;
-          };
-        ];
-    };
-  results
-
-let map ?domains f xs =
-  let domains =
-    match domains with Some d -> max 1 d | None -> available_domains ()
-  in
-  let n = List.length xs in
-  match Atomic.get monitor with
-  | None ->
-      if domains <= 1 || n <= 1 then List.map f xs else plain_map domains f xs n
-  | Some report ->
-      if domains <= 1 || n <= 1 then monitored_sequential report f xs n
-      else monitored_map report domains f xs n
 
 (* -- persistent worker pool --------------------------------------------- *)
 
 (* A pool keeps its spawned domains alive across map calls, so a campaign
    of thousands of small blocks pays the domain spawn/teardown cost once
    instead of once per call.  One job runs at a time; idle workers park on
-   a condition variable between jobs.  Each job is the same work-stealing
-   claim loop as [map], type-erased behind a closure so one pool serves
-   maps of any element type. *)
+   a condition variable between jobs.  Each job is a work-stealing claim
+   loop over an atomic index, type-erased behind a closure so one pool
+   serves maps of any element type: every worker claims the next
+   unprocessed item, so a slow item delays only itself.  [map] is a pool
+   that lives for one call. *)
 
 type job = {
   j_epoch : int;
@@ -294,9 +164,9 @@ let map_pool p f xs =
     let next = Atomic.make 0 in
     let first_exn : exn option Atomic.t = Atomic.make None in
     let stats = Array.make p.p_size None in
-    (* Claim loops mirror [plain_map] / [monitored_map]: same stealing
-       index, same stop-on-own-exception behaviour (survivors finish the
-       unclaimed items), same per-item clock accounting when monitored. *)
+    (* A worker stops at its own exception and the survivors finish the
+       unclaimed items; the monitored loop adds two clock reads per
+       item. *)
     let plain_run _slot =
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
@@ -370,7 +240,7 @@ let map_pool p f xs =
        join half matters for the exception contract: if the only active
        participant dies on [f] while a parked worker has not woken yet,
        that worker must still enter the job and drain the unclaimed
-       items — matching [map], where every domain always runs the loop. *)
+       items. *)
     while p.p_slot < p.p_size || p.p_active > 0 do
       Condition.wait p.p_done p.p_lock
     done;
@@ -393,3 +263,10 @@ let map_pool p f xs =
         Array.to_list
           (Array.map (function Some v -> v | None -> assert false) results)
   end
+
+let map ?domains f xs =
+  let domains =
+    match domains with Some d -> max 1 d | None -> available_domains ()
+  in
+  let p = pool ~domains:(min domains (List.length xs)) () in
+  Fun.protect ~finally:(fun () -> shutdown p) (fun () -> map_pool p f xs)

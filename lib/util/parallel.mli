@@ -12,18 +12,20 @@ val available_domains : unit -> int
     ([Domain.recommended_domain_count]). *)
 
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~domains f xs] is [List.map f xs], computed with up to [domains]
-    domains (default {!available_domains}; [1] degenerates to the
-    sequential map).  Result order is that of [xs] regardless of which
+(** [map ~domains f xs] is [List.map f xs], computed by {!map_pool} on a
+    pool of [min domains (List.length xs)] workers (default
+    {!available_domains}) that the call creates and shuts down; one
+    worker is the calling domain, so [1] spawns nothing and runs the
+    items in order.  Result order is that of [xs] regardless of which
     domain computed which item.  [f] must not rely on shared mutable
     state.  If some application of [f] raises, one such exception is
-    re-raised after all domains joined (items not yet claimed when a
-    worker dies are still computed by the surviving workers). *)
+    re-raised after all participants finished (items not yet claimed
+    when a worker dies are still computed by the surviving workers). *)
 
 (** {1 Work-stealing telemetry}
 
-    Per-worker accounting of one [map] call, reported to the installed
-    {!set_monitor} callback.  Worker [0] is the calling domain; workers
+    Per-worker accounting of one non-empty [map] or {!map_pool} call,
+    reported to the installed {!set_monitor} callback.  Worker [0] is the calling domain; workers
     [1..] are the spawned ones.  [ws_busy_s] is wall time spent inside
     [f]; [ws_idle_s] is the rest of the worker's loop (claim contention,
     spawn skew, scheduler preemption); [ws_steal_attempts] counts claims
@@ -65,11 +67,12 @@ val pool_size : pool -> int
 
 val map_pool : pool -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_pool p f xs] is [map ~domains:(pool_size p) f xs] computed on the
-    pool's persistent domains: result order follows [xs]; if some
+    pool's persistent domains (it is [map]'s engine): result order
+    follows [xs]; if some
     application of [f] raises, one such exception is re-raised after all
     participants finished (items not yet claimed when a worker dies are
     still computed by the surviving workers); the installed {!set_monitor}
-    callback receives the same per-worker accounting as [map].  One job
+    callback receives the per-worker accounting.  One job
     runs at a time — calling [map_pool] on a pool that is already running
     a job (from [f] itself, or from another domain) raises
     [Invalid_argument].  Not serialized externally: dedicate a pool to one
@@ -92,7 +95,7 @@ val live_pools : unit -> int
 
 val set_monitor : (map_stats -> unit) option -> unit
 (** Install (or clear) the telemetry callback.  With no monitor installed
-    — the default — [map] runs an uninstrumented loop with no clock reads
+    — the default — maps run an uninstrumented loop with no clock reads
     per item.  The callback runs on the calling domain after all workers
-    joined, before [map] returns or re-raises.  The obs layer's profiler
+    left the job, before the map returns or re-raises.  The obs layer's profiler
     is the intended installer; last install wins. *)

@@ -4,7 +4,35 @@
    sequential loop, one replay per scenario and no [Replay.eval_batch]
    block.  The differential suites compare the two byte for byte. *)
 
-(* -- Monte Carlo: one [eval_latency] / [eval_degraded] per scenario ---- *)
+(* -- degradation summary of one outcome ----------------------------- *)
+
+let degradation sched (o : Replay.outcome) =
+  let dag = Schedule.dag sched in
+  (* earliest completed replica per task; [infinity] when none ran *)
+  let earliest =
+    Array.map
+      (Array.fold_left
+         (fun acc -> function
+           | Replay.Ran { finish; _ } -> Float.min acc finish
+           | _ -> acc)
+         infinity)
+      o.Replay.replicas
+  in
+  let done_ t = earliest.(t) < infinity in
+  let exits = Dag.exits dag in
+  {
+    Replay.d_tasks =
+      Array.fold_left (fun n e -> if e < infinity then n + 1 else n) 0 earliest;
+    d_task_count = Dag.task_count dag;
+    d_sinks = List.length (List.filter done_ exits);
+    d_sink_count = List.length exits;
+    d_frontier =
+      Array.fold_left
+        (fun acc e -> if e < infinity && e > acc then e else acc)
+        0. earliest;
+  }
+
+(* -- Monte Carlo: one [Replay.eval] per scenario ----------------------- *)
 
 let monte_carlo ?(seed = 20) ?(runs = 1000) ~crashes ~mode sched =
   let m = Platform.proc_count (Schedule.platform sched) in
@@ -23,10 +51,10 @@ let monte_carlo ?(seed = 20) ?(runs = 1000) ~crashes ~mode sched =
   let lat =
     Array.map
       (fun (sc : Scenario.t) ->
-        let crash_time = sc.Scenario.sc_crash_time in
-        if not beyond then Replay.eval_latency c ~crash_time
+        let o = Replay.eval c ~crash_time:sc.Scenario.sc_crash_time in
+        if not beyond then o.Replay.latency
         else begin
-          let d = Replay.eval_degraded c ~crash_time in
+          let d = degradation sched o in
           degs := d :: !degs;
           if d.Replay.d_tasks = d.Replay.d_task_count then d.Replay.d_frontier
           else nan
@@ -90,32 +118,6 @@ let from_start procs = List.map (fun p -> (p, neg_infinity)) procs
 
 let outcome c crashes =
   Replay.eval c ~crash_time:(crash_times (Replay.proc_count c) crashes)
-
-let degradation sched (o : Replay.outcome) =
-  let dag = Schedule.dag sched in
-  (* earliest completed replica per task; [infinity] when none ran *)
-  let earliest =
-    Array.map
-      (Array.fold_left
-         (fun acc -> function
-           | Replay.Ran { finish; _ } -> Float.min acc finish
-           | _ -> acc)
-         infinity)
-      o.Replay.replicas
-  in
-  let done_ t = earliest.(t) < infinity in
-  let exits = Dag.exits dag in
-  {
-    Replay.d_tasks =
-      Array.fold_left (fun n e -> if e < infinity then n + 1 else n) 0 earliest;
-    d_task_count = Dag.task_count dag;
-    d_sinks = List.length (List.filter done_ exits);
-    d_sink_count = List.length exits;
-    d_frontier =
-      Array.fold_left
-        (fun acc e -> if e < infinity && e > acc then e else acc)
-        0. earliest;
-  }
 
 (* -- Fault_check: the sequential enumeration ---------------------------- *)
 

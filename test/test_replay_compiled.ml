@@ -4,9 +4,10 @@
      the schedule once and assert that [Replay.eval] produces outcomes
      identical (bit-for-bit, including [nan] latencies) to the
      rebuild-per-scenario [Replay.reference] oracle, across fault-free,
-     from-start, timed and dead-link scenarios — and that one
-     [Replay.eval_batch] block over the same mixed scenario set
-     reproduces [eval_latency] / [eval_degraded] per element;
+     from-start, timed and dead-link scenarios — and that [eval_batch],
+     on a block of one and on one block over the same mixed scenario
+     set, reproduces the oracle's latency and ([~degradation:true]) its
+     degradation summary per element;
    - [Monte_carlo.run] and [Fault_check.check] reports are byte-identical
      for domains in {1, 2, 4}, for persistent pools of those sizes, and
      with batching off (pre-drawn scenarios / lowest-rank
@@ -15,9 +16,11 @@
    - [Fault_check.subset_at_rank] agrees with the [combinations]
      enumeration at every rank;
    - generated tie-heavy instances (integer costs, zero-volume edges)
-     replay identically through [eval], [eval_batch] and [reference];
+     are accepted by both engines and replay identically through
+     [eval], [eval_batch] and [reference];
    - [compile] rejects a cyclic static order, and one compile of a
-     paper-sized schedule stays within its allocation budget. *)
+     paper-sized schedule and one [eval_batch] block stay within their
+     allocation budgets. *)
 
 let float_eq a b =
   (* bitwise, so nan = nan and 0. <> -0. — "same result" means the same
@@ -48,11 +51,14 @@ let check_differential name sched fabric ~crash_time ~dead_links compiled =
   let cached = Replay.eval ~dead_links compiled ~crash_time in
   if not (outcome_equal fresh cached) then
     Alcotest.failf "%s: compiled eval differs from fresh replay" name;
-  (* eval_latency is the campaign hot path — same verdict, no arrays *)
-  let lat = Replay.eval_latency ~dead_links compiled ~crash_time in
-  if not (float_eq lat fresh.Replay.latency) then
-    Alcotest.failf "%s: eval_latency %.6f <> outcome latency %.6f" name lat
-      fresh.Replay.latency
+  (* a block of one: the batch latency column is the oracle's latency *)
+  let one =
+    Replay.eval_batch compiled [| Scenario.of_crash_times ~dead_links crash_time |]
+  in
+  if not (float_eq one.Replay.br_latency.(0) fresh.Replay.latency) then
+    Alcotest.failf "%s: eval_batch of one %.6f <> reference latency %.6f" name
+      one.Replay.br_latency.(0) fresh.Replay.latency;
+  fresh
 
 (* One configuration: build a schedule, compile once, then diff several
    scenario shapes against the rebuild-per-scenario oracle. *)
@@ -92,8 +98,10 @@ let run_config seed =
   let name = Printf.sprintf "config %d" seed in
   let scenarios = ref [] in
   let diff ~crash_time ~dead_links =
-    check_differential name sched fabric ~crash_time ~dead_links compiled;
-    scenarios := (crash_time, dead_links) :: !scenarios
+    let fresh =
+      check_differential name sched fabric ~crash_time ~dead_links compiled
+    in
+    scenarios := (crash_time, dead_links, fresh) :: !scenarios
   in
   (* fault-free *)
   let no_crash = Array.make m infinity in
@@ -124,28 +132,27 @@ let run_config seed =
   diff ~crash_time:no_crash ~dead_links;
   diff ~crash_time:no_crash ~dead_links:[];
   (* the whole mixed scenario set again as ONE struct-of-arrays block:
-     eval_batch must reproduce eval_latency (and, in degradation mode,
-     eval_degraded under the Monte-Carlo completion rule) per element,
-     with the dead-link masks and crash bitsets fully reset between
+     eval_batch must reproduce the oracle's latency (and, in degradation
+     mode, its degradation summary under the Monte-Carlo completion rule)
+     per element, with the dead-link masks fully reset between
      neighbouring scenarios of the same block *)
   let scen = Array.of_list (List.rev !scenarios) in
   let block =
     Array.map
-      (fun (ct, dl) -> Scenario.of_crash_times ~dead_links:dl ct)
+      (fun (ct, dl, _) -> Scenario.of_crash_times ~dead_links:dl ct)
       scen
   in
   let batch = Replay.eval_batch compiled block in
   Array.iteri
-    (fun i (ct, dl) ->
-      let lat = Replay.eval_latency ~dead_links:dl compiled ~crash_time:ct in
-      if not (float_eq batch.Replay.br_latency.(i) lat) then
+    (fun i (_, _, (fresh : Replay.outcome)) ->
+      if not (float_eq batch.Replay.br_latency.(i) fresh.Replay.latency) then
         Alcotest.failf "%s: eval_batch latency %d: %h <> %h" name i
-          batch.Replay.br_latency.(i) lat)
+          batch.Replay.br_latency.(i) fresh.Replay.latency)
     scen;
   let dbatch = Replay.eval_batch ~degradation:true compiled block in
   Array.iteri
-    (fun i (ct, dl) ->
-      let d = Replay.eval_degraded ~dead_links:dl compiled ~crash_time:ct in
+    (fun i (_, _, fresh) ->
+      let d = Oracle.degradation sched fresh in
       if dbatch.Replay.br_tasks.(i) <> d.Replay.d_tasks then
         Alcotest.failf "%s: eval_batch tasks %d" name i;
       if dbatch.Replay.br_sinks.(i) <> d.Replay.d_sinks then
@@ -429,23 +436,33 @@ let tie_replays_agree c rng fabric sched =
        (fun lat (out : Replay.outcome) -> float_eq lat out.Replay.latency)
        batch.Replay.br_latency fresh
 
+(* An FTSA schedule ([seed mod 3 = 1]) whose one-port receive port gets
+   two zero-length messages with the same reception window.  A receive
+   chain that ordered them by id ran against their send order and closed
+   a cycle, so both engines rejected the schedule. *)
+let tie_reproducer =
+  {
+    seed = 206017;
+    tasks = 10;
+    m = 6;
+    model = Netstate.One_port;
+    routed = false;
+    insertion = true;
+    epsilon = 2;
+  }
+
+let tie_case_agrees c =
+  let rng, fabric, sched = tie_schedule c in
+  tie_replays_agree c rng fabric sched
+
+let test_tie_reproducer () =
+  Helpers.check_bool "tie reproducer: both engines accept and agree" true
+    (tie_case_agrees tie_reproducer)
+
 let prop_tie_differential =
   QCheck.Test.make ~count:300
     ~name:"tie-heavy instances: eval and eval_batch = reference"
-    (QCheck.make tie_case_gen ~print:print_tie_case) (fun c ->
-      let rng, fabric, sched = tie_schedule c in
-      let no_crash = Array.make c.m infinity in
-      match Replay.reference ?fabric sched ~crash_time:no_crash with
-      | exception Failure _ -> (
-          (* The one-port receive chain orders zero-length reception
-             windows that tie by message id, which can contradict the
-             send order and close a cycle; the event graph does not
-             depend on the scenario, so [reference] then rejects every
-             replay of the schedule, and [compile] must reject it too. *)
-          match Replay.compile ?fabric sched with
-          | exception Failure _ -> true
-          | _ -> false)
-      | _ -> tie_replays_agree c rng fabric sched)
+    (QCheck.make tie_case_gen ~print:print_tie_case) tie_case_agrees
 
 (* -- acyclicity check ------------------------------------------------- *)
 
@@ -497,7 +514,7 @@ let test_cyclic_rejected () =
 
 (* Words one [Replay.compile] allocates (minor plus direct-major) on a
    figure-3-sized FTSA schedule: m = 20, epsilon = 5, 2766 messages.  The
-   flat-array build measures 90k words, 66k of them the compiled value
+   flat-array build measures 80k words, most of them the compiled value
    itself; the list-based build it replaced allocated 443k. *)
 let compile_words_bound = 140_000.
 
@@ -526,6 +543,37 @@ let test_compile_allocation () =
   Printf.printf "compile: %.0f words, %d messages\n" words
     (Schedule.message_count sched)
 
+(* -- eval_batch allocation ---------------------------------------------- *)
+
+(* Minor words one [eval_batch] block of 256 from-start scenarios
+   allocates per scenario on a 50-task CAFT schedule, m = 20, epsilon = 3.
+   The kernel measures 1.7k, mostly boxed floats returned by the shared
+   supply-scan and link helpers.  A slot helper that boxes per step, such
+   as [Array.fold_left Float.min], takes it past 6k. *)
+let batch_words_bound = 2_500.
+
+let test_batch_allocation () =
+  let costs =
+    match Instance.make ~seed:11 ~family:"random" ~tasks:50 ~m:20 () with
+    | Ok (_, costs) -> costs
+    | Error e -> Alcotest.fail e
+  in
+  let sched = Caft.run ~epsilon:3 costs in
+  let c = Replay.compile sched in
+  let runs = 256 in
+  let block =
+    Scenario.draw_block (Rng.create 1) ~m:20 ~count:3
+      ~mode:Scenario.From_start ~runs
+  in
+  ignore (Replay.eval_batch c block);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Replay.eval_batch c block));
+  let words = (Gc.minor_words () -. before) /. float_of_int runs in
+  if words > batch_words_bound then
+    Alcotest.failf "Replay.eval_batch allocated %.0f words per scenario (bound %.0f)"
+      words batch_words_bound;
+  Printf.printf "eval_batch: %.0f words per scenario\n" words
+
 let suite =
   [
     Alcotest.test_case "compiled eval ≡ fresh replay (108 configs)" `Quick
@@ -543,8 +591,12 @@ let suite =
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 150_015 |])
       prop_tie_differential;
+    Alcotest.test_case "tie reproducer accepted by both engines" `Quick
+      test_tie_reproducer;
     Alcotest.test_case "compile rejects a cyclic static order" `Quick
       test_cyclic_rejected;
     Alcotest.test_case "compile allocation budget" `Quick
       test_compile_allocation;
+    Alcotest.test_case "eval_batch allocation budget" `Quick
+      test_batch_allocation;
   ]
