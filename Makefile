@@ -20,7 +20,7 @@ bench:
 	dune exec bench/main.exe
 
 bench-quick:
-	dune exec bench/main.exe -- --figure 1 --graphs 10
+	dune exec bin/ftsched_cli.exe -- campaign --figure 1 --graphs 10 --seed 2008
 
 examples:
 	dune exec examples/quickstart.exe

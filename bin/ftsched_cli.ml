@@ -995,7 +995,8 @@ let benchdiff_cmd =
       & info [ "filter" ] ~docv:"SUBSTR"
           ~doc:
             "Compare only metrics whose key contains $(docv) (e.g. \
-             $(b,batched) for the blocking batched-replay gate).")
+             $(b,batched) for the blocking batched-replay gate).  A filter \
+             that matches no metric on both sides fails the diff.")
   in
   let read_doc path =
     let ic = open_in_bin path in
@@ -1020,7 +1021,10 @@ let benchdiff_cmd =
         in
         Text_table.print (Bench_compare.to_table r);
         print_endline (Bench_compare.summary r);
-        if Bench_compare.regressions r <> [] && not advisory then exit 1
+        if
+          (Bench_compare.regressions r <> [] || Bench_compare.vacuous r)
+          && not advisory
+        then exit 1
   in
   let term =
     Term.(const run $ old_t $ new_t $ threshold_t $ advisory_t $ filter_t)

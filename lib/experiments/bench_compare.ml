@@ -4,8 +4,8 @@
    re-runs the quick bench and diffs the fresh numbers against it with
    [ftsched benchdiff].  Only keys present in BOTH documents are
    compared (bench rows vary with --quick and machine class), so adding
-   a figure or an m-point never trips the diff; keys that exist only on
-   one side are reported as "missing" for the human reading the table.
+   an m-point never trips the diff; keys that exist only on one side are
+   reported as "missing" for the human reading the table.
 
    A regression is a change beyond the threshold in the metric's bad
    direction — slower ns/op, lower scenarios/s.  Improvements beyond the
@@ -25,6 +25,7 @@ type entry = {
 
 type result = {
   c_threshold_pct : float;
+  c_filter : string option;
   c_entries : entry list;
   c_only_old : string list;
   c_only_new : string list;
@@ -55,24 +56,6 @@ let metrics doc =
     | Some x when not (Float.is_nan x) -> out := (key, x, dir) :: !out
     | _ -> ()
   in
-  List.iter
-    (fun r ->
-      push
-        (Printf.sprintf "bechamel/%s ns_per_run" (str_key "name" r))
-        (num "ns_per_run" r) Lower_better)
-    (rows "bechamel" doc);
-  List.iter
-    (fun r ->
-      let m = int_key "m" r in
-      push
-        (Printf.sprintf "placement/m=%s snapshot_ns_per_trial" m)
-        (num "snapshot_ns_per_trial" r)
-        Lower_better;
-      push
-        (Printf.sprintf "placement/m=%s probe_ns_per_trial" m)
-        (num "probe_ns_per_trial" r)
-        Lower_better)
-    (rows "placement" doc);
   List.iter
     (fun r ->
       let m = int_key "m" r in
@@ -188,6 +171,7 @@ let compare_docs ?filter ~threshold_pct old_doc new_doc =
   in
   {
     c_threshold_pct = threshold_pct;
+    c_filter = filter;
     c_entries = entries;
     c_only_old = missing_from news (keys olds);
     c_only_new = missing_from olds (keys news);
@@ -198,6 +182,12 @@ let regressions r =
 
 let improvements r =
   List.filter (fun e -> e.e_change_pct <= -.r.c_threshold_pct) r.c_entries
+
+(* A gate that compares nothing cannot fail, so a renamed key or a
+   dropped section would pass it silently: a filtered comparison with no
+   common entry is a failure of its own.  Keys on one side only are fine
+   (the quick bench skips the large rows). *)
+let vacuous r = r.c_filter <> None && r.c_entries = []
 
 (* -- rendering ---------------------------------------------------------- *)
 
@@ -238,3 +228,8 @@ let summary r =
     | o, n ->
         Printf.sprintf " (%d only in old, %d only in new)" (List.length o)
           (List.length n))
+  ^
+  match r.c_filter with
+  | Some sub when vacuous r ->
+      Printf.sprintf "; filter %S matches no metric on both sides" sub
+  | _ -> ""

@@ -21,6 +21,7 @@ type entry = {
 
 type result = {
   c_threshold_pct : float;
+  c_filter : string option;  (** the [filter] of {!compare_docs} *)
   c_entries : entry list;  (** keys present on both sides, in old order *)
   c_only_old : string list;
   c_only_new : string list;
@@ -39,6 +40,12 @@ val regressions : result -> entry list
 (** Entries at or beyond the threshold in the bad direction. *)
 
 val improvements : result -> entry list
+
+val vacuous : result -> bool
+(** A filtered comparison with no key on both sides.  The gate it backs
+    compares nothing, so [ftsched benchdiff] fails on it like on a
+    regression.  Keys on one side only never make a comparison vacuous
+    by themselves. *)
 
 val to_table : result -> Text_table.t
 (** [metric | old | new | change | verdict] rows. *)

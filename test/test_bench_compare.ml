@@ -109,6 +109,30 @@ let test_disjoint_keys_ignored () =
   Alcotest.(check int) "no regressions from disjoint docs" 0
     (List.length (Bench_compare.regressions r))
 
+let test_vacuous_filter () =
+  (* a gate whose filter matches no key on both sides compares nothing:
+     that is a failure, not a pass *)
+  let d = doc ~per_sec:5000. ~compiled_ns:60_000. in
+  let gate filter new_d =
+    Bench_compare.vacuous
+      (Bench_compare.compare_docs ~filter ~threshold_pct:20. d new_d)
+  in
+  Alcotest.(check bool) "filter matching nothing" true (gate "batched" d);
+  let no_domains =
+    Json.Obj
+      [
+        ("schema", Json.String "ftsched/bench/v1");
+        ("replay", Json.member "replay" d |> Option.get);
+      ]
+  in
+  Alcotest.(check bool) "section dropped on the new side" true
+    (gate "replay_domains" no_domains);
+  (* old-only keys are fine as long as one key is common *)
+  Alcotest.(check bool) "one common key suffices" false
+    (gate "replay/" no_domains);
+  Alcotest.(check bool) "unfiltered diff is never vacuous" false
+    (Bench_compare.vacuous (diff d no_domains))
+
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -132,5 +156,7 @@ let suite =
     Alcotest.test_case "threshold boundary" `Quick test_threshold_boundary;
     Alcotest.test_case "disjoint keys never compared" `Quick
       test_disjoint_keys_ignored;
+    Alcotest.test_case "filter comparing nothing fails" `Quick
+      test_vacuous_filter;
     Alcotest.test_case "summary line" `Quick test_summary_renders;
   ]
