@@ -579,10 +579,10 @@ let write_json path doc =
    traversed with a heap for the scenario); the [compiled] variant reuses
    a [Replay.compile]d simulator, runs the crash-time kernel on its
    scratch arena and builds the outcome record, which is what one
-   [Replay.eval] costs; the [batched] variant runs the same kernel once
-   per scenario of an [eval_batch] block.  The [compile] row prices
-   building that simulator, which a campaign pays once per schedule it
-   replays. *)
+   [Replay.eval] costs; the [batched] variant runs the same kernel over
+   an [eval_batch] block, one arena lane per scenario.  The [compile] row
+   prices building that simulator, which a campaign pays once per
+   schedule it replays. *)
 let replay_case m =
   let rng = Rng.create (2000 + m) in
   let dag = Random_dag.generate_default rng in
@@ -828,9 +828,9 @@ let replay_bench ~quick ~profile_json =
         event graph\n\
        \ per scenario, the compiled path runs the crash-time kernel and \
         builds the outcome, and\n\
-       \ the batched path runs the same kernel once per scenario of a \
-        %d-scenario [eval_batch] block)"
-       Monte_carlo.batch_block);
+       \ the batched path runs the same kernel over a %d-scenario \
+        [eval_batch] block, %d scenarios per walk)"
+       Monte_carlo.batch_block Replay.batch_lanes);
   print_newline ();
   (* domain scaling of a whole Monte-Carlo campaign on the largest case *)
   let m = List.nth replay_ms 2 in

@@ -383,6 +383,17 @@ let book t task p ~preds modes =
     ~colocate_exclusive:(colocate_exclusive_ok t ~preds modes p)
     ~proc:p ~exec:(exec t task p)
 
+(* A floating-point lower bound on the one-port receive chain of [legs]
+   legs whose durations sum to [sum] from [recv_free].  [recv_free +.
+   sum] rounds [legs] times, each time by a relative error of at most
+   u = 2^-53, and so does the chain, in whatever order it books the legs:
+   all terms are non-negative, so the sum is at most (1+u)^legs and the
+   chain at least (1-u)^legs times the exact value.  Scaling by
+   1 - 2(legs+1)u, itself exact, covers both and the rounding of the
+   product (DESIGN.md, "Candidate pruning"). *)
+let ser_term ~recv_free ~legs sum =
+  (recv_free +. sum) *. (1. -. (float_of_int (legs + 1) *. epsilon_float))
+
 (* Admissible lower bound on the finish time the probe of
    candidate [p] could achieve under the plan [modes].  Every term is a
    lower bound on the corresponding term of the real booking (see
@@ -404,22 +415,23 @@ let book t task p ~preds modes =
 
        b_finish >= recv_free p + sum_i w_min_i + exec
 
-     is a true lower bound of the booking (arrival chaining in
-     [Netstate.commit]); it is what prunes far-away candidates of
-     the wide fan-in gathers without a probe.  The chain anchored at
-     [recv_free] only exists if at least one predecessor actually crosses
-     the port, and only under the one-port model — multiport splits the
-     chain over k slots and macro-dataflow has no receive port at all.
+     in real arithmetic (arrival chaining in [Netstate.commit]); it is
+     what prunes far-away candidates of the wide fan-in gathers without a
+     probe.  {!ser_term} turns the sum into a floating-point lower bound
+     of the chain.  The chain anchored at [recv_free] only exists if at
+     least one predecessor actually crosses the port, and only under the
+     one-port model — multiport splits the chain over k slots and
+     macro-dataflow has no receive port at all.
 
-   The bound uses the same float operations as the booking (max, +.),
-   which are monotone, so [finish_lower_bound <= booked.b_finish] holds
-   exactly, not just approximately — pruning on it can never skip a
+   The other terms use the same float operations as the booking (max,
+   +.), which are monotone, so [finish_lower_bound <= booked.b_finish]
+   holds in the actual arithmetic — pruning on it can never skip a
    candidate that would have beaten the incumbent, and the argmin (ties
    kept on the incumbent) is byte-identical to exhaustive evaluation. *)
 let finish_lower_bound t p ~preds ~e modes =
   let data_lb = ref 0. in
   let ser_sum = ref 0. in
-  let any_remote = ref false in
+  let legs = ref 0 in
   for slot = 0 to Array.length preds - 1 do
     let pred, volume = preds.(slot) in
     let lb =
@@ -430,7 +442,7 @@ let finish_lower_bound t p ~preds ~e modes =
             (* the chosen head is that predecessor's only source *)
             let w = cached_w t ~slot r in
             if w >= 0. then begin
-              any_remote := true;
+              incr legs;
               ser_sum := !ser_sum +. w
             end
           end;
@@ -451,7 +463,7 @@ let finish_lower_bound t p ~preds ~e modes =
           if t.one_port && not !local then begin
             (* a co-located replica may feed the input through the local
                supply without ever crossing the port *)
-            any_remote := true;
+            incr legs;
             ser_sum := !ser_sum +. !w_min
           end;
           !best
@@ -459,8 +471,9 @@ let finish_lower_bound t p ~preds ~e modes =
     data_lb := Float.max !data_lb lb
   done;
   let data_lb =
-    if !any_remote then
-      Float.max !data_lb (Netstate.recv_free t.net p +. !ser_sum)
+    if !legs > 0 then
+      Float.max !data_lb
+        (ser_term ~recv_free:(Netstate.recv_free t.net p) ~legs:!legs !ser_sum)
     else !data_lb
   in
   let ready_lb =
@@ -487,7 +500,7 @@ let weak_prune t p ~preds ~e ~bound =
   let lb = ref (ready_lb t p) in
   let rf0 = if t.one_port then Netstate.recv_free t.net p else 0. in
   let ser_sum = ref 0. in
-  let any_remote = ref false in
+  let legs = ref 0 in
   let np = Array.length preds in
   let slot = ref 0 in
   let dead = ref false in
@@ -506,10 +519,12 @@ let weak_prune t p ~preds ~e ~bound =
     done;
     lb := Float.max !lb !best;
     if t.one_port && not !local then begin
-      any_remote := true;
+      incr legs;
       ser_sum := !ser_sum +. !w_min
     end;
-    let ser = if !any_remote then rf0 +. !ser_sum else 0. in
+    let ser =
+      if !legs > 0 then ser_term ~recv_free:rf0 ~legs:!legs !ser_sum else 0.
+    in
     if Float.max !lb ser +. e >= bound then dead := true;
     incr slot
   done;

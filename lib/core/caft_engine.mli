@@ -59,6 +59,16 @@ val support : t -> Dag.task -> int -> Bitset.t
     white-box tests of the disjointness invariant; a fresh copy is
     returned.  Raises [Invalid_argument] on an unplaced replica. *)
 
+val ser_term : recv_free:float -> legs:int -> float -> float
+(** [ser_term ~recv_free ~legs sum] is the one-port receive-serialization
+    term of the candidate pruning bounds: a floating-point lower bound on
+    the arrival of the last of [legs] messages, of non-negative durations
+    whose floating-point sum is [sum], chained on a receive port free at
+    [recv_free] ([w +. max prev leg_start] per leg, as in {!Netstate}), in
+    whatever order the legs are booked.  [recv_free +. sum] itself is not
+    one: float addition is not associative, and the sum can land an ulp
+    above every chain.  Exposed for the white-box test that pins this. *)
+
 val to_schedule : algorithm:string -> t -> Schedule.t
 (** Freeze the engine's placements into a schedule (all tasks must have
     been scheduled). *)

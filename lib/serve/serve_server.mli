@@ -21,7 +21,7 @@
     + {!step}: dequeue one request.  If its deadline expired while
       queued, reply [deadline_exceeded] without evaluating; otherwise
       evaluate under a {!Cancel} token carrying the absolute deadline —
-      the replay/Monte-Carlo loops poll it per scenario, so a
+      the replay/Monte-Carlo loops poll it per chunk of scenarios, so a
       mid-evaluation expiry also yields [deadline_exceeded].  Successful
       results are journaled into the cache before the reply is built.
 

@@ -70,8 +70,9 @@ val check :
     mode is sequential — its RNG draw order must not depend on the
     domain count.
 
-    [cancel] (default [Cancel.never]) is polled once per crash set on
-    every enumeration or sampling path (inside {!Replay.eval_batch});
+    [cancel] (default [Cancel.never]) is polled once per chunk of
+    {!Replay.batch_lanes} crash sets on every enumeration or sampling
+    path (inside {!Replay.eval_batch});
     when it trips, [check] raises
     [Cancel.Cancelled] — the serve daemon's request-deadline hook.  A
     check that returns normally never depends on the token.

@@ -26,8 +26,9 @@ let g_throughput =
     "replay.scenarios_per_sec"
 
 (* Scenarios per [Replay.eval_batch] block.  The block size never changes
-   the results — the arena is reset per scenario and aggregation runs in
-   run order over flat arrays — only the work-stealing granularity. *)
+   the results — each scenario has its own arena lane and aggregation
+   runs in run order over flat arrays — only the work-stealing
+   granularity. *)
 let batch_block = 256
 
 let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?pool

@@ -81,8 +81,9 @@ val run :
     [Invalid_argument] when [< 1].  Sets the [replay.scenarios_per_sec]
     gauge.
 
-    [cancel] (default [Cancel.never]) is polled once per scenario inside
-    {!Replay.eval_batch}; when it trips — an expired serve-request
+    [cancel] (default [Cancel.never]) is polled once per chunk of
+    {!Replay.batch_lanes} scenarios inside {!Replay.eval_batch}; when it
+    trips — an expired serve-request
     deadline, a daemon shutdown — the campaign raises [Cancel.Cancelled]
     instead of finishing.  Every worker domain polls the same token, so
     a multi-domain campaign unwinds promptly.  A run that returns

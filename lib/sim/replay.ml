@@ -413,11 +413,60 @@ let reference ?fabric ?(dead_links = []) sched ~crash_time =
 (* Compiled simulator: everything crash-independent, built exactly once *)
 (* ==================================================================== *)
 
-(* Replica outcome states in the scratch arena. *)
+(* Replica outcome states in an outcome arena. *)
 let st_crashed = 0
 let st_ran = 1
 let st_starved = 2
 let st_lost = 3
+
+(* The scratch arena of up to [a_lanes] scenarios replayed together.  A
+   chunk of [nl <= a_lanes] scenarios keeps the value of cell [i] (a
+   replica, message, processor, port slot or physical link) for lane
+   [lane] at [i * nl + lane], in a prefix of each array, so a one-lane
+   chunk is laid out exactly like a single scenario.  Only an outcome
+   arena ([a_record], one lane) keeps the start, state and starving
+   predecessor of each replica, which [collect_outcome] and the window
+   engine read; a batch arena keeps only what the latency and degradation
+   columns need. *)
+type arena = {
+  a_lanes : int;
+  a_record : bool;
+  a_finish : float array;     (* replica finish, infinity if not Ran *)
+  a_start : float array;      (* replica start (valid when Ran/Lost) *)
+  a_state : int array;        (* st_crashed / st_ran / st_starved / st_lost *)
+  a_starved : int array;      (* starving predecessor (valid when Starved) *)
+  a_delivered : float array;  (* message arrival, infinity if dead *)
+  a_exec_free : float array;  (* per processor *)
+  a_busy : (float * float) list array;  (* per processor, insertion only *)
+  a_send_free : float array;  (* per processor and port slot *)
+  a_recv_free : float array;
+  a_phys_free : float array;  (* per physical link *)
+  a_crash : float array;      (* per processor: crash instant (batch arena) *)
+  a_dead : Bytes.t;           (* per message: rides a dead link *)
+  mutable a_dead_any : bool;  (* some cell of [a_dead] is set *)
+}
+
+let make_arena ~m ~nreplicas ~nmsgs ~port_slots ~phys ~insertion ~lanes
+    ~record =
+  let cells n = max 1 (n * lanes) in
+  let per_replica x = if record then Array.make (cells nreplicas) x else [||] in
+  {
+    a_lanes = lanes;
+    a_record = record;
+    a_finish = Array.make (cells nreplicas) infinity;
+    a_start = per_replica 0.;
+    a_state = per_replica st_crashed;
+    a_starved = per_replica 0;
+    a_delivered = Array.make (cells nmsgs) infinity;
+    a_exec_free = Array.make (m * lanes) 0.;
+    a_busy = (if insertion then Array.make (m * lanes) [] else [||]);
+    a_send_free = Array.make (m * port_slots * lanes) 0.;
+    a_recv_free = Array.make (m * port_slots * lanes) 0.;
+    a_phys_free = Array.make (cells phys) 0.;
+    a_crash = (if record then [||] else Array.make (m * lanes) infinity);
+    a_dead = Bytes.make (cells nmsgs) '\000';
+    a_dead_any = false;
+  }
 
 type compiled = {
   (* immutable description ------------------------------------------- *)
@@ -454,19 +503,9 @@ type compiled = {
   c_route : int array;
   c_fabric : Netstate.fabric;  (* for projecting plan outages onto links *)
   c_sinks : int array;  (* exit tasks, for degradation reports *)
-  (* scratch arena: reset in place at the start of every eval ---------- *)
-  s_finish : float array;     (* dynamic replica finish, infinity if not Ran *)
-  s_start : float array;      (* dynamic replica start (valid when Ran/Lost) *)
-  s_state : int array;        (* st_crashed / st_ran / st_starved / st_lost *)
-  s_starved : int array;      (* starving predecessor (valid when Starved) *)
-  s_delivered : float array;  (* dynamic message arrival, infinity if dead *)
-  s_exec_free : float array;
-  s_busy : (float * float) list array;  (* insertion schedules only *)
-  s_send_free : float array array;
-  s_recv_free : float array array;
-  s_phys_free : float array;
-  s_dead_mask : Bitset.t;     (* message rides a dead link this scenario *)
-  mutable s_mask_dirty : bool;
+  (* scratch arenas, reset in place at the start of every walk --------- *)
+  c_one : arena;  (* the one-lane outcome arena of eval and eval_plan *)
+  mutable c_batch : arena option;  (* eval_batch's, built on first use *)
 }
 
 let proc_count c = c.c_m
@@ -890,226 +929,284 @@ let compile ?fabric sched =
     c_route = route_dat;
     c_fabric = fabric;
     c_sinks = Array.of_list (Dag.exits dag);
-    s_finish = Array.make (max 1 nreplicas) infinity;
-    s_start = Array.make (max 1 nreplicas) 0.;
-    s_state = Array.make (max 1 nreplicas) st_crashed;
-    s_starved = Array.make (max 1 nreplicas) 0;
-    s_delivered = Array.make (max 1 nmsgs) infinity;
-    s_exec_free = Array.make m 0.;
-    s_busy = Array.make m [];
-    s_send_free = Array.init m (fun _ -> Array.make port_slots 0.);
-    s_recv_free = Array.init m (fun _ -> Array.make port_slots 0.);
-    s_phys_free = Array.make (max 1 fabric.Netstate.phys_count) 0.;
-    s_dead_mask = Bitset.create (max 1 nmsgs);
-    s_mask_dirty = false;
+    c_one =
+      make_arena ~m ~nreplicas ~nmsgs ~port_slots ~phys ~insertion ~lanes:1
+        ~record:true;
+    c_batch = None;
   }
 
 (* ==================================================================== *)
 (* Scratch arena: reset and resource helpers, shared by both walks.     *)
 (* ==================================================================== *)
 
-(* Reset the arena for one scenario and mark the messages that ride a
-   dead link. *)
-let reset c ~dead_links =
-  Array.fill c.s_finish 0 (Array.length c.s_finish) infinity;
-  Array.fill c.s_state 0 (Array.length c.s_state) st_crashed;
-  Array.fill c.s_delivered 0 (Array.length c.s_delivered) infinity;
-  Array.fill c.s_exec_free 0 c.c_m 0.;
-  if c.c_insertion then Array.fill c.s_busy 0 c.c_m [];
+(* Reset the first [nl] lanes of [a] for a new chunk. *)
+let reset c a nl =
+  Array.fill a.a_finish 0 (c.c_nreplicas * nl) infinity;
+  if a.a_record then Array.fill a.a_state 0 c.c_nreplicas st_crashed;
+  Array.fill a.a_delivered 0 (c.c_nmsgs * nl) infinity;
+  Array.fill a.a_exec_free 0 (c.c_m * nl) 0.;
+  if c.c_insertion then Array.fill a.a_busy 0 (c.c_m * nl) [];
   if c.c_contended then begin
-    for p = 0 to c.c_m - 1 do
-      Array.fill c.s_send_free.(p) 0 c.c_port_slots 0.;
-      Array.fill c.s_recv_free.(p) 0 c.c_port_slots 0.
-    done;
-    Array.fill c.s_phys_free 0 (Array.length c.s_phys_free) 0.
+    let ports = c.c_m * c.c_port_slots * nl in
+    Array.fill a.a_send_free 0 ports 0.;
+    Array.fill a.a_recv_free 0 ports 0.;
+    Array.fill a.a_phys_free 0 (c.c_fabric.Netstate.phys_count * nl) 0.
   end;
-  if c.s_mask_dirty then begin
-    Bitset.clear c.s_dead_mask;
-    c.s_mask_dirty <- false
-  end;
-  match dead_links with
+  if a.a_dead_any then begin
+    Bytes.fill a.a_dead 0 (Bytes.length a.a_dead) '\000';
+    a.a_dead_any <- false
+  end
+
+(* [Float.max] without its two [sign_bit] calls, which ocamlopt emits as
+   C calls: the larger operand, and [+0.] for a pair of zeros of mixed
+   sign.  Equal to [Float.max] on all non-nan operands, and the kernel
+   never forms a nan time. *)
+let[@inline] fmax (x : float) y =
+  if y > x then y else if y = x && x = 0. then x +. y else x
+
+(* Mark, in lane [lane] of a reset chunk of [nl], the messages whose
+   route is one of [dead_links]. *)
+let mark_dead_links c a nl lane = function
   | [] -> ()
   | dl ->
-      c.s_mask_dirty <- true;
+      a.a_dead_any <- true;
       for mi = 0 to c.c_nmsgs - 1 do
         if List.mem (c.c_msg_src.(mi), c.c_msg_dst.(mi)) dl then
-          Bitset.unsafe_add c.s_dead_mask mi
+          Bytes.unsafe_set a.a_dead ((mi * nl) + lane) '\001'
       done
 
-let dead_link c mi = c.s_mask_dirty && Bitset.unsafe_mem c.s_dead_mask mi
+let[@inline] dead_link a nl lane mi =
+  a.a_dead_any && Bytes.unsafe_get a.a_dead ((mi * nl) + lane) <> '\000'
 
-(* The first earliest-free slot of a port.  Slot times are never nan or
-   -0., so its time is the minimum [reference] folds with [Float.min]. *)
-let argmin_slot (slots : float array) =
-  let best = ref 0 in
-  for i = 1 to Array.length slots - 1 do
-    if Array.unsafe_get slots i < Array.unsafe_get slots !best then best := i
+(* The cell of the first earliest-free of the [slots] port slots whose
+   first cell is [base] (the others follow every [nl] cells).  Slot times
+   are never nan or -0., so its time is the minimum [reference] folds
+   with [Float.min]. *)
+let[@inline] argmin_slot (free : float array) base ~slots ~nl =
+  let best = ref base in
+  for i = 1 to slots - 1 do
+    let j = base + (i * nl) in
+    if Array.unsafe_get free j < Array.unsafe_get free !best then best := j
   done;
   !best
 
 (* Earliest start >= [ready] of a [dur]-long gap in a processor's sorted
    busy list (insertion schedules). *)
-let rec fit_gap ~ready ~dur prev_end = function
-  | [] -> Float.max prev_end ready
-  | (s, f) :: rest ->
-      let cand = Float.max prev_end ready in
-      if cand +. dur <= s +. 1e-9 then cand
-      else fit_gap ~ready ~dur (Float.max prev_end f) rest
+let[@inline] fit_gap ~ready ~dur busy =
+  let prev_end = ref 0. and rest = ref busy and fits = ref false in
+  while not !fits do
+    match !rest with
+    | (s, f) :: tl when fmax !prev_end ready +. dur > s +. 1e-9 ->
+        prev_end := fmax !prev_end f;
+        rest := tl
+    | _ -> fits := true
+  done;
+  fmax !prev_end ready
 
-let occupy c p start finish =
+let occupy a pl start finish =
   let rec insert = function
     | [] -> [ (start, finish) ]
     | ((s, _) as iv) :: rest when s < start -> iv :: insert rest
     | rest -> (start, finish) :: rest
   in
-  c.s_busy.(p) <- insert c.s_busy.(p)
+  a.a_busy.(pl) <- insert a.a_busy.(pl)
 
-(* Latest free time over the physical links of message [mi]'s route. *)
-let link_free c mi =
+(* Latest free time, in lane [lane], over the physical links of message
+   [mi]'s route. *)
+let[@inline] link_free c a nl lane mi =
+  let route = c.c_route and phys_free = a.a_phys_free in
   let acc = ref 0. in
   for k = c.c_route_off.(mi) to Array.unsafe_get c.c_route_off (mi + 1) - 1 do
-    let f = Array.unsafe_get c.s_phys_free (Array.unsafe_get c.c_route k) in
+    let f =
+      Array.unsafe_get phys_free ((Array.unsafe_get route k * nl) + lane)
+    in
     if f > !acc then acc := f
   done;
   !acc
 
-(* Book message [mi]'s leg on send slot [slot] of [send] and on every
-   link of its route. *)
-let book_leg c send slot mi leg_finish =
-  Array.unsafe_set send slot leg_finish;
+(* Book message [mi]'s leg, in lane [lane], on the send-slot cell [spos]
+   and on every link of its route. *)
+let[@inline] book_leg c a nl lane spos mi leg_finish =
+  Array.unsafe_set a.a_send_free spos leg_finish;
+  let route = c.c_route and phys_free = a.a_phys_free in
   for k = c.c_route_off.(mi) to Array.unsafe_get c.c_route_off (mi + 1) - 1 do
-    Array.unsafe_set c.s_phys_free (Array.unsafe_get c.c_route k) leg_finish
+    Array.unsafe_set phys_free
+      ((Array.unsafe_get route k * nl) + lane)
+      leg_finish
   done
 
-(* Scan replica [rn]'s supplies: for each predecessor the earliest
-   surviving supply.  Returns the latest of those (the data-ready time)
-   and leaves the first predecessor with no surviving supply in
-   [s_starved.(rn)], or -1 if there is none. *)
-let data_ready c rn =
-  let nreplicas = c.c_nreplicas in
-  let starved = ref (-1) in
+(* The earliest surviving supply, in lane [lane], of predecessor slot
+   [slot]: [infinity] if none survives. *)
+let[@inline] slot_ready c a nl lane slot =
+  let nreplicas = c.c_nreplicas and sup = c.c_sup in
+  let finish = a.a_finish and delivered = a.a_delivered in
+  let ready = ref infinity in
+  for k = Array.unsafe_get c.c_sup_off slot
+      to Array.unsafe_get c.c_sup_off (slot + 1) - 1 do
+    let node = Array.unsafe_get sup k in
+    let t =
+      if node < nreplicas then Array.unsafe_get finish ((node * nl) + lane)
+      else Array.unsafe_get delivered (((node - nreplicas) * nl) + lane)
+    in
+    if t < !ready then ready := t
+  done;
+  !ready
+
+(* Replica [rn]'s data-ready time in lane [lane]: the latest over its
+   predecessors of the earliest surviving supply.  [infinity] iff some
+   predecessor has no surviving supply (the replica is starved). *)
+let[@inline] data_ready c a nl lane rn =
   let data_ready = ref 0. in
   for slot = c.c_pred_off.(rn) to Array.unsafe_get c.c_pred_off (rn + 1) - 1 do
-    let ready = ref infinity in
-    for k = Array.unsafe_get c.c_sup_off slot
-        to Array.unsafe_get c.c_sup_off (slot + 1) - 1 do
-      let node = Array.unsafe_get c.c_sup k in
-      let t =
-        if node < nreplicas then Array.unsafe_get c.s_finish node
-        else Array.unsafe_get c.s_delivered (node - nreplicas)
-      in
-      if t < !ready then ready := t
-    done;
-    if !ready = infinity && !starved < 0 then
-      starved := Array.unsafe_get c.c_pred_task slot
-    else data_ready := Float.max !data_ready !ready
+    data_ready := fmax !data_ready (slot_ready c a nl lane slot)
   done;
-  Array.unsafe_set c.s_starved rn !starved;
   !data_ready
+
+(* The first predecessor of the starved replica [rn] with no surviving
+   supply in lane [lane].  Every supply precedes [rn] in [c_order], so
+   the arena already holds their final values. *)
+let starving_pred c a nl lane rn =
+  let slot = ref c.c_pred_off.(rn) in
+  while slot_ready c a nl lane !slot < infinity do
+    incr slot
+  done;
+  c.c_pred_task.(!slot)
 
 (* ==================================================================== *)
 (* The crash-time kernel                                                *)
 (* ==================================================================== *)
 
-(* Replay one crash-time scenario over the reset arena: one pass over
-   [c_order], writing each replica's finish, start, state and starving
-   predecessor and each message's delivery.  [crash_time.(p)] is the
-   instant processor [p] dies ([neg_infinity]: dead from the start); it
-   is read, never written or retained.  Unchecked reads index
-   compile-built arrays and are in range by construction. *)
-let walk c (crash_time : float array) =
+(* Replay a chunk of [nl] crash-time scenarios over the reset arena [a]:
+   one pass over [c_order], and at each node a loop over the lanes that
+   does, per lane, what one scenario's replay does, in the same order.
+   Per replica it writes the finish (and, in an outcome arena, the start,
+   state and starving predecessor); per message, the delivery.
+   [crash.(p * nl + lane)] is the instant processor [p] dies in lane
+   [lane] ([neg_infinity]: dead from the start); it is read, never
+   written or retained.  Unchecked reads index compile-built arrays and
+   arena cells of the chunk, in range by construction. *)
+let walk c a ~crash nl =
   let nreplicas = c.c_nreplicas in
   let order = c.c_order in
   let insertion = c.c_insertion in
   let contended = c.c_contended in
-  let exec_free = c.s_exec_free in
+  let slots = c.c_port_slots in
+  let record = a.a_record in
+  let finish = a.a_finish in
+  let exec_free = a.a_exec_free in
+  let send_free = a.a_send_free and recv_free = a.a_recv_free in
   for k = 0 to Array.length order - 1 do
     let n = Array.unsafe_get order k in
     if n < nreplicas then begin
       let rn = n in
-      let ready = data_ready c rn in
       let p = Array.unsafe_get c.c_r_proc rn in
-      let dies = Array.unsafe_get crash_time p in
-      if dies = neg_infinity then ()
-        (* dead from the start: stays st_crashed, starved or not *)
-      else if Array.unsafe_get c.s_starved rn >= 0 then
-        Array.unsafe_set c.s_state rn st_starved
-      else begin
-        let dur = Array.unsafe_get c.c_r_dur rn in
-        let start =
-          if insertion then fit_gap ~ready ~dur 0. c.s_busy.(p)
-          else Float.max (Array.unsafe_get exec_free p) ready
-        in
-        let finish = start +. dur in
-        if finish > dies then begin
-          (* the processor dies while (or before) this replica would run:
-             nothing later on it runs either; stays st_crashed *)
-          Array.unsafe_set exec_free p infinity;
-          if insertion then occupy c p dies infinity
-        end
+      let dur = Array.unsafe_get c.c_r_dur rn in
+      for lane = 0 to nl - 1 do
+        let pl = (p * nl) + lane in
+        let ri = (rn * nl) + lane in
+        let dies = Array.unsafe_get crash pl in
+        if dies = neg_infinity then ()
+          (* dead from the start: stays st_crashed, starved or not *)
         else begin
-          Array.unsafe_set exec_free p
-            (Float.max (Array.unsafe_get exec_free p) finish);
-          if insertion then occupy c p start finish;
-          Array.unsafe_set c.s_finish rn finish;
-          Array.unsafe_set c.s_start rn start;
-          Array.unsafe_set c.s_state rn st_ran
-        end
-      end
-    end
-    else begin
-      let mi = n - nreplicas in
-      let src_finish =
-        Array.unsafe_get c.s_finish (Array.unsafe_get c.c_msg_src_rn mi)
-      in
-      (* a source that never produced emits nothing: delivery stays
-         infinity *)
-      if src_finish <> infinity then begin
-        let src = Array.unsafe_get c.c_msg_src mi in
-        let dst = Array.unsafe_get c.c_msg_dst mi in
-        let w = Array.unsafe_get c.c_msg_dur mi in
-        let send = Array.unsafe_get c.s_send_free src in
-        let slot = argmin_slot send in
-        let leg_start =
-          if not contended then src_finish
-          else
-            Float.max (Array.unsafe_get send slot)
-              (Float.max src_finish (link_free c mi))
-        in
-        let leg_finish = leg_start +. w in
-        if dead_link c mi then begin
-          (* the route is down: the message is emitted (the sender cannot
-             know) and lost in transit *)
-          if contended then book_leg c send slot mi leg_finish
-        end
-        else if leg_finish > Array.unsafe_get crash_time src then
-          (* the sender died before the message fully left; its port
-             sends nothing further *)
-          Array.fill send 0 c.c_port_slots infinity
-        else begin
-          if contended then book_leg c send slot mi leg_finish;
-          let dies = Array.unsafe_get crash_time dst in
-          if dies = neg_infinity then ()
+          let ready = data_ready c a nl lane rn in
+          if ready = infinity then begin
+            if record then begin
+              Array.unsafe_set a.a_state ri st_starved;
+              Array.unsafe_set a.a_starved ri (starving_pred c a nl lane rn)
+            end
+          end
           else begin
-            let recv = Array.unsafe_get c.s_recv_free dst in
-            let rslot = argmin_slot recv in
-            let arrival =
-              if not contended then leg_finish
-              else w +. Float.max (Array.unsafe_get recv rslot) leg_start
+            let start =
+              if insertion then
+                fit_gap ~ready ~dur (Array.unsafe_get a.a_busy pl)
+              else fmax (Array.unsafe_get exec_free pl) ready
             in
-            if arrival > dies then ()
+            let fin = start +. dur in
+            if fin > dies then begin
+              (* the processor dies while (or before) this replica would
+                 run: nothing later on it runs either; stays st_crashed *)
+              Array.unsafe_set exec_free pl infinity;
+              if insertion then occupy a pl dies infinity
+            end
             else begin
-              if contended then Array.unsafe_set recv rslot arrival;
-              Array.unsafe_set c.s_delivered mi arrival
+              Array.unsafe_set exec_free pl
+                (fmax (Array.unsafe_get exec_free pl) fin);
+              if insertion then occupy a pl start fin;
+              Array.unsafe_set finish ri fin;
+              if record then begin
+                Array.unsafe_set a.a_start ri start;
+                Array.unsafe_set a.a_state ri st_ran
+              end
             end
           end
         end
-      end
+      done
+    end
+    else begin
+      let mi = n - nreplicas in
+      let src_rn = Array.unsafe_get c.c_msg_src_rn mi in
+      let src = Array.unsafe_get c.c_msg_src mi in
+      let dst = Array.unsafe_get c.c_msg_dst mi in
+      let w = Array.unsafe_get c.c_msg_dur mi in
+      for lane = 0 to nl - 1 do
+        let src_finish = Array.unsafe_get finish ((src_rn * nl) + lane) in
+        (* a source that never produced emits nothing: delivery stays
+           infinity *)
+        if src_finish <> infinity then begin
+          let sbase = (src * slots * nl) + lane in
+          let spos =
+            if contended then argmin_slot send_free sbase ~slots ~nl else 0
+          in
+          let leg_start =
+            if not contended then src_finish
+            else
+              fmax
+                (Array.unsafe_get send_free spos)
+                (fmax src_finish (link_free c a nl lane mi))
+          in
+          let leg_finish = leg_start +. w in
+          if dead_link a nl lane mi then begin
+            (* the route is down: the message is emitted (the sender
+               cannot know) and lost in transit *)
+            if contended then book_leg c a nl lane spos mi leg_finish
+          end
+          else if leg_finish > Array.unsafe_get crash ((src * nl) + lane)
+          then begin
+            (* the sender died before the message fully left; its port
+               sends nothing further *)
+            if contended then
+              for s = 0 to slots - 1 do
+                Array.unsafe_set send_free (sbase + (s * nl)) infinity
+              done
+          end
+          else begin
+            if contended then book_leg c a nl lane spos mi leg_finish;
+            let dies = Array.unsafe_get crash ((dst * nl) + lane) in
+            if dies = neg_infinity then ()
+            else begin
+              let rpos =
+                if contended then
+                  argmin_slot recv_free ((dst * slots * nl) + lane) ~slots ~nl
+                else 0
+              in
+              let arrival =
+                if not contended then leg_finish
+                else w +. fmax (Array.unsafe_get recv_free rpos) leg_start
+              in
+              if arrival > dies then ()
+              else begin
+                if contended then Array.unsafe_set recv_free rpos arrival;
+                Array.unsafe_set a.a_delivered ((mi * nl) + lane) arrival
+              end
+            end
+          end
+        end
+      done
     end
   done
 
 (* ==================================================================== *)
-(* Collectors: read the arena after a walk.                             *)
+(* Collectors: read one lane of the arena after a walk.                 *)
 (* ==================================================================== *)
 
 type degradation = {
@@ -1120,52 +1217,43 @@ type degradation = {
   d_frontier : float;
 }
 
+(* The earliest finish over task [task]'s replicas in lane [lane]. *)
+let[@inline] task_finish c a nl lane task =
+  let earliest = ref infinity in
+  for rn = task * c.c_eps1 to ((task + 1) * c.c_eps1) - 1 do
+    let f = Array.unsafe_get a.a_finish ((rn * nl) + lane) in
+    if f < !earliest then earliest := f
+  done;
+  !earliest
+
 (* The latest over tasks of the earliest replica finish; [nan] if some
    task finished no replica. *)
-let latency_of_scratch c =
+let[@inline] latency_of_lane c a nl lane =
   let latency = ref 0. in
   let failed = ref false in
-  let rn = ref 0 in
-  for _task = 0 to c.c_v - 1 do
-    let earliest = ref infinity in
-    for _idx = 0 to c.c_eps1 - 1 do
-      let f = Array.unsafe_get c.s_finish !rn in
-      if f < !earliest then earliest := f;
-      incr rn
-    done;
-    if !earliest = infinity then failed := true
-    else latency := Float.max !latency !earliest
+  for task = 0 to c.c_v - 1 do
+    let earliest = task_finish c a nl lane task in
+    if earliest = infinity then failed := true
+    else latency := fmax !latency earliest
   done;
   if !failed then nan else !latency
 
 (* The surviving frontier, without materializing per-replica outcomes:
    one pass over the tasks, then one over the (few) sinks. *)
-let degradation_of_scratch c =
+let degradation_of_lane c a nl lane =
   let tasks_done = ref 0 in
   let frontier = ref 0. in
-  let rn = ref 0 in
-  for _task = 0 to c.c_v - 1 do
-    let earliest = ref infinity in
-    for _idx = 0 to c.c_eps1 - 1 do
-      let f = Array.unsafe_get c.s_finish !rn in
-      if f < !earliest then earliest := f;
-      incr rn
-    done;
-    if !earliest < infinity then begin
+  for task = 0 to c.c_v - 1 do
+    let earliest = task_finish c a nl lane task in
+    if earliest < infinity then begin
       incr tasks_done;
-      if !earliest > !frontier then frontier := !earliest
+      if earliest > !frontier then frontier := earliest
     end
   done;
   let sinks_done = ref 0 in
-  for i = 0 to Array.length c.c_sinks - 1 do
-    let s = c.c_sinks.(i) in
-    let earliest = ref infinity in
-    for rn = s * c.c_eps1 to ((s + 1) * c.c_eps1) - 1 do
-      let f = c.s_finish.(rn) in
-      if f < !earliest then earliest := f
-    done;
-    if !earliest < infinity then incr sinks_done
-  done;
+  Array.iter
+    (fun s -> if task_finish c a nl lane s < infinity then incr sinks_done)
+    c.c_sinks;
   {
     d_tasks = !tasks_done;
     d_task_count = c.c_v;
@@ -1174,34 +1262,32 @@ let degradation_of_scratch c =
     d_frontier = !frontier;
   }
 
-(* The outcome record.  Only plans can leave a replica in [st_lost]. *)
+(* The outcome record, from the outcome arena.  Only plans can leave a
+   replica in [st_lost]. *)
 let collect_outcome c =
+  let a = c.c_one in
   let replica_result =
     Array.init c.c_v (fun task ->
         Array.init c.c_eps1 (fun idx ->
             let rn = (task * c.c_eps1) + idx in
-            if c.s_state.(rn) = st_ran then
-              Ran { start = c.s_start.(rn); finish = c.s_finish.(rn) }
-            else if c.s_state.(rn) = st_starved then Starved c.s_starved.(rn)
-            else if c.s_state.(rn) = st_lost then
+            if a.a_state.(rn) = st_ran then
+              Ran { start = a.a_start.(rn); finish = a.a_finish.(rn) }
+            else if a.a_state.(rn) = st_starved then Starved a.a_starved.(rn)
+            else if a.a_state.(rn) = st_lost then
               Lost
                 {
-                  start = c.s_start.(rn);
-                  finish = c.s_start.(rn) +. c.c_r_dur.(rn);
+                  start = a.a_start.(rn);
+                  finish = a.a_start.(rn) +. c.c_r_dur.(rn);
                 }
             else Crashed))
   in
+  (* a replica has a finite finish iff it is [Ran] *)
   let failed = ref [] in
   let latency = ref 0. in
   for task = 0 to c.c_v - 1 do
-    let earliest = ref infinity in
-    Array.iter
-      (function
-        | Ran { finish; _ } -> earliest := Float.min !earliest finish
-        | Crashed | Starved _ | Lost _ -> ())
-      replica_result.(task);
-    if !earliest = infinity then failed := task :: !failed
-    else latency := Float.max !latency !earliest
+    let earliest = task_finish c a 1 0 task in
+    if earliest = infinity then failed := task :: !failed
+    else latency := fmax !latency earliest
   done;
   let failed_tasks = List.rev !failed in
   {
@@ -1219,8 +1305,10 @@ let run_crash c ~crash_time ~dead_links =
   Obs_metrics.incr m_replays;
   if Array.length crash_time <> c.c_m then
     invalid_arg "Replay.eval: crash_time length <> processor count";
-  reset c ~dead_links;
-  walk c crash_time
+  let a = c.c_one in
+  reset c a 1;
+  mark_dead_links c a 1 0 dead_links;
+  walk c a ~crash:crash_time 1
 
 let eval ?(dead_links = []) c ~crash_time =
   Obs_prof.phase ~cat:"sim" "replay.eval" @@ fun () ->
@@ -1243,10 +1331,10 @@ let eval_crashed ?(dead_links = []) c ~crashed =
 let eval_timed ?(dead_links = []) c ~crashes =
   eval ~dead_links c ~crash_time:(crash_times_timed c.c_m crashes)
 
-(* [eval_batch] is the throughput path: the same kernel once per scenario
-   of a block over one arena, writing one result per scenario into
-   pre-sized result arrays — no per-scenario records, lists, or outcome
-   materialization. *)
+(* [eval_batch] is the throughput path: the kernel walks a chunk of up to
+   [batch_lanes] scenarios at once over one arena, and one result per
+   scenario lands in pre-sized result arrays — no per-scenario records,
+   lists, or outcome materialization. *)
 
 type batch = {
   br_count : int;
@@ -1268,6 +1356,28 @@ let g_throughput =
        whichever path ran)"
     "replay.scenarios_per_sec"
 
+(* Lanes per chunk, and the cap on a batch arena's node cells
+   ((replicas + messages) x lanes) that keeps very large schedules from
+   trading memory for lanes.  DESIGN.md "One crash-time kernel" has the
+   measurements behind both. *)
+let batch_lanes = 32
+let batch_cells = 1 lsl 20
+
+let batch_arena c =
+  match c.c_batch with
+  | Some a -> a
+  | None ->
+      let nodes = max 1 (c.c_nreplicas + c.c_nmsgs) in
+      let a =
+        make_arena ~m:c.c_m ~nreplicas:c.c_nreplicas ~nmsgs:c.c_nmsgs
+          ~port_slots:c.c_port_slots ~phys:c.c_fabric.Netstate.phys_count
+          ~insertion:c.c_insertion
+          ~lanes:(max 1 (min batch_lanes (batch_cells / nodes)))
+          ~record:false
+      in
+      c.c_batch <- Some a;
+      a
+
 let eval_batch ?(cancel = Cancel.never) ?(degradation = false) c
     (scenarios : Scenario.t array) =
   let count = Array.length scenarios in
@@ -1279,26 +1389,40 @@ let eval_batch ?(cancel = Cancel.never) ?(degradation = false) c
   let br_tasks = if degradation then Array.make count 0 else [||] in
   let br_sinks = if degradation then Array.make count 0 else [||] in
   let br_frontier = if degradation then Array.make count 0. else [||] in
-  for si = 0 to count - 1 do
-    (* cooperative cancellation poll, once per scenario: an expired
-       request deadline aborts between scenarios, never mid-arena *)
+  let m = c.c_m in
+  let first = ref 0 in
+  while !first < count do
+    (* cooperative cancellation poll, once per chunk: an expired request
+       deadline aborts between chunks, never mid-arena *)
     Cancel.check cancel;
-    let sc = scenarios.(si) in
-    let crash_time = sc.Scenario.sc_crash_time in
-    if Array.length crash_time <> c.c_m then
-      invalid_arg "Replay.eval_batch: crash_time length <> processor count";
-    reset c ~dead_links:sc.Scenario.sc_dead_links;
-    walk c crash_time;
-    if not degradation then br_latency.(si) <- latency_of_scratch c
-    else begin
-      (* the Monte-Carlo rule: the frontier if everything completed, nan
-         otherwise *)
-      let d = degradation_of_scratch c in
-      br_tasks.(si) <- d.d_tasks;
-      br_sinks.(si) <- d.d_sinks;
-      br_frontier.(si) <- d.d_frontier;
-      br_latency.(si) <- (if d.d_tasks = c.c_v then d.d_frontier else nan)
-    end
+    let a = batch_arena c in
+    let nl = min a.a_lanes (count - !first) in
+    reset c a nl;
+    for lane = 0 to nl - 1 do
+      let sc = scenarios.(!first + lane) in
+      let crash_time = sc.Scenario.sc_crash_time in
+      if Array.length crash_time <> m then
+        invalid_arg "Replay.eval_batch: crash_time length <> processor count";
+      for p = 0 to m - 1 do
+        Array.unsafe_set a.a_crash ((p * nl) + lane) crash_time.(p)
+      done;
+      mark_dead_links c a nl lane sc.Scenario.sc_dead_links
+    done;
+    walk c a ~crash:a.a_crash nl;
+    for lane = 0 to nl - 1 do
+      let si = !first + lane in
+      if not degradation then br_latency.(si) <- latency_of_lane c a nl lane
+      else begin
+        (* the Monte-Carlo rule: the frontier if everything completed, nan
+           otherwise *)
+        let d = degradation_of_lane c a nl lane in
+        br_tasks.(si) <- d.d_tasks;
+        br_sinks.(si) <- d.d_sinks;
+        br_frontier.(si) <- d.d_frontier;
+        br_latency.(si) <- (if d.d_tasks = c.c_v then d.d_frontier else nan)
+      end
+    done;
+    first := !first + nl
   done;
   let dt = Obs_clock.now () -. t_begin in
   if dt > 0. && count > 0 then
@@ -1396,32 +1520,37 @@ let rec defer_instant ws t =
    replica and message steps differ from the kernel's: a window delays
    work where a crash kills it. *)
 let walk_plan c ~down ~never_up ~msg_down ~lost =
+  let a = c.c_one in
+  let slots = c.c_port_slots in
   let process_replica rn =
     let p = c.c_r_proc.(rn) in
     let dur = c.c_r_dur.(rn) in
-    let ready = data_ready c rn in
+    let ready = data_ready c a 1 0 rn in
     if never_up.(p) then () (* stays st_crashed, like dead-from-start *)
-    else if c.s_starved.(rn) >= 0 then c.s_state.(rn) <- st_starved
+    else if ready = infinity then begin
+      a.a_state.(rn) <- st_starved;
+      a.a_starved.(rn) <- starving_pred c a 1 0 rn
+    end
     else begin
       let start =
-        if c.c_insertion then fit_gap ~ready ~dur 0. c.s_busy.(p)
-        else fit_windows down.(p) (Float.max c.s_exec_free.(p) ready) dur
+        if c.c_insertion then fit_gap ~ready ~dur a.a_busy.(p)
+        else fit_windows down.(p) (Float.max a.a_exec_free.(p) ready) dur
       in
       if start = infinity then
         (* blocked by a crash that never heals: nothing later on this
            processor runs either, matching [eval]'s mid-run kill rule *)
-        c.s_exec_free.(p) <- infinity (* stays st_crashed *)
+        a.a_exec_free.(p) <- infinity (* stays st_crashed *)
       else begin
         let finish = start +. dur in
-        c.s_exec_free.(p) <- Float.max c.s_exec_free.(p) finish;
-        if c.c_insertion then occupy c p start finish;
-        c.s_start.(rn) <- start;
-        if lost.(rn) then c.s_state.(rn) <- st_lost
-          (* ran, but the result is silently dropped: s_finish stays
+        a.a_exec_free.(p) <- Float.max a.a_exec_free.(p) finish;
+        if c.c_insertion then occupy a p start finish;
+        a.a_start.(rn) <- start;
+        if lost.(rn) then a.a_state.(rn) <- st_lost
+          (* ran, but the result is silently dropped: a_finish stays
              infinity so no consumer and no message sees it *)
         else begin
-          c.s_finish.(rn) <- finish;
-          c.s_state.(rn) <- st_ran
+          a.a_finish.(rn) <- finish;
+          a.a_state.(rn) <- st_ran
         end
       end
     end
@@ -1430,10 +1559,10 @@ let walk_plan c ~down ~never_up ~msg_down ~lost =
   let process_message mi =
     let src = c.c_msg_src.(mi) and dst = c.c_msg_dst.(mi) in
     let w = c.c_msg_dur.(mi) in
-    let src_finish = c.s_finish.(c.c_msg_src_rn.(mi)) in
+    let src_finish = a.a_finish.(c.c_msg_src_rn.(mi)) in
     (* a source that never produced emits nothing *)
     if src_finish <> infinity then begin
-      let dead = dead_link c mi in
+      let dead = dead_link a 1 0 mi in
       (* settle the leg to a fixpoint: it must clear both the sender's
          down windows (the port sends nothing while down) and, unless the
          route is permanently dead anyway, the link-outage windows *)
@@ -1447,11 +1576,13 @@ let walk_plan c ~down ~never_up ~msg_down ~lost =
         done;
         !t
       in
-      let send = c.s_send_free.(src) in
-      let slot = argmin_slot send in
+      let sbase = src * slots in
+      let spos = argmin_slot a.a_send_free sbase ~slots ~nl:1 in
       let base =
         if not c.c_contended then src_finish
-        else Float.max send.(slot) (Float.max src_finish (link_free c mi))
+        else
+          Float.max a.a_send_free.(spos)
+            (Float.max src_finish (link_free c a 1 0 mi))
       in
       let leg_start = settle base in
       if leg_start = infinity then begin
@@ -1460,25 +1591,24 @@ let walk_plan c ~down ~never_up ~msg_down ~lost =
            matching [eval]'s kill rule (an unhealed link outage, by
            contrast, strands only this message) *)
         if c.c_contended && fit_windows down.(src) base w = infinity then
-          Array.fill send 0 c.c_port_slots infinity
+          Array.fill a.a_send_free sbase slots infinity
       end
       else begin
         let leg_finish = leg_start +. w in
-        if c.c_contended then book_leg c send slot mi leg_finish;
+        if c.c_contended then book_leg c a 1 0 spos mi leg_finish;
         if dead || never_up.(dst) then ()
         else if not c.c_contended then
-          c.s_delivered.(mi) <- defer_instant down.(dst) leg_finish
+          a.a_delivered.(mi) <- defer_instant down.(dst) leg_finish
         else begin
-          let recv = c.s_recv_free.(dst) in
-          let rslot = argmin_slot recv in
-          let arrival0 = w +. Float.max recv.(rslot) leg_start in
+          let rpos = argmin_slot a.a_recv_free (dst * slots) ~slots ~nl:1 in
+          let arrival0 = w +. Float.max a.a_recv_free.(rpos) leg_start in
           (* the whole reception window must avoid the receiver's down
              time; a receiver down at arrival retries after recovery *)
           let rs = fit_windows down.(dst) (arrival0 -. w) w in
           if rs < infinity then begin
             let arrival = rs +. w in
-            recv.(rslot) <- arrival;
-            c.s_delivered.(mi) <- arrival
+            a.a_recv_free.(rpos) <- arrival;
+            a.a_delivered.(mi) <- arrival
           end
         end
       end
@@ -1562,10 +1692,12 @@ let run_plan_core ?(dead_links = []) c plan =
          done);
     Obs_prof.phase ~cat:"sim" "replay.eval_plan" @@ fun () ->
     Obs_metrics.incr m_replays;
-    reset c ~dead_links;
+    let a = c.c_one in
+    reset c a 1;
+    mark_dead_links c a 1 0 dead_links;
     (* seed the gap structure with the down windows so gap placement
        never lands inside one *)
-    if c.c_insertion then Array.blit down 0 c.s_busy 0 c.c_m;
+    if c.c_insertion then Array.blit down 0 a.a_busy 0 c.c_m;
     walk_plan c ~down ~never_up ~msg_down ~lost
   end
 
@@ -1585,7 +1717,7 @@ let sink_fraction d =
 
 let eval_plan_degraded ?dead_links c plan =
   run_plan_core ?dead_links c plan;
-  degradation_of_scratch c
+  degradation_of_lane c c.c_one 1 0
 
 (* -- one-shot wrappers, re-expressed as degenerate plans --------------- *)
 

@@ -63,12 +63,13 @@ type replica_outcome =
     edges, physical routes, supply index) does not depend on the crash
     scenario, only on the schedule and fabric.  {!compile} builds it
     exactly once, runs its topological sort once, and keeps the resulting
-    order together with a preallocated scratch arena.  Every crash-time
-    scenario — {!eval}, {!eval_crashed}, {!eval_timed}, each scenario of
-    an {!eval_batch} block and each crash-only plan — then runs the same
-    kernel: one pass over that order, with no graph construction, no
-    priority queue and near-zero allocation.  A [compiled] value owns its
-    scratch arena and is therefore {b not} safe to share across domains:
+    order together with a preallocated one-scenario scratch arena.  Every
+    crash-time scenario — {!eval}, {!eval_crashed}, {!eval_timed}, each
+    chunk of an {!eval_batch} block and each crash-only plan — then runs
+    the same kernel: one pass over that order, with no graph
+    construction, no priority queue and near-zero allocation.  A
+    [compiled] value owns its scratch arenas and is therefore {b not} safe
+    to share across domains:
     every call that replays a schedule compiles the engines it needs and
     drops them on return ({!Monte_carlo.run} and {!Fault_check.check}
     compile one per concurrent worker).  A compile costs a few scenario
@@ -136,13 +137,24 @@ val eval_timed :
 
     The campaign throughput path: evaluate a whole block of pre-drawn
     scenarios ({!Scenario.draw_block}) over one compiled engine, writing
-    results into flat struct-of-arrays result vectors.  Each scenario
-    resets the scratch arena in place and runs the kernel {!eval} runs,
-    so results are bit-identical to {!eval} scenario by scenario — pinned
-    against {!reference} by the 108-config differential suite.
+    results into flat struct-of-arrays result vectors.  The block runs in
+    chunks of up to {!batch_lanes} scenarios: the kernel {!eval} runs
+    walks the compiled order once per chunk, over a scratch arena that
+    keeps one lane per scenario of the chunk, and does for each lane what
+    it does for a single scenario, in the same order.  Results are
+    therefore bit-identical to {!eval} scenario by scenario — pinned
+    against {!reference} by the 108-config differential suite and by a
+    property over blocks on both sides of the chunk boundaries.  The
+    lane arena is built on the engine's first [eval_batch] call, so an
+    engine that only serves single evaluations never carries it.
 
     Sets the [replay.batch_size] gauge to the block length and
     [replay.scenarios_per_sec] to this block's evaluation rate. *)
+
+val batch_lanes : int
+(** Scenarios per chunk of {!eval_batch}.  A schedule whose
+    (replicas + messages) x [batch_lanes] exceeds 2{^20} cells gets
+    proportionally fewer lanes, down to one. *)
 
 type batch = {
   br_count : int;  (** scenarios evaluated *)
@@ -165,16 +177,17 @@ val eval_batch :
   Scenario.t array ->
   batch
 (** [eval_batch c scenarios] replays every scenario of the block on [c]'s
-    arena.  With [~degradation:true] (default [false]) it additionally
+    lane arena.  With [~degradation:true] (default [false]) it additionally
     fills the per-scenario degradation columns, and [br_latency] follows
     the Monte-Carlo rule: the frontier when every task completed, [nan]
     otherwise — the degradation summary of {!eval}'s outcome folded the
     way {!Monte_carlo.run} does.  Raises [Invalid_argument] if a scenario's
     crash-time array length differs from {!proc_count}.
 
-    [cancel] (default {!Cancel.never}) is polled once per scenario;
-    when it trips the batch raises [Cancel.Cancelled] between scenarios
-    — the serve daemon's request-deadline hook.  A batch that returns
+    [cancel] (default {!Cancel.never}) is polled once per chunk of
+    {!batch_lanes} scenarios; when it trips the batch raises
+    [Cancel.Cancelled] between chunks, never inside one — the serve
+    daemon's request-deadline hook.  A batch that returns
     normally is byte-identical whether or not a token was polled. *)
 
 (** {1 Fault plans}

@@ -116,6 +116,68 @@ let test_estimate_finish_is_optimistic () =
   in
   loop ()
 
+(* -- one-port serialization bound ---------------------------------------- *)
+
+(* Two legs of 2^-53 on a receive port free at 1.0: each arrival
+   [w +. max prev leg_start] rounds back to 1.0, so the data is ready at
+   1.0, but [1.0 +. (2^-53 +. 2^-53)] is one ulp above.  The pruning term
+   must stay at or below what [Netstate.probe] books. *)
+let test_ser_term_sub_ulp () =
+  let tiny = ldexp 1. (-53) in
+  let net =
+    Netstate.create ~model:Netstate.One_port (Platform.uniform ~m:4 ~delay:1.)
+  in
+  let source task proc volume =
+    {
+      Netstate.s_task = task;
+      s_replica = 0;
+      s_proc = proc;
+      s_finish = 0.;
+      s_volume = volume;
+    }
+  in
+  (* one unit message into processor 3 leaves its receive port free at 1 *)
+  ignore
+    (Netstate.book_replica net ~proc:3 ~exec:0.
+       ~inputs:[ (0, [ source 0 0 1. ]) ]);
+  let recv_free = Netstate.recv_free net 3 in
+  Helpers.check_bool "receive port free at 1" true (recv_free = 1.);
+  let srcs = Netstate.create_sources () in
+  Netstate.load_inputs srcs
+    [ (1, [ source 1 1 tiny ]); (2, [ source 2 2 tiny ]) ];
+  let start, _ =
+    Netstate.probe net srcs ~colocate_exclusive:true ~proc:3 ~exec:0.
+  in
+  Helpers.check_bool "both legs arrive at 1" true (start = 1.);
+  let sum = tiny +. tiny in
+  Helpers.check_bool "plain sum overshoots the chain" true
+    (recv_free +. sum > start);
+  Helpers.check_bool "ser_term <= probed arrival" true
+    (Caft_engine.ser_term ~recv_free ~legs:2 sum <= start)
+
+(* Random ports and legs in the ranges of the pruning workloads: the term
+   stays at or below the chain in booking order and in reverse order. *)
+let test_ser_term_random () =
+  let rng = Rng.create 53 in
+  let chain rf ws =
+    List.fold_left (fun prev w -> w +. Float.max prev 0.) rf ws
+  in
+  let overshoots = ref 0 in
+  for _ = 1 to 200_000 do
+    let rf = Rng.float rng 1000. in
+    let ws = List.init (2 + Rng.int rng 5) (fun _ -> Rng.float rng 50.) in
+    let sum = List.fold_left ( +. ) 0. ws in
+    let tight = Float.min (chain rf ws) (chain rf (List.rev ws)) in
+    if rf +. sum > tight then incr overshoots;
+    let bound =
+      Caft_engine.ser_term ~recv_free:rf ~legs:(List.length ws) sum
+    in
+    if bound > tight then
+      Alcotest.failf "ser_term %h > chain %h (recv_free %h)" bound tight rf
+  done;
+  (* the draws do exercise the rounding gap the margin covers *)
+  Helpers.check_bool "plain sum overshoots some chains" true (!overshoots > 0)
+
 let suite =
   [
     Alcotest.test_case "supports pairwise disjoint" `Quick
@@ -128,4 +190,8 @@ let suite =
       test_support_unplaced_rejected;
     Alcotest.test_case "estimate_finish is exact for the next task" `Quick
       test_estimate_finish_is_optimistic;
+    Alcotest.test_case "serialization term below sub-ulp chain" `Quick
+      test_ser_term_sub_ulp;
+    Alcotest.test_case "serialization term below random chains" `Quick
+      test_ser_term_random;
   ]

@@ -18,6 +18,9 @@
    - generated tie-heavy instances (integer costs, zero-volume edges)
      are accepted by both engines and replay identically through
      [eval], [eval_batch] and [reference];
+   - blocks on both sides of [eval_batch]'s chunk size, with crash
+     modes and dead links that differ between lanes of one chunk, give
+     per scenario what [eval] and [reference] give;
    - [compile] rejects a cyclic static order, and one compile of a
      paper-sized schedule and one [eval_batch] block stay within their
      allocation budgets. *)
@@ -464,6 +467,122 @@ let prop_tie_differential =
     ~name:"tie-heavy instances: eval and eval_batch = reference"
     (QCheck.make tie_case_gen ~print:print_tie_case) tie_case_agrees
 
+(* -- lane-boundary differential ----------------------------------------- *)
+
+(* [eval_batch] walks its block in chunks of [Replay.batch_lanes]
+   scenarios, one arena lane per scenario.  Blocks just below, at and
+   above the chunk size (and spanning several chunks) must give, per
+   scenario, exactly what one [eval] and [reference] give: the latency
+   column and the degradation columns, bit for bit.  Neighbouring lanes
+   of one chunk get different crash modes and different dead links. *)
+type lane_case = {
+  l_seed : int;
+  l_model : Netstate.model;
+  l_ring : bool;
+  l_insertion : bool;
+  l_epsilon : int;
+  l_block : int;
+}
+
+let lane_blocks =
+  let l = Replay.batch_lanes in
+  [ 1; l - 1; l; l + 1; (2 * l) + 3; 256 ]
+
+let lane_case_gen =
+  QCheck.Gen.(
+    map
+      (fun ((l_seed, l_block), (l_model, l_ring, l_insertion, l_epsilon)) ->
+        { l_seed; l_model; l_ring; l_insertion; l_epsilon; l_block })
+      (pair
+         (pair (int_range 0 1_000_000) (oneofl lane_blocks))
+         (quad
+            (oneofl
+               [
+                 Netstate.One_port;
+                 Netstate.Multiport 2;
+                 Netstate.Macro_dataflow;
+               ])
+            bool bool (int_range 1 2))))
+
+let print_lane_case c =
+  Printf.sprintf "seed=%d block=%d model=%s ring=%b insertion=%b eps=%d"
+    c.l_seed c.l_block
+    (match c.l_model with
+    | Netstate.One_port -> "one-port"
+    | Netstate.Multiport k -> Printf.sprintf "multiport-%d" k
+    | Netstate.Macro_dataflow -> "macro-dataflow")
+    c.l_ring c.l_insertion c.l_epsilon
+
+let lanes_agree c =
+  let rng = Rng.create c.l_seed in
+  let m = 5 in
+  let platform, fabric =
+    if c.l_ring then
+      let topo = Topology.ring m in
+      (Topology.platform topo, Some (Topology.fabric topo))
+    else (Helpers.uniform_platform m, None)
+  in
+  let dag =
+    Random_dag.generate rng
+      { Random_dag.default with Random_dag.tasks_min = 10; tasks_max = 10 }
+  in
+  let costs =
+    Costs.create dag platform (fun t p ->
+        20. +. (5. *. float_of_int ((t * 3 + p) mod 7)))
+  in
+  let sched =
+    Caft.run ~model:c.l_model ?fabric ~insertion:c.l_insertion ~seed:c.l_seed
+      ~epsilon:c.l_epsilon costs
+  in
+  let compiled = Replay.compile ?fabric sched in
+  let horizon = Schedule.makespan sched in
+  (* from-start or timed crashes, 0 .. epsilon + 1 of them (both sides
+     of the tolerance), and a third of the lanes with their own dead
+     links *)
+  let scenario _ =
+    let k = Rng.int rng (c.l_epsilon + 2) in
+    let procs = Rng.sample_without_replacement rng k m in
+    let timed = Rng.bool rng in
+    let crash_time = Array.make m infinity in
+    List.iter
+      (fun p ->
+        crash_time.(p) <-
+          (if timed then Rng.float rng horizon else neg_infinity))
+      procs;
+    let dead_links =
+      if Rng.int rng 3 = 0 then
+        List.init (1 + Rng.int rng 2) (fun _ -> (Rng.int rng m, Rng.int rng m))
+      else []
+    in
+    Scenario.of_crash_times ~dead_links crash_time
+  in
+  let block = Array.init c.l_block scenario in
+  let batch = Replay.eval_batch compiled block in
+  let dbatch = Replay.eval_batch ~degradation:true compiled block in
+  Array.for_all Fun.id
+    (Array.mapi
+       (fun i sc ->
+         let crash_time = sc.Scenario.sc_crash_time in
+         let dead_links = sc.Scenario.sc_dead_links in
+         let fresh = Replay.reference ?fabric ~dead_links sched ~crash_time in
+         let d = Oracle.degradation sched fresh in
+         outcome_equal fresh (Replay.eval ~dead_links compiled ~crash_time)
+         && float_eq batch.Replay.br_latency.(i) fresh.Replay.latency
+         && dbatch.Replay.br_tasks.(i) = d.Replay.d_tasks
+         && dbatch.Replay.br_sinks.(i) = d.Replay.d_sinks
+         && float_eq dbatch.Replay.br_frontier.(i) d.Replay.d_frontier
+         && float_eq dbatch.Replay.br_latency.(i)
+              (if d.Replay.d_tasks = d.Replay.d_task_count then
+                 d.Replay.d_frontier
+               else nan))
+       block)
+
+let prop_lane_boundaries =
+  QCheck.Test.make ~count:120
+    ~name:"eval_batch chunk boundaries: every lane = eval = reference"
+    (QCheck.make lane_case_gen ~print:print_lane_case)
+    lanes_agree
+
 (* -- acyclicity check ------------------------------------------------- *)
 
 (* t0 -> t1 with both replicas on processor 0, but t1 placed first: the
@@ -547,10 +666,10 @@ let test_compile_allocation () =
 
 (* Minor words one [eval_batch] block of 256 from-start scenarios
    allocates per scenario on a 50-task CAFT schedule, m = 20, epsilon = 3.
-   The kernel measures 1.7k, mostly boxed floats returned by the shared
-   supply-scan and link helpers.  A slot helper that boxes per step, such
-   as [Array.fold_left Float.min], takes it past 6k. *)
-let batch_words_bound = 2_500.
+   The lane kernel measures 1: the result columns, and nothing per
+   scenario.  A kernel helper that returns a boxed float allocates per
+   node and lane, which takes it far past the bound. *)
+let batch_words_bound = 100.
 
 let test_batch_allocation () =
   let costs =
@@ -591,6 +710,9 @@ let suite =
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 150_015 |])
       prop_tie_differential;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 190_032 |])
+      prop_lane_boundaries;
     Alcotest.test_case "tie reproducer accepted by both engines" `Quick
       test_tie_reproducer;
     Alcotest.test_case "compile rejects a cyclic static order" `Quick
