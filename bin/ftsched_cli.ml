@@ -624,18 +624,8 @@ let montecarlo_cmd =
             "Evaluate the replays over N domains (the report is identical \
              for any N).")
   in
-  let batch_block_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "batch-block" ] ~docv:"N"
-          ~doc:
-            "Scenarios per batched replay block (default 256).  Tunes the \
-             work-stealing granularity only; the report is identical for \
-             any N.")
-  in
   let run seed m tasks epsilon granularity algo model family runs crashes timed
-      domains batch_block obs =
+      domains obs =
     with_obs obs @@ fun () ->
     let _, costs = make_instance ~seed ~family ~tasks ~m ~granularity () in
     let sched = run_algo algo ~model ~seed ~epsilon costs in
@@ -650,8 +640,7 @@ let montecarlo_cmd =
       (if timed then "timed" else "from-start")
       (Schedule.latency_zero_crash sched);
     let report =
-      Monte_carlo.run ~seed:(seed + 1) ~runs ?domains ?batch_block ~crashes
-        ~mode sched
+      Monte_carlo.run ~seed:(seed + 1) ~runs ?domains ~crashes ~mode sched
     in
     Format.printf "%a@." Monte_carlo.pp report;
     0
@@ -659,8 +648,7 @@ let montecarlo_cmd =
   let term =
     Term.(
       const run $ seed_t $ m_t $ tasks_t $ epsilon_t $ granularity_t $ algo_t
-      $ model_t $ family_t $ runs_t $ crashes_t $ timed_t $ domains_t
-      $ batch_block_t $ obs_t)
+      $ model_t $ family_t $ runs_t $ crashes_t $ timed_t $ domains_t $ obs_t)
   in
   Cmd.v
     (Cmd.info "montecarlo" ~doc:"Monte-Carlo fault injection on one schedule")

@@ -7,7 +7,7 @@ type t = {
   a_findings : Lint.finding list;
 }
 
-let analyze ?epsilon ?domains ?fabric ?rules sched =
+let analyze ?epsilon ?domains ?fabric sched =
   let epsilon =
     match epsilon with Some e -> e | None -> Schedule.epsilon sched
   in
@@ -25,7 +25,7 @@ let analyze ?epsilon ?domains ?fabric ?rules sched =
     a_resilience = resilience;
     a_certificate = certificate;
     a_mapping = Mapping.verify sched;
-    a_findings = Lint.run ?fabric ?rules sched;
+    a_findings = Lint.run ?fabric sched;
   }
 
 let ok t =
@@ -41,15 +41,16 @@ let model_to_string = function
   | Netstate.Macro_dataflow -> "macro-dataflow"
   | Netstate.Multiport k -> Printf.sprintf "multiport-%d" k
 
-let location_to_json (l : Lint.location) =
+let location_to_json (l : Validate.location) =
   let open Json in
   Obj
     [
-      ("task", match l.Lint.l_task with Some t -> Int t | None -> Null);
-      ("replica", match l.Lint.l_replica with Some i -> Int i | None -> Null);
-      ("proc", match l.Lint.l_proc with Some p -> Int p | None -> Null);
+      ("task", match l.Validate.l_task with Some t -> Int t | None -> Null);
+      ( "replica",
+        match l.Validate.l_replica with Some i -> Int i | None -> Null );
+      ("proc", match l.Validate.l_proc with Some p -> Int p | None -> Null);
       ( "span",
-        match l.Lint.l_span with
+        match l.Validate.l_span with
         | Some (s, f) -> List [ Float s; Float f ]
         | None -> Null );
     ]

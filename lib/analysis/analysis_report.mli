@@ -7,7 +7,8 @@
       minimal counterexample crash set);
     + {!Mapping.verify} — Proposition 5.1 join classification and message
       bounds;
-    + {!Lint.run} — the rule registry.
+    + {!Lint.run} — {!Validate.run}'s violations as error findings, plus
+      the advisory rules.
 
     The JSON rendering is a single self-contained document (certificate
     included) whose [findings] array mirrors SARIF's result shape: rule
@@ -28,12 +29,10 @@ val analyze :
   ?epsilon:int ->
   ?domains:int ->
   ?fabric:Netstate.fabric ->
-  ?rules:Lint.rule list ->
   Schedule.t ->
   t
 (** Run all three analyses.  [epsilon] defaults to the schedule's
-    replication degree; [fabric] to the clique; [rules] to the full lint
-    registry. *)
+    replication degree; [fabric] to the clique. *)
 
 val ok : t -> bool
 (** The schedule is certified resistant (when the certificate could be

@@ -1,26 +1,10 @@
 type severity = Error | Warning | Info
 
-type location = {
-  l_task : Dag.task option;
-  l_replica : int option;
-  l_proc : Platform.proc option;
-  l_span : (float * float) option;
-}
-
-let no_loc = { l_task = None; l_replica = None; l_proc = None; l_span = None }
-
 type finding = {
   f_rule : string;
   f_severity : severity;
-  f_loc : location;
+  f_loc : Validate.location;
   f_msg : string;
-}
-
-type rule = {
-  rule_id : string;
-  rule_severity : severity;
-  rule_doc : string;
-  rule_check : fabric:Netstate.fabric -> Schedule.t -> finding list;
 }
 
 let severity_to_string = function
@@ -28,439 +12,108 @@ let severity_to_string = function
   | Warning -> "warning"
   | Info -> "info"
 
-let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
+(* -- advisory rules ---------------------------------------------------- *)
 
-(* -- shared helpers ---------------------------------------------------- *)
+let duplicate_supply sched =
+  let sg = Supply_graph.build sched in
+  let dag = Schedule.dag sched in
+  List.concat_map
+    (fun (r : Schedule.replica) ->
+      List.concat_map
+        (fun pred ->
+          let sups =
+            Supply_graph.suppliers sg ~task:r.Schedule.r_task
+              ~replica:r.Schedule.r_index ~pred
+            |> List.map (fun s -> s.Supply_graph.sp_replica)
+          in
+          let dup =
+            List.filter
+              (fun j ->
+                List.length (List.filter (Int.equal j) sups) > 1)
+              (List.sort_uniq compare sups)
+          in
+          List.map
+            (fun j ->
+              {
+                f_rule = "redundancy/duplicate-supply";
+                f_severity = Warning;
+                f_loc = Validate.replica_loc r;
+                f_msg =
+                  Printf.sprintf
+                    "task %d replica %d books replica %d of predecessor %d \
+                     more than once"
+                    r.Schedule.r_task r.Schedule.r_index j pred;
+              })
+            dup)
+        (Dag.pred_tasks dag r.Schedule.r_task))
+    (Schedule.all_replicas sched)
 
-let describe_message (m : Netstate.message) =
-  Printf.sprintf "msg t%d[%d] P%d->P%d" m.Netstate.m_source.Netstate.s_task
-    m.Netstate.m_source.Netstate.s_replica m.Netstate.m_source.Netstate.s_proc
-    m.Netstate.m_dst_proc
+let granularity sched =
+  let g = Granularity.compute (Schedule.costs sched) in
+  if Float.is_finite g && g < 0.1 then
+    [
+      {
+        f_rule = "smell/granularity";
+        f_severity = Warning;
+        f_loc = Validate.no_loc;
+        f_msg =
+          Printf.sprintf
+            "fine-grain instance (granularity %.3f < 0.1): communication \
+             dominates computation, replication overhead will be high"
+            g;
+      };
+    ]
+  else []
 
-let message_loc (m : Netstate.message) =
-  {
-    l_task = Some m.Netstate.m_source.Netstate.s_task;
-    l_replica = Some m.Netstate.m_source.Netstate.s_replica;
-    l_proc = Some m.Netstate.m_source.Netstate.s_proc;
-    l_span = Some (m.Netstate.m_leg_start, m.Netstate.m_leg_finish);
-  }
-
-let replica_loc (r : Schedule.replica) =
-  {
-    l_task = Some r.Schedule.r_task;
-    l_replica = Some r.Schedule.r_index;
-    l_proc = Some r.Schedule.r_proc;
-    l_span = Some (r.Schedule.r_start, r.Schedule.r_finish);
-  }
-
-let capacity_of = function
-  | Netstate.One_port -> Some 1
-  | Netstate.Multiport k -> Some (max 1 k)
-  | Netstate.Macro_dataflow -> None
-
-(* -- built-in rules ---------------------------------------------------- *)
-
-let port_rule id ~doc legs_of =
-  let check ~fabric:_ sched =
-    match capacity_of (Schedule.model sched) with
-    | None -> []
-    | Some capacity ->
-        let m = Platform.proc_count (Schedule.platform sched) in
-        let msgs = Schedule.messages sched in
-        List.concat_map
-          (fun p ->
-            let legs = legs_of p msgs in
-            Intervals.exceeding ~capacity ~bounds:snd legs
-            |> List.map (fun ((msg, _), s, f) ->
+let idle_gap sched =
+  let makespan = Schedule.makespan sched in
+  if makespan <= 0. then []
+  else
+    let threshold = 0.25 *. makespan in
+    let m = Platform.proc_count (Schedule.platform sched) in
+    List.concat_map
+      (fun p ->
+        Intervals.gaps
+          ~bounds:(fun (r : Schedule.replica) ->
+            (r.Schedule.r_start, r.Schedule.r_finish))
+          (Schedule.on_proc sched p)
+        |> List.filter_map (fun (s, f) ->
+               if f -. s > threshold then
+                 Some
                    {
-                     f_rule = id;
-                     f_severity = Error;
-                     f_loc = { (message_loc msg) with l_span = Some (s, f) };
+                     f_rule = "smell/idle-gap";
+                     f_severity = Info;
+                     f_loc =
+                       {
+                         Validate.no_loc with
+                         l_proc = Some p;
+                         l_span = Some (s, f);
+                       };
                      f_msg =
                        Printf.sprintf
-                         "%s exceeds port capacity %d on P%d over [%.6f, %.6f]"
-                         (describe_message msg) capacity p s f;
-                   }))
-          (List.init m Fun.id)
+                         "P%d idles for %.6f (%.0f%% of the makespan) \
+                          between [%.6f, %.6f]"
+                         p (f -. s)
+                         (100. *. (f -. s) /. makespan)
+                         s f;
+                   }
+               else None))
+      (List.init m Fun.id)
+
+let run ?fabric sched =
+  let errors =
+    Validate.run ?fabric sched
+    |> List.map (fun (v : Validate.violation) ->
+           {
+             f_rule = v.Validate.check;
+             f_severity = Error;
+             f_loc = v.Validate.loc;
+             f_msg = v.Validate.detail;
+           })
   in
-  { rule_id = id; rule_severity = Error; rule_doc = doc; rule_check = check }
-
-let send_rule =
-  port_rule "one-port/send"
-    ~doc:"messages leaving a processor exceed its send-port capacity"
-    (fun p msgs ->
-      List.filter_map
-        (fun (msg : Netstate.message) ->
-          if msg.Netstate.m_source.Netstate.s_proc = p then
-            Some (msg, (msg.Netstate.m_leg_start, msg.Netstate.m_leg_finish))
-          else None)
-        msgs)
-
-let recv_rule =
-  port_rule "one-port/recv"
-    ~doc:"messages entering a processor exceed its receive-port capacity"
-    (fun p msgs ->
-      List.filter_map
-        (fun (msg : Netstate.message) ->
-          if msg.Netstate.m_dst_proc = p then
-            Some
-              ( msg,
-                ( msg.Netstate.m_arrival -. msg.Netstate.m_duration,
-                  msg.Netstate.m_arrival ) )
-          else None)
-        msgs)
-
-let link_rule =
-  let check ~fabric sched =
-    match capacity_of (Schedule.model sched) with
-    | None -> []
-    | Some _ ->
-        let msgs = Schedule.messages sched in
-        let per_phys = Array.make fabric.Netstate.phys_count [] in
-        List.iter
-          (fun (msg : Netstate.message) ->
-            let src = msg.Netstate.m_source.Netstate.s_proc in
-            let dst = msg.Netstate.m_dst_proc in
-            List.iter
-              (fun l -> per_phys.(l) <- msg :: per_phys.(l))
-              (fabric.Netstate.route src dst))
-          msgs;
-        Array.to_list per_phys
-        |> List.concat_map (fun legs ->
-               Intervals.overlaps
-                 ~bounds:(fun (m : Netstate.message) ->
-                   (m.Netstate.m_leg_start, m.Netstate.m_leg_finish))
-                 legs
-               |> List.map (fun ov ->
-                      {
-                        f_rule = "one-port/link";
-                        f_severity = Error;
-                        f_loc = message_loc ov.Intervals.ov_starter;
-                        f_msg =
-                          Printf.sprintf
-                            "%s overlaps %s on a shared link (running until \
-                             %.6f, next starts %.6f)"
-                            (describe_message ov.Intervals.ov_running)
-                            (describe_message ov.Intervals.ov_starter)
-                            ov.Intervals.ov_running_until ov.Intervals.ov_starts;
-                      }))
-  in
-  {
-    rule_id = "one-port/link";
-    rule_severity = Error;
-    rule_doc = "two message legs overlap on one physical link";
-    rule_check = check;
-  }
-
-let causality_rule =
-  let check ~fabric:_ sched =
-    let findings = ref [] in
-    let add f = findings := f :: !findings in
-    List.iter
-      (fun (r : Schedule.replica) ->
-        let preds = Dag.pred_tasks (Schedule.dag sched) r.Schedule.r_task in
-        (* message-level causality *)
-        List.iter
-          (function
-            | Schedule.Local _ -> ()
-            | Schedule.Message m ->
-                let s = m.Netstate.m_source in
-                let src_replicas = Schedule.replicas sched s.Netstate.s_task in
-                (if
-                   s.Netstate.s_replica >= 0
-                   && s.Netstate.s_replica < Array.length src_replicas
-                 then
-                   let src = src_replicas.(s.Netstate.s_replica) in
-                   if
-                     not
-                       (Flt.leq ~tol:1e-6 src.Schedule.r_finish
-                          m.Netstate.m_leg_start)
-                   then
-                     add
-                       {
-                         f_rule = "causality/message";
-                         f_severity = Error;
-                         f_loc = message_loc m;
-                         f_msg =
-                           Printf.sprintf
-                             "%s departs at %.6f before its producer finishes \
-                              at %.6f"
-                             (describe_message m) m.Netstate.m_leg_start
-                             src.Schedule.r_finish;
-                       });
-                if
-                  not
-                    (Flt.leq ~tol:1e-6 m.Netstate.m_leg_finish
-                       m.Netstate.m_arrival)
-                then
-                  add
-                    {
-                      f_rule = "causality/message";
-                      f_severity = Error;
-                      f_loc = message_loc m;
-                      f_msg =
-                        Printf.sprintf
-                          "%s arrives at %.6f before its link leg completes at \
-                           %.6f"
-                          (describe_message m) m.Netstate.m_arrival
-                          m.Netstate.m_leg_finish;
-                    })
-          r.Schedule.r_inputs;
-        (* per-predecessor readiness *)
-        List.iter
-          (fun pred ->
-            let readies =
-              List.filter_map
-                (function
-                  | Schedule.Local { l_pred; l_finish; _ } when l_pred = pred ->
-                      Some l_finish
-                  | Schedule.Message m
-                    when m.Netstate.m_source.Netstate.s_task = pred ->
-                      Some m.Netstate.m_arrival
-                  | Schedule.Local _ | Schedule.Message _ -> None)
-                r.Schedule.r_inputs
-            in
-            match readies with
-            | [] -> ()
-            | _ ->
-                let earliest = Flt.min_list readies in
-                if not (Flt.leq ~tol:1e-6 earliest r.Schedule.r_start) then
-                  add
-                    {
-                      f_rule = "causality/message";
-                      f_severity = Error;
-                      f_loc = replica_loc r;
-                      f_msg =
-                        Printf.sprintf
-                          "task %d replica %d starts at %.6f before data from \
-                           %d is ready at %.6f"
-                          r.Schedule.r_task r.Schedule.r_index
-                          r.Schedule.r_start pred earliest;
-                    })
-          preds)
-      (Schedule.all_replicas sched);
-    List.rev !findings
-  in
-  {
-    rule_id = "causality/message";
-    rule_severity = Error;
-    rule_doc =
-      "a message departs before its producer finishes, arrives before its leg \
-       completes, or a replica starts before its data";
-    rule_check = check;
-  }
-
-let colocated_rule =
-  let check ~fabric:_ sched =
-    let dag = Schedule.dag sched in
-    Dag.fold_tasks
-      (fun task acc ->
-        let rs = Schedule.replicas sched task in
-        let acc = ref acc in
-        Array.iteri
-          (fun i ri ->
-            Array.iteri
-              (fun j rj ->
-                if j > i && ri.Schedule.r_proc = rj.Schedule.r_proc then
-                  acc :=
-                    {
-                      f_rule = "replication/colocated";
-                      f_severity = Error;
-                      f_loc = replica_loc rj;
-                      f_msg =
-                        Printf.sprintf
-                          "replicas %d and %d of task %d share processor P%d"
-                          i j task ri.Schedule.r_proc;
-                    }
-                    :: !acc)
-              rs)
-          rs;
-        !acc)
-      dag []
-    |> List.rev
-  in
-  {
-    rule_id = "replication/colocated";
-    rule_severity = Error;
-    rule_doc = "two replicas of one task placed on the same processor";
-    rule_check = check;
-  }
-
-let duplicate_supply_rule =
-  let check ~fabric:_ sched =
-    let sg = Supply_graph.build sched in
-    let dag = Schedule.dag sched in
-    List.concat_map
-      (fun (r : Schedule.replica) ->
-        List.concat_map
-          (fun pred ->
-            let sups =
-              Supply_graph.suppliers sg ~task:r.Schedule.r_task
-                ~replica:r.Schedule.r_index ~pred
-              |> List.map (fun s -> s.Supply_graph.sp_replica)
-            in
-            let dup =
-              List.filter
-                (fun j ->
-                  List.length (List.filter (Int.equal j) sups) > 1)
-                (List.sort_uniq compare sups)
-            in
-            List.map
-              (fun j ->
-                {
-                  f_rule = "redundancy/duplicate-supply";
-                  f_severity = Warning;
-                  f_loc = replica_loc r;
-                  f_msg =
-                    Printf.sprintf
-                      "task %d replica %d books replica %d of predecessor %d \
-                       more than once"
-                      r.Schedule.r_task r.Schedule.r_index j pred;
-                })
-              dup)
-          (Dag.pred_tasks dag r.Schedule.r_task))
-      (Schedule.all_replicas sched)
-  in
-  {
-    rule_id = "redundancy/duplicate-supply";
-    rule_severity = Warning;
-    rule_doc = "the same supplier replica booked twice for one input";
-    rule_check = check;
-  }
-
-let self_message_rule =
-  let check ~fabric:_ sched =
-    List.concat_map
-      (fun (r : Schedule.replica) ->
-        List.filter_map
-          (function
-            | Schedule.Local _ -> None
-            | Schedule.Message m ->
-                if m.Netstate.m_source.Netstate.s_proc = r.Schedule.r_proc then
-                  Some
-                    {
-                      f_rule = "redundancy/self-message";
-                      f_severity = Warning;
-                      f_loc = replica_loc r;
-                      f_msg =
-                        Printf.sprintf
-                          "%s sent to its own processor: a co-located hand-off \
-                           would be free"
-                          (describe_message m);
-                    }
-                else None)
-          r.Schedule.r_inputs)
-      (Schedule.all_replicas sched)
-  in
-  {
-    rule_id = "redundancy/self-message";
-    rule_severity = Warning;
-    rule_doc = "a message booked from the consumer's own processor";
-    rule_check = check;
-  }
-
-let granularity_rule =
-  let check ~fabric:_ sched =
-    let g = Granularity.compute (Schedule.costs sched) in
-    if Float.is_finite g && g < 0.1 then
-      [
-        {
-          f_rule = "smell/granularity";
-          f_severity = Warning;
-          f_loc = no_loc;
-          f_msg =
-            Printf.sprintf
-              "fine-grain instance (granularity %.3f < 0.1): communication \
-               dominates computation, replication overhead will be high"
-              g;
-        };
-      ]
-    else []
-  in
-  {
-    rule_id = "smell/granularity";
-    rule_severity = Warning;
-    rule_doc = "fine-grain instance: granularity below 0.1";
-    rule_check = check;
-  }
-
-let idle_gap_rule =
-  let check ~fabric:_ sched =
-    let makespan = Schedule.makespan sched in
-    if makespan <= 0. then []
-    else
-      let threshold = 0.25 *. makespan in
-      let m = Platform.proc_count (Schedule.platform sched) in
-      List.concat_map
-        (fun p ->
-          Intervals.gaps
-            ~bounds:(fun (r : Schedule.replica) ->
-              (r.Schedule.r_start, r.Schedule.r_finish))
-            (Schedule.on_proc sched p)
-          |> List.filter_map (fun (s, f) ->
-                 if f -. s > threshold then
-                   Some
-                     {
-                       f_rule = "smell/idle-gap";
-                       f_severity = Info;
-                       f_loc =
-                         {
-                           no_loc with
-                           l_proc = Some p;
-                           l_span = Some (s, f);
-                         };
-                       f_msg =
-                         Printf.sprintf
-                           "P%d idles for %.6f (%.0f%% of the makespan) \
-                            between [%.6f, %.6f]"
-                           p (f -. s)
-                           (100. *. (f -. s) /. makespan)
-                           s f;
-                     }
-                 else None))
-        (List.init m Fun.id)
-  in
-  {
-    rule_id = "smell/idle-gap";
-    rule_severity = Info;
-    rule_doc = "a processor idles more than 25% of the makespan";
-    rule_check = check;
-  }
-
-let builtins =
-  [
-    send_rule;
-    recv_rule;
-    link_rule;
-    causality_rule;
-    colocated_rule;
-    duplicate_supply_rule;
-    self_message_rule;
-    granularity_rule;
-    idle_gap_rule;
-  ]
-
-(* -- registry ---------------------------------------------------------- *)
-
-let registered : rule list ref = ref builtins
-
-let register rule =
-  registered :=
-    List.filter (fun r -> r.rule_id <> rule.rule_id) !registered @ [ rule ]
-
-let rules () = !registered
-
-let run ?fabric ?rules:selected sched =
-  let fabric =
-    match fabric with
-    | Some f -> f
-    | None ->
-        Netstate.clique_fabric (Platform.proc_count (Schedule.platform sched))
-  in
-  let selected = match selected with Some rs -> rs | None -> rules () in
-  List.concat_map (fun r -> r.rule_check ~fabric sched) selected
-  |> List.stable_sort
-       (fun a b -> compare (severity_rank a.f_severity) (severity_rank b.f_severity))
+  (* already in decreasing severity: errors, then the two warning rules,
+     then the info rule *)
+  errors @ duplicate_supply sched @ granularity sched @ idle_gap sched
 
 let errors findings =
   List.length (List.filter (fun f -> f.f_severity = Error) findings)
@@ -469,7 +122,7 @@ let pp_finding ppf f =
   let loc =
     List.filter_map Fun.id
       [
-        Option.map (Printf.sprintf "task %d") f.f_loc.l_task;
+        Option.map (Printf.sprintf "task %d") f.f_loc.Validate.l_task;
         Option.map (Printf.sprintf "replica %d") f.f_loc.l_replica;
         Option.map (Printf.sprintf "P%d") f.f_loc.l_proc;
         Option.map

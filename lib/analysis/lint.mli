@@ -1,68 +1,31 @@
-(** Schedule lint: a rule registry over static schedules.
+(** Schedule lint: the validator's violations plus advisory rules, as one
+    findings stream.
 
-    Where [Ftsched_sched.Validate] is the strict checker (a non-empty
-    result means the schedule is wrong), lint is the advisory layer: each
-    {e rule} inspects a schedule and reports {e findings} with a rule id,
-    a severity and a location, suitable for text or SARIF-like JSON
-    reporting.  The error-level built-ins (one-port conformance,
-    causality, replica co-location) overlap with the validator by design —
-    they share the {!Intervals} sweep primitives — so that [ftsched
-    analyze] produces a single uniform findings stream; warning- and
-    info-level rules (redundant supplies, idle gaps, granularity) flag
-    smells a valid schedule can still exhibit. *)
+    Lint has no validity check of its own.  Its error-level findings are
+    exactly {!Validate.run}'s violations, one per violation and in the
+    validator's order, with the violation's [check] as the rule id and its
+    [detail] as the message.  The advisory rules then flag smells a valid
+    schedule can still exhibit:
+
+    - ["redundancy/duplicate-supply"] (warning) — the same supplier
+      replica booked twice for one input;
+    - ["smell/granularity"] (warning) — fine-grain instance, [g < 0.1]:
+      communication dominates computation;
+    - ["smell/idle-gap"] (info) — a processor idling more than a quarter
+      of the makespan between two consecutive replicas. *)
 
 type severity = Error | Warning | Info
 
-type location = {
-  l_task : Dag.task option;
-  l_replica : int option;
-  l_proc : Platform.proc option;
-  l_span : (float * float) option;  (** time window the finding refers to *)
-}
-
-val no_loc : location
-
 type finding = {
-  f_rule : string;
+  f_rule : string;  (** a {!Validate.violation} check, or an advisory rule id *)
   f_severity : severity;
-  f_loc : location;
+  f_loc : Validate.location;
   f_msg : string;
 }
 
-type rule = {
-  rule_id : string;  (** e.g. ["one-port/send"]; unique in the registry *)
-  rule_severity : severity;
-  rule_doc : string;  (** one-line description for [--list-rules] *)
-  rule_check : fabric:Netstate.fabric -> Schedule.t -> finding list;
-}
-
-val builtins : rule list
-(** The built-in rules, in reporting order:
-    ["one-port/send"], ["one-port/recv"], ["one-port/link"] (errors —
-    port and link occupancy under the schedule's communication model),
-    ["causality/message"] (error — a message leg departing before its
-    producer finishes, arriving before the leg completes, or a replica
-    starting before its data),
-    ["replication/colocated"] (error — two replicas of a task on one
-    processor),
-    ["redundancy/duplicate-supply"], ["redundancy/self-message"]
-    (warnings — the same supplier booked twice for one input; a message
-    from the consumer's own processor),
-    ["smell/granularity"] (warning — fine-grain instance, [g < 0.1]:
-    communication dominates computation),
-    ["smell/idle-gap"] (info — a processor idling more than a quarter of
-    the makespan between two consecutive replicas). *)
-
-val register : rule -> unit
-(** Add a rule to the registry, replacing any previous rule with the same
-    id (built-ins can be overridden). *)
-
-val rules : unit -> rule list
-(** Built-ins plus registered rules, registration order. *)
-
-val run : ?fabric:Netstate.fabric -> ?rules:rule list -> Schedule.t -> finding list
-(** Run the rules (default: the full registry) and return the findings
-    sorted by decreasing severity, registry order within one severity.
+val run : ?fabric:Netstate.fabric -> Schedule.t -> finding list
+(** The validator's violations (errors), then the advisory findings in the
+    order listed above, so the list is sorted by decreasing severity.
     [fabric] defaults to the clique, as in {!Validate.run}. *)
 
 val errors : finding list -> int

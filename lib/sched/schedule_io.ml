@@ -118,9 +118,11 @@ type parse_state = {
   mutable edges : (int * int * float) list;
   mutable delays : (int * int * float) list;
   mutable costs : (int * int * float) list;
-  (* replicas keyed by (task, idx); supplies accumulated in reverse *)
+  (* replicas keyed by (task, idx); supplies accumulated in reverse, each
+     with its line number so ids are range-checked once [tasks] and
+     [procs] are known *)
   replicas : (int * int, float * float * int) Hashtbl.t;
-  supplies : (int * int, Schedule.supply list) Hashtbl.t;
+  supplies : (int * int, (int * Schedule.supply) list) Hashtbl.t;
 }
 
 let of_string text =
@@ -150,6 +152,11 @@ let of_string text =
     match float_of_string_opt s with
     | Some f -> f
     | None -> fail line (Printf.sprintf "expected float, got %S" s)
+  in
+  let add_supply key lineno supply =
+    Hashtbl.replace st.supplies key
+      ((lineno, supply)
+      :: Option.value (Hashtbl.find_opt st.supplies key) ~default:[])
   in
   let saw_end = ref false in
   let lines = String.split_on_char '\n' text in
@@ -203,8 +210,7 @@ let of_string text =
                   l_finish = float_of lineno finish;
                 }
             in
-            Hashtbl.replace st.supplies key
-              (supply :: Option.value (Hashtbl.find_opt st.supplies key) ~default:[])
+            add_supply key lineno supply
         | [
          "message"; task; idx; pred; pidx; sproc; sfinish; volume; dst; dur;
          lstart; lfinish; arrival;
@@ -228,8 +234,7 @@ let of_string text =
                   m_arrival = float_of lineno arrival;
                 }
             in
-            Hashtbl.replace st.supplies key
-              (supply :: Option.value (Hashtbl.find_opt st.supplies key) ~default:[])
+            add_supply key lineno supply
         | [ "end" ] -> saw_end := true
         | w :: _ -> fail lineno ("unknown directive " ^ w)
         | [] -> ()
@@ -263,6 +268,24 @@ let of_string text =
       matrix.(t).(p) <- c)
     st.costs;
   let costs = Costs.of_matrix dag platform matrix in
+  let in_range line what id bound =
+    if id < 0 || id >= bound then
+      fail line (Printf.sprintf "%s %d out of range [0, %d)" what id bound)
+  in
+  let check_supply (line, supply) =
+    match supply with
+    | Schedule.Local { l_pred; _ } ->
+        in_range line "predecessor task" l_pred st.tasks
+    | Schedule.Message m ->
+        let s = m.Netstate.m_source in
+        in_range line "predecessor task" s.Netstate.s_task st.tasks;
+        in_range line "source processor" s.Netstate.s_proc st.procs;
+        in_range line "destination processor" m.Netstate.m_dst_proc st.procs
+  in
+  (* in line order, so the first offending line is the one reported *)
+  Hashtbl.fold (fun _ lines acc -> List.rev_append lines acc) st.supplies []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.iter check_supply;
   let replicas =
     Hashtbl.fold
       (fun (task, idx) (start, finish, proc) acc ->
@@ -273,7 +296,7 @@ let of_string text =
           r_start = start;
           r_finish = finish;
           r_inputs =
-            List.rev
+            List.rev_map snd
               (Option.value (Hashtbl.find_opt st.supplies (task, idx)) ~default:[]);
         }
         :: acc)

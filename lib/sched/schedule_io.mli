@@ -67,7 +67,10 @@ exception Parse_error of { line : int; message : string }
 
 val of_string : string -> Schedule.t
 (** Rebuilds the costs and the schedule.  Raises {!Parse_error} on
-    malformed input and [Invalid_argument] if the payload violates the
-    shape checks of {!Schedule.create} (e.g. duplicated replicas). *)
+    malformed input — including a supply line whose predecessor task is
+    outside [[0, tasks)] or whose source or destination processor is
+    outside [[0, procs)], reported at that line — and [Invalid_argument]
+    if the payload violates the shape checks of {!Schedule.create} (e.g.
+    duplicated replicas). *)
 
 val of_file : string -> Schedule.t

@@ -1,4 +1,13 @@
-type violation = { check : string; detail : string }
+type location = {
+  l_task : Dag.task option;
+  l_replica : int option;
+  l_proc : Platform.proc option;
+  l_span : (float * float) option;
+}
+
+let no_loc = { l_task = None; l_replica = None; l_proc = None; l_span = None }
+
+type violation = { check : string; detail : string; loc : location }
 
 let pp_violation ppf v = Format.fprintf ppf "[%s] %s" v.check v.detail
 
@@ -9,7 +18,10 @@ let pp_violation ppf v = Format.fprintf ppf "[%s] %s" v.check v.detail
 let bounds (s, f, _) = (s, f)
 let payload (_, _, p) = p
 
-let overlap_violations ~check ~describe intervals =
+(* [locate] names the payload; the span is the offending interval's *)
+let at ~locate (s, f, x) = { (locate x) with l_span = Some (s, f) }
+
+let overlap_violations ~check ~describe ~locate intervals =
   Intervals.overlaps ~bounds intervals
   |> List.rev_map (fun ov ->
          {
@@ -20,11 +32,12 @@ let overlap_violations ~check ~describe intervals =
                (describe (payload ov.Intervals.ov_running))
                (describe (payload ov.Intervals.ov_starter))
                ov.Intervals.ov_running_until ov.Intervals.ov_starts;
+           loc = at ~locate ov.Intervals.ov_starter;
          })
 
 (* at most [capacity] of the intervals may overlap at any instant *)
-let depth_violations ~capacity ~check ~describe intervals =
-  if capacity = 1 then overlap_violations ~check ~describe intervals
+let depth_violations ~capacity ~check ~describe ~locate intervals =
+  if capacity = 1 then overlap_violations ~check ~describe ~locate intervals
   else
     Intervals.exceeding ~capacity ~bounds intervals
     |> List.rev_map (fun (x, s, f) ->
@@ -33,6 +46,7 @@ let depth_violations ~capacity ~check ~describe intervals =
              detail =
                Printf.sprintf "%s exceeds port capacity %d ([%.6f,%.6f])"
                  (describe (payload x)) capacity s f;
+             loc = at ~locate x;
            })
 
 let describe_replica (r : Schedule.replica) =
@@ -43,6 +57,24 @@ let describe_message (m : Netstate.message) =
   Printf.sprintf "msg t%d[%d] P%d->P%d" m.Netstate.m_source.Netstate.s_task
     m.Netstate.m_source.Netstate.s_replica m.Netstate.m_source.Netstate.s_proc
     m.Netstate.m_dst_proc
+
+let replica_loc (r : Schedule.replica) =
+  {
+    l_task = Some r.Schedule.r_task;
+    l_replica = Some r.Schedule.r_index;
+    l_proc = Some r.Schedule.r_proc;
+    l_span = Some (r.Schedule.r_start, r.Schedule.r_finish);
+  }
+
+(* a message located at processor [proc]: its sender's port or link
+   ([s_proc]) or its receiver's port ([m_dst_proc]) *)
+let message_loc ~proc (m : Netstate.message) =
+  {
+    no_loc with
+    l_task = Some m.Netstate.m_source.Netstate.s_task;
+    l_replica = Some m.Netstate.m_source.Netstate.s_replica;
+    l_proc = Some proc;
+  }
 
 let run_impl ?fabric sched =
   let open Schedule in
@@ -55,7 +87,13 @@ let run_impl ?fabric sched =
   let dag = Schedule.dag sched in
   let costs = Schedule.costs sched in
   let violations = ref [] in
-  let add check fmt = Printf.ksprintf (fun detail -> violations := { check; detail } :: !violations) fmt in
+  (* every per-replica violation is located at the replica it names *)
+  let add r check fmt =
+    Printf.ksprintf
+      (fun detail ->
+        violations := { check; detail; loc = replica_loc r } :: !violations)
+      fmt
+  in
 
   (* 1. Execution intervals on each processor are disjoint. *)
   List.iter
@@ -65,7 +103,7 @@ let run_impl ?fabric sched =
       in
       violations :=
         overlap_violations ~check:"proc-exclusive" ~describe:describe_replica
-          intervals
+          ~locate:replica_loc intervals
         @ !violations)
     (Platform.procs (Schedule.platform sched));
 
@@ -74,10 +112,10 @@ let run_impl ?fabric sched =
     (fun r ->
       let expected = Costs.exec costs r.r_task r.r_proc in
       if not (Flt.approx_eq ~tol:1e-6 (r.r_finish -. r.r_start) expected) then
-        add "duration" "%s lasts %.6f, cost matrix says %.6f"
+        add r "duration" "%s lasts %.6f, cost matrix says %.6f"
           (describe_replica r) (r.r_finish -. r.r_start) expected;
       if r.r_start < -.Flt.eps then
-        add "start-time" "%s starts before time zero (%.6f)"
+        add r "start-time" "%s starts before time zero (%.6f)"
           (describe_replica r) r.r_start)
     (all_replicas sched);
 
@@ -100,7 +138,7 @@ let run_impl ?fabric sched =
               r.r_inputs
           in
           if not covered then
-            add "missing-input" "%s has no supply for predecessor %d"
+            add r "missing-input" "%s has no supply for predecessor %d"
               (describe_replica r) pred)
         preds;
       (* per-predecessor readiness: at least one supply per pred must be
@@ -121,51 +159,52 @@ let run_impl ?fabric sched =
           | _ ->
               let earliest = Flt.min_list readies in
               if not (Flt.leq ~tol:1e-6 earliest r.r_start) then
-                add "precedence" "%s starts at %.6f before data from %d (ready %.6f)"
+                add r "precedence"
+                  "%s starts at %.6f before data from %d (ready %.6f)"
                   (describe_replica r) r.r_start pred earliest)
         preds;
       List.iter
         (function
           | Local l -> (
               if not (Dag.mem_edge dag ~src:l.l_pred ~dst:r.r_task) then
-                add "supply-edge" "%s consumes non-edge %d->%d"
+                add r "supply-edge" "%s consumes non-edge %d->%d"
                   (describe_replica r) l.l_pred r.r_task;
               match replica_finish l.l_pred l.l_pred_replica with
               | None ->
-                  add "supply-replica" "%s: local supply from unknown replica"
+                  add r "supply-replica" "%s: local supply from unknown replica"
                     (describe_replica r)
               | Some src ->
                   if src.r_proc <> r.r_proc then
-                    add "local-colocation"
+                    add r "local-colocation"
                       "%s: local supply from t%d[%d] on different proc P%d"
                       (describe_replica r) l.l_pred l.l_pred_replica src.r_proc;
                   if not (Flt.approx_eq ~tol:1e-6 src.r_finish l.l_finish) then
-                    add "local-finish"
+                    add r "local-finish"
                       "%s: local supply finish %.6f but source finishes %.6f"
                       (describe_replica r) l.l_finish src.r_finish)
           | Message m -> (
               let s = m.Netstate.m_source in
               if not (Dag.mem_edge dag ~src:s.Netstate.s_task ~dst:r.r_task) then
-                add "supply-edge" "%s consumes non-edge %d->%d"
+                add r "supply-edge" "%s consumes non-edge %d->%d"
                   (describe_replica r) s.Netstate.s_task r.r_task;
               if m.Netstate.m_dst_proc <> r.r_proc then
-                add "message-dst" "%s: message destined to P%d"
+                add r "message-dst" "%s: message destined to P%d"
                   (describe_replica r) m.Netstate.m_dst_proc;
               if s.Netstate.s_proc = r.r_proc then
-                add "message-loop" "%s: message from its own processor"
+                add r "message-loop" "%s: message from its own processor"
                   (describe_replica r);
               match replica_finish s.Netstate.s_task s.Netstate.s_replica with
               | None ->
-                  add "supply-replica" "%s: message from unknown replica"
+                  add r "supply-replica" "%s: message from unknown replica"
                     (describe_replica r)
               | Some src ->
                   if src.r_proc <> s.Netstate.s_proc then
-                    add "message-src-proc"
+                    add r "message-src-proc"
                       "%s: message says source on P%d but replica is on P%d"
                       (describe_replica r) s.Netstate.s_proc src.r_proc;
                   if not (Flt.leq ~tol:1e-6 src.r_finish m.Netstate.m_leg_start)
                   then
-                    add "message-causality"
+                    add r "message-causality"
                       "%s: leg starts %.6f before source finish %.6f"
                       (describe_replica r) m.Netstate.m_leg_start src.r_finish;
                   if
@@ -173,7 +212,7 @@ let run_impl ?fabric sched =
                       (Flt.leq ~tol:1e-6 m.Netstate.m_leg_finish
                          m.Netstate.m_arrival)
                   then
-                    add "message-arrival"
+                    add r "message-arrival"
                       "%s: arrival %.6f precedes link finish %.6f"
                       (describe_replica r) m.Netstate.m_arrival
                       m.Netstate.m_leg_finish;
@@ -184,7 +223,7 @@ let run_impl ?fabric sched =
                   in
                   if not (Flt.approx_eq ~tol:1e-6 expected_w m.Netstate.m_duration)
                   then
-                    add "message-duration"
+                    add r "message-duration"
                       "%s: duration %.6f but volume*delay is %.6f"
                       (describe_replica r) m.Netstate.m_duration expected_w))
         r.r_inputs)
@@ -215,7 +254,7 @@ let run_impl ?fabric sched =
        in
        violations :=
          depth_violations ~capacity ~check:"one-port-send"
-           ~describe:describe_message legs
+           ~describe:describe_message ~locate:(message_loc ~proc:p) legs
          @ !violations
      done;
      (* receiving constraint (3): at most [capacity] concurrent windows *)
@@ -233,7 +272,7 @@ let run_impl ?fabric sched =
        in
        violations :=
          depth_violations ~capacity ~check:"one-port-recv"
-           ~describe:describe_message windows
+           ~describe:describe_message ~locate:(message_loc ~proc:p) windows
          @ !violations
      done;
      (* link constraint (1), per physical link of the fabric *)
@@ -253,6 +292,8 @@ let run_impl ?fabric sched =
        (fun legs ->
          violations :=
            overlap_violations ~check:"one-port-link" ~describe:describe_message
+             ~locate:(fun m ->
+               message_loc ~proc:m.Netstate.m_source.Netstate.s_proc m)
              legs
            @ !violations)
        per_phys);

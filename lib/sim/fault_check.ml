@@ -32,7 +32,9 @@ let advance_subset ~n ~k idx =
     true
   end
 
-(* thin wrapper for tests: same subsets, as materialized lists *)
+(* The same subsets as the shards' in-place enumeration, as lists, from
+   an independent index array: the test oracle relies on that
+   independence, and [Inject.adversary]'s exhaustive phase uses it. *)
 let combinations n k =
   if k < 0 || k > n then Seq.empty
   else if k = 0 then Seq.return []

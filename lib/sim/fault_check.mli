@@ -15,8 +15,7 @@
     {!Replay.eval_batch} call on a compiled simulator the shard owns;
     results are consumed in rank order and a shard stops at its first
     counterexample, so the report equals the one-scenario-at-a-time
-    loop's.  {!combinations} remains as a list-producing wrapper for
-    tests.  With [?domains > 1] the rank space of the enumeration is
+    loop's.  With [?domains > 1] the rank space of the enumeration is
     sharded into contiguous ranges, one per domain, and the
     {e lowest-rank} counterexample wins — so the report is
     byte-identical for every domain count (the scenarios completed below
@@ -86,8 +85,10 @@ val check :
 
 val combinations : int -> int -> int list Seq.t
 (** [combinations n k] enumerates all increasing [k]-subsets of
-    [\[0, n-1\]] in lexicographic order (thin wrapper over the Bitset
-    enumeration, exposed for tests). *)
+    [\[0, n-1\]] in lexicographic order, as lists.  It walks its own
+    index array, independent of the shards' in-place successor, so the
+    test oracle can cross-check {!check}'s enumeration against it;
+    [Inject.adversary]'s exhaustive phase also uses it. *)
 
 val count_combinations : int -> int -> int
 (** Binomial coefficient, saturating at [max_int]. *)

@@ -32,10 +32,8 @@ let g_throughput =
 let batch_block = 256
 
 let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?pool
-    ?(batch_block = batch_block) ?(cancel = Cancel.never) ?fabric ~crashes
-    ~mode sched =
+    ?(cancel = Cancel.never) ?fabric ~crashes ~mode sched =
   if runs < 1 then invalid_arg "Monte_carlo.run: runs < 1";
-  if batch_block < 1 then invalid_arg "Monte_carlo.run: batch_block < 1";
   let rng = Rng.create seed in
   let m = Platform.proc_count (Schedule.platform sched) in
   let l0 = Schedule.latency_zero_crash sched in
@@ -184,8 +182,8 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?pool
     degradation;
   }
 
-let degradation_curve ?seed ?runs ?domains ?pool ?batch_block ?cancel ?fabric
-    ?max_crashes ~mode sched =
+let degradation_curve ?seed ?runs ?domains ?pool ?cancel ?fabric ?max_crashes
+    ~mode sched =
   let m = Platform.proc_count (Schedule.platform sched) in
   let eps = Schedule.epsilon sched in
   let hi =
@@ -193,8 +191,7 @@ let degradation_curve ?seed ?runs ?domains ?pool ?batch_block ?cancel ?fabric
   in
   List.init (hi + 1) (fun crashes ->
       ( crashes,
-        run ?seed ?runs ?domains ?pool ?batch_block ?cancel ?fabric
-          ~crashes ~mode sched ))
+        run ?seed ?runs ?domains ?pool ?cancel ?fabric ~crashes ~mode sched ))
 
 let slowdown_cell x =
   if Float.is_nan x then "-" else Printf.sprintf "%.2fx" x

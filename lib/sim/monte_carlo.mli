@@ -41,15 +41,14 @@ type report = {
 }
 
 val batch_block : int
-(** Default scenarios per {!Replay.eval_batch} block (256).  Purely a work-stealing granularity: the report never depends
-    on it. *)
+(** Scenarios per {!Replay.eval_batch} block (256): the work-stealing
+    granularity of {!run}.  The report never depends on it. *)
 
 val run :
   ?seed:int ->
   ?runs:int ->
   ?domains:int ->
   ?pool:Parallel.pool ->
-  ?batch_block:int ->
   ?cancel:Cancel.token ->
   ?fabric:Netstate.fabric ->
   crashes:int ->
@@ -74,12 +73,9 @@ val run :
     campaign code may already be running one {!Parallel.map} over
     experiment points.
 
-    Scenarios are evaluated in [batch_block]-sized blocks (default
-    {!batch_block}) through {!Replay.eval_batch}.  [batch_block] tunes
-    the work-stealing granularity for multi-core hosts and never changes
-    the report (result-invariant, pinned by the test suite); raises
-    [Invalid_argument] when [< 1].  Sets the [replay.scenarios_per_sec]
-    gauge.
+    Scenarios are evaluated in {!batch_block}-sized blocks through
+    {!Replay.eval_batch}; a block is the unit a worker steals.  Sets the
+    [replay.scenarios_per_sec] gauge.
 
     [cancel] (default [Cancel.never]) is polled once per chunk of
     {!Replay.batch_lanes} scenarios inside {!Replay.eval_batch}; when it
@@ -94,7 +90,6 @@ val degradation_curve :
   ?runs:int ->
   ?domains:int ->
   ?pool:Parallel.pool ->
-  ?batch_block:int ->
   ?cancel:Cancel.token ->
   ?fabric:Netstate.fabric ->
   ?max_crashes:int ->

@@ -346,7 +346,7 @@ let test_lint_tampered () =
   let has rule = List.exists (fun f -> f.Lint.f_rule = rule) findings in
   Helpers.check_bool "duplicate supply flagged" true
     (has "redundancy/duplicate-supply");
-  Helpers.check_bool "causality flagged" true (has "causality/message");
+  Helpers.check_bool "arrival before leg flagged" true (has "message-arrival");
   Helpers.check_bool "errors counted" true (Lint.errors findings > 0);
   (* findings are sorted by decreasing severity *)
   let ranks =
@@ -360,34 +360,300 @@ let test_lint_tampered () =
   in
   Helpers.check_bool "severity sorted" true (ranks = List.sort compare ranks)
 
-let test_lint_registry () =
-  let custom =
-    {
-      Lint.rule_id = "test/always";
-      rule_severity = Lint.Info;
-      rule_doc = "fires on every schedule";
-      rule_check =
-        (fun ~fabric:_ _ ->
-          [
-            {
-              Lint.f_rule = "test/always";
-              f_severity = Lint.Info;
-              f_loc = Lint.no_loc;
-              f_msg = "hello";
-            };
-          ]);
-    }
+(* -- one checker: lint's errors are the validator's violations ----------- *)
+
+type defect =
+  | Leg_before_producer  (** a leg departs before its producer finishes *)
+  | Arrival_before_leg  (** an arrival before its leg finishes *)
+  | Start_before_data  (** a replica starts before its data *)
+  | Send_overlap  (** legs overlapping on one send port *)
+  | Recv_overlap  (** legs overlapping on one receive port *)
+  | Link_overlap  (** two legs overlapping on one link *)
+  | Local_finish  (** an edited local finish *)
+  | Message_duration  (** an edited message duration *)
+  | Self_message  (** a message from the consumer's own processor *)
+
+let defect_name = function
+  | Leg_before_producer -> "leg-before-producer"
+  | Arrival_before_leg -> "arrival-before-leg"
+  | Start_before_data -> "start-before-data"
+  | Send_overlap -> "send-overlap"
+  | Recv_overlap -> "recv-overlap"
+  | Link_overlap -> "link-overlap"
+  | Local_finish -> "local-finish"
+  | Message_duration -> "message-duration"
+  | Self_message -> "self-message"
+
+let defects_for model =
+  [
+    Leg_before_producer; Arrival_before_leg; Start_before_data; Local_finish;
+    Message_duration; Self_message;
+  ]
+  @
+  (* macro-dataflow has no ports, so port and link defects break nothing *)
+  match model with
+  | Netstate.Macro_dataflow -> []
+  | Netstate.One_port | Netstate.Multiport _ ->
+      [ Send_overlap; Recv_overlap; Link_overlap ]
+
+let model_name = function
+  | Netstate.One_port -> "one-port"
+  | Netstate.Multiport k -> Printf.sprintf "multiport-%d" k
+  | Netstate.Macro_dataflow -> "macro-dataflow"
+
+let models = [ Netstate.One_port; Netstate.Multiport 2; Netstate.Macro_dataflow ]
+let algo_names = [| "CAFT"; "FTSA"; "FTBAR"; "HEFT" |]
+
+let build_schedule ~algo ~model ~seed =
+  let _, costs = Helpers.random_instance ~seed ~m:5 ~tasks:14 () in
+  match algo with
+  | 0 -> Caft.run ~model ~seed ~epsilon:1 costs
+  | 1 -> Ftsa.run ~model ~seed ~epsilon:1 costs
+  | 2 -> Ftbar.run ~model ~seed ~epsilon:1 costs
+  | _ -> Heft.run ~model ~seed costs
+
+let with_replicas sched replicas =
+  Schedule.create ~insertion:(Schedule.insertion sched)
+    ~algorithm:(Schedule.algorithm sched) ~epsilon:(Schedule.epsilon sched)
+    ~model:(Schedule.model sched) ~costs:(Schedule.costs sched) replicas
+
+(* Replace the [pick]-th (cyclically) input accepted by [edit], where
+   [edit r s = Some inputs] splices [inputs] in place of [s]; [None] when
+   no input qualifies. *)
+let edit_input ~pick edit replicas =
+  let sites =
+    List.concat_map
+      (fun (r : Schedule.replica) ->
+        List.filter_map
+          (fun s -> Option.map (fun ins -> (r, s, ins)) (edit r s))
+          r.Schedule.r_inputs)
+      replicas
   in
-  Lint.register custom;
-  let _, costs = Helpers.random_instance ~seed:2 ~m:4 ~tasks:10 () in
-  let sched = Caft.run ~epsilon:1 costs in
-  Helpers.check_bool "registered rule runs" true
-    (List.exists (fun f -> f.Lint.f_rule = "test/always") (Lint.run sched));
-  (* restore the default registry for the other tests *)
-  Lint.register
-    { custom with Lint.rule_check = (fun ~fabric:_ _ -> []) };
-  Helpers.check_bool "re-registration replaces" false
-    (List.exists (fun f -> f.Lint.f_rule = "test/always") (Lint.run sched))
+  match sites with
+  | [] -> None
+  | _ ->
+      let r0, s0, ins = List.nth sites (pick mod List.length sites) in
+      Some
+        (List.map
+           (fun (r : Schedule.replica) ->
+             if r != r0 then r
+             else
+               {
+                 r with
+                 Schedule.r_inputs =
+                   List.concat_map
+                     (fun s -> if s == s0 then ins else [ s ])
+                     r.Schedule.r_inputs;
+               })
+           replicas)
+
+let edit_message ~pick f =
+  edit_input ~pick (fun r -> function
+    | Schedule.Message m -> f r m
+    | Schedule.Local _ -> None)
+
+(* [m] plus [copies] copies of it, copy [i] transformed by [shift i];
+   only legs long enough for a shift to overlap qualify *)
+let duplicated ~copies shift m =
+  if m.Netstate.m_duration < 0.01 then None
+  else
+    Some
+      (Schedule.Message m
+      :: List.init copies (fun i -> Schedule.Message (shift (i + 1) m)))
+
+let tamper ~defect ~pick sched =
+  let replicas = Schedule.all_replicas sched in
+  (* copies needed to exceed a port's capacity *)
+  let capacity =
+    match Schedule.model sched with Netstate.Multiport k -> k | _ -> 1
+  in
+  let edited =
+    match defect with
+    | Leg_before_producer ->
+        edit_message ~pick
+          (fun _ m ->
+            Some
+              [
+                Schedule.Message
+                  {
+                    m with
+                    Netstate.m_leg_start =
+                      m.Netstate.m_source.Netstate.s_finish -. 1.;
+                  };
+              ])
+          replicas
+    | Arrival_before_leg ->
+        edit_message ~pick
+          (fun _ m ->
+            Some
+              [
+                Schedule.Message
+                  { m with Netstate.m_arrival = m.Netstate.m_leg_finish -. 1. };
+              ])
+          replicas
+    | Message_duration ->
+        edit_message ~pick
+          (fun _ m ->
+            Some
+              [
+                Schedule.Message
+                  { m with Netstate.m_duration = m.Netstate.m_duration +. 1. };
+              ])
+          replicas
+    | Self_message ->
+        edit_message ~pick
+          (fun r m ->
+            let src =
+              { m.Netstate.m_source with Netstate.s_proc = r.Schedule.r_proc }
+            in
+            Some [ Schedule.Message { m with Netstate.m_source = src } ])
+          replicas
+    | Send_overlap ->
+        (* same leg, receive windows spread apart *)
+        edit_message ~pick
+          (fun _ m ->
+            duplicated ~copies:capacity
+              (fun i m ->
+                let d = float_of_int i *. (m.Netstate.m_duration +. 1.) in
+                { m with Netstate.m_arrival = m.Netstate.m_arrival +. d })
+              m)
+          replicas
+    | Recv_overlap ->
+        (* same arrival, legs spread apart *)
+        edit_message ~pick
+          (fun _ m ->
+            duplicated ~copies:capacity
+              (fun i m ->
+                let d = float_of_int i *. (m.Netstate.m_duration +. 1.) in
+                {
+                  m with
+                  Netstate.m_leg_start = m.Netstate.m_leg_start +. d;
+                  m_leg_finish = m.Netstate.m_leg_finish +. d;
+                })
+              m)
+          replicas
+    | Link_overlap ->
+        (* one copy half a leg later: a link carries one leg at a time *)
+        edit_message ~pick
+          (fun _ m ->
+            duplicated ~copies:1
+              (fun _ m ->
+                let d = m.Netstate.m_duration /. 2. in
+                {
+                  m with
+                  Netstate.m_leg_start = m.Netstate.m_leg_start +. d;
+                  m_leg_finish = m.Netstate.m_leg_finish +. d;
+                  m_arrival = m.Netstate.m_arrival +. d;
+                })
+              m)
+          replicas
+    | Local_finish ->
+        edit_input ~pick
+          (fun _ -> function
+            | Schedule.Local l ->
+                Some [ Schedule.Local { l with l_finish = l.l_finish -. 1. } ]
+            | Schedule.Message _ -> None)
+          replicas
+    | Start_before_data -> (
+        let fed =
+          List.filter
+            (fun (r : Schedule.replica) -> r.Schedule.r_inputs <> [])
+            replicas
+        in
+        match fed with
+        | [] -> None
+        | _ ->
+            let r0 = List.nth fed (pick mod List.length fed) in
+            let first =
+              Flt.min_list
+                (List.map
+                   (function
+                     | Schedule.Local l -> l.l_finish
+                     | Schedule.Message m -> m.Netstate.m_arrival)
+                   r0.Schedule.r_inputs)
+            in
+            (* shifted whole, so only the start moves against the data *)
+            let delta = r0.Schedule.r_start -. first +. 1. in
+            Some
+              (List.map
+                 (fun r ->
+                   if r != r0 then r
+                   else
+                     {
+                       r with
+                       Schedule.r_start = r.Schedule.r_start -. delta;
+                       r_finish = r.Schedule.r_finish -. delta;
+                     })
+                 replicas))
+  in
+  Option.map (with_replicas sched) edited
+
+type tamper_case = {
+  tc_seed : int;
+  tc_algo : int;
+  tc_model : Netstate.model;
+  tc_defect : defect;
+  tc_pick : int;
+}
+
+let tamper_case_gen =
+  QCheck.Gen.(
+    let* tc_model = oneofl models in
+    let* tc_defect = oneofl (defects_for tc_model) in
+    let* tc_seed = int_range 0 1_000_000 in
+    let* tc_algo = int_range 0 3 in
+    let+ tc_pick = int_range 0 1_000 in
+    { tc_seed; tc_algo; tc_model; tc_defect; tc_pick })
+
+let print_tamper_case c =
+  Printf.sprintf "seed=%d algo=%s model=%s defect=%s pick=%d" c.tc_seed
+    algo_names.(c.tc_algo) (model_name c.tc_model) (defect_name c.tc_defect)
+    c.tc_pick
+
+let errors_as_violations findings =
+  List.filter_map
+    (fun f ->
+      if f.Lint.f_severity = Lint.Error then
+        Some (f.Lint.f_rule, f.Lint.f_msg, f.Lint.f_loc)
+      else None)
+    findings
+
+let violations vs =
+  List.map
+    (fun v -> (v.Validate.check, v.Validate.detail, v.Validate.loc))
+    vs
+
+(* every injected defect is caught, and lint reports exactly the
+   validator's violations, in its order *)
+let prop_lint_is_validate =
+  QCheck.Test.make ~count:200
+    ~name:"lint errors = Validate.run violations on tampered schedules"
+    (QCheck.make tamper_case_gen ~print:print_tamper_case)
+    (fun c ->
+      let sched =
+        build_schedule ~algo:c.tc_algo ~model:c.tc_model ~seed:c.tc_seed
+      in
+      match tamper ~defect:c.tc_defect ~pick:c.tc_pick sched with
+      | None ->
+          QCheck.assume false;
+          true
+      | Some bad ->
+          let vs = Validate.run bad in
+          let findings = Lint.run bad in
+          vs <> []
+          && violations vs = errors_as_violations findings
+          && Lint.errors findings = List.length vs)
+
+let prop_untampered_clean =
+  QCheck.Test.make ~count:40 ~name:"lint: no errors on untampered schedules"
+    (QCheck.make
+       QCheck.Gen.(
+         triple (int_range 0 1_000_000) (int_range 0 3) (oneofl models))
+       ~print:(fun (seed, algo, model) ->
+         Printf.sprintf "seed=%d algo=%s model=%s" seed algo_names.(algo)
+           (model_name model)))
+    (fun (seed, algo, model) ->
+      Lint.errors (Lint.run (build_schedule ~algo ~model ~seed)) = 0)
 
 (* -- combined report --------------------------------------------------- *)
 
@@ -465,7 +731,10 @@ let suite =
     Alcotest.test_case "lint: granularity smell" `Quick test_lint_granularity;
     Alcotest.test_case "lint: tampered schedule findings" `Quick
       test_lint_tampered;
-    Alcotest.test_case "lint: rule registry" `Quick test_lint_registry;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 200_020 |])
+      prop_lint_is_validate;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 200_021 |])
+      prop_untampered_clean;
     Alcotest.test_case "report JSON roundtrip with locations" `Quick
       test_report_json_roundtrip;
     Alcotest.test_case "report ok on a valid schedule" `Quick

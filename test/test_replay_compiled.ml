@@ -184,6 +184,9 @@ let bytes_of x = Marshal.to_string x []
 let test_montecarlo_domains () =
   let _, costs = Helpers.random_instance ~seed:11 ~m:6 ~tasks:20 () in
   let sched = Caft.run ~epsilon:1 costs in
+  (* three full blocks and a partial one, so domains and pool workers
+     really split the campaign *)
+  let runs = (3 * Monte_carlo.batch_block) + 17 in
   (* beyond epsilon too, so the degradation aggregation path is pinned *)
   List.iter
     (fun crashes ->
@@ -191,15 +194,15 @@ let test_montecarlo_domains () =
         (fun mode ->
           let campaign ?domains ?pool () =
             bytes_of
-              (Monte_carlo.run ~seed:5 ~runs:120 ?domains ?pool ~crashes
-                 ~mode sched)
+              (Monte_carlo.run ~seed:5 ~runs ?domains ?pool ~crashes ~mode
+                 sched)
           in
           let r1 = campaign ~domains:1 () in
           (* the per-scenario oracle is the differential baseline *)
           Helpers.check_bool "montecarlo matches per-scenario oracle" true
             (r1
             = bytes_of
-                (Oracle.monte_carlo ~seed:5 ~runs:120 ~crashes ~mode sched));
+                (Oracle.monte_carlo ~seed:5 ~runs ~crashes ~mode sched));
           (* spawned-per-call domains *)
           List.iter
             (fun domains ->

@@ -112,9 +112,54 @@ let test_partial_stream_detected () =
         (Schedule_io.to_string sched)
         (Schedule_io.to_string reparsed))
 
+let test_out_of_range_ids () =
+  (* a supply line naming a task or processor outside the instance is a
+     parse error at that line, not a crash in a later analysis *)
+  let sched = small_schedule () in
+  let lines =
+    List.filter (fun l -> l <> "")
+      (String.split_on_char '\n' (Schedule_io.to_string sched))
+  in
+  let first directive =
+    let rec go i = function
+      | [] -> Alcotest.failf "schedule text has no %s line" directive
+      | l :: rest ->
+          if List.hd (String.split_on_char ' ' l) = directive then i
+          else go (i + 1) rest
+    in
+    go 1 lines
+  in
+  (* set word [field] of line [n] (1-based) to [v] *)
+  let edited n field v =
+    String.concat "\n"
+      (List.mapi
+         (fun i l ->
+           if i <> n - 1 then l
+           else
+             String.concat " "
+               (List.mapi
+                  (fun j w -> if j = field then v else w)
+                  (String.split_on_char ' ' l)))
+         lines)
+    ^ "\n"
+  in
+  let msg = first "message" and loc = first "local" in
+  List.iter
+    (fun (n, field, v, name) ->
+      expect_parse_error ~line:n (edited n field v) name)
+    [
+      (msg, 3, "10", "message predecessor task");
+      (msg, 5, "3", "message source processor");
+      (msg, 5, "-1", "negative source processor");
+      (msg, 8, "99", "message destination processor");
+      (loc, 3, "7000", "local predecessor task");
+    ]
+
 let suite =
   [
     Alcotest.test_case "roundtrip fixed point" `Quick test_roundtrip;
+    Alcotest.test_case "out-of-range supply ids rejected with line" `Quick
+      test_out_of_range_ids;
     Alcotest.test_case "truncated input rejected with line" `Quick
       test_truncated;
     Alcotest.test_case "corrupt directive names its line" `Quick

@@ -13,8 +13,7 @@
      a real large instance under a generous wall budget;
    - the iterative topological sort survives a chain far deeper than the
      OCaml stack allows for non-tail recursion;
-   - [Dag.transitive_closure] fails fast past its task-count cap;
-   - [Monte_carlo.run ~batch_block] is result-invariant. *)
+   - [Dag.transitive_closure] fails fast past its task-count cap. *)
 
 let fingerprint sched =
   let b = Buffer.create 4096 in
@@ -185,27 +184,6 @@ let test_transitive_closure_cap () =
       in
       Helpers.check_bool "message names the cap" true (contains msg "10000")
 
-(* -- batch_block invariance --------------------------------------------- *)
-
-let test_batch_block_invariant () =
-  let _, costs = Helpers.random_instance ~seed:6 ~m:6 ~tasks:25 () in
-  let sched = Caft.run ~epsilon:1 costs in
-  let report bb =
-    Monte_carlo.run ~seed:9 ~runs:100 ~batch_block:bb ~crashes:2
-      ~mode:Monte_carlo.From_start sched
-  in
-  let r0 = report 256 in
-  List.iter
-    (fun bb ->
-      let r = report bb in
-      Alcotest.(check bool)
-        (Printf.sprintf "batch_block %d invariant" bb)
-        true (compare r r0 = 0))
-    [ 1; 7; 100 ];
-  match report 0 with
-  | _ -> Alcotest.fail "expected Invalid_argument for batch_block 0"
-  | exception Invalid_argument _ -> ()
-
 let suite =
   [
     Alcotest.test_case "family golden fingerprints" `Quick
@@ -218,6 +196,4 @@ let suite =
     Alcotest.test_case "deep chain topo sort" `Quick test_deep_chain_topo;
     Alcotest.test_case "transitive closure cap" `Quick
       test_transitive_closure_cap;
-    Alcotest.test_case "batch_block invariance" `Quick
-      test_batch_block_invariant;
   ]

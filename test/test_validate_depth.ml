@@ -3,9 +3,10 @@
    Ftsched_util.Intervals. *)
 
 let describe (name : string) = name
+let locate (_ : string) = Validate.no_loc
 
 let depth ~capacity intervals =
-  Validate.depth_violations ~capacity ~check:"test" ~describe intervals
+  Validate.depth_violations ~capacity ~check:"test" ~describe ~locate intervals
 
 let test_zero_length_at_capacity () =
   (* two full-length intervals saturate capacity 2; a zero-length interval
@@ -57,7 +58,7 @@ let test_capacity_one_matches_overlap () =
   let vs = depth ~capacity:1 intervals in
   Helpers.check_int "both contained flagged" 2 (List.length vs);
   let direct =
-    Validate.overlap_violations ~check:"test" ~describe intervals
+    Validate.overlap_violations ~check:"test" ~describe ~locate intervals
   in
   Helpers.check_bool "same as overlap_violations" true
     (List.map (fun (v : Validate.violation) -> v.Validate.detail) vs
