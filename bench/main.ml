@@ -625,7 +625,7 @@ let replay_domains ~quick ~m sched =
   let t =
     Text_table.create
       ~aligns:[ Text_table.Left ]
-      [ "domains"; "spawn"; "wall"; "scenarios/s"; "scaling" ]
+      [ "domains"; "wall"; "scenarios/s"; "scaling" ]
   in
   let wall1 = ref nan in
   let attr =
@@ -644,24 +644,13 @@ let replay_domains ~quick ~m sched =
     List.map
       (fun domains ->
         Obs.Prof.reset ();
-        (* the pool is the campaign-scoped resource: its domains are
-           spawned exactly once here (profiled, so the spawn cost is
-           attributed in the JSON) and every Monte-Carlo run of the row
-           reuses them *)
-        let spawn0 = Obs_clock.now () in
-        let pool =
-          Obs.Prof.phase "parallel.pool_spawn" (fun () ->
-              Parallel.pool ~domains ())
-        in
-        let spawn_s = Obs_clock.now () -. spawn0 in
         let t0 = Obs_clock.now () in
         let report =
-          Monte_carlo.run ~seed:3 ~runs ~pool ~crashes:2
+          Monte_carlo.run ~seed:3 ~runs ~domains ~crashes:2
             ~mode:Monte_carlo.From_start sched
         in
         ignore (report : Monte_carlo.report);
         let wall = Obs_clock.now () -. t0 in
-        Parallel.shutdown pool;
         let prof = Obs.Prof.report () in
         if domains = 1 then wall1 := wall;
         let per_sec = float_of_int runs /. wall in
@@ -720,7 +709,6 @@ let replay_domains ~quick ~m sched =
         Text_table.add_row t
           [
             string_of_int domains;
-            Printf.sprintf "%.1f ms" (spawn_s *. 1e3);
             Printf.sprintf "%.3f s" wall;
             Printf.sprintf "%.0f" per_sec;
             Printf.sprintf "%.2fx" (!wall1 /. wall);
@@ -730,7 +718,6 @@ let replay_domains ~quick ~m sched =
               ("domains", Json.Int domains);
               ("runs", Json.Int runs);
               ("blocks", Json.Int blocks);
-              ("pool_spawn_seconds", Json.Float spawn_s);
               ("wall_seconds", Json.Float wall);
               ("scenarios_per_sec", float_or_null per_sec);
               ( "profile",
@@ -749,10 +736,10 @@ let replay_domains ~quick ~m sched =
   Text_table.print t;
   print_endline
     "(same pre-drawn scenario set and byte-identical report for every \
-     domain count;\n each row spawns a persistent pool once (the 'spawn' \
-     column) and the campaign\n steals eval_batch blocks from it; scaling \
-     above 1.0x needs more cores than\n domains — on a single-core host the \
-     extra domains are pure spawn/GC overhead)";
+     domain count;\n the run spawns its domains inside its one \
+     Parallel.map, whose workers steal\n eval_batch blocks; scaling above \
+     1.0x needs more cores than domains — on a\n single-core host the extra \
+     domains are pure spawn/GC overhead)";
   print_newline ();
   print_endline "=== where the wall time went (profiler attribution) ===";
   Text_table.print attr;

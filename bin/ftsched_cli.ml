@@ -120,10 +120,6 @@ let load_dag_file path =
 let load_schedule_file path =
   try Schedule_io.of_file path with
   | Schedule_io.Parse_error { line; message } -> input_error path ~line message
-  | Dag.Cycle tasks ->
-      input_error path
-        (Printf.sprintf "schedule DAG has a cycle through tasks {%s}"
-           (String.concat "," (List.map string_of_int tasks)))
   | Sys_error msg -> input_error path msg
   | Invalid_argument msg | Failure msg -> input_error path msg
 

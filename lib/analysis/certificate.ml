@@ -69,38 +69,52 @@ let field name conv json =
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "certificate: missing or ill-typed %S" name)
 
-let int_list name json =
-  match Json.member name json with
-  | Some (Json.List items) ->
-      let ints = List.filter_map Json.to_int items in
-      if List.length ints = List.length items then Ok ints
-      else Error (Printf.sprintf "certificate: non-integer entry in %S" name)
-  | _ -> Error (Printf.sprintf "certificate: missing list %S" name)
+(* [f] over [xs], stopping at the first [Error] *)
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: rest ->
+      let* y = f x in
+      let* ys = map_result f rest in
+      Ok (y :: ys)
+
+(* a list of processor ids, each an integer in [0, procs) *)
+let proc_ids ~procs name = function
+  | Json.List items ->
+      map_result
+        (function
+          | Json.Int p when p >= 0 && p < procs -> Ok p
+          | v ->
+              Error
+                (Printf.sprintf "certificate: %S holds %s, not an id in [0, %d)"
+                   name (Json.to_string v) procs))
+        items
+  | _ -> Error (Printf.sprintf "certificate: %S is not a list" name)
 
 let verdict_of_json ~procs json =
   let* verdict = field "verdict" Json.to_str json in
   match verdict with
   | "refuted" ->
-      let* crashed = int_list "crash" json in
+      let* crash = field "crash" Option.some json in
+      let* crashed = proc_ids ~procs "crash" crash in
       Ok (Resilience.Refuted crashed)
   | "certified" -> (
       let* witness = field "witness" Json.to_str json in
       match witness with
       | "min-cut" -> Ok (Resilience.Certified Resilience.Min_cut)
-      | "disjoint-supports" -> (
-          match Json.member "supports" json with
-          | Some (Json.List sets) ->
-              let supports =
-                List.map
-                  (fun set ->
-                    let elems = List.filter_map Json.to_int (Json.to_list set) in
-                    Bitset.of_list procs elems)
-                  sets
-              in
-              Ok
-                (Resilience.Certified
-                   (Resilience.Disjoint_supports (Array.of_list supports)))
-          | _ -> Error "certificate: missing supports")
+      | "disjoint-supports" ->
+          let* sets =
+            field "supports" (function Json.List l -> Some l | _ -> None) json
+          in
+          let* supports =
+            map_result
+              (fun set ->
+                let* ids = proc_ids ~procs "supports" set in
+                Ok (Bitset.of_list procs ids))
+              sets
+          in
+          Ok
+            (Resilience.Certified
+               (Resilience.Disjoint_supports (Array.of_list supports)))
       | other -> Error (Printf.sprintf "certificate: unknown witness %S" other))
   | other -> Error (Printf.sprintf "certificate: unknown verdict %S" other)
 
@@ -113,6 +127,10 @@ let of_json json =
   let* algorithm = field "algorithm" Json.to_str json in
   let* epsilon = field "epsilon" Json.to_int json in
   let* procs = field "processors" Json.to_int json in
+  let* () =
+    if procs >= 1 then Ok ()
+    else Error "certificate: \"processors\" must be at least 1"
+  in
   let* tasks = field "tasks" Json.to_int json in
   let* resists = field "resists" Json.to_bool json in
   match Json.member "verdicts" json with
@@ -121,13 +139,7 @@ let of_json json =
         if List.length items = tasks then Ok ()
         else Error "certificate: verdict count does not match task count"
       in
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | item :: rest ->
-            let* v = verdict_of_json ~procs item in
-            go (v :: acc) rest
-      in
-      let* verdicts = go [] items in
+      let* verdicts = map_result (verdict_of_json ~procs) items in
       Ok
         {
           c_algorithm = algorithm;

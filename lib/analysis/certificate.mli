@@ -31,8 +31,9 @@ val of_report : Schedule.t -> Resilience.report -> t
 val to_json : t -> Json.t
 
 val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json}; rejects documents with missing or ill-typed
-    fields. *)
+(** Inverse of {!to_json}.  Never raises: returns [Error] for missing
+    or ill-typed fields, a [processors] count below [1], and a support or
+    crash entry that is not an integer in [\[0, processors)]. *)
 
 val check : Schedule.t -> t -> (unit, string) result
 (** Re-verify a certificate against a schedule, as described above.

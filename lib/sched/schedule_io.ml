@@ -115,7 +115,7 @@ type parse_state = {
   mutable tasks : int;
   mutable procs : int;
   mutable names : (int * string) list;
-  mutable edges : (int * int * float) list;
+  mutable edges : (int * (int * int * float)) list; (* (line, edge) *)
   mutable delays : (int * int * float) list;
   mutable costs : (int * int * float) list;
   (* replicas keyed by (task, idx); supplies accumulated in reverse, each
@@ -187,9 +187,10 @@ let of_string text =
         | [ "procs"; n ] -> st.procs <- int_of lineno n
         | [ "task"; id; name ] -> st.names <- (int_of lineno id, name) :: st.names
         | [ "edge"; src; dst; vol ] ->
-            st.edges <-
+            let edge =
               (int_of lineno src, int_of lineno dst, float_of lineno vol)
-              :: st.edges
+            in
+            st.edges <- (lineno, edge) :: st.edges
         | [ "delay"; k; h; d ] ->
             st.delays <-
               (int_of lineno k, int_of lineno h, float_of lineno d) :: st.delays
@@ -251,7 +252,31 @@ let of_string text =
       if id < 0 || id >= st.tasks then fail 0 "task id out of range";
       names.(id) <- name)
     st.names;
-  let dag = Dag.make ~names ~n:st.tasks ~edges:(List.rev st.edges) () in
+  (* [Dag.make]'s checks edge by edge, so each rejection names its line *)
+  let b = Dag.Builder.create () in
+  Array.iter (fun name -> ignore (Dag.Builder.add_task ~name b)) names;
+  List.iter
+    (fun (line, (src, dst, volume)) ->
+      try Dag.Builder.add_edge b ~src ~dst ~volume
+      with Invalid_argument msg ->
+        (* "Dag.Builder.add_edge: <reason>" *)
+        let reason = List.hd (List.rev (String.split_on_char ':' msg)) in
+        fail line ("bad edge:" ^ reason))
+    (List.rev st.edges);
+  let dag =
+    match Dag.Builder.build b with
+    | dag -> dag
+    | exception Dag.Cycle cycle ->
+        (* reported at the cycle's last edge in file order *)
+        let closed = cycle @ [ List.hd cycle ] in
+        let line_of u v =
+          fst (List.find (fun (_, (s, d, _)) -> s = u && d = v) st.edges)
+        in
+        let lines = List.map2 line_of cycle (List.tl closed) in
+        fail (List.fold_left max 0 lines)
+          ("edge closes the cycle "
+          ^ String.concat " -> " (List.map string_of_int closed))
+  in
   let delays = Array.make_matrix st.procs st.procs 0. in
   List.iter
     (fun (k, h, d) ->

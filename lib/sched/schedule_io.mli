@@ -67,10 +67,13 @@ exception Parse_error of { line : int; message : string }
 
 val of_string : string -> Schedule.t
 (** Rebuilds the costs and the schedule.  Raises {!Parse_error} on
-    malformed input — including a supply line whose predecessor task is
-    outside [[0, tasks)] or whose source or destination processor is
-    outside [[0, procs)], reported at that line — and [Invalid_argument]
-    if the payload violates the shape checks of {!Schedule.create} (e.g.
-    duplicated replicas). *)
+    malformed input, reported at the offending line where there is one:
+    a supply line whose predecessor task is outside [[0, tasks)] or whose
+    source or destination processor is outside [[0, procs)]; an [edge]
+    line with an endpoint outside [[0, tasks)], a self edge, a duplicate
+    edge or a negative volume; and an [edge] line that closes a cycle
+    (the last line, in file order, of the cycle {!Dag.Cycle} would
+    report).  Raises [Invalid_argument] if the payload violates the
+    shape checks of {!Schedule.create} (e.g. duplicated replicas). *)
 
 val of_file : string -> Schedule.t

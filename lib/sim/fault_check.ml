@@ -148,7 +148,7 @@ let eval_prefix ~cancel c scenarios len worst =
   scan 0
 
 let check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
-    ?(domains = 1) ?pool ?(cancel = Cancel.never) ?static ~epsilon sched =
+    ?(domains = 1) ?(cancel = Cancel.never) ?static ~epsilon sched =
   let m = Platform.proc_count (Schedule.platform sched) in
   let epsilon = min epsilon m in
   let total = count_combinations m epsilon in
@@ -162,10 +162,7 @@ let check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
        lowest-rank one, so the report cannot depend on [domains]: the
        scenarios at ranks below the winning rank are exactly those the
        sequential enumeration would have completed. *)
-    let workers =
-      match pool with Some p -> Parallel.pool_size p | None -> domains
-    in
-    let shards = max 1 (min workers total) in
+    let shards = max 1 (min domains total) in
     let bounds = Array.init (shards + 1) (fun i -> total * i / shards) in
     let run_shard i =
       Obs_prof.phase ~trace:false "check.shard" @@ fun () ->
@@ -201,11 +198,7 @@ let check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
       done;
       { sh_start = start; sh_worst = !sh_worst; sh_counterexample = !sh_ce }
     in
-    let results =
-      match pool with
-      | Some p -> Parallel.map_pool p run_shard (List.init shards (fun i -> i))
-      | None -> Parallel.map ~domains run_shard (List.init shards (fun i -> i))
-    in
+    let results = Parallel.map ~domains run_shard (List.init shards Fun.id) in
     let winner =
       List.fold_left
         (fun acc sh ->

@@ -47,7 +47,6 @@ val check :
   ?samples:int ->
   ?seed:int ->
   ?domains:int ->
-  ?pool:Parallel.pool ->
   ?cancel:Cancel.token ->
   ?static:Resilience.report ->
   epsilon:int ->
@@ -63,11 +62,8 @@ val check :
 
     [domains] (default [1]) shards the exhaustive enumeration across
     OCaml domains (lowest-rank counterexample wins; the report is
-    byte-identical for any value).  Passing [pool] runs the shards on a
-    persistent {!Parallel.pool} instead (and ignores [domains]) — same
-    byte-identical report, domains spawned once per campaign.  Sampling
-    mode is sequential — its RNG draw order must not depend on the
-    domain count.
+    byte-identical for any value).  Sampling mode is sequential — its RNG
+    draw order must not depend on the domain count.
 
     [cancel] (default [Cancel.never]) is polled once per chunk of
     {!Replay.batch_lanes} crash sets on every enumeration or sampling

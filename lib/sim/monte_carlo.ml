@@ -31,17 +31,16 @@ let g_throughput =
    granularity. *)
 let batch_block = 256
 
-let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?pool
-    ?(cancel = Cancel.never) ?fabric ~crashes ~mode sched =
+let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?(cancel = Cancel.never)
+    ?fabric ~crashes ~mode sched =
   if runs < 1 then invalid_arg "Monte_carlo.run: runs < 1";
   let rng = Rng.create seed in
   let m = Platform.proc_count (Schedule.platform sched) in
   let l0 = Schedule.latency_zero_crash sched in
   (* Pre-draw every scenario from the root RNG, in run order, before any
      evaluation: the scenario set is byte-identical to the sequential
-     run whatever [domains] (or pool size) is.  A from-start crash is a
-     timed crash at [neg_infinity], so both modes share one
-     representation. *)
+     run whatever [domains] is.  A from-start crash is a timed crash at
+     [neg_infinity], so both modes share one representation. *)
   let smode =
     match mode with
     | From_start -> Scenario.From_start
@@ -112,10 +111,8 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?pool
       Array.blit res.Replay.br_frontier 0 deg_frontier start len
     end
   in
-  let blocks = List.init nblocks Fun.id in
-  (match pool with
-  | Some p -> ignore (Parallel.map_pool p eval_block blocks : unit list)
-  | None -> ignore (Parallel.map ~domains eval_block blocks : unit list));
+  ignore
+    (Parallel.map ~domains eval_block (List.init nblocks Fun.id) : unit list);
   let dt = Obs_clock.now () -. t0 in
   if dt > 0. then Obs_metrics.set g_throughput (float_of_int runs /. dt);
   (* Aggregate in run order so the Kahan sums in [Stats.summarize] see
@@ -182,8 +179,8 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?pool
     degradation;
   }
 
-let degradation_curve ?seed ?runs ?domains ?pool ?cancel ?fabric ?max_crashes
-    ~mode sched =
+let degradation_curve ?seed ?runs ?domains ?cancel ?fabric ?max_crashes ~mode
+    sched =
   let m = Platform.proc_count (Schedule.platform sched) in
   let eps = Schedule.epsilon sched in
   let hi =
@@ -191,7 +188,7 @@ let degradation_curve ?seed ?runs ?domains ?pool ?cancel ?fabric ?max_crashes
   in
   List.init (hi + 1) (fun crashes ->
       ( crashes,
-        run ?seed ?runs ?domains ?pool ?cancel ?fabric ~crashes ~mode sched ))
+        run ?seed ?runs ?domains ?cancel ?fabric ~crashes ~mode sched ))
 
 let slowdown_cell x =
   if Float.is_nan x then "-" else Printf.sprintf "%.2fx" x

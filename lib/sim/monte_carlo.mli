@@ -48,7 +48,6 @@ val run :
   ?seed:int ->
   ?runs:int ->
   ?domains:int ->
-  ?pool:Parallel.pool ->
   ?cancel:Cancel.token ->
   ?fabric:Netstate.fabric ->
   crashes:int ->
@@ -60,16 +59,14 @@ val run :
     [mode = From_start] and [crashes <= epsilon] on a fault-tolerant
     schedule, [failure_rate] is [0.] by Proposition 5.2.
 
-    [domains] (default [1]) spreads the replays over OCaml domains.
-    Passing [pool] instead evaluates on a persistent {!Parallel.pool}
-    (and ignores [domains]): a campaign of many [run] calls then spawns
-    its domains exactly once.  The compiled simulators ({!Replay.compile})
-    belong to the call — at most one per concurrently running worker,
-    handed from block to block and dropped when [run] returns.  All
-    scenarios are pre-drawn from the root RNG ({!Scenario.draw_block})
-    and aggregated in run order, so the report is byte-identical for
-    every [domains] value and pool size (pinned by the test suite against
-    a per-scenario oracle).  The default stays sequential because
+    [domains] (default [1]) spreads the replays over OCaml domains with
+    {!Parallel.map}.  The compiled simulators ({!Replay.compile}) belong
+    to the call — at most one per concurrently running worker, handed
+    from block to block and dropped when [run] returns.  All scenarios
+    are pre-drawn from the root RNG ({!Scenario.draw_block}) and
+    aggregated in run order, so the report is byte-identical for every
+    [domains] value (pinned by the test suite against a per-scenario
+    oracle).  The default stays sequential because
     campaign code may already be running one {!Parallel.map} over
     experiment points.
 
@@ -89,7 +86,6 @@ val degradation_curve :
   ?seed:int ->
   ?runs:int ->
   ?domains:int ->
-  ?pool:Parallel.pool ->
   ?cancel:Cancel.token ->
   ?fabric:Netstate.fabric ->
   ?max_crashes:int ->

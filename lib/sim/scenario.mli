@@ -20,8 +20,8 @@ val timed :
     ([neg_infinity] = dead from the start, [infinity] = never crashes,
     finite = crash instant) plus an optional list of permanently dead
     links.  [draw_block] pre-draws a whole campaign into an array up
-    front, off a single root generator, so evaluation order — sequential,
-    [Parallel.map], or a {!Parallel.map_pool} — can never perturb the
+    front, off a single root generator, so evaluation order — sequential
+    or spread over domains by {!Parallel.map} — can never perturb the
     stream (the PR 4 determinism contract). *)
 
 type t = {

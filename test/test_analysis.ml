@@ -237,6 +237,61 @@ let test_certificate_of_refuted () =
   | Ok () -> ()
   | Error e -> Alcotest.fail ("refuted certificate should verify: " ^ e)
 
+(* Malformed processor ids must come back as [Error], never as an
+   exception or a silently shortened support set.  Each form edits one
+   field of a CAFT certificate (8 tasks, m = 4): [top] the document,
+   [verdict] the first disjoint-supports verdict. *)
+let malformed_certificates =
+  let set key v fields = (key, v) :: List.remove_assoc key fields in
+  let support_ids ids = set "supports" (Json.List [ Json.List ids ]) in
+  let refuted ids fields =
+    [
+      ("task", List.assoc "task" fields);
+      ("verdict", Json.String "refuted");
+      ("crash", Json.List ids);
+    ]
+  in
+  [
+    ("support id too large", Fun.id, support_ids [ Json.Int 99 ]);
+    ("negative support id", Fun.id, support_ids [ Json.Int (-1) ]);
+    ("non-int support id", Fun.id, support_ids [ Json.Int 0; Json.String "x" ]);
+    ("negative processors", set "processors" (Json.Int (-1)), Fun.id);
+    ("zero processors", set "processors" (Json.Int 0), Fun.id);
+    ("crash id too large", Fun.id, refuted [ Json.Int 99 ]);
+    ("negative crash id", Fun.id, refuted [ Json.Int (-1) ]);
+  ]
+
+let test_certificate_malformed (top, verdict) () =
+  let _, costs = Helpers.random_instance ~seed:3 ~m:4 ~tasks:8 () in
+  let sched = Caft.run ~epsilon:1 costs in
+  let cert =
+    Certificate.of_report sched (Resilience.certify ~epsilon:1 sched)
+  in
+  let edited = ref false in
+  let edit_verdict = function
+    | Json.Obj fields
+      when (not !edited)
+           && Json.member "witness" (Json.Obj fields)
+              = Some (Json.String "disjoint-supports") ->
+        edited := true;
+        Json.Obj (verdict fields)
+    | v -> v
+  in
+  let json =
+    match Certificate.to_json cert with
+    | Json.Obj fields ->
+        let verdicts = Json.to_list (List.assoc "verdicts" fields) in
+        Json.Obj
+          (top
+             (("verdicts", Json.List (List.map edit_verdict verdicts))
+             :: List.remove_assoc "verdicts" fields))
+    | _ -> assert false
+  in
+  Helpers.check_bool "a disjoint-supports verdict was edited" true !edited;
+  match Certificate.of_json json with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "malformed certificate accepted"
+
 (* -- mapping ----------------------------------------------------------- *)
 
 let test_mapping_fork_one_to_one () =
@@ -722,6 +777,13 @@ let suite =
       `Quick test_certificate_roundtrip;
     Alcotest.test_case "certificate of a refuted schedule" `Quick
       test_certificate_of_refuted;
+  ]
+  @ List.map
+      (fun (name, top, verdict) ->
+        Alcotest.test_case ("cert JSON: " ^ name) `Quick
+          (test_certificate_malformed (top, verdict)))
+      malformed_certificates
+  @ [
     Alcotest.test_case "mapping: fork is one-to-one within linear bound"
       `Quick test_mapping_fork_one_to_one;
     Alcotest.test_case "mapping: fallback and invalid joins" `Quick

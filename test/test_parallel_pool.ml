@@ -1,145 +1,91 @@
-(* Unit tests for the persistent worker pool ([Parallel.pool] /
-   [Parallel.map_pool]): ordering, reuse across many maps, exception
-   semantics, shutdown behaviour, and the per-worker telemetry that the
-   obs profiler consumes. *)
-
-let with_pool ?domains f =
-  let pool = Parallel.pool ?domains () in
-  Fun.protect ~finally:(fun () -> Parallel.shutdown pool) (fun () -> f pool)
+(* Unit tests for the workers of one [Parallel.map] call: ordering,
+   exception semantics, and the per-worker telemetry that the obs
+   profiler consumes. *)
 
 let test_ordering () =
   List.iter
     (fun domains ->
-      with_pool ~domains (fun pool ->
-          Helpers.check_int "pool size" domains (Parallel.pool_size pool);
-          List.iter
-            (fun n ->
-              let xs = List.init n Fun.id in
-              let got = Parallel.map_pool pool (fun x -> x * x) xs in
-              Helpers.check_bool
-                (Printf.sprintf "order domains=%d n=%d" domains n)
-                true
-                (got = List.map (fun x -> x * x) xs))
-            [ 0; 1; 2; 7; 100 ]))
+      List.iter
+        (fun n ->
+          let xs = List.init n Fun.id in
+          let got = Parallel.map ~domains (fun x -> x * x) xs in
+          Helpers.check_bool
+            (Printf.sprintf "order domains=%d n=%d" domains n)
+            true
+            (got = List.map (fun x -> x * x) xs))
+        [ 0; 1; 2; 7; 100 ])
     [ 1; 2; 4 ]
-
-let test_reuse_many_maps () =
-  (* the whole point of the pool: many small maps on the same domains *)
-  with_pool ~domains:3 (fun pool ->
-      for round = 1 to 50 do
-        let got = Parallel.map_pool pool (fun x -> x + round) [ 1; 2; 3 ] in
-        Helpers.check_bool "reuse round" true
-          (got = [ 1 + round; 2 + round; 3 + round ])
-      done)
-
-let test_matches_map () =
-  (* same f, same xs: map_pool must agree with map (both equal List.map) *)
-  let xs = List.init 64 (fun i -> i * 17 mod 23) in
-  let f x = (x * x) + 1 in
-  let expect = Parallel.map ~domains:4 f xs in
-  with_pool ~domains:4 (fun pool ->
-      Helpers.check_bool "map_pool = map" true
-        (Parallel.map_pool pool f xs = expect))
 
 exception Boom of int
 
 let test_exception () =
-  with_pool ~domains:2 (fun pool ->
-      (* one failing item: the exception surfaces after the job drains *)
-      let computed = Atomic.make 0 in
-      (match
-         Parallel.map_pool pool
-           (fun x ->
-             if x = 3 then raise (Boom x);
-             Atomic.incr computed;
-             x)
-           [ 0; 1; 2; 3; 4; 5 ]
-       with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom 3 -> ());
-      (* surviving workers still computed the other items *)
-      Helpers.check_int "others computed" 5 (Atomic.get computed);
-      (* and the pool is still usable afterwards *)
-      Helpers.check_bool "pool survives exception" true
-        (Parallel.map_pool pool Fun.id [ 9; 8 ] = [ 9; 8 ]))
+  (* one failing item: the exception surfaces after the workers drained
+     the list *)
+  let computed = Atomic.make 0 in
+  (match
+     Parallel.map ~domains:2
+       (fun x ->
+         if x = 3 then raise (Boom x);
+         Atomic.incr computed;
+         x)
+       [ 0; 1; 2; 3; 4; 5 ]
+   with
+  | _ -> Alcotest.fail "expected Boom"
+  | exception Boom 3 -> ());
+  (* surviving workers still computed the other items *)
+  Helpers.check_int "others computed" 5 (Atomic.get computed)
 
-let test_reentrancy_rejected () =
-  with_pool ~domains:2 (fun pool ->
-      match
-        Parallel.map_pool pool
-          (fun _ -> Parallel.map_pool pool Fun.id [ 1 ])
-          [ 0 ]
-      with
-      | _ -> Alcotest.fail "expected Invalid_argument"
-      | exception Invalid_argument _ -> ())
-
-let test_shutdown () =
-  let pool = Parallel.pool ~domains:3 () in
-  Helpers.check_bool "works before shutdown" true
-    (Parallel.map_pool pool Fun.id [ 1; 2 ] = [ 1; 2 ]);
-  Parallel.shutdown pool;
-  Parallel.shutdown pool (* idempotent *);
-  match Parallel.map_pool pool Fun.id [ 1 ] with
-  | _ -> Alcotest.fail "expected Invalid_argument after shutdown"
-  | exception Invalid_argument _ -> ()
-
-let test_monitor_stats () =
-  (* the installed monitor sees every item exactly once, attributed to
-     worker slots within the pool size *)
+let with_monitor f =
   let seen = ref [] in
   Parallel.set_monitor (Some (fun s -> seen := s :: !seen));
   Fun.protect
     ~finally:(fun () -> Parallel.set_monitor None)
-    (fun () ->
-      with_pool ~domains:2 (fun pool ->
-          ignore (Parallel.map_pool pool (fun x -> x * 2) (List.init 10 Fun.id));
-          match !seen with
-          | [ s ] ->
-              Helpers.check_int "ms_items" 10 s.Parallel.ms_items;
-              Helpers.check_int "ms_domains" 2 s.Parallel.ms_domains;
-              let items =
-                List.fold_left
-                  (fun a w -> a + w.Parallel.ws_items)
-                  0 s.Parallel.ms_workers
-              in
-              Helpers.check_int "worker items sum" 10 items;
-              List.iter
-                (fun w ->
-                  Helpers.check_bool "worker slot in range" true
-                    (w.Parallel.ws_worker >= 0 && w.Parallel.ws_worker < 2))
-                s.Parallel.ms_workers
-          | l -> Alcotest.failf "expected 1 stats report, got %d" (List.length l)))
+    (fun () -> f (fun () -> List.rev !seen))
 
-let test_live_registry () =
-  let before = Parallel.live_pools () in
-  let p1 = Parallel.pool ~domains:2 () in
-  let p2 = Parallel.pool ~domains:2 () in
-  Helpers.check_int "two live pools" (before + 2) (Parallel.live_pools ());
-  Parallel.shutdown p1;
-  Helpers.check_int "one live pool" (before + 1) (Parallel.live_pools ());
-  Parallel.shutdown p2;
-  Parallel.shutdown p2 (* idempotent unregistration *);
-  Helpers.check_int "all unregistered" before (Parallel.live_pools ())
+let one_report = function
+  | [ s ] -> s
+  | l -> Alcotest.failf "expected 1 stats report, got %d" (List.length l)
 
-let test_leaked_pool () =
-  (* Deliberately leak a pool: the at_exit hook must stop and join its
-     workers so the test binary still terminates.  The assertion that
-     matters is implicit — if the hook is broken, this whole suite hangs
-     at process exit instead of finishing. *)
-  let pool = Parallel.pool ~domains:2 () in
-  Helpers.check_bool "leaked pool still works" true
-    (Parallel.map_pool pool Fun.id [ 1; 2 ] = [ 1; 2 ]);
-  Helpers.check_bool "leaked pool is registered" true (Parallel.live_pools () >= 1)
+let test_monitor_stats () =
+  (* the installed monitor sees every item exactly once, attributed to
+     worker slots within the worker count *)
+  with_monitor (fun seen ->
+      ignore (Parallel.map ~domains:2 (fun x -> x * 2) (List.init 10 Fun.id));
+      let s = one_report (seen ()) in
+      Helpers.check_int "ms_items" 10 s.Parallel.ms_items;
+      Helpers.check_int "ms_domains" 2 s.Parallel.ms_domains;
+      let items =
+        List.fold_left
+          (fun a w -> a + w.Parallel.ws_items)
+          0 s.Parallel.ms_workers
+      in
+      Helpers.check_int "worker items sum" 10 items;
+      List.iter
+        (fun w ->
+          Helpers.check_bool "worker slot in range" true
+            (w.Parallel.ws_worker >= 0 && w.Parallel.ws_worker < 2))
+        s.Parallel.ms_workers);
+  (* more domains than items: one worker per item *)
+  with_monitor (fun seen ->
+      ignore (Parallel.map ~domains:64 Fun.id [ 1; 2; 3 ]);
+      Helpers.check_int "ms_domains = min domains n" 3
+        (one_report (seen ())).Parallel.ms_domains);
+  (* a single worker claims every item, then fails its last claim *)
+  with_monitor (fun seen ->
+      ignore (Parallel.map ~domains:1 Fun.id (List.init 7 Fun.id));
+      match (one_report (seen ())).Parallel.ms_workers with
+      | [ w ] ->
+          Helpers.check_int "ws_steal_attempts = n + 1" 8
+            w.Parallel.ws_steal_attempts
+      | l -> Alcotest.failf "expected 1 worker, got %d" (List.length l));
+  (* an empty map starts no worker and reports nothing *)
+  with_monitor (fun seen ->
+      ignore (Parallel.map ~domains:4 Fun.id []);
+      Helpers.check_int "no report for an empty list" 0 (List.length (seen ())))
 
 let suite =
   [
     Alcotest.test_case "result ordering" `Quick test_ordering;
-    Alcotest.test_case "reuse across 50 maps" `Quick test_reuse_many_maps;
-    Alcotest.test_case "agrees with map" `Quick test_matches_map;
     Alcotest.test_case "exception semantics" `Quick test_exception;
-    Alcotest.test_case "reentrancy rejected" `Quick test_reentrancy_rejected;
-    Alcotest.test_case "shutdown" `Quick test_shutdown;
     Alcotest.test_case "monitor telemetry" `Quick test_monitor_stats;
-    Alcotest.test_case "live-pool registry" `Quick test_live_registry;
-    Alcotest.test_case "leaked pool joined at exit" `Quick test_leaked_pool;
   ]

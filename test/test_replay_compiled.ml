@@ -184,43 +184,29 @@ let bytes_of x = Marshal.to_string x []
 let test_montecarlo_domains () =
   let _, costs = Helpers.random_instance ~seed:11 ~m:6 ~tasks:20 () in
   let sched = Caft.run ~epsilon:1 costs in
-  (* three full blocks and a partial one, so domains and pool workers
-     really split the campaign *)
+  (* three full blocks and a partial one, so the domains really split the
+     campaign *)
   let runs = (3 * Monte_carlo.batch_block) + 17 in
   (* beyond epsilon too, so the degradation aggregation path is pinned *)
   List.iter
     (fun crashes ->
       List.iter
         (fun mode ->
-          let campaign ?domains ?pool () =
+          let campaign domains =
             bytes_of
-              (Monte_carlo.run ~seed:5 ~runs ?domains ?pool ~crashes ~mode
-                 sched)
+              (Monte_carlo.run ~seed:5 ~runs ~domains ~crashes ~mode sched)
           in
-          let r1 = campaign ~domains:1 () in
+          let r1 = campaign 1 in
           (* the per-scenario oracle is the differential baseline *)
           Helpers.check_bool "montecarlo matches per-scenario oracle" true
             (r1
             = bytes_of
                 (Oracle.monte_carlo ~seed:5 ~runs ~crashes ~mode sched));
-          (* spawned-per-call domains *)
           List.iter
             (fun domains ->
               Helpers.check_bool "montecarlo domains byte-identical" true
-                (r1 = campaign ~domains ()))
-            [ 2; 4 ];
-          (* persistent pool of every size, reused across both calls *)
-          List.iter
-            (fun size ->
-              let pool = Parallel.pool ~domains:size () in
-              Fun.protect
-                ~finally:(fun () -> Parallel.shutdown pool)
-                (fun () ->
-                  Helpers.check_bool "montecarlo pooled byte-identical" true
-                    (r1 = campaign ~pool ());
-                  Helpers.check_bool "montecarlo pooled reused" true
-                    (r1 = campaign ~pool ())))
-            [ 1; 2; 4 ])
+                (r1 = campaign domains))
+            [ 2; 4 ])
         [ Monte_carlo.From_start; Monte_carlo.Timed (Schedule.makespan sched) ])
     [ 1; 2 ] (* within epsilon (plain path) and beyond (degradation path) *)
 
@@ -233,21 +219,11 @@ let test_fault_check_domains () =
         (fun domains -> bytes_of (Fault_check.check ~domains ~epsilon sched))
         [ 1; 2; 4 ]
     in
-    (match reports with
+    match reports with
     | [ r1; r2; r4 ] ->
         Helpers.check_bool "check domains=2 byte-identical" true (r1 = r2);
         Helpers.check_bool "check domains=4 byte-identical" true (r1 = r4)
-    | _ -> assert false);
-    (* pooled sharding must produce the same report as domain sharding *)
-    List.iter
-      (fun size ->
-        let pool = Parallel.pool ~domains:size () in
-        Fun.protect
-          ~finally:(fun () -> Parallel.shutdown pool)
-          (fun () ->
-            Helpers.check_bool "check pooled byte-identical" true
-              (List.hd reports = bytes_of (Fault_check.check ~pool ~epsilon sched))))
-      [ 1; 2; 4 ]
+    | _ -> assert false
   in
   (* resisting (full enumeration) and refuting (lowest-rank
      counterexample wins over whatever later shards found) *)

@@ -155,6 +155,65 @@ let test_out_of_range_ids () =
       (loc, 3, "7000", "local predecessor task");
     ]
 
+(* A bad [edge] line is a parse error at that line, whose message names
+   the fault.  Each form inserts one line after the last edge line, built
+   from the first edge line's endpoints [u -> v]. *)
+let bad_edges =
+  [
+    ( "endpoint out of range",
+      "bad edge: unknown dst",
+      fun u _ -> Printf.sprintf "edge %d 99 1" u );
+    ( "negative endpoint",
+      "bad edge: unknown src",
+      fun _ v -> Printf.sprintf "edge -1 %d 1" v );
+    ( "self edge",
+      "bad edge: self edge",
+      fun u _ -> Printf.sprintf "edge %d %d 1" u u );
+    ( "duplicate edge",
+      "bad edge: duplicate edge",
+      fun u v -> Printf.sprintf "edge %d %d 1" u v );
+    ( "negative volume",
+      "bad edge: negative volume",
+      fun u v -> Printf.sprintf "edge %d %d -1" u v );
+    ( "closes a cycle",
+      "edge closes the cycle",
+      fun u v -> Printf.sprintf "edge %d %d 1" v u );
+  ]
+
+let test_bad_edge (reason, bad) () =
+  let lines =
+    List.filter (fun l -> l <> "")
+      (String.split_on_char '\n' (Schedule_io.to_string (small_schedule ())))
+  in
+  let is_edge l = String.starts_with ~prefix:"edge " l in
+  let u, v =
+    match String.split_on_char ' ' (List.find is_edge lines) with
+    | [ _; u; v; _ ] -> (int_of_string u, int_of_string v)
+    | _ -> Alcotest.fail "malformed edge line"
+  in
+  (* 0-based index of the last edge line; the inserted line follows it *)
+  let last =
+    List.fold_left max 0
+      (List.mapi (fun i l -> if is_edge l then i else 0) lines)
+  in
+  let text =
+    String.concat "\n"
+      (List.concat
+         (List.mapi
+            (fun i l -> if i = last then [ l; bad u v ] else [ l ])
+            lines))
+    ^ "\n"
+  in
+  match Schedule_io.of_string text with
+  | _ -> Alcotest.failf "%s: accepted" (bad u v)
+  | exception Schedule_io.Parse_error { line; message } ->
+      Alcotest.(check int) (bad u v ^ ": error line") (last + 2) line;
+      Helpers.check_bool
+        (Printf.sprintf "%s: message %S starts with %S" (bad u v) message
+           reason)
+        true
+        (String.starts_with ~prefix:reason message)
+
 let suite =
   [
     Alcotest.test_case "roundtrip fixed point" `Quick test_roundtrip;
@@ -167,3 +226,8 @@ let suite =
     Alcotest.test_case "partial --stream output detected" `Quick
       test_partial_stream_detected;
   ]
+  @ List.map
+      (fun (name, reason, bad) ->
+        Alcotest.test_case ("edge: " ^ name) `Quick
+          (test_bad_edge (reason, bad)))
+      bad_edges

@@ -21,10 +21,6 @@ let counting name f =
       let r = f () in
       (r, counter name))
 
-let with_pool size f =
-  let pool = Parallel.pool ~domains:size () in
-  Fun.protect ~finally:(fun () -> Parallel.shutdown pool) (fun () -> f pool)
-
 (* [target_chain ~m ~target] is a HEFT schedule whose three tasks all run
    on processor [target] (every other processor is ten times slower), so
    the only refuting single crash is [{target}] — the first counterexample
@@ -57,14 +53,7 @@ let same_check name ?max_exhaustive ?samples ?static ~epsilon sched =
         ~shards:domains
         (fun () ->
           Fault_check.check ?max_exhaustive ?samples ?static ~domains ~epsilon
-            sched);
-      with_pool domains (fun pool ->
-          compare_run
-            (Printf.sprintf "pool %d" domains)
-            ~shards:domains
-            (fun () ->
-              Fault_check.check ?max_exhaustive ?samples ?static ~pool
-                ~epsilon sched)))
+            sched))
     [ 1; 2; 4 ]
 
 let test_check_certified_and_refuted () =
