@@ -40,7 +40,21 @@
 
    Explicit head popping is subsumed: once a head feeds one sibling, its
    support is locked and the disjointness filter removes it from every
-   later pool. *)
+   later pool.
+
+   Cost.  A placement evaluates every unlocked processor, but the sort
+   key of Algorithm 5.2 line 3 — the estimated finish of a leg from each
+   source replica to each candidate — depends only on the network state,
+   which stays fixed until the placement commits.  So one leg table per
+   placement holds it for every (candidate, source) pair, together with
+   the head eligibility of each source, which does not depend on the
+   candidate at all.  A candidate then costs one flat pass over its row,
+   which gives two lower bounds on its finish: a plan-free one, and the
+   bound of the plan "cheapest eligible head per slot".  The latter is
+   the plan [plan_for] returns whenever a per-placement certificate
+   shows it cannot demote, so only the candidates that survive both
+   bounds, or that lack the certificate, build a plan and probe it
+   (DESIGN.md, "Candidate pruning"). *)
 
 (* Observability: every committed placement decision is counted — one
    increment per (replica, predecessor) input, so over a whole run
@@ -70,17 +84,23 @@ let m_pruned =
 
 let m_pruned_stage0 =
   Obs_metrics.counter
-    ~help:"candidates rejected by the processor-ready bound (no plan)"
+    ~help:
+      "candidates rejected by the processor-ready bound, before their \
+       leg-table row is read"
     "caft.pruned.stage0"
 
 let m_pruned_weak =
   Obs_metrics.counter
-    ~help:"candidates rejected by the plan-free per-predecessor bound"
+    ~help:
+      "candidates rejected by the plan-free bound of their leg-table row \
+       (cheapest leg per predecessor)"
     "caft.pruned.weak"
 
 let m_pruned_plan =
   Obs_metrics.counter
-    ~help:"candidates rejected by the bound of their input plan"
+    ~help:
+      "candidates rejected by the bound of their input plan: from the \
+       leg-table row when no demotion is possible, else after plan_for"
     "caft.pruned.plan"
 
 let m_support_size =
@@ -107,21 +127,24 @@ type t = {
   (* the sources of the task being placed, loaded once per placement and
      probed on every surviving candidate *)
   src : Netstate.sources;
-  (* Scratch state reused across every candidate evaluation — the inner
-     loop runs once per (task, replica, candidate processor) and used to
-     allocate a support bitset, a mode array and O(preds) closures per
-     call.  All of it lives on the engine now:
-
-     - [scratch_modes]: the input plan under construction (one slot per
-       predecessor, sized to the DAG's max in-degree); copied with
-       [Array.sub] only when a candidate becomes the incumbent;
-     - [scratch_support]: the combined support of the plan;
-     - [est_val]/[est_w]/[est_stamp]: memo table for the leg finish
-       estimate and leg duration, keyed by (predecessor slot, replica
-       index), valid while [stamp] matches — [plan_for] fills it and the
-       lower bounds reuse it, which is exact because the network state
-       does not change between the two (the probe happens afterwards,
-       and undoes itself). *)
+  (* The leg table of the placement under way (see [load_legs]): with n
+     loaded sources, source k of candidate p sits at cell p * n + k of
+     [leg_est] (estimated leg finish) and [leg_w] (leg duration, -1. if
+     co-located).  Sources are numbered in load order, slot by slot:
+     slot s holds sources [slot_off.(s)] to [slot_off.(s + 1) - 1], its
+     replicas in index order.  [head_ok.(k)]: source k's support is
+     disjoint from the locked set, so it may be a one-to-one head.
+     [heads_union]: the locked set and every such support. *)
+  mutable leg_est : float array;
+  mutable leg_w : float array;
+  slot_off : int array;
+  head_ok : bool array;
+  heads_union : Bitset.t;
+  (* Scratch state reused across every candidate evaluation:
+     [scratch_modes] is the input plan under construction (one slot per
+     predecessor, sized to the DAG's max in-degree), copied with
+     [Array.sub] only when a candidate becomes the incumbent;
+     [scratch_support] is the combined support of the plan. *)
   scratch_modes : input_mode array;
   scratch_support : Bitset.t;
   (* [plan_for] settling state: per-processor coverage counts of the
@@ -130,11 +153,6 @@ type t = {
   scratch_cover : int array;
   scratch_cards : int array;
   scratch_order : int array;
-  est_val : float array;
-  est_w : float array;
-  est_stamp : int array;
-  mutable stamp : int;
-  platform : Platform.t;
   (* streaming hook: called once per committed replica; when set, the
      stored supply list is dropped right after the callback (placement
      never reads it back — see the interface) *)
@@ -156,7 +174,7 @@ let create ?model ?fabric ?insertion ?(one_to_one = true) ?on_place ~epsilon
   let ws = Workspace.create ?model ?fabric ?insertion ~epsilon costs in
   let dag = Workspace.dag ws in
   let max_preds = max_in_degree dag in
-  let est_cells = max 1 (max_preds * (epsilon + 1)) in
+  let max_sources = max 1 (max_preds * (epsilon + 1)) in
   let m = Platform.proc_count (Workspace.platform ws) in
   {
     ws;
@@ -168,16 +186,16 @@ let create ?model ?fabric ?insertion ?(one_to_one = true) ?on_place ~epsilon
     one_to_one;
     supports = Array.make (Dag.task_count dag * (epsilon + 1)) None;
     src = Netstate.create_sources ();
+    leg_est = [||];
+    leg_w = [||];
+    slot_off = Array.make (max_preds + 1) 0;
+    head_ok = Array.make max_sources false;
+    heads_union = Bitset.create m;
     scratch_modes = Array.make (max 1 max_preds) Full;
     scratch_support = Bitset.create m;
     scratch_cover = Array.make m 0;
     scratch_cards = Array.make (max 1 max_preds) 0;
     scratch_order = Array.make (max 1 max_preds) 0;
-    est_val = Array.make est_cells 0.;
-    est_w = Array.make est_cells 0.;
-    est_stamp = Array.make est_cells 0;
-    stamp = 0;
-    platform = Workspace.platform ws;
     on_place;
     one_port = Netstate.model (Workspace.net ws) = Netstate.One_port;
   }
@@ -192,76 +210,64 @@ let support_of t task idx =
 
 let exec t task p = Costs.exec t.costs task p
 
-(* Estimated finish time of the communication shipping [volume] units from
-   replica [r] to processor [dst] under the current network state — the
-   sort key of Algorithm 5.2 line 3.  Co-located replicas "finish" when
-   the replica itself does.  Cached per (predecessor slot, replica index)
-   for the candidate processor stamped on the engine; the cache is exact,
-   not approximate: between [plan_for] and the lower bounds for one
-   candidate nothing touches the network state, so recomputing would
-   produce the identical float.  [est_w] keeps the leg duration alongside
-   ([-1.] for a co-located replica) so the one-port serialization bounds
-   never recompute [comm_time]. *)
-let est_cached t ~slot ~volume ~dst (r : Schedule.replica) =
-  let cell = (slot * (t.epsilon + 1)) + r.Schedule.r_index in
-  if t.est_stamp.(cell) = t.stamp then t.est_val.(cell)
-  else begin
-    let src = r.Schedule.r_proc in
-    let v =
-      if src = dst then begin
-        t.est_w.(cell) <- -1.;
-        r.Schedule.r_finish
-      end
-      else begin
-        let w = Platform.comm_time t.platform ~src ~dst ~volume in
-        let start =
-          Float.max (Netstate.send_free t.net src)
-            (Float.max r.Schedule.r_finish
-               (Netstate.link_ready t.net ~src ~dst))
-        in
-        t.est_w.(cell) <- w;
-        start +. w
-      end
-    in
-    t.est_val.(cell) <- v;
-    t.est_stamp.(cell) <- t.stamp;
-    v
-  end
-
-(* Leg duration of the replica whose estimate was just computed with
-   [est_cached] under the current stamp ([-1.] if co-located). *)
-let cached_w t ~slot (r : Schedule.replica) =
-  t.est_w.((slot * (t.epsilon + 1)) + r.Schedule.r_index)
+(* Load the task's sources and build the placement's leg table: the
+   estimated finish of a leg from every source replica to every unlocked
+   candidate — the sort key of Algorithm 5.2 line 3 — and its duration.
+   Nothing the table reads changes until the placement commits (a probe
+   undoes its own writes), so every candidate reads its row instead of
+   recomputing it.  Head eligibility does not depend on the candidate
+   either: it is tested once per source here, not per candidate in
+   [plan_for].  Returns the number of sources. *)
+let load_legs t ~preds ~locked task =
+  Workspace.load_sources t.ws t.src task;
+  Bitset.clear t.heads_union;
+  Bitset.union_into ~into:t.heads_union locked;
+  let n = ref 0 in
+  for slot = 0 to Array.length preds - 1 do
+    let pred, _ = preds.(slot) in
+    t.slot_off.(slot) <- !n;
+    for i = 0 to Workspace.placed_count t.ws pred - 1 do
+      let s = support_of t pred i in
+      let ok = t.one_to_one && Bitset.disjoint s locked in
+      t.head_ok.(!n) <- ok;
+      if ok then Bitset.union_into ~into:t.heads_union s;
+      incr n
+    done
+  done;
+  let n = !n in
+  t.slot_off.(Array.length preds) <- n;
+  let cells = t.m * n in
+  if Array.length t.leg_est < cells then begin
+    t.leg_est <- Array.make cells 0.;
+    t.leg_w <- Array.make cells 0.
+  end;
+  Netstate.leg_table t.net t.src ~skip:locked ~est:t.leg_est ~w:t.leg_w;
+  n
 
 (* Build the input plan for candidate processor [p] given the supports
    locked by the sibling replicas: greedily give every predecessor its
-   cheapest support-disjoint head, then demote the largest-support heads
-   to full replication until the combined support is admissible.  The plan
-   is written into [t.scratch_modes] (first [Array.length preds] slots)
-   and the combined support into [t.scratch_support]; both are only valid
-   until the next call. *)
-let plan_for t ~preds ~locked ~remaining_after p =
+   cheapest support-disjoint head (the first on ties), then demote the
+   largest-support heads to full replication until the combined support
+   is admissible.  The plan is written into [t.scratch_modes] (first
+   [Array.length preds] slots) and the combined support into
+   [t.scratch_support]; both are only valid until the next call. *)
+let plan_for t ~preds ~locked ~remaining_after ~n p =
   let np = Array.length preds in
+  let base = p * n in
   for slot = 0 to np - 1 do
-    let pred, volume = preds.(slot) in
-    let mode =
-      if not t.one_to_one then Full
-      else begin
-        let best = ref None in
-        for i = 0 to Workspace.placed_count t.ws pred - 1 do
-          let r = Workspace.get_placed t.ws pred i in
-          if Bitset.disjoint (support_of t pred r.Schedule.r_index) locked
-          then begin
-            let key = est_cached t ~slot ~volume ~dst:p r in
-            match !best with
-            | Some (bkey, _) when bkey <= key -> ()
-            | _ -> best := Some (key, r)
-          end
-        done;
-        match !best with Some (_, r) -> One_to_one r | None -> Full
-      end
-    in
-    t.scratch_modes.(slot) <- mode
+    let lo = t.slot_off.(slot) in
+    let head = ref (-1) in
+    for k = lo to t.slot_off.(slot + 1) - 1 do
+      if
+        t.head_ok.(k)
+        && (!head < 0 || t.leg_est.(base + k) < t.leg_est.(base + !head))
+      then head := k
+    done;
+    t.scratch_modes.(slot) <-
+      (if !head < 0 then Full
+       else
+         let pred, _ = preds.(slot) in
+         One_to_one (Workspace.get_placed t.ws pred (!head - lo)))
   done;
   (* Settle admissibility. *)
   let support () =
@@ -391,8 +397,11 @@ let book t task p ~preds modes =
    chain at least (1-u)^legs times the exact value.  Scaling by
    1 - 2(legs+1)u, itself exact, covers both and the rounding of the
    product (DESIGN.md, "Candidate pruning"). *)
-let ser_term ~recv_free ~legs sum =
+let[@inline] ser_term ~recv_free ~legs sum =
   (recv_free +. sum) *. (1. -. (float_of_int (legs + 1) *. epsilon_float))
+
+let ready_lb t p =
+  if Netstate.insertion t.net then 0. else Netstate.proc_ready t.net p
 
 (* Admissible lower bound on the finish time the probe of
    candidate [p] could achieve under the plan [modes].  Every term is a
@@ -427,40 +436,37 @@ let ser_term ~recv_free ~legs sum =
    +.), which are monotone, so [finish_lower_bound <= booked.b_finish]
    holds in the actual arithmetic — pruning on it can never skip a
    candidate that would have beaten the incumbent, and the argmin (ties
-   kept on the incumbent) is byte-identical to exhaustive evaluation. *)
-let finish_lower_bound t p ~preds ~e modes =
+   kept on the incumbent) is byte-identical to exhaustive evaluation.
+   [table_verdict] computes the same expression for the no-demotion
+   plan; this one serves the candidates without the certificate, whose
+   plan [plan_for] may have demoted. *)
+let finish_lower_bound t p ~preds ~n ~e modes =
+  let base = p * n in
   let data_lb = ref 0. in
   let ser_sum = ref 0. in
   let legs = ref 0 in
   for slot = 0 to Array.length preds - 1 do
-    let pred, volume = preds.(slot) in
+    let lo = base + t.slot_off.(slot) in
     let lb =
       match modes.(slot) with
       | One_to_one r ->
-          let est = est_cached t ~slot ~volume ~dst:p r in
-          if t.one_port then begin
-            (* the chosen head is that predecessor's only source *)
-            let w = cached_w t ~slot r in
-            if w >= 0. then begin
-              incr legs;
-              ser_sum := !ser_sum +. w
-            end
+          (* the chosen head is that predecessor's only source *)
+          let k = lo + r.Schedule.r_index in
+          if t.leg_w.(k) >= 0. then begin
+            incr legs;
+            ser_sum := !ser_sum +. t.leg_w.(k)
           end;
-          est
+          t.leg_est.(k)
       | Full ->
           let best = ref infinity in
           let local = ref false in
           let w_min = ref infinity in
-          for i = 0 to Workspace.placed_count t.ws pred - 1 do
-            let r = Workspace.get_placed t.ws pred i in
-            best := Float.min !best (est_cached t ~slot ~volume ~dst:p r);
-            if t.one_port then begin
-              let w = cached_w t ~slot r in
-              if w < 0. then local := true
-              else w_min := Float.min !w_min w
-            end
+          for k = lo to base + t.slot_off.(slot + 1) - 1 do
+            best := Flt.fmin !best t.leg_est.(k);
+            let w = t.leg_w.(k) in
+            if w < 0. then local := true else w_min := Flt.fmin !w_min w
           done;
-          if t.one_port && not !local then begin
+          if not !local then begin
             (* a co-located replica may feed the input through the local
                supply without ever crossing the port *)
             incr legs;
@@ -468,99 +474,146 @@ let finish_lower_bound t p ~preds ~e modes =
           end;
           !best
     in
-    data_lb := Float.max !data_lb lb
+    data_lb := Flt.fmax !data_lb lb
   done;
   let data_lb =
-    if !legs > 0 then
-      Float.max !data_lb
+    if t.one_port && !legs > 0 then
+      Flt.fmax !data_lb
         (ser_term ~recv_free:(Netstate.recv_free t.net p) ~legs:!legs !ser_sum)
     else !data_lb
   in
-  let ready_lb =
-    if Netstate.insertion t.net then 0. else Netstate.proc_ready t.net p
-  in
-  Float.max ready_lb data_lb +. e
+  Flt.fmax (ready_lb t p) data_lb +. e
 
-(* Weakening of {!finish_lower_bound} that needs no input plan: for every
-   predecessor, the data cannot be ready before the cheapest leg estimate
-   over *all* its placed replicas — a lower bound on both the one-to-one
-   estimate (whose head is drawn from a subset) and the full-replication
-   minimum (which it equals).  Combined with the {!ser_term} chain under
-   one-port.  Monotone accumulation, so the check can bail out per
-   predecessor: once the partial bound reaches the incumbent no later
-   predecessor can lower it.  Starts from {!ready_lb}, so it only runs on
-   candidates stage 0 kept. *)
-let ready_lb t p =
-  if Netstate.insertion t.net then 0. else Netstate.proc_ready t.net p
+(* Where a candidate's pruning stops.  [Open] goes on to [plan_for]. *)
+type verdict = Stage0 | Weak | Plan | Open
 
-(* Stage 0: the processor-ready term alone, no plan and no estimate. *)
-let stage0_prune t p ~e ~bound = Float.max (ready_lb t p) 0. +. e >= bound
+(* The pruning stages of candidate [p] against the incumbent's finish
+   [bound].  Stage 0, the processor-ready term alone, reads no row.
+   Then one pass over [p]'s row of the leg table gives two bounds:
 
-let weak_prune t p ~preds ~e ~bound =
-  let lb = ref (ready_lb t p) in
-  let rf0 = if t.one_port then Netstate.recv_free t.net p else 0. in
-  let ser_sum = ref 0. in
-  let legs = ref 0 in
-  let np = Array.length preds in
-  let slot = ref 0 in
-  let dead = ref false in
-  while (not !dead) && !slot < np do
-    let pred, volume = preds.(!slot) in
-    let best = ref infinity in
-    let local = ref false in
-    let w_min = ref infinity in
-    for i = 0 to Workspace.placed_count t.ws pred - 1 do
-      let r = Workspace.get_placed t.ws pred i in
-      best := Float.min !best (est_cached t ~slot:!slot ~volume ~dst:p r);
-      if t.one_port then begin
-        let w = cached_w t ~slot:!slot r in
-        if w < 0. then local := true else w_min := Float.min !w_min w
+   - the weak bound, {!finish_lower_bound} with every predecessor
+     weakened to the cheapest estimate over *all* its placed replicas — a
+     lower bound on both the one-to-one estimate (whose head is drawn
+     from a subset) and the full-replication minimum (which it equals);
+     its data term only grows slot by slot, so the pass stops at the
+     first slot that lifts it to the incumbent;
+   - the plan bound: {!finish_lower_bound} of the plan "cheapest
+     eligible head per slot, first on ties, full replication where no
+     head is eligible", the plan [plan_for] builds before it settles.
+     [certified] says it cannot demote on [p] (the combined support lies
+     in [heads_union] and {p}, which leaves enough unlocked processors);
+     then this is [plan_for]'s plan and the same floats give the same
+     bound, so it may prune.  Otherwise only [plan_for] knows the plan. *)
+let table_verdict t p ~n ~np ~e ~bound ~certified =
+  let ready = ready_lb t p in
+  if Flt.fmax ready 0. +. e >= bound then Stage0
+  else begin
+    let est = t.leg_est and w = t.leg_w and base = p * n in
+    let weak_lb = ref ready and weak_sum = ref 0. and weak_legs = ref 0 in
+    let plan_lb = ref 0. and plan_sum = ref 0. and plan_legs = ref 0 in
+    let slot = ref 0 in
+    while !slot < np && !weak_lb +. e < bound do
+      let best = ref infinity and local = ref false and w_min = ref infinity in
+      let head = ref (-1) and head_est = ref infinity in
+      for k = t.slot_off.(!slot) to t.slot_off.(!slot + 1) - 1 do
+        let x = est.(base + k) and wk = w.(base + k) in
+        best := Flt.fmin !best x;
+        if wk < 0. then local := true else w_min := Flt.fmin !w_min wk;
+        if t.head_ok.(k) && (!head < 0 || x < !head_est) then begin
+          head := k;
+          head_est := x
+        end
+      done;
+      weak_lb := Flt.fmax !weak_lb !best;
+      if not !local then begin
+        incr weak_legs;
+        weak_sum := !weak_sum +. !w_min
+      end;
+      if !head < 0 then begin
+        plan_lb := Flt.fmax !plan_lb !best;
+        if not !local then begin
+          incr plan_legs;
+          plan_sum := !plan_sum +. !w_min
+        end
       end
+      else begin
+        plan_lb := Flt.fmax !plan_lb !head_est;
+        let wh = w.(base + !head) in
+        if wh >= 0. then begin
+          incr plan_legs;
+          plan_sum := !plan_sum +. wh
+        end
+      end;
+      incr slot
     done;
-    lb := Float.max !lb !best;
-    if t.one_port && not !local then begin
-      incr legs;
-      ser_sum := !ser_sum +. !w_min
-    end;
-    let ser =
-      if !legs > 0 then ser_term ~recv_free:rf0 ~legs:!legs !ser_sum else 0.
-    in
-    if Float.max !lb ser +. e >= bound then dead := true;
-    incr slot
-  done;
-  !dead
+    if !slot < np then Weak
+    else begin
+      let rf = if t.one_port then Netstate.recv_free t.net p else 0. in
+      let weak =
+        if t.one_port && !weak_legs > 0 then
+          Flt.fmax !weak_lb (ser_term ~recv_free:rf ~legs:!weak_legs !weak_sum)
+        else !weak_lb
+      in
+      if weak +. e >= bound then Weak
+      else if not certified then Open
+      else begin
+        let data =
+          if t.one_port && !plan_legs > 0 then
+            Flt.fmax !plan_lb
+              (ser_term ~recv_free:rf ~legs:!plan_legs !plan_sum)
+          else !plan_lb
+        in
+        if Flt.fmax ready data +. e >= bound then Plan else Open
+      end
+    end
+  end
 
 (* Evaluate every unlocked processor and return the placement with the
-   earliest finish, without committing anything.  The task's sources are
-   loaded into [t.src] once; a candidate whose lower bound cannot beat the
-   incumbent is skipped without a probe. *)
+   earliest finish, without committing anything.  The task's sources and
+   leg table are loaded once; a candidate whose lower bound cannot beat
+   the incumbent is skipped without a probe. *)
 let best_placement t ~preds ~locked ~remaining_after task =
-  Workspace.load_sources t.ws t.src task;
+  let n = load_legs t ~preds ~locked task in
   let evaluated = ref 0 in
   let stage0 = ref 0 and weak = ref 0 and plan = ref 0 in
   let np = Array.length preds in
+  (* [plan_for] demotes only if the support of its first plan, within
+     [heads_union] and {p}, leaves fewer than [remaining_after] unlocked
+     processors *)
+  let union_card = Bitset.cardinal t.heads_union in
+  let budget = t.m - remaining_after in
   let best = ref None in
   (* unlocked processors in ascending order (the fold order of the
      previous list-based walk — the argmin tie-break depends on it) *)
   for p = 0 to t.m - 1 do
     if not (Bitset.mem locked p) then begin
-      t.stamp <- t.stamp + 1;
       let e = exec t task p in
-      (* staged pruning: each stage's bound under-approximates the next,
-         so a candidate pruned here is exactly one the exhaustive fold
-         would have rejected — argmin unchanged *)
-      match !best with
-      | Some (bf, _, _, _) when stage0_prune t p ~e ~bound:bf -> incr stage0
-      | Some (bf, _, _, _) when weak_prune t p ~preds ~e ~bound:bf ->
-          incr weak
-      | _ -> (
-          match plan_for t ~preds ~locked ~remaining_after p with
+      let certified =
+        (if Bitset.mem t.heads_union p then union_card else union_card + 1)
+        <= budget
+      in
+      (* staged pruning: each bound under-approximates the probe, so a
+         candidate pruned here is exactly one the exhaustive fold would
+         have rejected — argmin unchanged *)
+      let verdict =
+        match !best with
+        | None -> Open
+        | Some (bf, _, _, _) ->
+            table_verdict t p ~n ~np ~e ~bound:bf ~certified
+      in
+      match verdict with
+      | Stage0 -> incr stage0
+      | Weak -> incr weak
+      | Plan -> incr plan
+      | Open -> (
+          match plan_for t ~preds ~locked ~remaining_after ~n p with
           | None -> ()
           | Some s -> (
               let modes = t.scratch_modes in
               match !best with
               | Some (bf, _, _, _)
-                when finish_lower_bound t p ~preds ~e modes >= bf ->
+                when (not certified)
+                     && finish_lower_bound t p ~preds ~n ~e modes >= bf ->
                   incr plan
               | _ -> (
                   incr evaluated;

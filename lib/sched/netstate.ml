@@ -270,6 +270,7 @@ type t = {
   platform : Platform.t;
   model : model;
   fabric : fabric;
+  clique : bool;  (* [fabric] is the default [clique_fabric] *)
   insertion : bool;
   ready : float array;
   busy : (float * float) list array;
@@ -293,6 +294,7 @@ type t = {
   mutable slot_local : int array;
   mutable slot_local_min : float array;
   mutable slot_remote : float array;
+  mutable leg_sf : float array;  (* [leg_table]'s per-source SF *)
   (* Undo log of a probe: the port/link cells it wrote (row, index) and
      their previous values, replayed newest first. *)
   mutable undo_row : float array array;
@@ -313,6 +315,7 @@ type snapshot = {
 
 let create ?(model = One_port) ?fabric ?(insertion = false) platform =
   let m = Platform.proc_count platform in
+  let clique = Option.is_none fabric in
   let fabric =
     match fabric with Some f -> f | None -> clique_fabric m
   in
@@ -321,6 +324,7 @@ let create ?(model = One_port) ?fabric ?(insertion = false) platform =
     platform;
     model;
     fabric;
+    clique;
     insertion;
     ready = Array.make m 0.;
     busy = Array.make m [];
@@ -337,6 +341,7 @@ let create ?(model = One_port) ?fabric ?(insertion = false) platform =
     slot_local = [||];
     slot_local_min = [||];
     slot_remote = [||];
+    leg_sf = [||];
     undo_row = [||];
     undo_idx = [||];
     undo_old = [||];
@@ -398,6 +403,50 @@ let link_ready t ~src ~dst =
   | [] -> 0.
   | [ l ] -> t.phys.(l) (* clique fast path *)
   | route -> route_max t.phys 0. route
+
+(* The estimate rows of a placement, candidate-major.  [t.leg_sf] holds
+   each source's send-port time, read once: it is the same for every
+   destination.  On the default clique the link of [sp -> p] is
+   [sp * m + p] (see [clique_fabric]), read without an indirect call to
+   the route closure per cell; other fabrics look the route up as the
+   kernel does. *)
+let leg_table t src ~skip ~est ~w =
+  let n = src.n in
+  if Array.length t.leg_sf < n then t.leg_sf <- Array.make (max 8 n) 0.;
+  let sf = t.leg_sf in
+  for k = 0 to n - 1 do
+    sf.(k) <- send_free t src.proc_of.(k)
+  done;
+  let m = Platform.proc_count t.platform in
+  for p = 0 to m - 1 do
+    if not (Bitset.mem skip p) then begin
+      let base = p * n in
+      for k = 0 to n - 1 do
+        let sp = src.proc_of.(k) in
+        if sp = p then begin
+          est.(base + k) <- src.finish_of.(k);
+          w.(base + k) <- -1.
+        end
+        else begin
+          let wk =
+            Platform.comm_time t.platform ~src:sp ~dst:p
+              ~volume:src.volume_of.(k)
+          in
+          let link =
+            if t.clique then t.phys.((sp * m) + p)
+            else
+              match t.fabric.route sp p with
+              | [] -> 0.
+              | [ l ] -> t.phys.(l)
+              | route -> route_max t.phys 0. route
+          in
+          est.(base + k) <-
+            Flt.fmax sf.(k) (Flt.fmax src.finish_of.(k) link) +. wk;
+          w.(base + k) <- wk
+        end
+      done
+    end
+  done
 
 (* -- the booking kernel ------------------------------------------------ *)
 

@@ -220,6 +220,18 @@ val select_head : sources -> slot:int -> replica:int -> unit
 val select_full : sources -> slot:int -> unit
 (** Let every loaded replica of [slot] supply it (full replication). *)
 
+val leg_table :
+  t -> sources -> skip:Bitset.t -> est:float array -> w:float array -> unit
+(** [leg_table t src ~skip ~est ~w] fills the leg estimates of the [n]
+    loaded sources (in {!add_source} order) towards every processor [p]
+    not in [skip], candidate-major: [est.(p * n + k)] is the estimated
+    finish of a leg from source [k] to [p] under the current state,
+    [max SF(src) (max finish R(src -> p)) + W] — the sort key of
+    Algorithm 5.2 line 3 — and [w.(p * n + k)] its duration [W].  A
+    source on [p] itself stores its finish and [w = -1.].  Both arrays
+    must hold [m * n] cells.  The state is only read, so the table stays
+    exact until the next {!commit}: {!probe} undoes its own writes. *)
+
 val probe :
   t ->
   sources ->

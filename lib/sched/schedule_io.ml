@@ -114,10 +114,12 @@ type parse_state = {
   mutable pmodel : Netstate.model;
   mutable tasks : int;
   mutable procs : int;
-  mutable names : (int * string) list;
-  mutable edges : (int * (int * int * float)) list; (* (line, edge) *)
-  mutable delays : (int * int * float) list;
-  mutable costs : (int * int * float) list;
+  (* instance lines in reverse, each with its line number: ids are
+     range-checked once [tasks] and [procs] are known *)
+  mutable names : (int * (int * string)) list;
+  mutable edges : (int * (int * int * float)) list;
+  mutable delays : (int * (int * int * float)) list;
+  mutable costs : (int * (int * int * float)) list;
   (* replicas keyed by (task, idx); supplies accumulated in reverse, each
      with its line number so ids are range-checked once [tasks] and
      [procs] are known *)
@@ -185,7 +187,8 @@ let of_string text =
         | [ "model"; other ] -> fail lineno ("unknown model " ^ other)
         | [ "tasks"; n ] -> st.tasks <- int_of lineno n
         | [ "procs"; n ] -> st.procs <- int_of lineno n
-        | [ "task"; id; name ] -> st.names <- (int_of lineno id, name) :: st.names
+        | [ "task"; id; name ] ->
+            st.names <- (lineno, (int_of lineno id, name)) :: st.names
         | [ "edge"; src; dst; vol ] ->
             let edge =
               (int_of lineno src, int_of lineno dst, float_of lineno vol)
@@ -193,10 +196,12 @@ let of_string text =
             st.edges <- (lineno, edge) :: st.edges
         | [ "delay"; k; h; d ] ->
             st.delays <-
-              (int_of lineno k, int_of lineno h, float_of lineno d) :: st.delays
+              (lineno, (int_of lineno k, int_of lineno h, float_of lineno d))
+              :: st.delays
         | [ "cost"; t; p; c ] ->
             st.costs <-
-              (int_of lineno t, int_of lineno p, float_of lineno c) :: st.costs
+              (lineno, (int_of lineno t, int_of lineno p, float_of lineno c))
+              :: st.costs
         | [ "replica"; task; idx; proc; start; finish ] ->
             Hashtbl.replace st.replicas
               (int_of lineno task, int_of lineno idx)
@@ -245,13 +250,18 @@ let of_string text =
   if st.tasks < 0 then fail 0 "missing 'tasks'";
   if st.procs < 1 then fail 0 "missing 'procs'";
   if st.epsilon < 0 then fail 0 "missing 'epsilon'";
-  (* rebuild the instance *)
+  let in_range line what id bound =
+    if id < 0 || id >= bound then
+      fail line (Printf.sprintf "%s %d out of range [0, %d)" what id bound)
+  in
+  (* Rebuild the instance.  Ids are checked in file order, so the first
+     offending line is the one reported; values are then stored from the
+     last line to the first, so of two lines for one cell the first
+     wins. *)
+  List.iter (fun (line, (id, _)) -> in_range line "task" id st.tasks)
+    (List.rev st.names);
   let names = Array.make st.tasks "" in
-  List.iter
-    (fun (id, name) ->
-      if id < 0 || id >= st.tasks then fail 0 "task id out of range";
-      names.(id) <- name)
-    st.names;
+  List.iter (fun (_, (id, name)) -> names.(id) <- name) st.names;
   (* [Dag.make]'s checks edge by edge, so each rejection names its line *)
   let b = Dag.Builder.create () in
   Array.iter (fun name -> ignore (Dag.Builder.add_task ~name b)) names;
@@ -279,24 +289,20 @@ let of_string text =
   in
   let delays = Array.make_matrix st.procs st.procs 0. in
   List.iter
-    (fun (k, h, d) ->
-      if k < 0 || k >= st.procs || h < 0 || h >= st.procs then
-        fail 0 "delay endpoint out of range";
-      delays.(k).(h) <- d)
-    st.delays;
+    (fun (line, (k, h, _)) ->
+      in_range line "delay source processor" k st.procs;
+      in_range line "delay destination processor" h st.procs)
+    (List.rev st.delays);
+  List.iter (fun (_, (k, h, d)) -> delays.(k).(h) <- d) st.delays;
   let platform = Platform.create ~delays in
   let matrix = Array.make_matrix st.tasks st.procs 0. in
   List.iter
-    (fun (t, p, c) ->
-      if t < 0 || t >= st.tasks || p < 0 || p >= st.procs then
-        fail 0 "cost index out of range";
-      matrix.(t).(p) <- c)
-    st.costs;
+    (fun (line, (t, p, _)) ->
+      in_range line "cost task" t st.tasks;
+      in_range line "cost processor" p st.procs)
+    (List.rev st.costs);
+  List.iter (fun (_, (t, p, c)) -> matrix.(t).(p) <- c) st.costs;
   let costs = Costs.of_matrix dag platform matrix in
-  let in_range line what id bound =
-    if id < 0 || id >= bound then
-      fail line (Printf.sprintf "%s %d out of range [0, %d)" what id bound)
-  in
   let check_supply (line, supply) =
     match supply with
     | Schedule.Local { l_pred; _ } ->

@@ -960,7 +960,9 @@ let reset c a nl =
 (* [Float.max] without its two [sign_bit] calls, which ocamlopt emits as
    C calls: the larger operand, and [+0.] for a pair of zeros of mixed
    sign.  Equal to [Float.max] on all non-nan operands, and the kernel
-   never forms a nan time. *)
+   never forms a nan time.  The body of [Flt.fmax], kept local: dune's
+   dev profile compiles with -opaque, where a call into [Flt] is not
+   inlined and boxes both operands on every lane step. *)
 let[@inline] fmax (x : float) y =
   if y > x then y else if y = x && x = 0. then x +. y else x
 

@@ -16,6 +16,19 @@ val leq : ?tol:float -> float -> float -> bool
 
 val geq : ?tol:float -> float -> float -> bool
 
+val fmax : float -> float -> float
+(** [fmax x y] equals [Float.max x y] whenever neither operand is nan
+    ([fmax (-0.) 0.] and [fmax 0. (-0.)] are [+0.]), without the C calls
+    [Float.max] makes: for unboxed inner loops such as CAFT's placement
+    bounds, once inlined (the release profile inlines it across
+    libraries; the dev profile's [-opaque] does not).  Unspecified on
+    nan. *)
+
+val fmin : float -> float -> float
+(** [fmin x y] equals [Float.min x y] whenever neither operand is nan
+    ([fmin (-0.) 0.] and [fmin 0. (-0.)] are [-0.]).  Unspecified on
+    nan. *)
+
 val max_list : float list -> float
 (** Maximum; [neg_infinity] on the empty list. *)
 

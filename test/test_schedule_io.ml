@@ -113,46 +113,57 @@ let test_partial_stream_detected () =
         (Schedule_io.to_string reparsed))
 
 let test_out_of_range_ids () =
-  (* a supply line naming a task or processor outside the instance is a
-     parse error at that line, not a crash in a later analysis *)
+  (* a supply, task, delay or cost line naming a task or processor
+     outside the instance is a parse error at that line — the first such
+     line in the file — not a crash in a later analysis *)
   let sched = small_schedule () in
   let lines =
     List.filter (fun l -> l <> "")
       (String.split_on_char '\n' (Schedule_io.to_string sched))
   in
-  let first directive =
-    let rec go i = function
-      | [] -> Alcotest.failf "schedule text has no %s line" directive
-      | l :: rest ->
-          if List.hd (String.split_on_char ' ' l) = directive then i
-          else go (i + 1) rest
-    in
-    go 1 lines
+  (* the 1-based numbers of the lines of one directive *)
+  let numbered directive =
+    List.filter_map
+      (fun (i, l) ->
+        if List.hd (String.split_on_char ' ' l) = directive then Some i
+        else None)
+      (List.mapi (fun i l -> (i + 1, l)) lines)
   in
-  (* set word [field] of line [n] (1-based) to [v] *)
-  let edited n field v =
+  let first d = List.hd (numbered d) in
+  let last d = List.hd (List.rev (numbered d)) in
+  (* set word [field] of each edited line [n] (1-based) to [v] *)
+  let edited edits =
     String.concat "\n"
       (List.mapi
          (fun i l ->
-           if i <> n - 1 then l
-           else
-             String.concat " "
-               (List.mapi
-                  (fun j w -> if j = field then v else w)
-                  (String.split_on_char ' ' l)))
+           match List.assoc_opt (i + 1) edits with
+           | None -> l
+           | Some (field, v) ->
+               String.concat " "
+                 (List.mapi
+                    (fun j w -> if j = field then v else w)
+                    (String.split_on_char ' ' l)))
          lines)
     ^ "\n"
   in
-  let msg = first "message" and loc = first "local" in
+  (* edits in file order: the first one is the line reported *)
   List.iter
-    (fun (n, field, v, name) ->
-      expect_parse_error ~line:n (edited n field v) name)
+    (fun (name, edits) ->
+      expect_parse_error ~line:(fst (List.hd edits)) (edited edits) name)
     [
-      (msg, 3, "10", "message predecessor task");
-      (msg, 5, "3", "message source processor");
-      (msg, 5, "-1", "negative source processor");
-      (msg, 8, "99", "message destination processor");
-      (loc, 3, "7000", "local predecessor task");
+      ("message predecessor task", [ (first "message", (3, "10")) ]);
+      ("message source processor", [ (first "message", (5, "3")) ]);
+      ("negative source processor", [ (first "message", (5, "-1")) ]);
+      ("message destination processor", [ (first "message", (8, "99")) ]);
+      ("local predecessor task", [ (first "local", (3, "7000")) ]);
+      ("task id", [ (last "task", (1, "10")) ]);
+      ("negative task id", [ (first "task", (1, "-1")) ]);
+      ("delay source processor", [ (first "delay", (1, "3")) ]);
+      ("delay destination processor", [ (last "delay", (2, "7")) ]);
+      ("cost task", [ (last "cost", (1, "12")) ]);
+      ("cost processor", [ (first "cost", (2, "9")) ]);
+      ( "first of two bad cost lines",
+        [ (first "cost", (2, "9")); (last "cost", (1, "99")) ] );
     ]
 
 (* A bad [edge] line is a parse error at that line, whose message names

@@ -61,6 +61,48 @@ let test_acc_empty () =
   Helpers.check_bool "empty mean nan" true (Float.is_nan (Stats.Acc.mean acc));
   Helpers.check_float "empty stddev" 0. (Stats.Acc.stddev acc)
 
+(* [Flt.fmax]/[Flt.fmin] against [Float.max]/[Float.min], bit for bit:
+   the pruning bounds of CAFT rely on the equality (DESIGN.md, "Candidate
+   pruning").  Operands are drawn from the special values (both zeros,
+   both infinities, extremes, subnormals), their negations and random
+   floats, half the time as an equal pair. *)
+let specials =
+  [ 0.; -0.; 1.; -1.; infinity; neg_infinity; max_float; -.max_float;
+    min_float; -.min_float; Float.succ 0.; Float.pred 0.; epsilon_float ]
+
+let gen_operand =
+  QCheck.Gen.(
+    frequency
+      [ (1, oneofl specials); (2, float_range (-1e6) 1e6); (1, float) ]
+    >|= fun x -> if Float.is_nan x then 0. else x)
+
+let prop_fmax_fmin (x, y) =
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  same (Flt.fmax x y) (Float.max x y) && same (Flt.fmin x y) (Float.min x y)
+
+let qcheck_fmax_fmin =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2008 |])
+    (QCheck.Test.make ~count:2000
+       ~name:"Flt.fmax/fmin = Float.max/min on non-nan operands (qcheck)"
+       (QCheck.make
+          ~print:(fun (x, y) -> Printf.sprintf "(%h, %h)" x y)
+          QCheck.Gen.(
+            pair gen_operand gen_operand >>= fun (x, y) ->
+            map (fun eq -> if eq then (x, x) else (x, y)) bool))
+       prop_fmax_fmin)
+
+let test_fmax_fmin_specials () =
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          Helpers.check_bool
+            (Printf.sprintf "fmax/fmin %h %h" x y)
+            true
+            (prop_fmax_fmin (x, y)))
+        specials)
+    specials
+
 let suite =
   [
     Alcotest.test_case "mean" `Quick test_mean;
@@ -71,4 +113,7 @@ let suite =
     Alcotest.test_case "kahan summation" `Quick test_kahan;
     Alcotest.test_case "welford accumulator" `Quick test_acc_matches_lists;
     Alcotest.test_case "empty accumulator" `Quick test_acc_empty;
+    Alcotest.test_case "fmax/fmin on special pairs" `Quick
+      test_fmax_fmin_specials;
+    qcheck_fmax_fmin;
   ]

@@ -68,6 +68,14 @@ let golden_family_cases =
         Caft.run ~seed:202 ~epsilon:2
           (family_costs ~seed:3 ~m:8
              (Families.staged_fanout ~stages:3 ~width:4 ())) );
+    (* a fan-in of width 12 over 32 processors, recorded before the
+       per-placement leg table: many sources per candidate row *)
+    ( "caft/staged3x12/m32/eps2",
+      "7360f03ca37aea9a0b906d51b255516e",
+      fun () ->
+        Caft.run ~seed:303 ~epsilon:2
+          (family_costs ~seed:4 ~m:32
+             (Families.staged_fanout ~stages:3 ~width:12 ())) );
   ]
 
 let test_family_fingerprints () =

@@ -558,6 +558,34 @@ let golden_cases =
       fun () ->
         let costs, fabric = ring_instance ~seed:5 ~m:8 in
         Caft.run ~fabric ~seed:505 ~epsilon:1 costs );
+    (* Recorded before the per-placement leg table replaced the
+       per-candidate estimate memo: these reach the table's other paths —
+       epsilon = 0, demotion with the no-demotion certificate failing
+       (m = 5, epsilon = 3), a routed fabric at epsilon = 2, multiport
+       with insertion and the batch variant's [estimate_finish]. *)
+    ( "caft-ff/seed1/m6",
+      "aebf6cf288051542b90cbc4c7721f1e2",
+      fun () -> Caft.fault_free ~seed:101 (instance ~seed:1 ~m:6 ~tasks:30) );
+    ( "caft/seed6/m5/eps3",
+      "7817f9daa4e2bcc00068b49d94369339",
+      fun () -> Caft.run ~seed:606 ~epsilon:3 (instance ~seed:6 ~m:5 ~tasks:30)
+    );
+    ( "caft-ring/seed7/m8/eps2",
+      "eefbdb40fb93c2a717cc3872c2337e7d",
+      fun () ->
+        let costs, fabric = ring_instance ~seed:7 ~m:8 in
+        Caft.run ~fabric ~seed:707 ~epsilon:2 costs );
+    ( "caft-mp2/insertion/seed8/m8/eps1",
+      "22e34f249c93c519a16fba9f530a63ac",
+      fun () ->
+        Caft.run ~model:(Netstate.Multiport 2) ~insertion:true ~seed:808
+          ~epsilon:1
+          (instance ~seed:8 ~m:8 ~tasks:30) );
+    ( "caft-batch5/seed9/m8/eps2",
+      "843065f0b55b4dbfdaf1c75d5e96c242",
+      fun () ->
+        Caft_batch.run ~seed:909 ~window:5 ~epsilon:2
+          (instance ~seed:9 ~m:8 ~tasks:30) );
     ( "heft/seed5/m6",
       "c0906788be6a48e4a1786544e4fc1c3a",
       fun () -> Heft.run ~seed:505 (instance ~seed:5 ~m:6 ~tasks:30) );
