@@ -597,12 +597,15 @@ let replay_case m =
      simulator across the whole bechamel run, so it prices only the
      struct-of-arrays inner loop (no per-call compile, no per-scenario
      dispatch) *)
-  let block =
-    Array.make Monte_carlo.batch_block (Scenario.of_crash_times crash_time)
-  in
+  let rows = Array.make (Replay.batch_block * m) infinity in
+  for j = 0 to Replay.batch_block - 1 do
+    Scenario.write_from_start rows ~m j [ 0; 1 ]
+  done;
   let rebuild () = Replay.reference sched ~crash_time in
   let compiled_eval () = Replay.eval compiled ~crash_time in
-  let batched_eval () = Replay.eval_batch compiled block in
+  let batched_eval () =
+    Replay.eval_batch compiled rows ~first:0 ~count:Replay.batch_block
+  in
   let compile () = Replay.compile sched in
   (sched, compile, rebuild, compiled_eval, batched_eval)
 
@@ -614,7 +617,7 @@ let replay_ms = [ 10; 25; 50 ]
 let replay_domains ~quick ~m sched =
   (* enough runs that the one compile per domain amortizes *)
   let runs = if quick then 2000 else 10_000 in
-  let blocks = (runs + Monte_carlo.batch_block - 1) / Monte_carlo.batch_block in
+  let blocks = (runs + Replay.batch_block - 1) / Replay.batch_block in
   print_endline
     (Printf.sprintf
        "=== Monte-Carlo scaling: %d from-start scenarios in %d blocks, m=%d \
@@ -781,7 +784,7 @@ let replay_bench ~quick ~profile_json =
              ]))
   in
   let find = estimate rows "replay" in
-  let batched m = find "batched" m /. float_of_int Monte_carlo.batch_block in
+  let batched m = find "batched" m /. float_of_int Replay.batch_block in
   let t =
     Text_table.create
       ~aligns:[ Text_table.Left ]
@@ -817,7 +820,7 @@ let replay_bench ~quick ~profile_json =
         builds the outcome, and\n\
        \ the batched path runs the same kernel over a %d-scenario \
         [eval_batch] block, %d scenarios per walk)"
-       Monte_carlo.batch_block Replay.batch_lanes);
+       Replay.batch_block Replay.batch_lanes);
   print_newline ();
   (* domain scaling of a whole Monte-Carlo campaign on the largest case *)
   let m = List.nth replay_ms 2 in
@@ -851,7 +854,7 @@ let replay_bench ~quick ~profile_json =
              Json.Obj
                [
                  ("m", Json.Int m);
-                 ("block", Json.Int Monte_carlo.batch_block);
+                 ("block", Json.Int Replay.batch_block);
                  ("batched_ns_per_scenario", float_or_null (batched m));
                  ( "batched_vs_rebuild",
                    float_or_null (find "rebuild" m /. batched m) );

@@ -121,7 +121,6 @@ let load_schedule_file path =
   try Schedule_io.of_file path with
   | Schedule_io.Parse_error { line; message } -> input_error path ~line message
   | Sys_error msg -> input_error path msg
-  | Invalid_argument msg | Failure msg -> input_error path msg
 
 let make_instance ?import ~seed ~family ~tasks ~m ~granularity () =
   let rng = Rng.create seed in

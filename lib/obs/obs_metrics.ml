@@ -39,7 +39,6 @@ type hcell = { hc_counts : int array; mutable hc_acc : Stats.Acc.t }
 
 type shard = {
   sh_seq : int;  (* creation order: stable aggregation order *)
-  mutable sh_suppressed : bool;
   mutable sh_counters : int array;
   mutable sh_gauges : float array;  (* [add] accumulators *)
   mutable sh_hists : hcell option array;
@@ -60,7 +59,6 @@ let set_stamp = ref 0
 let mk_shard seq =
   {
     sh_seq = seq;
-    sh_suppressed = false;
     sh_counters = [||];
     sh_gauges = [||];
     sh_hists = [||];
@@ -156,14 +154,6 @@ let my_shard () = Domain.DLS.get shard_key
 
 let shard_count () = with_registry (fun () -> List.length !live_shards)
 
-(* Per-domain mute flag: speculative bookings (snapshot/restore trials)
-   run under [suppressed] so only committed work is counted. *)
-let suppressed f =
-  let s = my_shard () in
-  let prev = s.sh_suppressed in
-  s.sh_suppressed <- true;
-  Fun.protect ~finally:(fun () -> s.sh_suppressed <- prev) f
-
 (* -- registration ------------------------------------------------------ *)
 
 let register ~help ~kind ~buckets name =
@@ -223,31 +213,24 @@ let histogram ?(buckets = default_buckets) ?(help = "") name =
 let incr ?(by = 1) c =
   if Atomic.get enabled_flag then begin
     let s = my_shard () in
-    if not s.sh_suppressed then begin
-      if c.c_id >= Array.length s.sh_counters then
-        s.sh_counters <- grown_int s.sh_counters (c.c_id + 1);
-      s.sh_counters.(c.c_id) <- s.sh_counters.(c.c_id) + by
-    end
+    if c.c_id >= Array.length s.sh_counters then
+      s.sh_counters <- grown_int s.sh_counters (c.c_id + 1);
+    s.sh_counters.(c.c_id) <- s.sh_counters.(c.c_id) + by
   end
 
 let add g x =
   if Atomic.get enabled_flag then begin
     let s = my_shard () in
-    if not s.sh_suppressed then begin
-      if g.g_id >= Array.length s.sh_gauges then
-        s.sh_gauges <- grown_float s.sh_gauges (g.g_id + 1);
-      s.sh_gauges.(g.g_id) <- s.sh_gauges.(g.g_id) +. x
-    end
+    if g.g_id >= Array.length s.sh_gauges then
+      s.sh_gauges <- grown_float s.sh_gauges (g.g_id + 1);
+    s.sh_gauges.(g.g_id) <- s.sh_gauges.(g.g_id) +. x
   end
 
 let set g x =
-  if Atomic.get enabled_flag then begin
-    let s = my_shard () in
-    if not s.sh_suppressed then
-      with_registry (fun () ->
-          Stdlib.incr set_stamp;
-          !gauge_sets.(g.g_id) <- Some (!set_stamp, x))
-  end
+  if Atomic.get enabled_flag then
+    with_registry (fun () ->
+        Stdlib.incr set_stamp;
+        !gauge_sets.(g.g_id) <- Some (!set_stamp, x))
 
 let bucket_index buckets x =
   (* first bucket whose upper bound admits x; length buckets = overflow *)
@@ -263,26 +246,24 @@ let bucket_index buckets x =
 let observe h x =
   if Atomic.get enabled_flag then begin
     let s = my_shard () in
-    if not s.sh_suppressed then begin
-      if h.h_id >= Array.length s.sh_hists then
-        s.sh_hists <- grown_hist s.sh_hists (h.h_id + 1);
-      let hc =
-        match s.sh_hists.(h.h_id) with
-        | Some hc -> hc
-        | None ->
-            let hc =
-              {
-                hc_counts = Array.make (Array.length h.h_spec + 1) 0;
-                hc_acc = Stats.Acc.create ();
-              }
-            in
-            s.sh_hists.(h.h_id) <- Some hc;
-            hc
-      in
-      let i = bucket_index h.h_spec x in
-      hc.hc_counts.(i) <- hc.hc_counts.(i) + 1;
-      Stats.Acc.add hc.hc_acc x
-    end
+    if h.h_id >= Array.length s.sh_hists then
+      s.sh_hists <- grown_hist s.sh_hists (h.h_id + 1);
+    let hc =
+      match s.sh_hists.(h.h_id) with
+      | Some hc -> hc
+      | None ->
+          let hc =
+            {
+              hc_counts = Array.make (Array.length h.h_spec + 1) 0;
+              hc_acc = Stats.Acc.create ();
+            }
+          in
+          s.sh_hists.(h.h_id) <- Some hc;
+          hc
+    in
+    let i = bucket_index h.h_spec x in
+    hc.hc_counts.(i) <- hc.hc_counts.(i) + 1;
+    Stats.Acc.add hc.hc_acc x
   end
 
 (* -- reading ----------------------------------------------------------- *)

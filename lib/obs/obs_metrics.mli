@@ -36,11 +36,6 @@ type histogram
 val set_enabled : bool -> unit
 val enabled : unit -> bool
 
-val suppressed : (unit -> 'a) -> 'a
-(** Run a thunk with recording muted on the {e current domain} — used
-    around speculative work (e.g. trial bookings that are snapshot-
-    restored) so counters only reflect committed decisions.  Nests. *)
-
 (** {1 Registration and recording} *)
 
 val counter : ?help:string -> string -> counter

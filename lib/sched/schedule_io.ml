@@ -120,14 +120,14 @@ type parse_state = {
   mutable edges : (int * (int * int * float)) list;
   mutable delays : (int * (int * int * float)) list;
   mutable costs : (int * (int * int * float)) list;
-  (* replicas keyed by (task, idx); supplies accumulated in reverse, each
-     with its line number so ids are range-checked once [tasks] and
-     [procs] are known *)
-  replicas : (int * int, float * float * int) Hashtbl.t;
+  (* replicas keyed by (task, idx) and supplies accumulated in reverse,
+     each with its line number, so ids are range-checked once [tasks]
+     and [procs] are known *)
+  replicas : (int * int, int * (float * float * int)) Hashtbl.t;
   supplies : (int * int, (int * Schedule.supply) list) Hashtbl.t;
 }
 
-let of_string text =
+let parse text =
   let st =
     {
       algorithm = "?";
@@ -160,7 +160,7 @@ let of_string text =
       ((lineno, supply)
       :: Option.value (Hashtbl.find_opt st.supplies key) ~default:[])
   in
-  let saw_end = ref false in
+  let saw_end = ref false and end_line = ref 0 in
   let lines = String.split_on_char '\n' text in
   List.iteri
     (fun i raw ->
@@ -205,7 +205,9 @@ let of_string text =
         | [ "replica"; task; idx; proc; start; finish ] ->
             Hashtbl.replace st.replicas
               (int_of lineno task, int_of lineno idx)
-              (float_of lineno start, float_of lineno finish, int_of lineno proc)
+              ( lineno,
+                (float_of lineno start, float_of lineno finish, int_of lineno proc)
+              )
         | [ "local"; task; idx; pred; pidx; finish ] ->
             let key = (int_of lineno task, int_of lineno idx) in
             let supply =
@@ -241,7 +243,9 @@ let of_string text =
                 }
             in
             add_supply key lineno supply
-        | [ "end" ] -> saw_end := true
+        | [ "end" ] ->
+            saw_end := true;
+            end_line := lineno
         | w :: _ -> fail lineno ("unknown directive " ^ w)
         | [] -> ()
       end)
@@ -289,9 +293,11 @@ let of_string text =
   in
   let delays = Array.make_matrix st.procs st.procs 0. in
   List.iter
-    (fun (line, (k, h, _)) ->
+    (fun (line, (k, h, d)) ->
       in_range line "delay source processor" k st.procs;
-      in_range line "delay destination processor" h st.procs)
+      in_range line "delay destination processor" h st.procs;
+      if Float.is_nan d || d < 0. || (k = h && d <> 0.) then
+        fail line (Printf.sprintf "invalid delay %g from P%d to P%d" d k h))
     (List.rev st.delays);
   List.iter (fun (_, (k, h, d)) -> delays.(k).(h) <- d) st.delays;
   let platform = Platform.create ~delays in
@@ -317,9 +323,37 @@ let of_string text =
   Hashtbl.fold (fun _ lines acc -> List.rev_append lines acc) st.supplies []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.iter check_supply;
+  (* the shape checks of [Schedule.create], each reported at the first
+     offending replica line; a task missing a replica has no line of its
+     own and is reported at [end] *)
+  let placed = Hashtbl.create 64 and count = Array.make st.tasks 0 in
+  Hashtbl.fold (fun (task, idx) (line, (_, _, proc)) acc ->
+      (line, (task, idx, proc)) :: acc)
+    st.replicas []
+  |> List.sort compare
+  |> List.iter (fun (line, (task, idx, proc)) ->
+         in_range line "replica task" task st.tasks;
+         in_range line "replica processor" proc st.procs;
+         if idx < 0 || idx > st.epsilon then
+           fail line
+             (Printf.sprintf "replica index %d not in 0..%d" idx st.epsilon);
+         (match Hashtbl.find_opt placed (task, proc) with
+         | Some other ->
+             fail line
+               (Printf.sprintf "replica %d of task %d shares P%d with line %d"
+                  idx task proc other)
+         | None -> Hashtbl.add placed (task, proc) line);
+         count.(task) <- count.(task) + 1);
+  Array.iteri
+    (fun task n ->
+      if n <> st.epsilon + 1 then
+        fail !end_line
+          (Printf.sprintf "task %d has %d replicas, expected %d" task n
+             (st.epsilon + 1)))
+    count;
   let replicas =
     Hashtbl.fold
-      (fun (task, idx) (start, finish, proc) acc ->
+      (fun (task, idx) (_, (start, finish, proc)) acc ->
         {
           Schedule.r_task = task;
           r_index = idx;
@@ -335,6 +369,12 @@ let of_string text =
   in
   Schedule.create ~insertion:st.insertion ~algorithm:st.algorithm
     ~epsilon:st.epsilon ~model:st.pmodel ~costs replicas
+
+(* every shape check above names its line; what is left to raise (an
+   array size beyond the runtime's limit) has no line of its own *)
+let of_string text =
+  try parse text
+  with Invalid_argument message -> raise (Parse_error { line = 0; message })
 
 let of_file path =
   let ic = open_in path in

@@ -66,14 +66,26 @@ val stream_close : writer -> unit
 exception Parse_error of { line : int; message : string }
 
 val of_string : string -> Schedule.t
-(** Rebuilds the costs and the schedule.  Raises {!Parse_error} on
-    malformed input, reported at the offending line where there is one:
-    a supply line whose predecessor task is outside [[0, tasks)] or whose
-    source or destination processor is outside [[0, procs)]; an [edge]
-    line with an endpoint outside [[0, tasks)], a self edge, a duplicate
-    edge or a negative volume; and an [edge] line that closes a cycle
-    (the last line, in file order, of the cycle {!Dag.Cycle} would
-    report).  Raises [Invalid_argument] if the payload violates the
-    shape checks of {!Schedule.create} (e.g. duplicated replicas). *)
+(** Rebuilds the costs and the schedule.  Raises {!Parse_error}, and no
+    other exception, on malformed input, reported at the offending line
+    where there is one:
+    - a line that does not parse, or a missing header, [end], [tasks],
+      [procs] or [epsilon] (the last three at line 0);
+    - a [task], [cost], [delay] or supply line whose task or processor
+      id is out of range, and a [delay] line whose delay is negative,
+      nan, or non-zero from a processor to itself;
+    - an [edge] line with an endpoint outside [[0, tasks)], a self edge,
+      a duplicate edge or a negative volume, and an [edge] line that
+      closes a cycle (the last line, in file order, of the cycle
+      {!Dag.Cycle} would report);
+    - the shape checks of {!Schedule.create}: a [replica] line whose
+      task or processor is out of range, whose index is not in
+      [0..epsilon], or whose processor another replica of its task
+      already uses (at the later line); a task with fewer than
+      [epsilon + 1] replicas (at the [end] line).
+    Of two [replica] lines for one task and index the last wins, as of
+    two [task] or [cost] lines for one cell the first does. *)
 
 val of_file : string -> Schedule.t
+(** {!of_string} of the file's contents; raises [Sys_error] if it cannot
+    be read, and {!Parse_error} as {!of_string} does. *)

@@ -107,9 +107,13 @@ let run_impl ?fabric sched =
         @ !violations)
     (Platform.procs (Schedule.platform sched));
 
-  (* 2. Durations match the cost matrix; starts are non-negative. *)
+  (* 2. Times are finite, durations match the cost matrix and starts are
+     non-negative. *)
   List.iter
     (fun r ->
+      if not (Float.is_finite r.r_start && Float.is_finite r.r_finish) then
+        add r "non-finite-time" "%s runs over [%.6f, %.6f]"
+          (describe_replica r) r.r_start r.r_finish;
       let expected = Costs.exec costs r.r_task r.r_proc in
       if not (Flt.approx_eq ~tol:1e-6 (r.r_finish -. r.r_start) expected) then
         add r "duration" "%s lasts %.6f, cost matrix says %.6f"
@@ -193,6 +197,31 @@ let run_impl ?fabric sched =
               if s.Netstate.s_proc = r.r_proc then
                 add r "message-loop" "%s: message from its own processor"
                   (describe_replica r);
+              let { Netstate.m_duration = w; m_leg_start; m_leg_finish;
+                    m_arrival; _ } =
+                m
+              in
+              if
+                not
+                  (Float.is_finite w
+                  && Float.is_finite m_leg_start
+                  && Float.is_finite m_leg_finish
+                  && Float.is_finite m_arrival)
+              then
+                add r "non-finite-time"
+                  "%s: message from t%d has duration %.6f, leg [%.6f, %.6f], \
+                   arrival %.6f"
+                  (describe_replica r) s.Netstate.s_task w m_leg_start
+                  m_leg_finish m_arrival;
+              if not (Flt.approx_eq ~tol:1e-6 (m_leg_finish -. m_leg_start) w)
+              then
+                add r "message-leg"
+                  "%s: leg [%.6f, %.6f] from t%d lasts %.6f but duration is \
+                   %.6f"
+                  (describe_replica r) m_leg_start m_leg_finish
+                  s.Netstate.s_task
+                  (m_leg_finish -. m_leg_start)
+                  w;
               match replica_finish s.Netstate.s_task s.Netstate.s_replica with
               | None ->
                   add r "supply-replica" "%s: message from unknown replica"

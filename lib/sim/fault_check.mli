@@ -9,11 +9,10 @@
     exhaustively when the count is reasonable and falls back to random
     sampling otherwise.
 
-    The exhaustive enumeration walks an in-place index array and fills a
-    preallocated block of crash-time arrays straight from it (no
-    per-subset allocation), evaluating each block with one
-    {!Replay.eval_batch} call on a compiled simulator the shard owns;
-    results are consumed in rank order and a shard stops at its first
+    The exhaustive enumeration walks the subsets in lexicographic order
+    ({!subsets}) through {!Replay.scan} on a compiled simulator the shard
+    owns: crash rows are filled and evaluated a block at a time, results
+    are consumed in rank order and a shard stops at its first
     counterexample, so the report equals the one-scenario-at-a-time
     loop's.  With [?domains > 1] the rank space of the enumeration is
     sharded into contiguous ranges, one per domain, and the
@@ -79,12 +78,13 @@ val check :
     confirmed, making the sampled verdict exact whenever the static
     analysis found a refutation. *)
 
-val combinations : int -> int -> int list Seq.t
-(** [combinations n k] enumerates all increasing [k]-subsets of
-    [\[0, n-1\]] in lexicographic order, as lists.  It walks its own
-    index array, independent of the shards' in-place successor, so the
-    test oracle can cross-check {!check}'s enumeration against it;
-    [Inject.adversary]'s exhaustive phase also uses it. *)
+val subsets : n:int -> k:int -> first:int -> int -> Platform.proc list Seq.t
+(** [subsets ~n ~k ~first count] is the [count] increasing [k]-subsets
+    of [\[0, n-1\]] from rank [first] on, in lexicographic order, as
+    lists: the enumeration of {!check}'s shards and of
+    [Inject.adversary]'s exhaustive phase.  Requires
+    [first + count <= count_combinations n k] (far from saturation)
+    when [count > 0]. *)
 
 val count_combinations : int -> int -> int
 (** Binomial coefficient, saturating at [max_int]. *)

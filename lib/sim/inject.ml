@@ -32,11 +32,6 @@ let cand_cmp (l1, s1) (l2, s2) = compare (-.l1, s1) (-.l2, s2)
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
-(* Candidate plans per [Replay.eval_batch] block.  Each block's results
-   are consumed in candidate order under the sequential decision rules,
-   so the block size never changes the report. *)
-let block = 256
-
 let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
     =
   Obs_trace.with_span ~cat:"sim" "inject.adversary" @@ fun () ->
@@ -46,61 +41,24 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
   let budget = max 8 budget in
   let beam = max 1 beam in
   let evals = ref 0 in
-  (* the call's scenario block, crash-time arrays refilled in place *)
-  let scenarios =
-    Array.init block (fun _ -> Scenario.of_crash_times (Array.make m infinity))
-  in
-  let fill_plan crash_time crashes =
-    Array.fill crash_time 0 m infinity;
-    List.iter
-      (fun (p, tau) -> crash_time.(p) <- Float.min crash_time.(p) tau)
-      crashes
-  in
-  let fill_subset crash_time procs =
-    Array.fill crash_time 0 m infinity;
-    List.iter (fun p -> crash_time.(p) <- neg_infinity) procs
-  in
-  (* [eval_seq ~fill ~consume items] replays [items] in blocks and hands
-     each result to [consume item batch j] in item order; every item is
-     one frontier evaluation. *)
-  let eval_seq ?(degradation = false) ~fill ~consume items =
-    let rec take_block j acc items =
-      if j = block then (j, List.rev acc, items)
-      else
-        match items () with
-        | Seq.Nil -> (j, List.rev acc, Seq.empty)
-        | Seq.Cons (x, rest) ->
-            fill scenarios.(j).Scenario.sc_crash_time x;
-            take_block (j + 1) (x :: acc) rest
+  (* [replay_all ~fill ~consume items] replays [items] through
+     [Replay.scan] and hands each result to [consume item batch j] in
+     item order; every item is one frontier evaluation. *)
+  let replay_all ?degradation ~fill ~consume items =
+    let n =
+      Replay.scan ?degradation c ~fill
+        ~consume:(fun x res j ->
+          consume x res j;
+          true)
+        items
     in
-    let rec go items =
-      let len, taken, rest = take_block 0 [] items in
-      if len > 0 then begin
-        let res =
-          Replay.eval_batch ~degradation c
-            (if len = block then scenarios else Array.sub scenarios 0 len)
-        in
-        evals := !evals + len;
-        Obs_metrics.incr ~by:len m_frontier;
-        List.iteri (fun j x -> consume x res j) taken;
-        if len = block then go rest
-      end
-    in
-    go items
+    evals := !evals + n;
+    Obs_metrics.incr ~by:n m_frontier
   in
   let latency (res : Replay.batch) j = res.Replay.br_latency.(j) in
-  let degradation (res : Replay.batch) j =
-    {
-      Replay.d_tasks = res.Replay.br_tasks.(j);
-      d_task_count = Replay.task_count c;
-      d_sinks = res.Replay.br_sinks.(j);
-      d_sink_count = Replay.sink_count c;
-      d_frontier = res.Replay.br_frontier.(j);
-    }
-  in
   let l0 =
     let l = ref nan in
-    eval_seq ~fill:fill_plan
+    replay_all ~fill:Scenario.write_timed
       ~consume:(fun _ res j -> l := latency res j)
       (Seq.return []);
     !l
@@ -120,7 +78,8 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
       if cand_cmp cand !best < 0 then best := cand
   in
   let eval_subsets ~consume subsets =
-    eval_seq ~fill:fill_subset subsets ~consume:(fun procs res j ->
+    replay_all ~fill:Scenario.write_from_start subsets
+      ~consume:(fun procs res j ->
         let l = latency res j in
         consider procs l;
         consume procs l)
@@ -130,7 +89,7 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
       if eps > 0 then
         if exhaustive then
           eval_subsets ~consume:ignore_result
-            (Fault_check.combinations m (min eps m))
+            (Fault_check.subsets ~n:m ~k:(min eps m) ~first:0 nsub)
         else begin
           (* greedy criticality seeding: rank singletons by damage, then
              grow the best [beam] of them one processor at a time *)
@@ -212,7 +171,7 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
                   assign)
               (take (budget - !evals) (instants p))
           in
-          eval_seq ~fill:fill_plan (List.to_seq plans)
+          replay_all ~fill:Scenario.write_timed (List.to_seq plans)
             ~consume:(fun assign' res j ->
               let l = latency res j in
               if (not (Float.is_nan l)) && l > fst !current then begin
@@ -248,8 +207,9 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
     Option.map (fun r -> r.Resilience.rs_resists) cert
   in
   let degrade_subsets sets ~consume =
-    eval_seq ~degradation:true ~fill:fill_subset (List.to_seq sets)
-      ~consume:(fun procs res j -> consume procs (degradation res j))
+    replay_all ~degradation:true ~fill:Scenario.write_from_start
+      (List.to_seq sets) ~consume:(fun procs res j ->
+        consume procs (Replay.batch_degradation c res j))
   in
   let iv_min_kill =
     Obs_prof.phase ~cat:"sim" "stress.kill" @@ fun () ->

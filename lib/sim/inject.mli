@@ -22,12 +22,13 @@
 
     The whole search is deterministic from [seed] (randomness is only used
     to top up the subset pool when the space exceeds the budget) and
-    bounded by [budget] frontier evaluations — each one a scenario of a
-    {!Replay.eval_batch} block, counted by the [stress.frontier_evals]
-    metric.  Blocks hold the candidates whose results cannot influence
-    each other (a frontier set's extensions, one processor's crash
-    instants, the kill-set scan), and are consumed in candidate order,
-    so the search is the same as one replay per candidate.  The
+    bounded by [budget] frontier evaluations — each one a crash row of a
+    {!Replay.scan}, counted by the [stress.frontier_evals] metric.  A
+    scan holds candidates whose results cannot influence each other (the
+    exhaustive subsets, a frontier set's extensions, one processor's
+    crash instants, the kill-set scan), and its results are consumed in
+    candidate order, so the search is the same as one replay per
+    candidate.  The
     profiler splits it into [stress.subsets], [stress.refine] and
     [stress.kill] phases.  Exposed on the command line as
     [ftsched stress]. *)

@@ -1,4 +1,4 @@
-type mode = From_start | Timed of float
+type mode = Scenario.mode = From_start | Timed of float
 
 type degradation = {
   deg_completion_mean : float;
@@ -25,12 +25,6 @@ let g_throughput =
   Obs_metrics.gauge ~help:"replay scenarios evaluated per second (last campaign)"
     "replay.scenarios_per_sec"
 
-(* Scenarios per [Replay.eval_batch] block.  The block size never changes
-   the results — each scenario has its own arena lane and aggregation
-   runs in run order over flat arrays — only the work-stealing
-   granularity. *)
-let batch_block = 256
-
 let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?(cancel = Cancel.never)
     ?fabric ~crashes ~mode sched =
   if runs < 1 then invalid_arg "Monte_carlo.run: runs < 1";
@@ -38,18 +32,12 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?(cancel = Cancel.never)
   let m = Platform.proc_count (Schedule.platform sched) in
   let l0 = Schedule.latency_zero_crash sched in
   (* Pre-draw every scenario from the root RNG, in run order, before any
-     evaluation: the scenario set is byte-identical to the sequential
-     run whatever [domains] is.  A from-start crash is a timed crash at
-     [neg_infinity], so both modes share one representation. *)
-  let smode =
-    match mode with
-    | From_start -> Scenario.From_start
-    | Timed horizon -> Scenario.Timed horizon
-  in
-  let scenarios =
+     evaluation: the crash rows are byte-identical to the sequential run
+     whatever [domains] is. *)
+  let rows =
     Obs_prof.phase ~cat:"sim" "montecarlo.draw" (fun () ->
         Obs_metrics.incr ~by:runs m_scenarios;
-        Scenario.draw_block rng ~m ~count:crashes ~mode:smode ~runs)
+        Scenario.draw_block rng ~m ~count:crashes ~mode ~runs)
   in
   (* Compiled engines owned by this call.  A [compiled] value owns its
      scratch arena and must not be shared, so a block takes an idle
@@ -82,37 +70,21 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?(cancel = Cancel.never)
      1.0 (Proposition 5.2) and the plain latency path stays bit-identical
      to the historical reports. *)
   let beyond = crashes > Schedule.epsilon sched in
-  (* Per-scenario results land in flat arrays at the scenario's own run
-     index, so workers touch disjoint slots and aggregation order is the
-     run order however the items were stolen. *)
-  let lat = Array.make runs nan in
-  let deg_tasks = if beyond then Array.make runs 0 else [||] in
-  let deg_sinks = if beyond then Array.make runs 0 else [||] in
-  let deg_frontier = if beyond then Array.make runs 0. else [||] in
   let t0 = Obs_clock.now () in
-  (* blocks of [batch_block] scenarios, one struct-of-arrays
-     [Replay.eval_batch] call per block *)
-  let nblocks = (runs + batch_block - 1) / batch_block in
+  (* blocks of [Replay.batch_block] rows, one [Replay.eval_batch] call
+     per block; [Parallel.map] returns the batches in block order, so
+     aggregation runs in run order however the blocks were stolen *)
+  let nblocks = (runs + Replay.batch_block - 1) / Replay.batch_block in
   let eval_block b =
     (* profiled but untraced: one span per block would still drown the
        timeline the [point]/[replay] spans already structure *)
     Obs_prof.phase ~trace:false "montecarlo.eval" @@ fun () ->
     with_engine @@ fun c ->
-    let start = b * batch_block in
-    let len = min batch_block (runs - start) in
-    let res =
-      Replay.eval_batch ~cancel ~degradation:beyond c
-        (Array.sub scenarios start len)
-    in
-    Array.blit res.Replay.br_latency 0 lat start len;
-    if beyond then begin
-      Array.blit res.Replay.br_tasks 0 deg_tasks start len;
-      Array.blit res.Replay.br_sinks 0 deg_sinks start len;
-      Array.blit res.Replay.br_frontier 0 deg_frontier start len
-    end
+    let first = b * Replay.batch_block in
+    Replay.eval_batch ~cancel ~degradation:beyond c rows ~first
+      ~count:(min Replay.batch_block (runs - first))
   in
-  ignore
-    (Parallel.map ~domains eval_block (List.init nblocks Fun.id) : unit list);
+  let batches = Parallel.map ~domains eval_block (List.init nblocks Fun.id) in
   let dt = Obs_clock.now () -. t0 in
   if dt > 0. then Obs_metrics.set g_throughput (float_of_int runs /. dt);
   (* Aggregate in run order so the Kahan sums in [Stats.summarize] see
@@ -120,43 +92,36 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?(cancel = Cancel.never)
   Obs_prof.phase ~cat:"sim" "montecarlo.aggregate" @@ fun () ->
   let latencies = ref [] in
   let completed = ref 0 in
-  Array.iter
-    (fun lat ->
-      if not (Float.is_nan lat) then begin
-        incr completed;
-        latencies := lat :: !latencies
-      end)
-    lat;
+  List.iter
+    (fun (res : Replay.batch) ->
+      Array.iter
+        (fun lat ->
+          if not (Float.is_nan lat) then begin
+            incr completed;
+            latencies := lat :: !latencies
+          end)
+        res.Replay.br_latency)
+    batches;
   let latency =
     match !latencies with [] -> None | ls -> Some (Stats.summarize ls)
   in
   let degradation =
     if not beyond then None
     else begin
-      (* the compiled simulator carries the constant denominators;
-         reconstructing the per-run record keeps the float operations
-         identical to the historical per-record fold *)
-      let task_count = Replay.task_count c0 in
-      let sink_count = Replay.sink_count c0 in
       let n = float_of_int runs in
       let csum = ref 0. and cmin = ref 1. in
       let ssum = ref 0. and fsum = ref 0. in
-      for i = 0 to runs - 1 do
-        let d =
-          {
-            Replay.d_tasks = deg_tasks.(i);
-            d_task_count = task_count;
-            d_sinks = deg_sinks.(i);
-            d_sink_count = sink_count;
-            d_frontier = deg_frontier.(i);
-          }
-        in
-        let cf = Replay.completion_fraction d in
-        csum := !csum +. cf;
-        if cf < !cmin then cmin := cf;
-        ssum := !ssum +. Replay.sink_fraction d;
-        fsum := !fsum +. d.Replay.d_frontier
-      done;
+      List.iter
+        (fun (res : Replay.batch) ->
+          for j = 0 to res.Replay.br_count - 1 do
+            let d = Replay.batch_degradation c0 res j in
+            let cf = Replay.completion_fraction d in
+            csum := !csum +. cf;
+            if cf < !cmin then cmin := cf;
+            ssum := !ssum +. Replay.sink_fraction d;
+            fsum := !fsum +. d.Replay.d_frontier
+          done)
+        batches;
       Some
         {
           deg_completion_mean = !csum /. n;

@@ -4,7 +4,7 @@
     one, and aggregates the real execution times — the dynamic counterpart
     of the static bounds, used by the examples and the CLI. *)
 
-type mode =
+type mode = Scenario.mode =
   | From_start  (** crashed processors are dead from time zero *)
   | Timed of float
       (** each crashed processor dies at a uniform instant in
@@ -40,10 +40,6 @@ type report = {
           only in that case, so historical output is unchanged *)
 }
 
-val batch_block : int
-(** Scenarios per {!Replay.eval_batch} block (256): the work-stealing
-    granularity of {!run}.  The report never depends on it. *)
-
 val run :
   ?seed:int ->
   ?runs:int ->
@@ -70,8 +66,9 @@ val run :
     campaign code may already be running one {!Parallel.map} over
     experiment points.
 
-    Scenarios are evaluated in {!batch_block}-sized blocks through
-    {!Replay.eval_batch}; a block is the unit a worker steals.  Sets the
+    The pre-drawn crash rows are evaluated in {!Replay.batch_block}-row
+    blocks, one {!Replay.eval_batch} call each; a block is the unit a
+    worker steals.  Sets the
     [replay.scenarios_per_sec] gauge.
 
     [cancel] (default [Cancel.never]) is polled once per chunk of

@@ -441,8 +441,9 @@ type arena = {
   a_send_free : float array;  (* per processor and port slot *)
   a_recv_free : float array;
   a_phys_free : float array;  (* per physical link *)
-  a_crash : float array;      (* per processor: crash instant (batch arena) *)
-  a_dead : Bytes.t;           (* per message: rides a dead link *)
+  a_dead : Bytes.t;
+      (* per message: rides a dead link (the one-lane outcome arena only:
+         dead links are a single-scenario option) *)
   mutable a_dead_any : bool;  (* some cell of [a_dead] is set *)
 }
 
@@ -463,8 +464,7 @@ let make_arena ~m ~nreplicas ~nmsgs ~port_slots ~phys ~insertion ~lanes
     a_send_free = Array.make (m * port_slots * lanes) 0.;
     a_recv_free = Array.make (m * port_slots * lanes) 0.;
     a_phys_free = Array.make (cells phys) 0.;
-    a_crash = (if record then [||] else Array.make (m * lanes) infinity);
-    a_dead = Bytes.make (cells nmsgs) '\000';
+    a_dead = (if record then Bytes.make (cells nmsgs) '\000' else Bytes.empty);
     a_dead_any = false;
   }
 
@@ -506,11 +506,10 @@ type compiled = {
   (* scratch arenas, reset in place at the start of every walk --------- *)
   c_one : arena;  (* the one-lane outcome arena of eval and eval_plan *)
   mutable c_batch : arena option;  (* eval_batch's, built on first use *)
+  mutable c_rows : float array;  (* scan's crash rows, built on first use *)
 }
 
 let proc_count c = c.c_m
-let task_count c = c.c_v
-let sink_count c = Array.length c.c_sinks
 
 (* Placeholder for the message slots of [compile]'s discovery array. *)
 let no_message =
@@ -933,6 +932,7 @@ let compile ?fabric sched =
       make_arena ~m ~nreplicas ~nmsgs ~port_slots ~phys ~insertion ~lanes:1
         ~record:true;
     c_batch = None;
+    c_rows = [||];
   }
 
 (* ==================================================================== *)
@@ -966,19 +966,20 @@ let reset c a nl =
 let[@inline] fmax (x : float) y =
   if y > x then y else if y = x && x = 0. then x +. y else x
 
-(* Mark, in lane [lane] of a reset chunk of [nl], the messages whose
-   route is one of [dead_links]. *)
-let mark_dead_links c a nl lane = function
+(* Mark, in the reset one-lane outcome arena, the messages whose route
+   is one of [dead_links].  A batch arena never has a mark, so its
+   [dead_link] test is the [a_dead_any] flag alone. *)
+let mark_dead_links c a = function
   | [] -> ()
   | dl ->
       a.a_dead_any <- true;
       for mi = 0 to c.c_nmsgs - 1 do
         if List.mem (c.c_msg_src.(mi), c.c_msg_dst.(mi)) dl then
-          Bytes.unsafe_set a.a_dead ((mi * nl) + lane) '\001'
+          Bytes.unsafe_set a.a_dead mi '\001'
       done
 
-let[@inline] dead_link a nl lane mi =
-  a.a_dead_any && Bytes.unsafe_get a.a_dead ((mi * nl) + lane) <> '\000'
+let[@inline] dead_link a mi =
+  a.a_dead_any && Bytes.unsafe_get a.a_dead mi <> '\000'
 
 (* The cell of the first earliest-free of the [slots] port slots whose
    first cell is [base] (the others follow every [nl] cells).  Slot times
@@ -1083,11 +1084,14 @@ let starving_pred c a nl lane rn =
    does, per lane, what one scenario's replay does, in the same order.
    Per replica it writes the finish (and, in an outcome arena, the start,
    state and starving predecessor); per message, the delivery.
-   [crash.(p * nl + lane)] is the instant processor [p] dies in lane
-   [lane] ([neg_infinity]: dead from the start); it is read, never
-   written or retained.  Unchecked reads index compile-built arrays and
-   arena cells of the chunk, in range by construction. *)
-let walk c a ~crash nl =
+   Lane [lane] replays crash row [row0 + lane] of [crash]:
+   [crash.((row0 + lane) * m + p)] is the instant processor [p] dies
+   ([neg_infinity]: dead from the start); it is read, never written or
+   retained.  Unchecked reads index compile-built arrays, arena cells of
+   the chunk and rows the caller range-checked, in range by
+   construction. *)
+let walk c a ~crash ~row0 nl =
+  let m = c.c_m in
   let nreplicas = c.c_nreplicas in
   let order = c.c_order in
   let insertion = c.c_insertion in
@@ -1106,7 +1110,7 @@ let walk c a ~crash nl =
       for lane = 0 to nl - 1 do
         let pl = (p * nl) + lane in
         let ri = (rn * nl) + lane in
-        let dies = Array.unsafe_get crash pl in
+        let dies = Array.unsafe_get crash (((row0 + lane) * m) + p) in
         if dies = neg_infinity then ()
           (* dead from the start: stays st_crashed, starved or not *)
         else begin
@@ -1167,12 +1171,13 @@ let walk c a ~crash nl =
                 (fmax src_finish (link_free c a nl lane mi))
           in
           let leg_finish = leg_start +. w in
-          if dead_link a nl lane mi then begin
+          if dead_link a mi then begin
             (* the route is down: the message is emitted (the sender
                cannot know) and lost in transit *)
             if contended then book_leg c a nl lane spos mi leg_finish
           end
-          else if leg_finish > Array.unsafe_get crash ((src * nl) + lane)
+          else if
+            leg_finish > Array.unsafe_get crash (((row0 + lane) * m) + src)
           then begin
             (* the sender died before the message fully left; its port
                sends nothing further *)
@@ -1183,7 +1188,7 @@ let walk c a ~crash nl =
           end
           else begin
             if contended then book_leg c a nl lane spos mi leg_finish;
-            let dies = Array.unsafe_get crash ((dst * nl) + lane) in
+            let dies = Array.unsafe_get crash (((row0 + lane) * m) + dst) in
             if dies = neg_infinity then ()
             else begin
               let rpos =
@@ -1309,29 +1314,25 @@ let run_crash c ~crash_time ~dead_links =
     invalid_arg "Replay.eval: crash_time length <> processor count";
   let a = c.c_one in
   reset c a 1;
-  mark_dead_links c a 1 0 dead_links;
-  walk c a ~crash:crash_time 1
+  mark_dead_links c a dead_links;
+  walk c a ~crash:crash_time ~row0:0 1
 
 let eval ?(dead_links = []) c ~crash_time =
   Obs_prof.phase ~cat:"sim" "replay.eval" @@ fun () ->
   run_crash c ~crash_time ~dead_links;
   collect_outcome c
 
-let crash_times_from_start m crashed =
-  Array.init m (fun p ->
-      if List.mem p crashed then neg_infinity else infinity)
+(* the one-row array [write] makes of [crashes] *)
+let crash_row c write crashes =
+  let row = Array.create_float c.c_m in
+  write row ~m:c.c_m 0 crashes;
+  row
 
-let crash_times_timed m crashes =
-  Array.init m (fun p ->
-      List.fold_left
-        (fun acc (q, tau) -> if q = p then Float.min acc tau else acc)
-        infinity crashes)
+let eval_crashed ?dead_links c ~crashed =
+  eval ?dead_links c ~crash_time:(crash_row c Scenario.write_from_start crashed)
 
-let eval_crashed ?(dead_links = []) c ~crashed =
-  eval ~dead_links c ~crash_time:(crash_times_from_start c.c_m crashed)
-
-let eval_timed ?(dead_links = []) c ~crashes =
-  eval ~dead_links c ~crash_time:(crash_times_timed c.c_m crashes)
+let eval_timed ?dead_links c ~crashes =
+  eval ?dead_links c ~crash_time:(crash_row c Scenario.write_timed crashes)
 
 (* [eval_batch] is the throughput path: the kernel walks a chunk of up to
    [batch_lanes] scenarios at once over one arena, and one result per
@@ -1380,9 +1381,11 @@ let batch_arena c =
       c.c_batch <- Some a;
       a
 
-let eval_batch ?(cancel = Cancel.never) ?(degradation = false) c
-    (scenarios : Scenario.t array) =
-  let count = Array.length scenarios in
+let eval_batch ?(cancel = Cancel.never) ?(degradation = false) c rows ~first
+    ~count =
+  let m = c.c_m in
+  if first < 0 || count < 0 || (first + count) * m > Array.length rows then
+    invalid_arg "Replay.eval_batch: rows out of range";
   Obs_metrics.incr ~by:count m_replays;
   Obs_metrics.set g_batch_size (float_of_int count);
   Obs_prof.phase ~trace:false ~cat:"sim" "replay.eval_batch" @@ fun () ->
@@ -1391,28 +1394,17 @@ let eval_batch ?(cancel = Cancel.never) ?(degradation = false) c
   let br_tasks = if degradation then Array.make count 0 else [||] in
   let br_sinks = if degradation then Array.make count 0 else [||] in
   let br_frontier = if degradation then Array.make count 0. else [||] in
-  let m = c.c_m in
-  let first = ref 0 in
-  while !first < count do
+  let done_ = ref 0 in
+  while !done_ < count do
     (* cooperative cancellation poll, once per chunk: an expired request
        deadline aborts between chunks, never mid-arena *)
     Cancel.check cancel;
     let a = batch_arena c in
-    let nl = min a.a_lanes (count - !first) in
+    let nl = min a.a_lanes (count - !done_) in
     reset c a nl;
+    walk c a ~crash:rows ~row0:(first + !done_) nl;
     for lane = 0 to nl - 1 do
-      let sc = scenarios.(!first + lane) in
-      let crash_time = sc.Scenario.sc_crash_time in
-      if Array.length crash_time <> m then
-        invalid_arg "Replay.eval_batch: crash_time length <> processor count";
-      for p = 0 to m - 1 do
-        Array.unsafe_set a.a_crash ((p * nl) + lane) crash_time.(p)
-      done;
-      mark_dead_links c a nl lane sc.Scenario.sc_dead_links
-    done;
-    walk c a ~crash:a.a_crash nl;
-    for lane = 0 to nl - 1 do
-      let si = !first + lane in
+      let si = !done_ + lane in
       if not degradation then br_latency.(si) <- latency_of_lane c a nl lane
       else begin
         (* the Monte-Carlo rule: the frontier if everything completed, nan
@@ -1424,7 +1416,7 @@ let eval_batch ?(cancel = Cancel.never) ?(degradation = false) c
         br_latency.(si) <- (if d.d_tasks = c.c_v then d.d_frontier else nan)
       end
     done;
-    first := !first + nl
+    done_ := !done_ + nl
   done;
   let dt = Obs_clock.now () -. t_begin in
   if dt > 0. && count > 0 then
@@ -1436,6 +1428,48 @@ let eval_batch ?(cancel = Cancel.never) ?(degradation = false) c
     br_sinks;
     br_frontier;
   }
+
+let batch_degradation c res j =
+  {
+    d_tasks = res.br_tasks.(j);
+    d_task_count = c.c_v;
+    d_sinks = res.br_sinks.(j);
+    d_sink_count = Array.length c.c_sinks;
+    d_frontier = res.br_frontier.(j);
+  }
+
+(* Rows per block of [scan], and the work-stealing unit of Monte Carlo.
+   The block size never changes a result: every lane is evaluated as
+   [eval] would, and results are consumed in item order. *)
+let batch_block = 256
+
+let scan ?cancel ?degradation c ~fill ~consume items =
+  let m = c.c_m in
+  if Array.length c.c_rows = 0 then
+    c.c_rows <- Array.create_float (batch_block * m);
+  (* fill the rows of the next block, keeping its items in order *)
+  let rec take j acc items =
+    match if j < batch_block then items () else Seq.Nil with
+    | Seq.Cons (x, rest) ->
+        fill c.c_rows ~m j x;
+        take (j + 1) (x :: acc) rest
+    | Seq.Nil -> (j, List.rev acc, items)
+  in
+  let rec go consumed items =
+    match take 0 [] items with
+    | 0, _, _ -> consumed
+    | len, taken, rest ->
+        let res =
+          eval_batch ?cancel ?degradation c c.c_rows ~first:0 ~count:len
+        in
+        let rec use j = function
+          | [] -> go (consumed + len) rest
+          | x :: tl ->
+              if consume x res j then use (j + 1) tl else consumed + j + 1
+        in
+        use 0 taken
+  in
+  go 0 items
 
 (* ==================================================================== *)
 (* Fault plans: timeline events generalizing the crash-only scenarios.  *)
@@ -1564,7 +1598,7 @@ let walk_plan c ~down ~never_up ~msg_down ~lost =
     let src_finish = a.a_finish.(c.c_msg_src_rn.(mi)) in
     (* a source that never produced emits nothing *)
     if src_finish <> infinity then begin
-      let dead = dead_link a 1 0 mi in
+      let dead = dead_link a mi in
       (* settle the leg to a fixpoint: it must clear both the sender's
          down windows (the port sends nothing while down) and, unless the
          route is permanently dead anyway, the link-outage windows *)
@@ -1626,16 +1660,15 @@ let walk_plan c ~down ~never_up ~msg_down ~lost =
    route it through the kernel so the golden outcomes of the historical
    wrappers are preserved by construction. *)
 let degenerate_crash_times c plan =
-  let crash_time = Array.make c.c_m infinity in
-  List.iter
-    (function
-      | Crash { proc; at } ->
-          if proc < 0 || proc >= c.c_m then
-            invalid_arg "Replay.eval_plan: processor out of range";
-          crash_time.(proc) <- Float.min crash_time.(proc) at
-      | _ -> ())
-    plan;
-  crash_time
+  crash_row c Scenario.write_timed
+    (List.filter_map
+       (function
+         | Crash { proc; at } ->
+             if proc < 0 || proc >= c.c_m then
+               invalid_arg "Replay.eval_plan: processor out of range";
+             Some (proc, at)
+         | _ -> None)
+       plan)
 
 let run_plan_core ?(dead_links = []) c plan =
   Obs_metrics.incr m_plans;
@@ -1696,7 +1729,7 @@ let run_plan_core ?(dead_links = []) c plan =
     Obs_metrics.incr m_replays;
     let a = c.c_one in
     reset c a 1;
-    mark_dead_links c a 1 0 dead_links;
+    mark_dead_links c a dead_links;
     (* seed the gap structure with the down windows so gap placement
        never lands inside one *)
     if c.c_insertion then Array.blit down 0 a.a_busy 0 c.c_m;

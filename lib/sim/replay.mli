@@ -89,13 +89,6 @@ val proc_count : compiled -> int
 (** Processor count [m] of the compiled schedule — the required length of
     the [crash_time] array passed to {!eval}. *)
 
-val task_count : compiled -> int
-(** Tasks [v] of the compiled DAG (the [br_tasks] denominator of
-    {!eval_batch}). *)
-
-val sink_count : compiled -> int
-(** Exit tasks of the compiled DAG (the [br_sinks] denominator). *)
-
 type outcome = {
   completed : bool;
       (** at least one replica of every task produced its result *)
@@ -123,7 +116,9 @@ val eval_crashed :
   compiled ->
   crashed:Platform.proc list ->
   outcome
-(** {!eval} with the given processors dead from time zero. *)
+(** {!eval} with the given processors dead from time zero (the row
+    {!Scenario.write_from_start} writes).  Raises [Invalid_argument] for
+    a processor outside [\[0, m)]. *)
 
 val eval_timed :
   ?dead_links:(Platform.proc * Platform.proc) list ->
@@ -131,25 +126,31 @@ val eval_timed :
   crashes:(Platform.proc * float) list ->
   outcome
 (** {!eval} where processor [p] dies at time [tau] (earliest wins if a
-    processor is listed twice). *)
+    processor is listed twice; the row {!Scenario.write_timed} writes).
+    Raises [Invalid_argument] for a processor outside [\[0, m)]. *)
 
 (** {1 Batched evaluation}
 
-    The campaign throughput path: evaluate a whole block of pre-drawn
-    scenarios ({!Scenario.draw_block}) over one compiled engine, writing
-    results into flat struct-of-arrays result vectors.  The block runs in
-    chunks of up to {!batch_lanes} scenarios: the kernel {!eval} runs
-    walks the compiled order once per chunk, over a scratch arena that
-    keeps one lane per scenario of the chunk, and does for each lane what
-    it does for a single scenario, in the same order.  Results are
-    therefore bit-identical to {!eval} scenario by scenario — pinned
-    against {!reference} by the 108-config differential suite and by a
-    property over blocks on both sides of the chunk boundaries.  The
-    lane arena is built on the engine's first [eval_batch] call, so an
-    engine that only serves single evaluations never carries it.
+    The campaign throughput path.  A scenario is one {e row} of [m] crash
+    instants in a flat float array (scenario [s], processor [p] at
+    [s * m + p]; written only by {!Scenario.write_from_start} and
+    {!Scenario.write_timed}).  {!eval_batch} replays a range of rows over
+    one compiled engine and writes the results into flat
+    struct-of-arrays result vectors.  It runs in chunks of up to
+    {!batch_lanes} rows: the kernel {!eval} runs walks the compiled order
+    once per chunk, over a scratch arena that keeps one lane per
+    scenario of the chunk, and does for each lane what it does for a
+    single scenario, in the same order.  Results are therefore
+    bit-identical to {!eval} scenario by scenario — pinned against
+    {!reference} by the 108-config differential suite and by a property
+    over blocks on both sides of the chunk boundaries.  The lane arena is
+    built on the engine's first [eval_batch] call, so an engine that only
+    serves single evaluations never carries it.  Dead links are a
+    single-scenario option ({!eval}, {!eval_plan}, {!crash_links}); no
+    batch carries them.
 
-    Sets the [replay.batch_size] gauge to the block length and
-    [replay.scenarios_per_sec] to this block's evaluation rate. *)
+    Sets the [replay.batch_size] gauge to the range length and
+    [replay.scenarios_per_sec] to this call's evaluation rate. *)
 
 val batch_lanes : int
 (** Scenarios per chunk of {!eval_batch}.  A schedule whose
@@ -174,21 +175,46 @@ val eval_batch :
   ?cancel:Cancel.token ->
   ?degradation:bool ->
   compiled ->
-  Scenario.t array ->
+  float array ->
+  first:int ->
+  count:int ->
   batch
-(** [eval_batch c scenarios] replays every scenario of the block on [c]'s
-    lane arena.  With [~degradation:true] (default [false]) it additionally
-    fills the per-scenario degradation columns, and [br_latency] follows
-    the Monte-Carlo rule: the frontier when every task completed, [nan]
-    otherwise — the degradation summary of {!eval}'s outcome folded the
-    way {!Monte_carlo.run} does.  Raises [Invalid_argument] if a scenario's
-    crash-time array length differs from {!proc_count}.
+(** [eval_batch c rows ~first ~count] replays rows [first] to
+    [first + count - 1] of [rows] on [c]'s lane arena; result [j] of the
+    batch is row [first + j].  With [~degradation:true] (default
+    [false]) it additionally fills the per-scenario degradation columns,
+    and [br_latency] follows the Monte-Carlo rule: the frontier when
+    every task completed, [nan] otherwise — the degradation summary of
+    {!eval}'s outcome folded the way {!Monte_carlo.run} does.  Raises
+    [Invalid_argument] if the range is negative or [rows] is shorter
+    than [(first + count) * proc_count c].
 
     [cancel] (default {!Cancel.never}) is polled once per chunk of
     {!batch_lanes} scenarios; when it trips the batch raises
     [Cancel.Cancelled] between chunks, never inside one — the serve
     daemon's request-deadline hook.  A batch that returns
     normally is byte-identical whether or not a token was polled. *)
+
+val batch_block : int
+(** Rows per block of {!scan} (256), and the work-stealing unit of
+    {!Monte_carlo.run}.  No result depends on it. *)
+
+val scan :
+  ?cancel:Cancel.token ->
+  ?degradation:bool ->
+  compiled ->
+  fill:(float array -> m:int -> int -> 'a -> unit) ->
+  consume:('a -> batch -> int -> bool) ->
+  'a Seq.t ->
+  int
+(** [scan c ~fill ~consume items] is the one in-order block scan over
+    {!eval_batch}.  Per block of up to {!batch_block} items it calls
+    [fill rows ~m j x] (a {!Scenario} writer) for the [j]-th item [x],
+    evaluates the block, then calls [consume x res j] for each item in
+    order.  [consume] returns [false] to stop: no later item is consumed
+    and no later block is drawn from [items].  Returns the number of
+    items consumed, the stopping one included — what one {!eval} per
+    item, in order, would give.  The rows are a scratch buffer of [c]. *)
 
 (** {1 Fault plans}
 
@@ -257,6 +283,11 @@ val completion_fraction : degradation -> float
 
 val sink_fraction : degradation -> float
 (** [d_sinks / d_sink_count] (1.0 on an empty DAG). *)
+
+val batch_degradation : compiled -> batch -> int -> degradation
+(** [batch_degradation c res j] is the degradation summary of scenario
+    [j] of a [~degradation:true] batch of [c], rebuilt from its columns:
+    equal to {!eval_plan_degraded} on the same crash row. *)
 
 val eval_plan_degraded :
   ?dead_links:(Platform.proc * Platform.proc) list ->

@@ -13,32 +13,38 @@ val timed :
 (** [count] distinct processors, each with a crash instant uniform in
     [\[0, horizon)] — for the timed-crash extension experiments. *)
 
-(** {1 Pre-drawn scenario blocks}
+(** {1 Crash rows}
 
-    The batched replay path ({!Replay.eval_batch}) consumes scenarios in
-    the engine's native representation: a per-processor crash-time array
-    ([neg_infinity] = dead from the start, [infinity] = never crashes,
-    finite = crash instant) plus an optional list of permanently dead
-    links.  [draw_block] pre-draws a whole campaign into an array up
-    front, off a single root generator, so evaluation order — sequential
-    or spread over domains by {!Parallel.map} — can never perturb the
-    stream (the PR 4 determinism contract). *)
-
-type t = {
-  sc_crash_time : float array;  (** one entry per processor *)
-  sc_dead_links : (Platform.proc * Platform.proc) list;
-      (** directed links dead for the whole run *)
-}
+    The replay engine reads a scenario as one {e row} of [m] crash
+    instants in a flat float array: scenario [j], processor [p] at
+    [j * m + p].  [neg_infinity] means dead from the start, [infinity]
+    never crashes, a finite value is the crash instant.  The two writers
+    below are the only code that fills a row; {!Replay.eval_batch} reads
+    a range of rows and {!Replay.scan} fills and evaluates them block by
+    block. *)
 
 type mode = From_start | Timed of float
 (** [Timed horizon]: crash instants uniform in [\[0, horizon)]. *)
 
-val of_crash_times :
-  ?dead_links:(Platform.proc * Platform.proc) list -> float array -> t
-(** Wrap an explicit crash-time array (not copied). *)
+val write_from_start : float array -> m:int -> int -> Platform.proc list -> unit
+(** [write_from_start rows ~m j procs] makes row [j] the scenario in
+    which exactly the listed processors are dead from the start
+    (duplicates are harmless).  Raises [Invalid_argument] for a
+    processor outside [\[0, m)]. *)
 
-val draw_block : Rng.t -> m:int -> count:int -> mode:mode -> runs:int -> t array
-(** [draw_block rng ~m ~count ~mode ~runs] draws [runs] independent
-    scenarios, each crashing [min count m] distinct processors chosen
-    uniformly among [m].  Consumes the exact same generator stream as
-    drawing each scenario with {!uniform_procs} / {!timed}. *)
+val write_timed :
+  float array -> m:int -> int -> (Platform.proc * float) list -> unit
+(** [write_timed rows ~m j crashes] makes row [j] the scenario in which
+    processor [p] dies at [tau] for each listed [(p, tau)] — the
+    earliest instant wins when a processor is listed twice — and the
+    others never crash.  Raises [Invalid_argument] for a processor
+    outside [\[0, m)]. *)
+
+val draw_block : Rng.t -> m:int -> count:int -> mode:mode -> runs:int -> float array
+(** [draw_block rng ~m ~count ~mode ~runs] pre-draws [runs] independent
+    scenarios as [runs] rows, each crashing [min count m] distinct
+    processors chosen uniformly among [m].  It consumes the exact same
+    generator stream as drawing each scenario with {!uniform_procs} /
+    {!timed}, and draws the whole campaign before any evaluation, so
+    evaluation order — sequential or spread over domains — can never
+    perturb the stream. *)

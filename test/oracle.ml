@@ -37,21 +37,14 @@ let degradation sched (o : Replay.outcome) =
 let monte_carlo ?(seed = 20) ?(runs = 1000) ~crashes ~mode sched =
   let m = Platform.proc_count (Schedule.platform sched) in
   let l0 = Schedule.latency_zero_crash sched in
-  let smode =
-    match mode with
-    | Monte_carlo.From_start -> Scenario.From_start
-    | Monte_carlo.Timed horizon -> Scenario.Timed horizon
-  in
-  let scenarios =
-    Scenario.draw_block (Rng.create seed) ~m ~count:crashes ~mode:smode ~runs
-  in
+  let rows = Scenario.draw_block (Rng.create seed) ~m ~count:crashes ~mode ~runs in
   let c = Replay.compile sched in
   let beyond = crashes > Schedule.epsilon sched in
   let degs = ref [] in
   let lat =
-    Array.map
-      (fun (sc : Scenario.t) ->
-        let o = Replay.eval c ~crash_time:sc.Scenario.sc_crash_time in
+    Array.init runs
+      (fun j ->
+        let o = Replay.eval c ~crash_time:(Array.sub rows (j * m) m) in
         if not beyond then o.Replay.latency
         else begin
           let d = degradation sched o in
@@ -59,7 +52,6 @@ let monte_carlo ?(seed = 20) ?(runs = 1000) ~crashes ~mode sched =
           if d.Replay.d_tasks = d.Replay.d_task_count then d.Replay.d_frontier
           else nan
         end)
-      scenarios
   in
   let completed_lats =
     List.filter (fun l -> not (Float.is_nan l)) (Array.to_list lat)
@@ -121,6 +113,36 @@ let outcome c crashes =
 
 (* -- Fault_check: the sequential enumeration ---------------------------- *)
 
+(* All increasing [k]-subsets of [0, n-1] in lexicographic order, as
+   lists, from an index array of its own: independent of
+   [Fault_check.subsets], so the enumeration of the check and of the
+   adversary can be cross-checked against it. *)
+let combinations n k =
+  if k < 0 || k > n then Seq.empty
+  else if k = 0 then Seq.return []
+  else
+    let first = Array.init k (fun i -> i) in
+    let successor idx =
+      let idx = Array.copy idx in
+      let i = ref (k - 1) in
+      while !i >= 0 && idx.(!i) = n - k + !i do
+        decr i
+      done;
+      if !i < 0 then None
+      else begin
+        idx.(!i) <- idx.(!i) + 1;
+        for j = !i + 1 to k - 1 do
+          idx.(j) <- idx.(j - 1) + 1
+        done;
+        Some idx
+      end
+    in
+    Seq.unfold
+      (function
+        | None -> None
+        | Some idx -> Some (Array.to_list idx, successor idx))
+      (Some first)
+
 (* [fault_check ~shards ~epsilon sched] is [Fault_check.check]'s report
    together with the [fault_check.scenarios] count the library reaches
    when it splits the rank space into [shards] contiguous shards, each
@@ -146,7 +168,7 @@ let fault_check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
       Array.of_seq
         (Seq.map
            (fun crashed -> (crashed, outcome c (from_start crashed)))
-           (Fault_check.combinations m epsilon))
+           (combinations m epsilon))
     in
     Array.iter
       (fun (crashed, o) ->
@@ -240,7 +262,7 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
      if exhaustive then
        Seq.iter
          (fun procs -> ignore (consider procs))
-         (Fault_check.combinations m (min eps m))
+         (combinations m (min eps m))
      else begin
        let singles =
          List.init m (fun p -> (consider [ p ], [ p ]))

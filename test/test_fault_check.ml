@@ -1,7 +1,7 @@
 (* Unit tests for crash-set enumeration and fault checking. *)
 
 let test_combinations () =
-  let combos n k = List.of_seq (Fault_check.combinations n k) in
+  let combos n k = List.of_seq (Oracle.combinations n k) in
   Helpers.check_bool "3 choose 2" true
     (combos 3 2 = [ [ 0; 1 ]; [ 0; 2 ]; [ 1; 2 ] ]);
   Helpers.check_bool "k=0" true (combos 4 0 = [ [] ]);
@@ -10,7 +10,23 @@ let test_combinations () =
   Helpers.check_int "5 choose 3 count" 10 (List.length (combos 5 3));
   Helpers.check_bool "all distinct" true
     (let l = combos 6 3 in
-     List.length (List.sort_uniq compare l) = List.length l)
+     List.length (List.sort_uniq compare l) = List.length l);
+  (* the check's own enumeration, from rank 0 and from a middle rank *)
+  List.iter
+    (fun (n, k) ->
+      let all = combos n k in
+      let total = List.length all in
+      Helpers.check_bool
+        (Printf.sprintf "subsets %d %d from 0" n k)
+        true
+        (List.of_seq (Fault_check.subsets ~n ~k ~first:0 total) = all);
+      let first = total / 3 in
+      Helpers.check_bool
+        (Printf.sprintf "subsets %d %d from %d" n k first)
+        true
+        (List.of_seq (Fault_check.subsets ~n ~k ~first (total - first - 1))
+        = List.filteri (fun i _ -> i >= first && i < total - 1) all))
+    [ (3, 2); (4, 0); (3, 3); (6, 3); (7, 1) ]
 
 let test_count_combinations () =
   Helpers.check_int "10 choose 3" 120 (Fault_check.count_combinations 10 3);

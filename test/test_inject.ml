@@ -106,7 +106,7 @@ let test_within_epsilon_completes () =
             Helpers.check_float
               (Printf.sprintf "seed %d eps %d: sinks delivered" seed epsilon)
               1. (Replay.sink_fraction d))
-          (Fault_check.combinations m k)
+          (Oracle.combinations m k)
       done)
     [ (1, 1); (2, 1); (3, 2) ]
 

@@ -31,13 +31,7 @@ let test_registry_basics () =
   (* disabled recording is a no-op *)
   Obs_metrics.reset ();
   Obs_metrics.incr c;
-  Helpers.check_int "disabled" 0 (counter_value "test.basics");
-  (* suppression mutes an enabled registry on this domain *)
-  with_metrics (fun () ->
-      Obs_metrics.suppressed (fun () -> Obs_metrics.incr c);
-      Helpers.check_int "suppressed" 0 (counter_value "test.basics");
-      Obs_metrics.incr c;
-      Helpers.check_int "unsuppressed" 1 (counter_value "test.basics"))
+  Helpers.check_int "disabled" 0 (counter_value "test.basics")
 
 let test_histogram_summary () =
   with_metrics (fun () ->
@@ -249,31 +243,6 @@ let test_shard_vs_global_single_domain () =
           Alcotest.(check (float 1e-12)) "max" 52.0 s.Obs_metrics.hs_max
       | _ -> Alcotest.fail "histogram not found")
 
-let test_suppressed_scoped_per_domain () =
-  (* [suppressed] mutes only the calling domain's shard: workers that are
-     not suppressed keep recording concurrently *)
-  with_metrics (fun () ->
-      let c = Obs_metrics.counter "test.shard_suppress" in
-      let _ =
-        Parallel.map ~domains:3
-          (fun i ->
-            if i = 0 then
-              (* this worker mutes itself; its increments must vanish *)
-              Obs_metrics.suppressed (fun () ->
-                  for _ = 1 to 500 do
-                    Obs_metrics.incr c
-                  done)
-            else
-              for _ = 1 to 100 do
-                Obs_metrics.incr c
-              done;
-            i)
-          (List.init 12 Fun.id)
-      in
-      (* 11 unsuppressed items x 100 *)
-      Helpers.check_int "suppression scoped to its domain" 1_100
-        (counter_value "test.shard_suppress"))
-
 let test_shard_count_bounded () =
   (* shards of joined domains are folded into the retired base: campaigns
      of many Parallel.map calls must not leak a shard per spawned domain *)
@@ -354,8 +323,6 @@ let suite =
       test_sharded_exact_totals;
     Alcotest.test_case "single-domain aggregation bit-exact" `Quick
       test_shard_vs_global_single_domain;
-    Alcotest.test_case "suppressed scoped per domain" `Quick
-      test_suppressed_scoped_per_domain;
     Alcotest.test_case "shard count bounded after joins" `Quick
       test_shard_count_bounded;
     Alcotest.test_case "dump sorted by name" `Quick test_dump_sorted;

@@ -5,22 +5,22 @@
      identical (bit-for-bit, including [nan] latencies) to the
      rebuild-per-scenario [Replay.reference] oracle, across fault-free,
      from-start, timed and dead-link scenarios — and that [eval_batch],
-     on a block of one and on one block over the same mixed scenario
-     set, reproduces the oracle's latency and ([~degradation:true]) its
-     degradation summary per element;
+     on a block of one and on one block over the crash-only scenarios
+     of the set (dead links are a single-scenario option), reproduces
+     the oracle's latency and ([~degradation:true]) its degradation
+     summary per element;
    - [Monte_carlo.run] and [Fault_check.check] reports are byte-identical
-     for domains in {1, 2, 4}, for persistent pools of those sizes, and
-     with batching off (pre-drawn scenarios / lowest-rank
-     counterexample);
+     for domains in {1, 2, 4} and equal the per-scenario oracles
+     (pre-drawn scenarios / lowest-rank counterexample);
    - [Scenario.draw_block] consumes the exact per-scenario RNG stream;
-   - [Fault_check.subset_at_rank] agrees with the [combinations]
+   - [Fault_check.subset_at_rank] agrees with the [Oracle.combinations]
      enumeration at every rank;
    - generated tie-heavy instances (integer costs, zero-volume edges)
      are accepted by both engines and replay identically through
      [eval], [eval_batch] and [reference];
    - blocks on both sides of [eval_batch]'s chunk size, with crash
-     modes and dead links that differ between lanes of one chunk, give
-     per scenario what [eval] and [reference] give;
+     modes that differ between lanes of one chunk, give per scenario
+     what [eval] and [reference] give;
    - [compile] rejects a cyclic static order, and one compile of a
      paper-sized schedule and one [eval_batch] block stay within their
      allocation budgets. *)
@@ -54,13 +54,13 @@ let check_differential name sched fabric ~crash_time ~dead_links compiled =
   let cached = Replay.eval ~dead_links compiled ~crash_time in
   if not (outcome_equal fresh cached) then
     Alcotest.failf "%s: compiled eval differs from fresh replay" name;
-  (* a block of one: the batch latency column is the oracle's latency *)
-  let one =
-    Replay.eval_batch compiled [| Scenario.of_crash_times ~dead_links crash_time |]
-  in
-  if not (float_eq one.Replay.br_latency.(0) fresh.Replay.latency) then
-    Alcotest.failf "%s: eval_batch of one %.6f <> reference latency %.6f" name
-      one.Replay.br_latency.(0) fresh.Replay.latency;
+  (* a block of one crash row: the batch latency column is the oracle's
+     latency *)
+  (if dead_links = [] then
+     let one = Replay.eval_batch compiled crash_time ~first:0 ~count:1 in
+     if not (float_eq one.Replay.br_latency.(0) fresh.Replay.latency) then
+       Alcotest.failf "%s: eval_batch of one %.6f <> reference latency %.6f"
+         name one.Replay.br_latency.(0) fresh.Replay.latency);
   fresh
 
 (* One configuration: build a schedule, compile once, then diff several
@@ -134,25 +134,24 @@ let run_config seed =
   in
   diff ~crash_time:no_crash ~dead_links;
   diff ~crash_time:no_crash ~dead_links:[];
-  (* the whole mixed scenario set again as ONE struct-of-arrays block:
+  (* the crash-only scenarios of the set again as ONE block of rows:
      eval_batch must reproduce the oracle's latency (and, in degradation
      mode, its degradation summary under the Monte-Carlo completion rule)
-     per element, with the dead-link masks fully reset between
-     neighbouring scenarios of the same block *)
-  let scen = Array.of_list (List.rev !scenarios) in
-  let block =
-    Array.map
-      (fun (ct, dl, _) -> Scenario.of_crash_times ~dead_links:dl ct)
-      scen
+     per element *)
+  let scen =
+    Array.of_list
+      (List.filter (fun (_, dl, _) -> dl = []) (List.rev !scenarios))
   in
-  let batch = Replay.eval_batch compiled block in
+  let block = Array.concat (Array.to_list (Array.map (fun (ct, _, _) -> ct) scen)) in
+  let count = Array.length scen in
+  let batch = Replay.eval_batch compiled block ~first:0 ~count in
   Array.iteri
     (fun i (_, _, (fresh : Replay.outcome)) ->
       if not (float_eq batch.Replay.br_latency.(i) fresh.Replay.latency) then
         Alcotest.failf "%s: eval_batch latency %d: %h <> %h" name i
           batch.Replay.br_latency.(i) fresh.Replay.latency)
     scen;
-  let dbatch = Replay.eval_batch ~degradation:true compiled block in
+  let dbatch = Replay.eval_batch ~degradation:true compiled block ~first:0 ~count in
   Array.iteri
     (fun i (_, _, fresh) ->
       let d = Oracle.degradation sched fresh in
@@ -186,7 +185,7 @@ let test_montecarlo_domains () =
   let sched = Caft.run ~epsilon:1 costs in
   (* three full blocks and a partial one, so the domains really split the
      campaign *)
-  let runs = (3 * Monte_carlo.batch_block) + 17 in
+  let runs = (3 * Replay.batch_block) + 17 in
   (* beyond epsilon too, so the degradation aggregation path is pinned *)
   List.iter
     (fun crashes ->
@@ -254,42 +253,40 @@ let test_draw_block_stream () =
      as the historical per-scenario [uniform_procs] / [timed] draws did —
      otherwise every pre-PR campaign report would shift *)
   let m = 9 and runs = 40 and count = 3 in
-  let block =
+  let rows =
     Scenario.draw_block (Rng.create 42) ~m ~count ~mode:Scenario.From_start
       ~runs
   in
+  Helpers.check_int "one row per run" (runs * m) (Array.length rows);
   let rng = Rng.create 42 in
-  Array.iteri
-    (fun i sc ->
-      let procs = Scenario.uniform_procs rng ~m ~count in
-      let expect = Array.make m infinity in
-      List.iter (fun p -> expect.(p) <- neg_infinity) procs;
-      if sc.Scenario.sc_crash_time <> expect then
-        Alcotest.failf "from-start scenario %d differs from uniform_procs" i;
-      Helpers.check_bool "no dead links" true (sc.Scenario.sc_dead_links = []))
-    block;
+  for i = 0 to runs - 1 do
+    let procs = Scenario.uniform_procs rng ~m ~count in
+    let expect = Array.make m infinity in
+    List.iter (fun p -> expect.(p) <- neg_infinity) procs;
+    if Array.sub rows (i * m) m <> expect then
+      Alcotest.failf "from-start scenario %d differs from uniform_procs" i
+  done;
   let horizon = 123.5 in
-  let block =
+  let rows =
     Scenario.draw_block (Rng.create 43) ~m ~count
       ~mode:(Scenario.Timed horizon) ~runs
   in
   let rng = Rng.create 43 in
-  Array.iteri
-    (fun i sc ->
-      let pairs = Scenario.timed rng ~m ~count ~horizon in
-      let expect = Array.make m infinity in
-      List.iter (fun (p, t) -> expect.(p) <- t) pairs;
-      for p = 0 to m - 1 do
-        if not (float_eq sc.Scenario.sc_crash_time.(p) expect.(p)) then
-          Alcotest.failf "timed scenario %d proc %d: %h <> %h" i p
-            sc.Scenario.sc_crash_time.(p) expect.(p)
-      done)
-    block
+  for i = 0 to runs - 1 do
+    let pairs = Scenario.timed rng ~m ~count ~horizon in
+    let expect = Array.make m infinity in
+    List.iter (fun (p, t) -> expect.(p) <- t) pairs;
+    for p = 0 to m - 1 do
+      if not (float_eq rows.((i * m) + p) expect.(p)) then
+        Alcotest.failf "timed scenario %d proc %d: %h <> %h" i p
+          rows.((i * m) + p) expect.(p)
+    done
+  done
 
 let test_subset_at_rank () =
   List.iter
     (fun (n, k) ->
-      let all = List.of_seq (Fault_check.combinations n k) in
+      let all = List.of_seq (Oracle.combinations n k) in
       List.iteri
         (fun rank expected ->
           let got =
@@ -409,7 +406,8 @@ let tie_replays_agree c rng fabric sched =
   in
   let batch =
     Replay.eval_batch compiled
-      (Array.map (fun ct -> Scenario.of_crash_times ct) scenarios)
+      (Array.concat (Array.to_list scenarios))
+      ~first:0 ~count:(Array.length scenarios)
   in
   Array.for_all2
     (fun crash_time out -> outcome_equal out (Replay.eval compiled ~crash_time))
@@ -453,7 +451,7 @@ let prop_tie_differential =
    above the chunk size (and spanning several chunks) must give, per
    scenario, exactly what one [eval] and [reference] give: the latency
    column and the degradation columns, bit for bit.  Neighbouring lanes
-   of one chunk get different crash modes and different dead links. *)
+   of one chunk get different crash modes. *)
 type lane_case = {
   l_seed : int;
   l_model : Netstate.model;
@@ -516,36 +514,27 @@ let lanes_agree c =
   let compiled = Replay.compile ?fabric sched in
   let horizon = Schedule.makespan sched in
   (* from-start or timed crashes, 0 .. epsilon + 1 of them (both sides
-     of the tolerance), and a third of the lanes with their own dead
-     links *)
-  let scenario _ =
+     of the tolerance) *)
+  let rows = Array.make (c.l_block * m) infinity in
+  for j = 0 to c.l_block - 1 do
     let k = Rng.int rng (c.l_epsilon + 2) in
     let procs = Rng.sample_without_replacement rng k m in
-    let timed = Rng.bool rng in
-    let crash_time = Array.make m infinity in
-    List.iter
-      (fun p ->
-        crash_time.(p) <-
-          (if timed then Rng.float rng horizon else neg_infinity))
-      procs;
-    let dead_links =
-      if Rng.int rng 3 = 0 then
-        List.init (1 + Rng.int rng 2) (fun _ -> (Rng.int rng m, Rng.int rng m))
-      else []
-    in
-    Scenario.of_crash_times ~dead_links crash_time
+    if Rng.bool rng then
+      Scenario.write_timed rows ~m j
+        (List.map (fun p -> (p, Rng.float rng horizon)) procs)
+    else Scenario.write_from_start rows ~m j procs
+  done;
+  let batch = Replay.eval_batch compiled rows ~first:0 ~count:c.l_block in
+  let dbatch =
+    Replay.eval_batch ~degradation:true compiled rows ~first:0 ~count:c.l_block
   in
-  let block = Array.init c.l_block scenario in
-  let batch = Replay.eval_batch compiled block in
-  let dbatch = Replay.eval_batch ~degradation:true compiled block in
   Array.for_all Fun.id
-    (Array.mapi
-       (fun i sc ->
-         let crash_time = sc.Scenario.sc_crash_time in
-         let dead_links = sc.Scenario.sc_dead_links in
-         let fresh = Replay.reference ?fabric ~dead_links sched ~crash_time in
+    (Array.init c.l_block
+       (fun i ->
+         let crash_time = Array.sub rows (i * m) m in
+         let fresh = Replay.reference ?fabric sched ~crash_time in
          let d = Oracle.degradation sched fresh in
-         outcome_equal fresh (Replay.eval ~dead_links compiled ~crash_time)
+         outcome_equal fresh (Replay.eval compiled ~crash_time)
          && float_eq batch.Replay.br_latency.(i) fresh.Replay.latency
          && dbatch.Replay.br_tasks.(i) = d.Replay.d_tasks
          && dbatch.Replay.br_sinks.(i) = d.Replay.d_sinks
@@ -553,8 +542,7 @@ let lanes_agree c =
          && float_eq dbatch.Replay.br_latency.(i)
               (if d.Replay.d_tasks = d.Replay.d_task_count then
                  d.Replay.d_frontier
-               else nan))
-       block)
+               else nan)))
 
 let prop_lane_boundaries =
   QCheck.Test.make ~count:120
@@ -659,13 +647,13 @@ let test_batch_allocation () =
   let sched = Caft.run ~epsilon:3 costs in
   let c = Replay.compile sched in
   let runs = 256 in
-  let block =
+  let rows =
     Scenario.draw_block (Rng.create 1) ~m:20 ~count:3
       ~mode:Scenario.From_start ~runs
   in
-  ignore (Replay.eval_batch c block);
+  ignore (Replay.eval_batch c rows ~first:0 ~count:runs);
   let before = Gc.minor_words () in
-  ignore (Sys.opaque_identity (Replay.eval_batch c block));
+  ignore (Sys.opaque_identity (Replay.eval_batch c rows ~first:0 ~count:runs));
   let words = (Gc.minor_words () -. before) /. float_of_int runs in
   if words > batch_words_bound then
     Alcotest.failf "Replay.eval_batch allocated %.0f words per scenario (bound %.0f)"

@@ -257,6 +257,152 @@ let test_validate_catches_causality () =
   Helpers.check_bool "causality caught" true
     (has_check [ "message-causality" ] (Validate.run s))
 
+(* -- schedule files the validator must not accept ------------------------ *)
+
+(* Saved 8-task CAFT and FTSA schedules (m = 4, epsilon = 1), as lines. *)
+let fuzz_bases =
+  lazy
+    (List.map
+       (fun seed ->
+         let _, costs = Helpers.random_instance ~seed ~m:4 ~tasks:8 () in
+         let sched =
+           if seed mod 2 = 0 then Caft.run ~epsilon:1 costs
+           else Ftsa.run ~epsilon:1 costs
+         in
+         Array.of_list
+           (List.filter (fun l -> l <> "")
+              (String.split_on_char '\n' (Schedule_io.to_string sched))))
+       [ 0; 1; 2; 3; 4; 5 ])
+
+let words l = Array.of_list (String.split_on_char ' ' l)
+let unwords a = String.concat " " (Array.to_list a)
+let unlines lines = String.concat "\n" (Array.to_list lines) ^ "\n"
+
+(* [lines] with word [field] of line [i] (0-based) set to [v] *)
+let set_word lines i field v =
+  Array.mapi
+    (fun j l ->
+      if j <> i then l
+      else
+        let w = words l in
+        w.(field) <- v;
+        unwords w)
+    lines
+
+let is_directive d l = String.starts_with ~prefix:(d ^ " ") l
+
+(* The shapes a line-level mutation fuzzer found accepted by the
+   validator although replay rejects them as cyclic: a message leg start
+   of 1e308 or inf, and an infinite arrival hidden behind another supply
+   of the same predecessor.  The validator (hence lint) rejects each. *)
+let test_validate_catches_message_times () =
+  let lines = List.hd (Lazy.force fuzz_bases) in
+  let reject name text wants =
+    let sched = Schedule_io.of_string text in
+    let vs = Validate.run sched in
+    List.iter
+      (fun want ->
+        Helpers.check_bool (name ^ ": " ^ want) true (has_check [ want ] vs))
+      wants;
+    Helpers.check_bool (name ^ ": lint errors") true
+      (Lint.errors (Lint.run sched) > 0)
+  in
+  let first d =
+    let rec go i = if is_directive d lines.(i) then i else go (i + 1) in
+    go 0
+  in
+  (* message task idx pred pidx sproc sfinish volume dst dur lstart lfinish
+     arrival *)
+  let msg = first "message" in
+  reject "leg start 1e308"
+    (unlines (set_word lines msg 10 "1e308"))
+    [ "message-leg" ];
+  reject "leg start inf"
+    (unlines (set_word lines msg 10 "inf"))
+    [ "non-finite-time"; "message-leg" ];
+  (* a replica fed twice by one predecessor: the later supply's infinite
+     arrival does not move the earliest one, so only the finiteness rule
+     sees it *)
+  let key l =
+    let w = words l in
+    (w.(1), w.(2), w.(3))
+  in
+  let msgs =
+    List.filter
+      (fun (_, l) -> is_directive "message" l)
+      (List.mapi (fun i l -> (i, l)) (Array.to_list lines))
+  in
+  let twice =
+    List.find
+      (fun (i, l) -> List.exists (fun (j, l') -> j < i && key l' = key l) msgs)
+      msgs
+  in
+  let arrival = unlines (set_word lines (fst twice) 12 "inf") in
+  let vs = Validate.run (Schedule_io.of_string arrival) in
+  Helpers.check_bool "hidden arrival inf: non-finite-time" true
+    (has_check [ "non-finite-time" ] vs);
+  Helpers.check_bool "hidden arrival inf: precedence holds" false
+    (has_check [ "precedence" ] vs);
+  (* a replica that runs forever *)
+  reject "replica finish inf"
+    (unlines (set_word lines (first "replica") 5 "inf"))
+    [ "non-finite-time" ]
+
+(* One mutation of a saved schedule file: a token replaced, a line dropped
+   or a line duplicated. *)
+type mutant = {
+  base : int;
+  line : int;
+  kind : int;  (* 0: drop the line, 1: duplicate it, else edit a token *)
+  field : int;
+  token : string;
+}
+
+let tokens =
+  [
+    "-1"; "0"; "1"; "2"; "99"; "0.5"; "inf"; "-inf"; "nan"; "1e308";
+    "387.0205E986927234";
+  ]
+
+let mutant_gen =
+  QCheck.Gen.(
+    map
+      (fun ((base, line, kind), (field, token)) ->
+        { base; line; kind; field; token })
+      (pair
+         (triple (int_bound 5) (int_bound 10_000) (int_bound 9))
+         (pair (int_bound 12) (oneofl tokens))))
+
+let mutate { base; line; kind; field; token } =
+  let lines = List.nth (Lazy.force fuzz_bases) base in
+  let i = line mod Array.length lines in
+  let l = Array.to_list lines in
+  match kind with
+  | 0 -> List.filteri (fun j _ -> j <> i) l
+  | 1 -> List.concat (List.mapi (fun j x -> if j = i then [ x; x ] else [ x ]) l)
+  | _ ->
+      let n = Array.length (words lines.(i)) in
+      if n < 2 then l
+      else Array.to_list (set_word lines i (1 + (field mod (n - 1))) token)
+
+let print_mutant m =
+  Printf.sprintf "base=%d line=%d kind=%d field=%d token=%s" m.base m.line
+    m.kind m.field m.token
+
+(* Whatever a mutated file holds, parsing raises nothing but
+   [Parse_error], and a schedule the validator accepts also compiles and
+   completes its fault-free replay. *)
+let prop_accepted_mutants_replay =
+  QCheck.Test.make ~count:1500
+    ~name:"validator-accepted schedule mutants compile and replay"
+    (QCheck.make mutant_gen ~print:print_mutant)
+    (fun m ->
+      match Schedule_io.of_string (String.concat "\n" (mutate m) ^ "\n") with
+      | exception Schedule_io.Parse_error _ -> true
+      | sched ->
+          Validate.run sched <> []
+          || (Replay.fault_free sched).Replay.completed)
+
 let test_gantt_renders () =
   let _, costs = Helpers.random_instance ~seed:3 () in
   let sched = Caft.run ~epsilon:1 costs in
@@ -284,5 +430,10 @@ let suite =
       test_validate_catches_one_port_violation;
     Alcotest.test_case "validator: message causality" `Quick
       test_validate_catches_causality;
+    Alcotest.test_case "validator: message times" `Quick
+      test_validate_catches_message_times;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 230_023 |])
+      prop_accepted_mutants_replay;
     Alcotest.test_case "gantt renders" `Quick test_gantt_renders;
   ]

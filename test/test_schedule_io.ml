@@ -112,44 +112,44 @@ let test_partial_stream_detected () =
         (Schedule_io.to_string sched)
         (Schedule_io.to_string reparsed))
 
+(* The non-empty lines of [small_schedule]'s file, the 1-based numbers
+   of the lines of one directive, and the file with word [field] of each
+   edited line (1-based number) set to a value. *)
+let schedule_lines () =
+  List.filter (fun l -> l <> "")
+    (String.split_on_char '\n' (Schedule_io.to_string (small_schedule ())))
+
+let numbered lines directive =
+  List.filter_map
+    (fun (i, l) ->
+      if List.hd (String.split_on_char ' ' l) = directive then Some i else None)
+    (List.mapi (fun i l -> (i + 1, l)) lines)
+
+let edited lines edits =
+  String.concat "\n"
+    (List.mapi
+       (fun i l ->
+         match List.assoc_opt (i + 1) edits with
+         | None -> l
+         | Some (field, v) ->
+             String.concat " "
+               (List.mapi
+                  (fun j w -> if j = field then v else w)
+                  (String.split_on_char ' ' l)))
+       lines)
+  ^ "\n"
+
 let test_out_of_range_ids () =
   (* a supply, task, delay or cost line naming a task or processor
      outside the instance is a parse error at that line — the first such
      line in the file — not a crash in a later analysis *)
-  let sched = small_schedule () in
-  let lines =
-    List.filter (fun l -> l <> "")
-      (String.split_on_char '\n' (Schedule_io.to_string sched))
-  in
-  (* the 1-based numbers of the lines of one directive *)
-  let numbered directive =
-    List.filter_map
-      (fun (i, l) ->
-        if List.hd (String.split_on_char ' ' l) = directive then Some i
-        else None)
-      (List.mapi (fun i l -> (i + 1, l)) lines)
-  in
-  let first d = List.hd (numbered d) in
-  let last d = List.hd (List.rev (numbered d)) in
-  (* set word [field] of each edited line [n] (1-based) to [v] *)
-  let edited edits =
-    String.concat "\n"
-      (List.mapi
-         (fun i l ->
-           match List.assoc_opt (i + 1) edits with
-           | None -> l
-           | Some (field, v) ->
-               String.concat " "
-                 (List.mapi
-                    (fun j w -> if j = field then v else w)
-                    (String.split_on_char ' ' l)))
-         lines)
-    ^ "\n"
-  in
+  let lines = schedule_lines () in
+  let first d = List.hd (numbered lines d) in
+  let last d = List.hd (List.rev (numbered lines d)) in
   (* edits in file order: the first one is the line reported *)
   List.iter
     (fun (name, edits) ->
-      expect_parse_error ~line:(fst (List.hd edits)) (edited edits) name)
+      expect_parse_error ~line:(fst (List.hd edits)) (edited lines edits) name)
     [
       ("message predecessor task", [ (first "message", (3, "10")) ]);
       ("message source processor", [ (first "message", (5, "3")) ]);
@@ -165,6 +165,39 @@ let test_out_of_range_ids () =
       ( "first of two bad cost lines",
         [ (first "cost", (2, "9")); (last "cost", (1, "99")) ] );
     ]
+
+let test_replica_shape () =
+  (* what [Schedule.create] would reject, and an invalid delay, is a
+     parse error at the offending line; a task short of a replica has no
+     line of its own and is reported at [end] *)
+  let lines = schedule_lines () in
+  let replicas = numbered lines "replica" in
+  let r0 = List.nth replicas 0 and r1 = List.nth replicas 1 in
+  let proc_of n = List.nth (String.split_on_char ' ' (List.nth lines (n - 1))) 3 in
+  let first_delay = List.hd (numbered lines "delay") in
+  List.iter
+    (fun (name, line, edits) -> expect_parse_error ~line (edited lines edits) name)
+    [
+      ("replica task", r1, [ (r1, (1, "10")) ]);
+      ("negative replica task", r0, [ (r0, (1, "-1")) ]);
+      ("replica processor", r0, [ (r0, (3, "3")) ]);
+      ("replica index beyond epsilon", r1, [ (r1, (2, "2")) ]);
+      ("negative replica index", r0, [ (r0, (2, "-1")) ]);
+      (* task 0's second replica on its first replica's processor *)
+      ("shared processor", r1, [ (r1, (3, proc_of r0)) ]);
+      ("negative delay", first_delay, [ (first_delay, (3, "-1")) ]);
+      ("nan delay", first_delay, [ (first_delay, (3, "nan")) ]);
+      ("diagonal delay", first_delay, [ (first_delay, (2, "0")) ]);
+    ];
+  let without_r1 = List.filteri (fun i _ -> i + 1 <> r1) lines in
+  expect_parse_error ~line:(List.length without_r1)
+    (String.concat "\n" without_r1 ^ "\n")
+    "missing replica";
+  (* a task count beyond the runtime's array limit has no line to blame
+     but is still a parse error *)
+  expect_parse_error ~line:0
+    (edited lines [ (List.hd (numbered lines "tasks"), (1, "100000000000000000")) ])
+    "task count beyond the array limit"
 
 (* A bad [edge] line is a parse error at that line, whose message names
    the fault.  Each form inserts one line after the last edge line, built
@@ -230,6 +263,8 @@ let suite =
     Alcotest.test_case "roundtrip fixed point" `Quick test_roundtrip;
     Alcotest.test_case "out-of-range supply ids rejected with line" `Quick
       test_out_of_range_ids;
+    Alcotest.test_case "replica shape rejected with line" `Quick
+      test_replica_shape;
     Alcotest.test_case "truncated input rejected with line" `Quick
       test_truncated;
     Alcotest.test_case "corrupt directive names its line" `Quick

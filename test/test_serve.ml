@@ -124,11 +124,11 @@ let test_cancel_threading () =
   | _ -> Alcotest.fail "monte carlo ignored the token"
   | exception Cancel.Cancelled -> ());
   let c = Replay.compile sched in
-  let scenarios =
+  let rows =
     Scenario.draw_block (Rng.create 1) ~m:4 ~count:1 ~mode:Scenario.From_start
       ~runs:8
   in
-  (match Replay.eval_batch ~cancel:expired c scenarios with
+  (match Replay.eval_batch ~cancel:expired c rows ~first:0 ~count:8 with
   | _ -> Alcotest.fail "eval_batch ignored the token"
   | exception Cancel.Cancelled -> ());
   (* a token that never trips leaves the report byte-identical *)

@@ -1,8 +1,9 @@
 (* Batched verification against the per-scenario oracles of [Oracle]:
    [Fault_check.check] and [Inject.adversary] evaluate their crash sets
-   in [Replay.eval_batch] blocks, and must return byte-identical reports
-   and count the same scenarios as one [Replay.eval] per crash set.  Also
-   pins that the replay engines die with the call that compiled them. *)
+   through [Replay.scan], and must return byte-identical reports and
+   count the same scenarios as one [Replay.eval] per crash set.  Also
+   pins that the replay engines die with the call that compiled them,
+   and that the exhaustive check and the adversary agree. *)
 
 let bytes_of x = Marshal.to_string x []
 
@@ -217,6 +218,47 @@ let test_engines_freed () =
   growth "Fault_check.check sampled" (fun () ->
       ignore (Fault_check.check ~max_exhaustive:0 ~samples:10 ~epsilon:1 sched))
 
+(* -- the check and the adversary agree ----------------------------------- *)
+
+(* On small CAFT and FTSA instances both verdicts enumerate every
+   size-epsilon crash set.  When the check finds the schedule resists,
+   the adversary's search was exhaustive too, and its worst plan is at
+   least the check's worst completed latency: the exhaustive phase sees
+   every such set and refinement only raises the latency. *)
+let agree_gen =
+  QCheck.Gen.(
+    map
+      (fun ((seed, m, tasks), (epsilon, ftsa)) -> (seed, m, tasks, epsilon, ftsa))
+      (pair
+         (triple (int_range 0 1_000_000) (int_range 3 8) (int_range 4 14))
+         (pair (int_range 1 2) bool)))
+
+let print_agree (seed, m, tasks, epsilon, ftsa) =
+  Printf.sprintf "seed=%d m=%d tasks=%d eps=%d %s" seed m tasks epsilon
+    (if ftsa then "FTSA" else "CAFT")
+
+let prop_check_and_adversary_agree =
+  QCheck.Test.make ~count:60
+    ~name:"a resisting check implies an exhaustive, no faster adversary"
+    (QCheck.make agree_gen ~print:print_agree)
+    (fun (seed, m, tasks, epsilon, ftsa) ->
+      let _, costs = Helpers.random_instance ~seed ~m ~tasks () in
+      let epsilon = min epsilon (m - 1) in
+      let sched =
+        if ftsa then Ftsa.run ~seed ~epsilon costs
+        else Caft.run ~seed ~epsilon costs
+      in
+      let check = Fault_check.check ~epsilon sched in
+      let adv = Inject.adversary sched in
+      check.Fault_check.exhaustive
+      && ((not check.Fault_check.resists)
+         ||
+         match adv.Inject.iv_worst with
+         | None -> false
+         | Some w ->
+             w.Inject.w_exhaustive
+             && w.Inject.w_latency >= check.Fault_check.worst_latency))
+
 let suite =
   [
     Alcotest.test_case "check: certified and refuted, domains x pool" `Quick
@@ -231,4 +273,7 @@ let suite =
     Alcotest.test_case "adversary: beam, top-up, refine, kill" `Quick
       test_adversary_beam;
     Alcotest.test_case "engines die with the call" `Quick test_engines_freed;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 230_046 |])
+      prop_check_and_adversary_agree;
   ]
