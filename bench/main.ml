@@ -1,6 +1,6 @@
 (* Benchmark harness for what the per-scheduler benchmark (perfbench/)
    does not measure: the paper's structural and ablation tables (message
-   bounds, Proposition 5.1, windowed/insertion/one-to-one ablations,
+   bounds, Proposition 5.1, windowed and one-to-one ablations,
    topologies, crash sweeps, link failures, passive replication, the
    contention spectrum), plus three microbench sections: replay (rebuild
    vs compiled vs batched, domain scaling), inject (crash path vs window
@@ -160,45 +160,6 @@ let batch_table graphs seed =
     [ 1; 3 ];
   Text_table.print t;
   print_endline "(w=1 is exactly CAFT; normalized latency, fine grain g=0.5)";
-  print_newline ()
-
-(* -- Table: insertion-based execution booking (ablation) --------------- *)
-
-let insertion_table graphs seed =
-  print_endline "=== Table I: append vs insertion execution booking ===";
-  let t =
-    Text_table.create
-      ~aligns:[ Text_table.Left ]
-      [ "algo"; "eps"; "append"; "insertion"; "gain %" ]
-  in
-  List.iter
-    (fun (name, runner) ->
-      List.iter
-        (fun epsilon ->
-          let n = Option.value graphs ~default:20 in
-          let app = ref 0. and ins = ref 0. in
-          instances ~n ~seed ~costs:(paper ~m:10 ~g:1.0)
-            (fun ~grng:_ ~costs ~norm ~seed ->
-              let lat insertion =
-                Schedule.latency_zero_crash (runner ~insertion ~seed ~epsilon costs)
-                /. norm
-              in
-              app := !app +. lat false;
-              ins := !ins +. lat true);
-          Text_table.add_row t
-            [
-              name;
-              string_of_int epsilon;
-              Text_table.float_cell (!app /. float_of_int n);
-              Text_table.float_cell (!ins /. float_of_int n);
-              Text_table.float_cell (100. *. (!app -. !ins) /. !app);
-            ])
-        [ 1; 3 ])
-    [
-      ("CAFT", fun ~insertion ~seed ~epsilon costs -> Caft.run ~insertion ~seed ~epsilon costs);
-      ("FTSA", fun ~insertion ~seed ~epsilon costs -> Ftsa.run ~insertion ~seed ~epsilon costs);
-    ];
-  Text_table.print t;
   print_newline ()
 
 (* -- Table: sparse interconnects (Section 7 extension) ----------------- *)
@@ -522,7 +483,6 @@ let tables =
     ("messages", messages_table);
     ("outforest", fun _ seed -> outforest_table seed);
     ("batch", batch_table);
-    ("insertion", insertion_table);
     ("topology", topology_table);
     ("mechanism", mechanism_table);
     ("crashes", crash_sweep_table);
@@ -1219,7 +1179,8 @@ let () =
       ("--seed", Arg.Set_int seed, "N  table seed (default 2008)");
       ( "--table",
         Arg.String (fun s -> selected := !selected @ [ s ]),
-        "NAME  regenerate a table: messages | outforest | batch | insertion | topology | mechanism | crashes | links | passive | models" );
+        "NAME  regenerate a table: " ^ String.concat " | " (List.map fst tables)
+      );
       ( "--sched",
         Arg.Set sched,
         "  run the scheduler scaling bench (CAFT tasks/sec and pruning \
@@ -1249,11 +1210,15 @@ let () =
     (fun s -> raise (Arg.Bad ("unexpected argument " ^ s)))
     "bench/main.exe: regenerate the paper's tables and the microbenches";
   let all = !selected = [] && not (!sched || !replay || !inject) in
+  (match List.filter (fun name -> not (List.mem_assoc name tables)) !selected with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "bench: unknown table %s (valid: %s)\n"
+        (String.concat ", " unknown)
+        (String.concat ", " (List.map fst tables));
+      exit 2);
   List.iter
-    (fun name ->
-      match List.assoc_opt name tables with
-      | Some table -> table !graphs !seed
-      | None -> Obs_log.warn "unknown table %s" name)
+    (fun name -> (List.assoc name tables) !graphs !seed)
     (if all then List.map fst tables else !selected);
   let quick = !quick in
   let sections =

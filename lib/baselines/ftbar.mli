@@ -27,7 +27,6 @@
 val run :
   ?model:Netstate.model ->
   ?fabric:Netstate.fabric ->
-  ?insertion:bool ->
   ?seed:int ->
   epsilon:int ->
   Costs.t ->

@@ -16,7 +16,6 @@
 val run :
   ?model:Netstate.model ->
   ?fabric:Netstate.fabric ->
-  ?insertion:bool ->
   ?seed:int ->
   epsilon:int ->
   Costs.t ->

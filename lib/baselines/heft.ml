@@ -1,8 +1,6 @@
-let run ?model ?fabric ?insertion ?seed costs =
-  let sched = Ftsa.run ?model ?fabric ?insertion ?seed ~epsilon:0 costs in
+let run ?model ?fabric ?seed costs =
+  let sched = Ftsa.run ?model ?fabric ?seed ~epsilon:0 costs in
   (* Re-badge: a 0-replication FTSA run is the HEFT algorithm. *)
-  Schedule.create
-    ~insertion:(Schedule.insertion sched)
-    ~algorithm:"HEFT" ~epsilon:0 ~model:(Schedule.model sched)
+  Schedule.create ~algorithm:"HEFT" ~epsilon:0 ~model:(Schedule.model sched)
     ~costs:(Schedule.costs sched)
     (Schedule.all_replicas sched)

@@ -11,7 +11,6 @@
 val run :
   ?model:Netstate.model ->
   ?fabric:Netstate.fabric ->
-  ?insertion:bool ->
   ?seed:int ->
   Costs.t ->
   Schedule.t

@@ -33,38 +33,32 @@ let place_all engine ~rng costs =
   in
   Obs_prof.phase ~trace:false ~cat:"sched" "caft.place" loop
 
-let run ?(model = Netstate.One_port) ?fabric ?insertion ?(one_to_one = true)
+let run ?(model = Netstate.One_port) ?fabric ?(one_to_one = true)
     ?(seed = 42) ~epsilon costs =
-  let engine =
-    Caft_engine.create ~model ?fabric ?insertion ~one_to_one ~epsilon costs
-  in
+  let engine = Caft_engine.create ~model ?fabric ~one_to_one ~epsilon costs in
   place_all engine ~rng:(Rng.create seed) costs;
   let name = algorithm_name ~one_to_one ~model in
   Obs_prof.phase ~trace:false ~cat:"sched" "caft.freeze" (fun () ->
       Caft_engine.to_schedule ~algorithm:name engine)
 
-let run_stream ?(model = Netstate.One_port) ?fabric
-    ?(insertion = false) ?(one_to_one = true) ?(seed = 42) ~epsilon ~path costs
-    =
+let run_stream ?(model = Netstate.One_port) ?fabric ?(one_to_one = true)
+    ?(seed = 42) ~epsilon ~path costs =
   let name = algorithm_name ~one_to_one ~model in
   let writer =
-    Schedule_io.stream_writer ~insertion ~algorithm:name ~epsilon ~model ~path
-      costs
+    Schedule_io.stream_writer ~algorithm:name ~epsilon ~model ~path costs
   in
   Fun.protect
     ~finally:(fun () -> Schedule_io.stream_close writer)
     (fun () ->
       let engine =
-        Caft_engine.create ~model ?fabric ~insertion ~one_to_one
+        Caft_engine.create ~model ?fabric ~one_to_one
           ~on_place:(Schedule_io.stream_replica writer)
           ~epsilon costs
       in
       place_all engine ~rng:(Rng.create seed) costs)
 
-let fault_free ?model ?fabric ?insertion ?seed costs =
-  let sched = run ?model ?fabric ?insertion ?seed ~epsilon:0 costs in
-  Schedule.create
-    ~insertion:(Schedule.insertion sched)
-    ~algorithm:"CAFT-ff" ~epsilon:0 ~model:(Schedule.model sched)
+let fault_free ?model ?fabric ?seed costs =
+  let sched = run ?model ?fabric ?seed ~epsilon:0 costs in
+  Schedule.create ~algorithm:"CAFT-ff" ~epsilon:0 ~model:(Schedule.model sched)
     ~costs:(Schedule.costs sched)
     (Schedule.all_replicas sched)

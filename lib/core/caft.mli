@@ -40,7 +40,6 @@
 val run :
   ?model:Netstate.model ->
   ?fabric:Netstate.fabric ->
-  ?insertion:bool ->
   ?one_to_one:bool ->
   ?seed:int ->
   epsilon:int ->
@@ -59,7 +58,6 @@ val run :
 val run_stream :
   ?model:Netstate.model ->
   ?fabric:Netstate.fabric ->
-  ?insertion:bool ->
   ?one_to_one:bool ->
   ?seed:int ->
   epsilon:int ->
@@ -79,7 +77,6 @@ val run_stream :
 val fault_free :
   ?model:Netstate.model ->
   ?fabric:Netstate.fabric ->
-  ?insertion:bool ->
   ?seed:int ->
   Costs.t ->
   Schedule.t

@@ -169,9 +169,8 @@ let max_in_degree dag =
   done;
   !worst
 
-let create ?model ?fabric ?insertion ?(one_to_one = true) ?on_place ~epsilon
-    costs =
-  let ws = Workspace.create ?model ?fabric ?insertion ~epsilon costs in
+let create ?model ?fabric ?(one_to_one = true) ?on_place ~epsilon costs =
+  let ws = Workspace.create ?model ?fabric ~epsilon costs in
   let dag = Workspace.dag ws in
   let max_preds = max_in_degree dag in
   let max_sources = max 1 (max_preds * (epsilon + 1)) in
@@ -400,16 +399,12 @@ let book t task p ~preds modes =
 let[@inline] ser_term ~recv_free ~legs sum =
   (recv_free +. sum) *. (1. -. (float_of_int (legs + 1) *. epsilon_float))
 
-let ready_lb t p =
-  if Netstate.insertion t.net then 0. else Netstate.proc_ready t.net p
-
 (* Admissible lower bound on the finish time the probe of
    candidate [p] could achieve under the plan [modes].  Every term is a
    lower bound on the corresponding term of the real booking (see
    DESIGN.md, "Candidate pruning"):
 
-   - the execution cannot start before the processor is ready (append
-     mode only — insertion may gap-fill earlier, so the term is dropped);
+   - the execution cannot start before the processor is ready;
    - each predecessor's data cannot be ready before its cheapest leg
      estimate: a one-to-one input before the estimate of its chosen head
      (the probe's own bookings only push SF/R/RF forward), a
@@ -482,7 +477,7 @@ let finish_lower_bound t p ~preds ~n ~e modes =
         (ser_term ~recv_free:(Netstate.recv_free t.net p) ~legs:!legs !ser_sum)
     else !data_lb
   in
-  Flt.fmax (ready_lb t p) data_lb +. e
+  Flt.fmax (Netstate.proc_ready t.net p) data_lb +. e
 
 (* Where a candidate's pruning stops.  [Open] goes on to [plan_for]. *)
 type verdict = Stage0 | Weak | Plan | Open
@@ -505,7 +500,7 @@ type verdict = Stage0 | Weak | Plan | Open
      then this is [plan_for]'s plan and the same floats give the same
      bound, so it may prune.  Otherwise only [plan_for] knows the plan. *)
 let table_verdict t p ~n ~np ~e ~bound ~certified =
-  let ready = ready_lb t p in
+  let ready = Netstate.proc_ready t.net p in
   if Flt.fmax ready 0. +. e >= bound then Stage0
   else begin
     let est = t.leg_est and w = t.leg_w and base = p * n in

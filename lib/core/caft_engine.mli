@@ -13,7 +13,6 @@ type t
 val create :
   ?model:Netstate.model ->
   ?fabric:Netstate.fabric ->
-  ?insertion:bool ->
   ?one_to_one:bool ->
   ?on_place:(Schedule.replica -> unit) ->
   epsilon:int ->

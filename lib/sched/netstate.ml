@@ -271,11 +271,7 @@ type t = {
   model : model;
   fabric : fabric;
   clique : bool;  (* [fabric] is the default [clique_fabric] *)
-  insertion : bool;
   ready : float array;
-  busy : (float * float) list array;
-      (* per-processor busy intervals, sorted by start; only maintained
-         when [insertion] — the append-only mode needs just [ready] *)
   sf : float array array;  (* per-processor send slots (k per port) *)
   rf : float array array;  (* per-processor receive slots *)
   phys : float array;  (* ready time per physical link *)
@@ -307,13 +303,12 @@ type t = {
 
 type snapshot = {
   snap_ready : float array;
-  snap_busy : (float * float) list array;
   snap_sf : float array array;
   snap_rf : float array array;
   snap_phys : float array;
 }
 
-let create ?(model = One_port) ?fabric ?(insertion = false) platform =
+let create ?(model = One_port) ?fabric platform =
   let m = Platform.proc_count platform in
   let clique = Option.is_none fabric in
   let fabric =
@@ -325,9 +320,7 @@ let create ?(model = One_port) ?fabric ?(insertion = false) platform =
     model;
     fabric;
     clique;
-    insertion;
     ready = Array.make m 0.;
-    busy = Array.make m [];
     sf = Array.init m (fun _ -> Array.make k 0.);
     rf = Array.init m (fun _ -> Array.make k 0.);
     phys = Array.make fabric.phys_count 0.;
@@ -353,12 +346,10 @@ let create ?(model = One_port) ?fabric ?(insertion = false) platform =
 let model t = t.model
 let platform t = t.platform
 let fabric t = t.fabric
-let insertion t = t.insertion
 
 let snapshot t =
   {
     snap_ready = Array.copy t.ready;
-    snap_busy = Array.copy t.busy;
     snap_sf = Array.map Array.copy t.sf;
     snap_rf = Array.map Array.copy t.rf;
     snap_phys = Array.copy t.phys;
@@ -366,7 +357,6 @@ let snapshot t =
 
 let restore t snap =
   Array.blit snap.snap_ready 0 t.ready 0 (Array.length t.ready);
-  Array.blit snap.snap_busy 0 t.busy 0 (Array.length t.busy);
   Array.iteri (fun i row -> Array.blit row 0 t.sf.(i) 0 (Array.length row))
     snap.snap_sf;
   Array.iteri (fun i row -> Array.blit row 0 t.rf.(i) 0 (Array.length row))
@@ -502,13 +492,6 @@ let leg_before t a b =
   let c = Float.compare t.leg_finish.(a) t.leg_finish.(b) in
   c < 0 || (c = 0 && a < b)
 
-let rec fit_gap exec data_ready prev_end = function
-  | [] -> Float.max prev_end data_ready
-  | (s, f) :: rest ->
-      let cand = Float.max prev_end data_ready in
-      if cand +. exec <= s +. Flt.eps then cand
-      else fit_gap exec data_ready (Float.max prev_end f) rest
-
 (* Book the active sources of [src] for one replica on [proc]; equations
    (4)-(6) of the paper for the one-port case.  Returns the number of
    legs; the legs, their arrivals and the per-slot suppliers stay in the
@@ -624,27 +607,11 @@ let kernel t src ~colocate_exclusive ~proc ~exec ~commit =
     in
     data_ready := Float.max !data_ready (Float.min local_ready remote.(s))
   done;
-  (* Execution.  The paper's list schedulers append after the last task
-     of the processor (ready time r(P)); with [insertion] the replica is
-     placed in the earliest idle gap that fits — the classic HEFT
-     insertion policy, kept as an ablation. *)
-  let start =
-    if t.insertion then fit_gap exec !data_ready 0. t.busy.(proc)
-    else Float.max t.ready.(proc) !data_ready
-  in
+  (* Execution: the paper's list schedulers append after the last task
+     of the processor (ready time r(P)). *)
+  let start = Float.max t.ready.(proc) !data_ready in
   let finish = start +. exec in
-  if commit then begin
-    if t.insertion then begin
-      let rec insert = function
-        | [] -> [ (start, finish) ]
-        | ((s, _) as iv) :: rest when s < start -> iv :: insert rest
-        | rest -> (start, finish) :: rest
-      in
-      t.busy.(proc) <- insert t.busy.(proc);
-      if finish > t.ready.(proc) then t.ready.(proc) <- finish
-    end
-    else t.ready.(proc) <- finish
-  end;
+  if commit then t.ready.(proc) <- finish;
   t.out.(0) <- start;
   t.out.(1) <- finish;
   nl

@@ -102,21 +102,14 @@ type t
 
 type snapshot
 
-val create :
-  ?model:model -> ?fabric:fabric -> ?insertion:bool -> Platform.t -> t
+val create : ?model:model -> ?fabric:fabric -> Platform.t -> t
 (** Fresh state, all free times at zero.  [model] defaults to
-    {!One_port}; [fabric] to {!clique_fabric}.  With [insertion] (default
-    [false]) execution bookings fill the earliest idle gap of the
-    processor instead of appending after its last task — the classic HEFT
-    insertion policy, kept as an ablation; the paper's algorithms use
-    append semantics. *)
+    {!One_port}; [fabric] to {!clique_fabric}.  Execution bookings append
+    after the processor's last task, as in the paper. *)
 
 val model : t -> model
 val platform : t -> Platform.t
 val fabric : t -> fabric
-
-val insertion : t -> bool
-(** Whether execution bookings gap-fill (see {!create}). *)
 
 val snapshot : t -> snapshot
 (** O(m^2) copy of the whole state. *)

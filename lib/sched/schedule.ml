@@ -15,14 +15,13 @@ type t = {
   algorithm : string;
   epsilon : int;
   model : Netstate.model;
-  insertion : bool;
   costs : Costs.t;
   by_task : replica array array;
   by_proc : replica list array;
   message_count : int;
 }
 
-let create ?(insertion = false) ~algorithm ~epsilon ~model ~costs replicas =
+let create ~algorithm ~epsilon ~model ~costs replicas =
   let dag = Costs.dag costs in
   let platform = Costs.platform costs in
   let v = Dag.task_count dag in
@@ -78,12 +77,11 @@ let create ?(insertion = false) ~algorithm ~epsilon ~model ~costs replicas =
           acc rs)
       0 by_task
   in
-  { algorithm; epsilon; model; insertion; costs; by_task; by_proc; message_count }
+  { algorithm; epsilon; model; costs; by_task; by_proc; message_count }
 
 let algorithm t = t.algorithm
 let epsilon t = t.epsilon
 let model t = t.model
-let insertion t = t.insertion
 let costs t = t.costs
 let dag t = Costs.dag t.costs
 let platform t = Costs.platform t.costs

@@ -28,7 +28,6 @@ type replica = {
 type t
 
 val create :
-  ?insertion:bool ->
   algorithm:string ->
   epsilon:int ->
   model:Netstate.model ->
@@ -46,12 +45,6 @@ val create :
 val algorithm : t -> string
 val epsilon : t -> int
 val model : t -> Netstate.model
-
-val insertion : t -> bool
-(** Whether the schedule was built with gap-filling execution bookings
-    ([false] for the paper's append-only algorithms).  The replay
-    simulator uses a work-conserving processor model for insertion
-    schedules — see [Ftsched_sim.Replay]. *)
 
 val costs : t -> Costs.t
 val dag : t -> Dag.t

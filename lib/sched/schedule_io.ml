@@ -6,7 +6,7 @@ let fl x = Printf.sprintf "%.17g" x
    these, so the two paths produce identical bytes for identical content
    by construction (line order aside — see [stream_writer]). *)
 
-let emit_instance add ~algorithm ~epsilon ~model ~insertion costs =
+let emit_instance add ~algorithm ~epsilon ~model costs =
   let dag = Costs.dag costs in
   let platform = Costs.platform costs in
   let v = Dag.task_count dag and m = Platform.proc_count platform in
@@ -19,7 +19,6 @@ let emit_instance add ~algorithm ~epsilon ~model ~insertion costs =
        | Netstate.One_port -> "one-port"
        | Netstate.Macro_dataflow -> "macro-dataflow"
        | Netstate.Multiport k -> Printf.sprintf "multiport-%d" k));
-  if insertion then add "insertion true\n";
   add (Printf.sprintf "tasks %d\n" v);
   add (Printf.sprintf "procs %d\n" m);
   for t = 0 to v - 1 do
@@ -69,7 +68,6 @@ let to_string sched =
   emit_instance add
     ~algorithm:(Schedule.algorithm sched)
     ~epsilon:(Schedule.epsilon sched) ~model:(Schedule.model sched)
-    ~insertion:(Schedule.insertion sched)
     (Schedule.costs sched);
   List.iter (emit_replica add) (Schedule.all_replicas sched);
   add "end\n";
@@ -85,9 +83,9 @@ let to_file path sched =
 
 type writer = { oc : out_channel; mutable state : [ `Open | `Closed ] }
 
-let stream_writer ?(insertion = false) ~algorithm ~epsilon ~model ~path costs =
+let stream_writer ~algorithm ~epsilon ~model ~path costs =
   let oc = open_out path in
-  (try emit_instance (output_string oc) ~algorithm ~epsilon ~model ~insertion costs
+  (try emit_instance (output_string oc) ~algorithm ~epsilon ~model costs
    with exn ->
      close_out_noerr oc;
      raise exn);
@@ -110,7 +108,6 @@ let stream_close w =
 type parse_state = {
   mutable algorithm : string;
   mutable epsilon : int;
-  mutable insertion : bool;
   mutable pmodel : Netstate.model;
   mutable tasks : int;
   mutable procs : int;
@@ -132,7 +129,6 @@ let parse text =
     {
       algorithm = "?";
       epsilon = -1;
-      insertion = false;
       pmodel = Netstate.One_port;
       tasks = -1;
       procs = -1;
@@ -175,8 +171,6 @@ let parse text =
         | _ when lineno = 1 -> fail lineno "missing header 'ftsched-schedule v1'"
         | [ "algorithm"; name ] -> st.algorithm <- name
         | [ "epsilon"; e ] -> st.epsilon <- int_of lineno e
-        | [ "insertion"; "true" ] -> st.insertion <- true
-        | [ "insertion"; "false" ] -> st.insertion <- false
         | [ "model"; "one-port" ] -> st.pmodel <- Netstate.One_port
         | [ "model"; "macro-dataflow" ] -> st.pmodel <- Netstate.Macro_dataflow
         | [ "model"; other ]
@@ -203,8 +197,14 @@ let parse text =
               (lineno, (int_of lineno t, int_of lineno p, float_of lineno c))
               :: st.costs
         | [ "replica"; task; idx; proc; start; finish ] ->
-            Hashtbl.replace st.replicas
-              (int_of lineno task, int_of lineno idx)
+            let ((t, i) as key) = (int_of lineno task, int_of lineno idx) in
+            (match Hashtbl.find_opt st.replicas key with
+            | Some (first, _) ->
+                fail lineno
+                  (Printf.sprintf "replica %d of task %d repeats line %d" i t
+                     first)
+            | None -> ());
+            Hashtbl.add st.replicas key
               ( lineno,
                 (float_of lineno start, float_of lineno finish, int_of lineno proc)
               )
@@ -264,11 +264,13 @@ let parse text =
      wins. *)
   List.iter (fun (line, (id, _)) -> in_range line "task" id st.tasks)
     (List.rev st.names);
-  let names = Array.make st.tasks "" in
-  List.iter (fun (_, (id, name)) -> names.(id) <- name) st.names;
+  (* a task without a [task] line keeps the builder's default name, so
+     that the schedule prints back to a file that parses *)
+  let names = Array.make st.tasks None in
+  List.iter (fun (_, (id, name)) -> names.(id) <- Some name) st.names;
   (* [Dag.make]'s checks edge by edge, so each rejection names its line *)
   let b = Dag.Builder.create () in
-  Array.iter (fun name -> ignore (Dag.Builder.add_task ~name b)) names;
+  Array.iter (fun name -> ignore (Dag.Builder.add_task ?name b)) names;
   List.iter
     (fun (line, (src, dst, volume)) ->
       try Dag.Builder.add_edge b ~src ~dst ~volume
@@ -367,7 +369,7 @@ let parse text =
         :: acc)
       st.replicas []
   in
-  Schedule.create ~insertion:st.insertion ~algorithm:st.algorithm
+  Schedule.create ~algorithm:st.algorithm
     ~epsilon:st.epsilon ~model:st.pmodel ~costs replicas
 
 (* every shape check above names its line; what is left to raise (an

@@ -45,7 +45,6 @@ val to_file : string -> Schedule.t -> unit
 type writer
 
 val stream_writer :
-  ?insertion:bool ->
   algorithm:string ->
   epsilon:int ->
   model:Netstate.model ->
@@ -82,9 +81,11 @@ val of_string : string -> Schedule.t
       task or processor is out of range, whose index is not in
       [0..epsilon], or whose processor another replica of its task
       already uses (at the later line); a task with fewer than
-      [epsilon + 1] replicas (at the [end] line).
-    Of two [replica] lines for one task and index the last wins, as of
-    two [task] or [cost] lines for one cell the first does. *)
+      [epsilon + 1] replicas (at the [end] line);
+    - a second [replica] line for one task and index (at that line).
+    Of two [task] or [cost] lines for one cell the first wins; a task
+    without a [task] line is named [t<id>], as {!Dag.Builder.add_task}
+    names it. *)
 
 val of_file : string -> Schedule.t
 (** {!of_string} of the file's contents; raises [Sys_error] if it cannot

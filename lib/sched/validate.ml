@@ -11,6 +11,12 @@ type violation = { check : string; detail : string; loc : location }
 
 let pp_violation ppf v = Format.fprintf ppf "[%s] %s" v.check v.detail
 
+(* A time in a violation's detail: six decimals below 1e15 in magnitude,
+   [%g] beyond (and for inf and nan), so that an absurd time such as
+   1e308 prints as [1e+308], not as 309 digits. *)
+let time x =
+  if Float.abs x < 1e15 then Printf.sprintf "%.6f" x else Printf.sprintf "%g" x
+
 (* Both sweeps live in [Ftsched_util.Intervals]; these wrappers only
    translate interval conflicts into [violation] records.  [intervals]:
    (start, finish, payload) list.  Zero-length intervals never conflict. *)
@@ -28,10 +34,11 @@ let overlap_violations ~check ~describe ~locate intervals =
            check;
            detail =
              Printf.sprintf
-               "%s overlaps %s (running until %.6f, next starts %.6f)"
+               "%s overlaps %s (running until %s, next starts %s)"
                (describe (payload ov.Intervals.ov_running))
                (describe (payload ov.Intervals.ov_starter))
-               ov.Intervals.ov_running_until ov.Intervals.ov_starts;
+               (time ov.Intervals.ov_running_until)
+               (time ov.Intervals.ov_starts);
            loc = at ~locate ov.Intervals.ov_starter;
          })
 
@@ -44,8 +51,8 @@ let depth_violations ~capacity ~check ~describe ~locate intervals =
            {
              check;
              detail =
-               Printf.sprintf "%s exceeds port capacity %d ([%.6f,%.6f])"
-                 (describe (payload x)) capacity s f;
+               Printf.sprintf "%s exceeds port capacity %d ([%s,%s])"
+                 (describe (payload x)) capacity (time s) (time f);
              loc = at ~locate x;
            })
 
@@ -112,15 +119,17 @@ let run_impl ?fabric sched =
   List.iter
     (fun r ->
       if not (Float.is_finite r.r_start && Float.is_finite r.r_finish) then
-        add r "non-finite-time" "%s runs over [%.6f, %.6f]"
-          (describe_replica r) r.r_start r.r_finish;
+        add r "non-finite-time" "%s runs over [%s, %s]"
+          (describe_replica r) (time r.r_start) (time r.r_finish);
       let expected = Costs.exec costs r.r_task r.r_proc in
       if not (Flt.approx_eq ~tol:1e-6 (r.r_finish -. r.r_start) expected) then
-        add r "duration" "%s lasts %.6f, cost matrix says %.6f"
-          (describe_replica r) (r.r_finish -. r.r_start) expected;
+        add r "duration" "%s lasts %s, cost matrix says %s"
+          (describe_replica r)
+          (time (r.r_finish -. r.r_start))
+          (time expected);
       if r.r_start < -.Flt.eps then
-        add r "start-time" "%s starts before time zero (%.6f)"
-          (describe_replica r) r.r_start)
+        add r "start-time" "%s starts before time zero (%s)"
+          (describe_replica r) (time r.r_start))
     (all_replicas sched);
 
   (* 3. Supplies: well-formed and causally consistent. *)
@@ -164,8 +173,8 @@ let run_impl ?fabric sched =
               let earliest = Flt.min_list readies in
               if not (Flt.leq ~tol:1e-6 earliest r.r_start) then
                 add r "precedence"
-                  "%s starts at %.6f before data from %d (ready %.6f)"
-                  (describe_replica r) r.r_start pred earliest)
+                  "%s starts at %s before data from %d (ready %s)"
+                  (describe_replica r) (time r.r_start) pred (time earliest))
         preds;
       List.iter
         (function
@@ -184,8 +193,8 @@ let run_impl ?fabric sched =
                       (describe_replica r) l.l_pred l.l_pred_replica src.r_proc;
                   if not (Flt.approx_eq ~tol:1e-6 src.r_finish l.l_finish) then
                     add r "local-finish"
-                      "%s: local supply finish %.6f but source finishes %.6f"
-                      (describe_replica r) l.l_finish src.r_finish)
+                      "%s: local supply finish %s but source finishes %s"
+                      (describe_replica r) (time l.l_finish) (time src.r_finish))
           | Message m -> (
               let s = m.Netstate.m_source in
               if not (Dag.mem_edge dag ~src:s.Netstate.s_task ~dst:r.r_task) then
@@ -209,19 +218,18 @@ let run_impl ?fabric sched =
                   && Float.is_finite m_arrival)
               then
                 add r "non-finite-time"
-                  "%s: message from t%d has duration %.6f, leg [%.6f, %.6f], \
-                   arrival %.6f"
-                  (describe_replica r) s.Netstate.s_task w m_leg_start
-                  m_leg_finish m_arrival;
+                  "%s: message from t%d has duration %s, leg [%s, %s], \
+                   arrival %s"
+                  (describe_replica r) s.Netstate.s_task (time w)
+                  (time m_leg_start) (time m_leg_finish) (time m_arrival);
               if not (Flt.approx_eq ~tol:1e-6 (m_leg_finish -. m_leg_start) w)
               then
                 add r "message-leg"
-                  "%s: leg [%.6f, %.6f] from t%d lasts %.6f but duration is \
-                   %.6f"
-                  (describe_replica r) m_leg_start m_leg_finish
+                  "%s: leg [%s, %s] from t%d lasts %s but duration is %s"
+                  (describe_replica r) (time m_leg_start) (time m_leg_finish)
                   s.Netstate.s_task
-                  (m_leg_finish -. m_leg_start)
-                  w;
+                  (time (m_leg_finish -. m_leg_start))
+                  (time w);
               match replica_finish s.Netstate.s_task s.Netstate.s_replica with
               | None ->
                   add r "supply-replica" "%s: message from unknown replica"
@@ -234,17 +242,20 @@ let run_impl ?fabric sched =
                   if not (Flt.leq ~tol:1e-6 src.r_finish m.Netstate.m_leg_start)
                   then
                     add r "message-causality"
-                      "%s: leg starts %.6f before source finish %.6f"
-                      (describe_replica r) m.Netstate.m_leg_start src.r_finish;
+                      "%s: leg starts %s before source finish %s"
+                      (describe_replica r)
+                      (time m.Netstate.m_leg_start)
+                      (time src.r_finish);
                   if
                     not
                       (Flt.leq ~tol:1e-6 m.Netstate.m_leg_finish
                          m.Netstate.m_arrival)
                   then
                     add r "message-arrival"
-                      "%s: arrival %.6f precedes link finish %.6f"
-                      (describe_replica r) m.Netstate.m_arrival
-                      m.Netstate.m_leg_finish;
+                      "%s: arrival %s precedes link finish %s"
+                      (describe_replica r)
+                      (time m.Netstate.m_arrival)
+                      (time m.Netstate.m_leg_finish);
                   let expected_w =
                     Platform.comm_time (Schedule.platform sched)
                       ~src:s.Netstate.s_proc ~dst:r.r_proc
@@ -253,8 +264,10 @@ let run_impl ?fabric sched =
                   if not (Flt.approx_eq ~tol:1e-6 expected_w m.Netstate.m_duration)
                   then
                     add r "message-duration"
-                      "%s: duration %.6f but volume*delay is %.6f"
-                      (describe_replica r) m.Netstate.m_duration expected_w))
+                      "%s: duration %s but volume*delay is %s"
+                      (describe_replica r)
+                      (time m.Netstate.m_duration)
+                      (time expected_w)))
         r.r_inputs)
     (all_replicas sched);
 

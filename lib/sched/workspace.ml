@@ -12,7 +12,7 @@ type t = {
 
 let no_row : Schedule.replica array = [||]
 
-let create ?model ?fabric ?insertion ~epsilon costs =
+let create ?model ?fabric ~epsilon costs =
   if epsilon < 0 then invalid_arg "Workspace.create: negative epsilon";
   let platform = Costs.platform costs in
   if epsilon >= Platform.proc_count platform then
@@ -20,7 +20,7 @@ let create ?model ?fabric ?insertion ~epsilon costs =
       "Workspace.create: need at least epsilon+1 processors for replication";
   let n = Dag.task_count (Costs.dag costs) in
   {
-    net = Netstate.create ?model ?fabric ?insertion platform;
+    net = Netstate.create ?model ?fabric platform;
     costs;
     epsilon;
     counts = Array.make n 0;
@@ -123,7 +123,5 @@ let to_schedule ~algorithm t =
     List.concat_map (fun task -> placed t task)
       (List.init (Array.length t.counts) Fun.id)
   in
-  Schedule.create
-    ~insertion:(Netstate.insertion t.net)
-    ~algorithm ~epsilon:t.epsilon ~model:(Netstate.model t.net) ~costs:t.costs
-    replicas
+  Schedule.create ~algorithm ~epsilon:t.epsilon ~model:(Netstate.model t.net)
+    ~costs:t.costs replicas

@@ -13,13 +13,11 @@ type t
 val create :
   ?model:Netstate.model ->
   ?fabric:Netstate.fabric ->
-  ?insertion:bool ->
   epsilon:int ->
   Costs.t ->
   t
 (** Empty workspace over a fresh network state.  [fabric] selects a
-    sparse interconnect (defaults to the clique); [insertion] enables
-    gap-filling execution bookings (see {!Netstate.create}). *)
+    sparse interconnect (defaults to the clique). *)
 
 val net : t -> Netstate.t
 val costs : t -> Costs.t

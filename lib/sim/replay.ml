@@ -109,22 +109,14 @@ let reference ?fabric ?(dead_links = []) sched ~crash_time =
     in
     go nodes
   in
-  let insertion = Schedule.insertion sched in
-  (* Append-built schedules execute each processor's replicas in static
-     start order.  Insertion-built schedules cannot: a gap-filled replica
-     may start before a replica scheduled earlier while one of its (spare)
-     input messages transitively depends on that replica — chaining by
-     start order would manufacture a cycle.  They instead get a
-     work-conserving processor: dynamic gap placement, no chain edges. *)
-  if not insertion then
-    for p = 0 to m - 1 do
-      (* processor execution order *)
-      chain
-        (List.map
-           (fun (r : Schedule.replica) ->
-             replica_node r.Schedule.r_task r.Schedule.r_index)
-           (Schedule.on_proc sched p))
-    done;
+  (* each processor executes its replicas in static start order *)
+  for p = 0 to m - 1 do
+    chain
+      (List.map
+         (fun (r : Schedule.replica) ->
+           replica_node r.Schedule.r_task r.Schedule.r_index)
+         (Schedule.on_proc sched p))
+  done;
   (if model <> Netstate.Macro_dataflow then begin
      (* A resource carries its messages in static order.  Messages whose
         windows tie exactly (only zero-length ones can) have no static
@@ -194,26 +186,6 @@ let reference ?fabric ?(dead_links = []) sched ~crash_time =
     !best
   in
   let exec_free = Array.make m 0. in
-  let busy = Array.make m [] in
-  (* earliest gap of length [dur] at or after [ready] on processor [p]
-     (insertion mode) *)
-  let fit_gap p ~ready ~dur =
-    let rec fit prev_end = function
-      | [] -> Float.max prev_end ready
-      | (s, f) :: rest ->
-          let cand = Float.max prev_end ready in
-          if cand +. dur <= s +. 1e-9 then cand else fit (Float.max prev_end f) rest
-    in
-    fit 0. busy.(p)
-  in
-  let occupy p start finish =
-    let rec insert = function
-      | [] -> [ (start, finish) ]
-      | ((s, _) as iv) :: rest when s < start -> iv :: insert rest
-      | rest -> (start, finish) :: rest
-    in
-    busy.(p) <- insert busy.(p)
-  in
   let send_free = Array.init m (fun _ -> Array.make port_slots 0.) in
   let recv_free = Array.init m (fun _ -> Array.make port_slots 0.) in
   let phys_free = Array.make fabric.Netstate.phys_count 0. in
@@ -274,21 +246,16 @@ let reference ?fabric ?(dead_links = []) sched ~crash_time =
             match !starved with
             | Some pred -> Starved pred
             | None ->
-                let start =
-                  if insertion then fit_gap p ~ready:!data_ready ~dur
-                  else Float.max exec_free.(p) !data_ready
-                in
+                let start = Float.max exec_free.(p) !data_ready in
                 let finish = start +. dur in
                 if finish > crash_time.(p) then begin
                   (* the processor dies while (or before) this replica
                      would run: nothing later on it can run either *)
                   exec_free.(p) <- infinity;
-                  if insertion then occupy p crash_time.(p) infinity;
                   Crashed
                 end
                 else begin
                   exec_free.(p) <- Float.max exec_free.(p) finish;
-                  if insertion then occupy p start finish;
                   replica_finish_dyn.(rn) <- finish;
                   Ran { start; finish }
                 end
@@ -437,7 +404,6 @@ type arena = {
   a_starved : int array;      (* starving predecessor (valid when Starved) *)
   a_delivered : float array;  (* message arrival, infinity if dead *)
   a_exec_free : float array;  (* per processor *)
-  a_busy : (float * float) list array;  (* per processor, insertion only *)
   a_send_free : float array;  (* per processor and port slot *)
   a_recv_free : float array;
   a_phys_free : float array;  (* per physical link *)
@@ -447,8 +413,7 @@ type arena = {
   mutable a_dead_any : bool;  (* some cell of [a_dead] is set *)
 }
 
-let make_arena ~m ~nreplicas ~nmsgs ~port_slots ~phys ~insertion ~lanes
-    ~record =
+let make_arena ~m ~nreplicas ~nmsgs ~port_slots ~phys ~lanes ~record =
   let cells n = max 1 (n * lanes) in
   let per_replica x = if record then Array.make (cells nreplicas) x else [||] in
   {
@@ -460,7 +425,6 @@ let make_arena ~m ~nreplicas ~nmsgs ~port_slots ~phys ~insertion ~lanes
     a_starved = per_replica 0;
     a_delivered = Array.make (cells nmsgs) infinity;
     a_exec_free = Array.make (m * lanes) 0.;
-    a_busy = (if insertion then Array.make (m * lanes) [] else [||]);
     a_send_free = Array.make (m * port_slots * lanes) 0.;
     a_recv_free = Array.make (m * port_slots * lanes) 0.;
     a_phys_free = Array.make (cells phys) 0.;
@@ -473,7 +437,6 @@ type compiled = {
   c_m : int;
   c_v : int;
   c_eps1 : int;
-  c_insertion : bool;
   c_contended : bool;
   c_port_slots : int;
   c_nreplicas : int;
@@ -618,7 +581,6 @@ let compile ?fabric sched =
   let replica_node task idx = (task * eps1) + idx in
   let nreplicas = v * eps1 in
   let replica rn = Schedule.replica sched (rn / eps1) (rn mod eps1) in
-  let insertion = Schedule.insertion sched in
   let contended = model <> Netstate.Macro_dataflow in
   let phys = fabric.Netstate.phys_count in
 
@@ -766,16 +728,13 @@ let compile ?fabric sched =
           edge prev n;
           proc_chain n rest
     in
-    (* Append-built schedules execute each processor's replicas in static
-       start order; insertion-built ones get a work-conserving processor
-       and no chain edges (see [reference]). *)
-    if not insertion then
-      for p = 0 to m - 1 do
-        match Schedule.on_proc sched p with
-        | [] -> ()
-        | (r : Schedule.replica) :: rest ->
-            proc_chain (replica_node r.Schedule.r_task r.Schedule.r_index) rest
-      done;
+    (* each processor executes its replicas in static start order *)
+    for p = 0 to m - 1 do
+      match Schedule.on_proc sched p with
+      | [] -> ()
+      | (r : Schedule.replica) :: rest ->
+          proc_chain (replica_node r.Schedule.r_task r.Schedule.r_index) rest
+    done;
     (* each tie group of a chain precedes every message of the next
        group (see [reference]) *)
     let chain same off dat b =
@@ -908,7 +867,6 @@ let compile ?fabric sched =
     c_m = m;
     c_v = v;
     c_eps1 = eps1;
-    c_insertion = insertion;
     c_contended = contended;
     c_port_slots = port_slots;
     c_nreplicas = nreplicas;
@@ -929,8 +887,7 @@ let compile ?fabric sched =
     c_fabric = fabric;
     c_sinks = Array.of_list (Dag.exits dag);
     c_one =
-      make_arena ~m ~nreplicas ~nmsgs ~port_slots ~phys ~insertion ~lanes:1
-        ~record:true;
+      make_arena ~m ~nreplicas ~nmsgs ~port_slots ~phys ~lanes:1 ~record:true;
     c_batch = None;
     c_rows = [||];
   }
@@ -945,7 +902,6 @@ let reset c a nl =
   if a.a_record then Array.fill a.a_state 0 c.c_nreplicas st_crashed;
   Array.fill a.a_delivered 0 (c.c_nmsgs * nl) infinity;
   Array.fill a.a_exec_free 0 (c.c_m * nl) 0.;
-  if c.c_insertion then Array.fill a.a_busy 0 (c.c_m * nl) [];
   if c.c_contended then begin
     let ports = c.c_m * c.c_port_slots * nl in
     Array.fill a.a_send_free 0 ports 0.;
@@ -992,27 +948,6 @@ let[@inline] argmin_slot (free : float array) base ~slots ~nl =
     if Array.unsafe_get free j < Array.unsafe_get free !best then best := j
   done;
   !best
-
-(* Earliest start >= [ready] of a [dur]-long gap in a processor's sorted
-   busy list (insertion schedules). *)
-let[@inline] fit_gap ~ready ~dur busy =
-  let prev_end = ref 0. and rest = ref busy and fits = ref false in
-  while not !fits do
-    match !rest with
-    | (s, f) :: tl when fmax !prev_end ready +. dur > s +. 1e-9 ->
-        prev_end := fmax !prev_end f;
-        rest := tl
-    | _ -> fits := true
-  done;
-  fmax !prev_end ready
-
-let occupy a pl start finish =
-  let rec insert = function
-    | [] -> [ (start, finish) ]
-    | ((s, _) as iv) :: rest when s < start -> iv :: insert rest
-    | rest -> (start, finish) :: rest
-  in
-  a.a_busy.(pl) <- insert a.a_busy.(pl)
 
 (* Latest free time, in lane [lane], over the physical links of message
    [mi]'s route. *)
@@ -1094,7 +1029,6 @@ let walk c a ~crash ~row0 nl =
   let m = c.c_m in
   let nreplicas = c.c_nreplicas in
   let order = c.c_order in
-  let insertion = c.c_insertion in
   let contended = c.c_contended in
   let slots = c.c_port_slots in
   let record = a.a_record in
@@ -1122,22 +1056,15 @@ let walk c a ~crash ~row0 nl =
             end
           end
           else begin
-            let start =
-              if insertion then
-                fit_gap ~ready ~dur (Array.unsafe_get a.a_busy pl)
-              else fmax (Array.unsafe_get exec_free pl) ready
-            in
+            let start = fmax (Array.unsafe_get exec_free pl) ready in
             let fin = start +. dur in
-            if fin > dies then begin
+            if fin > dies then
               (* the processor dies while (or before) this replica would
                  run: nothing later on it runs either; stays st_crashed *)
-              Array.unsafe_set exec_free pl infinity;
-              if insertion then occupy a pl dies infinity
-            end
+              Array.unsafe_set exec_free pl infinity
             else begin
               Array.unsafe_set exec_free pl
                 (fmax (Array.unsafe_get exec_free pl) fin);
-              if insertion then occupy a pl start fin;
               Array.unsafe_set finish ri fin;
               if record then begin
                 Array.unsafe_set a.a_start ri start;
@@ -1374,7 +1301,6 @@ let batch_arena c =
       let a =
         make_arena ~m:c.c_m ~nreplicas:c.c_nreplicas ~nmsgs:c.c_nmsgs
           ~port_slots:c.c_port_slots ~phys:c.c_fabric.Netstate.phys_count
-          ~insertion:c.c_insertion
           ~lanes:(max 1 (min batch_lanes (batch_cells / nodes)))
           ~record:false
       in
@@ -1569,8 +1495,7 @@ let walk_plan c ~down ~never_up ~msg_down ~lost =
     end
     else begin
       let start =
-        if c.c_insertion then fit_gap ~ready ~dur a.a_busy.(p)
-        else fit_windows down.(p) (Float.max a.a_exec_free.(p) ready) dur
+        fit_windows down.(p) (Float.max a.a_exec_free.(p) ready) dur
       in
       if start = infinity then
         (* blocked by a crash that never heals: nothing later on this
@@ -1579,7 +1504,6 @@ let walk_plan c ~down ~never_up ~msg_down ~lost =
       else begin
         let finish = start +. dur in
         a.a_exec_free.(p) <- Float.max a.a_exec_free.(p) finish;
-        if c.c_insertion then occupy a p start finish;
         a.a_start.(rn) <- start;
         if lost.(rn) then a.a_state.(rn) <- st_lost
           (* ran, but the result is silently dropped: a_finish stays
@@ -1730,9 +1654,6 @@ let run_plan_core ?(dead_links = []) c plan =
     let a = c.c_one in
     reset c a 1;
     mark_dead_links c a dead_links;
-    (* seed the gap structure with the down windows so gap placement
-       never lands inside one *)
-    if c.c_insertion then Array.blit down 0 a.a_busy 0 c.c_m;
     walk_plan c ~down ~never_up ~msg_down ~lost
   end
 

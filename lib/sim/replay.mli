@@ -35,17 +35,7 @@
     later with no port queuing — exactly the models used at scheduling
     time.  For schedules built over a sparse interconnect, pass the same
     [fabric] so physical-link contention is replayed faithfully (default:
-    the clique fabric).
-
-    Schedules built with the {e insertion} policy
-    ([Schedule.insertion = true]) get a work-conserving processor model
-    instead of the strict static order: a gap-filled replica may precede,
-    on its processor, a replica that was scheduled earlier, so freezing
-    the static order could deadlock against the (spare) input messages of
-    the gap-filled replica.  Their replicas are therefore placed into the
-    earliest dynamic idle gap once their data is ready, in static-start
-    priority order — deterministic, and never slower than the plan when
-    nothing fails. *)
+    the clique fabric). *)
 
 type replica_outcome =
   | Ran of { start : float; finish : float }

@@ -468,8 +468,7 @@ let build_schedule ~algo ~model ~seed =
   | _ -> Heft.run ~model ~seed costs
 
 let with_replicas sched replicas =
-  Schedule.create ~insertion:(Schedule.insertion sched)
-    ~algorithm:(Schedule.algorithm sched) ~epsilon:(Schedule.epsilon sched)
+  Schedule.create ~algorithm:(Schedule.algorithm sched) ~epsilon:(Schedule.epsilon sched)
     ~model:(Schedule.model sched) ~costs:(Schedule.costs sched) replicas
 
 (* Replace the [pick]-th (cyclically) input accepted by [edit], where

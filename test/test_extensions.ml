@@ -1,5 +1,5 @@
-(* Tests for the extension features: batched CAFT (Section 7) and
-   insertion-based execution booking. *)
+(* Tests for the extension features: batched CAFT (Section 7) and the
+   one-to-one ablation. *)
 
 let test_batch_window_one_equals_caft () =
   let _, costs = Helpers.random_instance ~seed:21 () in
@@ -43,92 +43,6 @@ let test_batch_name () =
   Helpers.check_bool "name carries window" true
     (Schedule.algorithm sched = "CAFT-batch7")
 
-let test_insertion_valid () =
-  List.iter
-    (fun (name, sched) ->
-      (match Validate.run sched with
-      | [] -> ()
-      | vs ->
-          Alcotest.failf "%s insertion: invalid:\n%s" name
-            (String.concat "\n"
-               (List.map (fun v -> Format.asprintf "%a" Validate.pp_violation v) vs)));
-      Helpers.check_bool (name ^ " resists") true
-        (Fault_check.check ~epsilon:1 sched).Fault_check.resists)
-    (let _, costs = Helpers.random_instance ~seed:27 () in
-     [
-       ("CAFT", Caft.run ~insertion:true ~epsilon:1 costs);
-       ("FTSA", Ftsa.run ~insertion:true ~epsilon:1 costs);
-       ("FTBAR", Ftbar.run ~insertion:true ~epsilon:1 costs);
-     ])
-
-let test_insertion_no_worse_on_average () =
-  (* gap filling can only help the heuristic on average *)
-  let total_app = ref 0. and total_ins = ref 0. in
-  for seed = 1 to 10 do
-    let _, costs = Helpers.random_instance ~seed ~m:8 ~tasks:30 () in
-    total_app :=
-      !total_app +. Schedule.latency_zero_crash (Caft.run ~epsilon:1 costs);
-    total_ins :=
-      !total_ins
-      +. Schedule.latency_zero_crash (Caft.run ~insertion:true ~epsilon:1 costs)
-  done;
-  Helpers.check_bool
-    (Printf.sprintf "insertion mean %.1f <= append mean %.1f x 1.02" !total_ins
-       !total_app)
-    true
-    (!total_ins <= 1.02 *. !total_app)
-
-let test_insertion_fills_gap () =
-  (* direct unit check of the gap-filling booking: occupy [10, 20], then a
-     5-unit task ready at 0 must land at 0, a 15-unit one at 20 *)
-  let net =
-    Netstate.create ~insertion:true (Helpers.uniform_platform 1)
-  in
-  let b1 = Netstate.book_exec_only net ~proc:0 ~exec:10. in
-  Helpers.check_float "first at 0" 0. b1.Netstate.b_start;
-  let b2 = Netstate.book_exec_only net ~proc:0 ~exec:10. in
-  Helpers.check_float "second appended" 10. b2.Netstate.b_start;
-  (* a replica whose data is ready later leaves a gap *)
-  let src =
-    {
-      Netstate.s_task = 0;
-      s_replica = 0;
-      s_proc = 0;
-      s_finish = 20.;
-      s_volume = 0.;
-    }
-  in
-  (* same-proc source: local supply, ready at 20 *)
-  let b3 = Netstate.book_replica net ~proc:0 ~exec:10. ~inputs:[ (0, [ src ]) ] in
-  Helpers.check_float "third waits for data" 20. b3.Netstate.b_start;
-  (* nothing can fit before 0..20 is full, so a fresh task appends at 30 *)
-  let b4 = Netstate.book_exec_only net ~proc:0 ~exec:5. in
-  Helpers.check_float "no gap left" 30. b4.Netstate.b_start
-
-let test_insertion_actual_gap () =
-  let net = Netstate.create ~insertion:true (Helpers.uniform_platform 2) in
-  (* data-dependent booking at [50, 60] leaves [0, 50] idle *)
-  let src =
-    { Netstate.s_task = 0; s_replica = 0; s_proc = 0; s_finish = 50.; s_volume = 0. }
-  in
-  let b1 = Netstate.book_replica net ~proc:0 ~exec:10. ~inputs:[ (0, [ src ]) ] in
-  Helpers.check_float "late task at 50" 50. b1.Netstate.b_start;
-  let b2 = Netstate.book_exec_only net ~proc:0 ~exec:20. in
-  Helpers.check_float "gap filled at 0" 0. b2.Netstate.b_start;
-  let b3 = Netstate.book_exec_only net ~proc:0 ~exec:40. in
-  Helpers.check_float "too big for the gap" 60. b3.Netstate.b_start;
-  let b4 = Netstate.book_exec_only net ~proc:0 ~exec:30. in
-  Helpers.check_float "remaining gap filled" 20. b4.Netstate.b_start
-
-let test_insertion_snapshot_restore () =
-  let net = Netstate.create ~insertion:true (Helpers.uniform_platform 1) in
-  let _ = Netstate.book_exec_only net ~proc:0 ~exec:10. in
-  let snap = Netstate.snapshot net in
-  let _ = Netstate.book_exec_only net ~proc:0 ~exec:10. in
-  Netstate.restore net snap;
-  let b = Netstate.book_exec_only net ~proc:0 ~exec:10. in
-  Helpers.check_float "busy list restored" 10. b.Netstate.b_start
-
 let test_one_to_one_ablation () =
   let _, costs = Helpers.random_instance ~seed:28 () in
   let full = Caft.run ~one_to_one:false ~epsilon:2 costs in
@@ -160,27 +74,6 @@ let test_one_to_one_ablation () =
         (Dag.pred_tasks dag r.Schedule.r_task))
     (Schedule.all_replicas full)
 
-
-(* Regression: insertion schedules whose gap-filled replicas precede
-   earlier-scheduled replicas on the same processor used to deadlock the
-   replay ("cyclic schedule"); seed 82 below reproduced it. *)
-let test_insertion_replay_regression () =
-  let rng = Rng.create 82 in
-  let m = 4 + Rng.int rng 5 in
-  let tasks = 8 + Rng.int rng 18 in
-  let dag =
-    Random_dag.generate rng
-      { Random_dag.default with Random_dag.tasks_min = tasks; tasks_max = tasks }
-  in
-  let params = Platform_gen.default ~m () in
-  let costs = Platform_gen.instance rng ~granularity:1.0 params dag in
-  let sched = Caft.run ~insertion:true ~epsilon:2 costs in
-  Helpers.check_bool "flag recorded" true (Schedule.insertion sched);
-  let ff = Replay.fault_free sched in
-  Helpers.check_bool "fault-free replay completes" true ff.Replay.completed;
-  Helpers.check_bool "resists" true
-    (Fault_check.check ~epsilon:2 sched).Fault_check.resists
-
 let suite =
   [
     Alcotest.test_case "one-to-one ablation (CAFT-full)" `Quick
@@ -192,15 +85,5 @@ let suite =
     Alcotest.test_case "batch rejects bad window" `Quick
       test_batch_rejects_bad_window;
     Alcotest.test_case "batch algorithm name" `Quick test_batch_name;
-    Alcotest.test_case "insertion schedules valid" `Quick test_insertion_valid;
-    Alcotest.test_case "insertion no worse on average" `Quick
-      test_insertion_no_worse_on_average;
-    Alcotest.test_case "insertion booking appends when full" `Quick
-      test_insertion_fills_gap;
-    Alcotest.test_case "insertion fills real gaps" `Quick test_insertion_actual_gap;
-    Alcotest.test_case "insertion snapshot/restore" `Quick
-      test_insertion_snapshot_restore;
-    Alcotest.test_case "insertion replay regression (cycle)" `Quick
-      test_insertion_replay_regression;
   ]
 

@@ -112,14 +112,6 @@ let prop_metrics_consistent =
       && m.Metrics.message_count = Schedule.message_count sched
       && m.Metrics.horizon >= m.Metrics.latency -. 1e-9)
 
-let prop_insertion_valid =
-  QCheck.Test.make ~count:20 ~name:"insertion schedules valid and tolerant"
-    arbitrary_instance (fun inst ->
-      let _, costs = build_instance inst in
-      let sched = Caft.run ~insertion:true ~epsilon:2 costs in
-      Validate.is_valid sched
-      && (Fault_check.check ~epsilon:2 sched).Fault_check.resists)
-
 let prop_topology_routes =
   QCheck.Test.make ~count:30 ~name:"topology routing invariants"
     (QCheck.make
@@ -172,7 +164,6 @@ let suite =
       prop_transitive_reduction;
       prop_caft_batch_valid;
       prop_metrics_consistent;
-      prop_insertion_valid;
       prop_topology_routes;
       prop_mc_from_start_never_fails_within_epsilon;
     ]

@@ -1,6 +1,6 @@
 (* Differential and determinism tests for the compile-once replay engine:
 
-   - on >= 100 (seed, model, fabric, insertion) configurations, compile
+   - on >= 100 (seed, model, fabric, epsilon) configurations, compile
      the schedule once and assert that [Replay.eval] produces outcomes
      identical (bit-for-bit, including [nan] latencies) to the
      rebuild-per-scenario [Replay.reference] oracle, across fault-free,
@@ -73,7 +73,6 @@ let run_config seed =
     | 1 -> Netstate.One_port
     | _ -> Netstate.Multiport 2
   in
-  let insertion = seed mod 2 = 1 in
   let platform, fabric =
     match seed mod 4 with
     | 0 | 1 -> (Helpers.uniform_platform (4 + (seed mod 4)), None)
@@ -94,9 +93,7 @@ let run_config seed =
         30. +. (7. *. float_of_int ((t + p) mod 5)))
   in
   let epsilon = 1 + (seed mod 2) in
-  let sched =
-    Caft.run ~model ?fabric ~insertion ~seed ~epsilon costs
-  in
+  let sched = Caft.run ~model ?fabric ~seed ~epsilon costs in
   let compiled = Replay.compile ?fabric sched in
   let name = Printf.sprintf "config %d" seed in
   let scenarios = ref [] in
@@ -171,7 +168,7 @@ let run_config seed =
 
 let test_differential () =
   (* 108 configurations x 7 scenarios each, spanning all three models,
-     clique/ring/star fabrics and both processor policies *)
+     clique/ring/star fabrics and epsilon 1 and 2 *)
   for seed = 0 to 107 do
     run_config seed
   done
@@ -315,34 +312,33 @@ type tie_case = {
   m : int;
   model : Netstate.model;
   routed : bool;  (* a ring fabric instead of the clique *)
-  insertion : bool;
   epsilon : int;
 }
 
 let tie_case_gen =
   QCheck.Gen.(
     map
-      (fun ((seed, tasks, m), (model, routed, insertion, epsilon)) ->
-        { seed; tasks; m; model; routed; insertion; epsilon })
+      (fun ((seed, tasks, m), (model, routed, epsilon)) ->
+        { seed; tasks; m; model; routed; epsilon })
       (pair
          (triple (int_range 0 1_000_000) (int_range 3 14) (int_range 4 6))
-         (quad
+         (triple
             (oneofl
                [
                  Netstate.One_port;
                  Netstate.Multiport 2;
                  Netstate.Macro_dataflow;
                ])
-            bool bool (int_range 0 3))))
+            bool (int_range 0 3))))
 
 let print_tie_case c =
-  Printf.sprintf "seed=%d tasks=%d m=%d model=%s routed=%b insertion=%b eps=%d"
+  Printf.sprintf "seed=%d tasks=%d m=%d model=%s routed=%b eps=%d"
     c.seed c.tasks c.m
     (match c.model with
     | Netstate.One_port -> "one-port"
     | Netstate.Multiport k -> Printf.sprintf "multiport-%d" k
     | Netstate.Macro_dataflow -> "macro-dataflow")
-    c.routed c.insertion c.epsilon
+    c.routed c.epsilon
 
 let tie_schedule c =
   let rng = Rng.create c.seed in
@@ -365,13 +361,12 @@ let tie_schedule c =
         Array.init c.m (fun _ -> float_of_int (1 + Rng.int rng 3)))
   in
   let costs = Costs.create dag platform (fun t p -> exec.(t).(p)) in
-  let model = c.model and insertion = c.insertion in
-  let seed = c.seed and epsilon = c.epsilon in
+  let model = c.model and seed = c.seed and epsilon = c.epsilon in
   let sched =
     match c.seed mod 3 with
-    | 0 -> Caft.run ~model ?fabric ~insertion ~seed ~epsilon costs
-    | 1 -> Ftsa.run ~model ?fabric ~insertion ~seed ~epsilon costs
-    | _ -> Ftbar.run ~model ?fabric ~insertion ~seed ~epsilon costs
+    | 0 -> Caft.run ~model ?fabric ~seed ~epsilon costs
+    | 1 -> Ftsa.run ~model ?fabric ~seed ~epsilon costs
+    | _ -> Ftbar.run ~model ?fabric ~seed ~epsilon costs
   in
   (rng, fabric, sched)
 
@@ -416,10 +411,25 @@ let tie_replays_agree c rng fabric sched =
        (fun lat (out : Replay.outcome) -> float_eq lat out.Replay.latency)
        batch.Replay.br_latency fresh
 
-(* An FTSA schedule ([seed mod 3 = 1]) whose one-port receive port gets
-   two zero-length messages with the same reception window.  A receive
-   chain that ordered them by id ran against their send order and closed
-   a cycle, so both engines rejected the schedule. *)
+(* The size of the largest group of zero-length messages that share a
+   receive port and a reception window. *)
+let recv_tie_group sched =
+  let groups = Hashtbl.create 16 in
+  List.iter
+    (fun (msg : Netstate.message) ->
+      if msg.Netstate.m_duration = 0. then begin
+        let key = (msg.Netstate.m_dst_proc, msg.Netstate.m_arrival) in
+        Hashtbl.replace groups key
+          (1 + Option.value (Hashtbl.find_opt groups key) ~default:0)
+      end)
+    (Schedule.messages sched);
+  Hashtbl.fold (fun _ n acc -> max n acc) groups 0
+
+(* An FTSA schedule ([seed mod 3 = 1]) whose one-port receive ports get
+   groups of zero-length messages with the same reception window (four on
+   one port).  Such a group has no static order; a receive chain that
+   ordered it by id ran against the send order on schedules of this shape
+   and closed a cycle, so both engines rejected them. *)
 let tie_reproducer =
   {
     seed = 206017;
@@ -427,7 +437,6 @@ let tie_reproducer =
     m = 6;
     model = Netstate.One_port;
     routed = false;
-    insertion = true;
     epsilon = 2;
   }
 
@@ -436,6 +445,9 @@ let tie_case_agrees c =
   tie_replays_agree c rng fabric sched
 
 let test_tie_reproducer () =
+  let _, _, sched = tie_schedule tie_reproducer in
+  Helpers.check_bool "tie reproducer: a receive-port tie group" true
+    (recv_tie_group sched >= 2);
   Helpers.check_bool "tie reproducer: both engines accept and agree" true
     (tie_case_agrees tie_reproducer)
 
@@ -456,7 +468,6 @@ type lane_case = {
   l_seed : int;
   l_model : Netstate.model;
   l_ring : bool;
-  l_insertion : bool;
   l_epsilon : int;
   l_block : int;
 }
@@ -468,27 +479,27 @@ let lane_blocks =
 let lane_case_gen =
   QCheck.Gen.(
     map
-      (fun ((l_seed, l_block), (l_model, l_ring, l_insertion, l_epsilon)) ->
-        { l_seed; l_model; l_ring; l_insertion; l_epsilon; l_block })
+      (fun ((l_seed, l_block), (l_model, l_ring, l_epsilon)) ->
+        { l_seed; l_model; l_ring; l_epsilon; l_block })
       (pair
          (pair (int_range 0 1_000_000) (oneofl lane_blocks))
-         (quad
+         (triple
             (oneofl
                [
                  Netstate.One_port;
                  Netstate.Multiport 2;
                  Netstate.Macro_dataflow;
                ])
-            bool bool (int_range 1 2))))
+            bool (int_range 1 2))))
 
 let print_lane_case c =
-  Printf.sprintf "seed=%d block=%d model=%s ring=%b insertion=%b eps=%d"
+  Printf.sprintf "seed=%d block=%d model=%s ring=%b eps=%d"
     c.l_seed c.l_block
     (match c.l_model with
     | Netstate.One_port -> "one-port"
     | Netstate.Multiport k -> Printf.sprintf "multiport-%d" k
     | Netstate.Macro_dataflow -> "macro-dataflow")
-    c.l_ring c.l_insertion c.l_epsilon
+    c.l_ring c.l_epsilon
 
 let lanes_agree c =
   let rng = Rng.create c.l_seed in
@@ -508,8 +519,7 @@ let lanes_agree c =
         20. +. (5. *. float_of_int ((t * 3 + p) mod 7)))
   in
   let sched =
-    Caft.run ~model:c.l_model ?fabric ~insertion:c.l_insertion ~seed:c.l_seed
-      ~epsilon:c.l_epsilon costs
+    Caft.run ~model:c.l_model ?fabric ~seed:c.l_seed ~epsilon:c.l_epsilon costs
   in
   let compiled = Replay.compile ?fabric sched in
   let horizon = Schedule.makespan sched in
@@ -579,22 +589,17 @@ let test_cyclic_rejected () =
       };
     ]
   in
-  let sched insertion =
-    Schedule.create ~insertion ~algorithm:"hand" ~epsilon:0
-      ~model:Netstate.One_port ~costs replicas
+  let sched =
+    Schedule.create ~algorithm:"hand" ~epsilon:0 ~model:Netstate.One_port
+      ~costs replicas
   in
   let raises_failure f =
     match f () with exception Failure _ -> true | _ -> false
   in
   Helpers.check_bool "compile rejects the cycle" true
-    (raises_failure (fun () -> ignore (Replay.compile (sched false))));
+    (raises_failure (fun () -> ignore (Replay.compile sched)));
   Helpers.check_bool "crash_from_start propagates it" true
-    (raises_failure (fun () ->
-         ignore (Replay.crash_from_start (sched false) ~crashed:[])));
-  (* an insertion schedule has no processor chains, so the same
-     placement is acyclic: the work-conserving processor runs t0 first *)
-  let out = Replay.fault_free (sched true) in
-  Helpers.check_bool "insertion variant completes" true out.Replay.completed
+    (raises_failure (fun () -> ignore (Replay.crash_from_start sched ~crashed:[])))
 
 (* -- compile allocation ----------------------------------------------- *)
 

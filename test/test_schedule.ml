@@ -259,20 +259,39 @@ let test_validate_catches_causality () =
 
 (* -- schedule files the validator must not accept ------------------------ *)
 
-(* Saved 8-task CAFT and FTSA schedules (m = 4, epsilon = 1), as lines. *)
+(* Saved 8-task CAFT and FTSA schedules (m = 4, epsilon = 1), as lines,
+   each with the fabric it was built over: six one-port schedules on the
+   clique, then two each under macro-dataflow, under multiport-2 and
+   one-port over a ring. *)
 let fuzz_bases =
   lazy
     (List.map
-       (fun seed ->
-         let _, costs = Helpers.random_instance ~seed ~m:4 ~tasks:8 () in
-         let sched =
-           if seed mod 2 = 0 then Caft.run ~epsilon:1 costs
-           else Ftsa.run ~epsilon:1 costs
+       (fun (seed, model, ring) ->
+         let dag, costs = Helpers.random_instance ~seed ~m:4 ~tasks:8 () in
+         let costs, fabric =
+           if not ring then (costs, None)
+           else
+             let topo = Topology.ring 4 in
+             ( Costs.create dag (Topology.platform topo) (Costs.exec costs),
+               Some (Topology.fabric topo) )
          in
-         Array.of_list
-           (List.filter (fun l -> l <> "")
-              (String.split_on_char '\n' (Schedule_io.to_string sched))))
-       [ 0; 1; 2; 3; 4; 5 ])
+         let sched =
+           if seed mod 2 = 0 then Caft.run ~model ?fabric ~epsilon:1 costs
+           else Ftsa.run ~model ?fabric ~epsilon:1 costs
+         in
+         ( Array.of_list
+             (List.filter (fun l -> l <> "")
+                (String.split_on_char '\n' (Schedule_io.to_string sched))),
+           fabric ))
+       (List.init 6 (fun seed -> (seed, Netstate.One_port, false))
+       @ [
+           (6, Netstate.Macro_dataflow, false);
+           (7, Netstate.Macro_dataflow, false);
+           (8, Netstate.Multiport 2, false);
+           (9, Netstate.Multiport 2, false);
+           (10, Netstate.One_port, true);
+           (11, Netstate.One_port, true);
+         ]))
 
 let words l = Array.of_list (String.split_on_char ' ' l)
 let unwords a = String.concat " " (Array.to_list a)
@@ -296,7 +315,7 @@ let is_directive d l = String.starts_with ~prefix:(d ^ " ") l
    of 1e308 or inf, and an infinite arrival hidden behind another supply
    of the same predecessor.  The validator (hence lint) rejects each. *)
 let test_validate_catches_message_times () =
-  let lines = List.hd (Lazy.force fuzz_bases) in
+  let lines = fst (List.hd (Lazy.force fuzz_bases)) in
   let reject name text wants =
     let sched = Schedule_io.of_string text in
     let vs = Validate.run sched in
@@ -314,9 +333,15 @@ let test_validate_catches_message_times () =
   (* message task idx pred pidx sproc sfinish volume dst dur lstart lfinish
      arrival *)
   let msg = first "message" in
-  reject "leg start 1e308"
-    (unlines (set_word lines msg 10 "1e308"))
-    [ "message-leg" ];
+  let huge = unlines (set_word lines msg 10 "1e308") in
+  reject "leg start 1e308" huge [ "message-leg" ];
+  (* its lint line prints the time as 1e+308, not as 309 digits *)
+  List.iter
+    (fun f ->
+      let line = Format.asprintf "%a" Lint.pp_finding f in
+      Helpers.check_bool ("lint line under 200 characters: " ^ line) true
+        (String.length line < 200))
+    (Lint.run (Schedule_io.of_string huge));
   reject "leg start inf"
     (unlines (set_word lines msg 10 "inf"))
     [ "non-finite-time"; "message-leg" ];
@@ -370,11 +395,11 @@ let mutant_gen =
       (fun ((base, line, kind), (field, token)) ->
         { base; line; kind; field; token })
       (pair
-         (triple (int_bound 5) (int_bound 10_000) (int_bound 9))
+         (triple (int_bound 11) (int_bound 10_000) (int_bound 9))
          (pair (int_bound 12) (oneofl tokens))))
 
 let mutate { base; line; kind; field; token } =
-  let lines = List.nth (Lazy.force fuzz_bases) base in
+  let lines = fst (List.nth (Lazy.force fuzz_bases) base) in
   let i = line mod Array.length lines in
   let l = Array.to_list lines in
   match kind with
@@ -390,18 +415,36 @@ let print_mutant m =
     m.kind m.field m.token
 
 (* Whatever a mutated file holds, parsing raises nothing but
-   [Parse_error], and a schedule the validator accepts also compiles and
-   completes its fault-free replay. *)
+   [Parse_error], and a schedule the validator accepts (over its base's
+   fabric) also compiles, completes its fault-free replay and prints to
+   text that parses back to the same text. *)
 let prop_accepted_mutants_replay =
-  QCheck.Test.make ~count:1500
+  QCheck.Test.make ~count:3000
     ~name:"validator-accepted schedule mutants compile and replay"
     (QCheck.make mutant_gen ~print:print_mutant)
     (fun m ->
+      let fabric = snd (List.nth (Lazy.force fuzz_bases) m.base) in
       match Schedule_io.of_string (String.concat "\n" (mutate m) ^ "\n") with
       | exception Schedule_io.Parse_error _ -> true
       | sched ->
-          Validate.run sched <> []
-          || (Replay.fault_free sched).Replay.completed)
+          Validate.run ?fabric sched <> []
+          || (Replay.fault_free ?fabric sched).Replay.completed
+             &&
+             let text = Schedule_io.to_string sched in
+             String.equal text
+               (Schedule_io.to_string (Schedule_io.of_string text)))
+
+(* The property has teeth on every base only if the unmutated file is
+   accepted over its fabric and replays. *)
+let test_fuzz_bases_valid () =
+  List.iteri
+    (fun i (lines, fabric) ->
+      let sched = Schedule_io.of_string (unlines lines) in
+      Helpers.check_bool (Printf.sprintf "base %d valid" i) true
+        (Validate.run ?fabric sched = []);
+      Helpers.check_bool (Printf.sprintf "base %d replays" i) true
+        (Replay.fault_free ?fabric sched).Replay.completed)
+    (Lazy.force fuzz_bases)
 
 let test_gantt_renders () =
   let _, costs = Helpers.random_instance ~seed:3 () in
@@ -432,6 +475,8 @@ let suite =
       test_validate_catches_causality;
     Alcotest.test_case "validator: message times" `Quick
       test_validate_catches_message_times;
+    Alcotest.test_case "fuzz bases valid over their fabrics" `Quick
+      test_fuzz_bases_valid;
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 230_023 |])
       prop_accepted_mutants_replay;

@@ -88,9 +88,7 @@ let test_partial_stream_detected () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let w =
-        Schedule_io.stream_writer
-          ~insertion:(Schedule.insertion sched)
-          ~algorithm:(Schedule.algorithm sched)
+        Schedule_io.stream_writer ~algorithm:(Schedule.algorithm sched)
           ~epsilon:(Schedule.epsilon sched) ~model:(Schedule.model sched) ~path
           (Schedule.costs sched)
       in
@@ -185,6 +183,8 @@ let test_replica_shape () =
       ("negative replica index", r0, [ (r0, (2, "-1")) ]);
       (* task 0's second replica on its first replica's processor *)
       ("shared processor", r1, [ (r1, (3, proc_of r0)) ]);
+      (* a second line for task 0's first replica *)
+      ("duplicate replica", r1, [ (r1, (2, "0")) ]);
       ("negative delay", first_delay, [ (first_delay, (3, "-1")) ]);
       ("nan delay", first_delay, [ (first_delay, (3, "nan")) ]);
       ("diagonal delay", first_delay, [ (first_delay, (2, "0")) ]);

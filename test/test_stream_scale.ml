@@ -91,10 +91,10 @@ let with_temp_file f =
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
-let check_stream_matches name ?insertion ~epsilon costs =
+let check_stream_matches name ~epsilon costs =
   with_temp_file @@ fun path ->
-  let sched = Caft.run ?insertion ~epsilon costs in
-  Caft.run_stream ?insertion ~epsilon ~path costs;
+  let sched = Caft.run ~epsilon costs in
+  Caft.run_stream ~epsilon ~path costs;
   let back = Schedule_io.of_file path in
   Alcotest.(check string)
     (name ^ ": canonical bytes")
@@ -109,8 +109,6 @@ let test_stream_differential () =
     (family_costs ~seed:1 ~m:6 (Families.staged_fanout ~stages:4 ~width:5 ()));
   check_stream_matches "pipelines" ~epsilon:2
     (family_costs ~seed:2 ~m:8 (Families.parallel_chains ~lanes:3 ~depth:6 ()));
-  check_stream_matches "insertion" ~insertion:true ~epsilon:1
-    (family_costs ~seed:3 ~m:6 (Families.staged_fanout ~stages:3 ~width:4 ()));
   let _, costs = Helpers.random_instance ~seed:4 ~m:6 ~tasks:30 () in
   check_stream_matches "random" ~epsilon:1 costs
 

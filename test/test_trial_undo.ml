@@ -1,13 +1,13 @@
 (* Differential tests for the trial-booking fast path (the probe kernel +
    candidate pruning):
 
-   - on >= 100 random scenarios (varying m, model, insertion, fabric),
+   - on >= 100 random scenarios (varying m, model, fabric),
      interleave committed bookings and probes and assert that
      [Netstate.probe] leaves a state observationally identical to
      [snapshot]/[restore] — same [proc_ready], [send_free], [recv_free]
      and [link_ready] on every processor pair — and returns the same
      execution window the committed booking computes on the snapshot;
-   - a QCheck suite drawing random platforms, models, fabrics, insertion,
+   - a QCheck suite drawing random platforms, models, fabrics,
      [colocate_exclusive], prior bookings and one-to-one head selections,
      checking every processor against [book_replica] on a snapshot;
    - a tie-heavy QCheck suite comparing whole bookings against the
@@ -64,7 +64,6 @@ let scenario seed =
     | 2 -> Netstate.Multiport 2
     | _ -> Netstate.Multiport 3
   in
-  let insertion = Rng.int rng 2 = 1 in
   let platform, fabric =
     match Rng.int rng 3 with
     | 0 -> (Helpers.uniform_platform (2 + Rng.int rng 9), None)
@@ -78,8 +77,8 @@ let scenario seed =
   let m = Platform.proc_count platform in
   let net =
     match fabric with
-    | None -> Netstate.create ~model ~insertion platform
-    | Some fabric -> Netstate.create ~model ~fabric ~insertion platform
+    | None -> Netstate.create ~model platform
+    | Some fabric -> Netstate.create ~model ~fabric platform
   in
   (* Pool of data sources produced by committed bookings. *)
   let pool = ref [] in
@@ -206,8 +205,7 @@ let prop_probe_matches_commit seed =
     | 1 -> Netstate.One_port
     | _ -> Netstate.Multiport (1 + Rng.int rng 3)
   in
-  let insertion = Rng.int rng 2 = 0 in
-  let net = Netstate.create ~model ?fabric ~insertion platform in
+  let net = Netstate.create ~model ?fabric platform in
   let next_task = ref 0 in
   (* [replicas] copies of a fresh predecessor task on random processors *)
   let fresh_pred replicas =
@@ -224,7 +222,7 @@ let prop_probe_matches_commit seed =
         | s :: _ as sources -> (s.Netstate.s_task, sources)
         | [] -> assert false)
   in
-  (* prior bookings leave ports, links and (under insertion) gaps busy *)
+  (* prior bookings leave processors, ports and links busy *)
   for _ = 1 to Rng.int rng 12 do
     let proc = Rng.int rng m and exec = Rng.float_in rng 1. 10. in
     if Rng.int rng 3 = 0 then ignore (Netstate.book_exec_only net ~proc ~exec)
@@ -510,11 +508,6 @@ let golden_cases =
       "8dfe26d82319dcb434d89252a9530289",
       fun () ->
         Caft.run ~seed:202 ~epsilon:2 (instance ~seed:2 ~m:10 ~tasks:40) );
-    ( "caft/insertion/seed1/m6/eps1",
-      "5e21f4b76d89d1012bb0ae05face0feb",
-      fun () ->
-        Caft.run ~insertion:true ~seed:101 ~epsilon:1
-          (instance ~seed:1 ~m:6 ~tasks:30) );
     ( "caft-full/seed1/m6/eps1",
       "d7fe8969ac8e66d293cdc533173d9ed5",
       fun () ->
@@ -534,20 +527,10 @@ let golden_cases =
       "85a948c83ff792155c41722ea1eb5576",
       fun () -> Ftsa.run ~seed:101 ~epsilon:1 (instance ~seed:1 ~m:6 ~tasks:30)
     );
-    ( "ftsa/insertion/seed2/m8/eps2",
-      "860997e4956ffa3e5076d507aa448aaf",
-      fun () ->
-        Ftsa.run ~insertion:true ~seed:202 ~epsilon:2
-          (instance ~seed:2 ~m:8 ~tasks:30) );
     ( "ftbar/seed1/m6/eps1",
       "cf39a83f77e0f8b349ef09310ae63b0f",
       fun () ->
         Ftbar.run ~seed:101 ~epsilon:1 (instance ~seed:1 ~m:6 ~tasks:30) );
-    ( "ftbar/insertion/seed2/m8/eps2",
-      "796fe6cea7800b9b1db15e646cdf99b2",
-      fun () ->
-        Ftbar.run ~insertion:true ~seed:202 ~epsilon:2
-          (instance ~seed:2 ~m:8 ~tasks:30) );
     ( "caft-batch5/seed4/m6/eps1",
       "3c0da465bdb0d2ce637f871cda04966f",
       fun () ->
@@ -561,8 +544,8 @@ let golden_cases =
     (* Recorded before the per-placement leg table replaced the
        per-candidate estimate memo: these reach the table's other paths —
        epsilon = 0, demotion with the no-demotion certificate failing
-       (m = 5, epsilon = 3), a routed fabric at epsilon = 2, multiport
-       with insertion and the batch variant's [estimate_finish]. *)
+       (m = 5, epsilon = 3), a routed fabric at epsilon = 2 and the batch
+       variant's [estimate_finish]. *)
     ( "caft-ff/seed1/m6",
       "aebf6cf288051542b90cbc4c7721f1e2",
       fun () -> Caft.fault_free ~seed:101 (instance ~seed:1 ~m:6 ~tasks:30) );
@@ -575,12 +558,6 @@ let golden_cases =
       fun () ->
         let costs, fabric = ring_instance ~seed:7 ~m:8 in
         Caft.run ~fabric ~seed:707 ~epsilon:2 costs );
-    ( "caft-mp2/insertion/seed8/m8/eps1",
-      "22e34f249c93c519a16fba9f530a63ac",
-      fun () ->
-        Caft.run ~model:(Netstate.Multiport 2) ~insertion:true ~seed:808
-          ~epsilon:1
-          (instance ~seed:8 ~m:8 ~tasks:30) );
     ( "caft-batch5/seed9/m8/eps2",
       "843065f0b55b4dbfdaf1c75d5e96c242",
       fun () ->
