@@ -1,11 +1,11 @@
 (* Benchmark harness for what the per-scheduler benchmark (perfbench/)
    does not measure: the paper's structural and ablation tables (message
    bounds, Proposition 5.1, windowed and one-to-one ablations,
-   topologies, crash sweeps, link failures, passive replication, the
-   contention spectrum), plus three microbench sections: replay (rebuild
-   vs compiled vs batched, domain scaling), inject (crash path vs window
-   engine, one adversary search) and sched (CAFT tasks/sec and pruning
-   funnel on large workflow families).  CI gates the same-machine ratios
+   topologies, crash sweeps, link failures, the contention spectrum),
+   plus three microbench sections: replay (rebuild vs compiled vs
+   batched, domain scaling), inject (crash path vs window engine, one
+   adversary search) and sched (CAFT tasks/sec and pruning funnel on
+   large workflow families).  CI gates the same-machine ratios
    of replay and sched.
 
    The paper's figures are regenerated by
@@ -337,17 +337,26 @@ let links_table graphs seed =
               Heft.run ~seed costs;
             |]
           in
+          let compiled = Array.map (fun s -> Replay.compile s) schedules in
           for src = 0 to m - 1 do
             for dst = 0 to m - 1 do
               if src <> dst then begin
                 incr total;
+                (* a dead link: an outage that never heals *)
+                let cut =
+                  Replay.Link_outage
+                    {
+                      o_src = src;
+                      o_dst = dst;
+                      o_from = 0.;
+                      o_until = infinity;
+                    }
+                in
                 Array.iteri
-                  (fun i sched ->
-                    if
-                      (Replay.crash_links sched ~links:[ (src, dst) ])
-                        .Replay.completed
-                    then masked.(i) <- masked.(i) + 1)
-                  schedules
+                  (fun i c ->
+                    if (Replay.eval_plan c [ cut ]).Replay.completed then
+                      masked.(i) <- masked.(i) + 1)
+                  compiled
               end
             done
           done);
@@ -418,66 +427,6 @@ let models_table graphs seed =
      port - the paper's core motivation)";
   print_newline ()
 
-(* -- Table: passive (primary/backup) vs active replication -------------- *)
-
-let passive_table graphs seed =
-  print_endline
-    "=== Table P: passive (primary/backup) vs active replication (eps=1) ===";
-  let t =
-    Text_table.create
-      ~aligns:[ Text_table.Left ]
-      [ "metric"; "PB (passive)"; "CAFT macro"; "CAFT one-port" ]
-  in
-  let n = Option.value graphs ~default:20 in
-  let acc = Array.make 9 0. in
-  let m = 10 in
-  instances ~n ~seed ~costs:(paper ~m ~g:1.0)
-    (fun ~grng:_ ~costs ~norm ~seed ->
-      let pb = Primary_backup.run ~seed costs in
-      let caft_macro =
-        Caft.run ~model:Netstate.Macro_dataflow ~seed ~epsilon:1 costs
-      in
-      let caft_oneport = Caft.run ~seed ~epsilon:1 costs in
-      (* fault-free latencies *)
-      acc.(0) <- acc.(0) +. (Primary_backup.fault_free_latency pb /. norm);
-      acc.(1) <- acc.(1) +. (Schedule.latency_zero_crash caft_macro /. norm);
-      acc.(2) <- acc.(2) +. (Schedule.latency_zero_crash caft_oneport /. norm);
-      (* mean latency under each single crash *)
-      let cm_pb = ref 0. and cm_m = ref 0. and cm_o = ref 0. in
-      for p = 0 to m - 1 do
-        (match Primary_backup.latency_with_crash pb ~crashed:p with
-        | Some l -> cm_pb := !cm_pb +. (l /. norm)
-        | None -> failwith "PB unrecoverable");
-        let lm =
-          (Replay.crash_from_start caft_macro ~crashed:[ p ]).Replay.latency
-        in
-        let lo =
-          (Replay.crash_from_start caft_oneport ~crashed:[ p ]).Replay.latency
-        in
-        cm_m := !cm_m +. (lm /. norm);
-        cm_o := !cm_o +. (lo /. norm)
-      done;
-      acc.(3) <- acc.(3) +. (!cm_pb /. float_of_int m);
-      acc.(4) <- acc.(4) +. (!cm_m /. float_of_int m);
-      acc.(5) <- acc.(5) +. (!cm_o /. float_of_int m);
-      (* compute commitment: PB reserves, active executes *)
-      acc.(6) <- acc.(6) +. (Primary_backup.reserved_time pb /. norm);
-      acc.(7) <-
-        acc.(7) +. ((Metrics.analyze caft_macro).Metrics.total_exec /. norm);
-      acc.(8) <-
-        acc.(8) +. ((Metrics.analyze caft_oneport).Metrics.total_exec /. norm));
-  let mean i = Text_table.float_cell (acc.(i) /. float_of_int n) in
-  Text_table.add_row t [ "fault-free latency"; mean 0; mean 1; mean 2 ];
-  Text_table.add_row t [ "mean 1-crash latency"; mean 3; mean 4; mean 5 ];
-  Text_table.add_row t [ "reserved/executed time"; mean 6; mean 7; mean 8 ];
-  Text_table.print t;
-  print_endline
-    "(passive replication - Section 3(i) of the paper - costs nothing when \
-     nothing fails but\n pays a recovery delay and assumes a single, \
-     detected failure; active replication absorbs\n crashes silently.  PB \
-     reservations are released on success; active executes everything.)";
-  print_newline ()
-
 let tables =
   [
     ("messages", messages_table);
@@ -487,7 +436,6 @@ let tables =
     ("mechanism", mechanism_table);
     ("crashes", crash_sweep_table);
     ("links", links_table);
-    ("passive", passive_table);
     ("models", models_table);
   ]
 

@@ -230,12 +230,15 @@ let parse ?(default_volume = 0.) text =
             let pairs = chain name in
             let label = parse_attrs () in
             let volume = volume_of_label label in
+            if volume < 0. || Float.is_nan volume then
+              fail_at line "edge volume is negative or nan";
             List.iter
               (fun (s, d) ->
                 (* bind in source order: argument evaluation order must
                    not decide task numbering *)
                 let src = node_of s in
                 let dst = node_of d in
+                if src = dst then fail_at line ("self edge on " ^ s);
                 Dag.Builder.add_edge b ~src ~dst ~volume)
               pairs;
             statements ()

@@ -30,7 +30,8 @@ val parse : ?default_volume:float -> string -> Dag.t
     [default_volume], default [0.]); graph-level attributes, [node]/[edge]
     defaults, comments and chained edges ([a -> b -> c]) are accepted.
     Round-trips with {!to_string}.  Raises {!Parse_error} on malformed
-    input, {!Dag.Cycle} if the edges form a cycle, and [Invalid_argument]
-    on duplicate edges. *)
+    input (a self edge, or an edge label that reads as a negative or nan
+    volume, included), {!Dag.Cycle} if the edges form a cycle, and
+    [Invalid_argument] on duplicate edges. *)
 
 val parse_file : ?default_volume:float -> string -> Dag.t

@@ -70,13 +70,12 @@ type fabric = {
 val clique_fabric : int -> fabric
 (** The fully connected fabric over [m] processors (the default). *)
 
-(** A {e healing} link outage: the directed route [o_src -> o_dst] cannot
-    carry data during [\[o_from, o_until)] and works again afterwards
-    ([o_until = infinity] models a cut that never heals).  Unlike the
-    permanently dead routes of [Ftsched_sim.Replay] ([dead_links]), an
-    outage delays traffic rather than losing it: the fault-plan replay
-    pushes a message leg past the window, modelling retransmission once
-    the link is back. *)
+(** A link outage: the directed route [o_src -> o_dst] cannot carry data
+    during [\[o_from, o_until)] and works again afterwards.  An outage
+    delays traffic rather than losing it: the fault-plan replay pushes a
+    message leg past the window, modelling retransmission once the link
+    is back.  [o_until = infinity] models a cut that never heals: every
+    message whose route crosses it is lost. *)
 type outage = {
   o_src : Platform.proc;
   o_dst : Platform.proc;

@@ -2,6 +2,20 @@ exception Parse_error of { line : int; message : string }
 
 let fl x = Printf.sprintf "%.17g" x
 
+(* A task name is one word of its [task] line unless it is empty, holds
+   a character [String.trim] strips, or starts with ['"']: such a name is
+   written as an OCaml string literal ([%S]).  Every other name is written
+   as is, without a copy. *)
+let needs_quote name =
+  name = ""
+  || name.[0] = '"'
+  || String.exists
+       (function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false)
+       name
+
+let name_field name =
+  if needs_quote name then Printf.sprintf "%S" name else name
+
 (* Shared emitters: [to_string] and the streaming writer both go through
    these, so the two paths produce identical bytes for identical content
    by construction (line order aside — see [stream_writer]). *)
@@ -22,7 +36,7 @@ let emit_instance add ~algorithm ~epsilon ~model costs =
   add (Printf.sprintf "tasks %d\n" v);
   add (Printf.sprintf "procs %d\n" m);
   for t = 0 to v - 1 do
-    add (Printf.sprintf "task %d %s\n" t (Dag.name dag t))
+    add (Printf.sprintf "task %d %s\n" t (name_field (Dag.name dag t)))
   done;
   Dag.iter_edges
     (fun src dst vol -> add (Printf.sprintf "edge %d %d %s\n" src dst (fl vol)))
@@ -181,6 +195,18 @@ let parse text =
         | [ "model"; other ] -> fail lineno ("unknown model " ^ other)
         | [ "tasks"; n ] -> st.tasks <- int_of lineno n
         | [ "procs"; n ] -> st.procs <- int_of lineno n
+        | "task" :: id :: name :: _ when name.[0] = '"' ->
+            let id = int_of lineno id in
+            let q = String.index line '"' in
+            let name =
+              try
+                Scanf.sscanf
+                  (String.sub line q (String.length line - q))
+                  "%S%!" Fun.id
+              with Scanf.Scan_failure _ | Failure _ | End_of_file ->
+                fail lineno "bad quoted task name"
+            in
+            st.names <- (lineno, (id, name)) :: st.names
         | [ "task"; id; name ] ->
             st.names <- (lineno, (int_of lineno id, name)) :: st.names
         | [ "edge"; src; dst; vol ] ->

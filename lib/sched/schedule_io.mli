@@ -25,7 +25,10 @@ end
     v}
 
     Floating-point fields are printed with enough digits ([%.17g]) to
-    round-trip exactly. *)
+    round-trip exactly.  A task name is printed as is unless it is empty,
+    holds whitespace or starts with ['"']; such a name is printed as an
+    OCaml string literal ([task 2 "load a"]), the only form in which the
+    parser reads a name that is not one word. *)
 
 val to_string : Schedule.t -> string
 

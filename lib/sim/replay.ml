@@ -36,7 +36,7 @@ let m_compiles =
 
 type msg_state = { mutable m_delivered : float (* arrival, or infinity if dead *) }
 
-let reference ?fabric ?(dead_links = []) sched ~crash_time =
+let reference ?fabric sched ~crash_time =
   Obs_metrics.incr m_replays;
   Obs_prof.phase ~cat:"sim" "replay" @@ fun () ->
   let dag = Schedule.dag sched in
@@ -275,21 +275,6 @@ let reference ?fabric ?(dead_links = []) sched ~crash_time =
         if src_finish = infinity then
           (* source never produced: message never emitted *)
           msg_state.(id).m_delivered <- infinity
-        else if List.mem (src, dst) dead_links then begin
-          (* the route is down: the message is emitted (the sender cannot
-             know) and lost in transit *)
-          (if contended then begin
-             let slot = argmin_slot send_free.(src) in
-             let leg_start =
-               Float.max send_free.(src).(slot)
-                 (Float.max src_finish (link_free src dst))
-             in
-             let leg_finish = leg_start +. w in
-             send_free.(src).(slot) <- leg_finish;
-             occupy_link src dst leg_finish
-           end);
-          msg_state.(id).m_delivered <- infinity
-        end
         else begin
           let leg_start =
             if not contended then src_finish
@@ -407,10 +392,6 @@ type arena = {
   a_send_free : float array;  (* per processor and port slot *)
   a_recv_free : float array;
   a_phys_free : float array;  (* per physical link *)
-  a_dead : Bytes.t;
-      (* per message: rides a dead link (the one-lane outcome arena only:
-         dead links are a single-scenario option) *)
-  mutable a_dead_any : bool;  (* some cell of [a_dead] is set *)
 }
 
 let make_arena ~m ~nreplicas ~nmsgs ~port_slots ~phys ~lanes ~record =
@@ -428,8 +409,6 @@ let make_arena ~m ~nreplicas ~nmsgs ~port_slots ~phys ~lanes ~record =
     a_send_free = Array.make (m * port_slots * lanes) 0.;
     a_recv_free = Array.make (m * port_slots * lanes) 0.;
     a_phys_free = Array.make (cells phys) 0.;
-    a_dead = (if record then Bytes.make (cells nmsgs) '\000' else Bytes.empty);
-    a_dead_any = false;
   }
 
 type compiled = {
@@ -907,10 +886,6 @@ let reset c a nl =
     Array.fill a.a_send_free 0 ports 0.;
     Array.fill a.a_recv_free 0 ports 0.;
     Array.fill a.a_phys_free 0 (c.c_fabric.Netstate.phys_count * nl) 0.
-  end;
-  if a.a_dead_any then begin
-    Bytes.fill a.a_dead 0 (Bytes.length a.a_dead) '\000';
-    a.a_dead_any <- false
   end
 
 (* [Float.max] without its two [sign_bit] calls, which ocamlopt emits as
@@ -921,21 +896,6 @@ let reset c a nl =
    inlined and boxes both operands on every lane step. *)
 let[@inline] fmax (x : float) y =
   if y > x then y else if y = x && x = 0. then x +. y else x
-
-(* Mark, in the reset one-lane outcome arena, the messages whose route
-   is one of [dead_links].  A batch arena never has a mark, so its
-   [dead_link] test is the [a_dead_any] flag alone. *)
-let mark_dead_links c a = function
-  | [] -> ()
-  | dl ->
-      a.a_dead_any <- true;
-      for mi = 0 to c.c_nmsgs - 1 do
-        if List.mem (c.c_msg_src.(mi), c.c_msg_dst.(mi)) dl then
-          Bytes.unsafe_set a.a_dead mi '\001'
-      done
-
-let[@inline] dead_link a mi =
-  a.a_dead_any && Bytes.unsafe_get a.a_dead mi <> '\000'
 
 (* The cell of the first earliest-free of the [slots] port slots whose
    first cell is [base] (the others follow every [nl] cells).  Slot times
@@ -1098,12 +1058,7 @@ let walk c a ~crash ~row0 nl =
                 (fmax src_finish (link_free c a nl lane mi))
           in
           let leg_finish = leg_start +. w in
-          if dead_link a mi then begin
-            (* the route is down: the message is emitted (the sender
-               cannot know) and lost in transit *)
-            if contended then book_leg c a nl lane spos mi leg_finish
-          end
-          else if
+          if
             leg_finish > Array.unsafe_get crash (((row0 + lane) * m) + src)
           then begin
             (* the sender died before the message fully left; its port
@@ -1235,18 +1190,17 @@ let collect_outcome c =
 (* Evaluation: one scenario, or a block of them.                        *)
 (* ==================================================================== *)
 
-let run_crash c ~crash_time ~dead_links =
+let run_crash c ~crash_time =
   Obs_metrics.incr m_replays;
   if Array.length crash_time <> c.c_m then
     invalid_arg "Replay.eval: crash_time length <> processor count";
   let a = c.c_one in
   reset c a 1;
-  mark_dead_links c a dead_links;
   walk c a ~crash:crash_time ~row0:0 1
 
-let eval ?(dead_links = []) c ~crash_time =
+let eval c ~crash_time =
   Obs_prof.phase ~cat:"sim" "replay.eval" @@ fun () ->
-  run_crash c ~crash_time ~dead_links;
+  run_crash c ~crash_time;
   collect_outcome c
 
 (* the one-row array [write] makes of [crashes] *)
@@ -1255,11 +1209,11 @@ let crash_row c write crashes =
   write row ~m:c.c_m 0 crashes;
   row
 
-let eval_crashed ?dead_links c ~crashed =
-  eval ?dead_links c ~crash_time:(crash_row c Scenario.write_from_start crashed)
+let eval_crashed c ~crashed =
+  eval c ~crash_time:(crash_row c Scenario.write_from_start crashed)
 
-let eval_timed ?dead_links c ~crashes =
-  eval ?dead_links c ~crash_time:(crash_row c Scenario.write_timed crashes)
+let eval_timed c ~crashes =
+  eval c ~crash_time:(crash_row c Scenario.write_timed crashes)
 
 (* [eval_batch] is the throughput path: the kernel walks a chunk of up to
    [batch_lanes] scenarios at once over one arena, and one result per
@@ -1522,16 +1476,15 @@ let walk_plan c ~down ~never_up ~msg_down ~lost =
     let src_finish = a.a_finish.(c.c_msg_src_rn.(mi)) in
     (* a source that never produced emits nothing *)
     if src_finish <> infinity then begin
-      let dead = dead_link a mi in
       (* settle the leg to a fixpoint: it must clear both the sender's
-         down windows (the port sends nothing while down) and, unless the
-         route is permanently dead anyway, the link-outage windows *)
+         down windows (the port sends nothing while down) and the
+         link-outage windows *)
       let settle t0 =
         let t = ref t0 in
         let stable = ref false in
         while (not !stable) && !t < infinity do
           let t' = fit_windows down.(src) !t w in
-          let t'' = if dead then t' else fit_windows msg_down.(mi) t' w in
+          let t'' = fit_windows msg_down.(mi) t' w in
           if t'' = !t then stable := true else t := t''
         done;
         !t
@@ -1556,7 +1509,7 @@ let walk_plan c ~down ~never_up ~msg_down ~lost =
       else begin
         let leg_finish = leg_start +. w in
         if c.c_contended then book_leg c a 1 0 spos mi leg_finish;
-        if dead || never_up.(dst) then ()
+        if never_up.(dst) then ()
         else if not c.c_contended then
           a.a_delivered.(mi) <- defer_instant down.(dst) leg_finish
         else begin
@@ -1594,13 +1547,13 @@ let degenerate_crash_times c plan =
          | _ -> None)
        plan)
 
-let run_plan_core ?(dead_links = []) c plan =
+let run_plan_core c plan =
   Obs_metrics.incr m_plans;
   let degenerate =
     List.for_all (function Crash _ -> true | _ -> false) plan
   in
   if degenerate then
-    run_crash c ~crash_time:(degenerate_crash_times c plan) ~dead_links
+    run_crash c ~crash_time:(degenerate_crash_times c plan)
   else begin
     let down = down_windows c.c_m plan in
     let never_up =
@@ -1653,12 +1606,11 @@ let run_plan_core ?(dead_links = []) c plan =
     Obs_metrics.incr m_replays;
     let a = c.c_one in
     reset c a 1;
-    mark_dead_links c a dead_links;
     walk_plan c ~down ~never_up ~msg_down ~lost
   end
 
-let eval_plan ?dead_links c plan =
-  run_plan_core ?dead_links c plan;
+let eval_plan c plan =
+  run_plan_core c plan;
   collect_outcome c
 
 (* -- degradation report ------------------------------------------------ *)
@@ -1671,21 +1623,18 @@ let sink_fraction d =
   if d.d_sink_count = 0 then 1.
   else float_of_int d.d_sinks /. float_of_int d.d_sink_count
 
-let eval_plan_degraded ?dead_links c plan =
-  run_plan_core ?dead_links c plan;
+let eval_plan_degraded c plan =
+  run_plan_core c plan;
   degradation_of_lane c c.c_one 1 0
 
 (* -- one-shot wrappers, re-expressed as degenerate plans --------------- *)
 
-let crash_from_start ?fabric ?(dead_links = []) sched ~crashed =
-  eval_plan ~dead_links (compile ?fabric sched)
+let crash_from_start ?fabric sched ~crashed =
+  eval_plan (compile ?fabric sched)
     (List.map (fun p -> Crash { proc = p; at = neg_infinity }) crashed)
 
-let crash_timed ?fabric ?(dead_links = []) sched ~crashes =
-  eval_plan ~dead_links (compile ?fabric sched)
+let crash_timed ?fabric sched ~crashes =
+  eval_plan (compile ?fabric sched)
     (List.map (fun (p, tau) -> Crash { proc = p; at = tau }) crashes)
 
 let fault_free ?fabric sched = eval_plan (compile ?fabric sched) []
-
-let crash_links ?fabric sched ~links =
-  eval_plan ~dead_links:links (compile ?fabric sched) []

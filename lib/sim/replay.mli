@@ -92,7 +92,6 @@ type outcome = {
 }
 
 val eval :
-  ?dead_links:(Platform.proc * Platform.proc) list ->
   compiled ->
   crash_time:float array ->
   outcome
@@ -102,7 +101,6 @@ val eval :
     per scenario (pinned by the differential test suite). *)
 
 val eval_crashed :
-  ?dead_links:(Platform.proc * Platform.proc) list ->
   compiled ->
   crashed:Platform.proc list ->
   outcome
@@ -111,7 +109,6 @@ val eval_crashed :
     a processor outside [\[0, m)]. *)
 
 val eval_timed :
-  ?dead_links:(Platform.proc * Platform.proc) list ->
   compiled ->
   crashes:(Platform.proc * float) list ->
   outcome
@@ -135,9 +132,7 @@ val eval_timed :
     {!reference} by the 108-config differential suite and by a property
     over blocks on both sides of the chunk boundaries.  The lane arena is
     built on the engine's first [eval_batch] call, so an engine that only
-    serves single evaluations never carries it.  Dead links are a
-    single-scenario option ({!eval}, {!eval_plan}, {!crash_links}); no
-    batch carries them.
+    serves single evaluations never carries it.
 
     Sets the [replay.batch_size] gauge to the range length and
     [replay.scenarios_per_sec] to this call's evaluation rate. *)
@@ -218,9 +213,11 @@ val scan :
       (results produced before a crash persist — stable local storage —
       and a window that never closes reproduces the classic fail-stop
       crash exactly);
-    - [Link_outage] makes a directed route unusable for a window; unlike
-      [dead_links] (permanent, traffic lost in transit) an outage
-      {e delays} traffic, modelling retransmission once the link heals;
+    - [Link_outage] makes a directed route unusable for a window: an
+      outage {e delays} traffic, modelling retransmission once the link
+      heals.  An outage that never heals ([o_until = infinity]) is a
+      dead link: it strands every message that would cross it, and only
+      those — unlike a sender's crash, it leaves the send port free;
     - [Lose_result] is the paper's fail-silent behaviour at task grain: a
       single replica runs, occupies its processor, but its result is
       silently dropped — no co-located consumer and no message ever sees
@@ -238,14 +235,14 @@ type fault_event =
   | Recover of { proc : Platform.proc; at : float }
       (** processor comes back at [at] (no matching crash: ignored) *)
   | Link_outage of Netstate.outage
-      (** healing outage window on a directed route *)
+      (** outage window on a directed route (healing unless it ends at
+          [infinity]) *)
   | Lose_result of { task : Dag.task; replica : int }
       (** this replica's result is silently lost (transient fault) *)
 
 type plan = fault_event list
 
 val eval_plan :
-  ?dead_links:(Platform.proc * Platform.proc) list ->
   compiled ->
   plan ->
   outcome
@@ -280,7 +277,6 @@ val batch_degradation : compiled -> batch -> int -> degradation
     equal to {!eval_plan_degraded} on the same crash row. *)
 
 val eval_plan_degraded :
-  ?dead_links:(Platform.proc * Platform.proc) list ->
   compiled ->
   plan ->
   degradation
@@ -290,7 +286,6 @@ val eval_plan_degraded :
 
 val reference :
   ?fabric:Netstate.fabric ->
-  ?dead_links:(Platform.proc * Platform.proc) list ->
   Schedule.t ->
   crash_time:float array ->
   outcome
@@ -310,7 +305,6 @@ val reference :
 
 val crash_from_start :
   ?fabric:Netstate.fabric ->
-  ?dead_links:(Platform.proc * Platform.proc) list ->
   Schedule.t ->
   crashed:Platform.proc list ->
   outcome
@@ -320,7 +314,6 @@ val crash_from_start :
 
 val crash_timed :
   ?fabric:Netstate.fabric ->
-  ?dead_links:(Platform.proc * Platform.proc) list ->
   Schedule.t ->
   crashes:(Platform.proc * float) list ->
   outcome
@@ -334,15 +327,3 @@ val fault_free : ?fabric:Netstate.fabric -> Schedule.t -> outcome
     test suite) — unless zero-length messages tie on a port or link,
     where the replay may sequence the tie differently from the booking
     and finish earlier. *)
-
-val crash_links :
-  ?fabric:Netstate.fabric ->
-  Schedule.t ->
-  links:(Platform.proc * Platform.proc) list ->
-  outcome
-(** Replay with the given {e directed} processor pairs unable to deliver:
-    messages on a dead route are emitted (the sender cannot know) and lost
-    in transit, so they still occupy the send port and the physical links.
-    Link failures are outside the paper's ε-processor-crash guarantee;
-    active replication still masks many of them — this entry point
-    measures how many. *)

@@ -114,3 +114,59 @@ let suite =
     Alcotest.test_case "sampling mode" `Quick test_sampling_mode;
     Alcotest.test_case "scenario generation" `Quick test_scenarios;
   ]
+
+(* -- Monte Carlo against the exact failing fraction --------------------- *)
+
+(* The exact fraction of the C(m, k) from-start crash sets that some
+   task does not survive: one [Replay.scan] over every k-subset, with a
+   [consume] that never stops. *)
+let exact_failing_fraction sched ~k =
+  let c = Replay.compile sched in
+  let m = Replay.proc_count c in
+  let total = Fault_check.count_combinations m k in
+  let failing = ref 0 in
+  let consumed =
+    Replay.scan c ~fill:Scenario.write_from_start
+      ~consume:(fun _ res j ->
+        if Float.is_nan res.Replay.br_latency.(j) then incr failing;
+        true)
+      (Fault_check.subsets ~n:m ~k ~first:0 total)
+  in
+  Helpers.check_int "every subset consumed" total consumed;
+  float_of_int !failing /. float_of_int total
+
+(* Beyond epsilon, [Monte_carlo.run]'s failure rate over [runs] uniform
+   3-crash scenarios is a binomial estimate of the exact fraction: it
+   must lie within four standard deviations of it.  The schedules (m =
+   12, epsilon = 2) fail on 1, 2, 5 and 93 of the 220 crash sets; at
+   20,000 runs, a count off by one subset on either of the first two is
+   outside the bound. *)
+let test_monte_carlo_matches_exact () =
+  List.iter
+    (fun (tasks, seed) ->
+      let _, costs = Helpers.random_instance ~seed ~m:12 ~tasks () in
+      let sched = Caft.run ~seed ~epsilon:2 costs in
+      let p = exact_failing_fraction sched ~k:3 in
+      Helpers.check_bool "some crash set fails" true (p > 0.);
+      let runs = 20_000 in
+      let r =
+        Monte_carlo.run ~seed ~runs ~crashes:3 ~mode:Monte_carlo.From_start
+          sched
+      in
+      let f = r.Monte_carlo.failure_rate in
+      let sigma = sqrt (p *. (1. -. p) /. float_of_int runs) in
+      Helpers.check_bool
+        (Printf.sprintf
+           "tasks=%d seed=%d: failure rate %.5f within 4 sigma (%.5f) of the \
+            exact %.5f"
+           tasks seed f sigma p)
+        true
+        (Float.abs (f -. p) <= 4. *. sigma))
+    [ (4, 7); (4, 4); (6, 6); (10, 2) ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "Monte Carlo within 4 sigma of the exact fraction"
+        `Quick test_monte_carlo_matches_exact;
+    ]

@@ -149,8 +149,8 @@ let test_recovery () =
   Helpers.check_bool "outage window delays" true
     (delayed.Replay.latency >= base.Replay.latency -. 1e-9)
 
-(* healing link outages delay traffic but never lose it, unlike
-   [dead_links] *)
+(* healing link outages delay traffic but never lose it, unlike an
+   outage that never heals (test_link_failures.ml) *)
 let test_link_outage_heals () =
   let sched = sched_of ~seed:9 ~m:4 ~epsilon:0 () in
   let c = Replay.compile sched in

@@ -1,5 +1,21 @@
 (* Link-failure replay: lost messages, masking by replication, and the
-   equivalence properties between the replay entry points. *)
+   equivalence properties between the replay entry points.  A dead link
+   is a fault-plan outage that never heals. *)
+
+let cut links =
+  List.map
+    (fun (src, dst) ->
+      Replay.Link_outage
+        {
+          Netstate.o_src = src;
+          o_dst = dst;
+          o_from = 0.;
+          o_until = infinity;
+        })
+    links
+
+let replay_cut sched links =
+  Replay.eval_plan (Replay.compile sched) (cut links)
 
 let test_dead_link_loses_message () =
   (* chain 0 -> 1, epsilon 0, tasks on different processors: killing the
@@ -11,11 +27,11 @@ let test_dead_link_loses_message () =
   in
   let sched = Heft.run costs in
   (* the cheap placement puts t0 on P0 and t1 on P1 *)
-  let out = Replay.crash_links sched ~links:[ (0, 1) ] in
+  let out = replay_cut sched [ (0, 1) ] in
   Helpers.check_bool "consumer starves" false out.Replay.completed;
   Helpers.check_bool "t1 failed" true (List.mem 1 out.Replay.failed_tasks);
   (* the reverse direction is unaffected *)
-  let out2 = Replay.crash_links sched ~links:[ (1, 0) ] in
+  let out2 = replay_cut sched [ (1, 0) ] in
   Helpers.check_bool "reverse link irrelevant" true out2.Replay.completed
 
 let test_replication_masks_single_link () =
@@ -23,10 +39,11 @@ let test_replication_masks_single_link () =
      different routes: a single dead link is always masked *)
   let _, costs = Helpers.random_instance ~seed:81 ~m:5 ~tasks:20 () in
   let sched = Ftsa.run ~epsilon:1 costs in
+  let c = Replay.compile sched in
   for src = 0 to 4 do
     for dst = 0 to 4 do
       if src <> dst then begin
-        let out = Replay.crash_links sched ~links:[ (src, dst) ] in
+        let out = Replay.eval_plan c (cut [ (src, dst) ]) in
         Helpers.check_bool
           (Printf.sprintf "FTSA masks dead link %d->%d" src dst)
           true out.Replay.completed
@@ -39,13 +56,14 @@ let test_caft_link_vulnerability_is_measurable () =
      many single-link failures it masks -- most, but not necessarily all *)
   let _, costs = Helpers.random_instance ~seed:82 ~m:5 ~tasks:20 () in
   let sched = Caft.run ~epsilon:1 costs in
+  let c = Replay.compile sched in
   let masked = ref 0 and total = ref 0 in
   for src = 0 to 4 do
     for dst = 0 to 4 do
       if src <> dst then begin
         incr total;
-        if (Replay.crash_links sched ~links:[ (src, dst) ]).Replay.completed
-        then incr masked
+        if (Replay.eval_plan c (cut [ (src, dst) ])).Replay.completed then
+          incr masked
       end
     done
   done;
@@ -57,7 +75,7 @@ let test_caft_link_vulnerability_is_measurable () =
 let test_no_dead_links_is_fault_free () =
   let _, costs = Helpers.random_instance ~seed:83 () in
   let sched = Caft.run ~epsilon:1 costs in
-  let a = Replay.crash_links sched ~links:[] in
+  let a = replay_cut sched [] in
   let b = Replay.fault_free sched in
   Helpers.check_float "identical latency" b.Replay.latency a.Replay.latency
 
@@ -85,9 +103,8 @@ let test_dead_links_with_crashes_compose () =
   let _, costs = Helpers.random_instance ~seed:85 ~m:6 () in
   let sched = Caft.run ~epsilon:2 costs in
   let out =
-    Replay.crash_from_start sched
-      ~dead_links:[ (0, 1); (4, 2) ]
-      ~crashed:[ 5 ]
+    Replay.eval_plan (Replay.compile sched)
+      (Replay.Crash { proc = 5; at = neg_infinity } :: cut [ (0, 1); (4, 2) ])
   in
   (* may or may not complete; outcomes must be classified for every
      replica *)

@@ -75,19 +75,6 @@ let prop_crash_outcome_classification =
         out.Replay.replicas;
       !ok)
 
-let prop_primary_backup_sound =
-  QCheck.Test.make ~count:25 ~name:"primary/backup valid and 1-crash safe"
-    arbitrary_instance (fun ((_, m, _) as inst) ->
-      let _, costs = build_instance inst in
-      let pb = Primary_backup.run costs in
-      Primary_backup.validate pb = []
-      && List.for_all
-           (fun p ->
-             match Primary_backup.latency_with_crash pb ~crashed:p with
-             | Some l -> Float.is_finite l && l > 0.
-             | None -> false)
-           (List.init m Fun.id))
-
 let prop_daggen_schedulable =
   QCheck.Test.make ~count:20 ~name:"daggen graphs schedule and resist"
     (QCheck.make
@@ -189,7 +176,6 @@ let suite =
     [
       prop_timed_equivalences;
       prop_crash_outcome_classification;
-      prop_primary_backup_sound;
       prop_daggen_schedulable;
       prop_explain_well_formed;
       prop_port_capacity_monotone_bookings;

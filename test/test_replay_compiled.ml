@@ -4,11 +4,10 @@
      the schedule once and assert that [Replay.eval] produces outcomes
      identical (bit-for-bit, including [nan] latencies) to the
      rebuild-per-scenario [Replay.reference] oracle, across fault-free,
-     from-start, timed and dead-link scenarios — and that [eval_batch],
-     on a block of one and on one block over the crash-only scenarios
-     of the set (dead links are a single-scenario option), reproduces
-     the oracle's latency and ([~degradation:true]) its degradation
-     summary per element;
+     from-start and timed scenarios — and that [eval_batch], on a block
+     of one and on one block over all the scenarios of the set,
+     reproduces the oracle's latency and ([~degradation:true]) its
+     degradation summary per element;
    - [Monte_carlo.run] and [Fault_check.check] reports are byte-identical
      for domains in {1, 2, 4} and equal the per-scenario oracles
      (pre-drawn scenarios / lowest-rank counterexample);
@@ -49,18 +48,17 @@ let outcome_equal (a : Replay.outcome) (b : Replay.outcome) =
            ra rb)
        a.Replay.replicas b.Replay.replicas
 
-let check_differential name sched fabric ~crash_time ~dead_links compiled =
-  let fresh = Replay.reference ?fabric ~dead_links sched ~crash_time in
-  let cached = Replay.eval ~dead_links compiled ~crash_time in
+let check_differential name sched fabric ~crash_time compiled =
+  let fresh = Replay.reference ?fabric sched ~crash_time in
+  let cached = Replay.eval compiled ~crash_time in
   if not (outcome_equal fresh cached) then
     Alcotest.failf "%s: compiled eval differs from fresh replay" name;
   (* a block of one crash row: the batch latency column is the oracle's
      latency *)
-  (if dead_links = [] then
-     let one = Replay.eval_batch compiled crash_time ~first:0 ~count:1 in
-     if not (float_eq one.Replay.br_latency.(0) fresh.Replay.latency) then
-       Alcotest.failf "%s: eval_batch of one %.6f <> reference latency %.6f"
-         name one.Replay.br_latency.(0) fresh.Replay.latency);
+  let one = Replay.eval_batch compiled crash_time ~first:0 ~count:1 in
+  if not (float_eq one.Replay.br_latency.(0) fresh.Replay.latency) then
+    Alcotest.failf "%s: eval_batch of one %.6f <> reference latency %.6f"
+      name one.Replay.br_latency.(0) fresh.Replay.latency;
   fresh
 
 (* One configuration: build a schedule, compile once, then diff several
@@ -97,15 +95,13 @@ let run_config seed =
   let compiled = Replay.compile ?fabric sched in
   let name = Printf.sprintf "config %d" seed in
   let scenarios = ref [] in
-  let diff ~crash_time ~dead_links =
-    let fresh =
-      check_differential name sched fabric ~crash_time ~dead_links compiled
-    in
-    scenarios := (crash_time, dead_links, fresh) :: !scenarios
+  let diff ~crash_time =
+    let fresh = check_differential name sched fabric ~crash_time compiled in
+    scenarios := (crash_time, fresh) :: !scenarios
   in
   (* fault-free *)
   let no_crash = Array.make m infinity in
-  diff ~crash_time:no_crash ~dead_links:[];
+  diff ~crash_time:no_crash;
   (* from-start crash sets of size 1, 2 and epsilon+1 (the last one can
      starve tasks: the nan/failed path must agree too) *)
   List.iter
@@ -115,7 +111,7 @@ let run_config seed =
         Array.init m (fun p ->
             if List.mem p crashed then neg_infinity else infinity)
       in
-      diff ~crash_time ~dead_links:[])
+      diff ~crash_time)
     [ 1; 2; epsilon + 1 ];
   (* timed crashes inside the horizon *)
   let horizon = Schedule.makespan sched in
@@ -123,34 +119,27 @@ let run_config seed =
     Array.init m (fun _ ->
         if Rng.bool rng then Rng.float rng horizon else infinity)
   in
-  diff ~crash_time ~dead_links:[];
-  (* dead links, then a scenario without them again: the scratch arena
-     must fully clear the dead-link marks between evals *)
-  let dead_links =
-    [ (Rng.int rng m, Rng.int rng m); (Rng.int rng m, Rng.int rng m) ]
-  in
-  diff ~crash_time:no_crash ~dead_links;
-  diff ~crash_time:no_crash ~dead_links:[];
-  (* the crash-only scenarios of the set again as ONE block of rows:
+  diff ~crash_time;
+  (* fault-free again: the scratch arena must fully reset after the
+     crash scenarios *)
+  diff ~crash_time:no_crash;
+  (* the scenarios of the set again as ONE block of rows:
      eval_batch must reproduce the oracle's latency (and, in degradation
      mode, its degradation summary under the Monte-Carlo completion rule)
      per element *)
-  let scen =
-    Array.of_list
-      (List.filter (fun (_, dl, _) -> dl = []) (List.rev !scenarios))
-  in
-  let block = Array.concat (Array.to_list (Array.map (fun (ct, _, _) -> ct) scen)) in
+  let scen = Array.of_list (List.rev !scenarios) in
+  let block = Array.concat (Array.to_list (Array.map fst scen)) in
   let count = Array.length scen in
   let batch = Replay.eval_batch compiled block ~first:0 ~count in
   Array.iteri
-    (fun i (_, _, (fresh : Replay.outcome)) ->
+    (fun i (_, (fresh : Replay.outcome)) ->
       if not (float_eq batch.Replay.br_latency.(i) fresh.Replay.latency) then
         Alcotest.failf "%s: eval_batch latency %d: %h <> %h" name i
           batch.Replay.br_latency.(i) fresh.Replay.latency)
     scen;
   let dbatch = Replay.eval_batch ~degradation:true compiled block ~first:0 ~count in
   Array.iteri
-    (fun i (_, _, fresh) ->
+    (fun i (_, fresh) ->
       let d = Oracle.degradation sched fresh in
       if dbatch.Replay.br_tasks.(i) <> d.Replay.d_tasks then
         Alcotest.failf "%s: eval_batch tasks %d" name i;
@@ -167,7 +156,7 @@ let run_config seed =
     scen
 
 let test_differential () =
-  (* 108 configurations x 7 scenarios each, spanning all three models,
+  (* 108 configurations x 6 scenarios each, spanning all three models,
      clique/ring/star fabrics and epsilon 1 and 2 *)
   for seed = 0 to 107 do
     run_config seed

@@ -259,15 +259,38 @@ let test_validate_catches_causality () =
 
 (* -- schedule files the validator must not accept ------------------------ *)
 
+(* [costs] over the same graph with task names that are not one word:
+   spaced, empty, starting with a quote, or holding a tab and a newline —
+   the names the schedule file writes quoted. *)
+let with_odd_names costs =
+  let dag = Costs.dag costs in
+  let edges = ref [] in
+  Dag.iter_edges (fun src dst vol -> edges := (src, dst, vol) :: !edges) dag;
+  let n = Dag.task_count dag in
+  let names =
+    Array.init n (fun t ->
+        match t mod 4 with
+        | 0 -> Printf.sprintf "task %d" t
+        | 1 -> ""
+        | 2 -> Printf.sprintf "\"q%d" t
+        | _ -> Printf.sprintf "tab\t%d\n" t)
+  in
+  let dag = Dag.make ~names ~n ~edges:(List.rev !edges) () in
+  (dag, Costs.create dag (Costs.platform costs) (Costs.exec costs))
+
 (* Saved 8-task CAFT and FTSA schedules (m = 4, epsilon = 1), as lines,
    each with the fabric it was built over: six one-port schedules on the
    clique, then two each under macro-dataflow, under multiport-2 and
-   one-port over a ring. *)
+   one-port over a ring, and one one-port schedule whose task names are
+   not one word. *)
 let fuzz_bases =
   lazy
     (List.map
-       (fun (seed, model, ring) ->
+       (fun (seed, model, ring, odd_names) ->
          let dag, costs = Helpers.random_instance ~seed ~m:4 ~tasks:8 () in
+         let dag, costs =
+           if odd_names then with_odd_names costs else (dag, costs)
+         in
          let costs, fabric =
            if not ring then (costs, None)
            else
@@ -283,14 +306,15 @@ let fuzz_bases =
              (List.filter (fun l -> l <> "")
                 (String.split_on_char '\n' (Schedule_io.to_string sched))),
            fabric ))
-       (List.init 6 (fun seed -> (seed, Netstate.One_port, false))
+       (List.init 6 (fun seed -> (seed, Netstate.One_port, false, false))
        @ [
-           (6, Netstate.Macro_dataflow, false);
-           (7, Netstate.Macro_dataflow, false);
-           (8, Netstate.Multiport 2, false);
-           (9, Netstate.Multiport 2, false);
-           (10, Netstate.One_port, true);
-           (11, Netstate.One_port, true);
+           (6, Netstate.Macro_dataflow, false, false);
+           (7, Netstate.Macro_dataflow, false, false);
+           (8, Netstate.Multiport 2, false, false);
+           (9, Netstate.Multiport 2, false, false);
+           (10, Netstate.One_port, true, false);
+           (11, Netstate.One_port, true, false);
+           (12, Netstate.One_port, false, true);
          ]))
 
 let words l = Array.of_list (String.split_on_char ' ' l)
@@ -395,7 +419,7 @@ let mutant_gen =
       (fun ((base, line, kind), (field, token)) ->
         { base; line; kind; field; token })
       (pair
-         (triple (int_bound 11) (int_bound 10_000) (int_bound 9))
+         (triple (int_bound 12) (int_bound 10_000) (int_bound 9))
          (pair (int_bound 12) (oneofl tokens))))
 
 let mutate { base; line; kind; field; token } =
