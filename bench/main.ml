@@ -567,7 +567,7 @@ let replay_domains ~quick ~m sched =
         let per_sec = float_of_int runs /. wall in
         let evals =
           List.filter
-            (fun p -> p.Obs.Prof.ph_name = "montecarlo.eval")
+            (fun p -> p.Obs.Prof.ph_name = "replay.eval_batch")
             prof.Obs.Prof.r_phases
         in
         let workers = prof.Obs.Prof.r_workers in
@@ -646,11 +646,11 @@ let replay_domains ~quick ~m sched =
   Obs.Prof.set_enabled false;
   Text_table.print t;
   print_endline
-    "(same pre-drawn scenario set and byte-identical report for every \
-     domain count;\n the run spawns its domains inside its one \
-     Parallel.map, whose workers steal\n eval_batch blocks; scaling above \
-     1.0x needs more cores than domains — on a\n single-core host the extra \
-     domains are pure spawn/GC overhead)";
+    "(same scenario rows and byte-identical report for every domain \
+     count;\n the run's one Replay.scan evaluates a wave of one eval_batch \
+     block per domain\n in each Parallel.map; scaling above 1.0x needs more \
+     cores than domains — on a\n single-core host the extra domains are \
+     pure spawn/GC overhead)";
   print_newline ();
   print_endline "=== where the wall time went (profiler attribution) ===";
   Text_table.print attr;

@@ -122,11 +122,22 @@ let load_schedule_file path =
   | Schedule_io.Parse_error { line; message } -> input_error path ~line message
   | Sys_error msg -> input_error path msg
 
+(* An imported graph is rescaled to [granularity] by its communication,
+   so it must carry some: a positive, finite total edge volume. *)
+let load_communicating_dag path =
+  let dag = load_dag_file path in
+  let volume = Dag.fold_edges (fun _ _ v acc -> acc +. v) dag 0. in
+  if not (volume > 0. && Float.is_finite volume) then
+    input_error path
+      "graph has no positive finite communication volume to rescale to the \
+       target granularity";
+  dag
+
 let make_instance ?import ~seed ~family ~tasks ~m ~granularity () =
   let rng = Rng.create seed in
   let dag =
     match import with
-    | Some path -> load_dag_file path
+    | Some path -> load_communicating_dag path
     | None -> make_dag rng ~family ~tasks
   in
   let params = Platform_gen.default ~m () in
@@ -294,6 +305,9 @@ let schedule_cmd =
         end
     | None ->
     let sched = run_algo algo ~model ~seed ~epsilon costs in
+    (* output files first: a reader closing stdout early (| head) must not
+       cost them *)
+    Option.iter (fun path -> Dot.to_file path dag) dot;
     Format.printf "%a@." Schedule.pp_summary sched;
     (* width is quadratic (transitive closure); past the cap print n/a
        instead of failing the whole run *)
@@ -311,7 +325,6 @@ let schedule_cmd =
         Format.printf "validation: %d violations@." (List.length vs);
         List.iter (fun v -> Format.printf "  %a@." Validate.pp_violation v) vs);
     if gantt then Gantt.print ~show_comm sched;
-    Option.iter (fun path -> Dot.to_file path dag) dot;
     0
   in
   let term =
@@ -339,18 +352,8 @@ let crash_cmd =
       & info [ "random-crashes" ] ~docv:"K"
           ~doc:"Crash K processors chosen uniformly instead of --crash.")
   in
-  let domains_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Accepted for symmetry with check/montecarlo; a single replay \
-             always runs on one domain.")
-  in
-  let run seed m tasks epsilon granularity algo model family crashed random_crashes domains obs =
+  let run seed m tasks epsilon granularity algo model family crashed random_crashes obs =
     with_obs obs @@ fun () ->
-    ignore (domains : int option);
     let _, costs = make_instance ~seed ~family ~tasks ~m ~granularity () in
     let sched = run_algo algo ~model ~seed ~epsilon costs in
     let crashed =
@@ -375,7 +378,7 @@ let crash_cmd =
   let term =
     Term.(
       const run $ seed_t $ m_t $ tasks_t $ epsilon_t $ granularity_t $ algo_t
-      $ model_t $ family_t $ crashed_t $ random_t $ domains_t $ obs_t)
+      $ model_t $ family_t $ crashed_t $ random_t $ obs_t)
   in
   Cmd.v (Cmd.info "crash" ~doc:"Replay a schedule under processor failures") term
 
@@ -388,8 +391,8 @@ let check_cmd =
       & opt (some int) None
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Shard the exhaustive crash-set enumeration over N domains \
-             (the report is identical for any N).")
+            "Replay the crash sets over N domains (the report is identical \
+             for any N).")
   in
   let run seed m tasks epsilon granularity algo model family domains obs =
     with_obs obs @@ fun () ->
@@ -452,6 +455,7 @@ let inspect_cmd =
           in
           run_algo algo ~model ~seed ~epsilon costs
     in
+    Option.iter (fun path -> Schedule_io.to_file path sched) save;
     Format.printf "%a@.@." Schedule.pp_summary sched;
     Format.printf "%a@." Metrics.pp (Metrics.analyze sched);
     let costs = Schedule.costs sched in
@@ -464,8 +468,7 @@ let inspect_cmd =
       Format.printf "@.critical chain (comm share %.0f%%):@."
         (100. *. Explain.comm_share sched);
       Format.printf "@[<v>%a@]@." Explain.pp (Explain.critical_chain sched)
-    end;
-    Option.iter (fun path -> Schedule_io.to_file path sched) save
+    end
   in
   let term =
     Term.(
@@ -537,6 +540,18 @@ let analyze_cmd =
             costs
     in
     let report = Analysis_report.analyze ?epsilon ?domains sched in
+    Option.iter
+      (fun path ->
+        match report.Analysis_report.a_certificate with
+        | None -> prerr_endline "no certificate to write (analysis overflowed)"
+        | Some c ->
+            let oc = open_out path in
+            Fun.protect
+              ~finally:(fun () -> close_out oc)
+              (fun () ->
+                output_string oc (Json.to_string (Certificate.to_json c));
+                output_char oc '\n'))
+      certificate;
     (match format with
     | `Json -> print_endline (Json.to_string (Analysis_report.to_json report))
     | `Text ->
@@ -564,18 +579,6 @@ let analyze_cmd =
                 | Some false -> "DISAGREES"
                 | None -> "not compared")
         end);
-    Option.iter
-      (fun path ->
-        match report.Analysis_report.a_certificate with
-        | None -> prerr_endline "no certificate to write (analysis overflowed)"
-        | Some c ->
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () ->
-                output_string oc (Json.to_string (Certificate.to_json c));
-                output_char oc '\n'))
-      certificate;
     if not (Analysis_report.ok report) then exit 1
   in
   let term =
@@ -687,8 +690,9 @@ let stress_cmd =
       & opt (some int) None
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Parallelize the static certification and the degradation \
-             sweep over N domains (the report is identical for any N).")
+            "Parallelize the adversary's replays, the static certification \
+             and the degradation sweep over N domains (the report is \
+             identical for any N).")
   in
   let run seed m tasks epsilon granularity algo model family import budget
       beyond runs json domains obs =
@@ -913,7 +917,6 @@ let campaign_cmd =
       try Campaign.run ~seed ?domains ?checkpoint config
       with Campaign.Checkpoint_error msg -> usage_error "%s" msg
     in
-    print_string (Report.render result);
     Option.iter
       (fun path ->
         let oc = open_out path in
@@ -931,6 +934,7 @@ let campaign_cmd =
               ~finally:(fun () -> close_out oc)
               (fun () -> output_string oc (Report.to_gnuplot result ~data)))
       gnuplot;
+    print_string (Report.render result);
     0
   in
   let term =

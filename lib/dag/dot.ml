@@ -232,6 +232,7 @@ let parse ?(default_volume = 0.) text =
             let volume = volume_of_label label in
             if volume < 0. || Float.is_nan volume then
               fail_at line "edge volume is negative or nan";
+            if volume = infinity then fail_at line "edge volume is infinite";
             List.iter
               (fun (s, d) ->
                 (* bind in source order: argument evaluation order must

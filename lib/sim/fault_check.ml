@@ -43,42 +43,15 @@ let count_combinations n k =
     go 1 1
   end
 
-(* Lexicographic unranking (combinatorial number system): the [rank]-th
-   increasing k-subset of [0, n-1], counting from 0 — the entry point of
-   an enumeration shard.  Requires [0 <= rank < count_combinations n k],
-   which the exhaustive check guarantees via [max_exhaustive], far below
-   the saturation threshold of [count_combinations]. *)
-let subset_at_rank ~n ~k rank =
-  let idx = Array.make k 0 in
-  let rank = ref rank in
-  let next = ref 0 in
-  for i = 0 to k - 1 do
-    (* smallest element c >= next leaving more than [rank] subsets after
-       fixing prefix..c *)
-    let rec find c =
-      let after = count_combinations (n - c - 1) (k - i - 1) in
-      if after <= !rank then begin
-        rank := !rank - after;
-        find (c + 1)
-      end
-      else c
-    in
-    let c = find !next in
-    idx.(i) <- c;
-    next := c + 1
-  done;
-  idx
-
-let subsets ~n ~k ~first count =
-  let rec from idx i () =
-    if i >= count then Seq.Nil
-    else begin
-      let next = Array.copy idx in
-      ignore (advance_subset ~n ~k next);
-      Seq.Cons (Array.to_list idx, from next (i + 1))
-    end
+let subsets ~n ~k =
+  let rec from idx () =
+    Seq.Cons
+      ( Array.to_list idx,
+        fun () ->
+          let next = Array.copy idx in
+          if advance_subset ~n ~k next then from next () else Seq.Nil )
   in
-  if count <= 0 then Seq.empty else from (subset_at_rank ~n ~k first) 0
+  if k < 0 || k > n then Seq.empty else from (Array.init k Fun.id)
 
 (* -- the check --------------------------------------------------------- *)
 
@@ -86,10 +59,10 @@ let subsets ~n ~k ~first count =
    at the first one that loses a task: it returns the number of subsets
    consumed and that refuting subset, if any, after folding the
    completed latencies before it into [worst]. *)
-let scan_subsets ~cancel c ~worst subsets =
+let scan_subsets ~cancel ~domains c ~worst subsets =
   let refuted = ref None in
   let consumed =
-    Replay.scan ~cancel c ~fill:Scenario.write_from_start
+    Replay.scan ~cancel ~domains c ~fill:Scenario.write_from_start
       ~consume:(fun procs (res : Replay.batch) j ->
         let lat = res.Replay.br_latency.(j) in
         if Float.is_nan lat then begin
@@ -109,71 +82,31 @@ let check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
     ?(domains = 1) ?(cancel = Cancel.never) ?static ~epsilon sched =
   let m = Platform.proc_count (Schedule.platform sched) in
   let epsilon = min epsilon m in
-  let total = count_combinations m epsilon in
-  let exhaustive = total <= max_exhaustive in
-  let checked = ref 0 in
-  let counterexample = ref None in
+  let exhaustive = count_combinations m epsilon <= max_exhaustive in
+  (* every crash set of size epsilon in rank order, or the seeded samples,
+     drawn as the scan fills its rows *)
+  let crash_sets =
+    if exhaustive then subsets ~n:m ~k:epsilon
+    else
+      let rng = Rng.create seed in
+      Seq.init (max 0 samples) (fun _ ->
+          Rng.sample_without_replacement rng epsilon m)
+  in
   let worst = ref nan in
-  if exhaustive then begin
-    (* Shard the rank space into [domains] contiguous ranges.  Each shard
-       stops at its own first counterexample; the combine step keeps the
-       lowest-rank one, so the report cannot depend on [domains]: the
-       scenarios at ranks below the winning rank are exactly those the
-       sequential enumeration would have completed. *)
-    let shards = max 1 (min domains total) in
-    let bounds = Array.init (shards + 1) (fun i -> total * i / shards) in
-    let run_shard i =
-      Obs_prof.phase ~trace:false "check.shard" @@ fun () ->
-      let start = bounds.(i) and stop = bounds.(i + 1) in
-      (* the shard owns its compiled engine *)
-      let c = Replay.compile sched in
-      let sh_worst = ref nan in
-      let consumed, refuted =
-        scan_subsets ~cancel c ~worst:sh_worst
-          (subsets ~n:m ~k:epsilon ~first:start (stop - start))
-      in
-      (* the refuting set is re-evaluated in full (once per shard at
-         most) for its task list *)
-      ( !sh_worst,
-        Option.map
-          (fun crashed ->
-            ( start + consumed - 1,
-              crashed,
-              (Replay.eval_crashed c ~crashed).Replay.failed_tasks ))
-          refuted )
-    in
-    (* Shards cover increasing rank ranges, so the first one that refutes
-       holds the lowest-rank counterexample; the worst latency is taken
-       over it and the shards before it, and the later ones are
-       discarded. *)
-    let rec combine = function
-      | [] -> checked := total
-      | (sh_worst, ce) :: rest -> (
-          if Float.is_nan !worst || sh_worst > !worst then worst := sh_worst;
-          match ce with
-          | Some (r, crashed, failed) ->
-              counterexample := Some (crashed, failed);
-              checked := r + 1
-          | None -> combine rest)
-    in
-    combine (Parallel.map ~domains run_shard (List.init shards Fun.id))
-  end
-  else begin
-    Obs_prof.phase ~cat:"sim" "check.sample" @@ fun () ->
-    let rng = Rng.create seed in
-    let c = Replay.compile sched in
-    let consumed, refuted =
-      scan_subsets ~cancel c ~worst
-        (Seq.init (max 0 samples) (fun _ ->
-             Rng.sample_without_replacement rng epsilon m))
-    in
-    checked := consumed;
-    Option.iter
-      (fun crashed ->
-        counterexample :=
-          Some (crashed, (Replay.eval_crashed c ~crashed).Replay.failed_tasks))
-      refuted
-  end;
+  let c = Replay.compile sched in
+  let consumed, refuted =
+    Obs_prof.phase ~trace:false "check.scan" @@ fun () ->
+    scan_subsets ~cancel ~domains c ~worst crash_sets
+  in
+  let checked = ref consumed in
+  (* the refuting set is re-evaluated in full for its task list *)
+  let counterexample =
+    ref
+      (Option.map
+         (fun crashed ->
+           (crashed, (Replay.eval_crashed c ~crashed).Replay.failed_tasks))
+         refuted)
+  in
   (* Cross-validation against the static supply-graph certificate.  The
      static verdict is exact, so in exhaustive mode the two must agree
      outright.  In sampled mode the replay may have missed the refuting
@@ -188,7 +121,7 @@ let check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
         | None, Some _ -> Some false
         | Some _, Some _ -> Some true
         | Some (crashed, _), None ->
-            let out = Replay.crash_from_start sched ~crashed in
+            let out = Replay.eval_crashed c ~crashed in
             incr checked;
             if not out.Replay.completed then begin
               counterexample := Some (crashed, out.Replay.failed_tasks);

@@ -9,17 +9,13 @@
     exhaustively when the count is reasonable and falls back to random
     sampling otherwise.
 
-    The exhaustive enumeration walks the subsets in lexicographic order
-    ({!subsets}) through {!Replay.scan} on a compiled simulator the shard
-    owns: crash rows are filled and evaluated a block at a time, results
-    are consumed in rank order and a shard stops at its first
-    counterexample, so the report equals the one-scenario-at-a-time
-    loop's.  With [?domains > 1] the rank space of the enumeration is
-    sharded into contiguous ranges, one per domain, and the
-    {e lowest-rank} counterexample wins — so the report is
-    byte-identical for every domain count (the scenarios completed below
-    the winning rank are exactly those the sequential enumeration would
-    have completed).
+    Both modes run one {!Replay.scan} on one compiled simulator: the
+    exhaustive mode over every subset in lexicographic order
+    ({!subsets}), the sampled mode over the seeded samples.  Crash rows
+    are filled and evaluated a wave of blocks at a time, results are
+    consumed in order and the scan stops at the first counterexample, so
+    the report equals the one-scenario-at-a-time loop's for every
+    [?domains].
 
     For an {e exact} verdict without enumeration, see
     [Ftsched_analysis.Resilience]; pass its report as [?static] to
@@ -28,6 +24,8 @@
 type report = {
   resists : bool;
   scenarios_checked : int;
+      (** crash sets the scan consumed, the refuting one included, plus
+          one when a static counterexample was replayed *)
   exhaustive : bool;  (** whether all size-[epsilon] subsets were tried *)
   counterexample : (Platform.proc list * Dag.task list) option;
       (** a crash set that starves tasks, with the starved tasks *)
@@ -59,10 +57,9 @@ val check :
     show that an [epsilon]-replicated schedule does {e not} in general
     resist [epsilon + 1] failures.
 
-    [domains] (default [1]) shards the exhaustive enumeration across
-    OCaml domains (lowest-rank counterexample wins; the report is
-    byte-identical for any value).  Sampling mode is sequential — its RNG
-    draw order must not depend on the domain count.
+    [domains] (default [1]) evaluates the scan's blocks over that many
+    OCaml domains; the report, [scenarios_checked] and the
+    [fault_check.scenarios] count are the same for any value.
 
     [cancel] (default [Cancel.never]) is polled once per chunk of
     {!Replay.batch_lanes} crash sets on every enumeration or sampling
@@ -78,20 +75,11 @@ val check :
     confirmed, making the sampled verdict exact whenever the static
     analysis found a refutation. *)
 
-val subsets : n:int -> k:int -> first:int -> int -> Platform.proc list Seq.t
-(** [subsets ~n ~k ~first count] is the [count] increasing [k]-subsets
-    of [\[0, n-1\]] from rank [first] on, in lexicographic order, as
-    lists: the enumeration of {!check}'s shards and of
-    [Inject.adversary]'s exhaustive phase.  Requires
-    [first + count <= count_combinations n k] (far from saturation)
-    when [count > 0]. *)
+val subsets : n:int -> k:int -> Platform.proc list Seq.t
+(** [subsets ~n ~k] is every increasing [k]-subset of [\[0, n-1\]] in
+    lexicographic order, as lists: the enumeration of {!check} and of
+    [Inject.adversary]'s exhaustive phase.  Empty unless
+    [0 <= k <= n]. *)
 
 val count_combinations : int -> int -> int
 (** Binomial coefficient, saturating at [max_int]. *)
-
-val subset_at_rank : n:int -> k:int -> int -> int array
-(** [subset_at_rank ~n ~k rank] is the [rank]-th (from 0) increasing
-    [k]-subset of [\[0, n-1\]] in lexicographic order — the entry point
-    of an enumeration shard.  Requires
-    [0 <= rank < count_combinations n k] with the count far from
-    saturation.  Exposed for tests. *)

@@ -46,7 +46,7 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
      item order; every item is one frontier evaluation. *)
   let replay_all ?degradation ~fill ~consume items =
     let n =
-      Replay.scan ?degradation c ~fill
+      Replay.scan ?degradation ~domains c ~fill
         ~consume:(fun x res j ->
           consume x res j;
           true)
@@ -89,7 +89,7 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
       if eps > 0 then
         if exhaustive then
           eval_subsets ~consume:ignore_result
-            (Fault_check.subsets ~n:m ~k:(min eps m) ~first:0 nsub)
+            (Fault_check.subsets ~n:m ~k:(min eps m))
         else begin
           (* greedy criticality seeding: rank singletons by damage, then
              grow the best [beam] of them one processor at a time *)

@@ -79,8 +79,10 @@ val adversary :
 (** [adversary sched] runs the budget-bounded search described above.
     [seed] (default 11) only matters when the subset space exceeds
     [budget] (default 20000) evaluations; [beam] (default 8) bounds the
-    greedy frontier; [domains] parallelizes the static certification
-    (the search itself is sequential and deterministic). *)
+    greedy frontier; [domains] (default [1]) evaluates the blocks of
+    every {!Replay.scan} and the static certification over that many
+    OCaml domains.  The search is deterministic: its report and
+    [stress.frontier_evals] count are the same for any [domains]. *)
 
 val pp : Format.formatter -> report -> unit
 (** Human-readable multi-line report. *)

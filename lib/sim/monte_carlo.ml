@@ -29,108 +29,50 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?(cancel = Cancel.never)
     ?fabric ~crashes ~mode sched =
   if runs < 1 then invalid_arg "Monte_carlo.run: runs < 1";
   let rng = Rng.create seed in
-  let m = Platform.proc_count (Schedule.platform sched) in
   let l0 = Schedule.latency_zero_crash sched in
-  (* Pre-draw every scenario from the root RNG, in run order, before any
-     evaluation: the crash rows are byte-identical to the sequential run
-     whatever [domains] is. *)
-  let rows =
-    Obs_prof.phase ~cat:"sim" "montecarlo.draw" (fun () ->
-        Obs_metrics.incr ~by:runs m_scenarios;
-        Scenario.draw_block rng ~m ~count:crashes ~mode ~runs)
-  in
-  (* Compiled engines owned by this call.  A [compiled] value owns its
-     scratch arena and must not be shared, so a block takes an idle
-     engine off the list for its whole evaluation (compiling a new one
-     only when every engine is busy on another domain) and returns it
-     after.  The list dies with the call: at most one engine per
-     concurrently running worker, never one per domain for the process
-     lifetime. *)
-  let c0 = Replay.compile ?fabric sched in
-  let idle = ref [ c0 ] and idle_lock = Mutex.create () in
-  let with_engine f =
-    let c =
-      match
-        Mutex.protect idle_lock (fun () ->
-            match !idle with
-            | c :: rest ->
-                idle := rest;
-                Some c
-            | [] -> None)
-      with
-      | Some c -> c
-      | None -> Replay.compile ?fabric sched
-    in
-    Fun.protect
-      ~finally:(fun () -> Mutex.protect idle_lock (fun () -> idle := c :: !idle))
-      (fun () -> f c)
-  in
+  Obs_metrics.incr ~by:runs m_scenarios;
   (* Degradation tracking only engages beyond the tolerance the schedule
      was built for: within epsilon the completion fraction is constantly
      1.0 (Proposition 5.2) and the plain latency path stays bit-identical
      to the historical reports. *)
   let beyond = crashes > Schedule.epsilon sched in
+  let c = Replay.compile ?fabric sched in
+  let latencies = ref [] and completed = ref 0 in
+  let csum = ref 0. and cmin = ref 1. in
+  let ssum = ref 0. and fsum = ref 0. in
   let t0 = Obs_clock.now () in
-  (* blocks of [Replay.batch_block] rows, one [Replay.eval_batch] call
-     per block; [Parallel.map] returns the batches in block order, so
-     aggregation runs in run order however the blocks were stolen *)
-  let nblocks = (runs + Replay.batch_block - 1) / Replay.batch_block in
-  let eval_block b =
-    (* profiled but untraced: one span per block would still drown the
-       timeline the [point]/[replay] spans already structure *)
-    Obs_prof.phase ~trace:false "montecarlo.eval" @@ fun () ->
-    with_engine @@ fun c ->
-    let first = b * Replay.batch_block in
-    Replay.eval_batch ~cancel ~degradation:beyond c rows ~first
-      ~count:(min Replay.batch_block (runs - first))
+  (* The scan fills row [j] with the [j]-th draw from the root RNG and
+     consumes the results in run order, whatever [domains] is, so the
+     scenarios and every sum (the Kahan sums of [Stats.summarize]
+     included) are those of the sequential loop. *)
+  let (_ : int) =
+    Obs_prof.phase ~trace:false "montecarlo.scan" @@ fun () ->
+    Replay.scan ~cancel ~degradation:beyond ~domains c
+      ~fill:(fun rows ~m j () ->
+        Scenario.draw_row rng ~count:crashes ~mode rows ~m j)
+      ~consume:(fun () (res : Replay.batch) j ->
+        let lat = res.Replay.br_latency.(j) in
+        if not (Float.is_nan lat) then begin
+          incr completed;
+          latencies := lat :: !latencies
+        end;
+        if beyond then begin
+          let d = Replay.batch_degradation c res j in
+          let cf = Replay.completion_fraction d in
+          csum := !csum +. cf;
+          if cf < !cmin then cmin := cf;
+          ssum := !ssum +. Replay.sink_fraction d;
+          fsum := !fsum +. d.Replay.d_frontier
+        end;
+        true)
+      (Seq.init runs ignore)
   in
-  let batches = Parallel.map ~domains eval_block (List.init nblocks Fun.id) in
   let dt = Obs_clock.now () -. t0 in
   if dt > 0. then Obs_metrics.set g_throughput (float_of_int runs /. dt);
-  (* Aggregate in run order so the Kahan sums in [Stats.summarize] see
-     the same list (hence the same rounding) as the sequential loop. *)
-  Obs_prof.phase ~cat:"sim" "montecarlo.aggregate" @@ fun () ->
-  let latencies = ref [] in
-  let completed = ref 0 in
-  List.iter
-    (fun (res : Replay.batch) ->
-      Array.iter
-        (fun lat ->
-          if not (Float.is_nan lat) then begin
-            incr completed;
-            latencies := lat :: !latencies
-          end)
-        res.Replay.br_latency)
-    batches;
   let latency =
     match !latencies with [] -> None | ls -> Some (Stats.summarize ls)
   in
-  let degradation =
-    if not beyond then None
-    else begin
-      let n = float_of_int runs in
-      let csum = ref 0. and cmin = ref 1. in
-      let ssum = ref 0. and fsum = ref 0. in
-      List.iter
-        (fun (res : Replay.batch) ->
-          for j = 0 to res.Replay.br_count - 1 do
-            let d = Replay.batch_degradation c0 res j in
-            let cf = Replay.completion_fraction d in
-            csum := !csum +. cf;
-            if cf < !cmin then cmin := cf;
-            ssum := !ssum +. Replay.sink_fraction d;
-            fsum := !fsum +. d.Replay.d_frontier
-          done)
-        batches;
-      Some
-        {
-          deg_completion_mean = !csum /. n;
-          deg_completion_min = !cmin;
-          deg_sink_mean = !ssum /. n;
-          deg_frontier_mean = !fsum /. n;
-        }
-    end
-  in
+  let n = float_of_int runs in
   {
     runs;
     completed = !completed;
@@ -140,8 +82,17 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?(cancel = Cancel.never)
       (match latency with
       | Some s when l0 > 0. -> s.Stats.max /. l0
       | _ -> nan);
-    failure_rate = float_of_int (runs - !completed) /. float_of_int runs;
-    degradation;
+    failure_rate = float_of_int (runs - !completed) /. n;
+    degradation =
+      (if not beyond then None
+       else
+         Some
+           {
+             deg_completion_mean = !csum /. n;
+             deg_completion_min = !cmin;
+             deg_sink_mean = !ssum /. n;
+             deg_frontier_mean = !fsum /. n;
+           });
   }
 
 let degradation_curve ?seed ?runs ?domains ?cancel ?fabric ?max_crashes ~mode

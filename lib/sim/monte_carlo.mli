@@ -55,21 +55,15 @@ val run :
     [mode = From_start] and [crashes <= epsilon] on a fault-tolerant
     schedule, [failure_rate] is [0.] by Proposition 5.2.
 
-    [domains] (default [1]) spreads the replays over OCaml domains with
-    {!Parallel.map}.  The compiled simulators ({!Replay.compile}) belong
-    to the call — at most one per concurrently running worker, handed
-    from block to block and dropped when [run] returns.  All scenarios
-    are pre-drawn from the root RNG ({!Scenario.draw_block}) and
-    aggregated in run order, so the report is byte-identical for every
-    [domains] value (pinned by the test suite against a per-scenario
-    oracle).  The default stays sequential because
+    [domains] (default [1]) evaluates the blocks of the one
+    {!Replay.scan} over that many OCaml domains.  The call compiles one
+    simulator ({!Replay.compile}) and drops it on return.  The scan draws
+    scenario [j] from the root RNG into its row ({!Scenario.draw_row}) in
+    run order and folds the results in run order, so the report is
+    byte-identical for every [domains] value (pinned by the test suite
+    against a per-scenario oracle).  The default stays sequential because
     campaign code may already be running one {!Parallel.map} over
-    experiment points.
-
-    The pre-drawn crash rows are evaluated in {!Replay.batch_block}-row
-    blocks, one {!Replay.eval_batch} call each; a block is the unit a
-    worker steals.  Sets the
-    [replay.scenarios_per_sec] gauge.
+    experiment points.  Sets the [replay.scenarios_per_sec] gauge.
 
     [cancel] (default [Cancel.never]) is polled once per chunk of
     {!Replay.batch_lanes} scenarios inside {!Replay.eval_batch}; when it

@@ -1318,36 +1318,72 @@ let batch_degradation c res j =
     d_frontier = res.br_frontier.(j);
   }
 
-(* Rows per block of [scan], and the work-stealing unit of Monte Carlo.
-   The block size never changes a result: every lane is evaluated as
-   [eval] would, and results are consumed in item order. *)
+(* Rows per block of [scan].  The block size never changes a result:
+   every lane is evaluated as [eval] would, and results are consumed in
+   item order. *)
 let batch_block = 256
 
-let scan ?cancel ?degradation c ~fill ~consume items =
-  let m = c.c_m in
+(* The row buffer of [c], built on first use. *)
+let rows_of c =
   if Array.length c.c_rows = 0 then
-    c.c_rows <- Array.create_float (batch_block * m);
-  (* fill the rows of the next block, keeping its items in order *)
-  let rec take j acc items =
-    match if j < batch_block then items () else Seq.Nil with
-    | Seq.Cons (x, rest) ->
-        fill c.c_rows ~m j x;
-        take (j + 1) (x :: acc) rest
-    | Seq.Nil -> (j, List.rev acc, items)
+    c.c_rows <- Array.create_float (batch_block * c.c_m);
+  c.c_rows
+
+(* A scan runs in waves of up to [domains] blocks.  The caller fills a
+   wave's blocks in item order, [Parallel.map] evaluates them, each on
+   its own engine, and the caller consumes the results in item order.
+   Block 0 of a wave runs on [c]; block [b > 0] on a copy of [c] that
+   shares every compiled array and owns its batch arena and row buffer,
+   the only fields [eval_batch] writes, built on first use.  The copies
+   die with the call. *)
+let scan ?cancel ?degradation ?(domains = 1) c ~fill ~consume items =
+  let m = c.c_m in
+  let engines =
+    Array.init (max 1 domains) (fun b ->
+        if b = 0 then c else { c with c_batch = None; c_rows = [||] })
+  in
+  (* fill the rows of one block on [e], keeping its items in order; the
+     rest of [items] is [None] once it is exhausted *)
+  let rec take e j acc items =
+    if j = batch_block then (j, List.rev acc, Some items)
+    else
+      match items () with
+      | Seq.Cons (x, rest) ->
+          fill (rows_of e) ~m j x;
+          take e (j + 1) (x :: acc) rest
+      | Seq.Nil -> (j, List.rev acc, None)
+  in
+  let rec fill_wave b items =
+    if b = Array.length engines then ([], Some items)
+    else
+      match take engines.(b) 0 [] items with
+      | 0, _, _ -> ([], None)
+      | len, taken, rest -> (
+          let block = (engines.(b), len, taken) in
+          match rest with
+          | None -> ([ block ], None)
+          | Some rest ->
+              let wave, rest = fill_wave (b + 1) rest in
+              (block :: wave, rest))
+  in
+  let eval (e, len, _) =
+    eval_batch ?cancel ?degradation e e.c_rows ~first:0 ~count:len
   in
   let rec go consumed items =
-    match take 0 [] items with
-    | 0, _, _ -> consumed
-    | len, taken, rest ->
-        let res =
-          eval_batch ?cancel ?degradation c c.c_rows ~first:0 ~count:len
-        in
-        let rec use j = function
-          | [] -> go (consumed + len) rest
-          | x :: tl ->
-              if consume x res j then use (j + 1) tl else consumed + j + 1
-        in
-        use 0 taken
+    let wave, rest = fill_wave 0 items in
+    let results = Parallel.map ~domains:(Array.length engines) eval wave in
+    let rec use consumed = function
+      | [] -> (
+          match rest with None -> consumed | Some rest -> go consumed rest)
+      | ((_, len, taken), res) :: blocks ->
+          let rec block j = function
+            | [] -> use (consumed + len) blocks
+            | x :: tl ->
+                if consume x res j then block (j + 1) tl else consumed + j + 1
+          in
+          block 0 taken
+    in
+    use consumed (List.combine wave results)
   in
   go 0 items
 

@@ -60,9 +60,10 @@ type replica_outcome =
     construction, no priority queue and near-zero allocation.  A
     [compiled] value owns its scratch arenas and is therefore {b not} safe
     to share across domains:
-    every call that replays a schedule compiles the engines it needs and
-    drops them on return ({!Monte_carlo.run} and {!Fault_check.check}
-    compile one per concurrent worker).  A compile costs a few scenario
+    every call that replays a schedule compiles the engine it needs and
+    drops it on return ({!Monte_carlo.run}, {!Fault_check.check} and
+    {!Inject.adversary} compile once per call; {!scan} copies the scratch
+    of its extra domains).  A compile costs a few scenario
     evals, so it dominates wherever a schedule is replayed only a few
     times, as in the paper's campaigns. *)
 
@@ -181,25 +182,33 @@ val eval_batch :
     normally is byte-identical whether or not a token was polled. *)
 
 val batch_block : int
-(** Rows per block of {!scan} (256), and the work-stealing unit of
-    {!Monte_carlo.run}.  No result depends on it. *)
+(** Rows per block of {!scan} (256).  No result depends on it. *)
 
 val scan :
   ?cancel:Cancel.token ->
   ?degradation:bool ->
+  ?domains:int ->
   compiled ->
   fill:(float array -> m:int -> int -> 'a -> unit) ->
   consume:('a -> batch -> int -> bool) ->
   'a Seq.t ->
   int
 (** [scan c ~fill ~consume items] is the one in-order block scan over
-    {!eval_batch}.  Per block of up to {!batch_block} items it calls
-    [fill rows ~m j x] (a {!Scenario} writer) for the [j]-th item [x],
-    evaluates the block, then calls [consume x res j] for each item in
-    order.  [consume] returns [false] to stop: no later item is consumed
-    and no later block is drawn from [items].  Returns the number of
-    items consumed, the stopping one included — what one {!eval} per
-    item, in order, would give.  The rows are a scratch buffer of [c]. *)
+    {!eval_batch}, and the one place verification runs in parallel.  It
+    runs in waves of up to [domains] (default [1]) blocks of up to
+    {!batch_block} items.  Per wave it calls [fill rows ~m j x] (a
+    {!Scenario} writer) for the [j]-th item [x] of each block, in item
+    order and always on the calling domain, so a [fill] that draws from
+    a generator keeps its stream.  {!Parallel.map} then evaluates the
+    wave's blocks, each on its own engine, and [consume x res j] is
+    called for each item in order.  [consume] returns [false] to stop:
+    no later item is consumed and no later wave is drawn from [items],
+    though the stopping wave's later blocks were filled and evaluated.
+    Returns the number of items consumed, the stopping one included —
+    what one {!eval} per item, in order, would give, whatever [domains]
+    is.  Block 0 of a wave runs on [c], with its row buffer; the others
+    on copies of [c] made once per call, which share its compiled arrays
+    and die with the call. *)
 
 (** {1 Fault plans}
 

@@ -32,24 +32,22 @@ let write_timed rows ~m j crashes =
       rows.(i) <- Float.min rows.(i) tau)
     crashes
 
-let draw_block rng ~m ~count ~mode ~runs =
-  if runs < 0 then invalid_arg "Scenario.draw_block: negative runs";
-  if m < 1 then invalid_arg "Scenario.draw_block: empty platform";
-  (* The generator stream is identical to drawing the same scenarios
-     through [uniform_procs]/[timed]: [Rng.sample_into] replays Floyd's
-     draws verbatim, and the crash instants are drawn in increasing
-     processor order exactly as [timed] maps over the sorted sample.
-     The loop runs left to right on purpose: [Array.init]'s evaluation
-     order is unspecified and would scramble the stream. *)
-  let rows = Array.create_float (runs * m) in
-  let chosen = Bitset.create m in
-  for j = 0 to runs - 1 do
-    Rng.sample_into rng chosen (min count m);
-    let procs = Bitset.elements chosen in
-    match mode with
-    | From_start -> write_from_start rows ~m j procs
-    | Timed horizon ->
-        write_timed rows ~m j
-          (List.map (fun p -> (p, Rng.float rng horizon)) procs)
+let draw_row rng ~count ~mode rows ~m j =
+  if count < 0 then invalid_arg "Scenario.draw_row: negative count";
+  clear_row rows ~m j;
+  let base = j * m in
+  (* Floyd's algorithm with [Rng.sample_without_replacement]'s draws,
+     marking the chosen processors in the row itself; then the crash
+     instants in increasing processor order, as [timed] maps over the
+     sorted sample. *)
+  for i = m - min count m to m - 1 do
+    let r = Rng.int rng (i + 1) in
+    let p = if rows.(base + r) = neg_infinity then i else r in
+    rows.(base + p) <- neg_infinity
   done;
-  rows
+  match mode with
+  | From_start -> ()
+  | Timed horizon ->
+      for i = base to base + m - 1 do
+        if rows.(i) = neg_infinity then rows.(i) <- Rng.float rng horizon
+      done

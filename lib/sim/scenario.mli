@@ -19,9 +19,9 @@ val timed :
     instants in a flat float array: scenario [j], processor [p] at
     [j * m + p].  [neg_infinity] means dead from the start, [infinity]
     never crashes, a finite value is the crash instant.  The two writers
-    below are the only code that fills a row; {!Replay.eval_batch} reads
-    a range of rows and {!Replay.scan} fills and evaluates them block by
-    block. *)
+    below and the random {!draw_row} are the only code that fills a row;
+    {!Replay.eval_batch} reads a range of rows and {!Replay.scan} fills
+    and evaluates them block by block. *)
 
 type mode = From_start | Timed of float
 (** [Timed horizon]: crash instants uniform in [\[0, horizon)]. *)
@@ -40,11 +40,12 @@ val write_timed :
     others never crash.  Raises [Invalid_argument] for a processor
     outside [\[0, m)]. *)
 
-val draw_block : Rng.t -> m:int -> count:int -> mode:mode -> runs:int -> float array
-(** [draw_block rng ~m ~count ~mode ~runs] pre-draws [runs] independent
-    scenarios as [runs] rows, each crashing [min count m] distinct
-    processors chosen uniformly among [m].  It consumes the exact same
-    generator stream as drawing each scenario with {!uniform_procs} /
-    {!timed}, and draws the whole campaign before any evaluation, so
-    evaluation order — sequential or spread over domains — can never
-    perturb the stream. *)
+val draw_row :
+  Rng.t -> count:int -> mode:mode -> float array -> m:int -> int -> unit
+(** [draw_row rng ~count ~mode rows ~m j] draws one scenario into row
+    [j]: [min count m] distinct processors chosen uniformly among [m],
+    dead from the start or, with [Timed horizon], each at an instant
+    uniform in [\[0, horizon)].  It consumes the exact generator stream
+    of drawing the same scenario with {!uniform_procs} / {!timed}, so a
+    campaign that draws its rows in run order reproduces the historical
+    scenarios.  Raises [Invalid_argument] if [count < 0]. *)

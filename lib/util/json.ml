@@ -25,11 +25,17 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
+(* An integral float below 1e15 prints with a fractional marker, so the
+   parser reads a float back.  So does a float whose [%.12g] text reads
+   back as one: [12345678901234.5] prints as [12345678901200.0], the
+   text its read-back value prints as. *)
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    (* keep a fractional marker so the parser reads a float back *)
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.12g" f
+  let integral x = Float.is_integer x && Float.abs x < 1e15 in
+  if integral f then Printf.sprintf "%.1f" f
+  else
+    let g = Printf.sprintf "%.12g" f in
+    let back = float_of_string g in
+    if integral back then Printf.sprintf "%.1f" back else g
 
 let to_string ?indent v =
   let buf = Buffer.create 256 in

@@ -8,9 +8,10 @@
     booleans and [null].
 
     Printing is deterministic: object member order is preserved, floats
-    are rendered with [%.12g] (non-finite floats degrade to [null], which
-    keeps the output standard-compliant).  [to_string] of a parsed value
-    is a fixed point after one round trip. *)
+    are rendered with [%.12g], or with one decimal when that text reads
+    back as an integer below 1e15 (non-finite floats degrade to [null],
+    which keeps the output standard-compliant).  [to_string] of a parsed
+    value is a fixed point after one round trip. *)
 
 type t =
   | Null

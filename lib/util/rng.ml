@@ -112,18 +112,6 @@ let sample_without_replacement t k n =
   done;
   IS.elements !chosen
 
-let sample_into t chosen k =
-  let n = Bitset.universe_size chosen in
-  if k < 0 || k > n then invalid_arg "Rng.sample_into";
-  Bitset.clear chosen;
-  (* Floyd's algorithm with the exact same [int] draw sequence as
-     [sample_without_replacement], so pre-drawn scenario streams stay
-     byte-identical whichever sampler a caller uses. *)
-  for j = n - k to n - 1 do
-    let r = int t (j + 1) in
-    if Bitset.mem chosen r then Bitset.add chosen j else Bitset.add chosen r
-  done
-
 let exponential t lambda =
   if lambda <= 0. then invalid_arg "Rng.exponential: rate must be positive";
   let u = 1.0 -. float t 1.0 in

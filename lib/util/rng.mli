@@ -65,14 +65,6 @@ val sample_without_replacement : t -> int -> int -> int list
     [\[0, n-1\]], in increasing order.  Raises [Invalid_argument] if
     [k > n] or [k < 0]. *)
 
-val sample_into : t -> Bitset.t -> int -> unit
-(** [sample_into t chosen k] clears [chosen] and fills it with [k] distinct
-    integers drawn from [\[0, universe_size chosen - 1\]].  Consumes the
-    exact same generator stream as {!sample_without_replacement} with the
-    same [k] and universe, but allocates nothing: scenario pre-draw loops
-    reuse one scratch set.  Raises [Invalid_argument] if [k > n] or
-    [k < 0]. *)
-
 val exponential : t -> float -> float
 (** [exponential t lambda] draws from the exponential distribution with
     rate [lambda] (mean [1/lambda]). *)

@@ -34,10 +34,18 @@ let degradation sched (o : Replay.outcome) =
 
 (* -- Monte Carlo: one [Replay.eval] per scenario ----------------------- *)
 
+(* [runs] rows drawn in run order, as the campaign's scan draws them *)
+let draw_rows rng ~m ~count ~mode ~runs =
+  let rows = Array.create_float (runs * m) in
+  for j = 0 to runs - 1 do
+    Scenario.draw_row rng ~count ~mode rows ~m j
+  done;
+  rows
+
 let monte_carlo ?(seed = 20) ?(runs = 1000) ~crashes ~mode sched =
   let m = Platform.proc_count (Schedule.platform sched) in
   let l0 = Schedule.latency_zero_crash sched in
-  let rows = Scenario.draw_block (Rng.create seed) ~m ~count:crashes ~mode ~runs in
+  let rows = draw_rows (Rng.create seed) ~m ~count:crashes ~mode ~runs in
   let c = Replay.compile sched in
   let beyond = crashes > Schedule.epsilon sched in
   let degs = ref [] in
@@ -143,18 +151,17 @@ let combinations n k =
         | Some idx -> Some (Array.to_list idx, successor idx))
       (Some first)
 
-(* [fault_check ~shards ~epsilon sched] is [Fault_check.check]'s report
-   together with the [fault_check.scenarios] count the library reaches
-   when it splits the rank space into [shards] contiguous shards, each
-   stopping at its own first counterexample. *)
+(* [fault_check ~epsilon sched] is [Fault_check.check]'s report together
+   with the [fault_check.scenarios] count: the crash sets replayed up to
+   the first counterexample, before any static one. *)
 let fault_check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
-    ?static ~shards ~epsilon sched =
+    ?static ~epsilon sched =
   let m = Platform.proc_count (Schedule.platform sched) in
   let epsilon = min epsilon m in
   let c = Replay.compile sched in
   let total = Fault_check.count_combinations m epsilon in
   let exhaustive = total <= max_exhaustive in
-  let checked = ref 0 and counted = ref 0 in
+  let checked = ref 0 in
   let counterexample = ref None in
   let worst = ref nan in
   let record crashed (o : Replay.outcome) =
@@ -163,40 +170,23 @@ let fault_check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
     else if Float.is_nan !worst || o.Replay.latency > !worst then
       worst := o.Replay.latency
   in
-  if exhaustive then begin
-    let outcomes =
-      Array.of_seq
-        (Seq.map
-           (fun crashed -> (crashed, outcome c (from_start crashed)))
-           (combinations m epsilon))
-    in
-    Array.iter
-      (fun (crashed, o) ->
+  if exhaustive then
+    Seq.iter
+      (fun crashed ->
         if !counterexample = None then begin
           incr checked;
-          record crashed o
+          record crashed (outcome c (from_start crashed))
         end)
-      outcomes;
-    let shards = max 1 (min shards total) in
-    for i = 0 to shards - 1 do
-      let start = total * i / shards and stop = total * (i + 1) / shards in
-      let rank = ref start and stopped = ref false in
-      while !rank < stop && not !stopped do
-        incr counted;
-        stopped := not (snd outcomes.(!rank)).Replay.completed;
-        incr rank
-      done
-    done
-  end
+      (combinations m epsilon)
   else begin
     let rng = Rng.create seed in
     while !checked < samples && !counterexample = None do
       incr checked;
       let crashed = Rng.sample_without_replacement rng epsilon m in
       record crashed (outcome c (from_start crashed))
-    done;
-    counted := !checked
+    done
   end;
+  let counted = !checked in
   let static_agrees =
     match static with
     | None -> None
@@ -222,7 +212,7 @@ let fault_check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
       worst_latency = !worst;
       static_agrees;
     },
-    !counted )
+    counted )
 
 (* -- Inject.adversary: one evaluation per candidate --------------------- *)
 

@@ -104,12 +104,6 @@ let test_bitset_word_boundary () =
       Helpers.check_bool "empty again" true (Bitset.is_empty s))
     [ 1; 8; 9; 63; 64; 65 ]
 
-let test_daggen_single_task () =
-  let rng = Rng.create 1 in
-  let g = Daggen.generate rng { Daggen.default with Daggen.tasks = 1 } in
-  Helpers.check_int "one task" 1 (Dag.task_count g);
-  Helpers.check_int "no edges" 0 (Dag.edge_count g)
-
 let test_topology_two_nodes () =
   let t = Topology.ring 2 in
   Helpers.check_int "two links" 2 (Topology.link_count t);
@@ -131,6 +125,5 @@ let suite =
       test_metrics_serial_comm_bound;
     Alcotest.test_case "explain across idle gaps" `Quick test_explain_idle_gap;
     Alcotest.test_case "bitset word boundaries" `Quick test_bitset_word_boundary;
-    Alcotest.test_case "daggen single task" `Quick test_daggen_single_task;
     Alcotest.test_case "two-node topology" `Quick test_topology_two_nodes;
   ]

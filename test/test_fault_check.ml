@@ -11,22 +11,19 @@ let test_combinations () =
   Helpers.check_bool "all distinct" true
     (let l = combos 6 3 in
      List.length (List.sort_uniq compare l) = List.length l);
-  (* the check's own enumeration, from rank 0 and from a middle rank *)
+  (* the check's own enumeration, counted as [count_combinations] does *)
   List.iter
     (fun (n, k) ->
       let all = combos n k in
-      let total = List.length all in
       Helpers.check_bool
-        (Printf.sprintf "subsets %d %d from 0" n k)
+        (Printf.sprintf "subsets %d %d" n k)
         true
-        (List.of_seq (Fault_check.subsets ~n ~k ~first:0 total) = all);
-      let first = total / 3 in
-      Helpers.check_bool
-        (Printf.sprintf "subsets %d %d from %d" n k first)
-        true
-        (List.of_seq (Fault_check.subsets ~n ~k ~first (total - first - 1))
-        = List.filteri (fun i _ -> i >= first && i < total - 1) all))
-    [ (3, 2); (4, 0); (3, 3); (6, 3); (7, 1) ]
+        (List.of_seq (Fault_check.subsets ~n ~k) = all);
+      Helpers.check_int
+        (Printf.sprintf "subsets %d %d count" n k)
+        (Fault_check.count_combinations n k)
+        (List.length all))
+    [ (3, 2); (4, 0); (3, 3); (6, 3); (7, 1); (8, 4); (2, 3) ]
 
 let test_count_combinations () =
   Helpers.check_int "10 choose 3" 120 (Fault_check.count_combinations 10 3);
@@ -130,7 +127,7 @@ let exact_failing_fraction sched ~k =
       ~consume:(fun _ res j ->
         if Float.is_nan res.Replay.br_latency.(j) then incr failing;
         true)
-      (Fault_check.subsets ~n:m ~k ~first:0 total)
+      (Fault_check.subsets ~n:m ~k)
   in
   Helpers.check_int "every subset consumed" total consumed;
   float_of_int !failing /. float_of_int total

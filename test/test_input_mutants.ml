@@ -1,7 +1,8 @@
 (* Byte mutants of valid inputs for the text surfaces other than schedule
-   files (test_schedule.ml has those): DOT graphs, JSON documents and
-   certificates.  Each parser must answer every mutant with its
-   documented error, never with another exception. *)
+   files (test_schedule.ml has those): DOT graphs, JSON documents,
+   certificates, campaign checkpoints and the serve cache journal.  Each
+   reader must answer every mutant with its documented error, never with
+   another exception. *)
 
 (* A mutant: a base (its number taken modulo the number of bases) and
    the mutations applied to it in turn, each (kind, position, byte).
@@ -118,16 +119,21 @@ let json_bases =
        @ [
            Json.to_string ~indent:2
              (Json.parse_exn (snd (List.hd (Lazy.force certified))));
-           {|{"s": "tab\t quote\" back\\ \u00e9 \ud83d\ude00", "n": [0, -1, 2.5, -0.125e-3, 1E300, 12345678901234567890], "b": [true, false, null], "o": {"": {}, "x": []}}|};
+           {|{"s": "tab\t quote\" back\\ \u00e9 \ud83d\ude00", "n": [0, -1, 2.5, -0.125e-3, 1E300, 12345678901234567890, 12345678901234.567890, 999999999999.9999], "b": [true, false, null], "o": {"": {}, "x": []}}|};
          ]))
 
-(* [Json.parse] answers every mutant with a result, never an exception. *)
+(* [Json.parse] answers every mutant with a result, never an exception,
+   and the printed text of a parsed mutant is a fixed point: it parses
+   back to a value that prints the same. *)
 let prop_json_mutants =
   QCheck.Test.make ~count:5000 ~name:"JSON mutants return Error, never raise"
     (arbitrary json_bases)
     (fun m ->
       match Json.parse (mutate (Lazy.force json_bases) m) with
-      | Ok _ | Error _ -> true)
+      | Error _ -> true
+      | Ok v ->
+          let text = Json.to_string v in
+          Json.to_string (Json.parse_exn text) = text)
 
 (* -- certificates --------------------------------------------------------- *)
 
@@ -207,6 +213,134 @@ let prop_certificate_mutants =
                   | Ok () | Error _ -> true)
                 (Lazy.force certified)))
 
+(* -- campaign checkpoints ------------------------------------------------- *)
+
+let with_temp_file f =
+  let path = Filename.temp_file "ftsched_mutant" ".json" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; path ^ ".tmp" ])
+    (fun () -> f path)
+
+let write_file path text =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Two granularity points of one graph each: a mutant that loses a point
+   costs its recomputation, a few milliseconds. *)
+let checkpoint_config =
+  Config.with_graphs_per_point
+    { (Config.figure 1) with Config.granularities = [ 0.5; 1.0 ] }
+    1
+
+let checkpoint_seed = 9
+
+let run_checkpointed path =
+  Campaign.run ~seed:checkpoint_seed ~domains:1 ~progress:ignore
+    ~checkpoint:path checkpoint_config
+
+let checkpoint_bases =
+  lazy
+    (with_temp_file (fun path ->
+         ignore (run_checkpointed path);
+         [| read_file path |]))
+
+(* Resuming from a mutant raises only [Checkpoint_error], and exactly
+   when the file is neither blank nor valid JSON. *)
+let prop_checkpoint_mutants =
+  QCheck.Test.make ~count:300
+    ~name:"checkpoint mutants: resume raises only Checkpoint_error"
+    (arbitrary checkpoint_bases)
+    (fun m ->
+      let text = mutate (Lazy.force checkpoint_bases) m in
+      let readable =
+        String.trim text = "" || Result.is_ok (Json.parse text)
+      in
+      with_temp_file (fun path ->
+          write_file path text;
+          match run_checkpointed path with
+          | r -> readable && List.length r.Campaign.points = 2
+          | exception Campaign.Checkpoint_error _ -> not readable))
+
+(* -- serve cache journal --------------------------------------------------- *)
+
+(* Canonical result bytes, as the daemon renders them; one holds a float
+   whose 12 significant digits read back as an integer. *)
+let journal_entries =
+  List.mapi
+    (fun i result -> (Printf.sprintf "k%02d" i, Json.to_string result))
+    Json.
+      [
+        Obj [ ("latency", Float 12.5); ("procs", List [ Int 0; Int 1 ]) ];
+        Obj [ ("name", String "tab\t quote\" back\\"); ("ok", Bool true) ];
+        List [ Float 12345678901234.567; Float (-0.125e-3); Null ];
+        Obj [ ("nested", Obj [ ("x", List []); ("", Obj []) ]) ];
+        Float 1e300;
+        Int 42;
+      ]
+
+let journal_bases =
+  lazy
+    (with_temp_file (fun path ->
+         Sys.remove path;
+         match Serve_cache.journaled ~resume:false path with
+         | Error e -> failwith e
+         | Ok (c, _) ->
+             List.iter
+               (fun (key, result) -> Serve_cache.add c ~key ~op:"schedule" result)
+               journal_entries;
+             Serve_cache.close c;
+             [| read_file path |]))
+
+(* Loading a mutant never raises, and it keeps every entry of the lines
+   before the first one the mutation touched, with its exact bytes.  The
+   loaded cache then compacts to a journal that reloads whole. *)
+let prop_journal_mutants =
+  QCheck.Test.make ~count:1000
+    ~name:"journal mutants: load keeps the intact prefix"
+    (arbitrary journal_bases)
+    (fun m ->
+      let base = (Lazy.force journal_bases).(0) in
+      let text = mutate [| base |] m in
+      let lines s = String.split_on_char '\n' s in
+      let rec intact acc = function
+        | l :: ls, l' :: ls' when l = l' -> intact (l :: acc) (ls, ls')
+        | _ -> List.filter (( <> ) "") acc
+      in
+      let kept = List.length (intact [] (lines base, lines text)) in
+      with_temp_file (fun path ->
+          write_file path text;
+          match Serve_cache.journaled ~resume:true path with
+          | Error e -> QCheck.Test.fail_report e
+          | Ok (c, rc) ->
+              let prefix_kept =
+                List.for_all
+                  (fun (key, result) ->
+                    Serve_cache.find c ~key = Some result)
+                  (List.filteri (fun i _ -> i < kept) journal_entries)
+              in
+              let entries = Serve_cache.entries c in
+              Serve_cache.close c;
+              let reloaded =
+                match Serve_cache.journaled ~resume:true path with
+                | Error _ -> None
+                | Ok (c', rc') ->
+                    Serve_cache.close c';
+                    Some rc'
+              in
+              prefix_kept
+              && rc.Serve_cache.rc_entries >= kept
+              && reloaded
+                 = Some { Serve_cache.rc_entries = entries; rc_skipped = 0 }))
+
 let suite =
   List.map
     (fun (seed, t) ->
@@ -215,4 +349,6 @@ let suite =
       (260_001, prop_dot_mutants);
       (260_002, prop_json_mutants);
       (260_003, prop_certificate_mutants);
+      (260_004, prop_checkpoint_mutants);
+      (260_005, prop_journal_mutants);
     ]

@@ -38,6 +38,20 @@ let test_numbers () =
   (* integral floats print with a decimal point and parse as floats *)
   Helpers.check_bool "float keeps point" true
     (String.contains (Json.to_string (Json.Float 3.)) '.');
+  (* so does a float whose 12 significant digits read back as an integer:
+     the first print is already the fixed point *)
+  List.iter
+    (fun (f, text) ->
+      Alcotest.(check string) (Printf.sprintf "%h prints" f) text
+        (Json.to_string (Json.Float f));
+      Alcotest.(check string) (Printf.sprintf "%h reprints" f) text
+        (Json.to_string (Json.parse_exn text)))
+    [
+      (12345678901234.56789, "12345678901200.0");
+      (1234.0000000000002, "1234.0");
+      (2.5, "2.5");
+      (1e300, "1e+300");
+    ];
   Helpers.check_bool "nan prints as null" true
     (Json.to_string (Json.Float Float.nan) = "null")
 

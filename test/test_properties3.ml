@@ -75,25 +75,6 @@ let prop_crash_outcome_classification =
         out.Replay.replicas;
       !ok)
 
-let prop_daggen_schedulable =
-  QCheck.Test.make ~count:20 ~name:"daggen graphs schedule and resist"
-    (QCheck.make
-       QCheck.Gen.(
-         quad seed_gen (float_range 0.15 1.0) (float_range 0. 1.) (int_range 1 3))
-       ~print:(fun (s, fat, density, jump) ->
-         Printf.sprintf "seed=%d fat=%.2f density=%.2f jump=%d" s fat density jump))
-    (fun (seed, fat, density, jump) ->
-      let rng = Rng.create seed in
-      let dag =
-        Daggen.generate rng
-          { Daggen.default with Daggen.tasks = 25; fat; density; jump }
-      in
-      let params = Platform_gen.default ~m:6 () in
-      let costs = Platform_gen.instance rng ~granularity:1.0 params dag in
-      let sched = Caft.run ~epsilon:1 costs in
-      Validate.is_valid sched
-      && (Fault_check.check ~epsilon:1 sched).Fault_check.resists)
-
 let prop_explain_well_formed =
   QCheck.Test.make ~count:25 ~name:"critical chain reaches the latency"
     arbitrary_instance (fun inst ->
@@ -176,7 +157,6 @@ let suite =
     [
       prop_timed_equivalences;
       prop_crash_outcome_classification;
-      prop_daggen_schedulable;
       prop_explain_well_formed;
       prop_port_capacity_monotone_bookings;
     ]

@@ -8,12 +8,10 @@
      of one and on one block over all the scenarios of the set,
      reproduces the oracle's latency and ([~degradation:true]) its
      degradation summary per element;
-   - [Monte_carlo.run] and [Fault_check.check] reports are byte-identical
-     for domains in {1, 2, 4} and equal the per-scenario oracles
-     (pre-drawn scenarios / lowest-rank counterexample);
-   - [Scenario.draw_block] consumes the exact per-scenario RNG stream;
-   - [Fault_check.subset_at_rank] agrees with the [Oracle.combinations]
-     enumeration at every rank;
+   - [Monte_carlo.run], [Monte_carlo.degradation_curve] and
+     [Fault_check.check] reports are byte-identical for domains in
+     {1, 2, 3, 4} and equal the per-scenario oracles;
+   - [Scenario.draw_row] consumes the exact per-scenario RNG stream;
    - generated tie-heavy instances (integer costs, zero-volume edges)
      are accepted by both engines and replay identically through
      [eval], [eval_batch] and [reference];
@@ -191,32 +189,42 @@ let test_montecarlo_domains () =
             (fun domains ->
               Helpers.check_bool "montecarlo domains byte-identical" true
                 (r1 = campaign domains))
-            [ 2; 4 ])
+            [ 2; 3; 4 ])
         [ Monte_carlo.From_start; Monte_carlo.Timed (Schedule.makespan sched) ])
-    [ 1; 2 ] (* within epsilon (plain path) and beyond (degradation path) *)
+    [ 1; 2 ] (* within epsilon (plain path) and beyond (degradation path) *);
+  let curve domains =
+    bytes_of
+      (Monte_carlo.degradation_curve ~seed:6 ~runs:600 ~domains
+         ~mode:Monte_carlo.From_start sched)
+  in
+  let c1 = curve 1 in
+  List.iter
+    (fun domains ->
+      Helpers.check_bool "degradation curve domains byte-identical" true
+        (c1 = curve domains))
+    [ 2; 3; 4 ]
 
 let test_fault_check_domains () =
   let _, costs = Helpers.random_instance ~seed:4 ~m:7 ~tasks:20 () in
   let sched = Caft.run ~epsilon:1 costs in
   let run_eps epsilon =
-    let reports =
-      List.map
-        (fun domains -> bytes_of (Fault_check.check ~domains ~epsilon sched))
-        [ 1; 2; 4 ]
-    in
-    match reports with
-    | [ r1; r2; r4 ] ->
-        Helpers.check_bool "check domains=2 byte-identical" true (r1 = r2);
-        Helpers.check_bool "check domains=4 byte-identical" true (r1 = r4)
-    | _ -> assert false
+    let r1 = bytes_of (Fault_check.check ~domains:1 ~epsilon sched) in
+    List.iter
+      (fun domains ->
+        Helpers.check_bool
+          (Printf.sprintf "check eps %d domains=%d byte-identical" epsilon
+             domains)
+          true
+          (r1 = bytes_of (Fault_check.check ~domains ~epsilon sched)))
+      [ 2; 3; 4 ]
   in
-  (* resisting (full enumeration) and refuting (lowest-rank
-     counterexample wins over whatever later shards found) *)
+  (* resisting (full enumeration) and refuting (the first counterexample
+     in rank order, whatever later blocks of its wave found) *)
   run_eps 1;
   run_eps 3
 
 let test_fault_check_matches_sequential_semantics () =
-  (* the sharded exhaustive check must agree with plain wrappers on a
+  (* the multi-domain exhaustive check must agree with plain wrappers on a
      known refutation: epsilon+1 crashes on an epsilon=1 schedule *)
   let _, costs = Helpers.random_instance ~seed:9 ~m:6 ~tasks:18 () in
   let sched = Caft.run ~epsilon:1 costs in
@@ -234,16 +242,16 @@ let test_fault_check_matches_sequential_semantics () =
   Helpers.check_bool "checked within total" true
     (r.Fault_check.scenarios_checked <= Fault_check.count_combinations 6 2)
 
-let test_draw_block_stream () =
-  (* [Scenario.draw_block] must consume the root generator stream exactly
-     as the historical per-scenario [uniform_procs] / [timed] draws did —
-     otherwise every pre-PR campaign report would shift *)
+let test_draw_row_stream () =
+  (* [Scenario.draw_row], called in run order, must consume the root
+     generator stream exactly as the historical per-scenario
+     [uniform_procs] / [timed] draws did — otherwise every earlier
+     campaign report would shift *)
   let m = 9 and runs = 40 and count = 3 in
   let rows =
-    Scenario.draw_block (Rng.create 42) ~m ~count ~mode:Scenario.From_start
+    Oracle.draw_rows (Rng.create 42) ~m ~count ~mode:Scenario.From_start
       ~runs
   in
-  Helpers.check_int "one row per run" (runs * m) (Array.length rows);
   let rng = Rng.create 42 in
   for i = 0 to runs - 1 do
     let procs = Scenario.uniform_procs rng ~m ~count in
@@ -254,7 +262,7 @@ let test_draw_block_stream () =
   done;
   let horizon = 123.5 in
   let rows =
-    Scenario.draw_block (Rng.create 43) ~m ~count
+    Oracle.draw_rows (Rng.create 43) ~m ~count
       ~mode:(Scenario.Timed horizon) ~runs
   in
   let rng = Rng.create 43 in
@@ -267,26 +275,14 @@ let test_draw_block_stream () =
         Alcotest.failf "timed scenario %d proc %d: %h <> %h" i p
           rows.((i * m) + p) expect.(p)
     done
-  done
-
-let test_subset_at_rank () =
-  List.iter
-    (fun (n, k) ->
-      let all = List.of_seq (Oracle.combinations n k) in
-      List.iteri
-        (fun rank expected ->
-          let got =
-            Array.to_list (Fault_check.subset_at_rank ~n ~k rank)
-          in
-          if got <> expected then
-            Alcotest.failf "subset_at_rank ~n:%d ~k:%d %d: [%s] <> [%s]" n k
-              rank
-              (String.concat ";" (List.map string_of_int got))
-              (String.concat ";" (List.map string_of_int expected)))
-        all;
-      Helpers.check_int "rank count" (List.length all)
-        (Fault_check.count_combinations n k))
-    [ (6, 2); (7, 3); (5, 1); (5, 5); (4, 0); (8, 4) ]
+  done;
+  (* more crashes than processors crash every processor *)
+  let rows =
+    Oracle.draw_rows (Rng.create 44) ~m ~count:(m + 2)
+      ~mode:Scenario.From_start ~runs:3
+  in
+  Helpers.check_bool "count > m crashes all" true
+    (Array.for_all (fun t -> t = neg_infinity) rows)
 
 (* -- tie-heavy generated differential ---------------------------------- *)
 
@@ -642,7 +638,7 @@ let test_batch_allocation () =
   let c = Replay.compile sched in
   let runs = 256 in
   let rows =
-    Scenario.draw_block (Rng.create 1) ~m:20 ~count:3
+    Oracle.draw_rows (Rng.create 1) ~m:20 ~count:3
       ~mode:Scenario.From_start ~runs
   in
   ignore (Replay.eval_batch c rows ~first:0 ~count:runs);
@@ -664,10 +660,8 @@ let suite =
       test_fault_check_domains;
     Alcotest.test_case "fault-check counterexample semantics" `Quick
       test_fault_check_matches_sequential_semantics;
-    Alcotest.test_case "draw_block ≡ per-scenario stream" `Quick
-      test_draw_block_stream;
-    Alcotest.test_case "subset_at_rank ≡ combinations" `Quick
-      test_subset_at_rank;
+    Alcotest.test_case "draw_row ≡ per-scenario stream" `Quick
+      test_draw_row_stream;
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 150_015 |])
       prop_tie_differential;

@@ -125,7 +125,7 @@ let test_cancel_threading () =
   | exception Cancel.Cancelled -> ());
   let c = Replay.compile sched in
   let rows =
-    Scenario.draw_block (Rng.create 1) ~m:4 ~count:1 ~mode:Scenario.From_start
+    Oracle.draw_rows (Rng.create 1) ~m:4 ~count:1 ~mode:Scenario.From_start
       ~runs:8
   in
   (match Replay.eval_batch ~cancel:expired c rows ~first:0 ~count:8 with

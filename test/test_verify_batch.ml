@@ -1,7 +1,8 @@
 (* Batched verification against the per-scenario oracles of [Oracle]:
    [Fault_check.check] and [Inject.adversary] evaluate their crash sets
    through [Replay.scan], and must return byte-identical reports and
-   count the same scenarios as one [Replay.eval] per crash set.  Also
+   count the same scenarios as one [Replay.eval] per crash set, on 1, 2,
+   3 and 4 domains.  Also
    pins that the replay engines die with the call that compiled them,
    and that the exhaustive check and the adversary agree. *)
 
@@ -34,28 +35,24 @@ let target_chain ~m ~target =
 
 (* -- Fault_check -------------------------------------------------------- *)
 
+let domain_counts = [ 1; 2; 3; 4 ]
+
 let same_check name ?max_exhaustive ?samples ?static ~epsilon sched =
-  let expect domains =
-    Oracle.fault_check ?max_exhaustive ?samples ?static ~shards:domains
-      ~epsilon sched
-  in
-  let compare_run label ~shards run =
-    let report, count = counting "fault_check.scenarios" run in
-    let oracle, oracle_count = expect shards in
-    Helpers.check_bool (name ^ " " ^ label ^ ": report") true
-      (bytes_of report = bytes_of oracle);
-    Helpers.check_int (name ^ " " ^ label ^ ": scenarios counted") oracle_count
-      count
+  let oracle, oracle_count =
+    Oracle.fault_check ?max_exhaustive ?samples ?static ~epsilon sched
   in
   List.iter
     (fun domains ->
-      compare_run
-        (Printf.sprintf "domains %d" domains)
-        ~shards:domains
-        (fun () ->
-          Fault_check.check ?max_exhaustive ?samples ?static ~domains ~epsilon
-            sched))
-    [ 1; 2; 4 ]
+      let label = Printf.sprintf "%s domains %d" name domains in
+      let report, count =
+        counting "fault_check.scenarios" (fun () ->
+            Fault_check.check ?max_exhaustive ?samples ?static ~domains
+              ~epsilon sched)
+      in
+      Helpers.check_bool (label ^ ": report") true
+        (bytes_of report = bytes_of oracle);
+      Helpers.check_int (label ^ ": scenarios counted") oracle_count count)
+    domain_counts
 
 let test_check_certified_and_refuted () =
   let _, costs = Helpers.random_instance ~seed:42 ~m:7 ~tasks:25 () in
@@ -78,10 +75,12 @@ let test_check_certified_and_refuted () =
 
 let test_check_counterexample_ranks () =
   (* the first refutation in the middle of the first block, on its last
-     scenario, on the first scenario of the second block, and past it *)
+     scenario, on the first scenario of the second block, on the last of
+     the second and of the third, and in the last block: with 2, 3 and 4
+     domains the stop falls in every position of a wave *)
   List.iter
     (fun target ->
-      let sched = target_chain ~m:300 ~target in
+      let sched = target_chain ~m:800 ~target in
       let name = Printf.sprintf "rank %d" target in
       same_check name ~epsilon:1 sched;
       let r = Fault_check.check ~epsilon:1 sched in
@@ -89,7 +88,7 @@ let test_check_counterexample_ranks () =
         r.Fault_check.scenarios_checked;
       Helpers.check_bool (name ^ ": crash set") true
         (Option.map fst r.Fault_check.counterexample = Some [ target ]))
-    [ 100; 255; 256; 299 ]
+    [ 100; 255; 256; 511; 767; 799 ]
 
 let test_check_sampled () =
   let _, costs = Helpers.random_instance ~seed:43 ~m:8 ~tasks:25 () in
@@ -137,16 +136,22 @@ let test_check_cancel_mid_block () =
 (* -- Inject.adversary --------------------------------------------------- *)
 
 let same_adversary name ?budget ?beam sched =
-  let r, evals =
-    counting "stress.frontier_evals" (fun () ->
-        Inject.adversary ?budget ?beam sched)
-  in
   let o = Oracle.adversary ?budget ?beam sched in
-  Helpers.check_bool (name ^ ": to_json") true
-    (Json.to_string (Inject.to_json r) = Json.to_string (Inject.to_json o));
-  Helpers.check_bool (name ^ ": report") true (bytes_of r = bytes_of o);
-  Helpers.check_int (name ^ ": frontier evals counted") o.Inject.iv_evals evals;
-  r
+  let run domains =
+    let name = Printf.sprintf "%s domains %d" name domains in
+    let r, evals =
+      counting "stress.frontier_evals" (fun () ->
+          Inject.adversary ?budget ?beam ~domains sched)
+    in
+    Helpers.check_bool (name ^ ": to_json") true
+      (Json.to_string (Inject.to_json r) = Json.to_string (Inject.to_json o));
+    Helpers.check_bool (name ^ ": report") true (bytes_of r = bytes_of o);
+    Helpers.check_int (name ^ ": frontier evals counted") o.Inject.iv_evals
+      evals;
+    r
+  in
+  List.iter (fun d -> ignore (run d)) (List.tl domain_counts);
+  run 1
 
 let test_adversary_exhaustive () =
   let _, costs = Helpers.random_instance ~seed:5 ~m:6 ~tasks:25 () in
