@@ -22,6 +22,14 @@
     The result is exact — the same verdict as exhaustive enumeration — at
     a cost polynomial in the schedule for fixed [epsilon].
 
+    A family is one flat [int array], [ceil (m / 62)] words per set, so
+    no set is a heap block of its own.  Each union of two families is
+    built as a batch: every union within [epsilon], each distinct set
+    once, kept iff no proper subset was generated, and listed in reverse
+    order of first generation — exactly the list an incremental
+    add-if-minimal fold returns.  That order decides which of several
+    equally small kill sets refutes a task.
+
     As a human-readable (and independently checkable) witness the
     certifier also reports, when one exists, a family of pairwise
     {e disjoint support sets}: one processor set per replica such that the
@@ -59,7 +67,9 @@ type report = {
 
 exception Family_overflow of Dag.task
 (** Raised when a kill-set family exceeds [max_family] elements while
-    certifying the given task; the analysis is then abandoned rather than
+    certifying the given task — counted as the incremental fold would
+    hold it after each added union, so a batch whose final family is
+    small can still overflow; the analysis is then abandoned rather than
     risking an unsound truncation.  Practically reachable only for large
     [epsilon] on highly entangled schedules — fall back to replay
     sampling. *)

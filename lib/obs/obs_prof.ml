@@ -1,11 +1,13 @@
 (* Phase-attribution profiler.
 
    [phase "replay.eval" f] charges f's wall time and GC activity to the
-   (phase, domain) pair that ran it.  Storage follows the same sharding
+   (phase, worker) pair that ran it, where the worker is the
+   [Parallel.map] slot of the running domain: a map spawns fresh domains
+   on every call, but the same slots.  Storage follows the same sharding
    discipline as Obs_metrics: each domain owns a DLS-local table of
    phase cells plus a stack of open frames, so recording never touches
    shared state; shards of terminated domains are folded into a global
-   retired table (keyed by phase name x domain id) before Domain.join
+   retired table (keyed by phase name x worker slot) before Domain.join
    returns, and [report] merges retired + live state under one mutex.
 
    Wall time is inclusive; [self] subtracts the time spent in nested
@@ -102,7 +104,7 @@ let shard_key =
   Domain.DLS.new_key (fun () ->
       let s =
         {
-          ps_domain = (Domain.self () :> int);
+          ps_domain = Parallel.worker_slot ();
           ps_cells = Hashtbl.create 16;
           ps_stack = [];
         }

@@ -1,7 +1,13 @@
 (** Phase-attribution profiler for parallel replay.
 
     [phase "replay.eval" f] charges [f]'s wall time, call count and GC
-    activity to the (phase, domain) pair that executed it.  Minor words
+    activity to the (phase, worker) pair that executed it.  The worker is
+    {!Parallel.worker_slot} of the executing domain: [Parallel.map]
+    spawns fresh domains on every call but reuses its slots, so a scan
+    of many waves on [d] domains reports [d] workers, not one per
+    spawn.  Slot 0 is the calling domain, and also every domain no map
+    spawned; the slots of a map nested in a worker merge with the outer
+    map's.  Minor words
     come from [Gc.minor_words], which reads the executing domain's own
     allocation pointer, so that column is exact per domain.  Major words
     and collection counts come from [Gc.quick_stat], which aggregates
@@ -50,11 +56,11 @@ val phase : ?trace:bool -> ?cat:string -> string -> (unit -> 'a) -> 'a
 
 type phase_stat = {
   ph_name : string;
-  ph_domain : int;
+  ph_domain : int;  (** worker slot, see above *)
   ph_count : int;
   ph_wall_s : float;  (** inclusive *)
   ph_self_s : float;  (** exclusive of nested phases *)
-  ph_minor_words : float;  (** exact for this domain *)
+  ph_minor_words : float;  (** exact for the executing domains *)
   ph_major_words : float;  (** process-global during the phase *)
   ph_minor_collections : int;  (** process-global during the phase *)
   ph_major_collections : int;  (** process-global during the phase *)

@@ -85,10 +85,13 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
         consume procs l)
   in
   let ignore_result _ _ = () in
+  (* every from-start plan replayed so far completed every task *)
+  let completed = ref (not (Float.is_nan l0)) in
   Obs_prof.phase ~cat:"sim" "stress.subsets" (fun () ->
       if eps > 0 then
         if exhaustive then
-          eval_subsets ~consume:ignore_result
+          eval_subsets
+            ~consume:(fun _ l -> if Float.is_nan l then completed := false)
             (Fault_check.subsets ~n:m ~k:(min eps m))
         else begin
           (* greedy criticality seeding: rank singletons by damage, then
@@ -198,13 +201,17 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
   in
 
   (* -- minimal kill set ---------------------------------------------- *)
-  let cert =
-    match Resilience.certify ~epsilon:eps ~domains sched with
-    | r -> Some r
-    | exception Resilience.Family_overflow _ -> None
-  in
-  let iv_cert_resists =
-    Option.map (fun r -> r.Resilience.rs_resists) cert
+  (* An exhaustive phase in which every size-epsilon crash set completed
+     decides epsilon-resistance exactly: completion is monotone in the
+     crash set, and the certificate agrees with replay on from-start
+     crashes.  The certificate runs only when its answer is new: after a
+     sampled search, or for the minimal counterexample of a refutation. *)
+  let iv_cert_resists, counterexample =
+    if exhaustive && !completed then (Some true, None)
+    else
+      match Resilience.certify ~epsilon:eps ~domains sched with
+      | r -> (Some r.Resilience.rs_resists, r.Resilience.rs_counterexample)
+      | exception Resilience.Family_overflow _ -> (None, None)
   in
   let degrade_subsets sets ~consume =
     replay_all ~degradation:true ~fill:Scenario.write_from_start
@@ -213,15 +220,15 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
   in
   let iv_min_kill =
     Obs_prof.phase ~cat:"sim" "stress.kill" @@ fun () ->
-    match cert with
-    | Some { Resilience.rs_counterexample = Some (procs, _); _ } ->
+    match counterexample with
+    | Some (procs, _) ->
         (* the certificate's own minimal refutation, size <= epsilon *)
         let kill = ref None in
         degrade_subsets [ procs ] ~consume:(fun procs d ->
             kill :=
               Some { k_procs = procs; k_degradation = d; k_certified = true });
         !kill
-    | _ ->
+    | None ->
         (* epsilon-resistance certified (or certification abandoned): the
            cheapest kill sets are the replica-processor sets of single
            tasks, size epsilon + 1 — provably minimal when certified.

@@ -14,11 +14,20 @@
       by coordinate descent over the static execution midpoints of each
       crashed processor.
     - {b minimal kill set}: the smallest from-start crash set that loses a
-      task.  When [Analysis.Resilience] refutes ε-resistance, its minimal
-      counterexample is adopted (certified minimal, size [<= epsilon]).
-      When it certifies, every size-[epsilon + 1] replica-processor set of
-      a single task is a kill set and no smaller one exists — the search
-      then picks the one with the worst graceful degradation.
+      task.  When ε-resistance is refuted, the minimal counterexample of
+      [Analysis.Resilience]'s certificate is adopted (certified minimal,
+      size [<= epsilon]).  When it holds, every size-[epsilon + 1]
+      replica-processor set of a single task is a kill set and no smaller
+      one exists — the search then picks the one with the worst graceful
+      degradation.
+
+    The ε-verdict comes from the exhaustive phase when it ran and every
+    size-[epsilon] subset completed (as did the fault-free replay):
+    completion is monotone in the crash set, so the schedule then resists
+    [epsilon] crashes exactly, and the certificate is not computed.
+    {!Resilience.certify} runs only when its answer is new — after a beam
+    search, or when some subset lost a task (the kill set is then its
+    counterexample).
 
     The whole search is deterministic from [seed] (randomness is only used
     to top up the subset pool when the space exceeds the budget) and
@@ -63,8 +72,13 @@ type report = {
   iv_evals : int;  (** frontier evaluations actually spent *)
   iv_fault_free : float;  (** replay latency with no fault *)
   iv_cert_resists : bool option;
-      (** static certificate verdict; [None] if certification was
-          abandoned ({!Resilience.Family_overflow}) *)
+      (** the ε-verdict: [Some true] straight from a completing exhaustive
+          phase, otherwise {!Resilience.certify}'s; [None] if that
+          certification was abandoned ({!Resilience.Family_overflow}).
+          So an exhaustive search that completes reports [Some true] even
+          on a schedule whose certification would overflow — possible
+          only for [epsilon] close to [m] (at least [m - 4], with
+          [m >= 19]) or a budget far above the default *)
   iv_worst : worst option;  (** [None] only if no plan completed *)
   iv_min_kill : kill option;
 }
@@ -80,8 +94,8 @@ val adversary :
     [seed] (default 11) only matters when the subset space exceeds
     [budget] (default 20000) evaluations; [beam] (default 8) bounds the
     greedy frontier; [domains] (default [1]) evaluates the blocks of
-    every {!Replay.scan} and the static certification over that many
-    OCaml domains.  The search is deterministic: its report and
+    every {!Replay.scan}, and the static certification when it runs, over
+    that many OCaml domains.  The search is deterministic: its report and
     [stress.frontier_evals] count are the same for any [domains]. *)
 
 val pp : Format.formatter -> report -> unit

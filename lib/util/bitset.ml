@@ -75,35 +75,48 @@ let inter a b =
   done;
   r
 
+(* Plain loops with a mutable cursor: without flambda, a local recursive
+   [go] closes over the arrays and is allocated on every call. *)
 let disjoint a b =
   same_universe a b "disjoint";
   let aw = a.words and bw = b.words in
-  let rec go i =
-    i >= Array.length aw
-    || (Array.unsafe_get aw i land Array.unsafe_get bw i = 0 && go (i + 1))
-  in
-  go 0
+  let n = Array.length aw in
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get aw !i land Array.unsafe_get bw !i = 0 do
+    incr i
+  done;
+  !i >= n
 
 let subset a b =
   same_universe a b "subset";
   let aw = a.words and bw = b.words in
-  let rec go i =
-    i >= Array.length aw
-    || (Array.unsafe_get aw i land lnot (Array.unsafe_get bw i) = 0
-       && go (i + 1))
-  in
-  go 0
+  let n = Array.length aw in
+  let i = ref 0 in
+  while
+    !i < n && Array.unsafe_get aw !i land lnot (Array.unsafe_get bw !i) = 0
+  do
+    incr i
+  done;
+  !i >= n
 
 let equal a b =
   same_universe a b "equal";
   let aw = a.words and bw = b.words in
-  let rec go i =
-    i >= Array.length aw
-    || (Array.unsafe_get aw i = Array.unsafe_get bw i && go (i + 1))
-  in
-  go 0
+  let n = Array.length aw in
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get aw !i = Array.unsafe_get bw !i do
+    incr i
+  done;
+  !i >= n
 
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
+let is_empty t =
+  let w = t.words in
+  let n = Array.length w in
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get w !i = 0 do
+    incr i
+  done;
+  !i >= n
 
 (* 16-bit popcount table: two lookups per 32-bit word *)
 let pop16 =
@@ -120,8 +133,11 @@ let popcount_word w =
   + Char.code (Bytes.unsafe_get pop16 ((w lsr 16) land 0xffff))
 
 let cardinal t =
+  let w = t.words in
   let acc = ref 0 in
-  Array.iter (fun w -> acc := !acc + popcount_word w) t.words;
+  for i = 0 to Array.length w - 1 do
+    acc := !acc + popcount_word (Array.unsafe_get w i)
+  done;
   !acc
 
 let cardinal_union a b =
@@ -137,11 +153,13 @@ let cardinal_union a b =
 let equal_singleton t i =
   check t i "equal_singleton";
   let w = i lsr 5 and bit = 1 lsl (i land 31) in
-  let rec go k =
-    k >= Array.length t.words
-    || (t.words.(k) = (if k = w then bit else 0) && go (k + 1))
-  in
-  go 0
+  let words = t.words in
+  let n = Array.length words in
+  let k = ref 0 in
+  while !k < n && words.(!k) = (if !k = w then bit else 0) do
+    incr k
+  done;
+  !k >= n
 
 let iter f t =
   for i = 0 to t.n - 1 do

@@ -26,6 +26,11 @@ let now = Unix.gettimeofday
 
 (* -- fork-join map ------------------------------------------------------ *)
 
+(* The worker slot a [map] spawned the running domain for; [0] on every
+   domain no [map] spawned. *)
+let slot_key = Domain.DLS.new_key (fun () -> 0)
+let worker_slot () = Domain.DLS.get slot_key
+
 (* Every worker runs the same claim loop over an atomic index: it claims
    the next unprocessed item, so a slow item delays only itself.  The
    caller is worker slot 0; the others are domains spawned for this call
@@ -104,7 +109,11 @@ let map ?domains f xs =
       ~finally:(fun () -> List.iter Domain.join !spawned)
       (fun () ->
         for slot = 1 to size - 1 do
-          spawned := Domain.spawn (fun () -> run slot) :: !spawned
+          spawned :=
+            Domain.spawn (fun () ->
+                Domain.DLS.set slot_key slot;
+                run slot)
+            :: !spawned
         done;
         run 0);
     (match report with

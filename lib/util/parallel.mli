@@ -17,6 +17,12 @@ val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
     re-raised after all workers finished (items not yet claimed when a
     worker dies are still computed by the surviving workers). *)
 
+val worker_slot : unit -> int
+(** The worker slot that {!map} spawned the running domain for, or [0]
+    on a domain that no [map] spawned — the caller's slot.  Each wave of
+    a repeated map spawns fresh domains, but the same slots, so
+    per-worker accounting keyed by slot has one row per worker. *)
+
 (** {1 Work-stealing telemetry}
 
     Per-worker accounting of one non-empty {!map} call, reported to the

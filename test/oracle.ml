@@ -388,3 +388,203 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
     iv_worst;
     iv_min_kill;
   }
+
+(* -- Resilience.certify: kill-set families as lists of [Bitset.t] ------ *)
+
+(* The certifier as first written: every family is a list of heap sets,
+   grown one union at a time by [add_minimal], and the overflow limit is
+   checked after every add.  The library's flat-array batch version must
+   return the same report, list order of every family included (it picks
+   the refuting set of a task on ties), and raise [Family_overflow] for
+   the same task. *)
+
+type per_task = {
+  pt_fams : Bitset.t list array;
+  pt_supports : Bitset.t array option;
+  pt_verdict : Resilience.task_verdict;
+}
+
+let add_minimal fam s =
+  if List.exists (fun t -> Bitset.subset t s) fam then fam
+  else s :: List.filter (fun t -> not (Bitset.subset s t)) fam
+
+(* Minimal unions of one element per family: the crash sets killing both
+   of two (conjunctions of) replicas.  Truncated to [epsilon]. *)
+let cross ~epsilon ~max_family task acc fam =
+  List.fold_left
+    (fun out a ->
+      List.fold_left
+        (fun out b ->
+          let u = Bitset.union a b in
+          if Bitset.cardinal u > epsilon then out
+          else begin
+            let out = add_minimal out u in
+            if List.compare_length_with out max_family > 0 then
+              raise (Resilience.Family_overflow task);
+            out
+          end)
+        out fam)
+    [] acc
+
+let smallest_of = function
+  | [] -> None
+  | s :: rest ->
+      Some
+        (List.fold_left
+           (fun best t ->
+             if Bitset.cardinal t < Bitset.cardinal best then t else best)
+           s rest)
+
+let certify ?epsilon ?domains ?(max_family = 65536) sched =
+  let dag = Schedule.dag sched in
+  let platform = Schedule.platform sched in
+  let m = Platform.proc_count platform in
+  let v = Dag.task_count dag in
+  let eps1 = Schedule.epsilon sched + 1 in
+  let epsilon =
+    match epsilon with
+    | Some e -> min (max e 0) m
+    | None -> min (Schedule.epsilon sched) m
+  in
+  let sg = Supply_graph.build sched in
+  let fams = Array.init v (fun _ -> [||]) in
+  let supports = Array.make v None in
+  let verdicts = Array.make v (Resilience.Certified Min_cut) in
+
+  let pairwise_disjoint sets =
+    let n = Array.length sets in
+    let ok = ref true in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        if not (Bitset.disjoint sets.(i) sets.(j)) then ok := false
+      done
+    done;
+    !ok
+  in
+
+  (* Certify one task, reading only strictly earlier levels. *)
+  let process task =
+    let cross = cross ~epsilon ~max_family task in
+    let preds = Dag.pred_tasks dag task in
+    let rs = Schedule.replicas sched task in
+    let fam_r = Array.make eps1 [] in
+    let supp_r = Array.make eps1 (Bitset.create m) in
+    let supp_ok = ref true in
+    Array.iteri
+      (fun i (r : Schedule.replica) ->
+        let proc = r.Schedule.r_proc in
+        let fam =
+          ref (if epsilon >= 1 then [ Bitset.singleton m proc ] else [])
+        in
+        let supp = Bitset.singleton m proc in
+        List.iter
+          (fun pred ->
+            match Supply_graph.supplier_indices sg ~task ~replica:i ~pred with
+            | [] ->
+                (* no supply at all: the replica starves unconditionally *)
+                fam := [ Bitset.create m ];
+                supp_ok := false
+            | sups ->
+                (* crash sets starving this input: kill every supplier *)
+                let via =
+                  List.fold_left
+                    (fun acc j -> cross acc fams.(pred).(j))
+                    [ Bitset.create m ] sups
+                in
+                List.iter (fun s -> fam := add_minimal !fam s) via;
+                (* support witness: follow the supplier with the smallest
+                   support, preferring co-located hand-offs on ties *)
+                let best =
+                  List.fold_left
+                    (fun best j ->
+                      match best with
+                      | None -> Some j
+                      | Some b ->
+                          let cb =
+                            match supports.(pred) with
+                            | Some sp -> Bitset.cardinal sp.(b)
+                            | None -> max_int
+                          and cj =
+                            match supports.(pred) with
+                            | Some sp -> Bitset.cardinal sp.(j)
+                            | None -> max_int
+                          in
+                          if cj < cb then Some j else best)
+                    None sups
+                in
+                (match (best, supports.(pred)) with
+                | Some b, Some sp -> Bitset.union_into ~into:supp sp.(b)
+                | _ -> supp_ok := false))
+          preds;
+        fam_r.(i) <- !fam;
+        supp_r.(i) <- supp)
+      rs;
+    (* killing the task = killing every replica *)
+    let task_fam =
+      Array.fold_left (fun acc f -> cross acc f) [ Bitset.create m ] fam_r
+    in
+    let verdict =
+      match smallest_of task_fam with
+      | Some s -> Resilience.Refuted (Bitset.elements s)
+      | None ->
+          if !supp_ok && eps1 >= epsilon + 1 && pairwise_disjoint supp_r then
+            Resilience.Certified (Disjoint_supports (Array.map Bitset.copy supp_r))
+          else Resilience.Certified Min_cut
+    in
+    {
+      pt_fams = fam_r;
+      pt_supports = (if !supp_ok then Some supp_r else None);
+      pt_verdict = verdict;
+    }
+  in
+
+  (* Level-synchronous bottom-up sweep: tasks of one precedence level are
+     independent given the levels below, so wide levels fan out over
+     domains. *)
+  let level = Array.make v 0 in
+  Array.iter
+    (fun task ->
+      List.iter
+        (fun pred -> level.(task) <- max level.(task) (level.(pred) + 1))
+        (Dag.pred_tasks dag task))
+    (Dag.topological_order dag);
+  let max_level = Array.fold_left max 0 level in
+  let by_level = Array.make (max_level + 1) [] in
+  (* reverse topological iteration keeps each level list in increasing
+     topological position *)
+  Array.iter
+    (fun task -> by_level.(level.(task)) <- task :: by_level.(level.(task)))
+    (Dag.reverse_topological_order dag);
+  Array.iter
+    (fun tasks ->
+      let results =
+        if List.compare_length_with tasks 8 >= 0 then
+          Parallel.map ?domains process tasks
+        else List.map process tasks
+      in
+      List.iter2
+        (fun task pt ->
+          fams.(task) <- pt.pt_fams;
+          supports.(task) <- pt.pt_supports;
+          verdicts.(task) <- pt.pt_verdict)
+        tasks results)
+    by_level;
+
+  (* smallest refuting crash set over all tasks *)
+  let counterexample =
+    Array.fold_left
+      (fun best verdict ->
+        match (verdict, best) with
+        | Resilience.Refuted s, None -> Some s
+        | Resilience.Refuted s, Some b when List.length s < List.length b -> Some s
+        | _ -> best)
+      None verdicts
+    |> Option.map (fun crashed ->
+           (crashed, Resilience.starved_tasks sched ~crashed))
+  in
+  {
+    Resilience.rs_epsilon = epsilon;
+    rs_resists = counterexample = None;
+    rs_tasks = verdicts;
+    rs_counterexample = counterexample;
+  }

@@ -115,6 +115,33 @@ let test_large_universe_random () =
     Helpers.check_int "cardinal matches" (List.length l) (Bitset.cardinal s)
   done
 
+(* The set predicates run once per candidate in the CAFT placement loop:
+   10^4 calls of each must not allocate per call (no closure, no
+   [Array.iter] callback).  The bound is a constant, well below one word
+   per call, that only the calls' own boxing of the result could reach. *)
+let test_predicates_allocation_free () =
+  let n = 100 in
+  let a = Bitset.of_list n [ 1; 40; 70 ] and b = Bitset.of_list n [ 2; 41; 99 ] in
+  let c = Bitset.of_list n [ 1; 40; 70; 99 ] in
+  let calls = 10_000 in
+  let words name f =
+    let hits = ref 0 in
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      if f () then incr hits
+    done;
+    let spent = Gc.minor_words () -. before in
+    if spent > 200. then
+      Alcotest.failf "%s: %d calls allocated %.0f minor words" name calls spent;
+    ignore (Sys.opaque_identity !hits)
+  in
+  words "disjoint" (fun () -> Bitset.disjoint a b);
+  words "subset" (fun () -> Bitset.subset a c);
+  words "equal" (fun () -> Bitset.equal a c);
+  words "is_empty" (fun () -> Bitset.is_empty a);
+  words "cardinal" (fun () -> Bitset.cardinal c = 4);
+  words "equal_singleton" (fun () -> Bitset.equal_singleton a 1)
+
 let suite =
   [
     Alcotest.test_case "add/mem/remove" `Quick test_basic;
@@ -127,4 +154,6 @@ let suite =
     Alcotest.test_case "iter across words" `Quick test_iter;
     Alcotest.test_case "clear + unsafe ops" `Quick test_clear_and_unsafe;
     Alcotest.test_case "random roundtrips" `Quick test_large_universe_random;
+    Alcotest.test_case "predicates allocate nothing per call" `Quick
+      test_predicates_allocation_free;
   ]

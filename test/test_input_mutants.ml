@@ -1,6 +1,7 @@
 (* Byte mutants of valid inputs for the text surfaces other than schedule
    files (test_schedule.ml has those): DOT graphs, JSON documents,
-   certificates, campaign checkpoints and the serve cache journal.  Each
+   certificates, campaign checkpoints, serve request frames and the serve
+   cache journal.  Each
    reader must answer every mutant with its documented error, never with
    another exception. *)
 
@@ -270,6 +271,66 @@ let prop_checkpoint_mutants =
           | r -> readable && List.length r.Campaign.points = 2
           | exception Campaign.Checkpoint_error _ -> not readable))
 
+(* -- serve request frames ---------------------------------------------- *)
+
+(* One valid frame per op, with ids of every scalar kind, a deadline and
+   the protocol version.  The frame limit sits between the bases' sizes
+   and what a few duplications reach, so [Oversized] is exercised. *)
+let frame_bases =
+  lazy
+    [|
+      {|{"v":1,"id":42,"op":"schedule","params":{"seed":7,"tasks":12,"m":4,"epsilon":1},"deadline_ms":5000}|};
+      {|{"id":"r-1","op":"replay","params":{"seed":3,"tasks":10,"m":4,"epsilon":1,"crashed":[0,2],"algo":"ftsa"}}|};
+      {|{"v":1,"id":null,"op":"montecarlo","params":{"seed":9,"tasks":8,"m":3,"epsilon":1,"runs":50,"crashes":1,"granularity":0.5}}|};
+      {|{"id":2.5,"op":"analyze","params":{"family":"fork","tasks":6,"m":3,"epsilon":1,"model":"multiport-2"},"deadline_ms":12.5}|};
+      {|{"v":1,"id":true,"op":"ping"}|};
+      {|{"op":"stats","params":{}}|};
+    |]
+
+let frame_limit = 128
+
+(* every base is a request the daemon accepts as is *)
+let test_frame_bases () =
+  let ctx = Serve_ops.create () in
+  Array.iter
+    (fun base ->
+      match Serve_protocol.parse_request ~max_frame:frame_limit base with
+      | Error (_, e) -> Alcotest.failf "%s: %s" base e
+      | Ok rq when List.mem rq.Serve_protocol.rq_op Serve_ops.ops -> (
+          match
+            Serve_ops.prepare ctx ~op:rq.Serve_protocol.rq_op
+              ~params:rq.Serve_protocol.rq_params
+          with
+          | Ok _ -> ()
+          | Error (_, e) -> Alcotest.failf "%s: %s" base e)
+      | Ok _ -> ())
+    (Lazy.force frame_bases)
+
+(* The parser answers every mutant with a request or one of its two
+   error classes, and every parsed request's op and parameters get a
+   prepared evaluation or a [Bad_request] from [Serve_ops.prepare]. *)
+let prop_frame_mutants =
+  let ctx = Serve_ops.create () in
+  QCheck.Test.make ~count:5000
+    ~name:"serve frame mutants: a request or a closed error class"
+    (arbitrary frame_bases)
+    (fun m ->
+      match
+        Serve_protocol.parse_request ~max_frame:frame_limit
+          (mutate (Lazy.force frame_bases) m)
+      with
+      | Error ((Serve_protocol.Bad_request | Oversized), _) -> true
+      | Error _ -> false
+      | Ok rq -> (
+          (not (List.mem rq.Serve_protocol.rq_op Serve_ops.ops))
+          ||
+          match
+            Serve_ops.prepare ctx ~op:rq.Serve_protocol.rq_op
+              ~params:rq.Serve_protocol.rq_params
+          with
+          | Ok _ | Error (Serve_protocol.Bad_request, _) -> true
+          | Error _ -> false))
+
 (* -- serve cache journal --------------------------------------------------- *)
 
 (* Canonical result bytes, as the daemon renders them; one holds a float
@@ -351,4 +412,9 @@ let suite =
       (260_003, prop_certificate_mutants);
       (260_004, prop_checkpoint_mutants);
       (260_005, prop_journal_mutants);
+      (280_003, prop_frame_mutants);
+    ]
+  @ [
+      Alcotest.test_case "serve frame bases are accepted" `Quick
+        test_frame_bases;
     ]

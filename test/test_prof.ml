@@ -111,6 +111,35 @@ let test_worker_telemetry () =
   Alcotest.(check bool) "slot 0 present" true
     (List.exists (fun w -> w.Obs.Prof.wk_worker = 0) workers)
 
+(* Every wave of a multi-domain scan spawns fresh domains, but the same
+   worker slots: per-block evaluation is charged to one row per worker. *)
+let test_scan_rows_per_worker () =
+  let _, costs = Helpers.random_instance ~seed:3 ~m:12 ~tasks:20 () in
+  let c = Replay.compile (Caft.run ~epsilon:2 costs) in
+  with_prof @@ fun () ->
+  (* C(12,3) = 220 subsets, 32 times over: 7040 items, 14 waves of two
+     256-item blocks (so slot 1 claims a block in some wave, even if the
+     caller wins the claim race in a few) *)
+  let items =
+    Seq.concat (Seq.init 32 (fun _ -> Fault_check.subsets ~n:12 ~k:3))
+  in
+  let scanned =
+    Replay.scan ~domains:2 c ~fill:Scenario.write_from_start
+      ~consume:(fun _ _ _ -> true)
+      items
+  in
+  Alcotest.(check int) "every item consumed" 7040 scanned;
+  let r = Obs.Prof.report () in
+  let workers =
+    List.filter_map
+      (fun p ->
+        if p.Obs.Prof.ph_name = "replay.eval_batch" then
+          Some p.Obs.Prof.ph_domain
+        else None)
+      r.Obs.Prof.r_phases
+  in
+  Alcotest.(check (list int)) "one row per worker slot" [ 0; 1 ] workers
+
 (* -- GC deltas ---------------------------------------------------------- *)
 
 let test_gc_delta () =
@@ -217,6 +246,8 @@ let suite =
       test_multi_domain_attribution;
     Alcotest.test_case "Parallel.map worker telemetry" `Quick
       test_worker_telemetry;
+    Alcotest.test_case "multi-wave scan: one row per worker" `Quick
+      test_scan_rows_per_worker;
     Alcotest.test_case "GC delta attribution" `Quick test_gc_delta;
     Alcotest.test_case "GC deltas accumulate across calls" `Quick
       test_gc_monotone_across_calls;
