@@ -1,11 +1,10 @@
 (* Benchmark harness for what the per-scheduler benchmark (perfbench/)
    does not measure: the paper's structural and ablation tables (message
    bounds, Proposition 5.1, windowed and one-to-one ablations,
-   topologies, crash sweeps, link failures, the contention spectrum),
-   plus three microbench sections: replay (rebuild vs compiled vs
-   batched, domain scaling), inject (crash path vs window engine, one
-   adversary search) and sched (CAFT tasks/sec and pruning funnel on
-   large workflow families).  CI gates the same-machine ratios
+   topologies, crash sweeps, the contention spectrum), plus two
+   microbench sections: replay (rebuild vs compiled vs batched, domain
+   scaling) and sched (CAFT tasks/sec and pruning funnel on large
+   workflow families).  CI gates the same-machine ratios
    of replay and sched.
 
    The paper's figures are regenerated by
@@ -312,71 +311,6 @@ let crash_sweep_table graphs seed =
      absorbed by the replication')";
   print_newline ()
 
-(* -- Table: link-failure masking (extension) ---------------------------- *)
-
-let links_table graphs seed =
-  print_endline
-    "=== Table L: single link failures masked by replication (extension) ===";
-  let t =
-    Text_table.create
-      ~aligns:[ Text_table.Left ]
-      [ "eps"; "CAFT %"; "FTSA %"; "FTBAR %"; "HEFT %" ]
-  in
-  let m = 8 in
-  List.iter
-    (fun epsilon ->
-      let n = Option.value graphs ~default:10 in
-      let masked = Array.make 4 0 and total = ref 0 in
-      instances ~n ~seed ~costs:(paper ~m ~g:1.0)
-        (fun ~grng:_ ~costs ~norm:_ ~seed ->
-          let schedules =
-            [|
-              Caft.run ~seed ~epsilon costs;
-              Ftsa.run ~seed ~epsilon costs;
-              Ftbar.run ~seed ~epsilon costs;
-              Heft.run ~seed costs;
-            |]
-          in
-          let compiled = Array.map (fun s -> Replay.compile s) schedules in
-          for src = 0 to m - 1 do
-            for dst = 0 to m - 1 do
-              if src <> dst then begin
-                incr total;
-                (* a dead link: an outage that never heals *)
-                let cut =
-                  Replay.Link_outage
-                    {
-                      o_src = src;
-                      o_dst = dst;
-                      o_from = 0.;
-                      o_until = infinity;
-                    }
-                in
-                Array.iteri
-                  (fun i c ->
-                    if (Replay.eval_plan c [ cut ]).Replay.completed then
-                      masked.(i) <- masked.(i) + 1)
-                  compiled
-              end
-            done
-          done);
-      Text_table.add_row t
-        (string_of_int epsilon
-        :: List.map
-             (fun i ->
-               Text_table.float_cell
-                 (100. *. float_of_int masked.(i) /. float_of_int !total))
-             [ 0; 1; 2; 3 ]))
-    [ 1; 3 ];
-  Text_table.print t;
-  print_endline
-    "(fraction of single directed-link failures after which the application \
-     still completes.\n Replication masks them all — for CAFT this follows \
-     from support disjointness,\n since sibling one-to-one chains use \
-     processor-disjoint routes — while the\n unreplicated HEFT schedule dies \
-     on every link it uses)";
-  print_newline ()
-
 (* -- Table: the contention spectrum (macro .. multiport-k .. one-port) - *)
 
 let models_table graphs seed =
@@ -435,7 +369,6 @@ let tables =
     ("topology", topology_table);
     ("mechanism", mechanism_table);
     ("crashes", crash_sweep_table);
-    ("links", links_table);
     ("models", models_table);
   ]
 
@@ -771,114 +704,6 @@ let replay_bench ~quick ~profile_json =
     ("replay_domains", Json.List domain_rows);
   ]
 
-(* -- fault-plan microbench: degenerate crash path vs window engine ------ *)
-
-(* [Replay.eval_plan] routes crash-only plans through the same code path
-   as [eval]; any other event switches to the generalized down-window
-   engine.  This bench prices that switch (same crashes, plus one no-op
-   [Recover] to force the window engine), and times one budget-bounded
-   adversary search on top. *)
-let inject_case m =
-  let rng = Rng.create (3000 + m) in
-  let dag = Random_dag.generate_default rng in
-  let params = Platform_gen.default ~m () in
-  let costs = Platform_gen.instance rng ~granularity:1.0 params dag in
-  let sched = Caft.run ~epsilon:2 costs in
-  let compiled = Replay.compile sched in
-  let crash_plan =
-    [
-      Replay.Crash { proc = 0; at = neg_infinity };
-      Replay.Crash { proc = 1; at = neg_infinity };
-    ]
-  in
-  let window_plan = Replay.Recover { proc = 2; at = 0. } :: crash_plan in
-  ( sched,
-    (fun () -> Replay.eval_plan_degraded compiled crash_plan),
-    fun () -> Replay.eval_plan_degraded compiled window_plan )
-
-let inject_ms = [ 10; 25; 50 ]
-
-let inject_bench ~quick =
-  let open Bechamel in
-  print_endline
-    "=== Fault-plan microbench: degenerate crash path vs window engine ===";
-  let test name f = Test.make ~name (Staged.stage f) in
-  let scheds = List.map (fun m -> (m, inject_case m)) inject_ms in
-  let tests =
-    Test.make_grouped ~name:"inject"
-      (List.concat_map
-         (fun (m, (_, degenerate, windows)) ->
-           [
-             test (Printf.sprintf "degenerate/m=%03d" m) degenerate;
-             test (Printf.sprintf "windows/m=%03d" m) windows;
-           ])
-         scheds)
-  in
-  let limit, quota =
-    if quick then (300, Time.second 0.05) else (2000, Time.second 0.5)
-  in
-  let find = estimate (run_bechamel ~limit ~quota tests) "inject" in
-  let t =
-    Text_table.create
-      ~aligns:[ Text_table.Left ]
-      [ "m"; "degenerate/plan"; "windows/plan"; "overhead" ]
-  in
-  List.iter
-    (fun m ->
-      let deg_ns = find "degenerate" m and win_ns = find "windows" m in
-      Text_table.add_row t
-        [
-          string_of_int m;
-          Printf.sprintf "%.2f us" (deg_ns /. 1e3);
-          Printf.sprintf "%.2f us" (win_ns /. 1e3);
-          Printf.sprintf "%.2fx" (win_ns /. deg_ns);
-        ])
-    inject_ms;
-  Text_table.print t;
-  print_endline
-    "(same two from-start crashes per plan; the windows row adds a no-op \
-     Recover event,\n forcing the generalized down-window engine instead of \
-     the crash-time fast path)";
-  print_newline ();
-  (* one adversary search on the smallest case *)
-  let m = List.hd inject_ms in
-  let sched, _, _ = List.assoc m scheds in
-  let budget = if quick then 500 else 20_000 in
-  let t0 = Obs_clock.now () in
-  let report = Inject.adversary ~budget sched in
-  let wall = Obs_clock.now () -. t0 in
-  print_endline
-    (Printf.sprintf
-       "adversary m=%d budget=%d: %d evals in %.3f s (%s worst slowdown)"
-       m budget report.Inject.iv_evals wall
-       (match report.Inject.iv_worst with
-       | Some w -> Printf.sprintf "%.2fx" w.Inject.w_slowdown
-       | None -> "no"));
-  print_newline ();
-  [
-    ( "inject",
-      Json.List
-        (List.map
-           (fun m ->
-             let deg_ns = find "degenerate" m and win_ns = find "windows" m in
-             Json.Obj
-               [
-                 ("m", Json.Int m);
-                 ("degenerate_ns_per_plan", float_or_null deg_ns);
-                 ("windows_ns_per_plan", float_or_null win_ns);
-                 ("overhead", float_or_null (win_ns /. deg_ns));
-               ])
-           inject_ms) );
-    ( "adversary",
-      Json.Obj
-        [
-          ("m", Json.Int m);
-          ("budget", Json.Int budget);
-          ("evals", Json.Int report.Inject.iv_evals);
-          ("wall_seconds", Json.Float wall);
-        ] );
-  ]
-
 (* -- scheduler scaling: CAFT tasks/sec on large workflow families ------- *)
 
 (* Deterministic instances for the scaling grid.  The family parameters
@@ -1115,7 +940,6 @@ let () =
   let selected = ref [] in
   let sched = ref false in
   let replay = ref false in
-  let inject = ref false in
   let quick = ref false in
   let json = ref "BENCH_schedulers.json" in
   let profile_json = ref "" in
@@ -1137,10 +961,6 @@ let () =
         Arg.Set replay,
         "  run the replay microbench (rebuild-per-scenario vs compiled \
          eval, domain scaling)" );
-      ( "--inject",
-        Arg.Set inject,
-        "  run the fault-plan microbench (degenerate crash path vs window \
-         engine, one adversary search)" );
       ( "--quick",
         Arg.Set quick,
         "  shrink the microbench quotas (CI smoke mode)" );
@@ -1157,7 +977,7 @@ let () =
   Arg.parse speclist
     (fun s -> raise (Arg.Bad ("unexpected argument " ^ s)))
     "bench/main.exe: regenerate the paper's tables and the microbenches";
-  let all = !selected = [] && not (!sched || !replay || !inject) in
+  let all = !selected = [] && not (!sched || !replay) in
   (match List.filter (fun name -> not (List.mem_assoc name tables)) !selected with
   | [] -> ()
   | unknown ->
@@ -1174,7 +994,6 @@ let () =
       (fun (on, section) -> if all || on then section () else [])
       [
         (!replay, fun () -> replay_bench ~quick ~profile_json:!profile_json);
-        (!inject, fun () -> inject_bench ~quick);
         (!sched, fun () -> sched_bench ~quick);
       ]
   in

@@ -82,6 +82,12 @@ let usage_error fmt =
       exit 2)
     fmt
 
+(* Numeric options are checked where their names are known: a bad value
+   is a usage error, never an [Invalid_argument] from deep in the
+   library. *)
+let at_least name lo v =
+  if v < lo then usage_error "%s must be at least %d (got %d)" name lo v
+
 (* family dispatch lives in [Instance] now, shared with the serve daemon *)
 let make_dag rng ~family ~tasks =
   match Instance.make_dag rng ~family ~tasks with
@@ -134,6 +140,11 @@ let load_communicating_dag path =
   dag
 
 let make_instance ?import ~seed ~family ~tasks ~m ~granularity () =
+  at_least "-m/--processors" 1 m;
+  if import = None then at_least "--tasks" 1 tasks;
+  if not (granularity > 0. && Float.is_finite granularity) then
+    usage_error "--granularity must be a positive finite number (got %g)"
+      granularity;
   let rng = Rng.create seed in
   let dag =
     match import with
@@ -141,10 +152,23 @@ let make_instance ?import ~seed ~family ~tasks ~m ~granularity () =
     | None -> make_dag rng ~family ~tasks
   in
   let params = Platform_gen.default ~m () in
-  let costs = Platform_gen.instance rng ~granularity params dag in
+  let costs =
+    try Platform_gen.instance rng ~granularity params dag
+    with Invalid_argument _ ->
+      usage_error
+        "--granularity %g: the instance has no communication to rescale (one \
+         processor, or a graph without edges)"
+        granularity
+  in
   (dag, costs)
 
 let run_algo algo ~model ~seed ~epsilon costs =
+  (if algo <> `Heft then
+     let m = Platform.proc_count (Costs.platform costs) in
+     at_least "--epsilon" 0 epsilon;
+     if epsilon >= m then
+       usage_error "--epsilon %d needs at least %d processors (got -m %d)"
+         epsilon (epsilon + 1) m);
   match algo with
   | `Caft -> Caft.run ~model ~seed ~epsilon costs
   | `Ftsa -> Ftsa.run ~model ~seed ~epsilon costs
@@ -353,6 +377,11 @@ let crash_cmd =
           ~doc:"Crash K processors chosen uniformly instead of --crash.")
   in
   let run seed m tasks epsilon granularity algo model family crashed random_crashes obs =
+    List.iter
+      (fun p ->
+        if p < 0 || p >= m then
+          usage_error "--crash %d: processor out of range [0, %d)" p m)
+      crashed;
     with_obs obs @@ fun () ->
     let _, costs = make_instance ~seed ~family ~tasks ~m ~granularity () in
     let sched = run_algo algo ~model ~seed ~epsilon costs in
@@ -624,6 +653,8 @@ let montecarlo_cmd =
   in
   let run seed m tasks epsilon granularity algo model family runs crashes timed
       domains obs =
+    at_least "--runs" 1 runs;
+    at_least "--crashes" 0 crashes;
     with_obs obs @@ fun () ->
     let _, costs = make_instance ~seed ~family ~tasks ~m ~granularity () in
     let sched = run_algo algo ~model ~seed ~epsilon costs in
@@ -696,6 +727,7 @@ let stress_cmd =
   in
   let run seed m tasks epsilon granularity algo model family import budget
       beyond runs json domains obs =
+    at_least "--runs" 1 runs;
     with_obs obs @@ fun () ->
     let _, costs =
       make_instance ?import ~seed ~family ~tasks ~m ~granularity ()

@@ -88,18 +88,6 @@ let metrics doc =
         (num "scenarios_per_sec" r)
         Higher_better)
     (rows "replay_domains" doc);
-  List.iter
-    (fun r ->
-      let m = int_key "m" r in
-      push
-        (Printf.sprintf "inject/m=%s degenerate_ns_per_plan" m)
-        (num "degenerate_ns_per_plan" r)
-        Lower_better;
-      push
-        (Printf.sprintf "inject/m=%s windows_ns_per_plan" m)
-        (num "windows_ns_per_plan" r)
-        Lower_better)
-    (rows "inject" doc);
   (* Scheduler scaling.  Absolute tasks/sec varies with the machine class,
      so those keys are advisory (prefix deliberately outside the
      "sched_scale" filter the CI gate uses); the same-run scaling

@@ -54,39 +54,6 @@ let clique_fabric m =
   in
   { phys_count = m * m; route }
 
-type outage = {
-  o_src : Platform.proc;
-  o_dst : Platform.proc;
-  o_from : float;
-  o_until : float;
-}
-
-(* Sort-and-merge a list of half-open windows into a disjoint increasing
-   sequence.  Windows touching at a point are coalesced: a link that
-   heals and fails again at the same instant was never really up. *)
-let merge_windows ws =
-  let ws = List.sort compare ws in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (s, f) :: rest -> (
-        match acc with
-        | (s0, f0) :: acc' when s <= f0 ->
-            go ((s0, Float.max f0 f) :: acc') rest
-        | _ -> go ((s, f) :: acc) rest)
-  in
-  go [] ws
-
-let outage_windows fabric outages =
-  let per_link = Array.make (max 1 fabric.phys_count) [] in
-  List.iter
-    (fun o ->
-      if o.o_until > o.o_from then
-        List.iter
-          (fun l -> per_link.(l) <- (o.o_from, o.o_until) :: per_link.(l))
-          (fabric.route o.o_src o.o_dst))
-    outages;
-  Array.map merge_windows per_link
-
 type source = {
   s_task : Dag.task;
   s_replica : int;

@@ -70,33 +70,6 @@ type fabric = {
 val clique_fabric : int -> fabric
 (** The fully connected fabric over [m] processors (the default). *)
 
-(** A link outage: the directed route [o_src -> o_dst] cannot carry data
-    during [\[o_from, o_until)] and works again afterwards.  An outage
-    delays traffic rather than losing it: the fault-plan replay pushes a
-    message leg past the window, modelling retransmission once the link
-    is back.  [o_until = infinity] models a cut that never heals: every
-    message whose route crosses it is lost. *)
-type outage = {
-  o_src : Platform.proc;
-  o_dst : Platform.proc;
-  o_from : float;
-  o_until : float;
-}
-
-val outage_windows : fabric -> outage list -> (float * float) list array
-(** [outage_windows fabric outages] projects pair-level outages onto the
-    physical links of the fabric: index [l] holds the merged, disjoint,
-    increasing down windows of physical link [l] (every link of
-    [route o_src o_dst] is down for the outage's window).  Routes sharing
-    a physical link therefore share its outages, exactly like they share
-    its contention.  Empty (zero-length) windows are dropped. *)
-
-val merge_windows : (float * float) list -> (float * float) list
-(** Sort and coalesce arbitrary [(from, until)] windows into a disjoint
-    increasing sequence (windows touching at a point are merged).
-    Exposed for the fault-plan replay, which needs the same normalization
-    for per-processor down time. *)
-
 type t
 
 type snapshot

@@ -34,11 +34,16 @@ let count_combinations n k =
   if k < 0 || k > n then 0
   else begin
     let k = min k (n - k) in
+    let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+    (* acc = C(n - k + i - 1, i - 1); the next one is acc * (n - k + i) / i,
+       exact, so i / g divides n - k + i for g = gcd acc i.  Dividing
+       first keeps every intermediate within the result. *)
     let rec go acc i =
       if i > k then acc
       else
-        let acc' = acc * (n - k + i) / i in
-        if acc' < acc then max_int (* overflow *) else go acc' (i + 1)
+        let g = gcd acc i in
+        let a = acc / g and b = (n - k + i) / (i / g) in
+        if a > max_int / b then max_int else go (a * b) (i + 1)
     in
     go 1 1
   end

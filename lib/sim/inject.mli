@@ -1,4 +1,4 @@
-(** Adversarial fault injection: worst-case search over fault plans.
+(** Adversarial fault injection: worst-case search over crash scenarios.
 
     [Monte_carlo] samples crash scenarios uniformly; this module {e hunts}
     for them.  Two questions are answered for one schedule:

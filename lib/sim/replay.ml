@@ -2,7 +2,6 @@ type replica_outcome =
   | Ran of { start : float; finish : float }
   | Crashed
   | Starved of Dag.task
-  | Lost of { start : float; finish : float }
 
 type outcome = {
   completed : bool;
@@ -17,10 +16,9 @@ type outcome = {
 
    The graph and its traversal order are crash-independent, so [compile]
    builds them once and every scenario of the schedule walks that order
-   (the crash-time kernel [walk], or [walk_plan] for fault plans);
-   [reference] below keeps the original build-then-traverse
-   implementation as the differential oracle and the rebuild-per-scenario
-   bench baseline. *)
+   with the crash-time kernel [walk]; [reference] below keeps the
+   original build-then-traverse implementation as the differential
+   oracle and the rebuild-per-scenario bench baseline. *)
 
 let m_replays =
   Obs_metrics.counter ~help:"schedule replays run (all crash modes)"
@@ -348,7 +346,7 @@ let reference ?fabric sched ~crash_time =
     Array.iter
       (function
         | Ran { finish; _ } -> earliest := Float.min !earliest finish
-        | Crashed | Starved _ | Lost _ -> ())
+        | Crashed | Starved _ -> ())
       replica_result.(task);
     if !earliest = infinity then failed := task :: !failed
     else latency := Float.max !latency !earliest
@@ -369,7 +367,6 @@ let reference ?fabric sched ~crash_time =
 let st_crashed = 0
 let st_ran = 1
 let st_starved = 2
-let st_lost = 3
 
 (* The scratch arena of up to [a_lanes] scenarios replayed together.  A
    chunk of [nl <= a_lanes] scenarios keeps the value of cell [i] (a
@@ -377,15 +374,14 @@ let st_lost = 3
    [lane] at [i * nl + lane], in a prefix of each array, so a one-lane
    chunk is laid out exactly like a single scenario.  Only an outcome
    arena ([a_record], one lane) keeps the start, state and starving
-   predecessor of each replica, which [collect_outcome] and the window
-   engine read; a batch arena keeps only what the latency and degradation
-   columns need. *)
+   predecessor of each replica, which [collect_outcome] reads; a batch
+   arena keeps only what the latency and degradation columns need. *)
 type arena = {
   a_lanes : int;
   a_record : bool;
   a_finish : float array;     (* replica finish, infinity if not Ran *)
-  a_start : float array;      (* replica start (valid when Ran/Lost) *)
-  a_state : int array;        (* st_crashed / st_ran / st_starved / st_lost *)
+  a_start : float array;      (* replica start (valid when Ran) *)
+  a_state : int array;        (* st_crashed / st_ran / st_starved *)
   a_starved : int array;      (* starving predecessor (valid when Starved) *)
   a_delivered : float array;  (* message arrival, infinity if dead *)
   a_exec_free : float array;  (* per processor *)
@@ -443,10 +439,10 @@ type compiled = {
   c_msg_dur : float array;
   c_route_off : int array;  (* nmsgs + 1; precomputed physical routes *)
   c_route : int array;
-  c_fabric : Netstate.fabric;  (* for projecting plan outages onto links *)
+  c_phys : int;  (* physical links of the fabric *)
   c_sinks : int array;  (* exit tasks, for degradation reports *)
   (* scratch arenas, reset in place at the start of every walk --------- *)
-  c_one : arena;  (* the one-lane outcome arena of eval and eval_plan *)
+  c_one : arena;  (* the one-lane outcome arena of eval *)
   mutable c_batch : arena option;  (* eval_batch's, built on first use *)
   mutable c_rows : float array;  (* scan's crash rows, built on first use *)
 }
@@ -863,7 +859,7 @@ let compile ?fabric sched =
     c_msg_dur = msg_dur;
     c_route_off = route_off;
     c_route = route_dat;
-    c_fabric = fabric;
+    c_phys = phys;
     c_sinks = Array.of_list (Dag.exits dag);
     c_one =
       make_arena ~m ~nreplicas ~nmsgs ~port_slots ~phys ~lanes:1 ~record:true;
@@ -872,7 +868,7 @@ let compile ?fabric sched =
   }
 
 (* ==================================================================== *)
-(* Scratch arena: reset and resource helpers, shared by both walks.     *)
+(* Scratch arena: reset and the kernel's resource helpers.             *)
 (* ==================================================================== *)
 
 (* Reset the first [nl] lanes of [a] for a new chunk. *)
@@ -885,7 +881,7 @@ let reset c a nl =
     let ports = c.c_m * c.c_port_slots * nl in
     Array.fill a.a_send_free 0 ports 0.;
     Array.fill a.a_recv_free 0 ports 0.;
-    Array.fill a.a_phys_free 0 (c.c_fabric.Netstate.phys_count * nl) 0.
+    Array.fill a.a_phys_free 0 (c.c_phys * nl) 0.
   end
 
 (* [Float.max] without its two [sign_bit] calls, which ocamlopt emits as
@@ -1151,8 +1147,7 @@ let degradation_of_lane c a nl lane =
     d_frontier = !frontier;
   }
 
-(* The outcome record, from the outcome arena.  Only plans can leave a
-   replica in [st_lost]. *)
+(* The outcome record, from the outcome arena. *)
 let collect_outcome c =
   let a = c.c_one in
   let replica_result =
@@ -1162,12 +1157,6 @@ let collect_outcome c =
             if a.a_state.(rn) = st_ran then
               Ran { start = a.a_start.(rn); finish = a.a_finish.(rn) }
             else if a.a_state.(rn) = st_starved then Starved a.a_starved.(rn)
-            else if a.a_state.(rn) = st_lost then
-              Lost
-                {
-                  start = a.a_start.(rn);
-                  finish = a.a_start.(rn) +. c.c_r_dur.(rn);
-                }
             else Crashed))
   in
   (* a replica has a finite finish iff it is [Ran] *)
@@ -1254,7 +1243,7 @@ let batch_arena c =
       let nodes = max 1 (c.c_nreplicas + c.c_nmsgs) in
       let a =
         make_arena ~m:c.c_m ~nreplicas:c.c_nreplicas ~nmsgs:c.c_nmsgs
-          ~port_slots:c.c_port_slots ~phys:c.c_fabric.Netstate.phys_count
+          ~port_slots:c.c_port_slots ~phys:c.c_phys
           ~lanes:(max 1 (min batch_lanes (batch_cells / nodes)))
           ~record:false
       in
@@ -1387,268 +1376,6 @@ let scan ?cancel ?degradation ?(domains = 1) c ~fill ~consume items =
   in
   go 0 items
 
-(* ==================================================================== *)
-(* Fault plans: timeline events generalizing the crash-only scenarios.  *)
-(* ==================================================================== *)
-
-type fault_event =
-  | Crash of { proc : Platform.proc; at : float }
-  | Recover of { proc : Platform.proc; at : float }
-  | Link_outage of Netstate.outage
-  | Lose_result of { task : Dag.task; replica : int }
-
-type plan = fault_event list
-
-let m_plans =
-  Obs_metrics.counter ~help:"fault plans executed (Replay.eval_plan)"
-    "inject.plans"
-
-(* Per-processor down windows from the crash/recover events of a plan:
-   a two-state machine over the time-ordered events.  Crashing a dead
-   processor or recovering a live one is a no-op; a crash with no later
-   recovery leaves the processor down forever.  At equal instants the
-   crash is applied first, so the zero-width window is dropped. *)
-let down_windows m plan =
-  let evs = Array.make m [] in
-  let check proc =
-    if proc < 0 || proc >= m then
-      invalid_arg "Replay.eval_plan: processor out of range"
-  in
-  List.iter
-    (function
-      | Crash { proc; at } ->
-          check proc;
-          evs.(proc) <- (at, 0) :: evs.(proc)
-      | Recover { proc; at } ->
-          check proc;
-          evs.(proc) <- (at, 1) :: evs.(proc)
-      | Link_outage _ | Lose_result _ -> ())
-    plan;
-  Array.map
-    (fun l ->
-      let windows = ref [] in
-      let open_at = ref None in
-      List.iter
-        (fun (t, kind) ->
-          match (kind, !open_at) with
-          | 0, None -> open_at := Some t
-          | 0, Some _ -> ()
-          | _, Some s ->
-              if t > s then windows := (s, t) :: !windows;
-              open_at := None
-          | _, None -> ())
-        (List.sort compare l);
-      (match !open_at with
-      | Some s -> windows := (s, infinity) :: !windows
-      | None -> ());
-      Netstate.merge_windows !windows)
-    evs
-
-(* Earliest start >= [t] such that [start, start + dur] avoids every
-   window of the sorted disjoint list [ws].  The boundary convention
-   matches [eval]'s kill rule (finish > crash_time dies): finishing
-   exactly when a window opens, or starting exactly when one closes, is
-   fine.  Returns [infinity] iff blocked by a window that never ends. *)
-let rec fit_windows ws t dur =
-  match ws with
-  | [] -> t
-  | (s, f) :: rest ->
-      if t +. dur <= s then t
-      else if f = infinity then infinity
-      else fit_windows rest (Float.max t f) dur
-
-(* Earliest instant >= [t] outside every window (open on the left:
-   an event exactly at a window start still lands).  Buffering model for
-   macro-dataflow arrivals: a receiver down at the arrival instant picks
-   the data up on recovery. *)
-let rec defer_instant ws t =
-  match ws with
-  | [] -> t
-  | (s, f) :: rest -> if t <= s then t else if t < f then f else defer_instant rest t
-
-(* The window engine: the kernel's walk over [c_order] and arena, with
-   per-processor down windows, per-message link-outage windows (healing:
-   traffic is delayed, not lost) and transient result losses.  Its
-   replica and message steps differ from the kernel's: a window delays
-   work where a crash kills it. *)
-let walk_plan c ~down ~never_up ~msg_down ~lost =
-  let a = c.c_one in
-  let slots = c.c_port_slots in
-  let process_replica rn =
-    let p = c.c_r_proc.(rn) in
-    let dur = c.c_r_dur.(rn) in
-    let ready = data_ready c a 1 0 rn in
-    if never_up.(p) then () (* stays st_crashed, like dead-from-start *)
-    else if ready = infinity then begin
-      a.a_state.(rn) <- st_starved;
-      a.a_starved.(rn) <- starving_pred c a 1 0 rn
-    end
-    else begin
-      let start =
-        fit_windows down.(p) (Float.max a.a_exec_free.(p) ready) dur
-      in
-      if start = infinity then
-        (* blocked by a crash that never heals: nothing later on this
-           processor runs either, matching [eval]'s mid-run kill rule *)
-        a.a_exec_free.(p) <- infinity (* stays st_crashed *)
-      else begin
-        let finish = start +. dur in
-        a.a_exec_free.(p) <- Float.max a.a_exec_free.(p) finish;
-        a.a_start.(rn) <- start;
-        if lost.(rn) then a.a_state.(rn) <- st_lost
-          (* ran, but the result is silently dropped: a_finish stays
-             infinity so no consumer and no message sees it *)
-        else begin
-          a.a_finish.(rn) <- finish;
-          a.a_state.(rn) <- st_ran
-        end
-      end
-    end
-  in
-
-  let process_message mi =
-    let src = c.c_msg_src.(mi) and dst = c.c_msg_dst.(mi) in
-    let w = c.c_msg_dur.(mi) in
-    let src_finish = a.a_finish.(c.c_msg_src_rn.(mi)) in
-    (* a source that never produced emits nothing *)
-    if src_finish <> infinity then begin
-      (* settle the leg to a fixpoint: it must clear both the sender's
-         down windows (the port sends nothing while down) and the
-         link-outage windows *)
-      let settle t0 =
-        let t = ref t0 in
-        let stable = ref false in
-        while (not !stable) && !t < infinity do
-          let t' = fit_windows down.(src) !t w in
-          let t'' = fit_windows msg_down.(mi) t' w in
-          if t'' = !t then stable := true else t := t''
-        done;
-        !t
-      in
-      let sbase = src * slots in
-      let spos = argmin_slot a.a_send_free sbase ~slots ~nl:1 in
-      let base =
-        if not c.c_contended then src_finish
-        else
-          Float.max a.a_send_free.(spos)
-            (Float.max src_finish (link_free c a 1 0 mi))
-      in
-      let leg_start = settle base in
-      if leg_start = infinity then begin
-        (* if the block is the sender dying for good, it died with the
-           port busy mid-send: no later message leaves this port either,
-           matching [eval]'s kill rule (an unhealed link outage, by
-           contrast, strands only this message) *)
-        if c.c_contended && fit_windows down.(src) base w = infinity then
-          Array.fill a.a_send_free sbase slots infinity
-      end
-      else begin
-        let leg_finish = leg_start +. w in
-        if c.c_contended then book_leg c a 1 0 spos mi leg_finish;
-        if never_up.(dst) then ()
-        else if not c.c_contended then
-          a.a_delivered.(mi) <- defer_instant down.(dst) leg_finish
-        else begin
-          let rpos = argmin_slot a.a_recv_free (dst * slots) ~slots ~nl:1 in
-          let arrival0 = w +. Float.max a.a_recv_free.(rpos) leg_start in
-          (* the whole reception window must avoid the receiver's down
-             time; a receiver down at arrival retries after recovery *)
-          let rs = fit_windows down.(dst) (arrival0 -. w) w in
-          if rs < infinity then begin
-            let arrival = rs +. w in
-            a.a_recv_free.(rpos) <- arrival;
-            a.a_delivered.(mi) <- arrival
-          end
-        end
-      end
-    end
-  in
-  Array.iter
-    (fun n ->
-      if n < c.c_nreplicas then process_replica n
-      else process_message (n - c.c_nreplicas))
-    c.c_order
-
-(* A plan with only [Crash] events is a crash-time array in disguise:
-   route it through the kernel so the golden outcomes of the historical
-   wrappers are preserved by construction. *)
-let degenerate_crash_times c plan =
-  crash_row c Scenario.write_timed
-    (List.filter_map
-       (function
-         | Crash { proc; at } ->
-             if proc < 0 || proc >= c.c_m then
-               invalid_arg "Replay.eval_plan: processor out of range";
-             Some (proc, at)
-         | _ -> None)
-       plan)
-
-let run_plan_core c plan =
-  Obs_metrics.incr m_plans;
-  let degenerate =
-    List.for_all (function Crash _ -> true | _ -> false) plan
-  in
-  if degenerate then
-    run_crash c ~crash_time:(degenerate_crash_times c plan)
-  else begin
-    let down = down_windows c.c_m plan in
-    let never_up =
-      Array.map
-        (function (s, f) :: _ -> s = neg_infinity && f = infinity | [] -> false)
-        down
-    in
-    let lost = Array.make (max 1 c.c_nreplicas) false in
-    List.iter
-      (function
-        | Lose_result { task; replica } ->
-            if
-              task < 0 || task >= c.c_v || replica < 0 || replica >= c.c_eps1
-            then invalid_arg "Replay.eval_plan: replica out of range";
-            lost.((task * c.c_eps1) + replica) <- true
-        | _ -> ())
-      plan;
-    let outages =
-      List.filter_map (function Link_outage o -> Some o | _ -> None) plan
-    in
-    let msg_down = Array.make (max 1 c.c_nmsgs) [] in
-    (if outages <> [] then
-       if c.c_contended then begin
-         let per_link = Netstate.outage_windows c.c_fabric outages in
-         for mi = 0 to c.c_nmsgs - 1 do
-           let ws = ref [] in
-           for k = c.c_route_off.(mi) to c.c_route_off.(mi + 1) - 1 do
-             ws := per_link.(c.c_route.(k)) @ !ws
-           done;
-           msg_down.(mi) <- Netstate.merge_windows !ws
-         done
-       end
-       else
-         (* macro-dataflow has no shared physical links: an outage hits
-            exactly the matching ordered pair *)
-         for mi = 0 to c.c_nmsgs - 1 do
-           msg_down.(mi) <-
-             Netstate.merge_windows
-               (List.filter_map
-                  (fun (o : Netstate.outage) ->
-                    if
-                      o.Netstate.o_src = c.c_msg_src.(mi)
-                      && o.Netstate.o_dst = c.c_msg_dst.(mi)
-                      && o.Netstate.o_until > o.Netstate.o_from
-                    then Some (o.Netstate.o_from, o.Netstate.o_until)
-                    else None)
-                  outages)
-         done);
-    Obs_prof.phase ~cat:"sim" "replay.eval_plan" @@ fun () ->
-    Obs_metrics.incr m_replays;
-    let a = c.c_one in
-    reset c a 1;
-    walk_plan c ~down ~never_up ~msg_down ~lost
-  end
-
-let eval_plan c plan =
-  run_plan_core c plan;
-  collect_outcome c
-
 (* -- degradation report ------------------------------------------------ *)
 
 let completion_fraction d =
@@ -1659,18 +1386,14 @@ let sink_fraction d =
   if d.d_sink_count = 0 then 1.
   else float_of_int d.d_sinks /. float_of_int d.d_sink_count
 
-let eval_plan_degraded c plan =
-  run_plan_core c plan;
-  degradation_of_lane c c.c_one 1 0
-
-(* -- one-shot wrappers, re-expressed as degenerate plans --------------- *)
+(* -- one-shot wrappers ------------------------------------------------- *)
 
 let crash_from_start ?fabric sched ~crashed =
-  eval_plan (compile ?fabric sched)
-    (List.map (fun p -> Crash { proc = p; at = neg_infinity }) crashed)
+  eval_crashed (compile ?fabric sched) ~crashed
 
 let crash_timed ?fabric sched ~crashes =
-  eval_plan (compile ?fabric sched)
-    (List.map (fun (p, tau) -> Crash { proc = p; at = tau }) crashes)
+  eval_timed (compile ?fabric sched) ~crashes
 
-let fault_free ?fabric sched = eval_plan (compile ?fabric sched) []
+let fault_free ?fabric sched =
+  let c = compile ?fabric sched in
+  eval c ~crash_time:(Array.make c.c_m infinity)

@@ -42,10 +42,6 @@ type replica_outcome =
   | Crashed  (** processor in the crash scenario, or died mid-execution *)
   | Starved of Dag.task
       (** never ran: no surviving supply for this predecessor *)
-  | Lost of { start : float; finish : float }
-      (** ran but its result was silently dropped — the fail-silent
-          task-grain fault of {!eval_plan}'s [Lose_result] events; the
-          replica occupied its processor yet supplied no consumer *)
 
 (** {1 Compile-once evaluation}
 
@@ -54,9 +50,9 @@ type replica_outcome =
     scenario, only on the schedule and fabric.  {!compile} builds it
     exactly once, runs its topological sort once, and keeps the resulting
     order together with a preallocated one-scenario scratch arena.  Every
-    crash-time scenario — {!eval}, {!eval_crashed}, {!eval_timed}, each
-    chunk of an {!eval_batch} block and each crash-only plan — then runs
-    the same kernel: one pass over that order, with no graph
+    crash-time scenario — {!eval}, {!eval_crashed}, {!eval_timed}, the
+    one-shot wrappers and each chunk of an {!eval_batch} block — then
+    runs the same kernel: one pass over that order, with no graph
     construction, no priority queue and near-zero allocation.  A
     [compiled] value owns its scratch arenas and is therefore {b not} safe
     to share across domains:
@@ -210,59 +206,8 @@ val scan :
     on copies of [c] made once per call, which share its compiled arrays
     and die with the call. *)
 
-(** {1 Fault plans}
-
-    A fault plan generalizes the crash-time array into a timeline of
-    heterogeneous fault events — the input language of the
-    [Ftsched_sim.Inject] adversary and of [ftsched stress]:
-
-    - [Crash]/[Recover] pairs carve {e down windows} out of a
-      processor's timeline.  While down it computes nothing, sends
-      nothing and receives nothing; work is {e delayed} past the window
-      (results produced before a crash persist — stable local storage —
-      and a window that never closes reproduces the classic fail-stop
-      crash exactly);
-    - [Link_outage] makes a directed route unusable for a window: an
-      outage {e delays} traffic, modelling retransmission once the link
-      heals.  An outage that never heals ([o_until = infinity]) is a
-      dead link: it strands every message that would cross it, and only
-      those — unlike a sender's crash, it leaves the send port free;
-    - [Lose_result] is the paper's fail-silent behaviour at task grain: a
-      single replica runs, occupies its processor, but its result is
-      silently dropped — no co-located consumer and no message ever sees
-      it.
-
-    A plan containing only [Crash] events is {e degenerate}: it reduces
-    to a crash-time array (earliest crash per processor wins) and is
-    routed through the kernel {!eval} runs, so the one-shot
-    wrappers below — re-expressed over plans — keep their historical
-    outcomes bit for bit. *)
-
-type fault_event =
-  | Crash of { proc : Platform.proc; at : float }
-      (** processor dies at [at] ([neg_infinity]: dead from start) *)
-  | Recover of { proc : Platform.proc; at : float }
-      (** processor comes back at [at] (no matching crash: ignored) *)
-  | Link_outage of Netstate.outage
-      (** outage window on a directed route (healing unless it ends at
-          [infinity]) *)
-  | Lose_result of { task : Dag.task; replica : int }
-      (** this replica's result is silently lost (transient fault) *)
-
-type plan = fault_event list
-
-val eval_plan :
-  compiled ->
-  plan ->
-  outcome
-(** Replay one fault plan.  Event order in the list is irrelevant (the
-    timeline is reconstructed from the instants); crashing an
-    already-dead processor or recovering a live one is a no-op.  Raises
-    [Invalid_argument] for out-of-range processor, task or replica ids.
-    The empty plan is fault-free: [eval_plan c [] = fault_free sched]. *)
-
 (** Graceful-degradation summary of one replay: what still completed
-    when the plan exceeded the schedule's tolerance.  [d_frontier] is
+    when the crashes exceeded the schedule's tolerance.  [d_frontier] is
     the latency of the surviving frontier — the latest completion over
     tasks that did complete ([0.] if none did); it equals
     [outcome.latency] when everything completed. *)
@@ -283,15 +228,8 @@ val sink_fraction : degradation -> float
 val batch_degradation : compiled -> batch -> int -> degradation
 (** [batch_degradation c res j] is the degradation summary of scenario
     [j] of a [~degradation:true] batch of [c], rebuilt from its columns:
-    equal to {!eval_plan_degraded} on the same crash row. *)
-
-val eval_plan_degraded :
-  compiled ->
-  plan ->
-  degradation
-(** Like {!eval_plan} but returns only the degradation summary, without
-    materializing per-replica outcomes — the inner loop of degradation
-    curves and adversary search. *)
+    what that crash row leaves complete, summarized from {!eval}'s
+    outcome. *)
 
 val reference :
   ?fabric:Netstate.fabric ->
@@ -308,9 +246,9 @@ val reference :
 
 (** {1 One-shot wrappers}
 
-    Thin compile-then-eval conveniences; every pre-existing caller goes
-    through these, so their outcomes (and the golden schedule
-    fingerprints derived from them) are unchanged. *)
+    Thin compile-then-eval conveniences: each compiles the schedule and
+    runs the kernel once ({!eval_crashed}, {!eval_timed}, or {!eval} on
+    a row where no processor dies), then drops the engine. *)
 
 val crash_from_start :
   ?fabric:Netstate.fabric ->
@@ -319,7 +257,8 @@ val crash_from_start :
   outcome
 (** Replay with the given processors dead from time zero (the adversarial
     model of the paper: tolerating [epsilon] arbitrary failures).
-    Duplicate processors in [crashed] are ignored. *)
+    Duplicate processors in [crashed] are ignored.  Raises
+    [Invalid_argument] for a processor outside [\[0, m)]. *)
 
 val crash_timed :
   ?fabric:Netstate.fabric ->
@@ -328,7 +267,8 @@ val crash_timed :
   outcome
 (** Replay where processor [p] dies at time [tau]: replicas and message
     emissions of [p] that would complete after [tau] are lost, earlier
-    ones survive. *)
+    ones survive.  Raises [Invalid_argument] for a processor outside
+    [\[0, m)]. *)
 
 val fault_free : ?fabric:Netstate.fabric -> Schedule.t -> outcome
 (** Replay with no crash.  For a valid schedule, [latency] equals

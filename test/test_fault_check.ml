@@ -30,7 +30,31 @@ let test_count_combinations () =
   Helpers.check_int "20 choose 5" 15504 (Fault_check.count_combinations 20 5);
   Helpers.check_int "n choose 0" 1 (Fault_check.count_combinations 7 0);
   Helpers.check_int "n choose n" 1 (Fault_check.count_combinations 7 7);
-  Helpers.check_int "k > n" 0 (Fault_check.count_combinations 3 5)
+  Helpers.check_int "k > n" 0 (Fault_check.count_combinations 3 5);
+  (* the products of a multiply-then-divide loop overflow on these *)
+  Helpers.check_int "61 choose 30" 232714176627630544
+    (Fault_check.count_combinations 61 30);
+  Helpers.check_int "78 choose 19" 671262558647881200
+    (Fault_check.count_combinations 78 19);
+  Helpers.check_int "66 choose 33 saturates" max_int
+    (Fault_check.count_combinations 66 33);
+  (* every C(n, k) for n <= 80 against Pascal's triangle, whose
+     saturating sums saturate exactly when the true value reaches max_int *)
+  let row = Array.make 81 0 in
+  row.(0) <- 1;
+  for n = 0 to 80 do
+    if n > 0 then
+      for k = n downto 1 do
+        let a = row.(k) and b = row.(k - 1) in
+        row.(k) <- (if a > max_int - b then max_int else a + b)
+      done;
+    for k = 0 to n do
+      Helpers.check_int
+        (Printf.sprintf "%d choose %d" n k)
+        row.(k)
+        (Fault_check.count_combinations n k)
+    done
+  done
 
 let test_check_accepts_tolerant_schedule () =
   let _, costs = Helpers.random_instance ~seed:41 () in

@@ -1,88 +1,23 @@
-(* Fault plans and the adversarial injector: degenerate-plan equivalence
-   against the compiled crash engine, Proposition 5.2 as a dynamic
-   property, recovery/outage/fail-silent semantics, and the certificate
-   cross-check of the adversary's minimal kill set. *)
+(* The adversarial injector: Proposition 5.2 as a dynamic property, the
+   certificate cross-check of the adversary's minimal kill set, and the
+   degradation curve. *)
 
 let sched_of ?(seed = 5) ?(m = 6) ?(tasks = 25) ?(epsilon = 1) () =
   let _, costs = Helpers.random_instance ~seed ~m ~tasks () in
   Caft.run ~seed ~epsilon costs
 
-let same_outcome name (a : Replay.outcome) (b : Replay.outcome) =
-  Helpers.check_bool (name ^ ": completed") b.Replay.completed
-    a.Replay.completed;
-  if b.Replay.completed then
-    Helpers.check_float (name ^ ": latency") b.Replay.latency a.Replay.latency;
-  Helpers.check_bool (name ^ ": failed tasks") true
-    (a.Replay.failed_tasks = b.Replay.failed_tasks);
-  Helpers.check_bool (name ^ ": replica outcomes") true
-    (a.Replay.replicas = b.Replay.replicas)
+(* The degradation summary of the from-start crash set [procs], from a
+   one-row degradation batch. *)
+let degradation_of c procs =
+  let m = Replay.proc_count c in
+  let rows = Array.make m infinity in
+  Scenario.write_from_start rows ~m 0 procs;
+  Replay.batch_degradation c
+    (Replay.eval_batch ~degradation:true c rows ~first:0 ~count:1)
+    0
 
-(* the empty plan is exactly the fault-free replay *)
-let test_empty_plan_fault_free () =
-  List.iter
-    (fun seed ->
-      let sched = sched_of ~seed () in
-      let a = Replay.eval_plan (Replay.compile sched) [] in
-      let b = Replay.fault_free sched in
-      same_outcome (Printf.sprintf "seed %d" seed) a b;
-      Helpers.check_float
-        (Printf.sprintf "seed %d: static latency" seed)
-        (Schedule.latency_zero_crash sched)
-        a.Replay.latency)
-    [ 1; 2; 3; 4; 5 ]
-
-(* A [Recover] on a never-crashed processor is a no-op but forces the
-   plan off the degenerate fast path, so the generalized window engine
-   replays pure-crash scenarios too — it must agree with [eval] exactly,
-   from-start and timed, completed or failed. *)
-let test_generalized_core_matches_eval () =
-  List.iter
-    (fun seed ->
-      let m = 6 in
-      let sched = sched_of ~seed ~m () in
-      let c = Replay.compile sched in
-      let horizon = Schedule.makespan sched in
-      let subsets =
-        List.init m (fun p -> [ p ])
-        @ [ [ 0; 1 ]; [ 2; 4 ]; [ 3; 5 ]; [ 1; 2; 5 ] ]
-      in
-      List.iter
-        (fun procs ->
-          let spare =
-            List.find (fun p -> not (List.mem p procs)) (List.init m Fun.id)
-          in
-          let name =
-            Printf.sprintf "seed %d {%s}" seed
-              (String.concat "," (List.map string_of_int procs))
-          in
-          (* from start *)
-          let plan =
-            Replay.Recover { proc = spare; at = 0. }
-            :: List.map
-                 (fun p -> Replay.Crash { proc = p; at = neg_infinity })
-                 procs
-          in
-          same_outcome (name ^ " from-start") (Replay.eval_plan c plan)
-            (Replay.eval_crashed c ~crashed:procs);
-          (* timed: each processor dies at a distinct mid-schedule instant *)
-          let crashes =
-            List.mapi
-              (fun i p -> (p, horizon *. float_of_int (i + 1) /. 5.))
-              procs
-          in
-          let plan =
-            Replay.Recover { proc = spare; at = 0. }
-            :: List.map
-                 (fun (p, tau) -> Replay.Crash { proc = p; at = tau })
-                 crashes
-          in
-          same_outcome (name ^ " timed") (Replay.eval_plan c plan)
-            (Replay.eval_timed c ~crashes))
-        subsets)
-    [ 1; 2; 3 ]
-
-(* Proposition 5.2, dynamically: every from-start plan with at most
-   epsilon crashes leaves a CAFT schedule's completion fraction at 1. *)
+(* Proposition 5.2, dynamically: every from-start crash set of at most
+   epsilon processors leaves a CAFT schedule's completion fraction at 1. *)
 let test_within_epsilon_completes () =
   List.iter
     (fun (seed, epsilon) ->
@@ -92,12 +27,7 @@ let test_within_epsilon_completes () =
       for k = 0 to epsilon do
         Seq.iter
           (fun procs ->
-            let plan =
-              List.map
-                (fun p -> Replay.Crash { proc = p; at = neg_infinity })
-                procs
-            in
-            let d = Replay.eval_plan_degraded c plan in
+            let d = degradation_of c procs in
             Helpers.check_float
               (Printf.sprintf "seed %d eps %d: %d crashes complete" seed
                  epsilon k)
@@ -109,119 +39,6 @@ let test_within_epsilon_completes () =
           (Oracle.combinations m k)
       done)
     [ (1, 1); (2, 1); (3, 2) ]
-
-(* crash + recovery: an immediate recovery is fault-free; a recovery at
-   the horizon still completes an epsilon = 0 schedule (work is delayed,
-   not lost) *)
-let test_recovery () =
-  let sched = sched_of ~seed:7 ~epsilon:0 () in
-  let c = Replay.compile sched in
-  let base = Replay.fault_free sched in
-  (* a processor that actually hosts work *)
-  let p =
-    List.find
-      (fun p -> Schedule.on_proc sched p <> [])
-      (List.init (Replay.proc_count c) Fun.id)
-  in
-  (* permanent crash on an epsilon = 0 schedule loses tasks *)
-  let dead =
-    Replay.eval_plan c [ Replay.Crash { proc = p; at = neg_infinity } ]
-  in
-  Helpers.check_bool "permanent crash fails" false dead.Replay.completed;
-  (* crash healed before time zero changes nothing *)
-  let healed =
-    Replay.eval_plan c
-      [
-        Replay.Crash { proc = p; at = neg_infinity };
-        Replay.Recover { proc = p; at = 0. };
-      ]
-  in
-  same_outcome "healed at 0" healed base;
-  (* a mid-schedule down window only delays *)
-  let delayed =
-    Replay.eval_plan c
-      [
-        Replay.Crash { proc = p; at = 0. };
-        Replay.Recover { proc = p; at = Schedule.makespan sched };
-      ]
-  in
-  Helpers.check_bool "outage window completes" true delayed.Replay.completed;
-  Helpers.check_bool "outage window delays" true
-    (delayed.Replay.latency >= base.Replay.latency -. 1e-9)
-
-(* healing link outages delay traffic but never lose it, unlike an
-   outage that never heals (test_link_failures.ml) *)
-let test_link_outage_heals () =
-  let sched = sched_of ~seed:9 ~m:4 ~epsilon:0 () in
-  let c = Replay.compile sched in
-  let base = Replay.fault_free sched in
-  let horizon = Schedule.makespan sched in
-  let outages =
-    List.concat_map
-      (fun i ->
-        List.filter_map
-          (fun j ->
-            if i = j then None
-            else
-              Some
-                (Replay.Link_outage
-                   {
-                     Netstate.o_src = i;
-                     o_dst = j;
-                     o_from = 0.;
-                     o_until = horizon;
-                   }))
-          (List.init 4 Fun.id))
-      (List.init 4 Fun.id)
-  in
-  let out = Replay.eval_plan c outages in
-  Helpers.check_bool "outage completes" true out.Replay.completed;
-  Helpers.check_bool "outage delays" true
-    (out.Replay.latency >= base.Replay.latency -. 1e-9)
-
-(* fail-silent task faults: one lost result per task is masked by the
-   epsilon = 1 replication; losing every replica of a task is not *)
-let test_lose_result () =
-  let sched = sched_of ~seed:11 ~epsilon:1 () in
-  let c = Replay.compile sched in
-  let v = Dag.task_count (Schedule.dag sched) in
-  for t = 0 to v - 1 do
-    let out =
-      Replay.eval_plan c [ Replay.Lose_result { task = t; replica = 0 } ]
-    in
-    Helpers.check_bool
-      (Printf.sprintf "task %d: one loss masked" t)
-      true out.Replay.completed;
-    (match out.Replay.replicas.(t).(0) with
-    | Replay.Lost _ -> ()
-    | _ -> Alcotest.failf "task %d: replica 0 not marked Lost" t);
-    let d =
-      Replay.eval_plan_degraded c
-        [
-          Replay.Lose_result { task = t; replica = 0 };
-          Replay.Lose_result { task = t; replica = 1 };
-        ]
-    in
-    Helpers.check_bool
-      (Printf.sprintf "task %d: all replicas lost kills" t)
-      true
-      (Replay.completion_fraction d < 1.)
-  done
-
-let test_plan_validation () =
-  let sched = sched_of () in
-  let c = Replay.compile sched in
-  Alcotest.check_raises "processor out of range"
-    (Invalid_argument "Replay.eval_plan: processor out of range") (fun () ->
-      ignore (Replay.eval_plan c [ Replay.Crash { proc = 99; at = 0. } ]));
-  Alcotest.check_raises "replica out of range"
-    (Invalid_argument "Replay.eval_plan: replica out of range") (fun () ->
-      ignore
-        (Replay.eval_plan c
-           [
-             Replay.Recover { proc = 0; at = 0. };
-             Replay.Lose_result { task = 0; replica = 5 };
-           ]))
 
 (* -- the adversary ------------------------------------------------------ *)
 
@@ -253,13 +70,7 @@ let test_adversary_certificate_crosscheck () =
           Helpers.check_bool "refutation within tolerance" true (size <= eps)
       | None -> ());
       (* the kill set actually kills *)
-      let d =
-        Replay.eval_plan_degraded
-          (Replay.compile sched)
-          (List.map
-             (fun p -> Replay.Crash { proc = p; at = neg_infinity })
-             k.Inject.k_procs)
-      in
+      let d = degradation_of (Replay.compile sched) k.Inject.k_procs in
       Helpers.check_bool "kill set loses a task" true
         (Replay.completion_fraction d < 1.);
       Helpers.check_float "reported degradation agrees"
@@ -355,12 +166,6 @@ let test_metrics () =
     ~finally:(fun () -> Obs_metrics.set_enabled false)
     (fun () ->
       let sched = sched_of ~seed:5 () in
-      let c = Replay.compile sched in
-      ignore (Replay.eval_plan c []);
-      ignore (Replay.eval_plan c [ Replay.Crash { proc = 0; at = 0. } ]);
-      (match Obs_metrics.find "inject.plans" with
-      | Some (Obs_metrics.Counter n) -> Helpers.check_int "inject.plans" 2 n
-      | _ -> Alcotest.fail "inject.plans not registered");
       let r = Inject.adversary ~budget:200 sched in
       (match Obs_metrics.find "stress.frontier_evals" with
       | Some (Obs_metrics.Counter n) ->
@@ -396,16 +201,8 @@ let test_metrics () =
 
 let suite =
   [
-    Alcotest.test_case "empty plan is fault-free" `Quick
-      test_empty_plan_fault_free;
-    Alcotest.test_case "generalized core matches eval" `Slow
-      test_generalized_core_matches_eval;
     Alcotest.test_case "within epsilon completes" `Slow
       test_within_epsilon_completes;
-    Alcotest.test_case "crash recovery" `Quick test_recovery;
-    Alcotest.test_case "link outage heals" `Quick test_link_outage_heals;
-    Alcotest.test_case "lose result" `Slow test_lose_result;
-    Alcotest.test_case "plan validation" `Quick test_plan_validation;
     Alcotest.test_case "adversary certificate cross-check" `Slow
       test_adversary_certificate_crosscheck;
     Alcotest.test_case "adversary dominates monte-carlo" `Slow

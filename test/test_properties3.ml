@@ -67,10 +67,7 @@ let prop_crash_outcome_classification =
                   if start > finish || start < -.Flt.eps then ok := false
               | Replay.Starved pred ->
                   if not (Dag.mem_edge (Schedule.dag sched) ~src:pred ~dst:task)
-                  then ok := false
-              | Replay.Lost _ ->
-                  (* only fault plans with Lose_result events produce it *)
-                  ok := false)
+                  then ok := false)
             per)
         out.Replay.replicas;
       !ok)

@@ -72,9 +72,16 @@ let test_crash_kills_processor () =
   (match out.Replay.replicas.(0).(0) with
   | Replay.Crashed -> ()
   | _ -> Alcotest.fail "t0[0] should crash");
-  match out.Replay.replicas.(1).(0) with
+  (match out.Replay.replicas.(1).(0) with
   | Replay.Crashed -> ()
-  | _ -> Alcotest.fail "t1[0] should crash"
+  | _ -> Alcotest.fail "t1[0] should crash");
+  let m = Platform.proc_count (Schedule.platform s) in
+  Alcotest.check_raises "from-start processor out of range"
+    (Invalid_argument "Scenario: processor out of range") (fun () ->
+      ignore (Replay.crash_from_start s ~crashed:[ m ]));
+  Alcotest.check_raises "timed processor out of range"
+    (Invalid_argument "Scenario: processor out of range") (fun () ->
+      ignore (Replay.crash_timed s ~crashes:[ (-1, 0.) ]))
 
 let test_starvation_propagates () =
   let s = chain_sched () in
@@ -186,6 +193,25 @@ let test_crash_latency_bounded_by_replay () =
   Helpers.check_bool "latency positive and finite" true
     (out.Replay.latency > 0. && Float.is_finite out.Replay.latency)
 
+let test_timed_equivalences () =
+  (* timed crash at the horizon = no crash; timed crash at <= 0 = crash
+     from start *)
+  let _, costs = Helpers.random_instance ~seed:84 () in
+  let sched = Caft.run ~epsilon:2 costs in
+  let horizon = Schedule.makespan sched +. 1. in
+  let late = Replay.crash_timed sched ~crashes:[ (0, horizon); (3, horizon) ] in
+  let none = Replay.fault_free sched in
+  Helpers.check_bool "late crash completes" true late.Replay.completed;
+  Helpers.check_float "late crash = fault free" none.Replay.latency
+    late.Replay.latency;
+  let early = Replay.crash_timed sched ~crashes:[ (0, -1.); (3, -1.) ] in
+  let start = Replay.crash_from_start sched ~crashed:[ 0; 3 ] in
+  Helpers.check_bool "early crash matches from-start completion"
+    start.Replay.completed early.Replay.completed;
+  if start.Replay.completed then
+    Helpers.check_float "early crash = from-start latency" start.Replay.latency
+      early.Replay.latency
+
 let suite =
   [
     Alcotest.test_case "fault-free matches static" `Quick
@@ -202,4 +228,5 @@ let suite =
       test_replay_scheduler_outputs;
     Alcotest.test_case "crash latency sanity" `Quick
       test_crash_latency_bounded_by_replay;
+    Alcotest.test_case "timed-crash equivalences" `Quick test_timed_equivalences;
   ]
