@@ -186,7 +186,6 @@ let topology_table graphs seed =
       let n = Option.value graphs ~default:15 in
       let lat = ref 0. and msg = ref 0. and resists = ref true in
       let platform = Topology.platform topo in
-      let fabric = Topology.fabric topo in
       let m = Platform.proc_count platform in
       (* execution costs drawn as usual, then rescaled to g = 1 *)
       let costs grng dag =
@@ -199,12 +198,12 @@ let topology_table graphs seed =
       in
       instances ~n ~seed ~costs (fun ~grng:_ ~costs ~norm ~seed ->
           let epsilon = 1 in
-          let sched = Caft.run ~fabric ~seed ~epsilon costs in
+          let sched = Caft.run ~seed ~epsilon costs in
           lat := !lat +. (Schedule.latency_zero_crash sched /. norm);
           msg := !msg +. float_of_int (Schedule.message_count sched);
-          (* single-crash tolerance, exhaustive, on the sparse fabric *)
+          (* single-crash tolerance, exhaustive, on the sparse routes *)
           for p = 0 to m - 1 do
-            let out = Replay.crash_from_start ~fabric sched ~crashed:[ p ] in
+            let out = Replay.crash_from_start sched ~crashed:[ p ] in
             if not out.Replay.completed then resists := false
           done);
       Text_table.add_row t

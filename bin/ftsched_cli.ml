@@ -88,12 +88,6 @@ let usage_error fmt =
 let at_least name lo v =
   if v < lo then usage_error "%s must be at least %d (got %d)" name lo v
 
-(* family dispatch lives in [Instance] now, shared with the serve daemon *)
-let make_dag rng ~family ~tasks =
-  match Instance.make_dag rng ~family ~tasks with
-  | Ok dag -> dag
-  | Error msg -> usage_error "%s" msg
-
 (* -- input hardening ----------------------------------------------------
    Malformed user-supplied files must not surface as raw OCaml exception
    backtraces: every load funnels through these helpers, which print one
@@ -145,30 +139,39 @@ let make_instance ?import ~seed ~family ~tasks ~m ~granularity () =
   if not (granularity > 0. && Float.is_finite granularity) then
     usage_error "--granularity must be a positive finite number (got %g)"
       granularity;
-  let rng = Rng.create seed in
-  let dag =
+  (* a generated instance is the serve daemon's: [Instance] draws both *)
+  let result =
     match import with
-    | Some path -> load_communicating_dag path
-    | None -> make_dag rng ~family ~tasks
+    | None -> Instance.make ~seed ~family ~tasks ~m ~granularity ()
+    | Some path ->
+        let dag = load_communicating_dag path in
+        Result.map
+          (fun costs -> (dag, costs))
+          (Instance.costs (Rng.create seed) ~m ~granularity dag)
   in
-  let params = Platform_gen.default ~m () in
-  let costs =
-    try Platform_gen.instance rng ~granularity params dag
-    with Invalid_argument _ ->
-      usage_error
-        "--granularity %g: the instance has no communication to rescale (one \
-         processor, or a graph without edges)"
-        granularity
-  in
-  (dag, costs)
+  match result with
+  | Ok instance -> instance
+  | Error msg when msg = Instance.no_communication ->
+      usage_error "--granularity %g: %s" granularity msg
+  | Error msg -> usage_error "%s" msg
+
+(* A tolerance to verify may exceed a schedule's replication degree (to
+   show that it does not resist), but not its processor count. *)
+let check_tolerance ~m epsilon =
+  at_least "--epsilon" 0 epsilon;
+  if epsilon > m then
+    usage_error "--epsilon %d exceeds the %d processors of the schedule"
+      epsilon m
 
 let run_algo algo ~model ~seed ~epsilon costs =
-  (if algo <> `Heft then
-     let m = Platform.proc_count (Costs.platform costs) in
+  (let m = Platform.proc_count (Costs.platform costs) in
+   if algo = `Heft then check_tolerance ~m epsilon
+   else begin
      at_least "--epsilon" 0 epsilon;
      if epsilon >= m then
        usage_error "--epsilon %d needs at least %d processors (got -m %d)"
-         epsilon (epsilon + 1) m);
+         epsilon (epsilon + 1) m
+   end);
   match algo with
   | `Caft -> Caft.run ~model ~seed ~epsilon costs
   | `Ftsa -> Ftsa.run ~model ~seed ~epsilon costs
@@ -568,6 +571,9 @@ let analyze_cmd =
             ~epsilon:(Option.value epsilon ~default:1)
             costs
     in
+    Option.iter
+      (check_tolerance ~m:(Platform.proc_count (Schedule.platform sched)))
+      epsilon;
     let report = Analysis_report.analyze ?epsilon ?domains sched in
     Option.iter
       (fun path ->

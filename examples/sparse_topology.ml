@@ -38,19 +38,18 @@ let () =
   List.iter
     (fun (name, topo) ->
       let platform = Topology.platform topo in
-      let fabric = Topology.fabric topo in
       (* identical execution costs on every topology: only the network
          changes *)
       let costs =
         Costs.create dag platform (fun task _ ->
             80. +. (7. *. float_of_int (task mod 9)))
       in
-      let sched = Caft.run ~fabric ~epsilon:1 costs in
-      Validate.check_exn ~fabric sched;
+      let sched = Caft.run ~epsilon:1 costs in
+      Validate.check_exn sched;
       let all_crashes_ok =
         List.for_all
           (fun p ->
-            (Replay.crash_from_start ~fabric sched ~crashed:[ p ]).Replay.completed)
+            (Replay.crash_from_start sched ~crashed:[ p ]).Replay.completed)
           (Platform.procs platform)
       in
       Text_table.add_row t

@@ -7,7 +7,7 @@ type t = {
   a_findings : Lint.finding list;
 }
 
-let analyze ?epsilon ?domains ?fabric sched =
+let analyze ?epsilon ?domains sched =
   let epsilon =
     match epsilon with Some e -> e | None -> Schedule.epsilon sched
   in
@@ -25,7 +25,7 @@ let analyze ?epsilon ?domains ?fabric sched =
     a_resilience = resilience;
     a_certificate = certificate;
     a_mapping = Mapping.verify sched;
-    a_findings = Lint.run ?fabric sched;
+    a_findings = Lint.run sched;
   }
 
 let ok t =

@@ -28,11 +28,10 @@ type t = {
 val analyze :
   ?epsilon:int ->
   ?domains:int ->
-  ?fabric:Netstate.fabric ->
   Schedule.t ->
   t
 (** Run all three analyses.  [epsilon] defaults to the schedule's
-    replication degree; [fabric] to the clique. *)
+    replication degree. *)
 
 val ok : t -> bool
 (** The schedule is certified resistant (when the certificate could be

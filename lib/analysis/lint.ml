@@ -100,9 +100,9 @@ let idle_gap sched =
                else None))
       (List.init m Fun.id)
 
-let run ?fabric sched =
+let run sched =
   let errors =
-    Validate.run ?fabric sched
+    Validate.run sched
     |> List.map (fun (v : Validate.violation) ->
            {
              f_rule = v.Validate.check;

@@ -23,10 +23,9 @@ type finding = {
   f_msg : string;
 }
 
-val run : ?fabric:Netstate.fabric -> Schedule.t -> finding list
+val run : Schedule.t -> finding list
 (** The validator's violations (errors), then the advisory findings in the
-    order listed above, so the list is sorted by decreasing severity.
-    [fabric] defaults to the clique, as in {!Validate.run}. *)
+    order listed above, so the list is sorted by decreasing severity. *)
 
 val errors : finding list -> int
 (** Number of error-level findings. *)

@@ -26,7 +26,6 @@
 
 val run :
   ?model:Netstate.model ->
-  ?fabric:Netstate.fabric ->
   ?seed:int ->
   epsilon:int ->
   Costs.t ->

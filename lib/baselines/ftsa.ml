@@ -1,5 +1,5 @@
-let run ?(model = Netstate.One_port) ?fabric ?(seed = 42) ~epsilon costs =
-  let ws = Workspace.create ~model ?fabric ~epsilon costs in
+let run ?(model = Netstate.One_port) ?(seed = 42) ~epsilon costs =
+  let ws = Workspace.create ~model ~epsilon costs in
   let net = Workspace.net ws in
   let m = Platform.proc_count (Workspace.platform ws) in
   let rng = Rng.create seed in

@@ -15,7 +15,6 @@
 
 val run :
   ?model:Netstate.model ->
-  ?fabric:Netstate.fabric ->
   ?seed:int ->
   epsilon:int ->
   Costs.t ->

@@ -10,7 +10,6 @@
 
 val run :
   ?model:Netstate.model ->
-  ?fabric:Netstate.fabric ->
   ?seed:int ->
   Costs.t ->
   Schedule.t

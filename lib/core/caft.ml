@@ -33,15 +33,15 @@ let place_all engine ~rng costs =
   in
   Obs_prof.phase ~trace:false ~cat:"sched" "caft.place" loop
 
-let run ?(model = Netstate.One_port) ?fabric ?(one_to_one = true)
-    ?(seed = 42) ~epsilon costs =
-  let engine = Caft_engine.create ~model ?fabric ~one_to_one ~epsilon costs in
+let run ?(model = Netstate.One_port) ?(one_to_one = true) ?(seed = 42) ~epsilon
+    costs =
+  let engine = Caft_engine.create ~model ~one_to_one ~epsilon costs in
   place_all engine ~rng:(Rng.create seed) costs;
   let name = algorithm_name ~one_to_one ~model in
   Obs_prof.phase ~trace:false ~cat:"sched" "caft.freeze" (fun () ->
       Caft_engine.to_schedule ~algorithm:name engine)
 
-let run_stream ?(model = Netstate.One_port) ?fabric ?(one_to_one = true)
+let run_stream ?(model = Netstate.One_port) ?(one_to_one = true)
     ?(seed = 42) ~epsilon ~path costs =
   let name = algorithm_name ~one_to_one ~model in
   let writer =
@@ -51,14 +51,14 @@ let run_stream ?(model = Netstate.One_port) ?fabric ?(one_to_one = true)
     ~finally:(fun () -> Schedule_io.stream_close writer)
     (fun () ->
       let engine =
-        Caft_engine.create ~model ?fabric ~one_to_one
+        Caft_engine.create ~model ~one_to_one
           ~on_place:(Schedule_io.stream_replica writer)
           ~epsilon costs
       in
       place_all engine ~rng:(Rng.create seed) costs)
 
-let fault_free ?model ?fabric ?seed costs =
-  let sched = run ?model ?fabric ?seed ~epsilon:0 costs in
+let fault_free ?model ?seed costs =
+  let sched = run ?model ?seed ~epsilon:0 costs in
   Schedule.create ~algorithm:"CAFT-ff" ~epsilon:0 ~model:(Schedule.model sched)
     ~costs:(Schedule.costs sched)
     (Schedule.all_replicas sched)

@@ -39,7 +39,6 @@
 
 val run :
   ?model:Netstate.model ->
-  ?fabric:Netstate.fabric ->
   ?one_to_one:bool ->
   ?seed:int ->
   epsilon:int ->
@@ -57,7 +56,6 @@ val run :
 
 val run_stream :
   ?model:Netstate.model ->
-  ?fabric:Netstate.fabric ->
   ?one_to_one:bool ->
   ?seed:int ->
   epsilon:int ->
@@ -76,7 +74,6 @@ val run_stream :
 
 val fault_free :
   ?model:Netstate.model ->
-  ?fabric:Netstate.fabric ->
   ?seed:int ->
   Costs.t ->
   Schedule.t

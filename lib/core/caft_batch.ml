@@ -2,10 +2,10 @@
    tasks, schedule the one whose best first-replica placement finishes
    earliest under the current network state. *)
 
-let run ?(model = Netstate.One_port) ?fabric ?(seed = 42) ?(window = 10)
+let run ?(model = Netstate.One_port) ?(seed = 42) ?(window = 10)
     ~epsilon costs =
   if window < 1 then invalid_arg "Caft_batch.run: window < 1";
-  let engine = Caft_engine.create ~model ?fabric ~epsilon costs in
+  let engine = Caft_engine.create ~model ~epsilon costs in
   let rng = Rng.create seed in
   let prio = Prio.create ~rng costs in
   (* The window is maintained outside Prio: tasks popped from the

@@ -19,7 +19,6 @@
 
 val run :
   ?model:Netstate.model ->
-  ?fabric:Netstate.fabric ->
   ?seed:int ->
   ?window:int ->
   epsilon:int ->

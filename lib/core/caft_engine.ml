@@ -169,8 +169,8 @@ let max_in_degree dag =
   done;
   !worst
 
-let create ?model ?fabric ?(one_to_one = true) ?on_place ~epsilon costs =
-  let ws = Workspace.create ?model ?fabric ~epsilon costs in
+let create ?model ?(one_to_one = true) ?on_place ~epsilon costs =
+  let ws = Workspace.create ?model ~epsilon costs in
   let dag = Workspace.dag ws in
   let max_preds = max_in_degree dag in
   let max_sources = max 1 (max_preds * (epsilon + 1)) in

@@ -12,7 +12,6 @@ type t
 
 val create :
   ?model:Netstate.model ->
-  ?fabric:Netstate.fabric ->
   ?one_to_one:bool ->
   ?on_place:(Schedule.replica -> unit) ->
   epsilon:int ->

@@ -1,6 +1,16 @@
 type proc = int
 
-type t = { delays : float array array; mean_delay : float; max_delay : float }
+(* The clique's link [src * m + dst] is arithmetic; a routed platform
+   stores [routes.(src * m + dst)].  Plain data, so platforms compare
+   with [=] and marshal. *)
+type links = Clique | Routed of { count : int; routes : int array array }
+
+type t = {
+  delays : float array array;
+  mean_delay : float;
+  max_delay : float;
+  links : links;
+}
 
 let off_diagonal_stats delays =
   let m = Array.length delays in
@@ -34,7 +44,19 @@ let create ~delays =
     delays;
   let delays = Array.map Array.copy delays in
   let mean_delay, max_delay = off_diagonal_stats delays in
-  { delays; mean_delay; max_delay }
+  { delays; mean_delay; max_delay; links = Clique }
+
+let routed ~delays ~link_count ~routes =
+  let t = create ~delays in
+  let m = Array.length delays in
+  let route l =
+    let r = Array.of_list routes.(l / m).(l mod m) in
+    if Array.exists (fun i -> i < 0 || i >= link_count) r then
+      invalid_arg "Platform.routed: bad link id";
+    r
+  in
+  let routes = Array.init (m * m) route in
+  { t with links = Routed { count = link_count; routes } }
 
 let uniform ~m ~delay =
   if delay < 0. then invalid_arg "Platform.uniform: negative delay";
@@ -55,3 +77,17 @@ let[@inline] comm_time t ~src ~dst ~volume = volume *. delay t src dst
 let procs t = List.init (proc_count t) (fun i -> i)
 let mean_delay t = t.mean_delay
 let max_delay t = t.max_delay
+let is_clique t = match t.links with Clique -> true | Routed _ -> false
+
+let link_count t =
+  match t.links with Clique -> proc_count t * proc_count t | Routed r -> r.count
+
+let[@inline] route_length t src dst =
+  match t.links with
+  | Clique -> 1
+  | Routed r -> Array.length r.routes.((src * proc_count t) + dst)
+
+let[@inline] route_link t src dst i =
+  match t.links with
+  | Clique -> (src * proc_count t) + dst
+  | Routed r -> r.routes.((src * proc_count t) + dst).(i)

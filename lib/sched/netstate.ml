@@ -32,28 +32,6 @@ let ports_of_model = function
       if k < 1 then invalid_arg "Netstate: Multiport needs k >= 1";
       k
 
-type fabric = {
-  phys_count : int;
-  route : Platform.proc -> Platform.proc -> int list;
-}
-
-(* Clique fabric: one dedicated physical link per ordered processor
-   pair.  Routes are memoized: [link_ready] asks for one on every leg
-   estimate of the placement inner loop, and a fresh cons cell per call
-   is measurable GC pressure at 10^5+ tasks. *)
-let clique_fabric m =
-  let routes = Array.make (m * m) [] in
-  let route src dst =
-    let l = (src * m) + dst in
-    match routes.(l) with
-    | [] ->
-        let r = [ l ] in
-        routes.(l) <- r;
-        r
-    | r -> r
-  in
-  { phys_count = m * m; route }
-
 type source = {
   s_task : Dag.task;
   s_replica : int;
@@ -236,8 +214,7 @@ let load_inputs s inputs = load_inputs_as "Netstate.load_inputs" s inputs
 type t = {
   platform : Platform.t;
   model : model;
-  fabric : fabric;
-  clique : bool;  (* [fabric] is the default [clique_fabric] *)
+  clique : bool;  (* the platform's links are the clique's [src * m + dst] *)
   ready : float array;
   sf : float array array;  (* per-processor send slots (k per port) *)
   rf : float array array;  (* per-processor receive slots *)
@@ -275,22 +252,17 @@ type snapshot = {
   snap_phys : float array;
 }
 
-let create ?(model = One_port) ?fabric platform =
+let create ?(model = One_port) platform =
   let m = Platform.proc_count platform in
-  let clique = Option.is_none fabric in
-  let fabric =
-    match fabric with Some f -> f | None -> clique_fabric m
-  in
   let k = ports_of_model model in
   {
     platform;
     model;
-    fabric;
-    clique;
+    clique = Platform.is_clique platform;
     ready = Array.make m 0.;
     sf = Array.init m (fun _ -> Array.make k 0.);
     rf = Array.init m (fun _ -> Array.make k 0.);
-    phys = Array.make fabric.phys_count 0.;
+    phys = Array.make (Platform.link_count platform) 0.;
     leg_src = [||];
     leg_w = [||];
     leg_start = [||];
@@ -312,7 +284,6 @@ let create ?(model = One_port) ?fabric platform =
 
 let model t = t.model
 let platform t = t.platform
-let fabric t = t.fabric
 
 let snapshot t =
   {
@@ -351,22 +322,21 @@ let argmin_slot (slots : float array) =
 let send_free t p = min_slot t.sf.(p)
 let recv_free t p = min_slot t.rf.(p)
 
-let rec route_max phys acc = function
-  | [] -> acc
-  | l :: rest -> route_max phys (Float.max acc phys.(l)) rest
-
+(* R(l) of the route [src -> dst]: the latest ready time over its
+   physical links.  On the clique the placement loops read the one link
+   [src * m + dst] themselves, since a float returned from here is
+   boxed. *)
 let link_ready t ~src ~dst =
-  match t.fabric.route src dst with
-  | [] -> 0.
-  | [ l ] -> t.phys.(l) (* clique fast path *)
-  | route -> route_max t.phys 0. route
+  let p = t.platform in
+  let r = ref 0. in
+  for i = 0 to Platform.route_length p src dst - 1 do
+    r := Float.max !r t.phys.(Platform.route_link p src dst i)
+  done;
+  !r
 
 (* The estimate rows of a placement, candidate-major.  [t.leg_sf] holds
    each source's send-port time, read once: it is the same for every
-   destination.  On the default clique the link of [sp -> p] is
-   [sp * m + p] (see [clique_fabric]), read without an indirect call to
-   the route closure per cell; other fabrics look the route up as the
-   kernel does. *)
+   destination. *)
 let leg_table t src ~skip ~est ~w =
   let n = src.n in
   if Array.length t.leg_sf < n then t.leg_sf <- Array.make (max 8 n) 0.;
@@ -391,11 +361,7 @@ let leg_table t src ~skip ~est ~w =
           in
           let link =
             if t.clique then t.phys.((sp * m) + p)
-            else
-              match t.fabric.route sp p with
-              | [] -> 0.
-              | [ l ] -> t.phys.(l)
-              | route -> route_max t.phys 0. route
+            else link_ready t ~src:sp ~dst:p
           in
           est.(base + k) <-
             Flt.fmax sf.(k) (Flt.fmax src.finish_of.(k) link) +. wk;
@@ -445,13 +411,15 @@ let rollback t =
   done;
   t.undo_len <- 0
 
-(* Reserve every physical link of a route until leg [k]'s finish. *)
-let rec reserve_route t ~commit k = function
-  | [] -> ()
-  | l :: rest ->
-      if not commit then log_cell t t.phys l;
-      t.phys.(l) <- t.leg_finish.(k);
-      reserve_route t ~commit k rest
+(* Reserve every physical link of the route [sp -> dst] until leg [k]'s
+   finish. *)
+let reserve_route t ~commit k sp dst =
+  let p = t.platform in
+  for i = 0 to Platform.route_length p sp dst - 1 do
+    let l = Platform.route_link p sp dst i in
+    if not commit then log_cell t t.phys l;
+    t.phys.(l) <- t.leg_finish.(k)
+  done
 
 (* Receive serialization runs in non-decreasing link finish; equal
    finishes keep the send order (leg index). *)
@@ -467,6 +435,7 @@ let leg_before t a b =
    itself is computed but not reserved. *)
 let kernel t src ~colocate_exclusive ~proc ~exec ~commit =
   let ns = src.slots and n = src.n in
+  let m = Platform.proc_count t.platform in
   ensure_kernel t ~slots:ns ~legs:n;
   let local = t.slot_local
   and local_min = t.slot_local_min
@@ -488,7 +457,7 @@ let kernel t src ~colocate_exclusive ~proc ~exec ~commit =
     end
   done;
   (* Remote legs in send order, which serializes same-source sends
-     deterministically.  Under a routed fabric a leg reserves every
+     deterministically.  On a routed platform a leg reserves every
      physical link of its route for its whole duration (circuit-style,
      "at most one message on a given link at a time"). *)
   let nl = ref 0 in
@@ -512,23 +481,20 @@ let kernel t src ~colocate_exclusive ~proc ~exec ~commit =
       | One_port | Multiport _ ->
           let row = t.sf.(sp) in
           let slot = argmin_slot row in
-          let route = t.fabric.route sp proc in
           let link =
-            match route with
-            | [] -> 0.
-            | [ l ] -> t.phys.(l)
-            | _ -> route_max t.phys 0. route
+            if t.clique then t.phys.((sp * m) + proc)
+            else link_ready t ~src:sp ~dst:proc
           in
           let start = Float.max row.(slot) (Float.max src.finish_of.(i) link) in
           t.leg_start.(k) <- start;
           t.leg_finish.(k) <- start +. w;
           if not commit then log_cell t row slot;
           row.(slot) <- start +. w;
-          reserve_route t ~commit k route;
+          reserve_route t ~commit k sp proc;
           if commit && Obs_metrics.enabled () then begin
             Obs_metrics.observe m_send_wait (start -. src.finish_of.(i));
             Obs_metrics.add m_link_busy
-              (w *. float_of_int (List.length route))
+              (w *. float_of_int (Platform.route_length t.platform sp proc))
           end);
       nl := k + 1
     end

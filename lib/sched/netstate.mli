@@ -54,34 +54,20 @@
       link.  [Multiport 1] behaves like {!One_port}. *)
 type model = Macro_dataflow | One_port | Multiport of int
 
-(** Physical interconnect description for sparse topologies (the paper's
-    Section 7 extension).  [phys_count] physical directed links exist;
-    [route src dst] lists the physical links a message from [src] to
-    [dst] traverses.  A message reserves {e every} link of its route for
-    its whole duration ("at most one message can circulate on a given
-    link at a given time-step"), so routes sharing a link contend.  The
-    default fabric is the paper's clique: one dedicated link per ordered
-    pair. *)
-type fabric = {
-  phys_count : int;
-  route : Platform.proc -> Platform.proc -> int list;
-}
-
-val clique_fabric : int -> fabric
-(** The fully connected fabric over [m] processors (the default). *)
-
 type t
 
 type snapshot
 
-val create : ?model:model -> ?fabric:fabric -> Platform.t -> t
+val create : ?model:model -> Platform.t -> t
 (** Fresh state, all free times at zero.  [model] defaults to
-    {!One_port}; [fabric] to {!clique_fabric}.  Execution bookings append
-    after the processor's last task, as in the paper. *)
+    {!One_port}.  Messages reserve the physical links of the platform's
+    routes ({!Platform.route_link}): one dedicated link per ordered pair
+    on the clique, every link of the route on a [Topology] platform.
+    Execution bookings append after the processor's last task, as in the
+    paper. *)
 
 val model : t -> model
 val platform : t -> Platform.t
-val fabric : t -> fabric
 
 val snapshot : t -> snapshot
 (** O(m^2) copy of the whole state. *)
@@ -99,7 +85,7 @@ val recv_free : t -> Platform.proc -> float
 (** [RF(P)]. *)
 
 val link_ready : t -> src:Platform.proc -> dst:Platform.proc -> float
-(** [R(l)] for the directed link: under a routed fabric, the latest ready
+(** [R(l)] for the directed link: on a routed platform, the latest ready
     time over the physical links of the route. *)
 
 (** A candidate data source for one input of a replica under

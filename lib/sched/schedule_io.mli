@@ -28,7 +28,14 @@ end
     round-trip exactly.  A task name is printed as is unless it is empty,
     holds whitespace or starts with ['"']; such a name is printed as an
     OCaml string literal ([task 2 "load a"]), the only form in which the
-    parser reads a name that is not one word. *)
+    parser reads a name that is not one word.
+
+    The platform is written as its [delay] lines only: the format has no
+    routes, so a parsed schedule lives on the clique with those delays
+    ({!Platform.create}), and validation and replay of it treat every
+    ordered pair as its own link.  A schedule booked over a [Topology]
+    platform saves its routed end-to-end delays, but a reload no longer
+    checks or replays its shared-link contention. *)
 
 val to_string : Schedule.t -> string
 

@@ -83,14 +83,8 @@ let message_loc ~proc (m : Netstate.message) =
     l_proc = Some proc;
   }
 
-let run_impl ?fabric sched =
+let run_impl sched =
   let open Schedule in
-  let fabric =
-    match fabric with
-    | Some f -> f
-    | None ->
-        Netstate.clique_fabric (Platform.proc_count (Schedule.platform sched))
-  in
   let dag = Schedule.dag sched in
   let costs = Schedule.costs sched in
   let violations = ref [] in
@@ -317,18 +311,19 @@ let run_impl ?fabric sched =
            ~describe:describe_message ~locate:(message_loc ~proc:p) windows
          @ !violations
      done;
-     (* link constraint (1), per physical link of the fabric *)
-     let per_phys = Array.make fabric.Netstate.phys_count [] in
+     (* link constraint (1), per physical link of the platform *)
+     let platform = Schedule.platform sched in
+     let per_phys = Array.make (Platform.link_count platform) [] in
      List.iter
        (fun msg ->
          let src = msg.Netstate.m_source.Netstate.s_proc in
          let dst = msg.Netstate.m_dst_proc in
-         List.iter
-           (fun l ->
-             per_phys.(l) <-
-               (msg.Netstate.m_leg_start, msg.Netstate.m_leg_finish, msg)
-               :: per_phys.(l))
-           (fabric.Netstate.route src dst))
+         for i = 0 to Platform.route_length platform src dst - 1 do
+           let l = Platform.route_link platform src dst i in
+           per_phys.(l) <-
+             (msg.Netstate.m_leg_start, msg.Netstate.m_leg_finish, msg)
+             :: per_phys.(l)
+         done)
        msgs;
      Array.iter
        (fun legs ->
@@ -341,14 +336,14 @@ let run_impl ?fabric sched =
        per_phys);
   List.rev !violations
 
-let run ?fabric sched =
+let run sched =
   Obs_trace.with_span ~cat:"sched" "validate" (fun () ->
-      run_impl ?fabric sched)
+      run_impl sched)
 
-let is_valid ?fabric sched = run ?fabric sched = []
+let is_valid sched = run sched = []
 
-let check_exn ?fabric sched =
-  match run ?fabric sched with
+let check_exn sched =
+  match run sched with
   | [] -> ()
   | vs ->
       let msg =

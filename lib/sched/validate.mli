@@ -41,15 +41,15 @@ type violation = {
           the receiver for [one-port-recv]) and the conflicting interval. *)
 }
 
-val run : ?fabric:Netstate.fabric -> Schedule.t -> violation list
-(** All violations; the empty list means the schedule is valid.  When the
-    schedule was built over a sparse interconnect, pass the same [fabric]
-    so the link constraint (1) is checked per {e physical} link (routes
-    sharing a link must not overlap); the default is the clique fabric. *)
+val run : Schedule.t -> violation list
+(** All violations; the empty list means the schedule is valid.  The
+    link constraint (1) is checked per {e physical} link of the
+    schedule's platform ({!Platform.route_link}): on a routed platform,
+    routes sharing a link must not overlap. *)
 
-val is_valid : ?fabric:Netstate.fabric -> Schedule.t -> bool
+val is_valid : Schedule.t -> bool
 
-val check_exn : ?fabric:Netstate.fabric -> Schedule.t -> unit
+val check_exn : Schedule.t -> unit
 (** Raises [Failure] listing every violation, if any. *)
 
 val pp_violation : Format.formatter -> violation -> unit

@@ -12,7 +12,7 @@ type t = {
 
 let no_row : Schedule.replica array = [||]
 
-let create ?model ?fabric ~epsilon costs =
+let create ?model ~epsilon costs =
   if epsilon < 0 then invalid_arg "Workspace.create: negative epsilon";
   let platform = Costs.platform costs in
   if epsilon >= Platform.proc_count platform then
@@ -20,7 +20,7 @@ let create ?model ?fabric ~epsilon costs =
       "Workspace.create: need at least epsilon+1 processors for replication";
   let n = Dag.task_count (Costs.dag costs) in
   {
-    net = Netstate.create ?model ?fabric platform;
+    net = Netstate.create ?model platform;
     costs;
     epsilon;
     counts = Array.make n 0;

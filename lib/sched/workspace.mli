@@ -12,12 +12,11 @@ type t
 
 val create :
   ?model:Netstate.model ->
-  ?fabric:Netstate.fabric ->
   epsilon:int ->
   Costs.t ->
   t
-(** Empty workspace over a fresh network state.  [fabric] selects a
-    sparse interconnect (defaults to the clique). *)
+(** Empty workspace over a fresh network state on the costs' platform,
+    whose routes the bookings follow. *)
 
 val net : t -> Netstate.t
 val costs : t -> Costs.t

@@ -6,7 +6,7 @@
     at most the entry being written — never correctness.
 
     Keys are {!Fingerprint} hex digests of the canonical request
-    parameters (which pin the DAG, platform, ε and fabric — the
+    parameters (which pin the DAG, platform and ε — the
     generators are deterministic in the seed).  Values are the
     {e rendered} result-JSON bytes: a hit re-serves the exact bytes the
     original computation produced, which is what makes the

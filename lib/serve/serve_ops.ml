@@ -174,19 +174,20 @@ let base_fp ~op b =
 
 (* -- schedule construction, memoized ----------------------------------- *)
 
+(* [Error] only for an instance the parameters cannot build (one without
+   communication): parse_base validated the rest. *)
 let build_schedule b =
-  match
+  let* _dag, costs =
     Instance.make ~seed:b.b_seed ~family:b.b_family ~tasks:b.b_tasks ~m:b.b_m
       ~granularity:b.b_granularity ()
-  with
-  | Error e -> failwith e (* unreachable: parse_base validated the family *)
-  | Ok (_dag, costs) -> (
-      let model = model_of_name b.b_model in
-      match b.b_algo with
-      | "ftsa" -> Ftsa.run ~model ~seed:b.b_seed ~epsilon:b.b_epsilon costs
-      | "ftbar" -> Ftbar.run ~model ~seed:b.b_seed ~epsilon:b.b_epsilon costs
-      | "heft" -> Heft.run ~model ~seed:b.b_seed costs
-      | _ -> Caft.run ~model ~seed:b.b_seed ~epsilon:b.b_epsilon costs)
+  in
+  let model = model_of_name b.b_model in
+  Ok
+    (match b.b_algo with
+    | "ftsa" -> Ftsa.run ~model ~seed:b.b_seed ~epsilon:b.b_epsilon costs
+    | "ftbar" -> Ftbar.run ~model ~seed:b.b_seed ~epsilon:b.b_epsilon costs
+    | "heft" -> Heft.run ~model ~seed:b.b_seed costs
+    | _ -> Caft.run ~model ~seed:b.b_seed ~epsilon:b.b_epsilon costs)
 
 (* The memo key deliberately excludes the op: a [montecarlo] and a
    [replay] on the same instance share one schedule and one compiled
@@ -196,9 +197,9 @@ let memo_key b = Fingerprint.to_hex (base_fp ~op:"instance" b)
 let schedule_of ctx b =
   let key = memo_key b in
   match Hashtbl.find_opt ctx.memo key with
-  | Some e -> e
+  | Some e -> Ok e
   | None ->
-      let me_sched = build_schedule b in
+      let* me_sched = build_schedule b in
       let e = { me_sched; me_compiled = lazy (Replay.compile me_sched) } in
       if Hashtbl.length ctx.memo >= ctx.memo_capacity then begin
         match Queue.take_opt ctx.memo_order with
@@ -207,7 +208,7 @@ let schedule_of ctx b =
       end;
       Hashtbl.replace ctx.memo key e;
       Queue.add key ctx.memo_order;
-      e
+      Ok e
 
 (* -- result renderers --------------------------------------------------- *)
 
@@ -268,8 +269,13 @@ let montecarlo_result (r : Monte_carlo.report) =
 
 let bad msg = Error (Serve_protocol.Bad_request, msg)
 
-let guard f =
-  try f () with
+(* Evaluate [run] on the request's schedule; an instance the parameters
+   cannot build is the request's fault. *)
+let guard ~cancel ctx b run =
+  try
+    Cancel.check cancel;
+    match schedule_of ctx b with Ok e -> run e | Error msg -> bad msg
+  with
   | Cancel.Cancelled ->
       Error
         ( Serve_protocol.Deadline_exceeded,
@@ -291,10 +297,8 @@ let prepare_schedule ctx fields =
       p_op = "schedule";
       p_run =
         (fun ~cancel ->
-          guard (fun () ->
-              Cancel.check cancel;
-              let e = schedule_of ctx b in
-              Ok (render (schedule_result ~include_text b e.me_sched))));
+          guard ~cancel ctx b (fun e ->
+            Ok (render (schedule_result ~include_text b e.me_sched))));
     }
 
 let prepare_replay ctx fields =
@@ -313,11 +317,9 @@ let prepare_replay ctx fields =
       p_op = "replay";
       p_run =
         (fun ~cancel ->
-          guard (fun () ->
-              Cancel.check cancel;
-              let e = schedule_of ctx b in
-              let o = Replay.eval_crashed (Lazy.force e.me_compiled) ~crashed in
-              Ok (render (replay_result ~crashed o))));
+          guard ~cancel ctx b (fun e ->
+            let o = Replay.eval_crashed (Lazy.force e.me_compiled) ~crashed in
+            Ok (render (replay_result ~crashed o))));
     }
 
 let prepare_montecarlo ctx fields =
@@ -341,19 +343,17 @@ let prepare_montecarlo ctx fields =
       p_op = "montecarlo";
       p_run =
         (fun ~cancel ->
-          guard (fun () ->
-              Cancel.check cancel;
-              let e = schedule_of ctx b in
-              let mode =
-                if timed then Monte_carlo.Timed (Schedule.makespan e.me_sched)
-                else Monte_carlo.From_start
-              in
-              (* seed + 1, exactly as the CLI's montecarlo subcommand *)
-              let r =
-                Monte_carlo.run ~seed:(b.b_seed + 1) ~runs ~cancel ~crashes
-                  ~mode e.me_sched
-              in
-              Ok (render (montecarlo_result r))));
+          guard ~cancel ctx b (fun e ->
+            let mode =
+              if timed then Monte_carlo.Timed (Schedule.makespan e.me_sched)
+              else Monte_carlo.From_start
+            in
+            (* seed + 1, exactly as the CLI's montecarlo subcommand *)
+            let r =
+              Monte_carlo.run ~seed:(b.b_seed + 1) ~runs ~cancel ~crashes
+                ~mode e.me_sched
+            in
+            Ok (render (montecarlo_result r))));
     }
 
 (* analyze has no cancellation hook inside [Resilience.certify], so the
@@ -382,13 +382,11 @@ let prepare_analyze ctx fields =
       p_op = "analyze";
       p_run =
         (fun ~cancel ->
-          guard (fun () ->
-              Cancel.check cancel;
-              let e = schedule_of ctx b in
-              let report =
-                Analysis_report.analyze ~epsilon:b.b_epsilon e.me_sched
-              in
-              Ok (render (Analysis_report.to_json report))));
+          guard ~cancel ctx b (fun e ->
+            let report =
+              Analysis_report.analyze ~epsilon:b.b_epsilon e.me_sched
+            in
+            Ok (render (Analysis_report.to_json report))));
     }
 
 let prepare ctx ~op ~params =

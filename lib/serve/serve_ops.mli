@@ -13,7 +13,7 @@
     closure that performs the work later, under the admission queue's
     cancellation token.  The key fingerprints everything that determines
     the result — op and all effective parameters, which pin the DAG,
-    platform, ε and fabric through the deterministic generators.
+    platform and ε through the deterministic generators.
 
     A [ctx] memoizes built schedules and compiled replay engines across
     requests (bounded, FIFO eviction): a [replay] after a [montecarlo]

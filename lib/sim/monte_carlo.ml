@@ -26,7 +26,7 @@ let g_throughput =
     "replay.scenarios_per_sec"
 
 let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?(cancel = Cancel.never)
-    ?fabric ~crashes ~mode sched =
+    ~crashes ~mode sched =
   if runs < 1 then invalid_arg "Monte_carlo.run: runs < 1";
   let rng = Rng.create seed in
   let l0 = Schedule.latency_zero_crash sched in
@@ -36,7 +36,7 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?(cancel = Cancel.never)
      1.0 (Proposition 5.2) and the plain latency path stays bit-identical
      to the historical reports. *)
   let beyond = crashes > Schedule.epsilon sched in
-  let c = Replay.compile ?fabric sched in
+  let c = Replay.compile sched in
   let latencies = ref [] and completed = ref 0 in
   let csum = ref 0. and cmin = ref 1. in
   let ssum = ref 0. and fsum = ref 0. in
@@ -95,16 +95,14 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?(cancel = Cancel.never)
            });
   }
 
-let degradation_curve ?seed ?runs ?domains ?cancel ?fabric ?max_crashes ~mode
-    sched =
+let degradation_curve ?seed ?runs ?domains ?cancel ?max_crashes ~mode sched =
   let m = Platform.proc_count (Schedule.platform sched) in
   let eps = Schedule.epsilon sched in
   let hi =
     match max_crashes with Some k -> min k m | None -> min m (eps + 3)
   in
   List.init (hi + 1) (fun crashes ->
-      ( crashes,
-        run ?seed ?runs ?domains ?cancel ?fabric ~crashes ~mode sched ))
+      (crashes, run ?seed ?runs ?domains ?cancel ~crashes ~mode sched))
 
 let slowdown_cell x =
   if Float.is_nan x then "-" else Printf.sprintf "%.2fx" x

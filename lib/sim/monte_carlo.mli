@@ -45,7 +45,6 @@ val run :
   ?runs:int ->
   ?domains:int ->
   ?cancel:Cancel.token ->
-  ?fabric:Netstate.fabric ->
   crashes:int ->
   mode:mode ->
   Schedule.t ->
@@ -78,7 +77,6 @@ val degradation_curve :
   ?runs:int ->
   ?domains:int ->
   ?cancel:Cancel.token ->
-  ?fabric:Netstate.fabric ->
   ?max_crashes:int ->
   mode:mode ->
   Schedule.t ->

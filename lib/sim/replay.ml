@@ -34,18 +34,20 @@ let m_compiles =
 
 type msg_state = { mutable m_delivered : float (* arrival, or infinity if dead *) }
 
-let reference ?fabric sched ~crash_time =
+let reference sched ~crash_time =
   Obs_metrics.incr m_replays;
   Obs_prof.phase ~cat:"sim" "replay" @@ fun () ->
   let dag = Schedule.dag sched in
   let platform = Schedule.platform sched in
   let model = Schedule.model sched in
   let m = Platform.proc_count platform in
-  let fabric =
-    match fabric with
-    | Some f -> f
-    | None -> Netstate.clique_fabric m
+  let routes =
+    Array.init (m * m) (fun l ->
+        let src = l / m and dst = l mod m in
+        List.init (Platform.route_length platform src dst)
+          (Platform.route_link platform src dst))
   in
+  let route src dst = routes.((src * m) + dst) in
   let v = Dag.task_count dag in
   let eps1 = Schedule.epsilon sched + 1 in
 
@@ -160,14 +162,14 @@ let reference ?fabric sched ~crash_time =
               (msg.Netstate.m_arrival -. msg.Netstate.m_duration, msg.Netstate.m_arrival))
             (fun msg -> msg.Netstate.m_dst_proc = p)
         done);
-     (* each physical link of the fabric serializes the legs routed
+     (* each physical link of the platform serializes the legs routed
         through it *)
-     for l = 0 to fabric.Netstate.phys_count - 1 do
+     for l = 0 to Platform.link_count platform - 1 do
        by_key
          (fun msg -> (msg.Netstate.m_leg_start, msg.Netstate.m_leg_finish))
          (fun msg ->
            List.mem l
-             (fabric.Netstate.route msg.Netstate.m_source.Netstate.s_proc
+             (route msg.Netstate.m_source.Netstate.s_proc
                 msg.Netstate.m_dst_proc))
      done
    end);
@@ -186,13 +188,12 @@ let reference ?fabric sched ~crash_time =
   let exec_free = Array.make m 0. in
   let send_free = Array.init m (fun _ -> Array.make port_slots 0.) in
   let recv_free = Array.init m (fun _ -> Array.make port_slots 0.) in
-  let phys_free = Array.make fabric.Netstate.phys_count 0. in
+  let phys_free = Array.make (Platform.link_count platform) 0. in
   let link_free src dst =
-    List.fold_left (fun acc l -> Float.max acc phys_free.(l)) 0.
-      (fabric.Netstate.route src dst)
+    List.fold_left (fun acc l -> Float.max acc phys_free.(l)) 0. (route src dst)
   in
   let occupy_link src dst finish =
-    List.iter (fun l -> phys_free.(l) <- finish) (fabric.Netstate.route src dst)
+    List.iter (fun l -> phys_free.(l) <- finish) (route src dst)
   in
   let replica_result = Array.init v (fun _ -> Array.make eps1 Crashed) in
   let replica_by_node = Array.make nreplicas None in
@@ -439,7 +440,7 @@ type compiled = {
   c_msg_dur : float array;
   c_route_off : int array;  (* nmsgs + 1; precomputed physical routes *)
   c_route : int array;
-  c_phys : int;  (* physical links of the fabric *)
+  c_phys : int;  (* physical links of the platform *)
   c_sinks : int array;  (* exit tasks, for degradation reports *)
   (* scratch arenas, reset in place at the start of every walk --------- *)
   c_one : arena;  (* the one-lane outcome arena of eval *)
@@ -539,25 +540,20 @@ let resource_chains ~k1 ~k2 ~tmp nb ~hop ~hop_off n =
   done;
   (off, dat)
 
-let compile ?fabric sched =
+let compile sched =
   Obs_metrics.incr m_compiles;
   Obs_prof.phase ~cat:"sim" "replay.compile" @@ fun () ->
   let dag = Schedule.dag sched in
   let platform = Schedule.platform sched in
   let model = Schedule.model sched in
   let m = Platform.proc_count platform in
-  let fabric =
-    match fabric with
-    | Some f -> f
-    | None -> Netstate.clique_fabric m
-  in
   let v = Dag.task_count dag in
   let eps1 = Schedule.epsilon sched + 1 in
   let replica_node task idx = (task * eps1) + idx in
   let nreplicas = v * eps1 in
   let replica rn = Schedule.replica sched (rn / eps1) (rn mod eps1) in
   let contended = model <> Netstate.Macro_dataflow in
-  let phys = fabric.Netstate.phys_count in
+  let phys = Platform.link_count platform in
 
   (* -- message numbering, in [reference]'s discovery order: replicas
         by node, supplies in input order.  A replica's messages get
@@ -602,25 +598,22 @@ let compile ?fabric sched =
       msg_dur.(mi) <- msg.Netstate.m_duration;
       let hops =
         if contended then
-          List.length
-            (fabric.Netstate.route s.Netstate.s_proc msg.Netstate.m_dst_proc)
+          Platform.route_length platform s.Netstate.s_proc
+            msg.Netstate.m_dst_proc
         else 0
       in
       route_off.(mi + 1) <- route_off.(mi) + hops)
     msgs;
-  (* Precomputed routes: [reference] re-evaluates [fabric.route] per
+  (* Precomputed routes: [reference] re-evaluates each route per
      message per physical link on every replay. *)
   let route_dat = Array.make route_off.(nmsgs) 0 in
-  (let rec fill k = function
-     | [] -> ()
-     | l :: rest ->
-         route_dat.(k) <- l;
-         fill (k + 1) rest
-   in
-   if contended then
-     for mi = 0 to nmsgs - 1 do
-       fill route_off.(mi) (fabric.Netstate.route msg_src.(mi) msg_dst.(mi))
-     done);
+  if contended then
+    for mi = 0 to nmsgs - 1 do
+      for i = 0 to route_off.(mi + 1) - route_off.(mi) - 1 do
+        route_dat.(route_off.(mi) + i) <-
+          Platform.route_link platform msg_src.(mi) msg_dst.(mi) i
+      done
+    done;
 
   (* -- resource chains: [reference] sorts each port's and each link's
         messages by (key1, key2, id). ---------------------------------- *)
@@ -1388,12 +1381,12 @@ let sink_fraction d =
 
 (* -- one-shot wrappers ------------------------------------------------- *)
 
-let crash_from_start ?fabric sched ~crashed =
-  eval_crashed (compile ?fabric sched) ~crashed
+let crash_from_start sched ~crashed =
+  eval_crashed (compile sched) ~crashed
 
-let crash_timed ?fabric sched ~crashes =
-  eval_timed (compile ?fabric sched) ~crashes
+let crash_timed sched ~crashes =
+  eval_timed (compile sched) ~crashes
 
-let fault_free ?fabric sched =
-  let c = compile ?fabric sched in
+let fault_free sched =
+  let c = compile sched in
   eval c ~crash_time:(Array.make c.c_m infinity)

@@ -33,9 +33,10 @@
     Under the one-port model the replay keeps port serialization; under
     macro-dataflow, messages leave at source completion and arrive [W]
     later with no port queuing — exactly the models used at scheduling
-    time.  For schedules built over a sparse interconnect, pass the same
-    [fabric] so physical-link contention is replayed faithfully (default:
-    the clique fabric). *)
+    time.  Messages occupy the physical links of the schedule's platform
+    ({!Platform.route_link}), the links they were booked on, so a
+    schedule built over a sparse interconnect replays its shared-link
+    contention faithfully. *)
 
 type replica_outcome =
   | Ran of { start : float; finish : float }
@@ -47,7 +48,8 @@ type replica_outcome =
 
     The static event graph (node numbering, dependency and resource-order
     edges, physical routes, supply index) does not depend on the crash
-    scenario, only on the schedule and fabric.  {!compile} builds it
+    scenario, only on the schedule and its platform's routes.  {!compile}
+    builds it
     exactly once, runs its topological sort once, and keeps the resulting
     order together with a preallocated one-scenario scratch arena.  Every
     crash-time scenario — {!eval}, {!eval_crashed}, {!eval_timed}, the
@@ -64,11 +66,10 @@ type replica_outcome =
     times, as in the paper's campaigns. *)
 
 type compiled
-(** A crash-independent replay simulator for one schedule + fabric. *)
+(** A crash-independent replay simulator for one schedule. *)
 
-val compile : ?fabric:Netstate.fabric -> Schedule.t -> compiled
-(** Build the reusable simulator.  [fabric] defaults to the clique over
-    the schedule's processors, as in {!crash_from_start}.  Raises
+val compile : Schedule.t -> compiled
+(** Build the reusable simulator.  Raises
     [Failure] if the schedule's static order is cyclic (the check runs
     here once, not per {!eval}). *)
 
@@ -231,18 +232,14 @@ val batch_degradation : compiled -> batch -> int -> degradation
     what that crash row leaves complete, summarized from {!eval}'s
     outcome. *)
 
-val reference :
-  ?fabric:Netstate.fabric ->
-  Schedule.t ->
-  crash_time:float array ->
-  outcome
+val reference : Schedule.t -> crash_time:float array -> outcome
 (** The original rebuild-the-graph-per-scenario implementation: it builds
     the event graph for the one scenario and traverses it with a priority
     heap.  It shares no code with {!compile} and the kernel, which is why
     it stays: it is the differential oracle for {!eval} and {!eval_batch}
     in the test suite, and the rebuild row of [bench/main.exe --replay]
     that the batched row is gated against.  Semantically identical to
-    [eval (compile ?fabric sched) ~crash_time]. *)
+    [eval (compile sched) ~crash_time]. *)
 
 (** {1 One-shot wrappers}
 
@@ -250,27 +247,19 @@ val reference :
     runs the kernel once ({!eval_crashed}, {!eval_timed}, or {!eval} on
     a row where no processor dies), then drops the engine. *)
 
-val crash_from_start :
-  ?fabric:Netstate.fabric ->
-  Schedule.t ->
-  crashed:Platform.proc list ->
-  outcome
+val crash_from_start : Schedule.t -> crashed:Platform.proc list -> outcome
 (** Replay with the given processors dead from time zero (the adversarial
     model of the paper: tolerating [epsilon] arbitrary failures).
     Duplicate processors in [crashed] are ignored.  Raises
     [Invalid_argument] for a processor outside [\[0, m)]. *)
 
-val crash_timed :
-  ?fabric:Netstate.fabric ->
-  Schedule.t ->
-  crashes:(Platform.proc * float) list ->
-  outcome
+val crash_timed : Schedule.t -> crashes:(Platform.proc * float) list -> outcome
 (** Replay where processor [p] dies at time [tau]: replicas and message
     emissions of [p] that would complete after [tau] are lost, earlier
     ones survive.  Raises [Invalid_argument] for a processor outside
     [\[0, m)]. *)
 
-val fault_free : ?fabric:Netstate.fabric -> Schedule.t -> outcome
+val fault_free : Schedule.t -> outcome
 (** Replay with no crash.  For a valid schedule, [latency] equals
     {!Schedule.latency_zero_crash} (a useful cross-check, exercised by the
     test suite) — unless zero-length messages tie on a port or link,

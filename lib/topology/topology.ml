@@ -160,24 +160,12 @@ let delay_between t src dst = t.dist.(src).(dst)
 let route t src dst = t.paths.(src).(dst)
 let diameter_hops t = t.diameter_hops
 
+(* The routed platform: end-to-end delays along the routes, and each
+   route as the physical links between consecutive processors. *)
 let platform t =
-  Platform.create ~delays:t.dist
-
-let fabric t =
-  let route_links = Array.make_matrix t.m t.m [] in
-  for src = 0 to t.m - 1 do
-    for dst = 0 to t.m - 1 do
-      if src <> dst then begin
-        let rec pairs = function
-          | a :: (b :: _ as rest) ->
-              Hashtbl.find t.link_ids (a, b) :: pairs rest
-          | [ _ ] | [] -> []
-        in
-        route_links.(src).(dst) <- pairs t.paths.(src).(dst)
-      end
-    done
-  done;
-  {
-    Netstate.phys_count = t.link_count;
-    route = (fun src dst -> route_links.(src).(dst));
-  }
+  let rec links = function
+    | a :: (b :: _ as rest) -> Hashtbl.find t.link_ids (a, b) :: links rest
+    | [ _ ] | [] -> []
+  in
+  Platform.routed ~delays:t.dist ~link_count:t.link_count
+    ~routes:(Array.map (Array.map links) t.paths)

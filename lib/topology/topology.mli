@@ -7,14 +7,13 @@
     circulate on a given link at a given time-step."
 
     This module builds classic interconnects, computes deterministic
-    shortest-path routing tables, and derives the two artefacts the rest
-    of the library needs:
-
-    - a {!Platform.t} whose end-to-end unit delay between two processors
-      is the sum of the physical-link delays along the route, and
-    - a {!Netstate.fabric} mapping each processor pair to the physical
-      links of its route, so the booking engine, the validator and the
-      replay simulator serialize messages on shared links.
+    shortest-path routing tables, and derives the one artefact the rest
+    of the library needs: a routed {!Platform.t} whose end-to-end unit
+    delay between two processors is the sum of the physical-link delays
+    along the route, and which maps each processor pair to the physical
+    links of its route.  The booking engine, the validator and the
+    replay simulator read those routes from the platform, so they all
+    serialize messages on the same shared links.
 
     Every physical link is directed; the constructors below create both
     directions of each cable.  A message reserves all links of its route
@@ -69,8 +68,5 @@ val diameter_hops : t -> int
 (** {1 Integration} *)
 
 val platform : t -> Platform.t
-(** Platform with routed end-to-end delays. *)
-
-val fabric : t -> Netstate.fabric
-(** The physical-link fabric for {!Netstate.create},
-    [Validate.run ?fabric] and the replay simulator. *)
+(** The routed platform ({!Platform.routed}): end-to-end delays, and the
+    physical links of every route, numbered [0 .. link_count t - 1]. *)

@@ -53,6 +53,16 @@ let make_dag rng ~family ~tasks =
         (Printf.sprintf "unknown graph family %S (expected one of: %s)" other
            (String.concat ", " families))
 
+let no_communication =
+  "the instance has no communication to rescale (one processor, or a graph \
+   without edges)"
+
+let costs rng ~m ~granularity dag =
+  let costs = Platform_gen.instance rng (Platform_gen.default ~m ()) dag in
+  let g = Granularity.compute costs in
+  if g = 0. || not (Float.is_finite g) then Error no_communication
+  else Ok (Granularity.rescale_to costs granularity)
+
 let make ?(seed = 1) ?(family = "random") ?(tasks = 40) ?(m = 10)
     ?(granularity = 1.0) () =
   if tasks < 1 then Error "tasks must be >= 1"
@@ -64,6 +74,4 @@ let make ?(seed = 1) ?(family = "random") ?(tasks = 40) ?(m = 10)
     match make_dag rng ~family ~tasks with
     | Error _ as e -> e
     | Ok dag ->
-        let params = Platform_gen.default ~m () in
-        let costs = Platform_gen.instance rng ~granularity params dag in
-        Ok (dag, costs)
+        Result.map (fun costs -> (dag, costs)) (costs rng ~m ~granularity dag)

@@ -34,4 +34,12 @@ val make :
     [granularity] (default 1.0) — byte-identical to the CLI's
     [--seed/--family/--tasks/--m/--granularity] instance.  Defaults:
     family [random], 40 tasks, 10 processors.  [Error] (instead of an
-    exception) on an unknown family or non-positive sizes. *)
+    exception) on an unknown family, non-positive sizes, or an instance
+    without communication ({!no_communication}). *)
+
+val costs :
+  Rng.t -> m:int -> granularity:float -> Dag.t -> (Costs.t, string) result
+(** {!make}'s platform and costs for [dag]; [Error no_communication] on
+    one processor or no data on any edge. *)
+
+val no_communication : string

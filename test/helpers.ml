@@ -36,3 +36,29 @@ let schedulers =
     ("FTSA", fun ~epsilon costs -> Ftsa.run ~epsilon costs);
     ("FTBAR", fun ~epsilon costs -> Ftbar.run ~epsilon costs);
   ]
+
+(* [sched] with the same replicas, costs and delays over the interconnect
+   of [links], a platform on as many processors: the clique for a clique,
+   the same routes for a routed one.  A platform owns its links, so this
+   is how a test validates or replays one schedule over another network,
+   or a parsed schedule (the file format carries no routes) over the
+   topology it was built on. *)
+let reroute ~links sched =
+  let costs = Schedule.costs sched in
+  let p = Costs.platform costs in
+  let m = Platform.proc_count p in
+  let delays = Array.init m (fun k -> Array.init m (Platform.delay p k)) in
+  let platform =
+    if Platform.is_clique links then Platform.create ~delays
+    else
+      Platform.routed ~delays ~link_count:(Platform.link_count links)
+        ~routes:
+          (Array.init m (fun s ->
+               Array.init m (fun d ->
+                   List.init (Platform.route_length links s d)
+                     (Platform.route_link links s d))))
+  in
+  Schedule.create ~algorithm:(Schedule.algorithm sched)
+    ~epsilon:(Schedule.epsilon sched) ~model:(Schedule.model sched)
+    ~costs:(Costs.create (Costs.dag costs) platform (Costs.exec costs))
+    (Schedule.all_replicas sched)

@@ -108,9 +108,8 @@ let test_topology_two_nodes () =
   let t = Topology.ring 2 in
   Helpers.check_int "two links" 2 (Topology.link_count t);
   Helpers.check_float "unit delay" 1. (Topology.delay_between t 0 1);
-  let fabric = Topology.fabric t in
   Helpers.check_int "route has one link" 1
-    (List.length (fabric.Netstate.route 0 1))
+    (Platform.route_length (Topology.platform t) 0 1)
 
 let suite =
   [

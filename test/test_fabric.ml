@@ -1,11 +1,10 @@
-(* Shared-link contention: booking and replay over a routed fabric. *)
+(* Shared-link contention: booking and replay over a routed platform. *)
 
 (* A 3-processor line: P0 - P1 - P2, unit delay per cable.  Messages from
    P0 to P2 traverse both cables; anything else using a cable of the
    route must serialize with them. *)
 let line () =
-  let topo = Topology.custom ~m:3 ~links:[ (0, 1, 1.); (1, 2, 1.) ] in
-  (Topology.platform topo, Topology.fabric topo)
+  Topology.platform (Topology.custom ~m:3 ~links:[ (0, 1, 1.); (1, 2, 1.) ])
 
 let src ~task ~proc ~finish ~volume =
   {
@@ -17,13 +16,13 @@ let src ~task ~proc ~finish ~volume =
   }
 
 let test_route_delay () =
-  let platform, _ = line () in
+  let platform = line () in
   Helpers.check_float "end-to-end delay" 2. (Platform.delay platform 0 2);
   Helpers.check_float "adjacent delay" 1. (Platform.delay platform 1 2)
 
 let test_shared_link_serialization () =
-  let platform, fabric = line () in
-  let net = Netstate.create ~fabric platform in
+  let platform = line () in
+  let net = Netstate.create platform in
   (* two predecessors send to P2: t0 from P0 (5 units, W = 10 over two
      hops) and t1 from P1 (5 units, W = 5).  They share the cable P1->P2,
      so the second leg waits for the first. *)
@@ -51,8 +50,8 @@ let test_shared_link_serialization () =
     (booked_clique.Netstate.b_start < booked.Netstate.b_start)
 
 let test_fabric_link_ready () =
-  let platform, fabric = line () in
-  let net = Netstate.create ~fabric platform in
+  let platform = line () in
+  let net = Netstate.create platform in
   let a = src ~task:0 ~proc:0 ~finish:0. ~volume:5. in
   let _ = Netstate.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ a ]) ] in
   (* the booked route occupies both cables until 10 *)
@@ -64,8 +63,8 @@ let test_fabric_link_ready () =
 
 let test_validator_sees_shared_links () =
   (* Hand-build a schedule whose two messages overlap on a shared cable:
-     valid per pairwise-link checks, invalid per the fabric. *)
-  let platform, fabric = line () in
+     valid per pairwise-link checks, invalid per the routes. *)
+  let platform = line () in
   let dag = Dag.make ~n:3 ~edges:[ (0, 2, 5.); (1, 2, 5.) ] () in
   let costs = Helpers.flat_costs ~c:5. dag platform in
   let mk ~task ~proc ~start ~finish ~inputs =
@@ -113,37 +112,42 @@ let test_validator_sees_shared_links () =
   in
   (* pairwise (clique) validation passes the link check *)
   let clique_violations =
-    List.filter (fun v -> v.Validate.check = "one-port-link") (Validate.run sched)
+    List.filter
+      (fun v -> v.Validate.check = "one-port-link")
+      (Validate.run (Helpers.reroute ~links:(Helpers.uniform_platform 3) sched))
   in
   Helpers.check_int "clique link check blind to sharing" 0
     (List.length clique_violations);
-  (* fabric-aware validation catches the shared cable *)
+  (* route-aware validation catches the shared cable *)
   let fabric_violations =
     List.filter
       (fun v -> v.Validate.check = "one-port-link")
-      (Validate.run ~fabric sched)
+      (Validate.run sched)
   in
   Helpers.check_bool "fabric link check catches sharing" true
     (fabric_violations <> [])
 
 let test_replay_respects_fabric () =
-  (* schedule over the line, then replay with and without the fabric: the
-     fabric replay must match the static times, the clique replay may
-     finish earlier (it ignores the shared cable) *)
-  let platform, fabric = line () in
+  (* schedule over the line, then replay it there and on the clique with
+     the same delays: the routed replay must match the static times, the
+     clique replay may finish earlier (it ignores the shared cable) *)
+  let platform = line () in
   let rng = Rng.create 4 in
   let dag =
     Random_dag.generate rng
       { Random_dag.default with Random_dag.tasks_min = 15; tasks_max = 15 }
   in
   let costs = Costs.create dag platform (fun t _ -> 10. +. float_of_int t) in
-  let sched = Caft.run ~fabric ~epsilon:1 costs in
-  let out_fabric = Replay.fault_free ~fabric sched in
+  let sched = Caft.run ~epsilon:1 costs in
+  let out_fabric = Replay.fault_free sched in
   Helpers.check_bool "fabric replay completes" true out_fabric.Replay.completed;
   Helpers.check_float "fabric replay equals static"
     (Schedule.latency_zero_crash sched)
     out_fabric.Replay.latency;
-  let out_clique = Replay.fault_free sched in
+  let out_clique =
+    Replay.fault_free
+      (Helpers.reroute ~links:(Helpers.uniform_platform 3) sched)
+  in
   Helpers.check_bool "clique replay no slower" true
     (out_clique.Replay.latency <= out_fabric.Replay.latency +. 1e-6)
 

@@ -46,8 +46,8 @@ let outcome_equal (a : Replay.outcome) (b : Replay.outcome) =
            ra rb)
        a.Replay.replicas b.Replay.replicas
 
-let check_differential name sched fabric ~crash_time compiled =
-  let fresh = Replay.reference ?fabric sched ~crash_time in
+let check_differential name sched ~crash_time compiled =
+  let fresh = Replay.reference sched ~crash_time in
   let cached = Replay.eval compiled ~crash_time in
   if not (outcome_equal fresh cached) then
     Alcotest.failf "%s: compiled eval differs from fresh replay" name;
@@ -69,15 +69,11 @@ let run_config seed =
     | 1 -> Netstate.One_port
     | _ -> Netstate.Multiport 2
   in
-  let platform, fabric =
+  let platform =
     match seed mod 4 with
-    | 0 | 1 -> (Helpers.uniform_platform (4 + (seed mod 4)), None)
-    | 2 ->
-        let topo = Topology.ring (4 + (seed mod 3)) in
-        (Topology.platform topo, Some (Topology.fabric topo))
-    | _ ->
-        let topo = Topology.star (4 + (seed mod 3)) in
-        (Topology.platform topo, Some (Topology.fabric topo))
+    | 0 | 1 -> Helpers.uniform_platform (4 + (seed mod 4))
+    | 2 -> Topology.platform (Topology.ring (4 + (seed mod 3)))
+    | _ -> Topology.platform (Topology.star (4 + (seed mod 3)))
   in
   let m = Platform.proc_count platform in
   let dag =
@@ -89,12 +85,12 @@ let run_config seed =
         30. +. (7. *. float_of_int ((t + p) mod 5)))
   in
   let epsilon = 1 + (seed mod 2) in
-  let sched = Caft.run ~model ?fabric ~seed ~epsilon costs in
-  let compiled = Replay.compile ?fabric sched in
+  let sched = Caft.run ~model ~seed ~epsilon costs in
+  let compiled = Replay.compile sched in
   let name = Printf.sprintf "config %d" seed in
   let scenarios = ref [] in
   let diff ~crash_time =
-    let fresh = check_differential name sched fabric ~crash_time compiled in
+    let fresh = check_differential name sched ~crash_time compiled in
     scenarios := (crash_time, fresh) :: !scenarios
   in
   (* fault-free *)
@@ -335,11 +331,9 @@ let tie_schedule c =
     done
   done;
   let dag = Dag.make ~n:c.tasks ~edges:(List.rev !edges) () in
-  let platform, fabric =
-    if c.routed then
-      let topo = Topology.ring c.m in
-      (Topology.platform topo, Some (Topology.fabric topo))
-    else (Helpers.uniform_platform c.m, None)
+  let platform =
+    if c.routed then Topology.platform (Topology.ring c.m)
+    else Helpers.uniform_platform c.m
   in
   let exec =
     Array.init c.tasks (fun _ ->
@@ -349,18 +343,18 @@ let tie_schedule c =
   let model = c.model and seed = c.seed and epsilon = c.epsilon in
   let sched =
     match c.seed mod 3 with
-    | 0 -> Caft.run ~model ?fabric ~seed ~epsilon costs
-    | 1 -> Ftsa.run ~model ?fabric ~seed ~epsilon costs
-    | _ -> Ftbar.run ~model ?fabric ~seed ~epsilon costs
+    | 0 -> Caft.run ~model ~seed ~epsilon costs
+    | 1 -> Ftsa.run ~model ~seed ~epsilon costs
+    | _ -> Ftbar.run ~model ~seed ~epsilon costs
   in
-  (rng, fabric, sched)
+  (rng, sched)
 
 (* Fault-free, from-start (1 .. epsilon+1 crashes) and timed scenarios:
    [eval] and one [eval_batch] block must match [reference] bit for
    bit. *)
-let tie_replays_agree c rng fabric sched =
+let tie_replays_agree c rng sched =
   let m = c.m in
-  let compiled = Replay.compile ?fabric sched in
+  let compiled = Replay.compile sched in
   let from_start k =
     let crashed = Rng.sample_without_replacement rng k m in
     Array.init m (fun p ->
@@ -381,7 +375,7 @@ let tie_replays_agree c rng fabric sched =
   in
   let fresh =
     Array.map
-      (fun crash_time -> Replay.reference ?fabric sched ~crash_time)
+      (fun crash_time -> Replay.reference sched ~crash_time)
       scenarios
   in
   let batch =
@@ -426,11 +420,11 @@ let tie_reproducer =
   }
 
 let tie_case_agrees c =
-  let rng, fabric, sched = tie_schedule c in
-  tie_replays_agree c rng fabric sched
+  let rng, sched = tie_schedule c in
+  tie_replays_agree c rng sched
 
 let test_tie_reproducer () =
-  let _, _, sched = tie_schedule tie_reproducer in
+  let _, sched = tie_schedule tie_reproducer in
   Helpers.check_bool "tie reproducer: a receive-port tie group" true
     (recv_tie_group sched >= 2);
   Helpers.check_bool "tie reproducer: both engines accept and agree" true
@@ -489,11 +483,9 @@ let print_lane_case c =
 let lanes_agree c =
   let rng = Rng.create c.l_seed in
   let m = 5 in
-  let platform, fabric =
-    if c.l_ring then
-      let topo = Topology.ring m in
-      (Topology.platform topo, Some (Topology.fabric topo))
-    else (Helpers.uniform_platform m, None)
+  let platform =
+    if c.l_ring then Topology.platform (Topology.ring m)
+    else Helpers.uniform_platform m
   in
   let dag =
     Random_dag.generate rng
@@ -504,9 +496,9 @@ let lanes_agree c =
         20. +. (5. *. float_of_int ((t * 3 + p) mod 7)))
   in
   let sched =
-    Caft.run ~model:c.l_model ?fabric ~seed:c.l_seed ~epsilon:c.l_epsilon costs
+    Caft.run ~model:c.l_model ~seed:c.l_seed ~epsilon:c.l_epsilon costs
   in
-  let compiled = Replay.compile ?fabric sched in
+  let compiled = Replay.compile sched in
   let horizon = Schedule.makespan sched in
   (* from-start or timed crashes, 0 .. epsilon + 1 of them (both sides
      of the tolerance) *)
@@ -527,7 +519,7 @@ let lanes_agree c =
     (Array.init c.l_block
        (fun i ->
          let crash_time = Array.sub rows (i * m) m in
-         let fresh = Replay.reference ?fabric sched ~crash_time in
+         let fresh = Replay.reference sched ~crash_time in
          let d = Oracle.degradation sched fresh in
          outcome_equal fresh (Replay.eval compiled ~crash_time)
          && float_eq batch.Replay.br_latency.(i) fresh.Replay.latency

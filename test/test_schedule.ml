@@ -279,7 +279,9 @@ let with_odd_names costs =
   (dag, Costs.create dag (Costs.platform costs) (Costs.exec costs))
 
 (* Saved 8-task CAFT and FTSA schedules (m = 4, epsilon = 1), as lines,
-   each with the fabric it was built over: six one-port schedules on the
+   each with the platform whose links it was built over (the file format
+   carries no routes, so a parsed routed base is rerouted onto it before
+   it is validated or replayed): six one-port schedules on the
    clique, then two each under macro-dataflow, under multiport-2 and
    one-port over a ring, and one one-port schedule whose task names are
    not one word. *)
@@ -291,21 +293,21 @@ let fuzz_bases =
          let dag, costs =
            if odd_names then with_odd_names costs else (dag, costs)
          in
-         let costs, fabric =
-           if not ring then (costs, None)
+         let costs =
+           if not ring then costs
            else
-             let topo = Topology.ring 4 in
-             ( Costs.create dag (Topology.platform topo) (Costs.exec costs),
-               Some (Topology.fabric topo) )
+             Costs.create dag
+               (Topology.platform (Topology.ring 4))
+               (Costs.exec costs)
          in
          let sched =
-           if seed mod 2 = 0 then Caft.run ~model ?fabric ~epsilon:1 costs
-           else Ftsa.run ~model ?fabric ~epsilon:1 costs
+           if seed mod 2 = 0 then Caft.run ~model ~epsilon:1 costs
+           else Ftsa.run ~model ~epsilon:1 costs
          in
          ( Array.of_list
              (List.filter (fun l -> l <> "")
                 (String.split_on_char '\n' (Schedule_io.to_string sched))),
-           fabric ))
+           Costs.platform costs ))
        (List.init 6 (fun seed -> (seed, Netstate.One_port, false, false))
        @ [
            (6, Netstate.Macro_dataflow, false, false);
@@ -440,34 +442,37 @@ let print_mutant m =
 
 (* Whatever a mutated file holds, parsing raises nothing but
    [Parse_error], and a schedule the validator accepts (over its base's
-   fabric) also compiles, completes its fault-free replay and prints to
+   links) also compiles, completes its fault-free replay and prints to
    text that parses back to the same text. *)
 let prop_accepted_mutants_replay =
   QCheck.Test.make ~count:3000
     ~name:"validator-accepted schedule mutants compile and replay"
     (QCheck.make mutant_gen ~print:print_mutant)
     (fun m ->
-      let fabric = snd (List.nth (Lazy.force fuzz_bases) m.base) in
+      let links = snd (List.nth (Lazy.force fuzz_bases) m.base) in
       match Schedule_io.of_string (String.concat "\n" (mutate m) ^ "\n") with
       | exception Schedule_io.Parse_error _ -> true
-      | sched ->
-          Validate.run ?fabric sched <> []
-          || (Replay.fault_free ?fabric sched).Replay.completed
+      | parsed ->
+          let sched = Helpers.reroute ~links parsed in
+          Validate.run sched <> []
+          || (Replay.fault_free sched).Replay.completed
              &&
              let text = Schedule_io.to_string sched in
              String.equal text
                (Schedule_io.to_string (Schedule_io.of_string text)))
 
 (* The property has teeth on every base only if the unmutated file is
-   accepted over its fabric and replays. *)
+   accepted over its links and replays. *)
 let test_fuzz_bases_valid () =
   List.iteri
-    (fun i (lines, fabric) ->
-      let sched = Schedule_io.of_string (unlines lines) in
+    (fun i (lines, links) ->
+      let sched =
+        Helpers.reroute ~links (Schedule_io.of_string (unlines lines))
+      in
       Helpers.check_bool (Printf.sprintf "base %d valid" i) true
-        (Validate.run ?fabric sched = []);
+        (Validate.run sched = []);
       Helpers.check_bool (Printf.sprintf "base %d replays" i) true
-        (Replay.fault_free ?fabric sched).Replay.completed)
+        (Replay.fault_free sched).Replay.completed)
     (Lazy.force fuzz_bases)
 
 let test_gantt_renders () =

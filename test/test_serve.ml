@@ -165,6 +165,17 @@ let test_instance () =
   (match Instance.make ~tasks:0 () with
   | Ok _ -> Alcotest.fail "zero tasks accepted"
   | Error _ -> ());
+  (* one processor, or one task: no communication to rescale by *)
+  List.iter
+    (fun (tasks, m) ->
+      match Instance.make ~tasks ~m () with
+      | Ok _ ->
+          Alcotest.failf "tasks=%d m=%d: instance without communication" tasks
+            m
+      | Error msg ->
+          Alcotest.(check string)
+            "no communication" Instance.no_communication msg)
+    [ (10, 1); (1, 4) ];
   let dag, costs = ok_or_fail (Instance.make ~seed:5 ~tasks:12 ~m:3 ()) in
   Helpers.check_int "tasks" 12 (Dag.task_count dag);
   Helpers.check_int "procs" 3 (Platform.proc_count (Costs.platform costs));

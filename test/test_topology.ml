@@ -79,20 +79,23 @@ let test_routes_are_consistent () =
 
 let test_fabric_route_lengths () =
   let t = Topology.ring 5 in
-  let fabric = Topology.fabric t in
+  let platform = Topology.platform t in
   Helpers.check_int "phys count" (Topology.link_count t)
-    fabric.Netstate.phys_count;
+    (Platform.link_count platform);
   for src = 0 to 4 do
     for dst = 0 to 4 do
       if src <> dst then begin
-        let links = fabric.Netstate.route src dst in
+        let links =
+          List.init (Platform.route_length platform src dst)
+            (Platform.route_link platform src dst)
+        in
         Helpers.check_int "one link per hop"
           (List.length (Topology.route t src dst) - 1)
           (List.length links);
         List.iter
           (fun l ->
             Helpers.check_bool "valid id" true
-              (l >= 0 && l < fabric.Netstate.phys_count))
+              (l >= 0 && l < Platform.link_count platform))
           links
       end
     done
@@ -109,30 +112,29 @@ let schedule_on topology ~epsilon ~seed =
     Costs.create dag platform (fun t _ ->
         50. +. (10. *. float_of_int (t mod 7)))
   in
-  let fabric = Topology.fabric topology in
-  (Caft.run ~fabric ~seed ~epsilon costs, fabric)
+  Caft.run ~seed ~epsilon costs
 
 let test_caft_on_sparse_topologies () =
   List.iter
     (fun (name, topo) ->
-      let sched, fabric = schedule_on topo ~epsilon:1 ~seed:3 in
-      (match Validate.run ~fabric sched with
+      let sched = schedule_on topo ~epsilon:1 ~seed:3 in
+      (match Validate.run sched with
       | [] -> ()
       | vs ->
           Alcotest.failf "%s: invalid schedule:\n%s" name
             (String.concat "\n"
                (List.map (fun v -> Format.asprintf "%a" Validate.pp_violation v) vs)));
-      let out = Replay.fault_free ~fabric sched in
+      let out = Replay.fault_free sched in
       Helpers.check_bool (name ^ " replay completes") true out.Replay.completed;
       Helpers.check_float
         (name ^ " replay matches static")
         (Schedule.latency_zero_crash sched)
         out.Replay.latency;
-      (* exhaustive single-crash tolerance on the sparse fabric *)
+      (* exhaustive single-crash tolerance on the sparse routes *)
       let m = Platform.proc_count (Schedule.platform sched) in
       List.iter
         (fun p ->
-          let out = Replay.crash_from_start ~fabric sched ~crashed:[ p ] in
+          let out = Replay.crash_from_start sched ~crashed:[ p ] in
           Helpers.check_bool
             (Printf.sprintf "%s survives crash of P%d" name p)
             true out.Replay.completed)
@@ -158,12 +160,8 @@ let test_star_contention_slower_than_clique () =
   in
   let clique = Topology.clique 6 in
   let star = Topology.star 6 in
-  let sched_clique =
-    Caft.run ~fabric:(Topology.fabric clique) ~epsilon:1 (costs_on clique)
-  in
-  let sched_star =
-    Caft.run ~fabric:(Topology.fabric star) ~epsilon:1 (costs_on star)
-  in
+  let sched_clique = Caft.run ~epsilon:1 (costs_on clique) in
+  let sched_star = Caft.run ~epsilon:1 (costs_on star) in
   (* the scheduler is a heuristic, so strict dominance is not a theorem;
      but the star must not be significantly faster than the clique *)
   Helpers.check_bool "star not significantly faster than clique" true

@@ -64,22 +64,14 @@ let scenario seed =
     | 2 -> Netstate.Multiport 2
     | _ -> Netstate.Multiport 3
   in
-  let platform, fabric =
+  let platform =
     match Rng.int rng 3 with
-    | 0 -> (Helpers.uniform_platform (2 + Rng.int rng 9), None)
-    | 1 ->
-        let topo = Topology.ring (3 + Rng.int rng 6) in
-        (Topology.platform topo, Some (Topology.fabric topo))
-    | _ ->
-        let topo = Topology.star (3 + Rng.int rng 6) in
-        (Topology.platform topo, Some (Topology.fabric topo))
+    | 0 -> Helpers.uniform_platform (2 + Rng.int rng 9)
+    | 1 -> Topology.platform (Topology.ring (3 + Rng.int rng 6))
+    | _ -> Topology.platform (Topology.star (3 + Rng.int rng 6))
   in
   let m = Platform.proc_count platform in
-  let net =
-    match fabric with
-    | None -> Netstate.create ~model platform
-    | Some fabric -> Netstate.create ~model ~fabric platform
-  in
+  let net = Netstate.create ~model platform in
   (* Pool of data sources produced by committed bookings. *)
   let pool = ref [] in
   let fresh_task = ref 0 in
@@ -171,13 +163,9 @@ let random_platform rng =
         Array.init m (fun k ->
             Array.init m (fun h -> if k = h then 0. else Rng.float_in rng 0.2 3.))
       in
-      (Platform.create ~delays, None)
-  | 2 ->
-      let topo = Topology.ring (max 3 m) in
-      (Topology.platform topo, Some (Topology.fabric topo))
-  | 3 ->
-      let topo = Topology.star (max 3 m) in
-      (Topology.platform topo, Some (Topology.fabric topo))
+      Platform.create ~delays
+  | 2 -> Topology.platform (Topology.ring (max 3 m))
+  | 3 -> Topology.platform (Topology.star (max 3 m))
   | _ ->
       (* a random spanning chain plus chords, so routes share links *)
       let chords =
@@ -192,12 +180,11 @@ let random_platform rng =
         List.init (m - 1) (fun i -> (i, i + 1, Rng.float_in rng 0.5 2.))
         @ List.sort_uniq (fun (a, b, _) (c, d, _) -> compare (a, b) (c, d)) chords
       in
-      let topo = Topology.custom ~m ~links in
-      (Topology.platform topo, Some (Topology.fabric topo))
+      Topology.platform (Topology.custom ~m ~links)
 
 let prop_probe_matches_commit seed =
   let rng = Rng.create seed in
-  let platform, fabric = random_platform rng in
+  let platform = random_platform rng in
   let m = Platform.proc_count platform in
   let model =
     match Rng.int rng 3 with
@@ -205,7 +192,7 @@ let prop_probe_matches_commit seed =
     | 1 -> Netstate.One_port
     | _ -> Netstate.Multiport (1 + Rng.int rng 3)
   in
-  let net = Netstate.create ~model ?fabric platform in
+  let net = Netstate.create ~model platform in
   let next_task = ref 0 in
   (* [replicas] copies of a fresh predecessor task on random processors *)
   let fresh_pred replicas =
@@ -482,19 +469,63 @@ let instance ~seed ~m ~tasks =
   let params = Platform_gen.default ~m () in
   Platform_gen.instance rng ~granularity:1.0 params dag
 
-let ring_instance ~seed ~m =
+let topology_instance ~seed topo =
   let rng = Rng.create seed in
   let dag =
     Random_dag.generate rng
       { Random_dag.default with Random_dag.tasks_min = 25; tasks_max = 25 }
   in
-  let topo = Topology.ring m in
-  let platform = Topology.platform topo in
-  let costs =
-    Costs.create dag platform (fun t p ->
-        50. +. (17. *. float_of_int ((t + (3 * p)) mod 7)))
-  in
-  (costs, Topology.fabric topo)
+  Costs.create dag (Topology.platform topo) (fun t p ->
+      50. +. (17. *. float_of_int ((t + (3 * p)) mod 7)))
+
+let ring_instance ~seed ~m = topology_instance ~seed (Topology.ring m)
+
+(* Schedules over sparse topologies, fingerprinted by the bytes of
+   their saved file: digests recorded while the routes were still passed
+   next to the platform, before the platform owned them. *)
+let topology_goldens =
+  List.concat_map
+    (fun (tname, topo, digests) ->
+      List.map2
+        (fun (aname, run) digest ->
+          ( tname ^ "/" ^ aname,
+            digest,
+            fun () ->
+              let sched = run (topology_instance ~seed:11 (topo ())) in
+              Digest.to_hex (Digest.string (Schedule_io.to_string sched)) ))
+        [
+          ("caft", fun c -> Caft.run ~seed:1111 ~epsilon:1 c);
+          ("ftsa", fun c -> Ftsa.run ~seed:1111 ~epsilon:1 c);
+          ("ftbar", fun c -> Ftbar.run ~seed:1111 ~epsilon:1 c);
+          ("heft", fun c -> Heft.run ~seed:1111 c);
+        ]
+        digests)
+    [
+      ( "star8",
+        (fun () -> Topology.star 8),
+        [
+          "74cbaa792dfc926166ca0c1b2a6dd9dd";
+          "7fb621fe11979d9aaba7374bc1501305";
+          "b059dfc38d554d320edd2c86cc1fa0d3";
+          "a3d9964f7122a257dcc849cd9a4af9a1";
+        ] );
+      ( "torus2x4",
+        (fun () -> Topology.torus2d ~rows:2 ~cols:4 ()),
+        [
+          "88aa7d1334fed157e314f31ef7771dc4";
+          "a32d7e0c0efb731bc98ffc22b6bcd994";
+          "b415b4667a30671fba5e1bba4e474c95";
+          "507ffc96f270adc9bba139a28f9412a3";
+        ] );
+      ( "hypercube3",
+        (fun () -> Topology.hypercube 3),
+        [
+          "4f7de53c25c5e68e92a41d6768a3fdb6";
+          "0eabc74504fa44c1427abba53a364831";
+          "fb0da839c0bf646f1e93bf966f546254";
+          "ed33c4cb9c5cde69e0010414844ed3f1";
+        ] );
+    ]
 
 (* Digests recorded from the seed commit (pre-fast-path code): the
    optimization must keep every schedule byte-identical. *)
@@ -539,8 +570,7 @@ let golden_cases =
     ( "caft-ring/seed5/m8/eps1",
       "f0dc42464d7ca8a6ae4bbe7678cedd07",
       fun () ->
-        let costs, fabric = ring_instance ~seed:5 ~m:8 in
-        Caft.run ~fabric ~seed:505 ~epsilon:1 costs );
+        Caft.run ~seed:505 ~epsilon:1 (ring_instance ~seed:5 ~m:8) );
     (* Recorded before the per-placement leg table replaced the
        per-candidate estimate memo: these reach the table's other paths —
        epsilon = 0, demotion with the no-demotion certificate failing
@@ -556,8 +586,7 @@ let golden_cases =
     ( "caft-ring/seed7/m8/eps2",
       "eefbdb40fb93c2a717cc3872c2337e7d",
       fun () ->
-        let costs, fabric = ring_instance ~seed:7 ~m:8 in
-        Caft.run ~fabric ~seed:707 ~epsilon:2 costs );
+        Caft.run ~seed:707 ~epsilon:2 (ring_instance ~seed:7 ~m:8) );
     ( "caft-batch5/seed9/m8/eps2",
       "843065f0b55b4dbfdaf1c75d5e96c242",
       fun () ->
@@ -572,7 +601,11 @@ let test_golden_schedules () =
   List.iter
     (fun (name, expected, run) ->
       Alcotest.(check string) name expected (fingerprint (run ())))
-    golden_cases
+    golden_cases;
+  List.iter
+    (fun (name, expected, digest) ->
+      Alcotest.(check string) name expected (digest ()))
+    topology_goldens
 
 (* -- pruning metric ---------------------------------------------------- *)
 

@@ -92,6 +92,86 @@ let prop_three_verdicts_agree =
           Option.map (fun k -> k.Inject.k_procs) adv.Inject.iv_min_kill
           = Some procs)
 
+(* -- verdicts over sparse interconnects --------------------------------- *)
+
+(* A schedule booked over a routed platform carries its routes, so the
+   exhaustive check and the adversary replay the links it was booked on:
+   the check's worst latency is the worst completed one-shot replay of its
+   crash sets, and the adversary's fault-free latency is the schedule's
+   own. *)
+let routed_topologies =
+  [
+    ("ring", fun () -> Topology.ring 8);
+    ("star", fun () -> Topology.star 8);
+    ("mesh", fun () -> Topology.mesh2d ~rows:2 ~cols:4 ());
+    ("torus", fun () -> Topology.torus2d ~rows:2 ~cols:4 ());
+    ("hypercube", fun () -> Topology.hypercube 3);
+  ]
+
+let routed_instance ~seed ~tasks topo =
+  let rng = Rng.create seed in
+  let dag =
+    Random_dag.generate rng
+      {
+        Random_dag.default with
+        Random_dag.tasks_min = tasks;
+        tasks_max = tasks;
+      }
+  in
+  Costs.create dag (Topology.platform topo) (fun task _ ->
+      80. +. (7. *. float_of_int (task mod 9)))
+
+let worst_completed sched ~epsilon =
+  let m = Platform.proc_count (Schedule.platform sched) in
+  Seq.fold_left
+    (fun acc crashed ->
+      let out = Replay.crash_from_start sched ~crashed in
+      if out.Replay.completed then Float.max acc out.Replay.latency else acc)
+    neg_infinity
+    (Fault_check.subsets ~n:m ~k:epsilon)
+
+let test_routed_verdicts () =
+  List.iter
+    (fun (tname, topo) ->
+      List.iter
+        (fun (aname, run) ->
+          List.iter
+            (fun (epsilon, seed) ->
+              let name =
+                Printf.sprintf "%s/%s/eps%d/seed%d" tname aname epsilon seed
+              in
+              let sched =
+                run ~epsilon (routed_instance ~seed ~tasks:20 (topo ()))
+              in
+              let check = Fault_check.check ~epsilon sched in
+              Helpers.check_bool (name ^ " resists") true
+                check.Fault_check.resists;
+              Helpers.check_float (name ^ " check worst latency")
+                (worst_completed sched ~epsilon)
+                check.Fault_check.worst_latency;
+              Helpers.check_float (name ^ " adversary fault-free latency")
+                (Schedule.latency_zero_crash sched)
+                (Inject.adversary sched).Inject.iv_fault_free)
+            [ (1, 1); (1, 2); (2, 1); (2, 2) ])
+        Helpers.schedulers)
+    routed_topologies
+
+(* The star schedule the routed verdicts were first seen to disagree on:
+   replayed over the clique, the check reported 6745.696 and the
+   adversary a fault-free latency of 6203.304. *)
+let test_star_verdicts () =
+  let sched =
+    Caft.run ~epsilon:1
+      (routed_instance ~seed:3 ~tasks:40 (Topology.star 8))
+  in
+  let round x = Float.round (x *. 1000.) /. 1000. in
+  Helpers.check_float "check worst latency" 9807.720
+    (round (Fault_check.check ~epsilon:1 sched).Fault_check.worst_latency);
+  Helpers.check_float "latency_zero_crash" 9503.507
+    (round (Schedule.latency_zero_crash sched));
+  Helpers.check_float "adversary fault-free latency" 9503.507
+    (round (Inject.adversary sched).Inject.iv_fault_free)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest
@@ -100,4 +180,7 @@ let suite =
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 280_002 |])
       prop_three_verdicts_agree;
+    Alcotest.test_case "routed verdicts replay the booked routes" `Quick
+      test_routed_verdicts;
+    Alcotest.test_case "star verdicts pinned" `Quick test_star_verdicts;
   ]
