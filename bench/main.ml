@@ -441,7 +441,7 @@ let replay_case m =
   for j = 0 to Replay.batch_block - 1 do
     Scenario.write_from_start rows ~m j [ 0; 1 ]
   done;
-  let rebuild () = Replay.reference sched ~crash_time in
+  let rebuild () = Oracle_replay.run sched ~crash_time in
   let compiled_eval () = Replay.eval compiled ~crash_time in
   let batched_eval () =
     Replay.eval_batch compiled rows ~first:0 ~count:Replay.batch_block

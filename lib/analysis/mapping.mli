@@ -8,8 +8,8 @@
     and at most [e(epsilon+1)^2] in the general fallback where every
     replica receives from {e all} [epsilon+1] replicas of every
     predecessor.  This module classifies every join of a schedule and
-    checks the corresponding bounds, cross-referencing the structural
-    predicates of [Ftsched_dag.Classify]. *)
+    checks the corresponding bounds, cross-referencing the out-forest
+    predicate of [Classify]. *)
 
 type join_class =
   | One_to_one

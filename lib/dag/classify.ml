@@ -1,50 +1,4 @@
-let for_all_tasks p g =
+let is_out_forest g =
   let n = Dag.task_count g in
-  let rec go i = i >= n || (p i && go (i + 1)) in
+  let rec go i = i >= n || (Dag.in_degree g i <= 1 && go (i + 1)) in
   go 0
-
-let is_out_forest g = for_all_tasks (fun t -> Dag.in_degree g t <= 1) g
-let is_in_forest g = for_all_tasks (fun t -> Dag.out_degree g t <= 1) g
-
-let has_single_entry g = match Dag.entries g with [ _ ] -> true | _ -> false
-let has_single_exit g = match Dag.exits g with [ _ ] -> true | _ -> false
-
-let is_fork g =
-  match Dag.entries g with
-  | [ root ] ->
-      Dag.out_degree g root = Dag.task_count g - 1
-      && for_all_tasks
-           (fun t -> t = root || (Dag.in_degree g t = 1 && Dag.out_degree g t = 0))
-           g
-  | _ -> Dag.task_count g <= 1
-
-let is_join g =
-  match Dag.exits g with
-  | [ sink ] ->
-      Dag.in_degree g sink = Dag.task_count g - 1
-      && for_all_tasks
-           (fun t -> t = sink || (Dag.out_degree g t = 1 && Dag.in_degree g t = 0))
-           g
-  | _ -> Dag.task_count g <= 1
-
-let is_chain g =
-  let n = Dag.task_count g in
-  Dag.edge_count g = max 0 (n - 1)
-  && for_all_tasks (fun t -> Dag.in_degree g t <= 1 && Dag.out_degree g t <= 1) g
-  && Dag.longest_path_length g = n
-
-let is_connected g =
-  let n = Dag.task_count g in
-  if n = 0 then true
-  else begin
-    let seen = Array.make n false in
-    let rec visit u =
-      if not seen.(u) then begin
-        seen.(u) <- true;
-        List.iter visit (Dag.succ_tasks g u);
-        List.iter visit (Dag.pred_tasks g u)
-      end
-    in
-    visit 0;
-    Array.for_all Fun.id seen
-  end

@@ -1,30 +1,8 @@
 (** Structural classification of task graphs.
 
     Proposition 5.1 of the paper bounds CAFT's message count by
-    [e(epsilon+1)] for fork and out-forest graphs; these predicates let the
-    benchmarks and property tests select the graph families the
-    proposition applies to. *)
+    [e(epsilon+1)] for fork and out-forest graphs; [Mapping] selects the
+    out-forests the proposition applies to. *)
 
 val is_out_forest : Dag.t -> bool
 (** Every task has in-degree at most one (the paper's "outforest"). *)
-
-val is_in_forest : Dag.t -> bool
-(** Every task has out-degree at most one. *)
-
-val is_fork : Dag.t -> bool
-(** A single entry task, every other task an immediate successor of it and
-    an exit (a one-level out-star).  A fork graph is an out-forest. *)
-
-val is_join : Dag.t -> bool
-(** Mirror image of {!is_fork}: a single exit task fed directly by all
-    others. *)
-
-val is_chain : Dag.t -> bool
-(** Tasks form a single path. *)
-
-val is_connected : Dag.t -> bool
-(** Weakly connected (ignoring edge direction).  The empty DAG counts as
-    connected. *)
-
-val has_single_entry : Dag.t -> bool
-val has_single_exit : Dag.t -> bool

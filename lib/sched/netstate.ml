@@ -192,25 +192,6 @@ let active s i =
   let h = s.head.(s.slot_of.(i)) in
   h < 0 || h = s.replica_of.(i)
 
-let load_inputs_as who s inputs =
-  List.iter
-    (fun (pred, sources) ->
-      if sources = [] then
-        invalid_arg (Printf.sprintf "%s: predecessor %d has no source" who pred))
-    inputs;
-  clear_sources s;
-  List.iteri
-    (fun slot (pred, sources) ->
-      List.iter
-        (fun src ->
-          add_source s ~slot ~pred ~task:src.s_task ~replica:src.s_replica
-            ~proc:src.s_proc ~finish:src.s_finish ~volume:src.s_volume)
-        sources)
-    inputs;
-  seal_sources s
-
-let load_inputs s inputs = load_inputs_as "Netstate.load_inputs" s inputs
-
 type t = {
   platform : Platform.t;
   model : model;
@@ -242,14 +223,6 @@ type t = {
   mutable undo_old : float array;
   mutable undo_len : int;
   out : float array;  (* [| b_start; b_finish |] of the last booking *)
-  scratch : sources;  (* the list-form inputs of [book_replica] *)
-}
-
-type snapshot = {
-  snap_ready : float array;
-  snap_sf : float array array;
-  snap_rf : float array array;
-  snap_phys : float array;
 }
 
 let create ?(model = One_port) platform =
@@ -279,28 +252,9 @@ let create ?(model = One_port) platform =
     undo_old = [||];
     undo_len = 0;
     out = [| 0.; 0. |];
-    scratch = create_sources ();
   }
 
 let model t = t.model
-let platform t = t.platform
-
-let snapshot t =
-  {
-    snap_ready = Array.copy t.ready;
-    snap_sf = Array.map Array.copy t.sf;
-    snap_rf = Array.map Array.copy t.rf;
-    snap_phys = Array.copy t.phys;
-  }
-
-let restore t snap =
-  Array.blit snap.snap_ready 0 t.ready 0 (Array.length t.ready);
-  Array.iteri (fun i row -> Array.blit row 0 t.sf.(i) 0 (Array.length row))
-    snap.snap_sf;
-  Array.iteri (fun i row -> Array.blit row 0 t.rf.(i) 0 (Array.length row))
-    snap.snap_rf;
-  Array.blit snap.snap_phys 0 t.phys 0 (Array.length t.phys)
-
 let proc_ready t p = t.ready.(p)
 
 (* the earliest-free slot of a port; with one slot this is the paper's
@@ -598,11 +552,3 @@ let commit t src ~colocate_exclusive ~proc ~exec =
     b_messages = !messages;
     b_local = !locals;
   }
-
-let book_exec_only t ~proc ~exec =
-  clear_sources t.scratch;
-  commit t t.scratch ~colocate_exclusive:true ~proc ~exec
-
-let book_replica ?(colocate_exclusive = true) t ~proc ~exec ~inputs =
-  load_inputs_as "Netstate.book_replica" t.scratch inputs;
-  commit t t.scratch ~colocate_exclusive ~proc ~exec

@@ -36,9 +36,9 @@
     its own writes from an array log — the paper's "the incoming
     communications are removed from the links before the procedure is
     repeated on the next processor" — and {!commit} runs the same kernel
-    without the undo and returns the booked messages.  The O(m^2)
-    {!snapshot}/{!restore} copy is kept as the reference for differential
-    tests and for whole-phase checkpointing. *)
+    without the undo and returns the booked messages.  Every scheduler
+    books through this one pair; the test suite keeps its list-form
+    booking oracle and its undo-free twin states in [test/oracle/]. *)
 
 (** Communication model.
 
@@ -56,8 +56,6 @@ type model = Macro_dataflow | One_port | Multiport of int
 
 type t
 
-type snapshot
-
 val create : ?model:model -> Platform.t -> t
 (** Fresh state, all free times at zero.  [model] defaults to
     {!One_port}.  Messages reserve the physical links of the platform's
@@ -67,13 +65,6 @@ val create : ?model:model -> Platform.t -> t
     paper. *)
 
 val model : t -> model
-val platform : t -> Platform.t
-
-val snapshot : t -> snapshot
-(** O(m^2) copy of the whole state. *)
-
-val restore : t -> snapshot -> unit
-(** Roll the state back to a snapshot taken on the same value. *)
 
 val proc_ready : t -> Platform.proc -> float
 (** [r(P)]. *)
@@ -159,10 +150,6 @@ val seal_sources : sources -> unit
     slot.  Must be called after the last {!add_source} and before a
     booking. *)
 
-val load_inputs : sources -> (Dag.task * source list) list -> unit
-(** Clear, add the list-form inputs of {!book_replica} in order, seal.
-    Raises [Invalid_argument] if some predecessor has no source. *)
-
 val select_head : sources -> slot:int -> replica:int -> unit
 (** Restrict [slot] to its replica of index [replica] (a one-to-one
     input).  Selections persist until changed or until the next
@@ -204,39 +191,26 @@ val commit :
   proc:Platform.proc ->
   exec:float ->
   booked
-(** Book the replica: the same kernel as {!probe}, without the undo.  See
-    {!book_replica} for the semantics. *)
+(** [commit t src ~colocate_exclusive ~proc ~exec] books one replica on
+    [proc]: the same kernel as {!probe}, without the undo.
 
-val book_replica :
-  ?colocate_exclusive:bool ->
-  t ->
-  proc:Platform.proc ->
-  exec:float ->
-  inputs:(Dag.task * source list) list ->
-  booked
-(** [book_replica t ~proc ~exec ~inputs] books one replica on [proc].
-
-    [inputs] gives, for each predecessor of the task, the list of sources
-    that may supply its data.  If some source of a predecessor is located
-    on [proc] itself it becomes a {e local} supply (no message, data ready
-    at the source finish) and, when [colocate_exclusive] is [true] (the
-    default), the remaining copies of that predecessor are {e not} sent at
+    Each slot of [src] lists the sources that may supply one
+    predecessor's data; an empty [src] books a task with no inputs,
+    which starts at [r(proc)].  If some selected source of a slot is
+    located on [proc] itself it becomes a {e local} supply (no message,
+    data ready at the source finish) and, when [colocate_exclusive] is
+    [true], the remaining copies of that predecessor are {e not} sent at
     all — the paper's intra-processor rule ("there is no need for other
     copies of [t*] to send data to processor [P]").  Passing
-    [colocate_exclusive:false] books the remote copies as messages anyway,
-    which CAFT's fallback rounds need when the co-located supplier might
-    itself starve under a crash elsewhere (see [Caft]).  Sources on other
-    processors are always booked as messages.  The replica may start once {e at least one} source of every
-    predecessor has delivered (the "first complete input set" rule used by
-    all the schedulers), and once the processor is ready.
+    [colocate_exclusive:false] books the remote copies as messages
+    anyway, which CAFT's fallback rounds need when the co-located
+    supplier might itself starve under a crash elsewhere (see [Caft]).
+    Sources on other processors are always booked as messages.  The
+    replica may start once {e at least one} source of every predecessor
+    has delivered (the "first complete input set" rule used by all the
+    schedulers), and once the processor is ready.
 
-    Raises [Invalid_argument] if some predecessor has an empty source
-    list.
-
-    The call mutates [t]: link legs consume [SF] of the source processors
-    and [R] of the links, arrivals consume [RF(proc)], and the execution
-    consumes [r(proc)].  Equivalent to {!load_inputs} then {!commit}; to
-    evaluate without committing, load once and {!probe}. *)
-
-val book_exec_only : t -> proc:Platform.proc -> exec:float -> booked
-(** Booking for a task with no inputs (entry tasks): starts at [r(proc)]. *)
+    The call mutates [t]: link legs consume [SF] of the source
+    processors and [R] of the links, arrivals consume [RF(proc)], and
+    the execution consumes [r(proc)].  To evaluate without committing,
+    {!probe}. *)

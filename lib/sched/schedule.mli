@@ -12,7 +12,7 @@ type supply =
       (** Data produced by a predecessor replica on the same processor;
           available when that replica finishes. *)
   | Message of Netstate.message
-      (** Inter-processor message as booked by {!Netstate.book_replica}. *)
+      (** Inter-processor message as booked by {!Netstate.commit}. *)
 
 type replica = {
   r_task : Dag.task;

@@ -48,6 +48,22 @@ let emit_instance add ~algorithm ~epsilon ~model costs =
           (Printf.sprintf "delay %d %d %s\n" k h (fl (Platform.delay platform k h)))
     done
   done;
+  (* a routed interconnect: its link count and every route; the clique
+     has none of these lines *)
+  if not (Platform.is_clique platform) then begin
+    add (Printf.sprintf "links %d\n" (Platform.link_count platform));
+    for k = 0 to m - 1 do
+      for h = 0 to m - 1 do
+        if k <> h then begin
+          add (Printf.sprintf "route %d %d" k h);
+          for i = 0 to Platform.route_length platform k h - 1 do
+            add (Printf.sprintf " %d" (Platform.route_link platform k h i))
+          done;
+          add "\n"
+        end
+      done
+    done
+  end;
   for t = 0 to v - 1 do
     for p = 0 to m - 1 do
       add (Printf.sprintf "cost %d %d %s\n" t p (fl (Costs.exec costs t p)))
@@ -130,6 +146,8 @@ type parse_state = {
   mutable names : (int * (int * string)) list;
   mutable edges : (int * (int * int * float)) list;
   mutable delays : (int * (int * int * float)) list;
+  mutable links : (int * int) option;  (* line, link count *)
+  mutable routes : (int * (int * int * int list)) list;
   mutable costs : (int * (int * int * float)) list;
   (* replicas keyed by (task, idx) and supplies accumulated in reverse,
      each with its line number, so ids are range-checked once [tasks]
@@ -149,6 +167,8 @@ let parse text =
       names = [];
       edges = [];
       delays = [];
+      links = None;
+      routes = [];
       costs = [];
       replicas = Hashtbl.create 64;
       supplies = Hashtbl.create 64;
@@ -218,6 +238,12 @@ let parse text =
             st.delays <-
               (lineno, (int_of lineno k, int_of lineno h, float_of lineno d))
               :: st.delays
+        | [ "links"; n ] -> st.links <- Some (lineno, int_of lineno n)
+        | "route" :: k :: h :: ids ->
+            let route =
+              (int_of lineno k, int_of lineno h, List.map (int_of lineno) ids)
+            in
+            st.routes <- (lineno, route) :: st.routes
         | [ "cost"; t; p; c ] ->
             st.costs <-
               (lineno, (int_of lineno t, int_of lineno p, float_of lineno c))
@@ -328,7 +354,37 @@ let parse text =
         fail line (Printf.sprintf "invalid delay %g from P%d to P%d" d k h))
     (List.rev st.delays);
   List.iter (fun (_, (k, h, d)) -> delays.(k).(h) <- d) st.delays;
-  let platform = Platform.create ~delays in
+  let platform =
+    match (st.links, List.rev st.routes) with
+    | None, [] -> Platform.create ~delays
+    | None, (line, _) :: _ -> fail line "route line without a 'links' count"
+    | Some (links_line, count), routes ->
+        let m = st.procs in
+        if count < 0 || count > m * m then
+          fail links_line
+            (Printf.sprintf "link count %d not in [0, %d]" count (m * m));
+        let table = Array.make_matrix m m None in
+        List.iter
+          (fun (line, (k, h, ids)) ->
+            in_range line "route source processor" k m;
+            in_range line "route destination processor" h m;
+            if k = h then
+              fail line (Printf.sprintf "route from P%d to itself" k);
+            List.iter (fun l -> in_range line "link" l count) ids;
+            if table.(k).(h) = None then table.(k).(h) <- Some ids)
+          routes;
+        let routes =
+          Array.init m (fun k ->
+              Array.init m (fun h ->
+                  match table.(k).(h) with
+                  | Some ids -> ids
+                  | None when k = h -> []
+                  | None ->
+                      fail links_line
+                        (Printf.sprintf "no route from P%d to P%d" k h)))
+        in
+        Platform.routed ~delays ~link_count:count ~routes
+  in
   let matrix = Array.make_matrix st.tasks st.procs 0. in
   List.iter
     (fun (line, (t, p, _)) ->

@@ -30,12 +30,22 @@ end
     OCaml string literal ([task 2 "load a"]), the only form in which the
     parser reads a name that is not one word.
 
-    The platform is written as its [delay] lines only: the format has no
-    routes, so a parsed schedule lives on the clique with those delays
-    ({!Platform.create}), and validation and replay of it treat every
-    ordered pair as its own link.  A schedule booked over a [Topology]
-    platform saves its routed end-to-end delays, but a reload no longer
-    checks or replays its shared-link contention. *)
+    The platform is written as its [delay] lines, and a routed platform
+    (one built by [Topology.platform]) also as its link count and one
+    route per ordered pair of distinct processors, the physical link ids
+    in order:
+
+    {v
+links 4
+route 0 1 0
+route 0 2 0 2
+    v}
+
+    A clique platform has no such lines, so its file is as it always
+    was.  A parsed schedule lives on the interconnect it was booked
+    over: {!Platform.create} for a file without [links],
+    {!Platform.routed} for one with it, and validation and replay of the
+    reloaded schedule follow the same routes as in memory. *)
 
 val to_string : Schedule.t -> string
 
@@ -83,6 +93,11 @@ val of_string : string -> Schedule.t
     - a [task], [cost], [delay] or supply line whose task or processor
       id is out of range, and a [delay] line whose delay is negative,
       nan, or non-zero from a processor to itself;
+    - a [links] count outside [[0, procs * procs]], a [route] line whose
+      processor or link id is out of range or that routes a processor
+      to itself, a [route] line in a file with no [links] line, and a
+      [links] line when some ordered pair of distinct processors has no
+      [route] line;
     - an [edge] line with an endpoint outside [[0, tasks)], a self edge,
       a duplicate edge or a negative volume, and an [edge] line that
       closes a cycle (the last line, in file order, of the cycle
@@ -93,9 +108,9 @@ val of_string : string -> Schedule.t
       already uses (at the later line); a task with fewer than
       [epsilon + 1] replicas (at the [end] line);
     - a second [replica] line for one task and index (at that line).
-    Of two [task] or [cost] lines for one cell the first wins; a task
-    without a [task] line is named [t<id>], as {!Dag.Builder.add_task}
-    names it. *)
+    Of two [task], [cost] or [route] lines for one cell the first wins;
+    a task without a [task] line is named [t<id>], as
+    {!Dag.Builder.add_task} names it. *)
 
 val of_file : string -> Schedule.t
 (** {!of_string} of the file's contents; raises [Sys_error] if it cannot

@@ -52,8 +52,8 @@ type replica_outcome =
     builds it
     exactly once, runs its topological sort once, and keeps the resulting
     order together with a preallocated one-scenario scratch arena.  Every
-    crash-time scenario — {!eval}, {!eval_crashed}, {!eval_timed}, the
-    one-shot wrappers and each chunk of an {!eval_batch} block — then
+    crash-time scenario — {!eval}, {!eval_crashed}, the one-shot
+    wrappers and each chunk of an {!eval_batch} block — then
     runs the same kernel: one pass over that order, with no graph
     construction, no priority queue and near-zero allocation.  A
     [compiled] value owns its scratch arenas and is therefore {b not} safe
@@ -106,14 +106,6 @@ val eval_crashed :
     {!Scenario.write_from_start} writes).  Raises [Invalid_argument] for
     a processor outside [\[0, m)]. *)
 
-val eval_timed :
-  compiled ->
-  crashes:(Platform.proc * float) list ->
-  outcome
-(** {!eval} where processor [p] dies at time [tau] (earliest wins if a
-    processor is listed twice; the row {!Scenario.write_timed} writes).
-    Raises [Invalid_argument] for a processor outside [\[0, m)]. *)
-
 (** {1 Batched evaluation}
 
     The campaign throughput path.  A scenario is one {e row} of [m] crash
@@ -126,9 +118,10 @@ val eval_timed :
     once per chunk, over a scratch arena that keeps one lane per
     scenario of the chunk, and does for each lane what it does for a
     single scenario, in the same order.  Results are therefore
-    bit-identical to {!eval} scenario by scenario — pinned against
-    {!reference} by the 108-config differential suite and by a property
-    over blocks on both sides of the chunk boundaries.  The lane arena is
+    bit-identical to {!eval} scenario by scenario — pinned against the
+    test suite's rebuild-per-scenario oracle by the 108-config
+    differential suite and by a property over blocks on both sides of
+    the chunk boundaries.  The lane arena is
     built on the engine's first [eval_batch] call, so an engine that only
     serves single evaluations never carries it.
 
@@ -232,20 +225,12 @@ val batch_degradation : compiled -> batch -> int -> degradation
     what that crash row leaves complete, summarized from {!eval}'s
     outcome. *)
 
-val reference : Schedule.t -> crash_time:float array -> outcome
-(** The original rebuild-the-graph-per-scenario implementation: it builds
-    the event graph for the one scenario and traverses it with a priority
-    heap.  It shares no code with {!compile} and the kernel, which is why
-    it stays: it is the differential oracle for {!eval} and {!eval_batch}
-    in the test suite, and the rebuild row of [bench/main.exe --replay]
-    that the batched row is gated against.  Semantically identical to
-    [eval (compile sched) ~crash_time]. *)
-
 (** {1 One-shot wrappers}
 
     Thin compile-then-eval conveniences: each compiles the schedule and
-    runs the kernel once ({!eval_crashed}, {!eval_timed}, or {!eval} on
-    a row where no processor dies), then drops the engine. *)
+    runs the kernel once on the row {!Scenario.write_from_start} or
+    {!Scenario.write_timed} writes, or on a row where no processor dies,
+    then drops the engine. *)
 
 val crash_from_start : Schedule.t -> crashed:Platform.proc list -> outcome
 (** Replay with the given processors dead from time zero (the adversarial
@@ -256,7 +241,8 @@ val crash_from_start : Schedule.t -> crashed:Platform.proc list -> outcome
 val crash_timed : Schedule.t -> crashes:(Platform.proc * float) list -> outcome
 (** Replay where processor [p] dies at time [tau]: replicas and message
     emissions of [p] that would complete after [tau] are lost, earlier
-    ones survive.  Raises [Invalid_argument] for a processor outside
+    ones survive.  The earliest instant wins if a processor is listed
+    twice.  Raises [Invalid_argument] for a processor outside
     [\[0, m)]. *)
 
 val fault_free : Schedule.t -> outcome

@@ -40,9 +40,8 @@ let schedulers =
 (* [sched] with the same replicas, costs and delays over the interconnect
    of [links], a platform on as many processors: the clique for a clique,
    the same routes for a routed one.  A platform owns its links, so this
-   is how a test validates or replays one schedule over another network,
-   or a parsed schedule (the file format carries no routes) over the
-   topology it was built on. *)
+   is how a test validates or replays one schedule over another
+   network. *)
 let reroute ~links sched =
   let costs = Schedule.costs sched in
   let p = Costs.platform costs in

@@ -219,8 +219,11 @@ let fault_check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
 let cand_cmp (l1, s1) (l2, s2) = compare (-.l1, s1) (-.l2, s2)
 let take n l = List.filteri (fun i _ -> i < n) l
 
-let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
-    =
+(* [adversary_search] is [adversary]'s report together with the best
+   candidate of its subset phase, before instant refinement: the
+   fault-free latency with [[]], or the latest completed crash set. *)
+let adversary_search ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1)
+    sched =
   let c = Replay.compile sched in
   let m = Replay.proc_count c in
   let eps = Schedule.epsilon sched in
@@ -318,7 +321,8 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
     done;
     !current
   in
-  let w_latency, w_crashes = refine !best in
+  let searched = !best in
+  let w_latency, w_crashes = refine searched in
   let iv_worst =
     if Float.is_nan w_latency then None
     else
@@ -378,16 +382,20 @@ let adversary ?(seed = 11) ?(budget = 20_000) ?(beam = 8) ?(domains = 1) sched
             })
           !best
   in
-  {
-    Inject.iv_epsilon = eps;
-    iv_m = m;
-    iv_budget = budget;
-    iv_evals = !evals;
-    iv_fault_free = l0;
-    iv_cert_resists;
-    iv_worst;
-    iv_min_kill;
-  }
+  ( {
+      Inject.iv_epsilon = eps;
+      iv_m = m;
+      iv_budget = budget;
+      iv_evals = !evals;
+      iv_fault_free = l0;
+      iv_cert_resists;
+      iv_worst;
+      iv_min_kill;
+    },
+    searched )
+
+let adversary ?seed ?budget ?beam ?domains sched =
+  fst (adversary_search ?seed ?budget ?beam ?domains sched)
 
 (* -- Resilience.certify: kill-set families as lists of [Bitset.t] ------ *)
 

@@ -138,12 +138,12 @@ let test_ser_term_sub_ulp () =
   in
   (* one unit message into processor 3 leaves its receive port free at 1 *)
   ignore
-    (Netstate.book_replica net ~proc:3 ~exec:0.
+    (Oracle_booking.book_replica net ~proc:3 ~exec:0.
        ~inputs:[ (0, [ source 0 0 1. ]) ]);
   let recv_free = Netstate.recv_free net 3 in
   Helpers.check_bool "receive port free at 1" true (recv_free = 1.);
   let srcs = Netstate.create_sources () in
-  Netstate.load_inputs srcs
+  Oracle_booking.load_inputs srcs
     [ (1, [ source 1 1 tiny ]); (2, [ source 2 2 tiny ]) ];
   let start, _ =
     Netstate.probe net srcs ~colocate_exclusive:true ~proc:3 ~exec:0.

@@ -14,39 +14,39 @@ let test_out_forest () =
 
 let test_in_forest () =
   Helpers.check_bool "join is in-forest" true
-    (Classify.is_in_forest (Families.join 5));
+    (Oracle_classify.is_in_forest (Families.join 5));
   Helpers.check_bool "in-tree is in-forest" true
-    (Classify.is_in_forest (Families.in_tree ~arity:2 ~depth:3 ()));
+    (Oracle_classify.is_in_forest (Families.in_tree ~arity:2 ~depth:3 ()));
   Helpers.check_bool "fork is not in-forest" false
-    (Classify.is_in_forest (Families.fork 5))
+    (Oracle_classify.is_in_forest (Families.fork 5))
 
 let test_fork_join_chain () =
-  Helpers.check_bool "fork" true (Classify.is_fork (Families.fork 6));
-  Helpers.check_bool "join not fork" false (Classify.is_fork (Families.join 6));
-  Helpers.check_bool "join" true (Classify.is_join (Families.join 6));
-  Helpers.check_bool "chain" true (Classify.is_chain (Families.chain 6));
-  Helpers.check_bool "fork not chain" false (Classify.is_chain (Families.fork 6));
-  Helpers.check_bool "singleton chain" true (Classify.is_chain (Families.chain 1));
+  Helpers.check_bool "fork" true (Oracle_classify.is_fork (Families.fork 6));
+  Helpers.check_bool "join not fork" false (Oracle_classify.is_fork (Families.join 6));
+  Helpers.check_bool "join" true (Oracle_classify.is_join (Families.join 6));
+  Helpers.check_bool "chain" true (Oracle_classify.is_chain (Families.chain 6));
+  Helpers.check_bool "fork not chain" false (Oracle_classify.is_chain (Families.fork 6));
+  Helpers.check_bool "singleton chain" true (Oracle_classify.is_chain (Families.chain 1));
   (* two disconnected chains: not a chain *)
   let g = Dag.make ~n:4 ~edges:[ (0, 1, 1.); (2, 3, 1.) ] () in
-  Helpers.check_bool "disconnected not chain" false (Classify.is_chain g)
+  Helpers.check_bool "disconnected not chain" false (Oracle_classify.is_chain g)
 
 let test_connected () =
   Helpers.check_bool "diamond connected" true
-    (Classify.is_connected (Helpers.diamond_dag ()));
+    (Oracle_classify.is_connected (Helpers.diamond_dag ()));
   let g = Dag.make ~n:4 ~edges:[ (0, 1, 1.) ] () in
-  Helpers.check_bool "isolated tasks disconnect" false (Classify.is_connected g);
+  Helpers.check_bool "isolated tasks disconnect" false (Oracle_classify.is_connected g);
   Helpers.check_bool "empty graph connected" true
-    (Classify.is_connected (Dag.make ~n:0 ~edges:[] ()))
+    (Oracle_classify.is_connected (Dag.make ~n:0 ~edges:[] ()))
 
 let test_single_entry_exit () =
   Helpers.check_bool "fork single entry" true
-    (Classify.has_single_entry (Families.fork 3));
+    (Oracle_classify.has_single_entry (Families.fork 3));
   Helpers.check_bool "fork multi exit" false
-    (Classify.has_single_exit (Families.fork 3));
+    (Oracle_classify.has_single_exit (Families.fork 3));
   Helpers.check_bool "fork-join both" true
     (let g = Families.fork_join 3 in
-     Classify.has_single_entry g && Classify.has_single_exit g)
+     Oracle_classify.has_single_entry g && Oracle_classify.has_single_exit g)
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in

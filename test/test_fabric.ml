@@ -29,7 +29,7 @@ let test_shared_link_serialization () =
   let a = src ~task:0 ~proc:0 ~finish:0. ~volume:5. in
   let b = src ~task:1 ~proc:1 ~finish:0. ~volume:5. in
   let booked =
-    Netstate.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ a ]); (1, [ b ]) ]
+    Oracle_booking.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ a ]); (1, [ b ]) ]
   in
   (match booked.Netstate.b_messages with
   | [ m1; m2 ] ->
@@ -43,7 +43,7 @@ let test_shared_link_serialization () =
   (* on the clique, the same bookings would not interfere on links *)
   let net_clique = Netstate.create (Helpers.uniform_platform 3) in
   let booked_clique =
-    Netstate.book_replica net_clique ~proc:2 ~exec:1.
+    Oracle_booking.book_replica net_clique ~proc:2 ~exec:1.
       ~inputs:[ (0, [ a ]); (1, [ b ]) ]
   in
   Helpers.check_bool "clique strictly faster" true
@@ -53,7 +53,7 @@ let test_fabric_link_ready () =
   let platform = line () in
   let net = Netstate.create platform in
   let a = src ~task:0 ~proc:0 ~finish:0. ~volume:5. in
-  let _ = Netstate.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ a ]) ] in
+  let _ = Oracle_booking.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ a ]) ] in
   (* the booked route occupies both cables until 10 *)
   Helpers.check_float "P0->P1 busy" 10. (Netstate.link_ready net ~src:0 ~dst:1);
   Helpers.check_float "P1->P2 busy" 10. (Netstate.link_ready net ~src:1 ~dst:2);

@@ -151,7 +151,7 @@ let test_new_families () =
   let ch = Families.cholesky 4 in
   (* T potrf + T(T-1)/2 trsm + T(T-1)/2 syrk + T(T-1)(T-2)/6 gemm *)
   Helpers.check_int "cholesky tasks" (4 + 6 + 6 + 4) (Dag.task_count ch);
-  Helpers.check_bool "cholesky connected" true (Classify.is_connected ch);
+  Helpers.check_bool "cholesky connected" true (Oracle_classify.is_connected ch);
   (* schedule both fault-tolerantly and verify *)
   List.iter
     (fun dag ->

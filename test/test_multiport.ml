@@ -25,7 +25,7 @@ let test_two_slots_receive_in_parallel () =
     let net = Netstate.create ~model (Helpers.uniform_platform 3) in
     let a = src ~task:0 ~replica:0 ~proc:0 ~finish:0. ~volume:10. in
     let b = src ~task:1 ~replica:0 ~proc:1 ~finish:0. ~volume:10. in
-    Netstate.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ a ]); (1, [ b ]) ]
+    Oracle_booking.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ a ]); (1, [ b ]) ]
   in
   let one = run_model Netstate.One_port in
   let two = run_model (Netstate.Multiport 2) in
@@ -38,8 +38,8 @@ let test_two_slots_send_in_parallel () =
   let run_model model =
     let net = Netstate.create ~model (Helpers.uniform_platform 3) in
     let s = src ~task:0 ~replica:0 ~proc:0 ~finish:0. ~volume:10. in
-    let _ = Netstate.book_replica net ~proc:1 ~exec:1. ~inputs:[ (0, [ s ]) ] in
-    let b2 = Netstate.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ s ]) ] in
+    let _ = Oracle_booking.book_replica net ~proc:1 ~exec:1. ~inputs:[ (0, [ s ]) ] in
+    let b2 = Oracle_booking.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ s ]) ] in
     b2.Netstate.b_start
   in
   Helpers.check_float "one-port send serialized" 20. (run_model Netstate.One_port);

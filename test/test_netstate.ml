@@ -15,11 +15,11 @@ let fresh ?(model = Netstate.One_port) m =
 
 let test_exec_only () =
   let net = fresh 2 in
-  let b = Netstate.book_exec_only net ~proc:0 ~exec:5. in
+  let b = Oracle_booking.book_exec_only net ~proc:0 ~exec:5. in
   Helpers.check_float "starts at zero" 0. b.Netstate.b_start;
   Helpers.check_float "finish" 5. b.Netstate.b_finish;
   Helpers.check_float "proc ready advanced" 5. (Netstate.proc_ready net 0);
-  let b2 = Netstate.book_exec_only net ~proc:0 ~exec:3. in
+  let b2 = Oracle_booking.book_exec_only net ~proc:0 ~exec:3. in
   Helpers.check_float "second task appended" 5. b2.Netstate.b_start;
   Helpers.check_float "other proc untouched" 0. (Netstate.proc_ready net 1)
 
@@ -27,7 +27,7 @@ let test_single_message () =
   let net = fresh 2 in
   (* source task 0 replica 0 on P0, finished at 4, ships 10 units, delay 1 *)
   let b =
-    Netstate.book_replica net ~proc:1 ~exec:2.
+    Oracle_booking.book_replica net ~proc:1 ~exec:2.
       ~inputs:[ (0, [ src ~task:0 ~replica:0 ~proc:0 ~finish:4. ~volume:10. ]) ]
   in
   (match b.Netstate.b_messages with
@@ -48,8 +48,8 @@ let test_send_serialization () =
   (* one replica on P1 receiving from P0, then another on P2 also from P0:
      the second leg must wait for P0's send port (equation (2)) *)
   let source = src ~task:0 ~replica:0 ~proc:0 ~finish:0. ~volume:10. in
-  let _ = Netstate.book_replica net ~proc:1 ~exec:1. ~inputs:[ (0, [ source ]) ] in
-  let b2 = Netstate.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ source ]) ] in
+  let _ = Oracle_booking.book_replica net ~proc:1 ~exec:1. ~inputs:[ (0, [ source ]) ] in
+  let b2 = Oracle_booking.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ source ]) ] in
   match b2.Netstate.b_messages with
   | [ m ] ->
       Helpers.check_float "second send serialized" 10. m.Netstate.m_leg_start;
@@ -64,7 +64,7 @@ let test_receive_serialization () =
   let a = src ~task:0 ~replica:0 ~proc:0 ~finish:0. ~volume:10. in
   let b = src ~task:1 ~replica:0 ~proc:1 ~finish:0. ~volume:5. in
   let booked =
-    Netstate.book_replica net ~proc:2 ~exec:7. ~inputs:[ (0, [ a ]); (1, [ b ]) ]
+    Oracle_booking.book_replica net ~proc:2 ~exec:7. ~inputs:[ (0, [ a ]); (1, [ b ]) ]
   in
   (match booked.Netstate.b_messages with
   | [ m1; m2 ] ->
@@ -85,7 +85,7 @@ let test_first_complete_input_set () =
   let r0 = src ~task:0 ~replica:0 ~proc:0 ~finish:0. ~volume:10. in
   let r1 = src ~task:0 ~replica:1 ~proc:1 ~finish:0. ~volume:5. in
   let booked =
-    Netstate.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ r0; r1 ]) ]
+    Oracle_booking.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ r0; r1 ]) ]
   in
   Helpers.check_int "both replicas ship" 2 (List.length booked.Netstate.b_messages);
   (* earliest arrival is the volume-5 replica at time 5 *)
@@ -96,7 +96,7 @@ let test_colocation_suppression () =
   let local = src ~task:0 ~replica:0 ~proc:2 ~finish:6. ~volume:10. in
   let remote = src ~task:0 ~replica:1 ~proc:0 ~finish:0. ~volume:10. in
   let booked =
-    Netstate.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ remote; local ]) ]
+    Oracle_booking.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ remote; local ]) ]
   in
   Helpers.check_int "remote copies suppressed" 0
     (List.length booked.Netstate.b_messages);
@@ -110,7 +110,7 @@ let test_colocation_not_exclusive () =
   let local = src ~task:0 ~replica:0 ~proc:2 ~finish:6. ~volume:10. in
   let remote = src ~task:0 ~replica:1 ~proc:0 ~finish:0. ~volume:10. in
   let booked =
-    Netstate.book_replica ~colocate_exclusive:false net ~proc:2 ~exec:1.
+    Oracle_booking.book_replica ~colocate_exclusive:false net ~proc:2 ~exec:1.
       ~inputs:[ (0, [ remote; local ]) ]
   in
   Helpers.check_int "remote copy still shipped" 1
@@ -125,7 +125,7 @@ let test_macro_dataflow_no_contention () =
   let a = src ~task:0 ~replica:0 ~proc:0 ~finish:0. ~volume:10. in
   let b = src ~task:1 ~replica:0 ~proc:1 ~finish:0. ~volume:5. in
   let booked =
-    Netstate.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ a ]); (1, [ b ]) ]
+    Oracle_booking.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ a ]); (1, [ b ]) ]
   in
   List.iter
     (fun m ->
@@ -137,39 +137,24 @@ let test_macro_dataflow_no_contention () =
   Helpers.check_float "send free" 0. (Netstate.send_free net 0);
   Helpers.check_float "recv free" 0. (Netstate.recv_free net 2);
   (* same source twice: no serialization under macro-dataflow *)
-  let _ = Netstate.book_replica net ~proc:1 ~exec:1. ~inputs:[ (0, [ a ]) ] in
-  let again = Netstate.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ a ]) ] in
+  let _ = Oracle_booking.book_replica net ~proc:1 ~exec:1. ~inputs:[ (0, [ a ]) ] in
+  let again = Oracle_booking.book_replica net ~proc:2 ~exec:1. ~inputs:[ (0, [ a ]) ] in
   (match again.Netstate.b_messages with
   | [ m ] -> Helpers.check_float "no send serialization" 0. m.Netstate.m_leg_start
   | _ -> Alcotest.fail "expected one message")
-
-let test_snapshot_restore () =
-  let net = fresh 3 in
-  let snap = Netstate.snapshot net in
-  let source = src ~task:0 ~replica:0 ~proc:0 ~finish:0. ~volume:10. in
-  let _ = Netstate.book_replica net ~proc:1 ~exec:5. ~inputs:[ (0, [ source ]) ] in
-  Helpers.check_bool "state mutated" true (Netstate.proc_ready net 1 > 0.);
-  Netstate.restore net snap;
-  Helpers.check_float "ready restored" 0. (Netstate.proc_ready net 1);
-  Helpers.check_float "send restored" 0. (Netstate.send_free net 0);
-  Helpers.check_float "recv restored" 0. (Netstate.recv_free net 1);
-  Helpers.check_float "link restored" 0. (Netstate.link_ready net ~src:0 ~dst:1);
-  (* rebooking after restore reproduces the same times *)
-  let b = Netstate.book_replica net ~proc:1 ~exec:5. ~inputs:[ (0, [ source ]) ] in
-  Helpers.check_float "deterministic rebooking" 10. b.Netstate.b_start
 
 let test_empty_sources_rejected () =
   let net = fresh 2 in
   Alcotest.check_raises "empty source list"
     (Invalid_argument "Netstate.book_replica: predecessor 0 has no source")
     (fun () ->
-      ignore (Netstate.book_replica net ~proc:1 ~exec:1. ~inputs:[ (0, []) ]))
+      ignore (Oracle_booking.book_replica net ~proc:1 ~exec:1. ~inputs:[ (0, []) ]))
 
 let test_heterogeneous_delays () =
   let delays = [| [| 0.; 2. |]; [| 0.5; 0. |] |] in
   let net = Netstate.create (Platform.create ~delays) in
   let b =
-    Netstate.book_replica net ~proc:1 ~exec:1.
+    Oracle_booking.book_replica net ~proc:1 ~exec:1.
       ~inputs:[ (0, [ src ~task:0 ~replica:0 ~proc:0 ~finish:0. ~volume:10. ]) ]
   in
   (* volume 10 x delay 2 = 20 *)
@@ -191,7 +176,6 @@ let suite =
       test_colocation_not_exclusive;
     Alcotest.test_case "macro-dataflow has no contention" `Quick
       test_macro_dataflow_no_contention;
-    Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
     Alcotest.test_case "empty sources rejected" `Quick
       test_empty_sources_rejected;
     Alcotest.test_case "heterogeneous delays" `Quick test_heterogeneous_delays;

@@ -78,10 +78,10 @@ let test_workspace_placement () =
   let costs = Helpers.flat_costs ~c:10. dag platform in
   let ws = Workspace.create ~epsilon:1 costs in
   let net = Workspace.net ws in
-  let b0 = Netstate.book_exec_only net ~proc:0 ~exec:10. in
+  let b0 = Oracle_booking.book_exec_only net ~proc:0 ~exec:10. in
   let r0 = Workspace.place ws ~task:0 ~proc:0 b0 in
   Helpers.check_int "first index" 0 r0.Schedule.r_index;
-  let b1 = Netstate.book_exec_only net ~proc:1 ~exec:10. in
+  let b1 = Oracle_booking.book_exec_only net ~proc:1 ~exec:10. in
   let r1 = Workspace.place ws ~task:0 ~proc:1 b1 in
   Helpers.check_int "second index" 1 r1.Schedule.r_index;
   Helpers.check_int "placed count" 2 (Workspace.placed_count ws 0);
@@ -101,15 +101,18 @@ let test_workspace_sources () =
   Alcotest.check_raises "sources of unplaced pred"
     (Invalid_argument "Workspace.load_sources: predecessor 0 of 1 unplaced")
     (fun () -> Workspace.load_sources ws src 1);
-  let _ = Workspace.place ws ~task:0 ~proc:0 (Netstate.book_exec_only net ~proc:0 ~exec:10.) in
-  let _ = Workspace.place ws ~task:0 ~proc:1 (Netstate.book_exec_only net ~proc:1 ~exec:10.) in
+  let _ = Workspace.place ws ~task:0 ~proc:0 (Oracle_booking.book_exec_only net ~proc:0 ~exec:10.) in
+  let _ = Workspace.place ws ~task:0 ~proc:1 (Oracle_booking.book_exec_only net ~proc:1 ~exec:10.) in
   Workspace.load_sources ws src 1;
+  (* commit on a twin of the workspace's state: a fresh state given the
+     same two bookings *)
   let booked () =
-    let snap = Netstate.snapshot net in
+    let twin = Netstate.create platform in
+    ignore (Oracle_booking.book_exec_only twin ~proc:0 ~exec:10.);
+    ignore (Oracle_booking.book_exec_only twin ~proc:1 ~exec:10.);
     let b =
-      Netstate.commit net src ~colocate_exclusive:true ~proc:2 ~exec:10.
+      Netstate.commit twin src ~colocate_exclusive:true ~proc:2 ~exec:10.
     in
-    Netstate.restore net snap;
     b.Netstate.b_messages
   in
   let messages = booked () in
@@ -133,13 +136,13 @@ let test_workspace_overfill_rejected () =
   let costs = Helpers.flat_costs dag platform in
   let ws = Workspace.create ~epsilon:0 costs in
   let net = Workspace.net ws in
-  let _ = Workspace.place ws ~task:0 ~proc:0 (Netstate.book_exec_only net ~proc:0 ~exec:1.) in
+  let _ = Workspace.place ws ~task:0 ~proc:0 (Oracle_booking.book_exec_only net ~proc:0 ~exec:1.) in
   Alcotest.check_raises "too many replicas"
     (Invalid_argument "Workspace.place: task already fully replicated")
     (fun () ->
       ignore
         (Workspace.place ws ~task:0 ~proc:1
-           (Netstate.book_exec_only net ~proc:1 ~exec:1.)))
+           (Oracle_booking.book_exec_only net ~proc:1 ~exec:1.)))
 
 let test_workspace_needs_enough_procs () =
   let dag = Dag.make ~n:1 ~edges:[] () in
@@ -156,8 +159,8 @@ let test_workspace_to_schedule () =
   let costs = Helpers.flat_costs ~c:2. dag platform in
   let ws = Workspace.create ~epsilon:1 costs in
   let net = Workspace.net ws in
-  let _ = Workspace.place ws ~task:0 ~proc:2 (Netstate.book_exec_only net ~proc:2 ~exec:2.) in
-  let _ = Workspace.place ws ~task:0 ~proc:0 (Netstate.book_exec_only net ~proc:0 ~exec:2.) in
+  let _ = Workspace.place ws ~task:0 ~proc:2 (Oracle_booking.book_exec_only net ~proc:2 ~exec:2.) in
+  let _ = Workspace.place ws ~task:0 ~proc:0 (Oracle_booking.book_exec_only net ~proc:0 ~exec:2.) in
   let sched = Workspace.to_schedule ~algorithm:"test" ws in
   Helpers.check_bool "valid" true (Validate.is_valid sched);
   Helpers.check_float "latency" 2. (Schedule.latency_zero_crash sched)

@@ -136,7 +136,7 @@ let prop_port_capacity_monotone_bookings =
         let finishes =
           List.map
             (fun net ->
-              (Netstate.book_replica net ~proc ~exec ~inputs:[ (0, sources) ])
+              (Oracle_booking.book_replica net ~proc ~exec ~inputs:[ (0, sources) ])
                 .Netstate.b_finish)
             nets
         in

@@ -3,7 +3,7 @@
    - on >= 100 (seed, model, fabric, epsilon) configurations, compile
      the schedule once and assert that [Replay.eval] produces outcomes
      identical (bit-for-bit, including [nan] latencies) to the
-     rebuild-per-scenario [Replay.reference] oracle, across fault-free,
+     rebuild-per-scenario [Oracle_replay.run] oracle, across fault-free,
      from-start and timed scenarios — and that [eval_batch], on a block
      of one and on one block over all the scenarios of the set,
      reproduces the oracle's latency and ([~degradation:true]) its
@@ -47,7 +47,7 @@ let outcome_equal (a : Replay.outcome) (b : Replay.outcome) =
        a.Replay.replicas b.Replay.replicas
 
 let check_differential name sched ~crash_time compiled =
-  let fresh = Replay.reference sched ~crash_time in
+  let fresh = Oracle_replay.run sched ~crash_time in
   let cached = Replay.eval compiled ~crash_time in
   if not (outcome_equal fresh cached) then
     Alcotest.failf "%s: compiled eval differs from fresh replay" name;
@@ -375,7 +375,7 @@ let tie_replays_agree c rng sched =
   in
   let fresh =
     Array.map
-      (fun crash_time -> Replay.reference sched ~crash_time)
+      (fun crash_time -> Oracle_replay.run sched ~crash_time)
       scenarios
   in
   let batch =
@@ -519,7 +519,7 @@ let lanes_agree c =
     (Array.init c.l_block
        (fun i ->
          let crash_time = Array.sub rows (i * m) m in
-         let fresh = Replay.reference sched ~crash_time in
+         let fresh = Oracle_replay.run sched ~crash_time in
          let d = Oracle.degradation sched fresh in
          outcome_equal fresh (Replay.eval compiled ~crash_time)
          && float_eq batch.Replay.br_latency.(i) fresh.Replay.latency

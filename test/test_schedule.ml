@@ -278,45 +278,47 @@ let with_odd_names costs =
   let dag = Dag.make ~names ~n ~edges:(List.rev !edges) () in
   (dag, Costs.create dag (Costs.platform costs) (Costs.exec costs))
 
-(* Saved 8-task CAFT and FTSA schedules (m = 4, epsilon = 1), as lines,
-   each with the platform whose links it was built over (the file format
-   carries no routes, so a parsed routed base is rerouted onto it before
-   it is validated or replayed): six one-port schedules on the
-   clique, then two each under macro-dataflow, under multiport-2 and
-   one-port over a ring, and one one-port schedule whose task names are
-   not one word. *)
+(* Saved 8-task CAFT and FTSA schedules (m = 4, epsilon = 1), as lines
+   of a file that carries their platform's routes: six one-port
+   schedules on the clique, then two each under macro-dataflow, under
+   multiport-2 and one-port over a ring, one one-port schedule whose
+   task names are not one word, and one one-port schedule each over a
+   star and a 2x2 torus. *)
 let fuzz_bases =
   lazy
     (List.map
-       (fun (seed, model, ring, odd_names) ->
+       (fun (seed, model, topology, odd_names) ->
          let dag, costs = Helpers.random_instance ~seed ~m:4 ~tasks:8 () in
          let dag, costs =
            if odd_names then with_odd_names costs else (dag, costs)
          in
          let costs =
-           if not ring then costs
-           else
-             Costs.create dag
-               (Topology.platform (Topology.ring 4))
-               (Costs.exec costs)
+           match topology with
+           | None -> costs
+           | Some topo ->
+               Costs.create dag (Topology.platform topo) (Costs.exec costs)
          in
          let sched =
            if seed mod 2 = 0 then Caft.run ~model ~epsilon:1 costs
            else Ftsa.run ~model ~epsilon:1 costs
          in
-         ( Array.of_list
-             (List.filter (fun l -> l <> "")
-                (String.split_on_char '\n' (Schedule_io.to_string sched))),
-           Costs.platform costs ))
-       (List.init 6 (fun seed -> (seed, Netstate.One_port, false, false))
+         Array.of_list
+           (List.filter (fun l -> l <> "")
+              (String.split_on_char '\n' (Schedule_io.to_string sched))))
+       (List.init 6 (fun seed -> (seed, Netstate.One_port, None, false))
        @ [
-           (6, Netstate.Macro_dataflow, false, false);
-           (7, Netstate.Macro_dataflow, false, false);
-           (8, Netstate.Multiport 2, false, false);
-           (9, Netstate.Multiport 2, false, false);
-           (10, Netstate.One_port, true, false);
-           (11, Netstate.One_port, true, false);
-           (12, Netstate.One_port, false, true);
+           (6, Netstate.Macro_dataflow, None, false);
+           (7, Netstate.Macro_dataflow, None, false);
+           (8, Netstate.Multiport 2, None, false);
+           (9, Netstate.Multiport 2, None, false);
+           (10, Netstate.One_port, Some (Topology.ring 4), false);
+           (11, Netstate.One_port, Some (Topology.ring 4), false);
+           (12, Netstate.One_port, None, true);
+           (13, Netstate.One_port, Some (Topology.star 4), false);
+           ( 14,
+             Netstate.One_port,
+             Some (Topology.torus2d ~rows:2 ~cols:2 ()),
+             false );
          ]))
 
 let words l = Array.of_list (String.split_on_char ' ' l)
@@ -341,7 +343,7 @@ let is_directive d l = String.starts_with ~prefix:(d ^ " ") l
    of 1e308 or inf, and an infinite arrival hidden behind another supply
    of the same predecessor.  The validator (hence lint) rejects each. *)
 let test_validate_catches_message_times () =
-  let lines = fst (List.hd (Lazy.force fuzz_bases)) in
+  let lines = List.hd (Lazy.force fuzz_bases) in
   let reject name text wants =
     let sched = Schedule_io.of_string text in
     let vs = Validate.run sched in
@@ -421,11 +423,11 @@ let mutant_gen =
       (fun ((base, line, kind), (field, token)) ->
         { base; line; kind; field; token })
       (pair
-         (triple (int_bound 12) (int_bound 10_000) (int_bound 9))
+         (triple (int_bound 14) (int_bound 10_000) (int_bound 9))
          (pair (int_bound 12) (oneofl tokens))))
 
 let mutate { base; line; kind; field; token } =
-  let lines = fst (List.nth (Lazy.force fuzz_bases) base) in
+  let lines = List.nth (Lazy.force fuzz_bases) base in
   let i = line mod Array.length lines in
   let l = Array.to_list lines in
   match kind with
@@ -441,19 +443,17 @@ let print_mutant m =
     m.kind m.field m.token
 
 (* Whatever a mutated file holds, parsing raises nothing but
-   [Parse_error], and a schedule the validator accepts (over its base's
-   links) also compiles, completes its fault-free replay and prints to
-   text that parses back to the same text. *)
+   [Parse_error], and a schedule the validator accepts (over the routes
+   its file carries) also compiles, completes its fault-free replay and
+   prints to text that parses back to the same text. *)
 let prop_accepted_mutants_replay =
   QCheck.Test.make ~count:3000
     ~name:"validator-accepted schedule mutants compile and replay"
     (QCheck.make mutant_gen ~print:print_mutant)
     (fun m ->
-      let links = snd (List.nth (Lazy.force fuzz_bases) m.base) in
       match Schedule_io.of_string (String.concat "\n" (mutate m) ^ "\n") with
       | exception Schedule_io.Parse_error _ -> true
-      | parsed ->
-          let sched = Helpers.reroute ~links parsed in
+      | sched ->
           Validate.run sched <> []
           || (Replay.fault_free sched).Replay.completed
              &&
@@ -462,13 +462,11 @@ let prop_accepted_mutants_replay =
                (Schedule_io.to_string (Schedule_io.of_string text)))
 
 (* The property has teeth on every base only if the unmutated file is
-   accepted over its links and replays. *)
+   accepted over its routes and replays. *)
 let test_fuzz_bases_valid () =
   List.iteri
-    (fun i (lines, links) ->
-      let sched =
-        Helpers.reroute ~links (Schedule_io.of_string (unlines lines))
-      in
+    (fun i lines ->
+      let sched = Schedule_io.of_string (unlines lines) in
       Helpers.check_bool (Printf.sprintf "base %d valid" i) true
         (Validate.run sched = []);
       Helpers.check_bool (Printf.sprintf "base %d replays" i) true

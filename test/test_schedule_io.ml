@@ -199,6 +199,59 @@ let test_replica_shape () =
     (edited lines [ (List.hd (numbered lines "tasks"), (1, "100000000000000000")) ])
     "task count beyond the array limit"
 
+(* A schedule booked over a routed platform keeps its routes through a
+   file: its [links] and [route] lines parse back to the same platform,
+   the streaming writer emits the same lines, and damaged route lines are
+   parse errors at their line.  A clique file has no such line. *)
+let test_routed_roundtrip () =
+  let dag, costs = Helpers.random_instance ~seed:4 ~m:4 ~tasks:10 () in
+  let costs =
+    Costs.create dag (Topology.platform (Topology.ring 4)) (Costs.exec costs)
+  in
+  let sched = Caft.run ~epsilon:1 costs in
+  let text = Schedule_io.to_string sched in
+  let reparsed = Schedule_io.of_string text in
+  Alcotest.(check string) "routed text is a fixed point" text
+    (Schedule_io.to_string reparsed);
+  Helpers.check_bool "same platform" true
+    (Schedule.platform reparsed = Schedule.platform sched);
+  let path = Filename.temp_file "ftsched_routed" ".fts" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let w =
+        Schedule_io.stream_writer ~algorithm:(Schedule.algorithm sched)
+          ~epsilon:1 ~model:(Schedule.model sched) ~path costs
+      in
+      List.iter (Schedule_io.stream_replica w) (Schedule.all_replicas sched);
+      Schedule_io.stream_close w;
+      Alcotest.(check string) "streamed routed file" text
+        (In_channel.with_open_bin path In_channel.input_all));
+  let is d l = String.starts_with ~prefix:(d ^ " ") l in
+  Helpers.check_bool "clique file has no interconnect lines" false
+    (List.exists
+       (fun l -> is "links" l || is "route" l)
+       (schedule_lines ()));
+  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' text) in
+  let links = List.hd (numbered lines "links") in
+  let routes = numbered lines "route" in
+  let r0 = List.hd routes and r1 = List.nth routes 1 in
+  let without n = List.filteri (fun i _ -> i + 1 <> n) lines in
+  let text_of lines = String.concat "\n" lines ^ "\n" in
+  List.iter
+    (fun (name, line, edits) ->
+      expect_parse_error ~line (edited lines edits) name)
+    [
+      ("link id out of range", r1, [ (r1, (3, "8")) ]);
+      ("negative link id", r0, [ (r0, (3, "-1")) ]);
+      ("route source processor", r1, [ (r1, (1, "4")) ]);
+      ("route to itself", r0, [ (r0, (2, "0")) ]);
+      ("link count beyond m * m", links, [ (links, (1, "17")) ]);
+    ];
+  expect_parse_error ~line:links (text_of (without r1)) "missing route";
+  expect_parse_error ~line:(r0 - 1) (text_of (without links))
+    "route without a link count"
+
 (* A bad [edge] line is a parse error at that line, whose message names
    the fault.  Each form inserts one line after the last edge line, built
    from the first edge line's endpoints [u -> v]. *)
@@ -271,6 +324,8 @@ let suite =
       test_corrupt_directive;
     Alcotest.test_case "partial --stream output detected" `Quick
       test_partial_stream_detected;
+    Alcotest.test_case "routed platform through a file" `Quick
+      test_routed_roundtrip;
   ]
   @ List.map
       (fun (name, reason, bad) ->

@@ -3,13 +3,15 @@
 
    - on >= 100 random scenarios (varying m, model, fabric),
      interleave committed bookings and probes and assert that
-     [Netstate.probe] leaves a state observationally identical to
-     [snapshot]/[restore] — same [proc_ready], [send_free], [recv_free]
-     and [link_ready] on every processor pair — and returns the same
-     execution window the committed booking computes on the snapshot;
+     [Netstate.probe] leaves the state observationally unchanged — same
+     [proc_ready], [send_free], [recv_free] and [link_ready] on every
+     processor pair — and returns the same execution window the
+     committed booking computes on a twin: a fresh state that replays
+     the same committed bookings, so it owes nothing to the probe's undo
+     log;
    - a QCheck suite drawing random platforms, models, fabrics,
      [colocate_exclusive], prior bookings and one-to-one head selections,
-     checking every processor against [book_replica] on a snapshot;
+     checking every processor against [book_replica] on a twin;
    - a tie-heavy QCheck suite comparing whole bookings against the
      list-based booking the kernel replaced ([reference_booking]), which
      pins the send-order and arrival-order tie rules;
@@ -30,8 +32,7 @@ let src ~task ~replica ~proc ~finish ~volume =
 
 (* Every observable of the network state: r(P), SF(P), RF(P) per
    processor and R(l) per ordered pair. *)
-let observe net =
-  let m = Platform.proc_count (Netstate.platform net) in
+let observe net ~m =
   ( Array.init m (fun p -> Netstate.proc_ready net p),
     Array.init m (fun p -> Netstate.send_free net p),
     Array.init m (fun p -> Netstate.recv_free net p),
@@ -71,7 +72,8 @@ let scenario seed =
     | _ -> Topology.platform (Topology.star (3 + Rng.int rng 6))
   in
   let m = Platform.proc_count platform in
-  let net = Netstate.create ~model platform in
+  let ledger = Oracle_booking.ledger ~model platform in
+  let net = ledger.Oracle_booking.net in
   (* Pool of data sources produced by committed bookings. *)
   let pool = ref [] in
   let fresh_task = ref 0 in
@@ -85,7 +87,8 @@ let scenario seed =
   for _ = 1 to 3 do
     let p = Rng.int rng m in
     let b =
-      Netstate.book_exec_only net ~proc:p ~exec:(Rng.float_in rng 1. 10.)
+      Oracle_booking.commit ledger ~proc:p ~exec:(Rng.float_in rng 1. 10.)
+        ~inputs:[]
     in
     add_source p b.Netstate.b_finish
   done;
@@ -115,43 +118,44 @@ let scenario seed =
     let exec = Rng.float_in rng 1. 10. in
     let inputs = make_inputs () in
     let colocate_exclusive = Rng.int rng 2 = 0 in
-    let book () =
-      Netstate.book_replica ~colocate_exclusive net ~proc ~exec ~inputs
-    in
     if Rng.int rng 2 = 0 then begin
       (* commit: the booking mutates the state for later steps *)
-      let b = book () in
+      let b =
+        Oracle_booking.commit ~colocate_exclusive ledger ~proc ~exec ~inputs
+      in
       add_source proc b.Netstate.b_finish
     end
     else begin
-      (* differential trial: snapshot/restore is the reference *)
-      let obs0 = observe net in
-      let snap = Netstate.snapshot net in
-      let b_ref = book () in
-      Netstate.restore net snap;
+      (* differential trial: a commit on the twin is the reference *)
+      let obs0 = observe net ~m in
+      let twin = Oracle_booking.twin ledger in
       check_obs
-        (Printf.sprintf "seed %d step %d (restore)" seed step)
-        obs0 (observe net);
+        (Printf.sprintf "seed %d step %d (twin)" seed step)
+        obs0 (observe twin ~m);
+      let b_ref =
+        Oracle_booking.book_replica ~colocate_exclusive twin ~proc ~exec
+          ~inputs
+      in
       let src = Netstate.create_sources () in
-      Netstate.load_inputs src inputs;
+      Oracle_booking.load_inputs src inputs;
       let window =
         Netstate.probe net src ~colocate_exclusive ~proc ~exec
       in
       check_obs
         (Printf.sprintf "seed %d step %d (probe)" seed step)
-        obs0 (observe net);
+        obs0 (observe net ~m);
       if window <> (b_ref.Netstate.b_start, b_ref.Netstate.b_finish) then
-        Alcotest.failf "seed %d step %d: probe differs from snapshot" seed
+        Alcotest.failf "seed %d step %d: probe differs from the twin" seed
           step
     end
   done
 
-let test_trial_vs_snapshot () =
+let test_trial_vs_twin () =
   for seed = 1 to 120 do
     scenario seed
   done
 
-(* -- QCheck: probe == book_replica on a snapshot ----------------------- *)
+(* -- QCheck: probe == book_replica on a twin --------------------------- *)
 
 (* A random platform: heterogeneous clique delays, or a routed topology
    (regular or random custom links). *)
@@ -192,7 +196,8 @@ let prop_probe_matches_commit seed =
     | 1 -> Netstate.One_port
     | _ -> Netstate.Multiport (1 + Rng.int rng 3)
   in
-  let net = Netstate.create ~model platform in
+  let ledger = Oracle_booking.ledger ~model platform in
+  let net = ledger.Oracle_booking.net in
   let next_task = ref 0 in
   (* [replicas] copies of a fresh predecessor task on random processors *)
   let fresh_pred replicas =
@@ -212,12 +217,13 @@ let prop_probe_matches_commit seed =
   (* prior bookings leave processors, ports and links busy *)
   for _ = 1 to Rng.int rng 12 do
     let proc = Rng.int rng m and exec = Rng.float_in rng 1. 10. in
-    if Rng.int rng 3 = 0 then ignore (Netstate.book_exec_only net ~proc ~exec)
+    if Rng.int rng 3 = 0 then
+      ignore (Oracle_booking.commit ledger ~proc ~exec ~inputs:[])
     else
       ignore
-        (Netstate.book_replica
+        (Oracle_booking.commit
            ~colocate_exclusive:(Rng.int rng 2 = 0)
-           net ~proc ~exec ~inputs:(random_inputs ()))
+           ledger ~proc ~exec ~inputs:(random_inputs ()))
   done;
   let inputs = random_inputs () in
   let colocate_exclusive = Rng.int rng 2 = 0 in
@@ -230,7 +236,7 @@ let prop_probe_matches_commit seed =
       inputs
   in
   let src_set = Netstate.create_sources () in
-  Netstate.load_inputs src_set inputs;
+  Oracle_booking.load_inputs src_set inputs;
   List.iteri
     (fun slot -> function
       | None -> Netstate.select_full src_set ~slot
@@ -246,16 +252,14 @@ let prop_probe_matches_commit seed =
   in
   for proc = 0 to m - 1 do
     let exec = Rng.float_in rng 1. 10. in
-    let obs0 = observe net in
+    let obs0 = observe net ~m in
     let window = Netstate.probe net src_set ~colocate_exclusive ~proc ~exec in
     check_obs (Printf.sprintf "seed %d proc %d (probe)" seed proc) obs0
-      (observe net);
-    let snap = Netstate.snapshot net in
+      (observe net ~m);
     let b =
-      Netstate.book_replica ~colocate_exclusive net ~proc ~exec
-        ~inputs:selected
+      Oracle_booking.book_replica ~colocate_exclusive
+        (Oracle_booking.twin ledger) ~proc ~exec ~inputs:selected
     in
-    Netstate.restore net snap;
     if window <> (b.Netstate.b_start, b.Netstate.b_finish) then
       QCheck.Test.fail_reportf "seed %d proc %d: probe (%g, %g) <> commit (%g, %g)"
         seed proc (fst window) (snd window) b.Netstate.b_start
@@ -278,8 +282,7 @@ let qcheck_probe =
    the state through the public accessors and keeps its own writes in
    overlays, so it models the one-port and macro-dataflow models on a
    clique under append semantics. *)
-let reference_booking net ~colocate_exclusive ~proc ~exec ~inputs =
-  let platform = Netstate.platform net in
+let reference_booking net ~platform ~colocate_exclusive ~proc ~exec ~inputs =
   let one_port = Netstate.model net = Netstate.One_port in
   let sf = Hashtbl.create 8 and link = Hashtbl.create 8 in
   let send_free p =
@@ -392,7 +395,9 @@ let prop_kernel_matches_reference seed =
   let model =
     if Rng.int rng 2 = 0 then Netstate.One_port else Netstate.Macro_dataflow
   in
-  let net = Netstate.create ~model (Platform.uniform ~m ~delay:1.) in
+  let platform = Platform.uniform ~m ~delay:1. in
+  let ledger = Oracle_booking.ledger ~model platform in
+  let net = ledger.Oracle_booking.net in
   let next_task = ref 0 in
   let random_inputs () =
     List.init (1 + Rng.int rng 5) (fun _ ->
@@ -407,7 +412,7 @@ let prop_kernel_matches_reference seed =
   in
   for _ = 1 to Rng.int rng 8 do
     ignore
-      (Netstate.book_replica net ~proc:(Rng.int rng m)
+      (Oracle_booking.commit ledger ~proc:(Rng.int rng m)
          ~exec:(float_of_int (1 + Rng.int rng 4))
          ~inputs:(random_inputs ()))
   done;
@@ -415,10 +420,13 @@ let prop_kernel_matches_reference seed =
   let colocate_exclusive = Rng.int rng 2 = 0 in
   for proc = 0 to m - 1 do
     let exec = float_of_int (1 + Rng.int rng 4) in
-    let expected = reference_booking net ~colocate_exclusive ~proc ~exec ~inputs in
-    let snap = Netstate.snapshot net in
-    let b = Netstate.book_replica ~colocate_exclusive net ~proc ~exec ~inputs in
-    Netstate.restore net snap;
+    let expected =
+      reference_booking net ~platform ~colocate_exclusive ~proc ~exec ~inputs
+    in
+    let b =
+      Oracle_booking.book_replica ~colocate_exclusive
+        (Oracle_booking.twin ledger) ~proc ~exec ~inputs
+    in
     if b <> expected then
       QCheck.Test.fail_reportf "seed %d proc %d: kernel booking differs from the reference"
         seed proc
@@ -482,7 +490,18 @@ let ring_instance ~seed ~m = topology_instance ~seed (Topology.ring m)
 
 (* Schedules over sparse topologies, fingerprinted by the bytes of
    their saved file: digests recorded while the routes were still passed
-   next to the platform, before the platform owned them. *)
+   next to the platform, before the platform owned them, and before the
+   file carried the interconnect.  So the digest skips the [links] and
+   [route] lines; "routed goldens through a file" checks that those
+   lines bring the routes back. *)
+let file_digest sched =
+  String.split_on_char '\n' (Schedule_io.to_string sched)
+  |> List.filter (fun l ->
+         not
+           (String.starts_with ~prefix:"links " l
+           || String.starts_with ~prefix:"route " l))
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
 let topology_goldens =
   List.concat_map
     (fun (tname, topo, digests) ->
@@ -490,9 +509,7 @@ let topology_goldens =
         (fun (aname, run) digest ->
           ( tname ^ "/" ^ aname,
             digest,
-            fun () ->
-              let sched = run (topology_instance ~seed:11 (topo ())) in
-              Digest.to_hex (Digest.string (Schedule_io.to_string sched)) ))
+            fun () -> run (topology_instance ~seed:11 (topo ())) ))
         [
           ("caft", fun c -> Caft.run ~seed:1111 ~epsilon:1 c);
           ("ftsa", fun c -> Ftsa.run ~seed:1111 ~epsilon:1 c);
@@ -603,8 +620,22 @@ let test_golden_schedules () =
       Alcotest.(check string) name expected (fingerprint (run ())))
     golden_cases;
   List.iter
-    (fun (name, expected, digest) ->
-      Alcotest.(check string) name expected (digest ()))
+    (fun (name, expected, run) ->
+      Alcotest.(check string) name expected (file_digest (run ())))
+    topology_goldens
+
+(* Each routed golden prints, parses back onto the same routed platform
+   and prints again to the same text. *)
+let test_routed_goldens_through_a_file () =
+  List.iter
+    (fun (name, _, run) ->
+      let sched = run () in
+      let text = Schedule_io.to_string sched in
+      let parsed = Schedule_io.of_string text in
+      Helpers.check_bool (name ^ " keeps its platform") true
+        (Schedule.platform parsed = Schedule.platform sched);
+      Alcotest.(check string) (name ^ " prints again") text
+        (Schedule_io.to_string parsed))
     topology_goldens
 
 (* -- pruning metric ---------------------------------------------------- *)
@@ -634,10 +665,12 @@ let test_pruning_fires () =
 let suite =
   [
     Alcotest.test_case "probe == snapshot/restore" `Quick
-      test_trial_vs_snapshot;
+      test_trial_vs_twin;
     qcheck_probe;
     qcheck_reference;
     Alcotest.test_case "schedules byte-identical to seed commit" `Quick
       test_golden_schedules;
+    Alcotest.test_case "routed goldens through a file" `Quick
+      test_routed_goldens_through_a_file;
     Alcotest.test_case "candidate pruning fires" `Quick test_pruning_fires;
   ]

@@ -172,6 +172,20 @@ let test_star_verdicts () =
   Helpers.check_float "adversary fault-free latency" 9503.507
     (round (Inject.adversary sched).Inject.iv_fault_free)
 
+(* The same schedule saved and reloaded keeps its routes, so its
+   verdicts are the in-memory ones. *)
+let test_star_verdicts_reloaded () =
+  let sched =
+    Caft.run ~epsilon:1
+      (routed_instance ~seed:3 ~tasks:40 (Topology.star 8))
+  in
+  let sched = Schedule_io.of_string (Schedule_io.to_string sched) in
+  let round x = Float.round (x *. 1000.) /. 1000. in
+  Helpers.check_float "check worst latency" 9807.720
+    (round (Fault_check.check ~epsilon:1 sched).Fault_check.worst_latency);
+  Helpers.check_float "adversary fault-free latency" 9503.507
+    (round (Inject.adversary sched).Inject.iv_fault_free)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest
@@ -183,4 +197,6 @@ let suite =
     Alcotest.test_case "routed verdicts replay the booked routes" `Quick
       test_routed_verdicts;
     Alcotest.test_case "star verdicts pinned" `Quick test_star_verdicts;
+    Alcotest.test_case "star verdicts pinned after a reload" `Quick
+      test_star_verdicts_reloaded;
   ]

@@ -264,6 +264,47 @@ let prop_check_and_adversary_agree =
              w.Inject.w_exhaustive
              && w.Inject.w_latency >= check.Fault_check.worst_latency))
 
+(* The adversary's exhaustive phase is the check's scan plus the
+   fault-free replay: on a resisting schedule its best latency is the
+   larger of the fault-free latency and the check's worst, reached by
+   [[]] when the fault-free latency is at least the worst (the candidate
+   order puts [[]] first on a tie) and otherwise by the lexicographically
+   first crash set of [Fault_check.subsets] that reaches it. *)
+let prop_exhaustive_phase_is_the_check =
+  QCheck.Test.make ~count:60
+    ~name:"the adversary's exhaustive best is the check's worst subset"
+    (QCheck.make agree_gen ~print:print_agree)
+    (fun (seed, m, tasks, epsilon, ftsa) ->
+      let _, costs = Helpers.random_instance ~seed ~m ~tasks () in
+      let epsilon = min epsilon (m - 1) in
+      let sched =
+        if ftsa then Ftsa.run ~seed ~epsilon costs
+        else Caft.run ~seed ~epsilon costs
+      in
+      let check = Fault_check.check ~epsilon sched in
+      let adv, (best_latency, best_subset) = Oracle.adversary_search sched in
+      let exhaustive =
+        match adv.Inject.iv_worst with
+        | Some w -> w.Inject.w_exhaustive
+        | None -> false
+      in
+      QCheck.assume
+        (check.Fault_check.exhaustive && check.Fault_check.resists
+       && exhaustive);
+      let l0 = adv.Inject.iv_fault_free in
+      let worst = check.Fault_check.worst_latency in
+      let expected_subset =
+        if l0 >= worst then Some []
+        else
+          Seq.find
+            (fun crashed ->
+              Float.equal worst
+                (Replay.crash_from_start sched ~crashed).Replay.latency)
+            (Fault_check.subsets ~n:m ~k:epsilon)
+      in
+      Float.equal best_latency (Float.max l0 worst)
+      && Some best_subset = expected_subset)
+
 let suite =
   [
     Alcotest.test_case "check: certified and refuted, domains x pool" `Quick
@@ -281,4 +322,7 @@ let suite =
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 230_046 |])
       prop_check_and_adversary_agree;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 230_047 |])
+      prop_exhaustive_phase_is_the_check;
   ]

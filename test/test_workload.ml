@@ -64,19 +64,19 @@ let test_random_dag_rejects () =
 let test_families_shapes () =
   let fork = Families.fork 6 in
   Helpers.check_int "fork tasks" 7 (Dag.task_count fork);
-  Helpers.check_bool "fork classified" true (Classify.is_fork fork);
+  Helpers.check_bool "fork classified" true (Oracle_classify.is_fork fork);
   let join = Families.join 6 in
-  Helpers.check_bool "join classified" true (Classify.is_join join);
+  Helpers.check_bool "join classified" true (Oracle_classify.is_join join);
   let chain = Families.chain 5 in
-  Helpers.check_bool "chain classified" true (Classify.is_chain chain);
+  Helpers.check_bool "chain classified" true (Oracle_classify.is_chain chain);
   let tree = Families.out_tree ~arity:2 ~depth:3 () in
   Helpers.check_int "binary tree nodes" 15 (Dag.task_count tree);
   Helpers.check_bool "tree is out-forest" true (Classify.is_out_forest tree);
   let itree = Families.in_tree ~arity:2 ~depth:3 () in
-  Helpers.check_bool "in-tree is in-forest" true (Classify.is_in_forest itree);
+  Helpers.check_bool "in-tree is in-forest" true (Oracle_classify.is_in_forest itree);
   let fj = Families.fork_join 4 in
   Helpers.check_int "fork-join tasks" 6 (Dag.task_count fj);
-  Helpers.check_bool "fork-join single exit" true (Classify.has_single_exit fj)
+  Helpers.check_bool "fork-join single exit" true (Oracle_classify.has_single_exit fj)
 
 let test_families_diamond_stencil () =
   let d = Families.diamond ~width:3 () in
