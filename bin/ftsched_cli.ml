@@ -1119,67 +1119,44 @@ let serve_cmd =
             "Drain and exit after admitting N frames (deterministic shutdown \
              for tests).")
   in
-  let self_test_t =
-    Arg.(
-      value & flag
-      & info [ "self-test" ]
-          ~doc:
-            "Run the in-process fault-injection harness instead of serving; \
-             exit 1 on any contract violation.")
-  in
-  let frames_t =
-    Arg.(
-      value & opt int 200
-      & info [ "frames" ] ~docv:"N"
-          ~doc:"Frames the self-test injects (with --self-test).")
-  in
-  let run seed socket cache resume queue max_frame deadline max_requests
-      self_test frames obs =
+  let run socket cache resume queue max_frame deadline max_requests obs =
     with_obs obs @@ fun () ->
-    if self_test then begin
-      let r = Serve_faults.run ~frames ~seed () in
-      Format.printf "%a@." Serve_faults.pp r;
-      if r.Serve_faults.fr_violations = [] then 0 else 1
-    end
-    else begin
-      let cache =
-        match cache with
-        | None ->
-            if resume then
-              usage_error "--resume needs --cache FILE to restart from";
-            Serve_cache.in_memory ()
-        | Some path -> (
-            match Serve_cache.journaled ~resume path with
-            | Error msg -> usage_error "%s" msg
-            | Ok (c, rc) ->
-                if resume then
-                  Obs.Log.info "serve: warm restart, %d results from %s%s"
-                    rc.Serve_cache.rc_entries path
-                    (if rc.Serve_cache.rc_skipped > 0 then
-                       Printf.sprintf " (%d torn journal lines dropped)"
-                         rc.Serve_cache.rc_skipped
-                     else "");
-                c)
-      in
-      let cfg =
-        {
-          Serve_server.queue_capacity = queue;
-          max_frame;
-          default_deadline_ms = deadline;
-          max_requests;
-        }
-      in
-      (match socket with
-      | None -> Serve_server.run_stdio (Serve_server.create cfg ~cache)
-      | Some path -> Serve_server.run_socket (Serve_server.create cfg ~cache) ~path);
-      0
-    end
+    let cache =
+      match cache with
+      | None ->
+          if resume then
+            usage_error "--resume needs --cache FILE to restart from";
+          Serve_cache.in_memory ()
+      | Some path -> (
+          match Serve_cache.journaled ~resume path with
+          | Error msg -> usage_error "%s" msg
+          | Ok (c, rc) ->
+              if resume then
+                Obs.Log.info "serve: warm restart, %d results from %s%s"
+                  rc.Serve_cache.rc_entries path
+                  (if rc.Serve_cache.rc_skipped > 0 then
+                     Printf.sprintf " (%d torn journal lines dropped)"
+                       rc.Serve_cache.rc_skipped
+                   else "");
+              c)
+    in
+    let cfg =
+      {
+        Serve_server.queue_capacity = queue;
+        max_frame;
+        default_deadline_ms = deadline;
+        max_requests;
+      }
+    in
+    (match socket with
+    | None -> Serve_server.run_stdio (Serve_server.create cfg ~cache)
+    | Some path -> Serve_server.run_socket (Serve_server.create cfg ~cache) ~path);
+    0
   in
   let term =
     Term.(
-      const run $ seed_t $ socket_t $ cache_t $ resume_t $ queue_t
-      $ max_frame_t $ deadline_t $ max_requests_t $ self_test_t $ frames_t
-      $ obs_t)
+      const run $ socket_t $ cache_t $ resume_t $ queue_t $ max_frame_t
+      $ deadline_t $ max_requests_t $ obs_t)
   in
   Cmd.v
     (Cmd.info "serve"

@@ -84,8 +84,9 @@ val certify :
     the schedule's replication degree) arbitrary fail-stop crashes.  No
     replay is performed.  Tasks of wide DAG levels are certified in
     parallel over [domains] OCaml domains (default
-    {!Parallel.available_domains}).  [max_family] (default [65536]) bounds
-    any intermediate kill-set family, see {!Family_overflow}. *)
+    [Domain.recommended_domain_count ()]).  [max_family] (default
+    [65536]) bounds any intermediate kill-set family, see
+    {!Family_overflow}. *)
 
 val survivors : Schedule.t -> crashed:Platform.proc list -> bool array array
 (** [survivors sched ~crashed].(task).(replica) — the combinatorial

@@ -2,10 +2,9 @@
    tasks, schedule the one whose best first-replica placement finishes
    earliest under the current network state. *)
 
-let run ?(model = Netstate.One_port) ?(seed = 42) ?(window = 10)
-    ~epsilon costs =
+let run ?(seed = 42) ?(window = 10) ~epsilon costs =
   if window < 1 then invalid_arg "Caft_batch.run: window < 1";
-  let engine = Caft_engine.create ~model ~epsilon costs in
+  let engine = Caft_engine.create ~epsilon costs in
   let rng = Rng.create seed in
   let prio = Prio.create ~rng costs in
   (* The window is maintained outside Prio: tasks popped from the
@@ -43,10 +42,5 @@ let run ?(model = Netstate.One_port) ?(seed = 42) ?(window = 10)
         loop ()
   in
   loop ();
-  let name =
-    match model with
-    | Netstate.One_port -> Printf.sprintf "CAFT-batch%d" window
-    | Netstate.Macro_dataflow -> Printf.sprintf "CAFT-batch%d-macro" window
-    | Netstate.Multiport k -> Printf.sprintf "CAFT-batch%d-mp%d" window k
-  in
-  Caft_engine.to_schedule ~algorithm:name engine
+  let algorithm = Printf.sprintf "CAFT-batch%d" window in
+  Caft_engine.to_schedule ~algorithm engine

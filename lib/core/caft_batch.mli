@@ -17,13 +17,7 @@
 
     With [window = 1] the algorithm degenerates to exactly {!Caft}. *)
 
-val run :
-  ?model:Netstate.model ->
-  ?seed:int ->
-  ?window:int ->
-  epsilon:int ->
-  Costs.t ->
-  Schedule.t
-(** [run ~epsilon costs] with [window] defaulting to 10 (the paper's
-    suggestion).  Raises [Invalid_argument] on [window < 1] or fewer than
-    [epsilon + 1] processors. *)
+val run : ?seed:int -> ?window:int -> epsilon:int -> Costs.t -> Schedule.t
+(** [run ~epsilon costs] under the one-port model, with [window]
+    defaulting to 10 (the paper's suggestion).  Raises [Invalid_argument]
+    on [window < 1] or fewer than [epsilon + 1] processors. *)

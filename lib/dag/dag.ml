@@ -205,8 +205,7 @@ let transitive_closure t =
     invalid_arg
       (Printf.sprintf
          "Dag.transitive_closure: %d tasks exceed the %d-task cap (the \
-          reachability matrix is O(n^2) words); width/transitive_reduction \
-          are not large-n safe"
+          reachability matrix is O(n^2) words); width is not large-n safe"
          n transitive_closure_cap);
   let reach = Array.init n (fun _ -> Array.make n false) in
   for i = 0 to n - 1 do
@@ -302,40 +301,3 @@ let width t =
     in
     n - hopcroft_karp ~left:n ~right:n adj
   end
-
-let transitive_reduction t =
-  let n = task_count t in
-  let reach = transitive_closure t in
-  let b = Builder.create () in
-  for i = 0 to n - 1 do
-    ignore (Builder.add_task ~name:t.names.(i) b)
-  done;
-  iter_edges
-    (fun u v vol ->
-      (* u -> v is redundant iff some other successor of u reaches v *)
-      let redundant =
-        Array.exists (fun (w, _) -> w <> v && reach.(w).(v)) t.succs.(u)
-      in
-      if not redundant then Builder.add_edge b ~src:u ~dst:v ~volume:vol)
-    t;
-  Builder.build b
-
-let induced_subgraph t keep =
-  let n = task_count t in
-  let new_id = Array.make n (-1) in
-  List.iteri
-    (fun fresh orig ->
-      check_task t orig "induced_subgraph";
-      if new_id.(orig) <> -1 then
-        invalid_arg "Dag.induced_subgraph: duplicate task";
-      new_id.(orig) <- fresh)
-    keep;
-  let back = Array.of_list keep in
-  let b = Builder.create () in
-  Array.iter (fun orig -> ignore (Builder.add_task ~name:t.names.(orig) b)) back;
-  iter_edges
-    (fun u v vol ->
-      if new_id.(u) >= 0 && new_id.(v) >= 0 then
-        Builder.add_edge b ~src:new_id.(u) ~dst:new_id.(v) ~volume:vol)
-    t;
-  (Builder.build b, back)

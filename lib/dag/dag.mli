@@ -107,7 +107,7 @@ val transitive_closure_cap : int
     terabytes — so the quadratic analyses fail fast instead of OOMing.
     Large-n safe analyses: {!topological_order}, {!longest_path_length},
     {!entries}/{!exits}, degree queries, and every scheduler; not large-n
-    safe: {!transitive_closure}, {!width}, {!transitive_reduction}. *)
+    safe: {!transitive_closure}, {!width}. *)
 
 val transitive_closure : t -> bool array array
 (** [reach.(i).(j)] iff there is a (possibly empty) path from [i] to [j];
@@ -121,14 +121,3 @@ val width : t -> int
     Computed exactly via Mirsky/Dilworth using a minimum path cover of the
     transitive closure (Hopcroft–Karp matching).  Inherits the
     {!transitive_closure_cap} task-count cap. *)
-
-val transitive_reduction : t -> t
-(** The minimum sub-DAG with the same reachability relation: every edge
-    [u -> v] such that [v] is reachable from [u] through a longer path is
-    removed (volumes of kept edges are preserved).  Unique for DAGs.
-    Inherits the {!transitive_closure_cap} task-count cap. *)
-
-val induced_subgraph : t -> task list -> t * task array
-(** [induced_subgraph g keep] is the sub-DAG induced by [keep] (must
-    contain no duplicates) together with the map from new ids to original
-    ids. *)

@@ -5,34 +5,27 @@ let escape s =
     s;
   Buffer.contents b
 
-let to_string ?(graph_name = "dag") ?task_label ?edge_label g =
-  let task_label = match task_label with Some f -> f | None -> Dag.name g in
-  let edge_label =
-    match edge_label with
-    | Some f -> f
-    | None -> fun _ _ vol -> Printf.sprintf "%.1f" vol
-  in
+let to_string g =
   let b = Buffer.create 1024 in
-  Buffer.add_string b (Printf.sprintf "digraph \"%s\" {\n" (escape graph_name));
+  Buffer.add_string b "digraph \"dag\" {\n";
   Buffer.add_string b "  rankdir=TB;\n  node [shape=box];\n";
   for t = 0 to Dag.task_count g - 1 do
     Buffer.add_string b
-      (Printf.sprintf "  n%d [label=\"%s\"];\n" t (escape (task_label t)))
+      (Printf.sprintf "  n%d [label=\"%s\"];\n" t (escape (Dag.name g t)))
   done;
   Dag.iter_edges
     (fun u v vol ->
       Buffer.add_string b
-        (Printf.sprintf "  n%d -> n%d [label=\"%s\"];\n" u v
-           (escape (edge_label u v vol))))
+        (Printf.sprintf "  n%d -> n%d [label=\"%.1f\"];\n" u v vol))
     g;
   Buffer.add_string b "}\n";
   Buffer.contents b
 
-let to_file ?graph_name ?task_label ?edge_label path g =
+let to_file path g =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?graph_name ?task_label ?edge_label g))
+    (fun () -> output_string oc (to_string g))
 
 (* -- parsing ------------------------------------------------------------ *)
 

@@ -1,22 +1,11 @@
 (** Graphviz export of task graphs, for inspecting generated workloads and
     documenting examples. *)
 
-val to_string :
-  ?graph_name:string ->
-  ?task_label:(Dag.task -> string) ->
-  ?edge_label:(Dag.task -> Dag.task -> float -> string) ->
-  Dag.t ->
-  string
-(** Renders the DAG in DOT syntax.  [task_label] defaults to the task
-    name; [edge_label] defaults to the data volume with one decimal. *)
+val to_string : Dag.t -> string
+(** Renders the DAG in DOT syntax, as graph ["dag"]: each task labelled
+    with its name, each edge with its data volume to one decimal. *)
 
-val to_file :
-  ?graph_name:string ->
-  ?task_label:(Dag.task -> string) ->
-  ?edge_label:(Dag.task -> Dag.task -> float -> string) ->
-  string ->
-  Dag.t ->
-  unit
+val to_file : string -> Dag.t -> unit
 (** [to_file path g] writes {!to_string} to [path]. *)
 
 exception Parse_error of { line : int; message : string }

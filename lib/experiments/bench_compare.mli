@@ -39,8 +39,6 @@ val compare_docs : ?filter:string -> threshold_pct:float -> Json.t -> Json.t -> 
 val regressions : result -> entry list
 (** Entries at or beyond the threshold in the bad direction. *)
 
-val improvements : result -> entry list
-
 val vacuous : result -> bool
 (** A filtered comparison with no key on both sides.  The gate it backs
     compares nothing, so [ftsched benchdiff] fails on it like on a

@@ -29,8 +29,6 @@ let figure = function
   | 6 -> make "fig6" "granularity 1-10, m=20, eps=5, 3 crashes" range_b 20 5 3
   | n -> invalid_arg (Printf.sprintf "Config.figure: no figure %d" n)
 
-let all_figures = List.map figure [ 1; 2; 3; 4; 5; 6 ]
-
 let with_graphs_per_point t n =
   if n < 1 then invalid_arg "Config.with_graphs_per_point";
   { t with graphs_per_point = n }

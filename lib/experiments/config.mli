@@ -14,20 +14,13 @@ type t = {
   graphs_per_point : int;  (** 60 in the paper *)
 }
 
-val range_a : float list
-(** Granularity type A: 0.2 to 2.0 in steps of 0.2. *)
-
-val range_b : float list
-(** Granularity type B: 1 to 10 in steps of 1. *)
-
 val figure : int -> t
 (** [figure n] for [n] in 1..6, exactly the paper's six figures:
     Figures 1/2/3 sweep range A with (m=10, eps=1, 1 crash),
     (m=10, eps=3, 2 crashes), (m=20, eps=5, 3 crashes); Figures 4/5/6
-    repeat those platforms on range B.  Raises [Invalid_argument]
-    otherwise. *)
-
-val all_figures : t list
+    repeat those platforms on range B.  Range A is the granularities 0.2
+    to 2.0 in steps of 0.2, range B 1 to 10 in steps of 1.  Raises
+    [Invalid_argument] otherwise. *)
 
 val with_graphs_per_point : t -> int -> t
 (** Override the sample count (e.g. for quick runs); raises

@@ -10,8 +10,6 @@ let of_env () =
   | Some "info" | Some _ | None -> Info
 
 let current = Atomic.make (of_env ())
-let level () = Atomic.get current
-let set_level l = Atomic.set current l
 let enabled l = severity l <= severity (Atomic.get current)
 
 let progress s = if enabled Info then Printf.eprintf "  %s\n%!" s
@@ -23,4 +21,3 @@ let logf lvl tag fmt =
 
 let debug fmt = logf Debug "debug" fmt
 let info fmt = logf Info "info" fmt
-let warn fmt = logf Warn "warn" fmt

@@ -7,20 +7,12 @@
     batch jobs get clean stderr — while the default output stays
     byte-identical to the historical [eprintf] format. *)
 
-type level = Quiet | Warn | Info | Debug
-
-val level : unit -> level
-val set_level : level -> unit
-val enabled : level -> bool
-(** [enabled l] — would a message at level [l] print? *)
-
 val progress : string -> unit
 (** The campaign/bench progress format, verbatim:
     [Printf.eprintf "  %s\n%!"] at [Info] level. *)
 
 val debug : ('a, out_channel, unit) format -> 'a
 val info : ('a, out_channel, unit) format -> 'a
-val warn : ('a, out_channel, unit) format -> 'a
 (** Printf-style, prefixed with [ftsched: [level] ] and newline-
     terminated.  Arguments are still consumed when the level is off
     (via [ifprintf]) but nothing is formatted or written. *)

@@ -48,13 +48,10 @@ val add : gauge -> float -> unit
 (** Gauges double as float accumulators (e.g. total link-busy time):
     [set] overwrites, [add] is an atomic increment. *)
 
-val default_buckets : float array
-(** Geometric decades [1e-3 .. 1e4] — a sensible default for durations
-    expressed in schedule time units. *)
-
 val histogram : ?buckets:float array -> ?help:string -> string -> histogram
-(** [buckets] are strictly increasing upper bounds; an implicit overflow
-    bucket catches the rest.  Raises [Invalid_argument] if unsorted. *)
+(** [buckets] are strictly increasing upper bounds (default: the
+    decades [1e-3 .. 1e4]); an implicit overflow bucket catches the rest.
+    Raises [Invalid_argument] if unsorted. *)
 
 val observe : histogram -> float -> unit
 

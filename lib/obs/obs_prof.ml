@@ -139,8 +139,6 @@ let record_map_stats (st : Parallel.map_stats) =
           c.w_attempts <- c.w_attempts + w.Parallel.ws_steal_attempts)
         st.Parallel.ms_workers)
 
-let enabled () = Atomic.get enabled_flag
-
 let set_enabled b =
   Atomic.set enabled_flag b;
   Parallel.set_monitor (if b then Some record_map_stats else None)
@@ -392,41 +390,3 @@ let to_json r =
       ("phases", Json.List (List.map phase r.r_phases));
       ("workers", Json.List (List.map worker r.r_workers));
     ]
-
-let of_json j =
-  let get_f k o = Option.value ~default:0. (Option.bind (Json.member k o) Json.to_float) in
-  let get_i k o = Option.value ~default:0 (Option.bind (Json.member k o) Json.to_int) in
-  let get_s k o = Option.value ~default:"" (Option.bind (Json.member k o) Json.to_str) in
-  match Option.bind (Json.member "schema" j) Json.to_str with
-  | Some "ftsched/profile/v1" ->
-      let phases =
-        Json.member "phases" j
-        |> Option.fold ~none:[] ~some:Json.to_list
-        |> List.map (fun o ->
-               {
-                 ph_name = get_s "name" o;
-                 ph_domain = get_i "domain" o;
-                 ph_count = get_i "count" o;
-                 ph_wall_s = get_f "wall_s" o;
-                 ph_self_s = get_f "self_s" o;
-                 ph_minor_words = get_f "minor_words" o;
-                 ph_major_words = get_f "major_words" o;
-                 ph_minor_collections = get_i "minor_collections" o;
-                 ph_major_collections = get_i "major_collections" o;
-               })
-      in
-      let workers =
-        Json.member "workers" j
-        |> Option.fold ~none:[] ~some:Json.to_list
-        |> List.map (fun o ->
-               {
-                 wk_worker = get_i "worker" o;
-                 wk_maps = get_i "maps" o;
-                 wk_items = get_i "items" o;
-                 wk_busy_s = get_f "busy_s" o;
-                 wk_idle_s = get_f "idle_s" o;
-                 wk_steal_attempts = get_i "steal_attempts" o;
-               })
-      in
-      Some { r_wall_s = get_f "wall_s" j; r_phases = phases; r_workers = workers }
-  | _ -> None

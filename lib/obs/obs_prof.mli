@@ -36,8 +36,6 @@
 val set_enabled : bool -> unit
 (** Also installs (or removes) the [Parallel] telemetry monitor. *)
 
-val enabled : unit -> bool
-
 val reset : unit -> unit
 (** Drop all accumulated phases and worker telemetry; re-zero the report
     wall clock. *)
@@ -89,7 +87,3 @@ val to_table : report -> Text_table.t
 
 val to_json : report -> Json.t
 (** Schema [ftsched/profile/v1]. *)
-
-val of_json : Json.t -> report option
-(** Inverse of {!to_json}; [None] if the schema tag is missing or
-    unknown. *)

@@ -7,7 +7,7 @@ type event = {
   ev_name : string;
   ev_cat : string;
   ev_ts : float;  (* microseconds since trace start *)
-  ev_dur : float option;  (* Some d = complete event, None = instant *)
+  ev_dur : float;  (* a complete event's duration *)
   ev_tid : int;
   ev_args : (string * Json.t) list;
 }
@@ -68,24 +68,12 @@ let with_span ?(cat = "ftsched") ?args name f =
             ev_name = name;
             ev_cat = cat;
             ev_ts = t0 -. !origin_us;
-            ev_dur = Some (Float.max 0. (t1 -. t0));
+            ev_dur = Float.max 0. (t1 -. t0);
             ev_tid = tid ();
             ev_args = eval_args args;
           })
       f
   end
-
-let instant ?(cat = "ftsched") ?args name =
-  if Atomic.get enabled_flag then
-    record
-      {
-        ev_name = name;
-        ev_cat = cat;
-        ev_ts = Obs_clock.now_us () -. !origin_us;
-        ev_dur = None;
-        ev_tid = tid ();
-        ev_args = eval_args args;
-      }
 
 let event_count () =
   Mutex.lock mutex;
@@ -120,11 +108,7 @@ let to_json () =
         ("ts", Json.Float e.ev_ts);
       ]
     in
-    let shape =
-      match e.ev_dur with
-      | Some d -> [ ("ph", Json.String "X"); ("dur", Json.Float d) ]
-      | None -> [ ("ph", Json.String "i"); ("s", Json.String "t") ]
-    in
+    let shape = [ ("ph", Json.String "X"); ("dur", Json.Float e.ev_dur) ] in
     let args =
       match e.ev_args with [] -> [] | kvs -> [ ("args", Json.Obj kvs) ]
     in

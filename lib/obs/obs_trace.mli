@@ -1,4 +1,4 @@
-(** Span/instant event tracing in Chrome trace-event JSON.
+(** Span tracing in Chrome trace-event JSON.
 
     When enabled, spans wrap the interesting phases of a run — priority
     computation, per-task placement, validation, replay, each campaign
@@ -38,9 +38,6 @@ val with_span :
     ("ph":"X") event covering its execution, even when [f] raises.
     [cat] defaults to ["ftsched"]; [args] is evaluated only when
     recording. *)
-
-val instant : ?cat:string -> ?args:(unit -> (string * Json.t) list) -> string -> unit
-(** A zero-duration marker event. *)
 
 val event_count : unit -> int
 (** Number of buffered events (metadata excluded). *)

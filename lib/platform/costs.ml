@@ -5,7 +5,6 @@ type t = {
   mean_by_task : float array;
   max_by_task : float array;
   min_by_task : float array;
-  mean_all : float;
 }
 
 let validate matrix =
@@ -22,11 +21,7 @@ let derive dag platform matrix =
   let min_by_task =
     Array.map (fun row -> Array.fold_left Float.min infinity row) matrix
   in
-  let mean_all =
-    if Array.length matrix = 0 then 0.
-    else Stats.mean_array mean_by_task
-  in
-  { dag; platform; matrix; mean_by_task; max_by_task; min_by_task; mean_all }
+  { dag; platform; matrix; mean_by_task; max_by_task; min_by_task }
 
 let create dag platform f =
   let v = Dag.task_count dag and m = Platform.proc_count platform in
@@ -46,7 +41,6 @@ let exec t task proc = t.matrix.(task).(proc)
 let mean_exec t task = t.mean_by_task.(task)
 let max_exec t task = t.max_by_task.(task)
 let min_exec t task = t.min_by_task.(task)
-let mean_exec_all t = t.mean_all
 
 let scale t s =
   if s <= 0. || Float.is_nan s then invalid_arg "Costs.scale: non-positive factor";

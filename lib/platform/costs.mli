@@ -28,10 +28,6 @@ val max_exec : t -> Dag.task -> float
 
 val min_exec : t -> Dag.task -> float
 
-val mean_exec_all : t -> float
-(** Mean execution cost over all tasks and processors; the normalization
-    constant for "normalized latency" in the experiment harness. *)
-
 val scale : t -> float -> t
 (** [scale t s] multiplies every execution cost by [s > 0] (used to reach
     a target granularity). *)

@@ -12,8 +12,6 @@ let compute costs =
   let comp, comm = sums costs in
   if comp = 0. then 0. else if comm = 0. then infinity else comp /. comm
 
-let is_coarse_grain costs = compute costs >= 1.
-
 let rescale_to costs g =
   if g <= 0. || Float.is_nan g then invalid_arg "Granularity.rescale_to: target";
   let current = compute costs in

@@ -9,9 +9,6 @@ val compute : Costs.t -> float
 (** [g(G, P)].  [infinity] when the DAG has no edges (or the network has a
     single processor), [0.] when it has no tasks. *)
 
-val is_coarse_grain : Costs.t -> bool
-(** [g(G, P) >= 1]. *)
-
 val rescale_to : Costs.t -> float -> Costs.t
 (** [rescale_to costs g] multiplies all execution costs by the unique
     positive factor that makes the granularity exactly [g].  Raises

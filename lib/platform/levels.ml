@@ -1,10 +1,4 @@
-type t = {
-  dag : Dag.t;
-  mean_delay : float;
-  costs : Costs.t;
-  tl : float array;
-  bl : float array;
-}
+type t = { tl : float array; bl : float array }
 
 let compute costs =
   let dag = Costs.dag costs in
@@ -34,17 +28,9 @@ let compute costs =
         (Dag.succs dag u);
       bl.(u) <- w u +. !best)
     (Dag.reverse_topological_order dag);
-  { dag; mean_delay; costs; tl; bl }
+  { tl; bl }
 
-let top_level t task = t.tl.(task)
 let bottom_level t task = t.bl.(task)
-let priority t task = t.tl.(task) +. t.bl.(task)
-let node_weight t task = Costs.mean_exec t.costs task
-
-let edge_weight t ~src ~dst =
-  match Dag.volume t.dag ~src ~dst with
-  | Some vol -> vol *. t.mean_delay
-  | None -> invalid_arg "Levels.edge_weight: no such edge"
 
 let critical_path t =
   let best = ref 0. in

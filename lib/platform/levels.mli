@@ -14,26 +14,14 @@ type t
 val compute : Costs.t -> t
 (** Static levels of every task of the DAG attached to the costs. *)
 
-val top_level : t -> Dag.task -> float
-(** [tl(t)]; zero for entry tasks. *)
-
 val bottom_level : t -> Dag.task -> float
 (** [bl(t)]; equals the average execution time for exit tasks. *)
-
-val priority : t -> Dag.task -> float
-(** [tl(t) + bl(t)]. *)
-
-val node_weight : t -> Dag.task -> float
-(** Average execution time of the task. *)
-
-val edge_weight : t -> src:Dag.task -> dst:Dag.task -> float
-(** Average communication time of the edge; raises [Invalid_argument] if
-    the edge does not exist. *)
 
 val critical_path : t -> float
 (** Length of a longest path through the average-weighted DAG,
     [max_t (tl(t) + bl(t))]; [0.] for the empty DAG. *)
 
 val dynamic_top_levels : t -> float array
-(** A fresh mutable copy of the top levels, for schedulers that update
-    priorities as tasks get placed (Algorithm 5.1, line 21). *)
+(** A fresh mutable copy of the top levels [tl(t)] (zero for entry
+    tasks), for schedulers that update priorities as tasks get placed
+    (Algorithm 5.1, line 21). *)

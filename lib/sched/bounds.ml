@@ -20,9 +20,3 @@ let work costs =
     Dag.fold_tasks (fun t acc -> acc +. Costs.min_exec costs t) dag 0.
   in
   total /. float_of_int m
-
-let combined costs = Float.max (critical_path costs) (work costs)
-
-let efficiency costs sched =
-  let l = Schedule.latency_zero_crash sched in
-  if l <= 0. then 1. else combined costs /. l

@@ -17,10 +17,3 @@ val work : Costs.t -> float
 (** Work bound: the sum over tasks of the fastest execution time divided
     by the number of processors — even perfect load balancing of one copy
     of every task cannot beat it. *)
-
-val combined : Costs.t -> float
-(** [max (critical_path c) (work c)]. *)
-
-val efficiency : Costs.t -> Schedule.t -> float
-(** [combined c / latency_zero_crash s], in [\[0, 1\]] for fault-free
-    schedules: how close the schedule is to the naive lower bound. *)

@@ -70,7 +70,8 @@ let palette =
     "#b07aa1"; "#ff9da7"; "#9c755f"; "#bab0ac";
   |]
 
-let to_svg ?(width = 900) ?(row_height = 28) sched =
+let to_svg sched =
+  let width = 900 and row_height = 28 in
   let horizon = Schedule.makespan sched in
   let horizon = if horizon <= 0. then 1. else horizon in
   let platform = Schedule.platform sched in
@@ -142,8 +143,8 @@ let to_svg ?(width = 900) ?(row_height = 28) sched =
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 
-let svg_to_file ?width ?row_height path sched =
+let svg_to_file path sched =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_svg ?width ?row_height sched))
+    (fun () -> output_string oc (to_svg sched))

@@ -12,12 +12,10 @@ val render : ?width:int -> ?show_comm:bool -> Schedule.t -> string
 
 val print : ?width:int -> ?show_comm:bool -> Schedule.t -> unit
 
-val to_svg : ?width:int -> ?row_height:int -> Schedule.t -> string
-(** Standalone SVG rendering: one row per processor, one rectangle per
-    replica (colour-coded by task, labelled "task.replica"), message legs
-    drawn as lines from the sender's row to the receiver's row.  [width]
-    (default 900) is the drawing width in pixels; [row_height] defaults
-    to 28. *)
+val to_svg : Schedule.t -> string
+(** Standalone SVG rendering, 900 pixels wide with 28-pixel rows: one row
+    per processor, one rectangle per replica (colour-coded by task,
+    labelled "task.replica"), message legs drawn as lines from the
+    sender's row to the receiver's row. *)
 
-val svg_to_file :
-  ?width:int -> ?row_height:int -> string -> Schedule.t -> unit
+val svg_to_file : string -> Schedule.t -> unit

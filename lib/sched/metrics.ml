@@ -111,12 +111,3 @@ let pp ppf t =
            "  P%d: %d replicas, busy %.3f, snd %.3f, rcv %.3f" s.proc
            s.replica_count s.busy s.send_busy s.recv_busy))
     t.per_proc
-
-let serial_comm_lower_bound sched =
-  let m = Platform.proc_count (Schedule.platform sched) in
-  let total =
-    List.fold_left
-      (fun acc (msg : Netstate.message) -> acc +. msg.Netstate.m_duration)
-      0. (Schedule.messages sched)
-  in
-  total /. float_of_int m

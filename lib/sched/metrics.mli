@@ -33,9 +33,3 @@ val analyze : Schedule.t -> t
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable rendering. *)
-
-val serial_comm_lower_bound : Schedule.t -> float
-(** Sum of message durations divided by the processor count — a crude
-    lower bound on the communication time that must be spent somewhere in
-    any one-port execution of the same message set.  Used by the
-    contention discussions in the reports. *)

@@ -2,7 +2,6 @@ type entry = { task : Dag.task; prio : float; tiebreak : float }
 
 type t = {
   dag : Dag.t;
-  levels : Levels.t;
   tl : float array;  (* dynamic top levels *)
   bl : float array;
   tiebreaks : float array;
@@ -42,7 +41,6 @@ let create ~rng costs =
     (Dag.entries dag);
   {
     dag;
-    levels;
     tl;
     bl;
     tiebreaks;
@@ -53,9 +51,7 @@ let create ~rng costs =
     mean_delay = Platform.mean_delay (Costs.platform costs);
   }
 
-let levels t = t.levels
 let pop t = Option.map (fun e -> e.task) (Heap.pop t.free)
-let peek t = Option.map (fun e -> e.task) (Heap.peek t.free)
 let free_count t = Heap.length t.free
 let remaining t = t.remaining
 let is_done t = t.remaining = 0

@@ -14,14 +14,10 @@ type t
 val create : rng:Rng.t -> Costs.t -> t
 (** Computes static levels, seeds the free list with the entry tasks. *)
 
-val levels : t -> Levels.t
-
 val pop : t -> Dag.task option
 (** Remove and return the free task with the highest priority ([H(alpha)]
     in the paper); [None] when no task is free.  If [None] while
     {!remaining} is positive, the caller forgot {!mark_scheduled}. *)
-
-val peek : t -> Dag.task option
 
 val free_count : t -> int
 

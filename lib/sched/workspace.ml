@@ -4,7 +4,7 @@ type t = {
   epsilon : int;
   (* Replica storage is per-task fixed-capacity rows (epsilon + 1 slots,
      allocated on first placement) plus a count array, so the per-candidate
-     queries of the placement inner loop — placed_count, is_placed_on, the
+     queries of the placement inner loop — placed_count, get_placed, the
      next replica index — are O(1) instead of O(|placed|) list walks. *)
   counts : int array;
   slots : Schedule.replica array array;
@@ -28,10 +28,8 @@ let create ?model ~epsilon costs =
   }
 
 let net t = t.net
-let costs t = t.costs
 let dag t = Costs.dag t.costs
 let platform t = Costs.platform t.costs
-let epsilon t = t.epsilon
 
 let placed t task =
   let row = t.slots.(task) in
@@ -39,18 +37,6 @@ let placed t task =
 
 let placed_count t task = t.counts.(task)
 let get_placed t task i = t.slots.(task).(i)
-
-let procs_of t task =
-  let row = t.slots.(task) in
-  List.init t.counts.(task) (fun i -> row.(i).Schedule.r_proc)
-
-let is_placed_on t task proc =
-  let row = t.slots.(task) in
-  let rec go i =
-    i < t.counts.(task)
-    && (row.(i).Schedule.r_proc = proc || go (i + 1))
-  in
-  go 0
 
 let load_sources t src task =
   Netstate.clear_sources src;

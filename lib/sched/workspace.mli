@@ -19,13 +19,8 @@ val create :
     whose routes the bookings follow. *)
 
 val net : t -> Netstate.t
-val costs : t -> Costs.t
 val dag : t -> Dag.t
 val platform : t -> Platform.t
-val epsilon : t -> int
-
-val placed : t -> Dag.task -> Schedule.replica list
-(** Replicas of a task placed so far, in placement order. *)
 
 val placed_count : t -> Dag.task -> int
 (** Number of replicas placed so far; O(1). *)
@@ -34,11 +29,6 @@ val get_placed : t -> Dag.task -> int -> Schedule.replica
 (** [get_placed t task i] is the [i]-th placed replica of [task]
     ([0 <= i < placed_count t task]); O(1), no list materialized —
     the form the placement inner loop iterates with. *)
-
-val procs_of : t -> Dag.task -> Platform.proc list
-(** Processors hosting a replica of the task. *)
-
-val is_placed_on : t -> Dag.task -> Platform.proc -> bool
 
 val load_sources : t -> Netstate.sources -> Dag.task -> unit
 (** Load every placed replica of every predecessor of the task into the
@@ -52,16 +42,6 @@ val place :
 (** Record a booked replica (the booking must have been committed on
     {!net}).  The replica index is the number of copies of the task placed
     before.  Returns the created record. *)
-
-val place_unbooked :
-  t ->
-  task:Dag.task ->
-  proc:Platform.proc ->
-  start:float ->
-  finish:float ->
-  inputs:Schedule.supply list ->
-  Schedule.replica
-(** Low-level variant for schedulers that book by hand. *)
 
 val strip_inputs : t -> task:Dag.task -> index:int -> unit
 (** Drop the stored communication record ([r_inputs]) of an already-placed

@@ -3,7 +3,6 @@ type entry = { e_key : string; e_op : string; e_result : string }
 type t = {
   table : (string, entry) Hashtbl.t;
   mutable order : entry list; (* insertion order, newest first *)
-  max_entries : int;
   path : string option;
   mutable journal : out_channel option;
   mutable c_hits : int;
@@ -12,11 +11,13 @@ type t = {
 
 type recovery = { rc_entries : int; rc_skipped : int }
 
-let in_memory ?(max_entries = 4096) () =
+(* Memory bound: once full, new results are served but no longer cached. *)
+let max_entries = 4096
+
+let in_memory () =
   {
     table = Hashtbl.create 64;
     order = [];
-    max_entries;
     path = None;
     journal = None;
     c_hits = 0;
@@ -51,14 +52,14 @@ let decode_line line =
 let insert t e =
   if
     (not (Hashtbl.mem t.table e.e_key))
-    && Hashtbl.length t.table < t.max_entries
+    && Hashtbl.length t.table < max_entries
   then begin
     Hashtbl.replace t.table e.e_key e;
     t.order <- e :: t.order
   end
 
-let journaled ?(max_entries = 4096) ~resume path =
-  let t = in_memory ~max_entries () in
+let journaled ~resume path =
+  let t = in_memory () in
   if not resume then
     if Sys.file_exists path then
       Error

@@ -30,19 +30,18 @@ type recovery = {
   rc_skipped : int;  (** journal lines dropped (torn tail) *)
 }
 
-val in_memory : ?max_entries:int -> unit -> t
+val in_memory : unit -> t
 (** Cache without a journal (no [--cache] directory given).  Warm
     restart is then impossible, everything else works. *)
 
-val journaled :
-  ?max_entries:int -> resume:bool -> string -> (t * recovery, string) result
+val journaled : resume:bool -> string -> (t * recovery, string) result
 (** [journaled ~resume path] opens the journal at [path].  With
     [resume = true] an existing journal is replayed first; with
     [resume = false] the file must not exist ([Error] tells the caller
     to pass [--resume] or remove it — silently clobbering a previous
-    daemon's state would be a data-loss footgun).  [max_entries]
-    (default 4096) bounds memory: once full, new results are served but
-    no longer cached. *)
+    daemon's state would be a data-loss footgun).  Either cache holds at
+    most 4096 entries: once full, new results are served but no longer
+    cached. *)
 
 val find : t -> key:string -> string option
 (** The rendered result bytes for [key]; counts a hit or a miss. *)

@@ -45,6 +45,9 @@ let read_line t =
   in
   take ()
 
+(* One frame out, one response line in.  [Error] is a transport or framing
+   failure (daemon gone, non-protocol bytes); protocol-level errors arrive
+   as [Ok] responses with [rs_ok = false]. *)
 let request t rq =
   match write_all t.fd (Serve_protocol.request_to_string rq ^ "\n") with
   | exception Unix.Unix_error (e, _, _) ->

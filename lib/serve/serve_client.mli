@@ -8,17 +8,6 @@
     returned to the caller.  The jitter draws from an {!Rng} the caller
     seeds, so a client run is reproducible delay-for-delay. *)
 
-type t
-(** One connected session. *)
-
-val connect : path:string -> (t, string) result
-val close : t -> unit
-
-val request : t -> Serve_protocol.request -> (Serve_protocol.response, string) result
-(** Send one frame, read one response line.  [Error] is a transport or
-    framing failure (daemon gone, non-protocol bytes) — protocol-level
-    errors arrive as [Ok] responses with [rs_ok = false]. *)
-
 type policy = {
   max_attempts : int;  (** total tries, first included (default 5) *)
   base_delay_s : float;  (** first backoff step (default 0.05) *)

@@ -15,15 +15,11 @@ type memo_entry = { me_sched : Schedule.t; me_compiled : Replay.compiled Lazy.t 
 type ctx = {
   memo : (string, memo_entry) Hashtbl.t;
   memo_order : string Queue.t;
-  memo_capacity : int;
 }
 
-let create ?(memo_capacity = 32) () =
-  {
-    memo = Hashtbl.create 16;
-    memo_order = Queue.create ();
-    memo_capacity = max 1 memo_capacity;
-  }
+(* Bound on the schedule/engine memo. *)
+let memo_capacity = 32
+let create () = { memo = Hashtbl.create 16; memo_order = Queue.create () }
 
 (* -- strict parameter extraction ---------------------------------------
    Daemon requests come from the wire, so unlike the CLI there is no
@@ -201,7 +197,7 @@ let schedule_of ctx b =
   | None ->
       let* me_sched = build_schedule b in
       let e = { me_sched; me_compiled = lazy (Replay.compile me_sched) } in
-      if Hashtbl.length ctx.memo >= ctx.memo_capacity then begin
+      if Hashtbl.length ctx.memo >= memo_capacity then begin
         match Queue.take_opt ctx.memo_order with
         | Some oldest -> Hashtbl.remove ctx.memo oldest
         | None -> ()

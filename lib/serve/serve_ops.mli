@@ -22,8 +22,8 @@
 
 type ctx
 
-val create : ?memo_capacity:int -> unit -> ctx
-(** [memo_capacity] (default 32) bounds the schedule/engine memo. *)
+val create : unit -> ctx
+(** An empty memo, bounded to 32 schedules and engines. *)
 
 val ops : string list
 (** The evaluable op names (excludes the server-level [ping], [stats]

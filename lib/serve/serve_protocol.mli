@@ -52,8 +52,6 @@ val class_name : error_class -> string
 (** Wire name: [bad_request], [oversized], [overloaded],
     [deadline_exceeded], [shutting_down], [internal]. *)
 
-val class_of_name : string -> error_class option
-
 val retryable : error_class -> bool
 (** [true] for [Overloaded] and [Shutting_down]. *)
 

@@ -61,12 +61,11 @@ type 'a t = {
   mutable s_draining : bool;
 }
 
-let create ?ops_ctx cfg ~cache =
+let create cfg ~cache =
   {
     cfg;
     cache;
-    ops =
-      (match ops_ctx with Some c -> c | None -> Serve_ops.create ());
+    ops = Serve_ops.create ();
     queue = Queue.create ();
     started = Unix.gettimeofday ();
     n_frames = 0;
@@ -80,6 +79,7 @@ let create ?ops_ctx cfg ~cache =
 let queue_depth t = Queue.length t.queue
 let begin_shutdown t = t.s_draining <- true
 let draining t = t.s_draining
+(* Compact and close the cache journal — the last act before exit. *)
 let finish t = Serve_cache.close t.cache
 
 type 'a admitted =
@@ -105,6 +105,8 @@ let ok_reply t ~id ~op ~cached ~elapsed_ms result =
   Obs.Metrics.incr m_ok;
   Serve_protocol.ok_response ~id ~op ~cached ~elapsed_ms result
 
+(* The [stats] op's result document: queue depth and capacity,
+   request/shed/deadline/error counters, cache entries + hit rate, uptime. *)
 let stats_response t =
   let hits = Serve_cache.hits t.cache and misses = Serve_cache.misses t.cache in
   let looked = hits + misses in

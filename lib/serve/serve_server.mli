@@ -46,7 +46,7 @@ type 'a t
 (** A daemon instance; ['a] tags each queued request with its client
     (the socket loop routes replies by it; stdio uses [unit]). *)
 
-val create : ?ops_ctx:Serve_ops.ctx -> config -> cache:Serve_cache.t -> 'a t
+val create : config -> cache:Serve_cache.t -> 'a t
 
 (** What {!admit} decided about one frame. *)
 type 'a admitted =
@@ -72,23 +72,15 @@ val begin_shutdown : 'a t -> unit
 
 val draining : 'a t -> bool
 
-val finish : 'a t -> unit
-(** Compact and close the cache journal — the last act before exit. *)
-
-val stats_response : 'a t -> string
-(** The [stats] result document (also produced by the [stats] op):
-    queue depth and capacity, request/shed/deadline/error counters,
-    cache entries + hit rate, uptime. *)
-
 (** {1 Event loops}
 
     Both loops implement the same discipline: buffered line framing with
     oversized-line recovery (an over-limit line is answered [oversized]
     once and discarded up to the next newline, so one hostile client
     cannot wedge the framer), [SIGTERM]/[SIGINT] triggering a graceful
-    drain ({!begin_shutdown} → {!step} to empty → {!finish}), and
-    [SIGPIPE] ignored (a client vanishing mid-reply is the client's
-    problem, not the daemon's). *)
+    drain ({!begin_shutdown} → {!step} to empty → compact and close the
+    cache journal), and [SIGPIPE] ignored (a client vanishing mid-reply
+    is the client's problem, not the daemon's). *)
 
 val run_stdio : unit t -> unit
 (** Serve JSON-lines over stdin/stdout until EOF or shutdown.

@@ -83,8 +83,8 @@ let scan_subsets ~cancel ~domains c ~worst subsets =
   Obs_metrics.incr ~by:consumed m_scenarios;
   (consumed, !refuted)
 
-let check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
-    ?(domains = 1) ?(cancel = Cancel.never) ?static ~epsilon sched =
+let check ?(max_exhaustive = 20000) ?(samples = 1000) ?(domains = 1)
+    ?(cancel = Cancel.never) ?static ~epsilon sched =
   let m = Platform.proc_count (Schedule.platform sched) in
   let epsilon = min epsilon m in
   let exhaustive = count_combinations m epsilon <= max_exhaustive in
@@ -93,7 +93,7 @@ let check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
   let crash_sets =
     if exhaustive then subsets ~n:m ~k:epsilon
     else
-      let rng = Rng.create seed in
+      let rng = Rng.create 7 in
       Seq.init (max 0 samples) (fun _ ->
           Rng.sample_without_replacement rng epsilon m)
   in

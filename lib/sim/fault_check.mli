@@ -42,7 +42,6 @@ type report = {
 val check :
   ?max_exhaustive:int ->
   ?samples:int ->
-  ?seed:int ->
   ?domains:int ->
   ?cancel:Cancel.token ->
   ?static:Resilience.report ->
@@ -52,7 +51,7 @@ val check :
 (** [check ~epsilon sched] verifies [epsilon]-fault tolerance.  If the
     number of size-[epsilon] crash sets is at most [max_exhaustive]
     (default 20000), enumeration is exhaustive; otherwise [samples]
-    (default 1000) random subsets are drawn with [seed] (default 7).
+    (default 1000) random subsets are drawn from the fixed seed 7.
     [epsilon] may differ from the schedule's replication degree — e.g. to
     show that an [epsilon]-replicated schedule does {e not} in general
     resist [epsilon + 1] failures.

@@ -109,7 +109,7 @@ type compiled = {
   c_msg_dur : float array;
   c_route_off : int array;  (* nmsgs + 1; precomputed physical routes *)
   c_route : int array;
-  c_phys : int;  (* physical links of the platform *)
+  c_phys : int;  (* physical links some route uses, densely numbered *)
   c_sinks : int array;  (* exit tasks, for degradation reports *)
   (* scratch arenas, reset in place at the start of every walk --------- *)
   c_one : arena;  (* the one-lane outcome arena of eval *)
@@ -222,7 +222,6 @@ let compile sched =
   let nreplicas = v * eps1 in
   let replica rn = Schedule.replica sched (rn / eps1) (rn mod eps1) in
   let contended = model <> Netstate.Macro_dataflow in
-  let phys = Platform.link_count platform in
 
   (* -- message numbering, in [Oracle_replay.run]'s discovery order:
         replicas by node, supplies in input order.  A replica's messages get
@@ -283,6 +282,23 @@ let compile sched =
           Platform.route_link platform msg_src.(mi) msg_dst.(mi) i
       done
     done;
+  (* Dense ids, in link order, for the links some route uses: the arena
+     and [reset] scale with the links the schedule books, not with the
+     platform's (m² on the clique). *)
+  let phys =
+    let dense = Array.make (Platform.link_count platform) (-1) in
+    Array.iter (fun l -> dense.(l) <- 0) route_dat;
+    let n = ref 0 in
+    Array.iteri
+      (fun l d ->
+        if d = 0 then begin
+          dense.(l) <- !n;
+          incr n
+        end)
+      dense;
+    Array.iteri (fun k l -> route_dat.(k) <- dense.(l)) route_dat;
+    !n
+  in
 
   (* -- resource chains: [Oracle_replay.run] sorts each port's and each
         link's messages by (key1, key2, id). --------------------------- *)

@@ -103,24 +103,24 @@ let custom ~m ~links =
     diameter_hops = !diameter;
   }
 
-let clique ?(delay = 1.) m =
+let clique m =
   if m < 1 then invalid_arg "Topology.clique";
   let links = ref [] in
   for a = 0 to m - 1 do
     for b = a + 1 to m - 1 do
-      links := (a, b, delay) :: !links
+      links := (a, b, 1.) :: !links
     done
   done;
   custom ~m ~links:!links
 
-let ring ?(delay = 1.) m =
+let ring m =
   if m < 2 then invalid_arg "Topology.ring";
-  if m = 2 then custom ~m ~links:[ (0, 1, delay) ]
-  else custom ~m ~links:(List.init m (fun i -> (i, (i + 1) mod m, delay)))
+  if m = 2 then custom ~m ~links:[ (0, 1, 1.) ]
+  else custom ~m ~links:(List.init m (fun i -> (i, (i + 1) mod m, 1.)))
 
-let star ?(delay = 1.) m =
+let star m =
   if m < 2 then invalid_arg "Topology.star";
-  custom ~m ~links:(List.init (m - 1) (fun i -> (0, i + 1, delay)))
+  custom ~m ~links:(List.init (m - 1) (fun i -> (0, i + 1, 1.)))
 
 let mesh_links ?(wrap = false) ~rows ~cols ~delay () =
   if rows < 1 || cols < 1 then invalid_arg "Topology.mesh2d";
@@ -142,14 +142,14 @@ let mesh2d ?(delay = 1.) ~rows ~cols () =
 let torus2d ?(delay = 1.) ~rows ~cols () =
   custom ~m:(rows * cols) ~links:(mesh_links ~wrap:true ~rows ~cols ~delay ())
 
-let hypercube ?(delay = 1.) d =
+let hypercube d =
   if d < 1 then invalid_arg "Topology.hypercube";
   let m = 1 lsl d in
   let links = ref [] in
   for v = 0 to m - 1 do
     for bit = 0 to d - 1 do
       let w = v lxor (1 lsl bit) in
-      if v < w then links := (v, w, delay) :: !links
+      if v < w then links := (v, w, 1.) :: !links
     done
   done;
   custom ~m ~links:!links

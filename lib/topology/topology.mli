@@ -28,13 +28,16 @@ val custom : m:int -> links:(Platform.proc * Platform.proc * float) list -> t
     per triple.  Raises [Invalid_argument] on bad endpoints, non-positive
     delays, duplicate cables, or a disconnected topology. *)
 
-val clique : ?delay:float -> int -> t
-(** Fully connected, every cable with unit delay [delay] (default 1). *)
+(** The clique, ring, star and hypercube shapes give every cable the unit
+    delay 1. *)
 
-val ring : ?delay:float -> int -> t
+val clique : int -> t
+(** Fully connected. *)
+
+val ring : int -> t
 (** Processors in a cycle; [m >= 2]. *)
 
-val star : ?delay:float -> int -> t
+val star : int -> t
 (** Processor 0 is the hub; every other processor hangs off it.
     [m >= 2]. *)
 
@@ -44,7 +47,7 @@ val mesh2d : ?delay:float -> rows:int -> cols:int -> unit -> t
 val torus2d : ?delay:float -> rows:int -> cols:int -> unit -> t
 (** Grid with wrap-around cables. *)
 
-val hypercube : ?delay:float -> int -> t
+val hypercube : int -> t
 (** [hypercube d] over [2^d] processors; cables along each dimension. *)
 
 (** {1 Queries} *)

@@ -13,7 +13,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create: negative universe";
   { n; words = Array.make (nwords n) 0 }
 
-let universe_size t = t.n
 let copy t = { n = t.n; words = Array.copy t.words }
 
 let check t i fn =
@@ -24,27 +23,11 @@ let add t i =
   let w = i lsr 5 in
   t.words.(w) <- t.words.(w) lor (1 lsl (i land 31))
 
-let remove t i =
-  check t i "remove";
-  let w = i lsr 5 in
-  t.words.(w) <- t.words.(w) land lnot (1 lsl (i land 31))
-
 let mem t i =
   check t i "mem";
   t.words.(i lsr 5) land (1 lsl (i land 31)) <> 0
 
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
-
-(* Unbounds-checked variants for the replay inner loop, where indices come
-   from compile-time CSR arrays that are in range by construction. *)
-
-let unsafe_mem t i =
-  Array.unsafe_get t.words (i lsr 5) land (1 lsl (i land 31)) <> 0
-
-let unsafe_add t i =
-  let w = i lsr 5 in
-  Array.unsafe_set t.words w
-    (Array.unsafe_get t.words w lor (1 lsl (i land 31)))
 
 let singleton n i =
   let t = create n in
@@ -67,14 +50,6 @@ let union a b =
   union_into ~into:r b;
   r
 
-let inter a b =
-  same_universe a b "inter";
-  let r = create a.n in
-  for i = 0 to Array.length r.words - 1 do
-    r.words.(i) <- a.words.(i) land b.words.(i)
-  done;
-  r
-
 (* Plain loops with a mutable cursor: without flambda, a local recursive
    [go] closes over the arrays and is allocated on every call. *)
 let disjoint a b =
@@ -95,25 +70,6 @@ let subset a b =
   while
     !i < n && Array.unsafe_get aw !i land lnot (Array.unsafe_get bw !i) = 0
   do
-    incr i
-  done;
-  !i >= n
-
-let equal a b =
-  same_universe a b "equal";
-  let aw = a.words and bw = b.words in
-  let n = Array.length aw in
-  let i = ref 0 in
-  while !i < n && Array.unsafe_get aw !i = Array.unsafe_get bw !i do
-    incr i
-  done;
-  !i >= n
-
-let is_empty t =
-  let w = t.words in
-  let n = Array.length w in
-  let i = ref 0 in
-  while !i < n && Array.unsafe_get w !i = 0 do
     incr i
   done;
   !i >= n

@@ -14,12 +14,9 @@ val create : int -> t
 val singleton : int -> int -> t
 (** [singleton n i] is [{i}] in universe [n]. *)
 
-val universe_size : t -> int
 val copy : t -> t
 val add : t -> int -> unit
-val remove : t -> int -> unit
 val mem : t -> int -> bool
-val is_empty : t -> bool
 val cardinal : t -> int
 
 val cardinal_union : t -> t -> int
@@ -27,20 +24,12 @@ val cardinal_union : t -> t -> int
     the union — the admissibility test of the placement inner loop. *)
 
 val equal_singleton : t -> int -> bool
-(** [equal_singleton t i] iff [t] is exactly [{i}]; the allocation-free
-    form of [equal t (singleton n i)]. *)
+(** [equal_singleton t i] iff [t] is exactly [{i}], without allocating
+    the singleton. *)
 
 val clear : t -> unit
 (** Remove every element, in place.  One [Bytes.fill]; lets a scratch set
     be reused across scenarios without reallocating. *)
-
-val unsafe_mem : t -> int -> bool
-(** [mem] without the bounds check.  Undefined behaviour outside
-    [\[0, universe_size t - 1\]]; reserved for inner loops whose indices
-    are in range by construction (the replay engine's crash masks). *)
-
-val unsafe_add : t -> int -> unit
-(** [add] without the bounds check; same caveat as {!unsafe_mem}. *)
 
 val union_into : into:t -> t -> unit
 (** [union_into ~into s] adds every element of [s] to [into].  The two
@@ -48,15 +37,12 @@ val union_into : into:t -> t -> unit
 
 val union : t -> t -> t
 
-val inter : t -> t -> t
-
 val disjoint : t -> t -> bool
 (** No common element. *)
 
 val subset : t -> t -> bool
 (** [subset a b] iff every element of [a] is in [b]. *)
 
-val equal : t -> t -> bool
 val elements : t -> int list
 val iter : (int -> unit) -> t -> unit
 val of_list : int -> int list -> t

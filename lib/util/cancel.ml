@@ -28,6 +28,3 @@ let cancelled t =
           else false)
 
 let check t = if cancelled t then raise Cancelled
-
-let deadline t =
-  if t.t_deadline < infinity then Some t.t_deadline else None

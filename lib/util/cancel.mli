@@ -45,7 +45,3 @@ val cancelled : token -> bool
 
 val check : token -> unit
 (** [check t] raises {!Cancelled} iff [cancelled t]. *)
-
-val deadline : token -> float option
-(** The token's absolute deadline, if any — lets a layer derive a
-    remaining-budget estimate for its own sub-calls. *)

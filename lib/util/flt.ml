@@ -1,7 +1,6 @@
 let eps = 1e-9
 let approx_eq ?(tol = eps) a b = Float.abs (a -. b) <= tol
 let leq ?(tol = eps) a b = a <= b +. tol
-let geq ?(tol = eps) a b = a >= b -. tol
 
 (* [Float.max] and [Float.min] without their [sign_bit] calls, which
    ocamlopt emits as C calls.  Two equal operands only differ when they

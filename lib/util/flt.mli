@@ -14,8 +14,6 @@ val approx_eq : ?tol:float -> float -> float -> bool
 val leq : ?tol:float -> float -> float -> bool
 (** [leq a b] iff [a <= b + tol]: less-or-approximately-equal. *)
 
-val geq : ?tol:float -> float -> float -> bool
-
 val fmax : float -> float -> float
 (** [fmax x y] equals [Float.max x y] whenever neither operand is nan
     ([fmax (-0.) 0.] and [fmax 0. (-0.)] are [+0.]), without the C calls

@@ -8,7 +8,6 @@ let with_capacity ~cmp ~dummy n =
 
 let length t = t.size
 let is_empty t = t.size = 0
-let clear t = t.size <- 0
 
 let grow t x =
   let cap = Array.length t.data in
@@ -48,16 +47,6 @@ let add t x =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let of_list ~cmp xs =
-  let data = Array.of_list xs in
-  let t = { cmp; data; size = Array.length data } in
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
-  done;
-  t
-
-let peek t = if t.size = 0 then None else Some t.data.(0)
-
 let pop t =
   if t.size = 0 then None
   else begin
@@ -74,17 +63,3 @@ let pop_exn t =
   match pop t with
   | Some x -> x
   | None -> invalid_arg "Heap.pop_exn: empty heap"
-
-let copy t = { cmp = t.cmp; data = Array.sub t.data 0 t.size; size = t.size }
-
-let to_sorted_list t =
-  let c = copy t in
-  let rec drain acc =
-    match pop c with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  drain []
-
-let iter_unordered f t =
-  for i = 0 to t.size - 1 do
-    f t.data.(i)
-  done

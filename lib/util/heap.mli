@@ -2,8 +2,7 @@
 
     Used for the free-task priority lists of the list schedulers (the
     paper's sorted list [alpha] with head function [H]) and for the event
-    queue of the fail-stop replay simulator.  Operations are O(log n);
-    [peek] is O(1). *)
+    queue of the fail-stop replay simulator.  Operations are O(log n). *)
 
 type 'a t
 
@@ -17,28 +16,13 @@ val with_capacity : cmp:('a -> 'a -> int) -> dummy:'a -> int -> 'a t
     first [n] [add]s never resize.  Raises [Invalid_argument] on
     negative [n]. *)
 
-val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
-(** Heapify in O(n). *)
-
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
-val clear : 'a t -> unit
-(** Empty the heap in O(1), keeping its backing storage for reuse. *)
-
 val add : 'a t -> 'a -> unit
-
-val peek : 'a t -> 'a option
-(** Smallest element, without removing it. *)
 
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
 
 val pop_exn : 'a t -> 'a
 (** Like {!pop}. Raises [Invalid_argument] on an empty heap. *)
-
-val to_sorted_list : 'a t -> 'a list
-(** Drains a copy of the heap; the heap itself is left untouched. *)
-
-val iter_unordered : ('a -> unit) -> 'a t -> unit
-(** Iterate over all elements in unspecified order. *)

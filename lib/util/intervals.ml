@@ -5,7 +5,9 @@ type 'a overlap = {
   ov_starts : float;
 }
 
-let overlaps ?(tol = Flt.eps) ~bounds intervals =
+let tol = Flt.eps
+
+let overlaps ~bounds intervals =
   let sorted =
     List.sort
       (fun a b -> compare (fst (bounds a)) (fst (bounds b)))
@@ -38,7 +40,7 @@ let overlaps ?(tol = Flt.eps) ~bounds intervals =
   in
   go [] None sorted
 
-let exceeding ?(tol = Flt.eps) ~capacity ~bounds intervals =
+let exceeding ~capacity ~bounds intervals =
   let events =
     List.concat_map
       (fun x ->
@@ -61,7 +63,7 @@ let exceeding ?(tol = Flt.eps) ~capacity ~bounds intervals =
     events;
   List.rev !bad
 
-let gaps ?(tol = Flt.eps) ~bounds intervals =
+let gaps ~bounds intervals =
   let sorted =
     List.filter_map
       (fun x ->

@@ -3,8 +3,8 @@
 
     All functions take intervals as arbitrary payloads paired with a
     [bounds] projection to [(start, finish)].  Zero-length intervals
-    (within [tol], default the repository-wide {!Flt.eps}) never conflict:
-    an instantaneous event at the boundary of a busy period is not an
+    (within the repository-wide {!Flt.eps}) never conflict: an
+    instantaneous event at the boundary of a busy period is not an
     overlap. *)
 
 type 'a overlap = {
@@ -15,14 +15,13 @@ type 'a overlap = {
 }
 
 val overlaps :
-  ?tol:float -> bounds:('a -> float * float) -> 'a list -> 'a overlap list
+  bounds:('a -> float * float) -> 'a list -> 'a overlap list
 (** Pairs of conflicting intervals, in sweep (chronological) order.  Each
     reported conflict pits the interval with the furthest finish seen so
     far against the next one starting strictly inside it, so containment
     of several later intervals is also caught. *)
 
 val exceeding :
-  ?tol:float ->
   capacity:int ->
   bounds:('a -> float * float) ->
   'a list ->
@@ -33,7 +32,7 @@ val exceeding :
     reports only the offending interval, not the pair). *)
 
 val gaps :
-  ?tol:float -> bounds:('a -> float * float) -> 'a list -> (float * float) list
+  bounds:('a -> float * float) -> 'a list -> (float * float) list
 (** Maximal idle periods strictly between the merged busy spans of the
     intervals, in chronological order.  The open-ended periods before the
     first interval and after the last are not reported. *)

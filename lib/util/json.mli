@@ -26,9 +26,6 @@ val to_string : ?indent:int -> t -> string
 (** Render a value.  With [indent] (e.g. [2]) the output is pretty-printed
     over multiple lines; the default is a compact single line. *)
 
-val pp : Format.formatter -> t -> unit
-(** [to_string ~indent:2]. *)
-
 val parse : string -> (t, string) result
 (** Parse a complete JSON document; the error string carries the byte
     offset of the failure. *)

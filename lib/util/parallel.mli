@@ -1,15 +1,12 @@
 (** Minimal deterministic fork-join parallelism over OCaml 5 domains. *)
 
-val available_domains : unit -> int
-(** Recommended domain count for this machine
-    ([Domain.recommended_domain_count]). *)
-
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~domains f xs] is [List.map f xs], computed by
-    [min domains (List.length xs)] workers (default {!available_domains};
-    clamped to at least [1]).  Worker [0] is the calling domain; the
-    others are domains spawned for this call and joined before it returns
-    or re-raises, so [1] spawns nothing and runs the items in order.
+    [min domains (List.length xs)] workers (default
+    [Domain.recommended_domain_count ()]; clamped to at least [1]).
+    Worker [0] is the calling domain; the others are domains spawned for
+    this call and joined before it returns or re-raises, so [1] spawns
+    nothing and runs the items in order.
     Items are claimed one at a time through an atomic index, so one slow
     item delays only itself.  Result order is that of [xs] regardless of
     which domain computed which item; [f] must not rely on shared mutable

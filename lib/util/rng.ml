@@ -22,8 +22,6 @@ let create seed =
   if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then { s0 = 1L; s1; s2; s3 }
   else { s0; s1; s2; s3 }
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
 let rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
@@ -72,21 +70,6 @@ let float_in t lo hi =
   if hi < lo then invalid_arg "Rng.float_in: empty range";
   lo +. float t (hi -. lo)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))
-
-let pick_list t l =
-  (* One traversal (Array.of_list) instead of List.length + List.nth;
-     still exactly one [int] draw, so seeded sequences are unchanged. *)
-  match l with
-  | [] -> invalid_arg "Rng.pick_list: empty list"
-  | _ ->
-      let a = Array.of_list l in
-      a.(int t (Array.length a))
-
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in
@@ -94,11 +77,6 @@ let shuffle_in_place t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let shuffle t l =
-  let a = Array.of_list l in
-  shuffle_in_place t a;
-  Array.to_list a
 
 let sample_without_replacement t k n =
   if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";
@@ -111,8 +89,3 @@ let sample_without_replacement t k n =
     else chosen := IS.add r !chosen
   done;
   IS.elements !chosen
-
-let exponential t lambda =
-  if lambda <= 0. then invalid_arg "Rng.exponential: rate must be positive";
-  let u = 1.0 -. float t 1.0 in
-  -.log u /. lambda

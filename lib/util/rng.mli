@@ -17,10 +17,6 @@ val create : int -> t
 (** [create seed] builds a generator from a 63-bit seed.  Equal seeds yield
     equal streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent clone of [t] in its current state: drawing
-    from the clone does not affect [t]. *)
-
 val split : t -> t
 (** [split t] draws from [t] and returns a fresh generator whose stream is
     statistically independent of the remainder of [t]'s stream. *)
@@ -43,28 +39,10 @@ val float_in : t -> float -> float -> float
 (** [float_in t lo hi] is uniform in [\[lo, hi)].  Raises
     [Invalid_argument] if [hi < lo]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
-val pick : t -> 'a array -> 'a
-(** [pick t a] is a uniformly chosen element of [a].  Raises
-    [Invalid_argument] on an empty array. *)
-
-val pick_list : t -> 'a list -> 'a
-(** [pick_list t l] is a uniformly chosen element of [l].  Raises
-    [Invalid_argument] on an empty list. *)
-
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher–Yates shuffle of the array, in place. *)
-
-val shuffle : t -> 'a list -> 'a list
-(** [shuffle t l] is a uniformly random permutation of [l]. *)
 
 val sample_without_replacement : t -> int -> int -> int list
 (** [sample_without_replacement t k n] draws [k] distinct integers from
     [\[0, n-1\]], in increasing order.  Raises [Invalid_argument] if
     [k > n] or [k < 0]. *)
-
-val exponential : t -> float -> float
-(** [exponential t lambda] draws from the exponential distribution with
-    rate [lambda] (mean [1/lambda]). *)

@@ -19,8 +19,6 @@ let kahan_sum_array a =
   done;
   !sum
 
-let kahan_sum xs = kahan_sum_array (Array.of_list xs)
-
 let mean_array a =
   let n = Array.length a in
   if n = 0 then nan else kahan_sum_array a /. float_of_int n

@@ -20,18 +20,12 @@ val mean : float list -> float
 
 val mean_array : float array -> float
 
-val variance : float list -> float
-(** Unbiased sample variance (n-1 denominator); [0.] for fewer than two
-    samples. *)
-
 val stddev : float list -> float
+(** Sample standard deviation (n-1 denominator); [0.] for fewer than two
+    samples. *)
 
 val median : float list -> float
 (** [nan] on the empty list. *)
-
-val percentile : float -> float list -> float
-(** [percentile p xs] for [p] in [\[0,1\]], linear interpolation between
-    order statistics.  [nan] on the empty list. *)
 
 val summarize : float list -> summary
 (** Full summary.  Raises [Invalid_argument] on the empty list. *)
@@ -39,11 +33,6 @@ val summarize : float list -> summary
 val confidence_95 : float list -> float
 (** Half-width of the normal-approximation 95% confidence interval of the
     mean ([1.96 * stddev / sqrt n]); [0.] for fewer than two samples. *)
-
-val kahan_sum : float list -> float
-(** Compensated summation. *)
-
-val kahan_sum_array : float array -> float
 
 (** Streaming accumulator (Welford), for aggregation without retaining
     samples. *)

@@ -22,8 +22,7 @@ let add_row t cells =
 let float_cell ?(decimals = 2) x =
   if Float.is_nan x then "-" else Printf.sprintf "%.*f" decimals x
 
-let add_float_row ?(fmt = fun x -> float_cell x) t label xs =
-  add_row t (label :: List.map fmt xs)
+let add_float_row t label xs = add_row t (label :: List.map float_cell xs)
 
 let to_string t =
   let rows = List.rev t.rows in

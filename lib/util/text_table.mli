@@ -17,9 +17,9 @@ val add_row : t -> string list -> unit
 (** Appends a row.  Raises [Invalid_argument] if the arity differs from the
     header. *)
 
-val add_float_row : ?fmt:(float -> string) -> t -> string -> float list -> unit
-(** [add_float_row t label xs] appends [label] followed by formatted
-    floats.  [fmt] defaults to two-decimal fixed point. *)
+val add_float_row : t -> string -> float list -> unit
+(** [add_float_row t label xs] appends [label] followed by the floats in
+    two-decimal fixed point. *)
 
 val to_string : t -> string
 (** Pretty print with aligned columns separated by two spaces. *)

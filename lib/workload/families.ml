@@ -1,17 +1,20 @@
+(* Every edge's data volume unless [?volume] says otherwise. *)
+let default_volume = 100.
+
 let build n_tasks ?names edges =
   Dag.make ?names ~n:n_tasks ~edges ()
 
-let fork ?(volume = 100.) n =
+let fork ?(volume = default_volume) n =
   if n < 0 then invalid_arg "Families.fork";
   build (n + 1) (List.init n (fun i -> (0, i + 1, volume)))
 
-let join ?(volume = 100.) n =
+let join ?(volume = default_volume) n =
   if n < 0 then invalid_arg "Families.join";
   build (n + 1) (List.init n (fun i -> (i, n, volume)))
 
-let chain ?(volume = 100.) n =
+let chain n =
   if n < 1 then invalid_arg "Families.chain";
-  build n (List.init (n - 1) (fun i -> (i, i + 1, volume)))
+  build n (List.init (n - 1) (fun i -> (i, i + 1, default_volume)))
 
 let tree_sizes ~arity ~depth =
   if arity < 1 || depth < 0 then invalid_arg "Families.tree";
@@ -21,45 +24,26 @@ let tree_sizes ~arity ~depth =
   in
   total 0 0 1
 
-let out_tree ?(volume = 100.) ~arity ~depth () =
+let out_tree ~arity ~depth () =
   let n = tree_sizes ~arity ~depth in
   let edges = ref [] in
   (* node i's children are arity*i + 1 .. arity*i + arity, BFS layout *)
   for i = 0 to n - 1 do
     for c = 1 to arity do
       let j = (arity * i) + c in
-      if j < n then edges := (i, j, volume) :: !edges
+      if j < n then edges := (i, j, default_volume) :: !edges
     done
   done;
   build n !edges
 
-let in_tree ?(volume = 100.) ~arity ~depth () =
-  let n = tree_sizes ~arity ~depth in
-  let edges = ref [] in
-  for i = 0 to n - 1 do
-    for c = 1 to arity do
-      let j = (arity * i) + c in
-      if j < n then edges := (j, i, volume) :: !edges
-    done
-  done;
-  build n !edges
-
-let fork_join ?(volume = 100.) n =
+let fork_join n =
   if n < 1 then invalid_arg "Families.fork_join";
   let sink = n + 1 in
   build (n + 2)
-    (List.init n (fun i -> (0, i + 1, volume))
-    @ List.init n (fun i -> (i + 1, sink, volume)))
+    (List.init n (fun i -> (0, i + 1, default_volume))
+    @ List.init n (fun i -> (i + 1, sink, default_volume)))
 
-let diamond ?(volume = 100.) ~width () =
-  if width < 1 then invalid_arg "Families.diamond";
-  let sink = width + 1 in
-  build (width + 2)
-    ((0, sink, volume)
-    :: (List.init width (fun i -> (0, i + 1, volume))
-       @ List.init width (fun i -> (i + 1, sink, volume))))
-
-let stencil_1d ?(volume = 100.) ~width ~steps () =
+let stencil_1d ?(volume = default_volume) ~width ~steps () =
   if width < 1 || steps < 1 then invalid_arg "Families.stencil_1d";
   let id s i = (s * width) + i in
   let edges = ref [] in
@@ -75,7 +59,7 @@ let stencil_1d ?(volume = 100.) ~width ~steps () =
   done;
   build (width * steps) !edges
 
-let staged_fanout ?(volume = 100.) ~stages ~width () =
+let staged_fanout ~stages ~width () =
   if stages < 1 || width < 1 then invalid_arg "Families.staged_fanout";
   (* Montage/Epigenomics shape: a source, then [stages] rounds of
      [width]-way fan-out each gathered by one synchronization task.  Task
@@ -92,14 +76,14 @@ let staged_fanout ?(volume = 100.) ~stages ~width () =
     let gather = Dag.Builder.add_task ~name:(Printf.sprintf "s%d_gather" s) b in
     Array.iter
       (fun w ->
-        Dag.Builder.add_edge b ~src:!hub ~dst:w ~volume;
-        Dag.Builder.add_edge b ~src:w ~dst:gather ~volume)
+        Dag.Builder.add_edge b ~src:!hub ~dst:w ~volume:default_volume;
+        Dag.Builder.add_edge b ~src:w ~dst:gather ~volume:default_volume)
       workers;
     hub := gather
   done;
   Dag.Builder.build b
 
-let parallel_chains ?(volume = 100.) ~lanes ~depth () =
+let parallel_chains ~lanes ~depth () =
   if lanes < 1 || depth < 1 then invalid_arg "Families.parallel_chains";
   (* [lanes] independent linear pipelines of [depth] tasks between one
      fork and one join — the streaming/pipeline workloads of the
@@ -110,22 +94,24 @@ let parallel_chains ?(volume = 100.) ~lanes ~depth () =
   let tails =
     Array.init lanes (fun l ->
         let head = Dag.Builder.add_task ~name:(Printf.sprintf "l%d_0" l) b in
-        Dag.Builder.add_edge b ~src:fork ~dst:head ~volume;
+        Dag.Builder.add_edge b ~src:fork ~dst:head ~volume:default_volume;
         let tail = ref head in
         for d = 1 to depth - 1 do
           let next =
             Dag.Builder.add_task ~name:(Printf.sprintf "l%d_%d" l d) b
           in
-          Dag.Builder.add_edge b ~src:!tail ~dst:next ~volume;
+          Dag.Builder.add_edge b ~src:!tail ~dst:next ~volume:default_volume;
           tail := next
         done;
         !tail)
   in
   let join = Dag.Builder.add_task ~name:"join" b in
-  Array.iter (fun t -> Dag.Builder.add_edge b ~src:t ~dst:join ~volume) tails;
+  Array.iter
+    (fun t -> Dag.Builder.add_edge b ~src:t ~dst:join ~volume:default_volume)
+    tails;
   Dag.Builder.build b
 
-let gaussian_elimination ?(volume = 100.) n =
+let gaussian_elimination ?(volume = default_volume) n =
   if n < 2 then invalid_arg "Families.gaussian_elimination";
   (* steps k = 0 .. n-2; pivot(k) and updates (k, j) for k < j <= n-1 *)
   let b = Dag.Builder.create () in
@@ -150,7 +136,7 @@ let gaussian_elimination ?(volume = 100.) n =
   done;
   Dag.Builder.build b
 
-let butterfly ?(volume = 100.) k =
+let butterfly k =
   if k < 1 then invalid_arg "Families.butterfly";
   let n = 1 lsl k in
   let b = Dag.Builder.create () in
@@ -165,15 +151,15 @@ let butterfly ?(volume = 100.) k =
     let stride = 1 lsl (rank - 1) in
     for i = 0 to n - 1 do
       Dag.Builder.add_edge b ~src:node.(rank - 1).(i) ~dst:node.(rank).(i)
-        ~volume;
+        ~volume:default_volume;
       Dag.Builder.add_edge b
         ~src:node.(rank - 1).(i lxor stride)
-        ~dst:node.(rank).(i) ~volume
+        ~dst:node.(rank).(i) ~volume:default_volume
     done
   done;
   Dag.Builder.build b
 
-let cholesky ?(volume = 100.) tiles =
+let cholesky tiles =
   if tiles < 1 then invalid_arg "Families.cholesky";
   let b = Dag.Builder.create () in
   let potrf = Array.make tiles 0 in
@@ -193,7 +179,7 @@ let cholesky ?(volume = 100.) tiles =
       done
     done
   done;
-  let edge src dst = Dag.Builder.add_edge b ~src ~dst ~volume in
+  let edge src dst = Dag.Builder.add_edge b ~src ~dst ~volume:default_volume in
   for k = 0 to tiles - 1 do
     (* POTRF(k) consumes the diagonal updates SYRK(j, k) for j < k *)
     for j = 0 to k - 1 do

@@ -4,9 +4,12 @@ let families =
     "gauss"; "butterfly"; "cholesky"; "staged"; "pipelines";
   ]
 
-(* The shape parameters derived from [tasks] are frozen: the stream-scale
-   golden fingerprints and every cram transcript were produced by this
-   exact dispatch (moved verbatim from bin/ftsched_cli.ml). *)
+(* One task graph of roughly [tasks] nodes; [Error] names the unknown
+   family and lists the accepted ones.  The RNG is only consumed by the
+   [random] family.  The shape parameters derived from [tasks] are frozen:
+   the stream-scale golden fingerprints and every cram transcript were
+   produced by this exact dispatch (moved verbatim from
+   bin/ftsched_cli.ml). *)
 let make_dag rng ~family ~tasks =
   match family with
   | "random" ->

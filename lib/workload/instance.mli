@@ -14,13 +14,6 @@ val families : string list
     chain, out-tree, fork-join, stencil, gauss, butterfly, cholesky,
     staged, pipelines. *)
 
-val make_dag : Rng.t -> family:string -> tasks:int -> (Dag.t, string) result
-(** Generate one task graph of roughly [tasks] nodes.  The RNG is only
-    consumed by the [random] family; the deterministic families derive
-    their shape parameters from [tasks] exactly as the historical CLI
-    dispatch did (sizes pinned by the stream-scale golden tests).
-    [Error] names the unknown family and lists the accepted ones. *)
-
 val make :
   ?seed:int ->
   ?family:string ->

@@ -24,10 +24,7 @@ val default : ?m:int -> unit -> params
 val platform : Rng.t -> params -> Platform.t
 (** Fully connected platform with random per-link unit delays. *)
 
-val costs : Rng.t -> params -> Dag.t -> Platform.t -> Costs.t
-(** Random execution-cost matrix for the DAG on the platform. *)
-
 val instance : Rng.t -> ?granularity:float -> params -> Dag.t -> Costs.t
-(** Platform plus costs in one call; when [granularity] is given, the
-    execution costs are rescaled so that [g(G, P)] hits it exactly
-    ({!Granularity.rescale_to}). *)
+(** {!platform} plus a random execution-cost matrix for the DAG on it;
+    when [granularity] is given, the execution costs are rescaled so that
+    [g(G, P)] hits it exactly ({!Granularity.rescale_to}). *)

@@ -30,6 +30,37 @@ let random_instance ?(seed = 1) ?(m = 6) ?(tasks = 30) ?(granularity = 1.0) () =
   let costs = Platform_gen.instance rng ~granularity params dag in
   (dag, costs)
 
+(* -- test-data draws ----------------------------------------------------
+   Each consumes exactly one draw of the generator, so a seeded test
+   (the serve fault harness's pinned report) draws the same data. *)
+
+(* A fair coin: the low bit of one 64-bit draw. *)
+let coin rng = Int64.logand (Rng.bits64 rng) 1L = 1L
+
+(* A uniformly chosen element of a non-empty array. *)
+let pick rng a =
+  if Array.length a = 0 then invalid_arg "Helpers.pick: empty array";
+  a.(Rng.int rng (Array.length a))
+
+(* -- qcheck instances --------------------------------------------------- *)
+
+let seed_gen = QCheck.Gen.int_range 0 1_000_000
+
+(* [(seed, m, tasks)] with m in [4, 8] and tasks in [8, max_tasks]: a
+   random paper-style instance, small enough for exhaustive checks, that
+   [instance_of] builds. *)
+let instance_gen ~max_tasks =
+  QCheck.Gen.(
+    map3
+      (fun seed m tasks -> (seed, m, tasks))
+      seed_gen (int_range 4 8) (int_range 8 max_tasks))
+
+let arbitrary_instance ~max_tasks =
+  QCheck.make (instance_gen ~max_tasks) ~print:(fun (seed, m, tasks) ->
+      Printf.sprintf "seed=%d m=%d tasks=%d" seed m tasks)
+
+let instance_of (seed, m, tasks) = random_instance ~seed ~m ~tasks ()
+
 let schedulers =
   [
     ("CAFT", fun ~epsilon costs -> Caft.run ~epsilon costs);

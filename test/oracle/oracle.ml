@@ -154,8 +154,8 @@ let combinations n k =
 (* [fault_check ~epsilon sched] is [Fault_check.check]'s report together
    with the [fault_check.scenarios] count: the crash sets replayed up to
    the first counterexample, before any static one. *)
-let fault_check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
-    ?static ~epsilon sched =
+let fault_check ?(max_exhaustive = 20000) ?(samples = 1000) ?static ~epsilon
+    sched =
   let m = Platform.proc_count (Schedule.platform sched) in
   let epsilon = min epsilon m in
   let c = Replay.compile sched in
@@ -179,7 +179,7 @@ let fault_check ?(max_exhaustive = 20000) ?(samples = 1000) ?(seed = 7)
         end)
       (combinations m epsilon)
   else begin
-    let rng = Rng.create seed in
+    let rng = Rng.create 7 in
     while !checked < samples && !counterexample = None do
       incr checked;
       let crashed = Rng.sample_without_replacement rng epsilon m in

@@ -15,12 +15,12 @@ let trunc s = if String.length s <= 60 then s else String.sub s 0 57 ^ "..."
    memo); hostile frames cover every parse stage. *)
 
 let valid_frame rng =
-  let op = Rng.pick rng [| "schedule"; "replay"; "montecarlo"; "analyze" |] in
-  let tasks = Rng.pick rng [| 6; 9; 12; 15 |] in
-  let m = Rng.pick rng [| 2; 3; 4 |] in
+  let op = Helpers.pick rng [| "schedule"; "replay"; "montecarlo"; "analyze" |] in
+  let tasks = Helpers.pick rng [| 6; 9; 12; 15 |] in
+  let m = Helpers.pick rng [| 2; 3; 4 |] in
   let epsilon = Rng.int rng (min 2 m) in
   let seed = 1 + Rng.int rng 2 in
-  let algo = Rng.pick rng [| "caft"; "ftsa"; "heft" |] in
+  let algo = Helpers.pick rng [| "caft"; "ftsa"; "heft" |] in
   let base =
     [
       ("seed", Json.Int seed);
@@ -32,7 +32,7 @@ let valid_frame rng =
   in
   let params =
     match op with
-    | "replay" when Rng.bool rng -> base @ [ ("crashed", Json.List [ Json.Int 0 ]) ]
+    | "replay" when Helpers.coin rng -> base @ [ ("crashed", Json.List [ Json.Int 0 ]) ]
     | "montecarlo" -> base @ [ ("runs", Json.Int (10 + Rng.int rng 30)) ]
     | _ -> base
   in
@@ -197,7 +197,7 @@ let run ?(frames = 200) ~seed () =
           inject
             (match !sent_valid with
             | [] -> valid_frame rng
-            | sent -> Rng.pick_list rng sent)
+            | sent -> Helpers.pick rng (Array.of_list sent))
       | 6 -> inject {|{"op":"ping"}|}
       | 7 -> inject ~track:false {|{"op":"stats"}|}
       | 8 ->

@@ -15,9 +15,7 @@
     - a queue burst past capacity sheds with [overloaded], and the
       daemon keeps answering afterwards.
 
-    Deterministic in [seed]: the same seed replays the same attack.
-    Used by the test suite (several seeds) and by
-    [ftsched serve --self-test]. *)
+    Deterministic in [seed]: the same seed replays the same attack. *)
 
 type report = {
   fr_frames : int;  (** frames injected *)

@@ -35,8 +35,9 @@ let test_no_change () =
   Alcotest.(check int) "entries" 3 (List.length r.Bench_compare.c_entries);
   Alcotest.(check int) "no regressions" 0
     (List.length (Bench_compare.regressions r));
-  Alcotest.(check int) "no improvements" 0
-    (List.length (Bench_compare.improvements r))
+  Alcotest.(check string) "no improvements"
+    "3 metric(s) compared, 0 regression(s) beyond 20%, 0 improvement(s)"
+    (Bench_compare.summary r)
 
 let test_throughput_regression () =
   (* scenarios/s is higher-better: a 30% drop is a regression *)
@@ -63,8 +64,9 @@ let test_latency_regression () =
   let r_fast = diff old_d faster in
   Alcotest.(check int) "faster is no regression" 0
     (List.length (Bench_compare.regressions r_fast));
-  Alcotest.(check int) "faster is an improvement" 1
-    (List.length (Bench_compare.improvements r_fast))
+  Alcotest.(check string) "faster is an improvement"
+    "3 metric(s) compared, 0 regression(s) beyond 20%, 1 improvement(s)"
+    (Bench_compare.summary r_fast)
 
 let test_threshold_boundary () =
   let old_d = doc ~per_sec:5000. ~compiled_ns:100_000. in

@@ -101,19 +101,6 @@ let test_width_random_sanity () =
       (w >= List.length (Dag.entries g) && w <= Dag.task_count g)
   done
 
-let test_induced_subgraph () =
-  let g = Helpers.diamond_dag () in
-  let sub, back = Dag.induced_subgraph g [ 0; 1; 3 ] in
-  Helpers.check_int "sub tasks" 3 (Dag.task_count sub);
-  Helpers.check_int "sub edges" 2 (Dag.edge_count sub);
-  Helpers.check_bool "mapping" true (Array.to_list back = [ 0; 1; 3 ]);
-  Helpers.check_bool "edge kept" true (Dag.mem_edge sub ~src:0 ~dst:1);
-  Helpers.check_bool "edge through removed node gone" false
-    (Dag.mem_edge sub ~src:0 ~dst:2);
-  Alcotest.check_raises "duplicate in keep"
-    (Invalid_argument "Dag.induced_subgraph: duplicate task") (fun () ->
-      ignore (Dag.induced_subgraph g [ 0; 0 ]))
-
 let test_succs_preds_consistency () =
   let rng = Rng.create 9 in
   let g = Random_dag.generate_default rng in
@@ -138,7 +125,6 @@ let suite =
     Alcotest.test_case "transitive closure" `Quick test_transitive_closure;
     Alcotest.test_case "width (max antichain)" `Quick test_width;
     Alcotest.test_case "width random sanity" `Quick test_width_random_sanity;
-    Alcotest.test_case "induced subgraph" `Quick test_induced_subgraph;
     Alcotest.test_case "succs/preds consistency" `Quick
       test_succs_preds_consistency;
   ]

@@ -14,7 +14,6 @@ let test_config_figures () =
   Helpers.check_int "fig6 eps" 5 f6.Config.epsilon;
   Helpers.check_int "fig6 crashes" 3 f6.Config.crashes;
   Helpers.check_float "range B starts" 1. (List.hd f6.Config.granularities);
-  Helpers.check_int "six figures" 6 (List.length Config.all_figures);
   Alcotest.check_raises "figure 7"
     (Invalid_argument "Config.figure: no figure 7") (fun () ->
       ignore (Config.figure 7));
@@ -117,26 +116,22 @@ let test_bounds () =
   Helpers.check_float "critical path bound" 12. (Bounds.critical_path costs);
   (* work bound: (4 + 3 + 5) / 2 = 6 *)
   Helpers.check_float "work bound" 6. (Bounds.work costs);
-  Helpers.check_float "combined" 12. (Bounds.combined costs);
   (* a fork spreads: work bound can dominate *)
   let fork = Families.fork ~volume:0.1 8 in
   let fcosts = Helpers.flat_costs ~c:10. fork (Helpers.uniform_platform 2) in
   Helpers.check_float "fork work bound" 45. (Bounds.work fcosts);
   Helpers.check_bool "fork: work dominates cp" true
-    (Bounds.combined fcosts = 45.)
+    (Bounds.critical_path fcosts < Bounds.work fcosts)
 
 let test_bounds_hold_for_schedulers () =
   for seed = 70 to 75 do
     let _, costs = Helpers.random_instance ~seed () in
-    let lb = Bounds.combined costs in
+    let lb = Float.max (Bounds.critical_path costs) (Bounds.work costs) in
     List.iter
       (fun sched ->
         Helpers.check_bool "latency >= lower bound" true
           (Schedule.latency_zero_crash sched >= lb -. 1e-6))
-      [ Heft.run costs; Caft.run ~epsilon:1 costs; Ftsa.run ~epsilon:2 costs ];
-    let heft = Heft.run costs in
-    let eff = Bounds.efficiency costs heft in
-    Helpers.check_bool "efficiency in (0, 1]" true (eff > 0. && eff <= 1. +. 1e-9)
+      [ Heft.run costs; Caft.run ~epsilon:1 costs; Ftsa.run ~epsilon:2 costs ]
   done
 
 let test_parallel_map () =
@@ -149,8 +144,8 @@ let test_parallel_map () =
   Helpers.check_bool "more domains than items" true
     (Parallel.map ~domains:64 f [ 1; 2; 3 ] = [ 2; 5; 10 ]);
   Helpers.check_bool "empty list" true (Parallel.map ~domains:4 f [] = []);
-  Helpers.check_bool "available domains positive" true
-    (Parallel.available_domains () >= 1);
+  Helpers.check_bool "default domain count" true
+    (Parallel.map f xs = List.map f xs);
   (* exceptions propagate *)
   match
     Parallel.map ~domains:3 (fun x -> if x = 5 then failwith "boom" else x) xs

@@ -6,7 +6,6 @@ let test_empty () =
   let h = int_heap () in
   Helpers.check_bool "is_empty" true (Heap.is_empty h);
   Helpers.check_int "length" 0 (Heap.length h);
-  Helpers.check_bool "peek none" true (Heap.peek h = None);
   Helpers.check_bool "pop none" true (Heap.pop h = None);
   Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap")
     (fun () -> ignore (Heap.pop_exn h))
@@ -15,18 +14,9 @@ let test_ordering () =
   let h = int_heap () in
   List.iter (Heap.add h) [ 5; 1; 4; 1; 3; 9; 2 ];
   Helpers.check_int "length" 7 (Heap.length h);
-  Helpers.check_bool "peek is min" true (Heap.peek h = Some 1);
   let drained = List.filter_map (fun _ -> Heap.pop h) [ (); (); (); (); (); (); () ] in
   Helpers.check_bool "drains sorted" true (drained = [ 1; 1; 2; 3; 4; 5; 9 ]);
   Helpers.check_bool "empty after drain" true (Heap.is_empty h)
-
-let test_of_list_heapify () =
-  let h = Heap.of_list ~cmp:compare [ 9; 3; 7; 1; 8 ] in
-  Helpers.check_int "length" 5 (Heap.length h);
-  Helpers.check_bool "to_sorted_list" true
-    (Heap.to_sorted_list h = [ 1; 3; 7; 8; 9 ]);
-  (* to_sorted_list must not consume the heap *)
-  Helpers.check_int "length preserved" 5 (Heap.length h)
 
 let test_max_heap_via_cmp () =
   let h = Heap.create ~cmp:(fun a b -> compare b a) in
@@ -38,9 +28,11 @@ let test_random_against_sort () =
   for _ = 1 to 20 do
     let n = Rng.int rng 200 in
     let xs = List.init n (fun _ -> Rng.int rng 1000) in
-    let h = Heap.of_list ~cmp:compare xs in
+    let h = int_heap () in
+    List.iter (Heap.add h) xs;
+    let drained = List.map (fun _ -> Heap.pop_exn h) xs in
     Helpers.check_bool "heap sorts like List.sort" true
-      (Heap.to_sorted_list h = List.sort compare xs)
+      (drained = List.sort compare xs)
   done
 
 let test_interleaved_ops () =
@@ -55,32 +47,11 @@ let test_interleaved_ops () =
   Helpers.check_bool "pop 5" true (Heap.pop h = Some 5);
   Helpers.check_bool "pop none" true (Heap.pop h = None)
 
-let test_clear_reuse () =
-  let h = Heap.of_list ~cmp:compare [ 4; 2; 6 ] in
-  Heap.clear h;
-  Helpers.check_bool "cleared empty" true (Heap.is_empty h);
-  Helpers.check_int "cleared length" 0 (Heap.length h);
-  Helpers.check_bool "cleared pop" true (Heap.pop h = None);
-  (* refilling after clear behaves like a fresh heap *)
-  List.iter (Heap.add h) [ 9; 1; 5 ];
-  Helpers.check_bool "reuse pop 1" true (Heap.pop h = Some 1);
-  Helpers.check_bool "reuse pop 5" true (Heap.pop h = Some 5);
-  Helpers.check_bool "reuse pop 9" true (Heap.pop h = Some 9)
-
-let test_iter_unordered () =
-  let h = Heap.of_list ~cmp:compare [ 4; 2; 6 ] in
-  let sum = ref 0 in
-  Heap.iter_unordered (fun x -> sum := !sum + x) h;
-  Helpers.check_int "iter visits all" 12 !sum
-
 let suite =
   [
     Alcotest.test_case "empty heap" `Quick test_empty;
     Alcotest.test_case "ordering" `Quick test_ordering;
-    Alcotest.test_case "of_list heapify" `Quick test_of_list_heapify;
     Alcotest.test_case "max-heap comparator" `Quick test_max_heap_via_cmp;
     Alcotest.test_case "random vs sort" `Quick test_random_against_sort;
     Alcotest.test_case "interleaved add/pop" `Quick test_interleaved_ops;
-    Alcotest.test_case "clear and reuse" `Quick test_clear_reuse;
-    Alcotest.test_case "iter_unordered" `Quick test_iter_unordered;
   ]

@@ -32,9 +32,7 @@ let test_metrics_empty_comm () =
   let sched = Caft.run ~epsilon:1 costs in
   let m = Metrics.analyze sched in
   Helpers.check_int "no messages" 0 m.Metrics.message_count;
-  Helpers.check_float "no comm time" 0. m.Metrics.total_comm_time;
-  Helpers.check_float "serial comm bound" 0.
-    (Metrics.serial_comm_lower_bound sched)
+  Helpers.check_float "no comm time" 0. m.Metrics.total_comm_time
 
 let test_metrics_pp () =
   let _, costs = Helpers.random_instance ~seed:52 () in

@@ -85,10 +85,10 @@ let test_workspace_placement () =
   let r1 = Workspace.place ws ~task:0 ~proc:1 b1 in
   Helpers.check_int "second index" 1 r1.Schedule.r_index;
   Helpers.check_int "placed count" 2 (Workspace.placed_count ws 0);
-  Helpers.check_bool "procs_of" true
-    (List.sort compare (Workspace.procs_of ws 0) = [ 0; 1 ]);
-  Helpers.check_bool "is_placed_on" true (Workspace.is_placed_on ws 0 1);
-  Helpers.check_bool "not placed on 2" false (Workspace.is_placed_on ws 0 2);
+  Helpers.check_int "first copy on 0" 0
+    (Workspace.get_placed ws 0 0).Schedule.r_proc;
+  Helpers.check_int "second copy on 1" 1
+    (Workspace.get_placed ws 0 1).Schedule.r_proc;
   Helpers.check_float "completion lower" 10. (Workspace.completion_lower ws 0)
 
 let test_workspace_sources () =

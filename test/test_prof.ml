@@ -44,7 +44,6 @@ let test_nesting () =
 
 let test_disabled_is_transparent () =
   Obs.Prof.reset ();
-  Alcotest.(check bool) "disabled" false (Obs.Prof.enabled ());
   let x = Obs.Prof.phase "ghost" (fun () -> 41 + 1) in
   Alcotest.(check int) "value passes through" 42 x;
   let r = Obs.Prof.report () in
@@ -190,31 +189,28 @@ let test_json_roundtrip () =
   let j = Obs.Prof.to_json r in
   (* through the printer and parser, not just the constructors *)
   let j' = Json.parse_exn (Json.to_string j) in
-  match Obs.Prof.of_json j' with
-  | None -> Alcotest.fail "of_json returned None"
-  | Some r' ->
-      Alcotest.(check int) "phase rows survive"
-        (List.length r.Obs.Prof.r_phases)
-        (List.length r'.Obs.Prof.r_phases);
-      Alcotest.(check int) "worker rows survive"
-        (List.length r.Obs.Prof.r_workers)
-        (List.length r'.Obs.Prof.r_workers);
-      List.iter2
-        (fun p p' ->
-          Alcotest.(check string) "name" p.Obs.Prof.ph_name p'.Obs.Prof.ph_name;
-          Alcotest.(check int) "domain" p.Obs.Prof.ph_domain
-            p'.Obs.Prof.ph_domain;
-          Alcotest.(check int) "count" p.Obs.Prof.ph_count p'.Obs.Prof.ph_count;
-          Alcotest.(check bool) "wall close" true
-            (Float.abs (p.Obs.Prof.ph_wall_s -. p'.Obs.Prof.ph_wall_s) < 1e-6))
-        r.Obs.Prof.r_phases r'.Obs.Prof.r_phases
-
-let test_of_json_rejects_bad_schema () =
-  let j = Json.Obj [ ("schema", Json.String "ftsched/other/v1") ] in
-  Alcotest.(check bool) "unknown schema rejected" true
-    (Obs.Prof.of_json j = None);
-  Alcotest.(check bool) "missing schema rejected" true
-    (Obs.Prof.of_json (Json.Obj []) = None)
+  let field k o = Option.get (Json.member k o) in
+  Alcotest.(check (option string)) "schema" (Some "ftsched/profile/v1")
+    (Json.to_str (field "schema" j'));
+  let phases = Json.to_list (field "phases" j') in
+  Alcotest.(check int) "phase rows survive"
+    (List.length r.Obs.Prof.r_phases)
+    (List.length phases);
+  Alcotest.(check int) "worker rows survive"
+    (List.length r.Obs.Prof.r_workers)
+    (List.length (Json.to_list (field "workers" j')));
+  List.iter2
+    (fun p o ->
+      Alcotest.(check (option string)) "name" (Some p.Obs.Prof.ph_name)
+        (Json.to_str (field "name" o));
+      Alcotest.(check (option int)) "domain" (Some p.Obs.Prof.ph_domain)
+        (Json.to_int (field "domain" o));
+      Alcotest.(check (option int)) "count" (Some p.Obs.Prof.ph_count)
+        (Json.to_int (field "count" o));
+      Alcotest.(check bool) "wall close" true
+        (let wall = Option.get (Json.to_float (field "wall_s" o)) in
+         Float.abs (p.Obs.Prof.ph_wall_s -. wall) < 1e-6))
+    r.Obs.Prof.r_phases phases
 
 let test_report_sorted () =
   with_prof @@ fun () ->
@@ -252,8 +248,6 @@ let suite =
     Alcotest.test_case "GC deltas accumulate across calls" `Quick
       test_gc_monotone_across_calls;
     Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip;
-    Alcotest.test_case "of_json rejects unknown schema" `Quick
-      test_of_json_rejects_bad_schema;
     Alcotest.test_case "report sorted by (name, domain)" `Quick
       test_report_sorted;
     Alcotest.test_case "reset clears state" `Quick test_reset;

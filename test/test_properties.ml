@@ -1,30 +1,11 @@
 (* Property-based tests (qcheck): invariants over randomly generated
    instances, schedules and crash scenarios. *)
 
-let seed_gen = QCheck.Gen.int_range 0 1_000_000
-
 (* -- generators -------------------------------------------------------- *)
 
-(* a random paper-style instance, small enough for exhaustive checks *)
-let instance_gen =
-  QCheck.Gen.(
-    map3
-      (fun seed m tasks -> (seed, m, tasks))
-      seed_gen (int_range 4 8) (int_range 8 30))
-
-let arbitrary_instance =
-  QCheck.make instance_gen ~print:(fun (seed, m, tasks) ->
-      Printf.sprintf "seed=%d m=%d tasks=%d" seed m tasks)
-
-let build_instance (seed, m, tasks) =
-  let rng = Rng.create seed in
-  let dag =
-    Random_dag.generate rng
-      { Random_dag.default with Random_dag.tasks_min = tasks; tasks_max = tasks }
-  in
-  let params = Platform_gen.default ~m () in
-  let costs = Platform_gen.instance rng ~granularity:1.0 params dag in
-  (dag, costs)
+let instance_gen = Helpers.instance_gen ~max_tasks:30
+let arbitrary_instance = Helpers.arbitrary_instance ~max_tasks:30
+let build_instance = Helpers.instance_of
 
 (* a random out-forest: each task j > 0 gets a parent uniform in [0, j-1]
    or stays a root *)
@@ -133,7 +114,7 @@ let prop_caft_outforest_bound =
   QCheck.Test.make ~count:50
     ~name:"Proposition 5.1: CAFT <= e(eps+1) on out-forests"
     (QCheck.make
-       QCheck.Gen.(pair seed_gen (int_range 5 30))
+       QCheck.Gen.(pair Helpers.seed_gen (int_range 5 30))
        ~print:(fun (s, t) -> Printf.sprintf "seed=%d tasks=%d" s t))
     (fun (seed, tasks) ->
       let dag = out_forest_of_seed seed tasks in
@@ -183,9 +164,9 @@ let prop_bitset_vs_reference =
       List.iter
         (fun op ->
           let i = op mod n in
-          if op mod 3 = 0 then begin
-            Bitset.remove bs i;
-            reference := IS.remove i !reference
+          if op mod 7 = 0 then begin
+            Bitset.clear bs;
+            reference := IS.empty
           end
           else begin
             Bitset.add bs i;
@@ -199,8 +180,9 @@ let prop_heap_sorts =
   QCheck.Test.make ~count:200 ~name:"heap drains sorted"
     QCheck.(list (int_bound 1000))
     (fun xs ->
-      let h = Heap.of_list ~cmp:compare xs in
-      Heap.to_sorted_list h = List.sort compare xs)
+      let h = Heap.create ~cmp:compare in
+      List.iter (Heap.add h) xs;
+      List.map (fun _ -> Heap.pop_exn h) xs = List.sort compare xs)
 
 let prop_upper_bound_dominates =
   QCheck.Test.make ~count:30 ~name:"upper bound >= zero-crash latency"

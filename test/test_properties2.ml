@@ -1,27 +1,9 @@
-(* Second property suite: serialization, DOT, transitive reduction,
-   batched CAFT, metrics consistency, topology routing. *)
+(* Second property suite: serialization, DOT, batched CAFT, metrics
+   consistency, topology routing, Monte Carlo within epsilon. *)
 
-let seed_gen = QCheck.Gen.int_range 0 1_000_000
-
-let instance_gen =
-  QCheck.Gen.(
-    map3
-      (fun seed m tasks -> (seed, m, tasks))
-      seed_gen (int_range 4 8) (int_range 8 25))
-
-let arbitrary_instance =
-  QCheck.make instance_gen ~print:(fun (seed, m, tasks) ->
-      Printf.sprintf "seed=%d m=%d tasks=%d" seed m tasks)
-
-let build_instance (seed, m, tasks) =
-  let rng = Rng.create seed in
-  let dag =
-    Random_dag.generate rng
-      { Random_dag.default with Random_dag.tasks_min = tasks; tasks_max = tasks }
-  in
-  let params = Platform_gen.default ~m () in
-  let costs = Platform_gen.instance rng ~granularity:1.0 params dag in
-  (dag, costs)
+let instance_gen = Helpers.instance_gen ~max_tasks:25
+let arbitrary_instance = Helpers.arbitrary_instance ~max_tasks:25
+let build_instance = Helpers.instance_of
 
 let prop_schedule_io_roundtrip =
   QCheck.Test.make ~count:25 ~name:"schedule_io roundtrips every scheduler"
@@ -52,36 +34,6 @@ let prop_dot_roundtrip =
       && Dag.fold_edges
            (fun u v _ acc -> acc && Dag.mem_edge dag ~src:u ~dst:v)
            back true)
-
-let prop_transitive_reduction =
-  QCheck.Test.make ~count:40
-    ~name:"transitive reduction preserves reachability, minimally"
-    arbitrary_instance (fun inst ->
-      let dag, _ = build_instance inst in
-      let red = Dag.transitive_reduction dag in
-      let n = Dag.task_count dag in
-      let r1 = Dag.transitive_closure dag in
-      let r2 = Dag.transitive_closure red in
-      let same_reach = ref true in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          if r1.(i).(j) <> r2.(i).(j) then same_reach := false
-        done
-      done;
-      (* minimality: removing any kept edge changes reachability, i.e. no
-         kept edge is implied by a longer path *)
-      let minimal =
-        Dag.fold_edges
-          (fun u v _ acc ->
-            acc
-            && not
-                 (List.exists
-                    (fun w -> w <> v && r1.(w).(v))
-                    (Dag.succ_tasks red u)))
-          red true
-      in
-      !same_reach && minimal
-      && Dag.edge_count red <= Dag.edge_count dag)
 
 let prop_caft_batch_valid =
   QCheck.Test.make ~count:20 ~name:"batched CAFT valid and tolerant"
@@ -161,7 +113,6 @@ let suite =
     [
       prop_schedule_io_roundtrip;
       prop_dot_roundtrip;
-      prop_transitive_reduction;
       prop_caft_batch_valid;
       prop_metrics_consistent;
       prop_topology_routes;

@@ -1,27 +1,9 @@
-(* Third property suite: replay equivalences, passive replication, the
-   parametric generator, and the critical-chain explanation. *)
+(* Third property suite: replay equivalences, replica-outcome
+   classification, the critical-chain explanation and the communication
+   models. *)
 
-let seed_gen = QCheck.Gen.int_range 0 1_000_000
-
-let instance_gen =
-  QCheck.Gen.(
-    map3
-      (fun seed m tasks -> (seed, m, tasks))
-      seed_gen (int_range 4 8) (int_range 8 25))
-
-let arbitrary_instance =
-  QCheck.make instance_gen ~print:(fun (seed, m, tasks) ->
-      Printf.sprintf "seed=%d m=%d tasks=%d" seed m tasks)
-
-let build_instance (seed, m, tasks) =
-  let rng = Rng.create seed in
-  let dag =
-    Random_dag.generate rng
-      { Random_dag.default with Random_dag.tasks_min = tasks; tasks_max = tasks }
-  in
-  let params = Platform_gen.default ~m () in
-  let costs = Platform_gen.instance rng ~granularity:1.0 params dag in
-  (dag, costs)
+let arbitrary_instance = Helpers.arbitrary_instance ~max_tasks:25
+let build_instance = Helpers.instance_of
 
 let prop_timed_equivalences =
   QCheck.Test.make ~count:25
@@ -98,7 +80,7 @@ let prop_port_capacity_monotone_bookings =
   QCheck.Test.make ~count:40
     ~name:"identical bookings: macro <= multiport-4 <= multiport-2 <= one-port"
     (QCheck.make
-       QCheck.Gen.(pair seed_gen (int_range 2 12))
+       QCheck.Gen.(pair Helpers.seed_gen (int_range 2 12))
        ~print:(fun (s, n) -> Printf.sprintf "seed=%d bookings=%d" s n))
     (fun (seed, bookings) ->
       let m = 4 in

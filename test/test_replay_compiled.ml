@@ -111,7 +111,7 @@ let run_config seed =
   let horizon = Schedule.makespan sched in
   let crash_time =
     Array.init m (fun _ ->
-        if Rng.bool rng then Rng.float rng horizon else infinity)
+        if Helpers.coin rng then Rng.float rng horizon else infinity)
   in
   diff ~crash_time;
   (* fault-free again: the scratch arena must fully reset after the
@@ -364,7 +364,7 @@ let tie_replays_agree c rng sched =
   let horizon = int_of_float (Schedule.makespan sched) in
   let timed () =
     Array.init m (fun _ ->
-        if Rng.bool rng then float_of_int (Rng.int rng (horizon + 1))
+        if Helpers.coin rng then float_of_int (Rng.int rng (horizon + 1))
         else infinity)
   in
   let scenarios =
@@ -506,7 +506,7 @@ let lanes_agree c =
   for j = 0 to c.l_block - 1 do
     let k = Rng.int rng (c.l_epsilon + 2) in
     let procs = Rng.sample_without_replacement rng k m in
-    if Rng.bool rng then
+    if Helpers.coin rng then
       Scenario.write_timed rows ~m j
         (List.map (fun p -> (p, Rng.float rng horizon)) procs)
     else Scenario.write_from_start rows ~m j procs
@@ -642,6 +642,40 @@ let test_batch_allocation () =
       words batch_words_bound;
   Printf.printf "eval_batch: %.0f words per scenario\n" words
 
+(* Words that compiling a message-free schedule on the m = 800 clique and
+   evaluating one 32-row block allocate.  The lane arena holds one
+   free-time cell per lane for each physical link some route books, here
+   none; an arena sized by the platform's 800 x 799 links takes 20M words
+   for the link cells alone. *)
+let arena_words_bound = 2e6
+
+let test_arena_sized_by_use () =
+  let m = 800 in
+  let platform = Helpers.uniform_platform m in
+  (* every task is fastest on processor 17, so HEFT books no message *)
+  let sched =
+    Heft.run
+      (Costs.create (Helpers.chain3 ()) platform (fun _ p ->
+           if p = 17 then 1. else 10.))
+  in
+  Helpers.check_int "message-free" 0 (Schedule.message_count sched);
+  let rows = Array.make (32 * m) infinity in
+  rows.(17) <- 0.;
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  let c = Replay.compile sched in
+  let b = Replay.eval_batch c rows ~first:0 ~count:32 in
+  let words =
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  Helpers.check_bool "row 0 loses every task" true
+    (Float.is_nan b.Replay.br_latency.(0));
+  Helpers.check_float "row 1 completes" 3. b.Replay.br_latency.(1);
+  if words > arena_words_bound then
+    Alcotest.failf "compile + one block allocated %.0f words (bound %.0f)"
+      words arena_words_bound;
+  Printf.printf "message-free m = 800: %.0f words\n" words
+
 let suite =
   [
     Alcotest.test_case "compiled eval ≡ fresh replay (108 configs)" `Quick
@@ -668,4 +702,6 @@ let suite =
       test_compile_allocation;
     Alcotest.test_case "eval_batch allocation budget" `Quick
       test_batch_allocation;
+    Alcotest.test_case "message-free arena sized by booked links" `Quick
+      test_arena_sized_by_use;
   ]

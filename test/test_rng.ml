@@ -15,12 +15,12 @@ let test_seed_sensitivity () =
   Helpers.check_bool "different seeds diverge" true (!same < 4)
 
 let test_copy_independent () =
-  let a = Rng.create 5 in
+  let a = Rng.create 5 and b = Rng.create 5 in
   ignore (Rng.bits64 a);
-  let b = Rng.copy a in
+  ignore (Rng.bits64 b);
   let xa = Rng.bits64 a in
   let xb = Rng.bits64 b in
-  Helpers.check_bool "copy continues the same stream" true (xa = xb);
+  Helpers.check_bool "one seed continues the same stream" true (xa = xb);
   ignore (Rng.bits64 b);
   let xa2 = Rng.bits64 a in
   let xb2 = Rng.bits64 b in
@@ -85,12 +85,15 @@ let test_float_mean () =
   let mean = !sum /. float_of_int n in
   Helpers.check_bool "uniform mean near 0.5" true (Float.abs (mean -. 0.5) < 0.02)
 
+(* [Helpers.coin] and [Helpers.pick] draw the test data of the seeded
+   suites (the serve fault harness pins one exact report). *)
+
 let test_bool_balanced () =
   let rng = Rng.create 31 in
   let trues = ref 0 in
   let n = 10_000 in
   for _ = 1 to n do
-    if Rng.bool rng then incr trues
+    if Helpers.coin rng then incr trues
   done;
   let ratio = float_of_int !trues /. float_of_int n in
   Helpers.check_bool "coin roughly fair" true (ratio > 0.45 && ratio < 0.55)
@@ -99,49 +102,53 @@ let test_pick () =
   let rng = Rng.create 4 in
   let arr = [| 10; 20; 30 |] in
   for _ = 1 to 100 do
-    let picked = Rng.pick rng arr in
+    let picked = Helpers.pick rng arr in
     Helpers.check_bool "pick returns element" true
       (Array.exists (fun x -> x = picked) arr)
   done;
-  Alcotest.check_raises "pick empty" (Invalid_argument "Rng.pick: empty array")
-    (fun () -> ignore (Rng.pick rng [||]))
+  Alcotest.check_raises "pick empty"
+    (Invalid_argument "Helpers.pick: empty array") (fun () ->
+      ignore (Helpers.pick rng [||]))
 
 let test_pick_list_pinned () =
-  (* Pinned draw sequence: [pick_list] consumes exactly one [Rng.int]
-     per call, so these values must never shift — experiment seeds
-     elsewhere in the tree depend on the stream staying put. *)
+  (* Pinned draw sequence of picks from a list: each pick consumes
+     exactly one [Rng.int], so these values must never shift — the fault
+     harness's pinned report depends on the stream staying put. *)
+  let pick_list rng l = Helpers.pick rng (Array.of_list l) in
   let rng = Rng.create 42 in
   let l = [ 3; 1; 4; 1; 5; 9; 2; 6; 5; 3; 5 ] in
   let expected = [ 9; 5; 1; 1; 5; 5; 1; 5; 9; 3; 3; 3 ] in
   List.iter
-    (fun e -> Helpers.check_int "pick_list int sequence" e (Rng.pick_list rng l))
+    (fun e -> Helpers.check_int "pick_list int sequence" e (pick_list rng l))
     expected;
   let l2 = [ "a"; "b"; "c" ] in
   let expected2 = [ "c"; "c"; "a"; "c"; "c"; "a"; "a"; "c" ] in
   List.iter
     (fun e ->
-      Alcotest.(check string) "pick_list string sequence" e (Rng.pick_list rng l2))
+      Alcotest.(check string) "pick_list string sequence" e (pick_list rng l2))
     expected2;
   (* and it still draws even for singleton lists (one int consumed) *)
-  let a = Rng.copy rng and b = Rng.copy rng in
-  ignore (Rng.pick_list a [ 0 ]);
+  let a = Rng.create 42 and b = Rng.create 42 in
+  ignore (pick_list a [ 0 ]);
   ignore (Rng.int b 1);
   Helpers.check_bool "singleton consumes one draw" true
-    (Rng.bits64 a = Rng.bits64 b);
-  Alcotest.check_raises "pick_list empty"
-    (Invalid_argument "Rng.pick_list: empty list") (fun () ->
-      ignore (Rng.pick_list rng []))
+    (Rng.bits64 a = Rng.bits64 b)
 
 let test_shuffle_permutation () =
   let rng = Rng.create 17 in
   let l = List.init 20 Fun.id in
-  let s = Rng.shuffle rng l in
+  let shuffle l =
+    let a = Array.of_list l in
+    Rng.shuffle_in_place rng a;
+    Array.to_list a
+  in
+  let s = shuffle l in
   Helpers.check_bool "shuffle is a permutation" true
     (List.sort compare s = l);
   (* with 20 elements, the identity permutation is essentially impossible *)
   let different = ref false in
   for _ = 1 to 5 do
-    if Rng.shuffle rng l <> l then different := true
+    if shuffle l <> l then different := true
   done;
   Helpers.check_bool "shuffle shuffles" true !different
 
@@ -175,19 +182,6 @@ let test_sample_uniformity () =
       Helpers.check_bool "roughly uniform" true (ratio > 0.2 && ratio < 0.3))
     counts
 
-let test_exponential () =
-  let rng = Rng.create 19 in
-  let n = 20_000 in
-  let sum = ref 0. in
-  for _ = 1 to n do
-    let x = Rng.exponential rng 2.0 in
-    Helpers.check_bool "exponential positive" true (x >= 0.);
-    sum := !sum +. x
-  done;
-  let mean = !sum /. float_of_int n in
-  Helpers.check_bool "exponential mean near 1/lambda" true
-    (Float.abs (mean -. 0.5) < 0.03)
-
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -206,5 +200,4 @@ let suite =
     Alcotest.test_case "sample without replacement" `Quick
       test_sample_without_replacement;
     Alcotest.test_case "sample uniformity" `Quick test_sample_uniformity;
-    Alcotest.test_case "exponential" `Quick test_exponential;
   ]

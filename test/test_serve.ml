@@ -408,7 +408,13 @@ let test_fault_harness () =
             v);
       Helpers.check_bool "saw cache hits" true (r.Serve_faults.fr_cache_hits > 0);
       Helpers.check_bool "saw shedding" true (r.Serve_faults.fr_shed > 0))
-    [ 1; 5; 9 ]
+    [ 1; 5; 9 ];
+  (* one attack pinned to its exact report *)
+  Alcotest.(check string) "seed 42, 150 frames"
+    "fault injection: 171 frames, 124 ok (21 cached), 47 errors (12 shed), 0 \
+     violations"
+    (Format.asprintf "%a" Serve_faults.pp
+       (Serve_faults.run ~frames:150 ~seed:42 ()))
 
 let suite =
   [

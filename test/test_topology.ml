@@ -42,8 +42,8 @@ let test_hypercube () =
   Helpers.check_float "hamming distance" 2. (Topology.delay_between t 1 7)
 
 let test_clique_matches_uniform () =
-  let t = Topology.clique ~delay:0.5 4 in
-  Helpers.check_float "direct" 0.5 (Topology.delay_between t 1 3);
+  let t = Topology.clique 4 in
+  Helpers.check_float "direct" 1. (Topology.delay_between t 1 3);
   Helpers.check_int "diameter" 1 (Topology.diameter_hops t)
 
 let test_custom_validation () =

@@ -72,16 +72,11 @@ let test_families_shapes () =
   let tree = Families.out_tree ~arity:2 ~depth:3 () in
   Helpers.check_int "binary tree nodes" 15 (Dag.task_count tree);
   Helpers.check_bool "tree is out-forest" true (Classify.is_out_forest tree);
-  let itree = Families.in_tree ~arity:2 ~depth:3 () in
-  Helpers.check_bool "in-tree is in-forest" true (Oracle_classify.is_in_forest itree);
   let fj = Families.fork_join 4 in
   Helpers.check_int "fork-join tasks" 6 (Dag.task_count fj);
   Helpers.check_bool "fork-join single exit" true (Oracle_classify.has_single_exit fj)
 
-let test_families_diamond_stencil () =
-  let d = Families.diamond ~width:3 () in
-  Helpers.check_int "diamond tasks" 5 (Dag.task_count d);
-  Helpers.check_int "diamond edges" 7 (Dag.edge_count d);
+let test_families_stencil () =
   let s = Families.stencil_1d ~width:4 ~steps:3 () in
   Helpers.check_int "stencil tasks" 12 (Dag.task_count s);
   (* interior points have 3 preds, boundary 2 *)
@@ -124,8 +119,7 @@ let test_platform_gen_costs () =
   let rng = Rng.create 10 in
   let params = Platform_gen.default ~m:4 () in
   let dag = Families.fork 5 in
-  let plat = Platform_gen.platform rng params in
-  let costs = Platform_gen.costs rng params dag plat in
+  let costs = Platform_gen.instance rng params dag in
   for t = 0 to Dag.task_count dag - 1 do
     for p = 0 to 3 do
       (* base in [50,150), factor in [0.5,1.5) *)
@@ -164,7 +158,7 @@ let suite =
     Alcotest.test_case "random dag determinism" `Quick test_random_dag_determinism;
     Alcotest.test_case "random dag rejects" `Quick test_random_dag_rejects;
     Alcotest.test_case "families shapes" `Quick test_families_shapes;
-    Alcotest.test_case "diamond and stencil" `Quick test_families_diamond_stencil;
+    Alcotest.test_case "stencil" `Quick test_families_stencil;
     Alcotest.test_case "gaussian elimination" `Quick test_families_gauss;
     Alcotest.test_case "family volumes" `Quick test_families_volumes;
     Alcotest.test_case "platform gen ranges" `Quick test_platform_gen_ranges;
