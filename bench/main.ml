@@ -316,12 +316,9 @@ let models_table graphs seed =
   print_endline
     "=== Table C: the contention spectrum (endpoint port capacity) ===";
   let models =
-    [
-      ("macro", Netstate.Macro_dataflow);
-      ("multiport-4", Netstate.Multiport 4);
-      ("multiport-2", Netstate.Multiport 2);
-      ("one-port", Netstate.One_port);
-    ]
+    List.map
+      (fun model -> (Request.model_name model, model))
+      Netstate.[ Macro_dataflow; Multiport 4; Multiport 2; One_port ]
   in
   let t =
     Text_table.create
@@ -329,7 +326,7 @@ let models_table graphs seed =
       ("algo" :: "eps" :: List.map fst models)
   in
   List.iter
-    (fun (name, runner) ->
+    (fun (name, algo) ->
       List.iter
         (fun epsilon ->
           let n = Option.value graphs ~default:15 in
@@ -340,7 +337,10 @@ let models_table graphs seed =
                 (fun i (_, model) ->
                   acc.(i) <-
                     acc.(i)
-                    +. Schedule.latency_zero_crash (runner ~model ~seed ~epsilon costs)
+                    +. Schedule.latency_zero_crash
+                         (Request.schedule
+                            { Request.default with algo; model; seed; epsilon }
+                            costs)
                        /. norm)
                 models);
           Text_table.add_row t
@@ -349,10 +349,7 @@ let models_table graphs seed =
                  (fun i _ -> Text_table.float_cell (acc.(i) /. float_of_int n))
                  models))
         [ 1; 3 ])
-    [
-      ("CAFT", fun ~model ~seed ~epsilon costs -> Caft.run ~model ~seed ~epsilon costs);
-      ("FTSA", fun ~model ~seed ~epsilon costs -> Ftsa.run ~model ~seed ~epsilon costs);
-    ];
+    [ ("CAFT", Request.Caft); ("FTSA", Request.Ftsa) ];
   Text_table.print t;
   print_endline
     "(normalized latency at fine grain g=0.5: contention grows as endpoint \

@@ -15,61 +15,100 @@ open Cmdliner
 
 (* -- shared options ---------------------------------------------------- *)
 
+let default = Request.default
+
 let seed_t =
   let doc = "Random seed (drives the instance and tie-breaking)." in
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
+  Arg.(value & opt int default.seed & info [ "seed" ] ~docv:"N" ~doc)
 
 let m_t =
   let doc = "Number of processors." in
-  Arg.(value & opt int 10 & info [ "m"; "processors" ] ~docv:"M" ~doc)
+  Arg.(value & opt int default.m & info [ "m"; "processors" ] ~docv:"M" ~doc)
 
 let tasks_t =
   let doc = "Number of tasks of the random DAG." in
-  Arg.(value & opt int 40 & info [ "tasks" ] ~docv:"V" ~doc)
+  Arg.(value & opt int default.tasks & info [ "tasks" ] ~docv:"V" ~doc)
 
 let epsilon_t =
   let doc = "Number of processor failures the schedule must tolerate." in
-  Arg.(value & opt int 1 & info [ "epsilon"; "e" ] ~docv:"EPS" ~doc)
+  Arg.(
+    value & opt int default.epsilon & info [ "epsilon"; "e" ] ~docv:"EPS" ~doc)
 
 let granularity_t =
   let doc = "Target task-graph granularity g(G, P)." in
-  Arg.(value & opt float 1.0 & info [ "granularity"; "g" ] ~docv:"G" ~doc)
-
-let algo_t =
-  let doc = "Scheduling algorithm: caft, ftsa, ftbar or heft." in
   Arg.(
     value
-    & opt (enum [ ("caft", `Caft); ("ftsa", `Ftsa); ("ftbar", `Ftbar); ("heft", `Heft) ]) `Caft
+    & opt float default.granularity
+    & info [ "granularity"; "g" ] ~docv:"G" ~doc)
+
+(* "a, b, c or d", for two names or more *)
+let alternatives names =
+  let rev = List.rev names in
+  String.concat ", " (List.rev (List.tl rev)) ^ " or " ^ List.hd rev
+
+let algo_t =
+  let doc =
+    Printf.sprintf "Scheduling algorithm: %s."
+      (alternatives (List.map fst Request.algos))
+  in
+  Arg.(
+    value
+    & opt (enum Request.algos) default.algo
     & info [ "algo"; "a" ] ~docv:"ALGO" ~doc)
 
 let model_t =
-  let doc = "Communication model: one-port, multiport-2, multiport-4 or macro." in
+  let doc =
+    (* from the most to the least contended *)
+    Printf.sprintf "Communication model: %s."
+      (alternatives
+         (List.map Request.model_name
+            Netstate.[ One_port; Multiport 2; Multiport 4; Macro_dataflow ]))
+  in
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("one-port", Netstate.One_port);
-             ("macro", Netstate.Macro_dataflow);
-             ("multiport-2", Netstate.Multiport 2);
-             ("multiport-4", Netstate.Multiport 4);
-           ])
-        Netstate.One_port
+    & opt (enum Request.models) default.model
     & info [ "model" ] ~docv:"MODEL" ~doc)
 
 let family_t =
   let doc =
-    "Task-graph family: random, fork, join, chain, out-tree, fork-join, \
-     stencil, gauss, butterfly, cholesky, staged, pipelines."
+    Printf.sprintf "Task-graph family: %s."
+      (String.concat ", " Instance.families)
   in
-  Arg.(value & opt string "random" & info [ "family" ] ~docv:"FAMILY" ~doc)
+  Arg.(
+    value & opt string default.family & info [ "family" ] ~docv:"FAMILY" ~doc)
+
+let file_arg name ~doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+
+let flag_arg name ~doc = Arg.(value & flag & info [ name ] ~doc)
+
+let format_arg name ~doc =
+  Arg.(
+    value
+    & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
+    & info [ name ] ~docv:"FMT" ~doc)
 
 let import_t =
   let doc =
     "Import the task graph from a DOT file instead of generating one \
      (numeric edge labels become data volumes)."
   in
-  Arg.(value & opt (some string) None & info [ "import" ] ~docv:"FILE" ~doc)
+  file_arg "import" ~doc
+
+(* The eight options of a scheduling request, as one term; [analyze]
+   supplies its own optional tolerance through [epsilon]. *)
+let request_of epsilon =
+  let mk seed m tasks epsilon granularity algo model family =
+    { Request.seed; family; tasks; m; epsilon; granularity; algo; model }
+  in
+  Term.(
+    const mk $ seed_t $ m_t $ tasks_t $ epsilon $ granularity_t $ algo_t
+    $ model_t $ family_t)
+
+let request_t = request_of epsilon_t
+
+let domains_t ~doc =
+  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
 (* Bad option values the cmdliner combinators cannot type-check
    themselves (family names, topology shapes) are reported like bad
@@ -133,26 +172,27 @@ let load_communicating_dag path =
        target granularity";
   dag
 
-let make_instance ?import ~seed ~family ~tasks ~m ~granularity () =
-  at_least "-m/--processors" 1 m;
-  if import = None then at_least "--tasks" 1 tasks;
-  if not (granularity > 0. && Float.is_finite granularity) then
+let make_instance ?import (r : Request.t) =
+  at_least "-m/--processors" 1 r.m;
+  if import = None then at_least "--tasks" 1 r.tasks;
+  if not (r.granularity > 0. && Float.is_finite r.granularity) then
     usage_error "--granularity must be a positive finite number (got %g)"
-      granularity;
-  (* a generated instance is the serve daemon's: [Instance] draws both *)
+      r.granularity;
+  (* a generated instance is the serve daemon's: [Request] builds both *)
   let result =
     match import with
-    | None -> Instance.make ~seed ~family ~tasks ~m ~granularity ()
+    | None -> Request.instance r
     | Some path ->
         let dag = load_communicating_dag path in
         Result.map
           (fun costs -> (dag, costs))
-          (Instance.costs (Rng.create seed) ~m ~granularity dag)
+          (Instance.costs (Rng.create r.seed) ~m:r.m
+             ~granularity:r.granularity dag)
   in
   match result with
   | Ok instance -> instance
   | Error msg when msg = Instance.no_communication ->
-      usage_error "--granularity %g: %s" granularity msg
+      usage_error "--granularity %g: %s" r.granularity msg
   | Error msg -> usage_error "%s" msg
 
 (* A tolerance to verify may exceed a schedule's replication degree (to
@@ -163,20 +203,26 @@ let check_tolerance ~m epsilon =
     usage_error "--epsilon %d exceeds the %d processors of the schedule"
       epsilon m
 
-let run_algo algo ~model ~seed ~epsilon costs =
+let run_algo (r : Request.t) costs =
   (let m = Platform.proc_count (Costs.platform costs) in
-   if algo = `Heft then check_tolerance ~m epsilon
+   if r.algo = Request.Heft then check_tolerance ~m r.epsilon
    else begin
-     at_least "--epsilon" 0 epsilon;
-     if epsilon >= m then
+     at_least "--epsilon" 0 r.epsilon;
+     if r.epsilon >= m then
        usage_error "--epsilon %d needs at least %d processors (got -m %d)"
-         epsilon (epsilon + 1) m
+         r.epsilon (r.epsilon + 1) m
    end);
-  match algo with
-  | `Caft -> Caft.run ~model ~seed ~epsilon costs
-  | `Ftsa -> Ftsa.run ~model ~seed ~epsilon costs
-  | `Ftbar -> Ftbar.run ~model ~seed ~epsilon costs
-  | `Heft -> Heft.run ~model ~seed costs
+  Request.schedule r costs
+
+let build ?import r =
+  let _, costs = make_instance ?import r in
+  run_algo r costs
+
+(* [inspect] and [analyze] judge a saved schedule or build one. *)
+let build_or_load ?import ~load r =
+  match load with
+  | Some path -> load_schedule_file path
+  | None -> build ?import r
 
 (* -- observability ------------------------------------------------------ *)
 
@@ -195,44 +241,34 @@ let obs_t =
       "Record a Chrome trace-event timeline of the run and write it to \
        $(docv) (loadable in Perfetto or chrome://tracing)."
     in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+    file_arg "trace" ~doc
   in
   let metrics_t =
-    Arg.(
-      value & flag
-      & info [ "metrics" ]
-          ~doc:
-            "Collect scheduler metrics (decision counters, contention \
-             histograms) and print them after the command output.")
+    flag_arg "metrics"
+      ~doc:
+        "Collect scheduler metrics (decision counters, contention \
+         histograms) and print them after the command output."
   in
   let metrics_format_t =
-    let doc = "Metrics dump format: text or json." in
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "metrics-format" ] ~docv:"FMT" ~doc)
+    format_arg "metrics-format" ~doc:"Metrics dump format: text or json."
   in
   let metrics_out_t =
     let doc = "Write the metrics dump to $(docv) instead of stdout." in
-    Arg.(
-      value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
+    file_arg "metrics-out" ~doc
   in
   let profile_t =
-    Arg.(
-      value & flag
-      & info [ "profile" ]
-          ~doc:
-            "Profile the run: per-phase wall/self time, call counts and GC \
-             deltas attributed per domain, plus parallel worker busy/steal \
-             telemetry, printed as a table after the command output.")
+    flag_arg "profile"
+      ~doc:
+        "Profile the run: per-phase wall/self time, call counts and GC \
+         deltas attributed per domain, plus parallel worker busy/steal \
+         telemetry, printed as a table after the command output."
   in
   let profile_out_t =
     let doc =
       "Write the profile report as JSON (ftsched/profile/v1) to $(docv); \
        implies $(b,--profile) without the text table."
     in
-    Arg.(
-      value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE" ~doc)
+    file_arg "profile-out" ~doc
   in
   let mk o_trace o_metrics o_metrics_format o_metrics_out o_profile
       o_profile_out =
@@ -290,48 +326,40 @@ let with_obs obs f =
 
 let schedule_cmd =
   let gantt_t =
-    Arg.(value & flag & info [ "gantt" ] ~doc:"Print an ASCII Gantt chart.")
+    flag_arg "gantt" ~doc:"Print an ASCII Gantt chart."
   in
   let comm_t =
-    Arg.(
-      value & flag
-      & info [ "show-comm" ] ~doc:"Add send/receive port rows to the Gantt chart.")
+    flag_arg "show-comm" ~doc:"Add send/receive port rows to the Gantt chart."
   in
   let dot_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dot" ] ~docv:"FILE" ~doc:"Export the task graph in DOT format.")
+    file_arg "dot" ~doc:"Export the task graph in DOT format."
   in
   let stream_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stream" ] ~docv:"FILE"
-          ~doc:
-            "Stream the schedule to $(docv) while it is built instead of \
-             materializing it (CAFT only): the million-task path.  The file \
-             is the usual ftsched-schedule format; summary, validation, \
-             Gantt and DOT output are skipped.")
+    file_arg "stream"
+      ~doc:
+        "Stream the schedule to $(docv) while it is built instead of \
+         materializing it (CAFT only): the million-task path.  The file \
+         is the usual ftsched-schedule format; summary, validation, \
+         Gantt and DOT output are skipped."
   in
-  let run seed m tasks epsilon granularity algo model family import gantt
-      show_comm dot stream obs =
+  let run (r : Request.t) import gantt show_comm dot stream obs =
     with_obs obs @@ fun () ->
-    let dag, costs = make_instance ?import ~seed ~family ~tasks ~m ~granularity () in
+    let dag, costs = make_instance ?import r in
     match stream with
     | Some path ->
-        if algo <> `Caft then begin
+        if r.algo <> Request.Caft then begin
           Format.eprintf "--stream is only supported for CAFT@.";
           1
         end
         else begin
-          Caft.run_stream ~model ~seed ~epsilon ~path costs;
+          Caft.run_stream ~model:r.model ~seed:r.seed ~epsilon:r.epsilon ~path
+            costs;
           Format.printf "streamed %d tasks x %d replicas to %s@."
-            (Dag.task_count dag) (epsilon + 1) path;
+            (Dag.task_count dag) (r.epsilon + 1) path;
           0
         end
     | None ->
-    let sched = run_algo algo ~model ~seed ~epsilon costs in
+    let sched = run_algo r costs in
     (* output files first: a reader closing stdout early (| head) must not
        cost them *)
     Option.iter (fun path -> Dot.to_file path dag) dot;
@@ -356,8 +384,7 @@ let schedule_cmd =
   in
   let term =
     Term.(
-      const run $ seed_t $ m_t $ tasks_t $ epsilon_t $ granularity_t $ algo_t
-      $ model_t $ family_t $ import_t $ gantt_t $ comm_t $ dot_t $ stream_t
+      const run $ request_t $ import_t $ gantt_t $ comm_t $ dot_t $ stream_t
       $ obs_t)
   in
   Cmd.v
@@ -379,18 +406,18 @@ let crash_cmd =
       & info [ "random-crashes" ] ~docv:"K"
           ~doc:"Crash K processors chosen uniformly instead of --crash.")
   in
-  let run seed m tasks epsilon granularity algo model family crashed random_crashes obs =
+  let run (r : Request.t) crashed random_crashes obs =
     List.iter
       (fun p ->
-        if p < 0 || p >= m then
-          usage_error "--crash %d: processor out of range [0, %d)" p m)
+        if p < 0 || p >= r.m then
+          usage_error "--crash %d: processor out of range [0, %d)" p r.m)
       crashed;
     with_obs obs @@ fun () ->
-    let _, costs = make_instance ~seed ~family ~tasks ~m ~granularity () in
-    let sched = run_algo algo ~model ~seed ~epsilon costs in
+    let sched = build r in
     let crashed =
       if random_crashes > 0 then
-        Scenario.uniform_procs (Rng.create (seed + 17)) ~m ~count:random_crashes
+        Scenario.uniform_procs (Rng.create (r.seed + 17)) ~m:r.m
+          ~count:random_crashes
       else crashed
     in
     let out = Replay.crash_from_start sched ~crashed in
@@ -409,8 +436,7 @@ let crash_cmd =
   in
   let term =
     Term.(
-      const run $ seed_t $ m_t $ tasks_t $ epsilon_t $ granularity_t $ algo_t
-      $ model_t $ family_t $ crashed_t $ random_t $ obs_t)
+      const run $ request_t $ crashed_t $ random_t $ obs_t)
   in
   Cmd.v (Cmd.info "crash" ~doc:"Replay a schedule under processor failures") term
 
@@ -418,21 +444,17 @@ let crash_cmd =
 
 let check_cmd =
   let domains_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Replay the crash sets over N domains (the report is identical \
-             for any N).")
+    domains_t
+      ~doc:
+        "Replay the crash sets over N domains (the report is identical for \
+         any N)."
   in
-  let run seed m tasks epsilon granularity algo model family domains obs =
+  let run (r : Request.t) domains obs =
     with_obs obs @@ fun () ->
-    let _, costs = make_instance ~seed ~family ~tasks ~m ~granularity () in
-    let sched = run_algo algo ~model ~seed ~epsilon costs in
-    let report = Fault_check.check ?domains ~epsilon sched in
+    let sched = build r in
+    let report = Fault_check.check ?domains ~epsilon:r.epsilon sched in
     Format.printf "%s, epsilon=%d: %s (%d scenarios%s)@."
-      (Schedule.algorithm sched) epsilon
+      (Schedule.algorithm sched) r.epsilon
       (if report.Fault_check.resists then "resists" else "DOES NOT RESIST")
       report.Fault_check.scenarios_checked
       (if report.Fault_check.exhaustive then ", exhaustive" else ", sampled");
@@ -448,8 +470,7 @@ let check_cmd =
   in
   let term =
     Term.(
-      const run $ seed_t $ m_t $ tasks_t $ epsilon_t $ granularity_t $ algo_t
-      $ model_t $ family_t $ domains_t $ obs_t)
+      const run $ request_t $ domains_t $ obs_t)
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Verify fault tolerance by crash-set enumeration")
@@ -459,34 +480,18 @@ let check_cmd =
 
 let inspect_cmd =
   let save_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save" ] ~docv:"FILE" ~doc:"Save the schedule (text format).")
+    file_arg "save" ~doc:"Save the schedule (text format)."
   in
   let load_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "load" ] ~docv:"FILE"
-          ~doc:"Inspect a previously saved schedule instead of building one.")
+    file_arg "load"
+      ~doc:"Inspect a previously saved schedule instead of building one."
   in
   let explain_t =
-    Arg.(
-      value & flag
-      & info [ "explain" ]
-          ~doc:"Print the critical chain that determines the latency.")
+    flag_arg "explain"
+      ~doc:"Print the critical chain that determines the latency."
   in
-  let run seed m tasks epsilon granularity algo model family import save load explain =
-    let sched =
-      match load with
-      | Some path -> load_schedule_file path
-      | None ->
-          let _, costs =
-            make_instance ?import ~seed ~family ~tasks ~m ~granularity ()
-          in
-          run_algo algo ~model ~seed ~epsilon costs
-    in
+  let run r import save load explain =
+    let sched = build_or_load ?import ~load r in
     Option.iter (fun path -> Schedule_io.to_file path sched) save;
     Format.printf "%a@.@." Schedule.pp_summary sched;
     Format.printf "%a@." Metrics.pp (Metrics.analyze sched);
@@ -504,8 +509,7 @@ let inspect_cmd =
   in
   let term =
     Term.(
-      const run $ seed_t $ m_t $ tasks_t $ epsilon_t $ granularity_t $ algo_t
-      $ model_t $ family_t $ import_t $ save_t $ load_t $ explain_t)
+      const run $ request_t $ import_t $ save_t $ load_t $ explain_t)
   in
   Cmd.v
     (Cmd.info "inspect"
@@ -522,55 +526,28 @@ let analyze_cmd =
     in
     Arg.(value & opt (some int) None & info [ "epsilon"; "e" ] ~docv:"EPS" ~doc)
   in
-  let format_t =
-    let doc = "Output format: text or json." in
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc)
-  in
+  let format_t = format_arg "format" ~doc:"Output format: text or json." in
   let certificate_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "certificate" ] ~docv:"FILE"
-          ~doc:"Write the standalone resistance certificate (JSON) to FILE.")
+    file_arg "certificate"
+      ~doc:"Write the standalone resistance certificate (JSON) to FILE."
   in
   let cross_check_t =
-    Arg.(
-      value & flag
-      & info [ "cross-check" ]
-          ~doc:
-            "Also replay crash scenarios with the dynamic checker and \
-             report whether it agrees with the static certificate.")
+    flag_arg "cross-check"
+      ~doc:
+        "Also replay crash scenarios with the dynamic checker and \
+         report whether it agrees with the static certificate."
   in
   let load_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "load" ] ~docv:"FILE"
-          ~doc:"Analyze a previously saved schedule instead of building one.")
+    file_arg "load"
+      ~doc:"Analyze a previously saved schedule instead of building one."
   in
   let domains_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Parallelize per-task certification over N domains.")
+    domains_t ~doc:"Parallelize per-task certification over N domains."
   in
-  let run seed m tasks epsilon granularity algo model family import load format
-      certificate cross_check domains =
-    let sched =
-      match load with
-      | Some path -> load_schedule_file path
-      | None ->
-          let _, costs =
-            make_instance ?import ~seed ~family ~tasks ~m ~granularity ()
-          in
-          run_algo algo ~model ~seed
-            ~epsilon:(Option.value epsilon ~default:1)
-            costs
-    in
+  let run epsilon (r : Request.t) import load format certificate cross_check
+      domains =
+    let r = { r with epsilon = Option.value epsilon ~default:r.epsilon } in
+    let sched = build_or_load ?import ~load r in
     Option.iter
       (check_tolerance ~m:(Platform.proc_count (Schedule.platform sched)))
       epsilon;
@@ -580,12 +557,7 @@ let analyze_cmd =
         match report.Analysis_report.a_certificate with
         | None -> prerr_endline "no certificate to write (analysis overflowed)"
         | Some c ->
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () ->
-                output_string oc (Json.to_string (Certificate.to_json c));
-                output_char oc '\n'))
+            write_file path (Json.to_string (Certificate.to_json c) ^ "\n"))
       certificate;
     (match format with
     | `Json -> print_endline (Json.to_string (Analysis_report.to_json report))
@@ -618,9 +590,10 @@ let analyze_cmd =
   in
   let term =
     Term.(
-      const run $ seed_t $ m_t $ tasks_t $ eps_opt_t $ granularity_t $ algo_t
-      $ model_t $ family_t $ import_t $ load_t $ format_t $ certificate_t
-      $ cross_check_t $ domains_t)
+      const run $ eps_opt_t
+      $ request_of (const default.epsilon)
+      $ import_t $ load_t $ format_t $ certificate_t $ cross_check_t
+      $ domains_t)
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -641,29 +614,22 @@ let montecarlo_cmd =
       & info [ "crashes" ] ~docv:"K" ~doc:"Processors crashed per scenario.")
   in
   let timed_t =
-    Arg.(
-      value & flag
-      & info [ "timed" ]
-          ~doc:
-            "Crash at uniform random instants within the schedule horizon \
-             instead of from time zero.")
+    flag_arg "timed"
+      ~doc:
+        "Crash at uniform random instants within the schedule horizon \
+         instead of from time zero."
   in
   let domains_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Evaluate the replays over N domains (the report is identical \
-             for any N).")
+    domains_t
+      ~doc:
+        "Evaluate the replays over N domains (the report is identical for \
+         any N)."
   in
-  let run seed m tasks epsilon granularity algo model family runs crashes timed
-      domains obs =
+  let run (r : Request.t) runs crashes timed domains obs =
     at_least "--runs" 1 runs;
     at_least "--crashes" 0 crashes;
     with_obs obs @@ fun () ->
-    let _, costs = make_instance ~seed ~family ~tasks ~m ~granularity () in
-    let sched = run_algo algo ~model ~seed ~epsilon costs in
+    let sched = build r in
     let mode =
       if timed then Monte_carlo.Timed (Schedule.makespan sched)
       else Monte_carlo.From_start
@@ -671,19 +637,18 @@ let montecarlo_cmd =
     Format.printf
       "%s, epsilon=%d, %d scenarios of %d %s crashes (latency with 0 crash: \
        %.3f)@."
-      (Schedule.algorithm sched) epsilon runs crashes
+      (Schedule.algorithm sched) r.epsilon runs crashes
       (if timed then "timed" else "from-start")
       (Schedule.latency_zero_crash sched);
     let report =
-      Monte_carlo.run ~seed:(seed + 1) ~runs ?domains ~crashes ~mode sched
+      Monte_carlo.run ~seed:(r.seed + 1) ~runs ?domains ~crashes ~mode sched
     in
     Format.printf "%a@." Monte_carlo.pp report;
     0
   in
   let term =
     Term.(
-      const run $ seed_t $ m_t $ tasks_t $ epsilon_t $ granularity_t $ algo_t
-      $ model_t $ family_t $ runs_t $ crashes_t $ timed_t $ domains_t $ obs_t)
+      const run $ request_t $ runs_t $ crashes_t $ timed_t $ domains_t $ obs_t)
   in
   Cmd.v
     (Cmd.info "montecarlo" ~doc:"Monte-Carlo fault injection on one schedule")
@@ -717,67 +682,59 @@ let stress_cmd =
           ~doc:"Monte-Carlo scenarios per degradation-curve point.")
   in
   let json_t =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the full report as JSON on stdout.")
+    flag_arg "json" ~doc:"Emit the full report as JSON on stdout."
   in
   let domains_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Parallelize the adversary's replays, the static certification \
-             and the degradation sweep over N domains (the report is \
-             identical for any N).")
+    domains_t
+      ~doc:
+        "Parallelize the adversary's replays, the static certification and \
+         the degradation sweep over N domains (the report is identical for \
+         any N)."
   in
-  let run seed m tasks epsilon granularity algo model family import budget
-      beyond runs json domains obs =
+  let run (r : Request.t) import budget beyond runs json domains obs =
     at_least "--runs" 1 runs;
     with_obs obs @@ fun () ->
-    let _, costs =
-      make_instance ?import ~seed ~family ~tasks ~m ~granularity ()
-    in
-    let sched = run_algo algo ~model ~seed ~epsilon costs in
+    let sched = build ?import r in
     (* the schedule's actual tolerance (0 for unreplicated baselines),
        not the requested one: the invariant below is about what the
        schedule guarantees *)
     let epsilon = Schedule.epsilon sched in
-    let report = Inject.adversary ~seed:(seed + 23) ~budget ?domains sched in
+    let report = Inject.adversary ~seed:(r.seed + 23) ~budget ?domains sched in
     let curve =
       if beyond <= 0 then []
       else
-        Monte_carlo.degradation_curve ~seed:(seed + 1) ~runs ?domains
-          ~max_crashes:(min m (epsilon + beyond))
+        Monte_carlo.degradation_curve ~seed:(r.seed + 1) ~runs ?domains
+          ~max_crashes:(min r.m (epsilon + beyond))
           ~mode:Monte_carlo.From_start sched
     in
     (* the dynamic half of Proposition 5.2: within tolerance, every
        sampled scenario must complete *)
     let within_eps_ok =
       List.for_all
-        (fun (k, (r : Monte_carlo.report)) ->
-          k > epsilon || r.Monte_carlo.completed = r.Monte_carlo.runs)
+        (fun (k, (mc : Monte_carlo.report)) ->
+          k > epsilon || mc.Monte_carlo.completed = mc.Monte_carlo.runs)
         curve
+    in
+    (* a point without degradation completed every task *)
+    let completion (mc : Monte_carlo.report) =
+      match mc.Monte_carlo.degradation with
+      | Some d ->
+          (d.Monte_carlo.deg_completion_mean, d.Monte_carlo.deg_completion_min)
+      | None -> (1., 1.)
     in
     (if json then
        let curve_json =
          List.map
-           (fun (k, (r : Monte_carlo.report)) ->
-             let cm, cmin =
-               match r.Monte_carlo.degradation with
-               | Some d ->
-                   ( d.Monte_carlo.deg_completion_mean,
-                     d.Monte_carlo.deg_completion_min )
-               | None -> (1., 1.)
-             in
+           (fun (k, (mc : Monte_carlo.report)) ->
+             let cm, cmin = completion mc in
              Json.Obj
                [
                  ("crashes", Json.Int k);
-                 ("runs", Json.Int r.Monte_carlo.runs);
-                 ("completed", Json.Int r.Monte_carlo.completed);
+                 ("runs", Json.Int mc.Monte_carlo.runs);
+                 ("completed", Json.Int mc.Monte_carlo.completed);
                  ("completion_mean", Json.Float cm);
                  ("completion_min", Json.Float cmin);
-                 ("worst_slowdown", Json.Float r.Monte_carlo.worst_slowdown);
+                 ("worst_slowdown", Json.Float mc.Monte_carlo.worst_slowdown);
                ])
            curve
        in
@@ -793,25 +750,19 @@ let stress_cmd =
        Format.printf "%s, %d tasks on %d processors@."
          (Schedule.algorithm sched)
          (Dag.task_count (Schedule.dag sched))
-         m;
+         r.m;
        Format.printf "@[<v>%a@]@." Inject.pp report;
        if curve <> [] then begin
          Format.printf "degradation curve (%d runs per point):@." runs;
          Format.printf
            "  crashes  completed  completion(mean/min)  worst-slowdown@.";
          List.iter
-           (fun (k, (r : Monte_carlo.report)) ->
-             let cm, cmin =
-               match r.Monte_carlo.degradation with
-               | Some d ->
-                   ( d.Monte_carlo.deg_completion_mean,
-                     d.Monte_carlo.deg_completion_min )
-               | None -> (1., 1.)
-             in
+           (fun (k, (mc : Monte_carlo.report)) ->
+             let cm, cmin = completion mc in
              Format.printf "  %7d  %4d/%-4d  %8.3f/%-8.3f  %s@." k
-               r.Monte_carlo.completed r.Monte_carlo.runs cm cmin
-               (if Float.is_nan r.Monte_carlo.worst_slowdown then "-"
-                else Printf.sprintf "%.2fx" r.Monte_carlo.worst_slowdown))
+               mc.Monte_carlo.completed mc.Monte_carlo.runs cm cmin
+               (if Float.is_nan mc.Monte_carlo.worst_slowdown then "-"
+                else Printf.sprintf "%.2fx" mc.Monte_carlo.worst_slowdown))
            curve
        end;
        if not within_eps_ok then
@@ -822,8 +773,7 @@ let stress_cmd =
   in
   let term =
     Term.(
-      const run $ seed_t $ m_t $ tasks_t $ epsilon_t $ granularity_t $ algo_t
-      $ model_t $ family_t $ import_t $ budget_t $ beyond_t $ runs_t $ json_t
+      const run $ request_t $ import_t $ budget_t $ beyond_t $ runs_t $ json_t
       $ domains_t $ obs_t)
   in
   Cmd.v
@@ -843,7 +793,7 @@ let topology_cmd =
           ~doc:"Interconnect: ring, star, mesh-RxC, torus-RxC, hypercube-D, clique.")
   in
   let routes_t =
-    Arg.(value & flag & info [ "routes" ] ~doc:"Print the full routing table.")
+    flag_arg "routes" ~doc:"Print the full routing table."
   in
   let parse_shape m shape =
     let unknown () =
@@ -911,37 +861,22 @@ let campaign_cmd =
       & info [ "graphs" ] ~docv:"N" ~doc:"Random graphs per point (default 60).")
   in
   let csv_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the series as CSV.")
+    file_arg "csv" ~doc:"Also write the series as CSV."
   in
-  let domains_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Parallelize the campaign over N domains.")
-  in
+  let domains_t = domains_t ~doc:"Parallelize the campaign over N domains." in
   let gnuplot_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "gnuplot" ] ~docv:"FILE"
-          ~doc:
-            "Also write a gnuplot script rendering the figure's three \
-             panels from the CSV (requires --csv).")
+    file_arg "gnuplot"
+      ~doc:
+        "Also write a gnuplot script rendering the figure's three \
+         panels from the CSV (requires --csv)."
   in
   let checkpoint_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "Record every completed granularity point in FILE (written \
-             atomically after each point); rerunning with the same figure \
-             and seed resumes from it, reproducing the uninterrupted \
-             report byte for byte.")
+    file_arg "checkpoint"
+      ~doc:
+        "Record every completed granularity point in FILE (written \
+         atomically after each point); rerunning with the same figure \
+         and seed resumes from it, reproducing the uninterrupted \
+         report byte for byte."
   in
   let run figure graphs csv gnuplot checkpoint seed domains obs =
     with_obs obs @@ fun () ->
@@ -955,22 +890,12 @@ let campaign_cmd =
       try Campaign.run ~seed ?domains ?checkpoint config
       with Campaign.Checkpoint_error msg -> usage_error "%s" msg
     in
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Report.to_csv result)))
-      csv;
+    Option.iter (fun path -> write_file path (Report.to_csv result)) csv;
     Option.iter
       (fun path ->
         match csv with
         | None -> prerr_endline "--gnuplot requires --csv; script not written"
-        | Some data ->
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () -> output_string oc (Report.to_gnuplot result ~data)))
+        | Some data -> write_file path (Report.to_gnuplot result ~data))
       gnuplot;
     print_string (Report.render result);
     0
@@ -1006,12 +931,10 @@ let benchdiff_cmd =
              least $(docv)%% fails the diff.")
   in
   let advisory_t =
-    Arg.(
-      value & flag
-      & info [ "advisory" ]
-          ~doc:
-            "Report regressions but exit 0 anyway — for CI steps that should \
-             warn, not gate.")
+    flag_arg "advisory"
+      ~doc:
+        "Report regressions but exit 0 anyway — for CI steps that should \
+         warn, not gate."
   in
   let filter_t =
     Arg.(
@@ -1072,21 +995,16 @@ let serve_cmd =
           ~doc:"Listen on a Unix domain socket instead of stdin/stdout.")
   in
   let cache_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache" ] ~docv:"FILE"
-          ~doc:
-            "Journal finished results to FILE so a restarted daemon serves \
-             them from cache.")
+    file_arg "cache"
+      ~doc:
+        "Journal finished results to FILE so a restarted daemon serves \
+         them from cache."
   in
   let resume_t =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Warm-restart: replay an existing cache journal (tolerates the \
-             torn tail a kill -9 leaves).")
+    flag_arg "resume"
+      ~doc:
+        "Warm-restart: replay an existing cache journal (tolerates the \
+         torn tail a kill -9 leaves)."
   in
   let queue_t =
     Arg.(

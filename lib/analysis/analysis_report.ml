@@ -36,11 +36,6 @@ let ok t =
 
 (* -- JSON -------------------------------------------------------------- *)
 
-let model_to_string = function
-  | Netstate.One_port -> "one-port"
-  | Netstate.Macro_dataflow -> "macro-dataflow"
-  | Netstate.Multiport k -> Printf.sprintf "multiport-%d" k
-
 let location_to_json (l : Validate.location) =
   let open Json in
   Obj
@@ -103,7 +98,7 @@ let to_json t =
             ( "processors",
               Int (Platform.proc_count (Schedule.platform sched)) );
             ("epsilon", Int (Schedule.epsilon sched));
-            ("model", String (model_to_string (Schedule.model sched)));
+            ("model", String (Netstate.model_to_string (Schedule.model sched)));
             ("messages", Int (Schedule.message_count sched));
             ("latency_zero_crash", Float (Schedule.latency_zero_crash sched));
             ("latency_upper_bound", Float (Schedule.latency_upper_bound sched));
@@ -135,7 +130,7 @@ let pp ppf t =
     (Dag.task_count (Schedule.dag sched))
     (Schedule.epsilon sched + 1)
     (Platform.proc_count (Schedule.platform sched))
-    (model_to_string (Schedule.model sched));
+    (Netstate.model_to_string (Schedule.model sched));
   (match t.a_resilience with
   | None ->
       Format.fprintf ppf

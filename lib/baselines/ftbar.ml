@@ -91,10 +91,4 @@ let run ?(model = Netstate.One_port) ?(seed = 42) ~epsilon costs =
       (Dag.succs dag chosen_task);
     decr remaining
   done;
-  let name =
-    match model with
-    | Netstate.One_port -> "FTBAR"
-    | Netstate.Macro_dataflow -> "FTBAR-macro"
-    | Netstate.Multiport k -> Printf.sprintf "FTBAR-mp%d" k
-  in
-  Workspace.to_schedule ~algorithm:name ws
+  Workspace.to_schedule ~algorithm:(Netstate.algorithm_name "FTBAR" model) ws

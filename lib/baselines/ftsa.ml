@@ -48,10 +48,4 @@ let run ?(model = Netstate.One_port) ?(seed = 42) ~epsilon costs =
         loop ()
   in
   loop ();
-  let name =
-    match model with
-    | Netstate.One_port -> "FTSA"
-    | Netstate.Macro_dataflow -> "FTSA-macro"
-    | Netstate.Multiport k -> Printf.sprintf "FTSA-mp%d" k
-  in
-  Workspace.to_schedule ~algorithm:name ws
+  Workspace.to_schedule ~algorithm:(Netstate.algorithm_name "FTSA" model) ws

@@ -3,11 +3,7 @@
    (Algorithm 5.2 with the support-set strengthening — see Caft_engine). *)
 
 let algorithm_name ~one_to_one ~model =
-  let base = if one_to_one then "CAFT" else "CAFT-full" in
-  match model with
-  | Netstate.One_port -> base
-  | Netstate.Macro_dataflow -> base ^ "-macro"
-  | Netstate.Multiport k -> Printf.sprintf "%s-mp%d" base k
+  Netstate.algorithm_name (if one_to_one then "CAFT" else "CAFT-full") model
 
 (* The Algorithm 5.1 list-scheduling loop, shared by the in-memory and
    streaming entry points (which differ only in engine construction and

@@ -1,5 +1,24 @@
 type model = Macro_dataflow | One_port | Multiport of int
 
+let model_to_string = function
+  | One_port -> "one-port"
+  | Macro_dataflow -> "macro-dataflow"
+  | Multiport k -> Printf.sprintf "multiport-%d" k
+
+let model_of_string = function
+  | "one-port" -> Ok One_port
+  | "macro-dataflow" -> Ok Macro_dataflow
+  | s when String.length s > 10 && String.sub s 0 10 = "multiport-" -> (
+      match int_of_string_opt (String.sub s 10 (String.length s - 10)) with
+      | Some k when k >= 1 -> Ok (Multiport k)
+      | _ -> Error ("bad multiport model " ^ s))
+  | s -> Error ("unknown model " ^ s)
+
+let algorithm_name base = function
+  | One_port -> base
+  | Macro_dataflow -> base ^ "-macro"
+  | Multiport k -> Printf.sprintf "%s-mp%d" base k
+
 (* Observability: booking decisions recorded here cover every scheduler
    (CAFT, the baselines, the batch variant) since they all book through
    this module.  Only committed bookings record; a [probe] never does. *)

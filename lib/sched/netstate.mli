@@ -54,6 +54,20 @@
       link.  [Multiport 1] behaves like {!One_port}. *)
 type model = Macro_dataflow | One_port | Multiport of int
 
+val model_to_string : model -> string
+(** The spelling of schedule files and reports: ["one-port"],
+    ["macro-dataflow"], ["multiport-K"]. *)
+
+val model_of_string : string -> (model, string) result
+(** Inverse of {!model_to_string}; [Error "bad multiport model S"] for a
+    ["multiport-"] spelling without a count of at least 1, [Error
+    "unknown model S"] for any other unknown spelling. *)
+
+val algorithm_name : string -> model -> string
+(** [algorithm_name base model] is the name a scheduler gives a schedule
+    booked under [model]: [base] under one-port, [base ^ "-macro"] under
+    macro-dataflow, [base ^ "-mpK"] under [Multiport K]. *)
+
 type t
 
 val create : ?model:model -> Platform.t -> t

@@ -130,8 +130,5 @@ let pp_summary ppf t =
     (Array.length t.by_task)
     (t.epsilon + 1)
     (Platform.proc_count (platform t))
-    (match t.model with
-    | Netstate.One_port -> "one-port"
-    | Netstate.Macro_dataflow -> "macro-dataflow"
-    | Netstate.Multiport k -> Printf.sprintf "multiport-%d" k)
+    (Netstate.model_to_string t.model)
     (latency_zero_crash t) (latency_upper_bound t) t.message_count

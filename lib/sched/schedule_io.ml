@@ -27,12 +27,7 @@ let emit_instance add ~algorithm ~epsilon ~model costs =
   add "ftsched-schedule v1\n";
   add (Printf.sprintf "algorithm %s\n" algorithm);
   add (Printf.sprintf "epsilon %d\n" epsilon);
-  add
-    (Printf.sprintf "model %s\n"
-       (match model with
-       | Netstate.One_port -> "one-port"
-       | Netstate.Macro_dataflow -> "macro-dataflow"
-       | Netstate.Multiport k -> Printf.sprintf "multiport-%d" k));
+  add (Printf.sprintf "model %s\n" (Netstate.model_to_string model));
   add (Printf.sprintf "tasks %d\n" v);
   add (Printf.sprintf "procs %d\n" m);
   for t = 0 to v - 1 do
@@ -205,14 +200,10 @@ let parse text =
         | _ when lineno = 1 -> fail lineno "missing header 'ftsched-schedule v1'"
         | [ "algorithm"; name ] -> st.algorithm <- name
         | [ "epsilon"; e ] -> st.epsilon <- int_of lineno e
-        | [ "model"; "one-port" ] -> st.pmodel <- Netstate.One_port
-        | [ "model"; "macro-dataflow" ] -> st.pmodel <- Netstate.Macro_dataflow
-        | [ "model"; other ]
-          when String.length other > 10 && String.sub other 0 10 = "multiport-" -> (
-            match int_of_string_opt (String.sub other 10 (String.length other - 10)) with
-            | Some k when k >= 1 -> st.pmodel <- Netstate.Multiport k
-            | _ -> fail lineno ("bad multiport model " ^ other))
-        | [ "model"; other ] -> fail lineno ("unknown model " ^ other)
+        | [ "model"; spelling ] -> (
+            match Netstate.model_of_string spelling with
+            | Ok model -> st.pmodel <- model
+            | Error msg -> fail lineno msg)
         | [ "tasks"; n ] -> st.tasks <- int_of lineno n
         | [ "procs"; n ] -> st.procs <- int_of lineno n
         | "task" :: id :: name :: _ when name.[0] = '"' ->

@@ -72,14 +72,20 @@ let get_bool fields name ~default : bool parse =
   | Some (Json.Bool b) -> Ok b
   | Some _ -> Error (Printf.sprintf "parameter %S must be a boolean" name)
 
-let get_enum fields name ~default ~values : string parse =
-  match List.assoc_opt name fields with
-  | None -> Ok default
-  | Some (Json.String s) when List.mem s values -> Ok s
-  | Some (Json.String s) ->
+(* A name from one of the request vocabulary's tables, in one pass and
+   with no allocation beyond [Ok]: the daemon parses every frame. *)
+let rec find_named name table s = function
+  | (n, v) :: rest ->
+      if String.equal n s then Ok v else find_named name table s rest
+  | [] ->
       Error
         (Printf.sprintf "parameter %S: unknown value %S (accepted: %s)" name s
-           (String.concat ", " values))
+           (String.concat ", " (List.map fst table)))
+
+let get_named fields name ~default ~table : 'a parse =
+  match List.assoc_opt name fields with
+  | None -> Ok default
+  | Some (Json.String s) -> find_named name table s table
   | Some _ -> Error (Printf.sprintf "parameter %S must be a string" name)
 
 let get_int_list fields name ~min:lo ~max:hi : int list parse =
@@ -101,19 +107,8 @@ let get_int_list fields name ~min:lo ~max:hi : int list parse =
       Error (Printf.sprintf "parameter %S must be a list of integers" name)
 
 (* -- shared instance parameters ----------------------------------------
-   Identical vocabulary and defaults to the CLI flags, so a request
-   without parameters evaluates the CLI's default instance. *)
-
-type base = {
-  b_seed : int;
-  b_family : string;
-  b_tasks : int;
-  b_m : int;
-  b_epsilon : int;
-  b_granularity : float;
-  b_algo : string;
-  b_model : string;
-}
+   The request vocabulary's names and defaults, so a request without
+   parameters evaluates the CLI's default instance. *)
 
 (* Ceilings a shared daemon enforces that a local CLI run does not: the
    evaluation loops are cancellable, but building a 10^6-task schedule
@@ -123,67 +118,50 @@ let max_m = 256
 let max_epsilon = 8
 let max_runs = 1_000_000
 
-let algo_names = [ "caft"; "ftsa"; "ftbar"; "heft" ]
-let model_names = [ "one-port"; "macro"; "multiport-2"; "multiport-4" ]
-
 let base_params =
   [ "seed"; "family"; "tasks"; "m"; "epsilon"; "granularity"; "algo"; "model" ]
 
-let parse_base fields : base parse =
-  let* b_seed = get_int fields "seed" ~default:1 ~min:min_int ~max:max_int in
-  let* b_family =
-    get_enum fields "family" ~default:"random" ~values:Instance.families
-  in
-  let* b_tasks = get_int fields "tasks" ~default:40 ~min:1 ~max:max_tasks in
-  let* b_m = get_int fields "m" ~default:10 ~min:1 ~max:max_m in
-  let* b_epsilon =
-    get_int fields "epsilon" ~default:1 ~min:0 ~max:(min max_epsilon (b_m - 1))
-  in
-  let* b_granularity =
-    get_float fields "granularity" ~default:1.0 ~min:1e-6 ~max:1e6
-  in
-  let* b_algo = get_enum fields "algo" ~default:"caft" ~values:algo_names in
-  let* b_model =
-    get_enum fields "model" ~default:"one-port" ~values:model_names
-  in
-  Ok { b_seed; b_family; b_tasks; b_m; b_epsilon; b_granularity; b_algo; b_model }
+let families = List.map (fun f -> (f, f)) Instance.families
 
-let model_of_name = function
-  | "macro" -> Netstate.Macro_dataflow
-  | "multiport-2" -> Netstate.Multiport 2
-  | "multiport-4" -> Netstate.Multiport 4
-  | _ -> Netstate.One_port
+let parse_base fields : Request.t parse =
+  let open Request in
+  let* seed =
+    get_int fields "seed" ~default:default.seed ~min:min_int ~max:max_int
+  in
+  let* family =
+    get_named fields "family" ~default:default.family ~table:families
+  in
+  let* tasks =
+    get_int fields "tasks" ~default:default.tasks ~min:1 ~max:max_tasks
+  in
+  let* m = get_int fields "m" ~default:default.m ~min:1 ~max:max_m in
+  let* epsilon =
+    get_int fields "epsilon" ~default:default.epsilon ~min:0
+      ~max:(min max_epsilon (m - 1))
+  in
+  let* granularity =
+    get_float fields "granularity" ~default:default.granularity ~min:1e-6
+      ~max:1e6
+  in
+  let* algo = get_named fields "algo" ~default:default.algo ~table:algos in
+  let* model = get_named fields "model" ~default:default.model ~table:models in
+  Ok { seed; family; tasks; m; epsilon; granularity; algo; model }
 
 (* The canonical field sequence behind every cache key: op, then the
    effective (post-default) instance parameters in a fixed order. *)
-let base_fp ~op b =
+let base_fp ~op (r : Request.t) =
   Fingerprint.(
     empty |> Fun.flip add_string op
-    |> Fun.flip add_int b.b_seed
-    |> Fun.flip add_string b.b_family
-    |> Fun.flip add_int b.b_tasks
-    |> Fun.flip add_int b.b_m
-    |> Fun.flip add_int b.b_epsilon
-    |> Fun.flip add_float b.b_granularity
-    |> Fun.flip add_string b.b_algo
-    |> Fun.flip add_string b.b_model)
+    |> Fun.flip add_int r.seed
+    |> Fun.flip add_string r.family
+    |> Fun.flip add_int r.tasks
+    |> Fun.flip add_int r.m
+    |> Fun.flip add_int r.epsilon
+    |> Fun.flip add_float r.granularity
+    |> Fun.flip add_string (Request.algo_name r.algo)
+    |> Fun.flip add_string (Request.model_name r.model))
 
 (* -- schedule construction, memoized ----------------------------------- *)
-
-(* [Error] only for an instance the parameters cannot build (one without
-   communication): parse_base validated the rest. *)
-let build_schedule b =
-  let* _dag, costs =
-    Instance.make ~seed:b.b_seed ~family:b.b_family ~tasks:b.b_tasks ~m:b.b_m
-      ~granularity:b.b_granularity ()
-  in
-  let model = model_of_name b.b_model in
-  Ok
-    (match b.b_algo with
-    | "ftsa" -> Ftsa.run ~model ~seed:b.b_seed ~epsilon:b.b_epsilon costs
-    | "ftbar" -> Ftbar.run ~model ~seed:b.b_seed ~epsilon:b.b_epsilon costs
-    | "heft" -> Heft.run ~model ~seed:b.b_seed costs
-    | _ -> Caft.run ~model ~seed:b.b_seed ~epsilon:b.b_epsilon costs)
 
 (* The memo key deliberately excludes the op: a [montecarlo] and a
    [replay] on the same instance share one schedule and one compiled
@@ -195,7 +173,10 @@ let schedule_of ctx b =
   match Hashtbl.find_opt ctx.memo key with
   | Some e -> Ok e
   | None ->
-      let* me_sched = build_schedule b in
+      (* [Error] only for an instance without communication: parse_base
+         validated the rest *)
+      let* _dag, costs = Request.instance b in
+      let me_sched = Request.schedule b costs in
       let e = { me_sched; me_compiled = lazy (Replay.compile me_sched) } in
       if Hashtbl.length ctx.memo >= memo_capacity then begin
         match Queue.take_opt ctx.memo_order with
@@ -221,12 +202,12 @@ let summary_json (s : Stats.summary) =
       ("median", float_or_null s.Stats.median);
     ]
 
-let schedule_result ~include_text b sched =
+let schedule_result ~include_text (b : Request.t) sched =
   let violations = Validate.run sched in
   Json.Obj
     (("algorithm", Json.String (Schedule.algorithm sched))
     :: ("tasks", Json.Int (Dag.task_count (Schedule.dag sched)))
-    :: ("procs", Json.Int b.b_m)
+    :: ("procs", Json.Int b.m)
     :: ("epsilon", Json.Int (Schedule.epsilon sched))
     :: ("latency_zero_crash", float_or_null (Schedule.latency_zero_crash sched))
     :: ("latency_upper_bound", float_or_null (Schedule.latency_upper_bound sched))
@@ -284,12 +265,10 @@ let prepare_schedule ctx fields =
   let* () = check_known ~allowed:(base_params @ [ "include_text" ]) fields in
   let* b = parse_base fields in
   let* include_text = get_bool fields "include_text" ~default:false in
-  let key =
-    Fingerprint.(to_hex (add_bool (base_fp ~op:"schedule" b) include_text))
-  in
   Ok
     {
-      p_key = key;
+      p_key =
+        Fingerprint.(to_hex (add_bool (base_fp ~op:"schedule" b) include_text));
       p_op = "schedule";
       p_run =
         (fun ~cancel ->
@@ -300,16 +279,13 @@ let prepare_schedule ctx fields =
 let prepare_replay ctx fields =
   let* () = check_known ~allowed:(base_params @ [ "crashed" ]) fields in
   let* b = parse_base fields in
-  let* crashed = get_int_list fields "crashed" ~min:0 ~max:(b.b_m - 1) in
+  let* crashed = get_int_list fields "crashed" ~min:0 ~max:(b.m - 1) in
   let crashed = List.sort_uniq compare crashed in
-  let key =
-    Fingerprint.(
-      to_hex
-        (List.fold_left add_int (base_fp ~op:"replay" b) crashed))
-  in
   Ok
     {
-      p_key = key;
+      p_key =
+        Fingerprint.(
+          to_hex (List.fold_left add_int (base_fp ~op:"replay" b) crashed));
       p_op = "replay";
       p_run =
         (fun ~cancel ->
@@ -324,18 +300,16 @@ let prepare_montecarlo ctx fields =
   in
   let* b = parse_base fields in
   let* runs = get_int fields "runs" ~default:1000 ~min:1 ~max:max_runs in
-  let* crashes = get_int fields "crashes" ~default:1 ~min:0 ~max:b.b_m in
+  let* crashes = get_int fields "crashes" ~default:1 ~min:0 ~max:b.m in
   let* timed = get_bool fields "timed" ~default:false in
-  let key =
-    Fingerprint.(
-      to_hex
-        (add_bool
-           (add_int (add_int (base_fp ~op:"montecarlo" b) runs) crashes)
-           timed))
-  in
   Ok
     {
-      p_key = key;
+      p_key =
+        Fingerprint.(
+          to_hex
+            (add_bool
+               (add_int (add_int (base_fp ~op:"montecarlo" b) runs) crashes)
+               timed));
       p_op = "montecarlo";
       p_run =
         (fun ~cancel ->
@@ -346,7 +320,7 @@ let prepare_montecarlo ctx fields =
             in
             (* seed + 1, exactly as the CLI's montecarlo subcommand *)
             let r =
-              Monte_carlo.run ~seed:(b.b_seed + 1) ~runs ~cancel ~crashes
+              Monte_carlo.run ~seed:(b.seed + 1) ~runs ~cancel ~crashes
                 ~mode e.me_sched
             in
             Ok (render (montecarlo_result r))));
@@ -362,25 +336,24 @@ let prepare_analyze ctx fields =
   let* () = check_known ~allowed:base_params fields in
   let* b = parse_base fields in
   let* () =
-    if b.b_tasks > analyze_max_tasks then
+    if b.tasks > analyze_max_tasks then
       Error
         (Printf.sprintf "analyze caps 'tasks' at %d (got %d)"
-           analyze_max_tasks b.b_tasks)
-    else if b.b_m > analyze_max_m then
+           analyze_max_tasks b.tasks)
+    else if b.m > analyze_max_m then
       Error
-        (Printf.sprintf "analyze caps 'm' at %d (got %d)" analyze_max_m b.b_m)
+        (Printf.sprintf "analyze caps 'm' at %d (got %d)" analyze_max_m b.m)
     else Ok ()
   in
-  let key = Fingerprint.to_hex (base_fp ~op:"analyze" b) in
   Ok
     {
-      p_key = key;
+      p_key = Fingerprint.to_hex (base_fp ~op:"analyze" b);
       p_op = "analyze";
       p_run =
         (fun ~cancel ->
           guard ~cancel ctx b (fun e ->
             let report =
-              Analysis_report.analyze ~epsilon:b.b_epsilon e.me_sched
+              Analysis_report.analyze ~epsilon:b.epsilon e.me_sched
             in
             Ok (render (Analysis_report.to_json report))));
     }

@@ -2,10 +2,11 @@
 
     Four deterministic operations — [schedule], [replay], [montecarlo],
     [analyze] — share one parameter vocabulary (seed, family, tasks, m,
-    epsilon, granularity, algo, model: exactly the CLI flags) and are
-    evaluated through the same library entry points as the CLI, so a
-    serve response agrees byte-for-byte with a direct library call (the
-    differential test pins this).
+    epsilon, granularity, algo, model), the names and defaults of
+    {!Request} that the CLI reads too, and are evaluated through the same
+    library entry points as the CLI, so a serve response agrees
+    byte-for-byte with a direct library call (the differential test pins
+    this).
 
     {!prepare} validates the parameters {e up front} (strictly: unknown
     fields are rejected, catching typos before they silently select a

@@ -284,9 +284,13 @@ let compile sched =
     done;
   (* Dense ids, in link order, for the links some route uses: the arena
      and [reset] scale with the links the schedule books, not with the
-     platform's (m² on the clique). *)
+     platform's (m² on the clique).  A schedule without routes (no
+     message, or macro-dataflow) books no link and needs no table. *)
   let phys =
-    let dense = Array.make (Platform.link_count platform) (-1) in
+    let links =
+      if Array.length route_dat = 0 then 0 else Platform.link_count platform
+    in
+    let dense = Array.make links (-1) in
     Array.iter (fun l -> dense.(l) <- 0) route_dat;
     let n = ref 0 in
     Array.iteri

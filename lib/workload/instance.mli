@@ -1,13 +1,12 @@
 (** Named problem instances: the (DAG, costs) pair behind one seed.
 
-    The CLI and the serve daemon both accept the same generation
-    parameters — seed, graph family, task count, processor count,
-    granularity — and must build byte-identical instances from them (a
-    cached serve result is only valid if the daemon reconstructs exactly
-    the instance the CLI would).  This module is that single definition:
-    the family dispatch table and the seeded instance constructor, with
-    [result]-typed errors so bad input from a network request or the
-    command line never surfaces as a raw exception. *)
+    The CLI and the serve daemon read their generation parameters and
+    defaults from one request module ([Request], experiments library) and
+    must build byte-identical instances from them: a cached serve result
+    is only valid if the daemon reconstructs exactly the instance the CLI
+    would.  This module builds them — the family dispatch table and the
+    seeded constructor — with [result]-typed errors, so bad input from a
+    network request or the command line never raises. *)
 
 val families : string list
 (** Accepted [family] names, in documentation order: random, fork, join,
@@ -25,10 +24,10 @@ val make :
 (** [make ()] draws the DAG and a random heterogeneous platform + cost
     matrix from one root RNG ([seed], default 1), rescaled to the target
     [granularity] (default 1.0) — byte-identical to the CLI's
-    [--seed/--family/--tasks/--m/--granularity] instance.  Defaults:
-    family [random], 40 tasks, 10 processors.  [Error] (instead of an
-    exception) on an unknown family, non-positive sizes, or an instance
-    without communication ({!no_communication}). *)
+    [--seed/--family/--tasks/-m/--granularity] instance.  Defaults:
+    family [random], 40 tasks, 10 processors, as in [Request.default].
+    [Error] (instead of an exception) on an unknown family, non-positive
+    sizes, or an instance without communication ({!no_communication}). *)
 
 val costs :
   Rng.t -> m:int -> granularity:float -> Dag.t -> (Costs.t, string) result

@@ -24,11 +24,6 @@ type t = {
 
 let algo_name = function Caft -> "CAFT" | Ftsa -> "FTSA" | Ftbar -> "FTBAR"
 
-let model_name = function
-  | Netstate.One_port -> "one-port"
-  | Netstate.Multiport k -> Printf.sprintf "multiport-%d" k
-  | Netstate.Macro_dataflow -> "macro-dataflow"
-
 let fabric_name = function
   | Clique -> "clique"
   | Ring -> "ring"
@@ -38,7 +33,9 @@ let fabric_name = function
 
 let print i =
   Printf.sprintf "seed=%d m=%d tasks=%d eps=%d %s %s %s%s" i.seed i.m i.tasks
-    i.epsilon (algo_name i.algo) (model_name i.model) (fabric_name i.fabric)
+    i.epsilon (algo_name i.algo)
+    (Netstate.model_to_string i.model)
+    (fabric_name i.fabric)
     (if i.thin then " thinned" else "")
 
 let rec log2 n = if n < 2 then 0 else 1 + log2 (n / 2)

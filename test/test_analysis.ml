@@ -451,11 +451,6 @@ let defects_for model =
   | Netstate.One_port | Netstate.Multiport _ ->
       [ Send_overlap; Recv_overlap; Link_overlap ]
 
-let model_name = function
-  | Netstate.One_port -> "one-port"
-  | Netstate.Multiport k -> Printf.sprintf "multiport-%d" k
-  | Netstate.Macro_dataflow -> "macro-dataflow"
-
 let models = [ Netstate.One_port; Netstate.Multiport 2; Netstate.Macro_dataflow ]
 let algo_names = [| "CAFT"; "FTSA"; "FTBAR"; "HEFT" |]
 
@@ -661,7 +656,9 @@ let tamper_case_gen =
 
 let print_tamper_case c =
   Printf.sprintf "seed=%d algo=%s model=%s defect=%s pick=%d" c.tc_seed
-    algo_names.(c.tc_algo) (model_name c.tc_model) (defect_name c.tc_defect)
+    algo_names.(c.tc_algo)
+    (Netstate.model_to_string c.tc_model)
+    (defect_name c.tc_defect)
     c.tc_pick
 
 let errors_as_violations findings =
@@ -705,7 +702,7 @@ let prop_untampered_clean =
          triple (int_range 0 1_000_000) (int_range 0 3) (oneofl models))
        ~print:(fun (seed, algo, model) ->
          Printf.sprintf "seed=%d algo=%s model=%s" seed algo_names.(algo)
-           (model_name model)))
+           (Netstate.model_to_string model)))
     (fun (seed, algo, model) ->
       Lint.errors (Lint.run (build_schedule ~algo ~model ~seed)) = 0)
 

@@ -315,10 +315,7 @@ let tie_case_gen =
 let print_tie_case c =
   Printf.sprintf "seed=%d tasks=%d m=%d model=%s routed=%b eps=%d"
     c.seed c.tasks c.m
-    (match c.model with
-    | Netstate.One_port -> "one-port"
-    | Netstate.Multiport k -> Printf.sprintf "multiport-%d" k
-    | Netstate.Macro_dataflow -> "macro-dataflow")
+    (Netstate.model_to_string c.model)
     c.routed c.epsilon
 
 let tie_schedule c =
@@ -474,10 +471,7 @@ let lane_case_gen =
 let print_lane_case c =
   Printf.sprintf "seed=%d block=%d model=%s ring=%b eps=%d"
     c.l_seed c.l_block
-    (match c.l_model with
-    | Netstate.One_port -> "one-port"
-    | Netstate.Multiport k -> Printf.sprintf "multiport-%d" k
-    | Netstate.Macro_dataflow -> "macro-dataflow")
+    (Netstate.model_to_string c.l_model)
     c.l_ring c.l_epsilon
 
 let lanes_agree c =
@@ -643,11 +637,12 @@ let test_batch_allocation () =
   Printf.printf "eval_batch: %.0f words per scenario\n" words
 
 (* Words that compiling a message-free schedule on the m = 800 clique and
-   evaluating one 32-row block allocate.  The lane arena holds one
-   free-time cell per lane for each physical link some route books, here
-   none; an arena sized by the platform's 800 x 799 links takes 20M words
-   for the link cells alone. *)
-let arena_words_bound = 2e6
+   evaluating one 32-row block allocate (about 83k).  The lane arena holds
+   one free-time cell per lane for each physical link some route books,
+   here none; an arena sized by the platform's 800 x 799 links takes 20M
+   words for the link cells alone, and a link-renumbering table of the
+   platform's links 640k. *)
+let arena_words_bound = 2e5
 
 let test_arena_sized_by_use () =
   let m = 800 in

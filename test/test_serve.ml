@@ -154,6 +154,35 @@ let test_fingerprint () =
   Helpers.check_bool "int vs float distinct" true
     Fingerprint.(to_hex (add_int empty 1) <> to_hex (add_float empty 1.))
 
+(* The cache keys of four requests that together name every algorithm
+   and model, pinned: a journal written by an earlier daemon must keep
+   resuming with hits, so the canonical field sequence behind
+   [Serve_ops.prepare]'s key cannot drift. *)
+let test_pinned_cache_keys () =
+  let ctx = Serve_ops.create () in
+  List.iter
+    (fun (op, params, want) ->
+      let params =
+        match Json.parse params with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "bad params %s: %s" params e
+      in
+      match Serve_ops.prepare ctx ~op ~params with
+      | Ok p -> Alcotest.(check string) (op ^ " key") want p.Serve_ops.p_key
+      | Error (_, msg) -> Alcotest.failf "%s rejected: %s" op msg)
+    [
+      ("schedule", {|{}|}, "087a5839bc3f9646");
+      ( "replay",
+        {|{"algo":"ftsa","model":"multiport-2","crashed":[0]}|},
+        "1cd9b18afe9d8245" );
+      ( "montecarlo",
+        {|{"algo":"ftbar","model":"macro","timed":true}|},
+        "05eb3dd69157db4f" );
+      ( "analyze",
+        {|{"algo":"heft","model":"multiport-4","m":8}|},
+        "44e05dede8fec74f" );
+    ]
+
 (* -- instance ---------------------------------------------------------------- *)
 
 let test_instance () =
@@ -184,7 +213,15 @@ let test_instance () =
   let s1 = Caft.run ~epsilon:1 costs and s2 = Caft.run ~epsilon:1 costs2 in
   Helpers.check_float "same instance, same schedule"
     (Schedule.latency_zero_crash s1)
-    (Schedule.latency_zero_crash s2)
+    (Schedule.latency_zero_crash s2);
+  (* [Instance.make]'s own defaults are the request vocabulary's *)
+  let default_schedule (_, costs) =
+    Schedule_io.to_string (Request.schedule Request.default costs)
+  in
+  Alcotest.(check string)
+    "Instance.make () is the default request's instance"
+    (default_schedule (ok_or_fail (Request.instance Request.default)))
+    (default_schedule (ok_or_fail (Instance.make ())))
 
 (* -- journal cache ------------------------------------------------------------ *)
 
@@ -425,6 +462,7 @@ let suite =
     Alcotest.test_case "cancellation threads the loops" `Quick
       test_cancel_threading;
     Alcotest.test_case "fingerprints" `Quick test_fingerprint;
+    Alcotest.test_case "cache keys pinned" `Quick test_pinned_cache_keys;
     Alcotest.test_case "instance construction" `Quick test_instance;
     Alcotest.test_case "journal cache survives kill -9" `Quick
       test_cache_journal;
