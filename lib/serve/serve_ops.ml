@@ -121,6 +121,11 @@ let max_runs = 1_000_000
 let base_params =
   [ "seed"; "family"; "tasks"; "m"; "epsilon"; "granularity"; "algo"; "model" ]
 
+(* The parameters each op accepts, built once rather than per frame. *)
+let schedule_params = base_params @ [ "include_text" ]
+let replay_params = base_params @ [ "crashed" ]
+let montecarlo_params = base_params @ [ "runs"; "crashes"; "timed" ]
+
 let families = List.map (fun f -> (f, f)) Instance.families
 
 let parse_base fields : Request.t parse =
@@ -262,7 +267,7 @@ let guard ~cancel ctx b run =
 let render j = Json.to_string j
 
 let prepare_schedule ctx fields =
-  let* () = check_known ~allowed:(base_params @ [ "include_text" ]) fields in
+  let* () = check_known ~allowed:schedule_params fields in
   let* b = parse_base fields in
   let* include_text = get_bool fields "include_text" ~default:false in
   Ok
@@ -277,7 +282,7 @@ let prepare_schedule ctx fields =
     }
 
 let prepare_replay ctx fields =
-  let* () = check_known ~allowed:(base_params @ [ "crashed" ]) fields in
+  let* () = check_known ~allowed:replay_params fields in
   let* b = parse_base fields in
   let* crashed = get_int_list fields "crashed" ~min:0 ~max:(b.m - 1) in
   let crashed = List.sort_uniq compare crashed in
@@ -295,9 +300,7 @@ let prepare_replay ctx fields =
     }
 
 let prepare_montecarlo ctx fields =
-  let* () =
-    check_known ~allowed:(base_params @ [ "runs"; "crashes"; "timed" ]) fields
-  in
+  let* () = check_known ~allowed:montecarlo_params fields in
   let* b = parse_base fields in
   let* runs = get_int fields "runs" ~default:1000 ~min:1 ~max:max_runs in
   let* crashes = get_int fields "crashes" ~default:1 ~min:0 ~max:b.m in

@@ -1,7 +1,7 @@
 (** Monte-Carlo fault-injection campaigns over a single schedule.
 
     Draws many random crash scenarios (from-start or timed), replays each
-    one, and aggregates the real execution times — the dynamic counterpart
+    one (a repeated from-start crash set once), and aggregates the real execution times — the dynamic counterpart
     of the static bounds, used by the examples and the CLI. *)
 
 type mode = Scenario.mode =
@@ -28,8 +28,10 @@ type report = {
   runs : int;
   completed : int;  (** runs in which every task produced a result *)
   replays : int;
-      (** replays executed (one per scenario; also visible as the
-          [montecarlo.scenarios] / [replay.runs] metrics) *)
+      (** the scenarios the report counts, always [runs] (the
+          [montecarlo.scenarios] metric).  A from-start crash set that
+          several runs drew is replayed once: the kernel replays are the
+          [montecarlo.distinct] and [replay.runs] metrics *)
   latency : Stats.summary option;  (** over the completed runs; [None] if none *)
   worst_slowdown : float;
       (** max completed latency / zero-crash latency; [nan] if none —
@@ -49,23 +51,32 @@ val run :
   mode:mode ->
   Schedule.t ->
   report
-(** [run ~crashes ~mode sched] replays [runs] (default 1000) scenarios,
-    each crashing [crashes] distinct processors chosen uniformly.  With
-    [mode = From_start] and [crashes <= epsilon] on a fault-tolerant
-    schedule, [failure_rate] is [0.] by Proposition 5.2.
+(** [run ~crashes ~mode sched] draws [runs] (default 1000) scenarios,
+    each crashing [crashes] distinct processors chosen uniformly, and
+    aggregates their replays.  With [mode = From_start] and
+    [crashes <= epsilon] on a fault-tolerant schedule, [failure_rate] is
+    [0.] by Proposition 5.2.
+
+    A [From_start] campaign replays each distinct crash set once, when a
+    run first draws it, and counts its outcome for every run that drew
+    it: there are at most C(m, crashes) sets, so a long campaign is
+    mostly repeats.  The report is that of one replay per run.
 
     [domains] (default [1]) evaluates the blocks of the one
     {!Replay.scan} over that many OCaml domains.  The call compiles one
-    simulator ({!Replay.compile}) and drops it on return.  The scan draws
-    scenario [j] from the root RNG into its row ({!Scenario.draw_row}) in
-    run order and folds the results in run order, so the report is
+    simulator ({!Replay.compile}) and drops it on return.  Scenario [j]
+    is drawn from the root RNG ({!Scenario.draw_row}) in run order and
+    the results are folded in run order, so the report is
     byte-identical for every [domains] value (pinned by the test suite
     against a per-scenario oracle).  The default stays sequential because
     campaign code may already be running one {!Parallel.map} over
-    experiment points.  Sets the [replay.scenarios_per_sec] gauge.
+    experiment points.  Sets the [replay.scenarios_per_sec] gauge (runs
+    per second).
 
     [cancel] (default [Cancel.never]) is polled once per chunk of
-    {!Replay.batch_lanes} scenarios inside {!Replay.eval_batch}; when it
+    {!Replay.batch_lanes} scenarios inside {!Replay.eval_batch} and, in
+    [From_start] mode, once per {!Replay.batch_lanes} runs aggregated,
+    so a tail of repeats cannot outlive the token; when it
     trips — an expired serve-request
     deadline, a daemon shutdown — the campaign raises [Cancel.Cancelled]
     instead of finishing.  Every worker domain polls the same token, so

@@ -51,3 +51,26 @@ let draw_row rng ~count ~mode rows ~m j =
       for i = base to base + m - 1 do
         if rows.(i) = neg_infinity then rows.(i) <- Rng.float rng horizon
       done
+
+(* -- from-start crash sets --------------------------------------------- *)
+
+let set_bits = Sys.int_size - 1
+let set_words ~m = max 1 ((m + set_bits - 1) / set_bits)
+
+let read_set rows ~m j set =
+  Array.fill set 0 (Array.length set) 0;
+  let base = j * m in
+  for p = 0 to m - 1 do
+    if rows.(base + p) = neg_infinity then begin
+      let w = p / set_bits in
+      set.(w) <- set.(w) lor (1 lsl (p mod set_bits))
+    end
+  done
+
+let write_set rows ~m j set =
+  clear_row rows ~m j;
+  let base = j * m in
+  for p = 0 to m - 1 do
+    if set.(p / set_bits) land (1 lsl (p mod set_bits)) <> 0 then
+      rows.(base + p) <- neg_infinity
+  done

@@ -18,8 +18,9 @@ val timed :
     The replay engine reads a scenario as one {e row} of [m] crash
     instants in a flat float array: scenario [j], processor [p] at
     [j * m + p].  [neg_infinity] means dead from the start, [infinity]
-    never crashes, a finite value is the crash instant.  The two writers
-    below and the random {!draw_row} are the only code that fills a row;
+    never crashes, a finite value is the crash instant.  The writers
+    below ({!write_set} included) and the random {!draw_row} are the
+    only code that fills a row;
     {!Replay.eval_batch} reads a range of rows and {!Replay.scan} fills
     and evaluates them block by block. *)
 
@@ -49,3 +50,23 @@ val draw_row :
     of drawing the same scenario with {!uniform_procs} / {!timed}, so a
     campaign that draws its rows in run order reproduces the historical
     scenarios.  Raises [Invalid_argument] if [count < 0]. *)
+
+(** {2 From-start crash sets}
+
+    The processors dead from the start in a row, as a bitset of
+    {!set_words} ints: processor [p] is bit [p mod 62] of word [p / 62]
+    (on a 64-bit host), so with [m <= 62] the whole set is the one int
+    [set.(0)].  A repeated from-start scenario has an equal bitset. *)
+
+val set_words : m:int -> int
+(** Ints in the bitset of a crash set over [m] processors (at least 1). *)
+
+val read_set : float array -> m:int -> int -> int array -> unit
+(** [read_set rows ~m j set] overwrites [set] (of length
+    [set_words ~m]) with the processors dead from the start in row
+    [j]; crash instants of [Timed] rows are not read. *)
+
+val write_set : float array -> m:int -> int -> int array -> unit
+(** [write_set rows ~m j set] makes row [j] the scenario in which exactly
+    the processors of [set] are dead from the start: the inverse of
+    {!read_set}. *)

@@ -200,6 +200,66 @@ let test_montecarlo_domains () =
         (c1 = curve domains))
     [ 2; 3; 4 ]
 
+(* From-start campaigns much longer than their crash space, so sets
+   repeat: from one set (no crash; every processor) up to C(12,5) = 792
+   sets over four blocks, where repeats interleave with new sets across
+   blocks and waves.  Crash counts span within epsilon, epsilon + 1 (the
+   degradation path) and at least m. *)
+let test_montecarlo_repeats () =
+  List.iter
+    (fun (m, tasks, runs, crash_counts) ->
+      let _, costs = Helpers.random_instance ~seed:(30 + m) ~m ~tasks () in
+      let sched = Caft.run ~epsilon:1 costs in
+      List.iter
+        (fun crashes ->
+          let oracle =
+            bytes_of
+              (Oracle.monte_carlo ~seed:7 ~runs ~crashes
+                 ~mode:Monte_carlo.From_start sched)
+          in
+          List.iter
+            (fun domains ->
+              Helpers.check_bool
+                (Printf.sprintf
+                   "montecarlo matches per-scenario oracle (m=%d, %d crashes, \
+                    %d domains)"
+                   m crashes domains)
+                true
+                (oracle
+                = bytes_of
+                    (Monte_carlo.run ~seed:7 ~runs ~domains ~crashes
+                       ~mode:Monte_carlo.From_start sched)))
+            [ 1; 2; 3; 4 ])
+        crash_counts)
+    [
+      (4, 12, 300, [ 0; 1; 2; 4; 5 ]);
+      (5, 15, 400, [ 0; 1; 2; 5 ]);
+      (6, 18, 700, [ 0; 1; 2; 6 ]);
+      (12, 20, 2500, [ 5 ]);
+    ]
+
+(* A token that trips once the first block is evaluated still cancels a
+   campaign whose later runs only repeat sets that block replayed. *)
+let test_montecarlo_repeats_cancel () =
+  let _, costs = Helpers.random_instance ~seed:36 ~m:6 ~tasks:18 () in
+  let sched = Caft.run ~epsilon:1 costs in
+  List.iter
+    (fun (crashes, domains) ->
+      let cancel = Cancel.create () in
+      Parallel.set_monitor (Some (fun _ -> Cancel.cancel cancel));
+      Fun.protect
+        ~finally:(fun () -> Parallel.set_monitor None)
+        (fun () ->
+          match
+            Monte_carlo.run ~seed:7 ~runs:2000 ~domains ~cancel ~crashes
+              ~mode:Monte_carlo.From_start sched
+          with
+          | (_ : Monte_carlo.report) ->
+              Alcotest.failf "%d crashes, %d domains: not cancelled" crashes
+                domains
+          | exception Cancel.Cancelled -> ()))
+    [ (1, 1); (2, 1); (2, 3) ]
+
 let test_fault_check_domains () =
   let _, costs = Helpers.random_instance ~seed:4 ~m:7 ~tasks:20 () in
   let sched = Caft.run ~epsilon:1 costs in
@@ -677,6 +737,10 @@ let suite =
       test_differential;
     Alcotest.test_case "montecarlo domain-count independent" `Quick
       test_montecarlo_domains;
+    Alcotest.test_case "montecarlo replays each distinct set once" `Quick
+      test_montecarlo_repeats;
+    Alcotest.test_case "montecarlo cancelled after its first block" `Quick
+      test_montecarlo_repeats_cancel;
     Alcotest.test_case "fault-check domain-count independent" `Quick
       test_fault_check_domains;
     Alcotest.test_case "fault-check counterexample semantics" `Quick
